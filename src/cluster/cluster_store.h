@@ -54,14 +54,6 @@ namespace gdpr::cluster {
 // between router and store.
 enum class ClusterTransport { kInProcess, kLoopbackSocket };
 
-inline const char* ClusterTransportName(ClusterTransport t) {
-  switch (t) {
-    case ClusterTransport::kInProcess: return "in-process";
-    case ClusterTransport::kLoopbackSocket: return "socket";
-  }
-  return "unknown";
-}
-
 struct ClusterOptions {
   size_t nodes = 4;
   uint32_t slots = SlotMap::kDefaultSlots;
@@ -145,11 +137,6 @@ class ClusterGdprStore : public GdprStore {
   CompactionStats GetCompactionStats() override;
 
   // --- Cluster surface -----------------------------------------------------
-
-  // Cluster-flavored alias for CompactNow (the fan-out is the point).
-  StatusOr<CompactionStats> CompactAll(const Actor& actor) {
-    return CompactNow(actor);
-  }
 
   size_t node_count() const { return nodes_.size(); }
   // Direct access to the node's backing store — tests and tools peeking at

@@ -18,7 +18,7 @@
 namespace gdpr {
 
 // Per-store compaction observability, merged additively across cluster
-// nodes by ClusterGdprStore::CompactAll.
+// nodes by ClusterGdprStore::CompactNow.
 struct CompactionStats {
   uint64_t compactions = 0;        // completed compaction passes
   uint64_t log_bytes = 0;          // current on-disk log length

@@ -1,0 +1,184 @@
+// PolicyStore: the GDPR policy layer, written once over a narrow engine
+// seam. Every Table 2 op body lives here — role and purpose access checks
+// (gdpr/access.h), an audit entry on every exit, the per-op timers, the
+// striped key locks, MetadataUpdate application, expiry filtering, masking,
+// the predicate re-match of index hits, and the revalidate-under-key-lock
+// erasure loops — so the rules cannot drift between engines.
+//
+// Engines (KvGdprStore over MemKV, RelGdprStore over reldb) plug in through
+// the protected hooks below: they store, fetch, index, tombstone and scan
+// records, and never decide who may do what. Index hits are hints: a
+// collection may return records that no longer match (or have expired), and
+// this layer re-checks every one against the fetched record before serving
+// or erasing it.
+
+#pragma once
+
+#include <array>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <vector>
+
+#include "gdpr/store.h"
+
+namespace gdpr {
+
+class PolicyStore : public GdprStore {
+ public:
+  Status Close() final;
+
+  Status CreateRecord(const Actor& actor, const GdprRecord& record) final;
+  StatusOr<GdprRecord> ReadDataByKey(const Actor& actor,
+                                     const std::string& key) final;
+  StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
+                                           const std::string& key) final;
+  StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
+      const Actor& actor, const std::string& user) final;
+  StatusOr<std::vector<GdprRecord>> ReadMetadataByPurpose(
+      const Actor& actor, const std::string& purpose) final;
+  StatusOr<std::vector<GdprRecord>> ReadMetadataBySharing(
+      const Actor& actor, const std::string& third_party) final;
+  StatusOr<std::vector<GdprRecord>> ReadRecordsByUser(
+      const Actor& actor, const std::string& user) final;
+  Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
+                             const MetadataUpdate& update) final;
+  Status UpdateDataByKey(const Actor& actor, const std::string& key,
+                         const std::string& data) final;
+  Status DeleteRecordByKey(const Actor& actor, const std::string& key) final;
+  StatusOr<size_t> DeleteRecordsByUser(const Actor& actor,
+                                       const std::string& user) final;
+  StatusOr<size_t> DeleteExpiredRecords(const Actor& actor) final;
+  StatusOr<bool> VerifyDeletion(const Actor& actor,
+                                const std::string& key) final;
+  StatusOr<std::vector<AuditEntry>> GetSystemLogs(const Actor& actor,
+                                                  int64_t from_micros,
+                                                  int64_t to_micros) final;
+  StatusOr<Features> GetFeatures(const Actor& actor) final;
+  // Expired records are dead to reads here too. DataLoss when the engine
+  // met unreadable records; fn has already seen every readable one.
+  Status ScanRecords(const Actor& actor,
+                     const std::function<bool(const GdprRecord&)>& fn) final;
+
+  // Engine log compaction, then the audit chain's retention pass.
+  StatusOr<CompactionStats> CompactNow(const Actor& actor) final;
+  CompactionStats GetCompactionStats() final;
+
+  size_t TotalBytes() final;
+  // Worst of the engine's durability paths and the audit chain's latch.
+  HealthState GetHealth() final;
+  Status GetHealthCause() final;
+  // Refreshes the common gdpr_* gauges, then the engine's, and snapshots
+  // the one registry both record into.
+  obs::RegistrySnapshot StatsSnapshot() final;
+
+ protected:
+  // The metadata attribute a collection selects on.
+  enum class Attr { kUser, kPurpose, kSharing };
+
+  // metrics: the caller-supplied registry, or nullptr for the store's own.
+  // engine_name / secondary_indexes feed GET-SYSTEM-FEATURES.
+  PolicyStore(Clock* clock, const ComplianceFlags& flags,
+              obs::MetricsRegistry* metrics, size_t commit_max_batch_frames,
+              const char* engine_name, bool secondary_indexes);
+
+  // ---- Engine hooks --------------------------------------------------------
+  // The stored record, expired or not. NotFound when absent.
+  virtual StatusOr<GdprRecord> GetRaw(const std::string& key) = 0;
+  // Upsert under the caller's key lock. prev is the record stored under
+  // rec.key when the caller already fetched it (the key is live, so it
+  // carries no tombstone); nullptr when unknown, in which case the engine
+  // retires any prior incarnation itself and clears the key's tombstone.
+  virtual Status Put(const GdprRecord& rec, const GdprRecord* prev) = 0;
+  // Delete + unindex + durable tombstone + erasure barrier, under the
+  // caller's key lock. Fails without recording evidence when the erasure
+  // cannot be made durable.
+  virtual Status Erase(const GdprRecord& rec) = 0;
+  // Appends records whose attr may equal value — hints, expired records
+  // included; the engine picks index or scan. Returns DataLoss when it met
+  // records it could not read; *out then holds the readable ones.
+  virtual Status Collect(Attr attr, const std::string& value,
+                         std::vector<GdprRecord>* out) = 0;
+  // Calls fn(key) for every record that may have expired by now, stopping
+  // at (and returning) the first failure. DataLoss when unreadable records
+  // may hide expired ones; fn has then not run.
+  virtual Status ForEachExpired(
+      int64_t now, const std::function<Status(const std::string&)>& fn) = 0;
+  // Visits every stored record, expired included; fn may move from its
+  // argument and returns false to stop. DataLoss when some were unreadable.
+  virtual Status Scan(const std::function<bool(GdprRecord&)>& fn) = 0;
+  virtual StatusOr<bool> HasTombstone(const std::string& key) = 0;
+  virtual size_t TombstoneCount() = 0;
+  virtual Status CompactLog() = 0;
+  // Log-side compaction stats; the audit fields are filled in here.
+  virtual CompactionStats LogCompactionStats() = 0;
+  virtual HealthState EngineHealth() = 0;
+  virtual Status EngineHealthCause() = 0;
+  // Resident bytes of records and indexes, audit trail excluded.
+  virtual size_t EngineBytes() = 0;
+  // Refreshes engine gauges and snapshots the shared registry.
+  virtual obs::RegistrySnapshot EngineSnapshot() = 0;
+  virtual Status CloseEngine() = 0;
+
+  // ---- Shared helpers ------------------------------------------------------
+  bool indexing() const { return flags_.metadata_indexing; }
+  int64_t NowMicros() { return clock_->NowMicros(); }
+  // Same-key writers serialize here: every mutation is a read-modify-write
+  // across the record and its index entries.
+  std::mutex& KeyMutex(const std::string& key) {
+    uint64_t h = 1469598103934665603ull;
+    for (const char c : key) {
+      h ^= uint8_t(c);
+      h *= 1099511628211ull;
+    }
+    return key_mu_[h % key_mu_.size()];
+  }
+  // Collect's scan fallback, built on Scan.
+  Status ScanCollect(Attr attr, const std::string& value,
+                     std::vector<GdprRecord>* out);
+  // DataLoss naming how many records could not be read; OK for zero.
+  static Status CollectionStatus(size_t unreadable);
+
+  const ComplianceFlags flags_;
+  // One registry for the whole stack, declared before the engine the
+  // subclass owns so it outlives it; metrics_ points at the caller's
+  // registry when one was supplied, else at registry_.
+  obs::MetricsRegistry registry_;
+  obs::MetricsRegistry* metrics_;
+  // One group-commit pipeline (one committer thread) for every durability
+  // path under the store: the engine's log(s) and the audit chain's segment
+  // frames batch together. Outlives the engine, which commits through it
+  // from its own Close(); the audit chain detaches in Close() first.
+  std::unique_ptr<CommitPipeline> pipeline_;
+
+ private:
+  static bool Matches(Attr attr, const std::string& value,
+                      const GdprMetadata& m);
+  void Audit(const Actor& actor, const char* op, const std::string& key,
+             bool allowed);
+  // Fetches key for a by-key op and checks access; audits any refusal.
+  StatusOr<GdprRecord> FetchForOp(const Actor& actor, const char* op,
+                                  const std::string& key,
+                                  bool include_expired);
+  // The four metadata queries: check, audit, collect, re-match, drop
+  // expired records, and mask personal data unless `mask` is false.
+  StatusOr<std::vector<GdprRecord>> Query(const Actor& actor, const char* op,
+                                          Attr attr, const std::string& value,
+                                          bool mask);
+  obs::Histogram* op_hist(ops::OpClass c) {
+    return op_hist_[static_cast<int>(c)];
+  }
+
+  const char* const engine_name_;
+  const bool secondary_indexes_;
+  obs::Histogram* op_hist_[static_cast<int>(ops::OpClass::kCount)] = {};
+  obs::Counter* denied_ = nullptr;
+  // Forget (G 17) end-to-end and SAR/portability export latencies, recorded
+  // in addition to the per-op-class histogram.
+  obs::Histogram* forget_us_ = nullptr;
+  obs::Histogram* export_us_ = nullptr;
+  std::array<std::mutex, 64> key_mu_;
+};
+
+}  // namespace gdpr

@@ -1,19 +1,20 @@
-// RelGdprStore: the GDPR layer over the relational engine (the paper's
+// RelGdprStore: the reldb engine under the GDPR policy layer (the paper's
 // modified PostgreSQL). Records are rows in a gdpr_records table with a
-// B+tree primary index on the key. With compliance.metadata_indexing the
-// store adds a user index, an expiry index, and normalized purpose/sharing
-// join tables (multi-valued metadata), so metadata queries are index probes
-// — the Fig 5c / Fig 8 configuration. Without it they are sequential scans.
+// B+tree primary index on the key; every Table 2 rule is PolicyStore's, and
+// this class supplies only the engine hooks. With
+// compliance.metadata_indexing the engine adds a user index, an expiry
+// index, and normalized purpose/sharing join tables (multi-valued
+// metadata), so collections are index probes — the Fig 5c / Fig 8
+// configuration. Without it they are sequential scans. A row that fails
+// at-rest decryption makes the collection that met it return DataLoss.
 
 #pragma once
 
-#include <array>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "gdpr/store.h"
+#include "gdpr/policy_store.h"
 #include "relstore/database.h"
 
 namespace gdpr {
@@ -31,116 +32,48 @@ struct RelGdprOptions {
   AuditLogOptions audit;
 };
 
-class RelGdprStore : public GdprStore {
+class RelGdprStore : public PolicyStore {
  public:
   explicit RelGdprStore(const RelGdprOptions& options);
   ~RelGdprStore() override;
 
   Status Open() override;
-  Status Close() override;
-
-  Status CreateRecord(const Actor& actor, const GdprRecord& record) override;
-  StatusOr<GdprRecord> ReadDataByKey(const Actor& actor,
-                                     const std::string& key) override;
-  StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
-                                           const std::string& key) override;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
-      const Actor& actor, const std::string& user) override;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByPurpose(
-      const Actor& actor, const std::string& purpose) override;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataBySharing(
-      const Actor& actor, const std::string& third_party) override;
-  StatusOr<std::vector<GdprRecord>> ReadRecordsByUser(
-      const Actor& actor, const std::string& user) override;
-  Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
-                             const MetadataUpdate& update) override;
-  Status UpdateDataByKey(const Actor& actor, const std::string& key,
-                         const std::string& data) override;
-  Status DeleteRecordByKey(const Actor& actor, const std::string& key) override;
-  StatusOr<size_t> DeleteRecordsByUser(const Actor& actor,
-                                       const std::string& user) override;
-  StatusOr<size_t> DeleteExpiredRecords(const Actor& actor) override;
-  StatusOr<bool> VerifyDeletion(const Actor& actor,
-                                const std::string& key) override;
-  StatusOr<std::vector<AuditEntry>> GetSystemLogs(const Actor& actor,
-                                                  int64_t from_micros,
-                                                  int64_t to_micros) override;
-  StatusOr<Features> GetFeatures(const Actor& actor) override;
-  Status ScanRecords(
-      const Actor& actor,
-      const std::function<bool(const GdprRecord&)>& fn) override;
-
   size_t RecordCount() override;
-  size_t TotalBytes() override;
   Status Reset() override;
-
-  // Erasure-aware checkpoint: snapshot table heaps (tombstone table
-  // included), truncate the WAL. After this no pre-barrier frame of an
-  // erased record is on disk.
-  StatusOr<CompactionStats> CompactNow(const Actor& actor) override;
-  CompactionStats GetCompactionStats() override;
-
-  // Worst of the engine's WAL/statement-log health and the audit chain's
-  // persistence latch; mutations are gated inside rel::Database.
-  HealthState GetHealth() override;
-  Status GetHealthCause() override;
-
-  // GDPR-layer + rel::Database + audit metrics, one registry.
-  obs::RegistrySnapshot StatsSnapshot() override;
 
   rel::Database* raw() { return db_.get(); }
   const RelGdprOptions& options() const { return options_; }
 
+ protected:
+  StatusOr<GdprRecord> GetRaw(const std::string& key) override;
+  // Upsert = delete the prior row and its join rows, insert the new ones.
+  Status Put(const GdprRecord& rec, const GdprRecord* prev) override;
+  Status Erase(const GdprRecord& rec) override;
+  Status Collect(Attr attr, const std::string& value,
+                 std::vector<GdprRecord>* out) override;
+  Status ForEachExpired(
+      int64_t now,
+      const std::function<Status(const std::string&)>& fn) override;
+  Status Scan(const std::function<bool(GdprRecord&)>& fn) override;
+  StatusOr<bool> HasTombstone(const std::string& key) override;
+  size_t TombstoneCount() override;
+  // Erasure-aware checkpoint: snapshot table heaps (tombstone table
+  // included), truncate the WAL.
+  Status CompactLog() override;
+  CompactionStats LogCompactionStats() override;
+  HealthState EngineHealth() override;
+  Status EngineHealthCause() override;
+  size_t EngineBytes() override;
+  obs::RegistrySnapshot EngineSnapshot() override;
+  Status CloseEngine() override;
+
  private:
-  bool indexing() const { return options_.compliance.metadata_indexing; }
-  int64_t NowMicros() { return clock_->NowMicros(); }
-
-  void Audit(const Actor& actor, const char* op, const std::string& key,
-             bool allowed);
-
   rel::Row ToRow(const GdprRecord& rec) const;
   GdprRecord FromRow(const rel::Row& row) const;
-  bool RowExpired(const rel::Row& row, int64_t now) const;
-
-  StatusOr<GdprRecord> GetRecord(const std::string& key);
-  // Upsert: removes any prior incarnation (and its join-table entries),
-  // inserts the new row + join rows.
-  Status PutRecord(const GdprRecord& rec);
-  // Removes row + join entries; leaves a tombstone when `tombstone`.
-  // Fails when the erasure evidence cannot be written (e.g. the WAL went
-  // offline after a failed checkpoint) — a deletion whose proof is lost
-  // must not read as success.
-  StatusOr<size_t> RemoveKey(const std::string& key, bool tombstone);
-
-  std::vector<GdprRecord> CollectWhere(
-      const std::function<bool(const GdprRecord&)>& match);
-  std::vector<GdprRecord> CollectByJoinTable(rel::Table* join,
-                                             const std::string& value);
-
-  // Striped per-key locks: upserts are delete+insert across three tables,
-  // so same-key writers must serialize or concurrent updates duplicate
-  // rows / strand join entries.
-  std::mutex& KeyMutex(const std::string& key) {
-    uint64_t h = 1469598103934665603ull;
-    for (const char c : key) {
-      h ^= uint8_t(c);
-      h *= 1099511628211ull;
-    }
-    return key_mu_[h % key_mu_.size()];
-  }
-
-  // Snapshot-time gauges (tombstones, seal lag, health); see StatsSnapshot.
-  void RefreshGauges();
+  // Deletes the key's row and join rows.
+  Status DeleteRows(const std::string& key);
 
   RelGdprOptions options_;
-  // Shared with the inner rel::Database (declared first so it outlives the
-  // engine); a caller-supplied options_.rel.metrics wins over this one.
-  obs::MetricsRegistry registry_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  // One group-commit pipeline for the WAL, the statement log, and the
-  // audit chain; declared before db_ so the engine (which commits through
-  // it, including from its destructor's Close()) dies first.
-  std::unique_ptr<CommitPipeline> pipeline_;
   std::unique_ptr<rel::Database> db_;
   rel::Table* records_ = nullptr;
   rel::Table* purpose_idx_ = nullptr;
@@ -150,8 +83,6 @@ class RelGdprStore : public GdprStore {
   rel::Table* tombstones_ = nullptr;
 
   ErasureBarrier barrier_;
-
-  std::array<std::mutex, 64> key_mu_;
 };
 
 }  // namespace gdpr

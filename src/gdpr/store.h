@@ -1,6 +1,8 @@
-// GdprStore: the paper's GDPR query API (Table 2), implemented by the KV
-// and relational backends. All operations carry the acting party; access
-// control and auditing happen inside the store, not in the caller.
+// GdprStore: the paper's GDPR query API (Table 2), implemented once by the
+// policy layer (gdpr/policy_store.h) over the KV and relational engines, and
+// by the cluster router over its nodes. All operations carry the acting
+// party; access control and auditing happen inside the store, not in the
+// caller.
 
 #pragma once
 
@@ -127,32 +129,6 @@ class GdprStore {
   Clock* clock() { return clock_; }
 
  protected:
-  // Creates the per-op-class latency histograms and the denial counter on
-  // reg. Backends call this once in their constructor, then time each
-  // public op with ScopedTimer(op_hist(Op::...), clock_).
-  void InitOpMetrics(obs::MetricsRegistry* reg) {
-    for (int i = 0; i < static_cast<int>(ops::OpClass::kCount); ++i) {
-      std::string name = "gdpr_op_us{op=\"";
-      name += ops::OpClassName(static_cast<ops::OpClass>(i));
-      name += "\"}";
-      op_hist_[i] = reg->GetHistogram(name);
-    }
-    denied_ = reg->GetCounter("gdpr_denied_total");
-    forget_us_ = reg->GetHistogram("gdpr_forget_e2e_us");
-    export_us_ = reg->GetHistogram("gdpr_export_us");
-  }
-  obs::Histogram* op_hist(ops::OpClass c) {
-    return op_hist_[static_cast<int>(c)];
-  }
-
-  // Filled by InitOpMetrics; null until then (backends without metrics
-  // plumbed simply never call the accessors).
-  obs::Histogram* op_hist_[static_cast<int>(ops::OpClass::kCount)] = {};
-  obs::Counter* denied_ = nullptr;
-  // Forget (G 17 erasure) end-to-end and SAR/portability export latencies,
-  // recorded in addition to the per-op-class histogram.
-  obs::Histogram* forget_us_ = nullptr;
-  obs::Histogram* export_us_ = nullptr;
   // Shared open plumbing for the durable chain: resolves the env and sync
   // policy from the backend's engine options (the chain persists with the
   // store's sync policy) and attaches the segment files. No-op with no

@@ -582,7 +582,7 @@ Status MemKV::AddTombstone(const std::string& key) {
   return Status::OK();
 }
 
-void MemKV::ClearTombstone(const std::string& key) {
+Status MemKV::ClearTombstone(const std::string& key) {
   bool erased;
   {
     std::lock_guard<std::mutex> l(tomb_mu_);
@@ -590,8 +590,16 @@ void MemKV::ClearTombstone(const std::string& key) {
   }
   if (erased) m_tombstones_->Add(-1);
   if (erased && aof_active_.load(std::memory_order_acquire)) {
-    AofAppend('t', key, "", 0).ok();
+    Status s = AofAppend('t', key, "", 0);
+    if (!s.ok()) {
+      // The evidence would reappear on restart: keep it in memory too.
+      std::lock_guard<std::mutex> l(tomb_mu_);
+      tombstones_.insert(key);
+      m_tombstones_->Add(1);
+      return s;
+    }
   }
+  return Status::OK();
 }
 
 bool MemKV::HasTombstone(const std::string& key) const {

@@ -204,9 +204,10 @@ class MemKV {
   // the registry over even though the erased record's frames are dropped.
   // AddTombstone fails (and rolls the in-memory entry back) when the 'T'
   // frame cannot be appended: evidence that would not survive a restart
-  // must not be reported as recorded.
+  // must not be reported as recorded. ClearTombstone likewise keeps the
+  // entry when its 't' frame cannot be appended.
   Status AddTombstone(const std::string& key);
-  void ClearTombstone(const std::string& key);
+  Status ClearTombstone(const std::string& key);
   bool HasTombstone(const std::string& key) const;
   std::vector<std::string> Tombstones(
       const std::function<bool(const std::string&)>& key_pred = nullptr) const;

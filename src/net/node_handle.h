@@ -104,8 +104,6 @@ class NodeHandle {
 
   // Audit evidence.
   virtual StatusOr<AuditChainVerdict> VerifyAuditChain() = 0;
-
-  virtual const char* transport_name() const = 0;
 };
 
 // Direct-call handle: zero copies, zero frames — exactly the pre-seam
@@ -220,8 +218,7 @@ class InProcessHandle final : public NodeHandle {
     return store_->EvictRecord(key);
   }
   Status ClearTombstone(const std::string& key) override {
-    store_->ClearTombstone(key);
-    return Status::OK();
+    return store_->ClearTombstone(key);
   }
 
   StatusOr<AuditChainVerdict> VerifyAuditChain() override {
@@ -230,8 +227,6 @@ class InProcessHandle final : public NodeHandle {
     v.head_hash = store_->audit_log()->head_hash();
     return v;
   }
-
-  const char* transport_name() const override { return "in-process"; }
 
  private:
   KvGdprStore* store_;

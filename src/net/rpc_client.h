@@ -105,8 +105,6 @@ class RemoteHandle final : public NodeHandle {
 
   StatusOr<AuditChainVerdict> VerifyAuditChain() override;
 
-  const char* transport_name() const override { return "socket"; }
-
   // Severs the connection as if the peer died (tests: a killed node).
   void InjectDisconnect();
 

@@ -166,7 +166,7 @@ WireResponse DispatchRequest(KvGdprStore* store, const WireRequest& req) {
       resp.status = store->EvictRecord(req.key);
       break;
     case WireOp::kClearTombstone:
-      store->ClearTombstone(req.key);
+      resp.status = store->ClearTombstone(req.key);
       break;
     case WireOp::kVerifyAuditChain:
       resp.flag = store->audit_log()->VerifyChain();

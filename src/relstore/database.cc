@@ -508,19 +508,26 @@ Value Database::EncodeCell(const Value& v) {
   return Value(aead_->Seal(v.AsString(), seal_seq_.fetch_add(1)));
 }
 
-Row Database::DecodeRow(const Table* /*t*/, const Row& stored) const {
+Row Database::DecodeRow(const Table* /*t*/, const Row& stored,
+                        bool* intact) const {
   if (!aead_) return stored;
   Row out;
   out.reserve(stored.size());
   for (const Value& v : stored) {
     if (v.type() == ValueType::kString) {
       auto plain = aead_->Open(v.AsString());
+      if (!plain.ok() && intact) *intact = false;
       out.push_back(plain.ok() ? Value(plain.value()) : v);
     } else {
       out.push_back(v);
     }
   }
   return out;
+}
+
+Status Database::Unreadable(const Table* t, size_t rows) {
+  return Status::DataLoss(std::to_string(rows) + " row(s) of " + t->name() +
+                          " failed at-rest decryption");
 }
 
 Status Database::Insert(Table* t, Row row) {
@@ -570,7 +577,8 @@ Status Database::Insert(Table* t, Row row) {
 }
 
 std::vector<uint64_t> Database::MatchRowIds(Table* t, const Predicate& pred,
-                                            size_t limit) const {
+                                            size_t limit,
+                                            size_t* unreadable) const {
   // Caller holds t->mu_ (shared or exclusive).
   std::vector<uint64_t> ids;
   auto want_more = [&] { return limit == 0 || ids.size() < limit; };
@@ -604,7 +612,11 @@ std::vector<uint64_t> Database::MatchRowIds(Table* t, const Predicate& pred,
     Value plain = cell;
     if (aead_ && cell.type() == ValueType::kString) {
       auto p = aead_->Open(cell.AsString());
-      if (p.ok()) plain = Value(p.value());
+      if (!p.ok()) {
+        if (unreadable) ++*unreadable;
+        continue;
+      }
+      plain = Value(p.value());
     }
     if (plain.Matches(pred.op, pred.value)) ids.push_back(uint64_t(slot) + 1);
   }
@@ -616,13 +628,17 @@ StatusOr<std::vector<Row>> Database::Select(Table* t, const Predicate& pred,
   obs::SampledTimer timer(select_us_, clock_);
   if (!t) return Status::InvalidArgument("null table");
   std::vector<Row> out;
+  size_t unreadable = 0;
   {
     std::shared_lock<std::shared_mutex> l(t->mu_);
-    const std::vector<uint64_t> ids = MatchRowIds(t, pred, limit);
+    const std::vector<uint64_t> ids = MatchRowIds(t, pred, limit, &unreadable);
     out.reserve(ids.size());
     for (const uint64_t rid : ids) {
       const auto& slot = t->slots_[rid - 1];
-      if (slot) out.push_back(DecodeRow(t, *slot));
+      if (!slot) continue;
+      bool intact = true;
+      out.push_back(DecodeRow(t, *slot, &intact));
+      if (!intact) ++unreadable;
     }
   }
   if (stmt_logging()) {
@@ -630,6 +646,7 @@ StatusOr<std::vector<Row>> Database::Select(Table* t, const Predicate& pred,
                             pred.col_name + " " + pred.value.ToString());
     if (!s.ok()) return s;
   }
+  if (unreadable != 0) return Unreadable(t, unreadable);
   return out;
 }
 
@@ -638,12 +655,16 @@ StatusOr<std::vector<Row>> Database::SelectWhere(
   obs::SampledTimer timer(select_us_, clock_);
   if (!t) return Status::InvalidArgument("null table");
   std::vector<Row> out;
+  size_t unreadable = 0;
   {
     std::shared_lock<std::shared_mutex> l(t->mu_);
     for (size_t slot = 0; slot < t->slots_.size(); ++slot) {
       if (!t->slots_[slot]) continue;
-      Row decoded = DecodeRow(t, *t->slots_[slot]);
-      if (pred(decoded)) {
+      bool intact = true;
+      Row decoded = DecodeRow(t, *t->slots_[slot], &intact);
+      if (!intact) {
+        ++unreadable;
+      } else if (pred(decoded)) {
         out.push_back(std::move(decoded));
         if (limit != 0 && out.size() >= limit) break;
       }
@@ -653,22 +674,32 @@ StatusOr<std::vector<Row>> Database::SelectWhere(
     Status s = LogStatement("SELECT FROM " + t->name() + " WHERE <scan>");
     if (!s.ok()) return s;
   }
+  if (unreadable != 0) return Unreadable(t, unreadable);
   return out;
 }
 
 Status Database::ScanRows(Table* t,
                           const std::function<bool(const Row&)>& fn) {
   if (!t) return Status::InvalidArgument("null table");
+  size_t unreadable = 0;
   {
     std::shared_lock<std::shared_mutex> l(t->mu_);
     for (size_t slot = 0; slot < t->slots_.size(); ++slot) {
       if (!t->slots_[slot]) continue;
-      if (!fn(DecodeRow(t, *t->slots_[slot]))) break;
+      bool intact = true;
+      Row decoded = DecodeRow(t, *t->slots_[slot], &intact);
+      if (!intact) {
+        ++unreadable;
+      } else if (!fn(decoded)) {
+        break;
+      }
     }
   }
   if (stmt_logging()) {
-    return LogStatement("SELECT FROM " + t->name() + " WHERE <scan>");
+    Status s = LogStatement("SELECT FROM " + t->name() + " WHERE <scan>");
+    if (!s.ok()) return s;
   }
+  if (unreadable != 0) return Unreadable(t, unreadable);
   return Status::OK();
 }
 

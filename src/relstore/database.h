@@ -193,12 +193,15 @@ class Database {
   Status CreateIndex(const std::string& table, const std::string& column);
 
   Status Insert(Table* t, Row row);
+  // The three read paths return DataLoss when a row they met failed at-rest
+  // decryption — never its sealed bytes, never a silently shorter answer.
   StatusOr<std::vector<Row>> Select(Table* t, const Predicate& pred,
                                     size_t limit = 0);
   // Sequential scan with an arbitrary row predicate (no index assist).
   StatusOr<std::vector<Row>> SelectWhere(
       Table* t, const std::function<bool(const Row&)>& pred, size_t limit = 0);
-  // Visits every live row (decoded); fn returns false to stop the scan.
+  // Visits every live row (decoded); fn returns false to stop the scan. fn
+  // sees every readable row before an unreadable one turns into DataLoss.
   Status ScanRows(Table* t, const std::function<bool(const Row&)>& fn);
   // Applies `mutate` to each matching row, maintaining indices on changed
   // columns. Returns rows updated.
@@ -274,10 +277,15 @@ class Database {
   void ApplySnapshot(Table* t, std::vector<std::optional<Row>> slots);
   static void EncodeCells(std::string* dst, const Row& stored);
   static bool DecodeCells(std::string_view* in, Row* out);
-  // Collects matching row ids under the table's lock (shared).
+  // Collects matching row ids under the table's lock (shared). A scanned
+  // predicate cell that fails decryption counts into *unreadable.
   std::vector<uint64_t> MatchRowIds(Table* t, const Predicate& pred,
-                                    size_t limit) const;
-  Row DecodeRow(const Table* t, const Row& stored) const;
+                                    size_t limit,
+                                    size_t* unreadable = nullptr) const;
+  // Opens sealed cells; one that fails stays sealed and clears *intact.
+  Row DecodeRow(const Table* t, const Row& stored,
+                bool* intact = nullptr) const;
+  static Status Unreadable(const Table* t, size_t rows);
   Value EncodeCell(const Value& v);
 
   Status LogStatement(const std::string& text);

@@ -500,7 +500,7 @@ TEST(StoreAuditDurability, ClusterChainsReverifyAfterFullRestart) {
               32u);
     // Router-chain traffic: a migration and a cluster-wide compaction.
     ASSERT_TRUE(store.MoveSlots({0, 1, 2, 3}, 2).ok());
-    auto stats = store.CompactAll(Actor::Controller());
+    auto stats = store.CompactNow(Actor::Controller());
     ASSERT_TRUE(stats.ok());
     EXPECT_GE(stats.value().audit_segments, 5u);  // 4 nodes + router, durable
     ASSERT_TRUE(store.VerifyAuditChains());

@@ -9,7 +9,7 @@
 //   * Crash points: a temp file left mid-rewrite (rename never happened)
 //     must reopen to the pre-compaction state; a snapshot renamed but WAL
 //     not yet truncated must not double-apply.
-//   * A 4-node cluster fans CompactAll out per node, and slot migration
+//   * A 4-node cluster fans CompactNow out per node, and slot migration
 //     does not resurrect compacted data.
 
 #include <gtest/gtest.h>
@@ -574,7 +574,7 @@ TEST(ErasureCompaction, ClusterCompactAllAndMigrationDoesNotResurrect) {
   }
   ASSERT_EQ(store.DeleteRecordsByUser(Actor::Controller(), "alice").value(),
             32u);
-  auto stats = store.CompactAll(Actor::Controller());
+  auto stats = store.CompactNow(Actor::Controller());
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().compactions, 4u);  // one rewrite per node
   EXPECT_EQ(stats.value().erasures_pending_compaction, 0u);
@@ -594,7 +594,7 @@ TEST(ErasureCompaction, ClusterCompactAllAndMigrationDoesNotResurrect) {
       store.ReadMetadataByUser(Actor::Controller(), "alice").value().empty());
   EXPECT_TRUE(store.VerifyDeletion(Actor::Regulator(), "alice:c5").value());
   // A second pass compacts the migration traffic; still nothing of alice.
-  ASSERT_TRUE(store.CompactAll(Actor::Controller()).ok());
+  ASSERT_TRUE(store.CompactNow(Actor::Controller()).ok());
   for (int n = 0; n < 4; ++n) {
     const std::string log =
         env.ReadFileToString("aof.node" + std::to_string(n)).value();

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "common/string_util.h"
 #include "gdpr/rel_backend.h"
 
@@ -47,77 +45,6 @@ TEST(RelGdprStore, BasicLifecycle) {
                   .status()
                   .IsNotFound());
   EXPECT_TRUE(store.VerifyDeletion(Actor::Regulator(), "k1").value());
-}
-
-TEST(RelGdprStore, AccessControlAndObjections) {
-  RelGdprStore store((RelGdprOptions()));
-  ASSERT_TRUE(store.Open().ok());
-  store.CreateRecord(Actor::Controller(), MakeRec("k1", "neo", {"ads"})).ok();
-  EXPECT_TRUE(store.ReadDataByKey(Actor::Processor("p", "ads"), "k1").ok());
-  EXPECT_TRUE(store.ReadDataByKey(Actor::Processor("p", "fraud"), "k1")
-                  .status()
-                  .IsPermissionDenied());
-  MetadataUpdate objection;
-  objection.objections = std::vector<std::string>{"ads"};
-  store.UpdateMetadataByKey(Actor::Customer("neo"), "k1", objection).ok();
-  EXPECT_TRUE(store.ReadDataByKey(Actor::Processor("p", "ads"), "k1")
-                  .status()
-                  .IsPermissionDenied());
-  EXPECT_TRUE(store.ReadDataByKey(Actor::Customer("smith"), "k1")
-                  .status()
-                  .IsPermissionDenied());
-}
-
-// Same invariant as the KV store: indexing changes cost, never results.
-TEST(RelGdprStore, IndexedAndScanPathsAgree) {
-  std::set<std::string> scan_sharing, idx_sharing;
-  size_t scan_user_count = 0, idx_user_count = 0;
-  for (const bool indexed : {false, true}) {
-    SimulatedClock clock(1000);
-    RelGdprOptions o;
-    o.clock = &clock;
-    o.compliance.metadata_indexing = indexed;
-    RelGdprStore store(o);
-    ASSERT_TRUE(store.Open().ok());
-    for (size_t i = 0; i < 200; ++i) {
-      GdprRecord rec = MakeRec(StringPrintf("k%03zu", i),
-                               StringPrintf("user-%zu", i % 8),
-                               {StringPrintf("pur-%zu", i % 4)});
-      if (i % 5 == 0) rec.metadata.shared_with = {"partner-x"};
-      if (i % 6 == 0) rec.metadata.expiry_micros = 4000;
-      ASSERT_TRUE(store.CreateRecord(Actor::Controller(), rec).ok());
-    }
-    auto sharing =
-        store.ReadMetadataBySharing(Actor::Regulator(), "partner-x");
-    ASSERT_TRUE(sharing.ok());
-    std::set<std::string>& sset = indexed ? idx_sharing : scan_sharing;
-    for (const auto& r : sharing.value()) {
-      EXPECT_TRUE(r.data.empty());
-      sset.insert(r.key);
-    }
-    auto by_user = store.ReadMetadataByUser(Actor::Customer("user-2"),
-                                            "user-2");
-    ASSERT_TRUE(by_user.ok());
-    (indexed ? idx_user_count : scan_user_count) = by_user.value().size();
-
-    // Expiry: indexed probe vs scan must reclaim identical sets.
-    clock.AdvanceMicros(10000);
-    auto reclaimed = store.DeleteExpiredRecords(Actor::Controller());
-    ASSERT_TRUE(reclaimed.ok());
-    EXPECT_EQ(reclaimed.value(), 34u);  // ceil(200/6)
-    EXPECT_EQ(store.RecordCount(), 200u - 34u);
-
-    auto erased =
-        store.DeleteRecordsByUser(Actor::Customer("user-2"), "user-2");
-    ASSERT_TRUE(erased.ok());
-    EXPECT_TRUE(store.ReadMetadataByUser(Actor::Customer("user-2"), "user-2")
-                    .value()
-                    .empty());
-  }
-  EXPECT_EQ(scan_sharing, idx_sharing);
-  EXPECT_EQ(scan_sharing.size(), 40u);
-  EXPECT_EQ(scan_user_count, idx_user_count);
-  EXPECT_EQ(scan_user_count, 25u);
 }
 
 TEST(RelGdprStore, AuditAndLogs) {

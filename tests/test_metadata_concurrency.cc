@@ -1,9 +1,10 @@
-// Differential concurrency stress for the lock-free GDPR metadata indexes
-// (kv::EpochPostingMap behind KvGdprStore, and the cluster fan-out above
-// it). The harness runs a seeded randomized mixed workload — upserts,
-// point deletes, Forget (DeleteRecordsByUser), TTL expiry, CompactNow,
-// metadata queries — from several writer threads while dedicated reader
-// threads hammer the index query paths, then quiesces and diffs every
+// Differential concurrency stress for the GDPR metadata indexes of both
+// engines (kv::EpochPostingMap behind KvGdprStore, reldb's indexes and join
+// tables behind RelGdprStore) and the cluster fan-out above memkv. The
+// harness runs a seeded randomized mixed workload — upserts, point
+// deletes, Forget (DeleteRecordsByUser), TTL expiry, CompactNow, metadata
+// queries — from several writer threads while dedicated reader threads
+// hammer the index query paths, then quiesces and diffs every
 // query result against a single-threaded locked reference model built by
 // replaying the writers' op logs.
 //
@@ -26,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -35,6 +37,7 @@
 #include "cluster/cluster_store.h"
 #include "common/epoch.h"
 #include "gdpr/kv_backend.h"
+#include "gdpr/rel_backend.h"
 
 namespace gdpr {
 namespace {
@@ -404,24 +407,50 @@ uint32_t SeedOverride(uint32_t fallback) {
   return s ? uint32_t(std::strtoul(s, nullptr, 0)) : fallback;
 }
 
-TEST(MetadataConcurrency, DifferentialStressAgainstLockedReference) {
-  for (uint32_t seed : {SeedOverride(0x5eed0001u), 0x5eed0002u}) {
-    MemEnv env;
+// Both engines face the same harness: memkv's lock-free posting maps and
+// reldb's B+tree indexes and join tables, each under its own log (AOF /
+// WAL) so CompactNow rewrites it mid-run.
+class MetadataConcurrency : public testing::TestWithParam<bool> {
+ protected:
+  std::unique_ptr<GdprStore> MakeStore(Env* env) const {
+    ComplianceFlags flags;
+    flags.metadata_indexing = true;
+    flags.audit_enabled = false;  // keep TSAN runtime down
+    if (GetParam()) {
+      RelGdprOptions o;
+      o.compliance = flags;
+      o.rel.env = env;
+      o.rel.wal_enabled = true;
+      o.rel.wal_path = "meta-stress.wal";
+      o.rel.sync_policy = SyncPolicy::kNever;
+      return std::make_unique<RelGdprStore>(o);
+    }
     KvGdprOptions o;
-    o.compliance.metadata_indexing = true;
-    o.compliance.audit_enabled = false;  // keep TSAN runtime down
-    o.kv.env = &env;
+    o.compliance = flags;
+    o.kv.env = env;
     o.kv.aof_enabled = true;
     o.kv.aof_path = "meta-stress.aof";
     o.kv.sync_policy = SyncPolicy::kNever;
     o.kv.shards = 4;
-    KvGdprStore store(o);
-    ASSERT_TRUE(store.Open().ok());
-    RunDifferentialRound(&store, seed);
-    ASSERT_TRUE(store.Close().ok());
+    return std::make_unique<KvGdprStore>(o);
+  }
+};
+
+TEST_P(MetadataConcurrency, DifferentialStressAgainstLockedReference) {
+  for (uint32_t seed : {SeedOverride(0x5eed0001u), 0x5eed0002u}) {
+    MemEnv env;
+    auto store = MakeStore(&env);
+    ASSERT_TRUE(store->Open().ok());
+    RunDifferentialRound(store.get(), seed);
+    ASSERT_TRUE(store->Close().ok());
     EpochManager::Global().DrainRetired();
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Engines, MetadataConcurrency, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "reldb" : "memkv");
+                         });
 
 // Same harness through the router: every metadata query scatter-gathers
 // across 3 nodes (one EpochGuard per worker task), Forget fans out, and

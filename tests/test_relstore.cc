@@ -147,6 +147,58 @@ TEST(Database, WalNeverSeesPlaintextWhenEncrypted) {
   EXPECT_EQ(wal.value().find("super-secret-owner"), std::string::npos);
 }
 
+// A sealed cell whose MAC no longer verifies must never come back as its
+// ciphertext, nor vanish from a scan: every read path that meets the row
+// says DataLoss, and a path that never touches it still answers.
+TEST(Database, UnreadableRowIsDataLossNotCiphertext) {
+  MemEnv env;
+  RelOptions o;
+  o.env = &env;
+  o.encrypt_at_rest = true;
+  o.wal_enabled = true;
+  o.wal_path = "rel.wal";
+  o.sync_policy = SyncPolicy::kNever;
+  {
+    Database db(o);
+    ASSERT_TRUE(db.Open().ok());
+    Table* t = MakeAccounts(&db);
+    for (int64_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(
+          db.Insert(t, {Value(i), Value(i), Value("u" + std::to_string(i))})
+              .ok());
+    }
+    ASSERT_TRUE(db.Close().ok());
+  }
+  // The WAL ends with row 2's sealed owner cell; its last byte is the MAC.
+  std::string wal = env.ReadFileToString("rel.wal").value();
+  wal.back() = char(uint8_t(wal.back()) ^ 0x01);
+  auto f = env.NewWritableFile("rel.wal", /*truncate=*/true);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(f.value()->Append(wal).ok());
+  ASSERT_TRUE(f.value()->Close().ok());
+
+  Database db(o);
+  ASSERT_TRUE(db.Open().ok());
+  Table* t = MakeAccounts(&db);
+  EXPECT_TRUE(db.Select(t, Compare(2, CompareOp::kEq, Value("u0"), "owner"))
+                  .status()
+                  .IsDataLoss());
+  EXPECT_TRUE(db.Select(t, Compare(0, CompareOp::kEq, Value(int64_t(2)), "aid"))
+                  .status()
+                  .IsDataLoss());
+  auto healthy =
+      db.Select(t, Compare(0, CompareOp::kEq, Value(int64_t(0)), "aid"));
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  EXPECT_EQ(healthy.value()[0][2].AsString(), "u0");
+  EXPECT_TRUE(db.SelectWhere(t, [](const Row&) { return true; })
+                  .status()
+                  .IsDataLoss());
+  size_t visited = 0;
+  EXPECT_TRUE(db.ScanRows(t, [&](const Row&) { return ++visited > 0; })
+                  .IsDataLoss());
+  EXPECT_EQ(visited, 2u);
+}
+
 TEST(Database, ScanRowsStopsEarly) {
   Database db((RelOptions()));
   ASSERT_TRUE(db.Open().ok());
