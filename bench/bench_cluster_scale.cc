@@ -91,8 +91,8 @@ SweepPoint MeasureMetaQueries(size_t nodes, bool indexed, size_t records,
   return pt;
 }
 
-// The price of the RPC seam: the same point-read workload through an
-// InProcessHandle (direct call) and through a RemoteHandle over a loopback
+// The price of the RPC seam: the same point-read workload with the node
+// stores called directly and through a RemoteHandle over a loopback
 // socketpair (frame encode + two syscalls + decode each way). Point reads
 // are the worst case for the seam — scatter-gather queries amortize one
 // frame over N sub-scans, a point read amortizes nothing.

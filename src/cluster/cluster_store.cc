@@ -18,9 +18,9 @@
 namespace gdpr::cluster {
 
 ClusterGdprStore::ClusterGdprStore(const ClusterOptions& options)
-    : options_(options),
+    : AuditedStore(options.clock),
+      options_(options),
       slot_map_(options.slots, uint32_t(options.nodes ? options.nodes : 1)) {
-  clock_ = options_.clock ? options_.clock : RealClock::Default();
   const size_t n = options_.nodes ? options_.nodes : 1;
   stores_.reserve(n);
   nodes_.reserve(n);
@@ -46,14 +46,13 @@ ClusterGdprStore::ClusterGdprStore(const ClusterOptions& options)
       // starts dead and every call on it surfaces Unavailable — the same
       // shape as a node that died later, so no special construction path.
       const int fd = started.ok() ? srv->CreateLoopbackConnection() : -1;
-      nodes_.push_back(
+      remotes_.push_back(
           std::make_unique<net::RemoteHandle>(fd, std::move(ro)));
+      nodes_.push_back(remotes_.back().get());
     }
   } else {
-    for (size_t i = 0; i < n; ++i) {
-      nodes_.push_back(
-          std::make_unique<net::InProcessHandle>(stores_[i].get()));
-    }
+    // In process, each node store is its own handle: direct calls.
+    for (auto& store : stores_) nodes_.push_back(store.get());
   }
   slot_fence_.reserve(slot_map_.num_slots());
   for (uint32_t s = 0; s < slot_map_.num_slots(); ++s) {
@@ -128,7 +127,7 @@ std::vector<T> ClusterGdprStore::FanOut(
       // Over a socket transport this wraps the whole RPC; the handle's own
       // cluster_rpc_us{node=i} isolates the wire share of it.
       obs::ScopedTimer fanout_timer(fanout_hist_[i], clock_);
-      staged[i].emplace(fn(nodes_[i].get()));
+      staged[i].emplace(fn(nodes_[i]));
     });
   }
   pool_->Run(std::move(tasks));
@@ -497,10 +496,10 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
     std::unique_lock<std::shared_mutex> fence(*slot_fence_[slot]);
     const uint32_t src_idx = slot_map_.OwnerOf(slot);
     if (src_idx == dst_node) continue;
-    net::NodeHandle* src = nodes_[src_idx].get();
-    net::NodeHandle* dst = nodes_[dst_node].get();
+    net::NodeHandle* src = nodes_[src_idx];
+    net::NodeHandle* dst = nodes_[dst_node];
     // Slot-scoped exports: the node computes membership with the same
-    // net::SlotForKey the router routes by, so no predicate crosses the
+    // SlotForKey the router routes by, so no predicate crosses the
     // transport and the two sides cannot disagree about the slot's keys.
     auto exported = src->ExportSlotRecords(slot, slot_map_.num_slots());
     if (!exported.ok()) {

@@ -10,8 +10,8 @@
 // ownership, and cluster_store.cc is grep-gated to keep it that way.
 // ClusterOptions::transport picks the handle type per cluster:
 //
-//   kInProcess       InProcessHandle — direct virtual calls, zero copies,
-//                    the pre-seam behavior and performance.
+//   kInProcess       the node's KvGdprStore is its handle — one direct
+//                    virtual call, zero copies.
 //   kLoopbackSocket  one RpcServer per node plus a RemoteHandle over an
 //                    AF_UNIX socketpair — every operation is encoded,
 //                    framed, decoded, dispatched, and framed back, i.e.
@@ -77,7 +77,7 @@ struct ClusterOptions {
   int rpc_timeout_ms = 10'000;
 };
 
-class ClusterGdprStore : public GdprStore {
+class ClusterGdprStore : public AuditedStore {
  public:
   explicit ClusterGdprStore(const ClusterOptions& options);
   ~ClusterGdprStore() override;
@@ -143,8 +143,9 @@ class ClusterGdprStore : public GdprStore {
   // per-node state (record counts, audit chains). Router code paths never
   // use this; they go through handle(i).
   KvGdprStore* node(size_t i) { return stores_[i].get(); }
-  // The node's transport-facing face.
-  net::NodeHandle* handle(size_t i) { return nodes_[i].get(); }
+  // The node's transport-facing face: the store itself in process, else
+  // its RemoteHandle.
+  net::NodeHandle* handle(size_t i) { return nodes_[i]; }
   // The node's RPC server, or nullptr for in-process transports. Tests
   // stop one to simulate a killed node.
   net::RpcServer* node_server(size_t i) {
@@ -196,7 +197,7 @@ class ClusterGdprStore : public GdprStore {
     return slot_map_.SlotOf(key);
   }
   net::NodeHandle* OwnerNode(uint32_t slot) {
-    return nodes_[slot_map_.OwnerOf(slot)].get();
+    return nodes_[slot_map_.OwnerOf(slot)];
   }
 
   void AuditCluster(const Actor& actor, const char* op, const std::string& key,
@@ -230,14 +231,16 @@ class ClusterGdprStore : public GdprStore {
   obs::Counter* m_records_migrated_ = nullptr;
   obs::Gauge* m_migration_active_ = nullptr;
   // Ownership vs. routing, deliberately split: stores_ owns the node
-  // engines, servers_ (socket transports only) owns one RpcServer per
-  // store, nodes_ owns the handles the router actually talks through.
-  // Declaration order is destruction-order-critical: handles die first
-  // (they hold fds into the servers), then servers stop their loops, then
-  // the stores they wrap go down.
+  // engines; on socket transports servers_ owns one RpcServer per store and
+  // remotes_ the RemoteHandles to them. nodes_ is what the router talks
+  // through: the stores themselves in process, else remotes_. Declaration
+  // order is destruction-order-critical: remote handles die first (they
+  // hold fds into the servers), then servers stop their loops, then the
+  // stores they wrap go down.
   std::vector<std::unique_ptr<KvGdprStore>> stores_;
   std::vector<std::unique_ptr<net::RpcServer>> servers_;
-  std::vector<std::unique_ptr<net::NodeHandle>> nodes_;
+  std::vector<std::unique_ptr<net::NodeHandle>> remotes_;
+  std::vector<net::NodeHandle*> nodes_;
   std::unique_ptr<ScatterGather> pool_;
 
   // Per-slot write fence: point ops hold it shared, MoveSlots holds the

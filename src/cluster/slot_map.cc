@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "net/wire.h"
+#include "common/hash.h"
 
 namespace gdpr::cluster {
 
@@ -17,10 +17,9 @@ SlotMap::SlotMap(uint32_t num_slots, uint32_t num_nodes)
 }
 
 uint32_t SlotMap::SlotOf(const std::string& key) const {
-  // Delegates to the wire protocol's shared hash: a node serving a
-  // slot-scoped export computes membership with this exact function, so
-  // router and node can never disagree about which keys a slot holds.
-  return net::SlotForKey(key, num_slots_);
+  // The shared slot hash: a node serving a slot-scoped export computes
+  // membership with this exact function.
+  return SlotForKey(key, num_slots_);
 }
 
 std::vector<uint32_t> SlotMap::SlotsOwnedBy(uint32_t node) const {

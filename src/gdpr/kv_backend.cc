@@ -3,7 +3,20 @@
 #include <algorithm>
 #include <optional>
 
+#include "common/hash.h"
+
 namespace gdpr {
+
+namespace {
+
+// Slot membership, for both slot exports: the router's own slot hash.
+auto InSlot(uint32_t slot, uint32_t num_slots) {
+  return [slot, num_slots](const std::string& key) {
+    return SlotForKey(key, num_slots) == slot;
+  };
+}
+
+}  // namespace
 
 KvGdprStore::KvGdprStore(const KvGdprOptions& options)
     : PolicyStore(options.clock, options.compliance, options.kv.metrics,
@@ -238,13 +251,14 @@ StatusOr<bool> KvGdprStore::HasTombstone(const std::string& key) {
 
 size_t KvGdprStore::TombstoneCount() { return db_->TombstoneCount(); }
 
-StatusOr<std::vector<GdprRecord>> KvGdprStore::ExportRecords(
-    const std::function<bool(const std::string&)>& key_pred) {
+StatusOr<std::vector<GdprRecord>> KvGdprStore::ExportSlotRecords(
+    uint32_t slot, uint32_t num_slots) {
+  const auto in_slot = InSlot(slot, num_slots);
   std::vector<GdprRecord> out;
   size_t parse_failures = 0;
   const size_t decrypt_failures =
       db_->Scan([&](const std::string& key, const std::string& value) {
-        if (key_pred(key)) {
+        if (in_slot(key)) {
           auto rec = GdprRecord::Parse(value);
           if (rec.ok()) out.push_back(std::move(rec.value()));
           else ++parse_failures;
@@ -258,9 +272,9 @@ StatusOr<std::vector<GdprRecord>> KvGdprStore::ExportRecords(
   return out;
 }
 
-std::vector<std::string> KvGdprStore::ExportTombstones(
-    const std::function<bool(const std::string&)>& key_pred) {
-  return db_->Tombstones(key_pred);
+StatusOr<std::vector<std::string>> KvGdprStore::ExportSlotTombstones(
+    uint32_t slot, uint32_t num_slots) {
+  return db_->Tombstones(InSlot(slot, num_slots));
 }
 
 Status KvGdprStore::ImportRecord(const GdprRecord& record) {
@@ -284,6 +298,13 @@ Status KvGdprStore::EvictRecord(const std::string& key) {
 
 Status KvGdprStore::ClearTombstone(const std::string& key) {
   return db_->ClearTombstone(key);
+}
+
+StatusOr<net::AuditChainVerdict> KvGdprStore::VerifyAuditChain() {
+  net::AuditChainVerdict v;
+  v.chain_ok = audit_log_.VerifyChain();
+  v.head_hash = audit_log_.head_hash();
+  return v;
 }
 
 size_t KvGdprStore::RecordCount() { return db_->Size(); }

@@ -1,8 +1,9 @@
 // KvGdprStore: the memkv engine under the GDPR policy layer (the paper's
 // modified Redis). Records live as compact serialized blobs under their key;
 // every Table 2 rule — access, audit, masking, erasure loops — is
-// PolicyStore's. This class supplies the engine hooks, plus the unaudited
-// slot-migration surface the cluster router moves records with.
+// PolicyStore's. This class supplies the engine hooks, and is itself an
+// in-process cluster node (net::NodeHandle): the unaudited slot-migration
+// surface the router moves records with, and the audit-chain verdict.
 //
 // Metadata collections are O(n) scan-parse-filter passes on a plain KV
 // store — the linear walls in Fig 5a/7b. With compliance.metadata_indexing
@@ -31,6 +32,7 @@
 #include "gdpr/policy_store.h"
 #include "kvstore/db.h"
 #include "kvstore/epoch_map.h"
+#include "net/node_handle.h"
 
 namespace gdpr {
 
@@ -47,7 +49,7 @@ struct KvGdprOptions {
   AuditLogOptions audit;
 };
 
-class KvGdprStore : public PolicyStore {
+class KvGdprStore : public PolicyStore, public net::NodeHandle {
  public:
   explicit KvGdprStore(const KvGdprOptions& options);
   ~KvGdprStore() override;
@@ -59,32 +61,16 @@ class KvGdprStore : public PolicyStore {
   kv::MemKV* raw() { return db_.get(); }
   const KvGdprOptions& options() const { return options_; }
 
-  // --- Slot-migration support (src/cluster/) -------------------------------
-  // These move state between homogeneous nodes without generating GDPR audit
-  // entries: a rebalance is infrastructure, not processing, and is audited
-  // once at the cluster layer instead. Key-set selection is by predicate so
-  // the router can say "every key hashing into slot S".
-
-  // Snapshot of records (expired included) whose key matches key_pred.
-  // DataLoss when any matching record failed at-rest decryption: a slot
-  // migration built on a partial export would silently drop records.
-  StatusOr<std::vector<GdprRecord>> ExportRecords(
-      const std::function<bool(const std::string&)>& key_pred);
-  // Erasure tombstones whose key matches key_pred (so VerifyDeletion stays
-  // truthful after the slot moves).
-  std::vector<std::string> ExportTombstones(
-      const std::function<bool(const std::string&)>& key_pred);
-  // Adopts a record copied in from a departing node: blob + secondary
-  // indexes, clearing any stale tombstone for the key.
-  Status ImportRecord(const GdprRecord& record);
-  // Adopts erasure evidence for a key this node now owns. Fails when the
-  // evidence cannot be persisted.
-  Status AdoptTombstone(const std::string& key);
-  // Removes a record that was copied out — indexes dropped, no tombstone
-  // (the record still exists, just elsewhere).
-  Status EvictRecord(const std::string& key);
-  // Drops a stale tombstone (rollback of a failed slot-copy adoption).
-  Status ClearTombstone(const std::string& key);
+  // --- The cluster-node surface (net/node_handle.h) -------------------------
+  StatusOr<std::vector<GdprRecord>> ExportSlotRecords(
+      uint32_t slot, uint32_t num_slots) override;
+  StatusOr<std::vector<std::string>> ExportSlotTombstones(
+      uint32_t slot, uint32_t num_slots) override;
+  Status ImportRecord(const GdprRecord& record) override;
+  Status AdoptTombstone(const std::string& key) override;
+  Status EvictRecord(const std::string& key) override;
+  Status ClearTombstone(const std::string& key) override;
+  StatusOr<net::AuditChainVerdict> VerifyAuditChain() override;
 
  protected:
   StatusOr<GdprRecord> GetRaw(const std::string& key) override;

@@ -18,11 +18,11 @@ PolicyStore::PolicyStore(Clock* clock, const ComplianceFlags& flags,
                          obs::MetricsRegistry* metrics,
                          size_t commit_max_batch_frames,
                          const char* engine_name, bool secondary_indexes)
-    : flags_(flags),
+    : AuditedStore(clock),
+      flags_(flags),
       metrics_(metrics ? metrics : &registry_),
       engine_name_(engine_name),
       secondary_indexes_(secondary_indexes) {
-  clock_ = clock ? clock : RealClock::Default();
   for (int i = 0; i < static_cast<int>(ops::OpClass::kCount); ++i) {
     std::string name = "gdpr_op_us{op=\"";
     name += ops::OpClassName(static_cast<ops::OpClass>(i));

@@ -21,11 +21,12 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "gdpr/store.h"
 
 namespace gdpr {
 
-class PolicyStore : public GdprStore {
+class PolicyStore : public AuditedStore {
  public:
   Status Close() final;
 
@@ -127,12 +128,7 @@ class PolicyStore : public GdprStore {
   // Same-key writers serialize here: every mutation is a read-modify-write
   // across the record and its index entries.
   std::mutex& KeyMutex(const std::string& key) {
-    uint64_t h = 1469598103934665603ull;
-    for (const char c : key) {
-      h ^= uint8_t(c);
-      h *= 1099511628211ull;
-    }
-    return key_mu_[h % key_mu_.size()];
+    return key_mu_[Fnv1a(key) % key_mu_.size()];
   }
   // Collect's scan fallback, built on Scan.
   Status ScanCollect(Attr attr, const std::string& value,

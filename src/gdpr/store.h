@@ -1,8 +1,9 @@
-// GdprStore: the paper's GDPR query API (Table 2), implemented once by the
-// policy layer (gdpr/policy_store.h) over the KV and relational engines, and
-// by the cluster router over its nodes. All operations carry the acting
-// party; access control and auditing happen inside the store, not in the
-// caller.
+// GdprStore: the paper's GDPR query API (Table 2), a pure interface
+// implemented once by the policy layer (gdpr/policy_store.h) over the KV and
+// relational engines, by the cluster router over its nodes, and by the
+// socket handle to a remote node (net/rpc_client.h). All operations carry
+// the acting party; access control and auditing happen inside the store,
+// not in the caller.
 
 #pragma once
 
@@ -125,10 +126,24 @@ class GdprStore {
   // seal lag, health) are refreshed at call time.
   virtual obs::RegistrySnapshot StatsSnapshot() = 0;
 
+  // The clock audit entries, expiry checks and op timers read.
+  virtual Clock* clock() = 0;
+};
+
+// AuditedStore: the audit-chain half shared by the stores that keep a
+// local G 30 hash chain — the policy layer over each engine, and the
+// cluster router for its own MOVE-SLOTS / COMPACT-ALL trail. A remote node
+// handle keeps none: its chain lives on the node.
+class AuditedStore : public virtual GdprStore {
+ public:
   AuditLog* audit_log() { return &audit_log_; }
-  Clock* clock() { return clock_; }
+  Clock* clock() final { return clock_; }
 
  protected:
+  // clock: nullptr for the wall clock.
+  explicit AuditedStore(Clock* clock)
+      : clock_(clock ? clock : RealClock::Default()) {}
+
   // Shared open plumbing for the durable chain: resolves the env and sync
   // policy from the backend's engine options (the chain persists with the
   // store's sync policy) and attaches the segment files. No-op with no
@@ -151,7 +166,7 @@ class GdprStore {
   // audits; CompactNow carries it across log compaction via the re-anchor
   // contract (docs/PERSISTENCE.md, "Audit chain durability").
   AuditLog audit_log_;
-  Clock* clock_ = nullptr;
+  Clock* const clock_;
 };
 
 }  // namespace gdpr

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/coding.h"
+#include "common/hash.h"
 #include "crypto/sha256.h"
 
 namespace gdpr::kv {
@@ -15,16 +16,6 @@ size_t RoundUpPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-uint64_t HashKey(const std::string& key) {
-  // FNV-1a; cheap and good enough for shard striping.
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : key) {
-    h ^= uint8_t(c);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 std::string CompactTmpPath(const std::string& aof_path) {
@@ -234,7 +225,7 @@ Status MemKV::SetInternal(const std::string& key, const std::string& value,
   // hit disk in plaintext when encryption is on.
   const bool log = log_to_aof && aof_active_.load(std::memory_order_acquire);
   std::string aof_copy = log ? stored : std::string();
-  const uint64_t h = HashKey(key);
+  const uint64_t h = Fnv1a(key);
   Shard& s = ShardFor(h);
   {
     std::unique_lock<std::shared_mutex> l(s.mu);
@@ -307,7 +298,7 @@ StatusOr<std::string> MemKV::Get(const std::string& key) {
   // Sampled (1/32): two clock reads per op would be a measurable tax on a
   // path that costs a few hundred ns.
   obs::SampledTimer timer(get_us_, clock_);
-  const uint64_t h = HashKey(key);
+  const uint64_t h = Fnv1a(key);
   Shard& s = ShardFor(h);
   std::string stored;
   {
@@ -342,7 +333,7 @@ Status MemKV::Delete(const std::string& key) {
   obs::SampledTimer timer(delete_us_, clock_);
   Status gate = health_.WriteGate("memkv");
   if (!gate.ok()) return gate;
-  const uint64_t h = HashKey(key);
+  const uint64_t h = Fnv1a(key);
   Shard& s = ShardFor(h);
   bool existed = false;
   {
@@ -453,7 +444,7 @@ size_t MemKV::RunStrictCycle(int64_t now) {
     while (!s.ttl_heap.empty() && s.ttl_heap.top().expiry_micros <= now) {
       HeapItem item = s.ttl_heap.top();
       s.ttl_heap.pop();
-      const uint64_t h = HashKey(item.key);
+      const uint64_t h = Fnv1a(item.key);
       const EntryBlock* e = s.map.FindLocked(item.key, h);
       // Skip stale heap entries: key gone, TTL rewritten, or persisted.
       if (e == nullptr || e->expiry_micros == 0 || e->expiry_micros > now ||
@@ -492,7 +483,7 @@ size_t MemKV::RunLazyCycle(int64_t now) {
       if (s.ttl_keys.empty()) continue;
       const std::string key = s.ttl_keys[lazy_rng_.Uniform(s.ttl_keys.size())];
       ++sampled;
-      const uint64_t h = HashKey(key);
+      const uint64_t h = Fnv1a(key);
       const EntryBlock* e = s.map.FindLocked(key, h);
       if (e != nullptr && e->expiry_micros != 0 && e->expiry_micros <= now) {
         EraseLocked(s, key, h);
@@ -639,7 +630,7 @@ Status MemKV::AofAppend(char op, const std::string& key,
   // Ring = key hash: every frame for one key lands on one ring, and rings
   // drain FIFO, so replay order matches apply order per key even though
   // different keys' frames may interleave differently than their callers.
-  return AofCommit(std::move(rec), HashKey(key));
+  return AofCommit(std::move(rec), Fnv1a(key));
 }
 
 Status MemKV::AofCommit(std::string rec, uint64_t ring_hint,
@@ -674,7 +665,7 @@ Status MemKV::AppendReadLog(const std::string& key) {
   // lock-free read path made this race wide (the value is captured with
   // no lock held), so the evidence ordering is enforced here, at the log's
   // enqueue point, rather than at the shard.
-  return AofCommit(std::move(rec), HashKey(key), [this, &key]() -> Status {
+  return AofCommit(std::move(rec), Fnv1a(key), [this, &key]() -> Status {
     std::lock_guard<std::mutex> tl(tomb_mu_);
     if (tombstones_.count(key) != 0) {
       return Status::NotFound(key + " (erased)");
@@ -733,7 +724,7 @@ Status MemKV::AofReplay(const std::string& contents, size_t* valid_prefix) {
         // The last write of this key is already dead: erase any earlier
         // replayed value instead of skipping, or it would be resurrected.
         const std::string k(key);
-        const uint64_t h = HashKey(k);
+        const uint64_t h = Fnv1a(k);
         Shard& s = ShardFor(h);
         std::unique_lock<std::shared_mutex> l(s.mu);
         EraseLocked(s, k, h);
@@ -741,7 +732,7 @@ Status MemKV::AofReplay(const std::string& contents, size_t* valid_prefix) {
         continue;
       }
       const std::string k(key);
-      const uint64_t h = HashKey(k);
+      const uint64_t h = Fnv1a(k);
       Shard& s = ShardFor(h);
       std::unique_lock<std::shared_mutex> l(s.mu);
       int64_t old_expiry = 0;
@@ -761,7 +752,7 @@ Status MemKV::AofReplay(const std::string& contents, size_t* valid_prefix) {
       }
     } else if (op == 'D') {
       const std::string k(key);
-      const uint64_t h = HashKey(k);
+      const uint64_t h = Fnv1a(k);
       Shard& s = ShardFor(h);
       std::unique_lock<std::shared_mutex> l(s.mu);
       EraseLocked(s, k, h);

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/epoch.h"
+#include "common/hash.h"
 
 namespace gdpr::kv {
 
@@ -346,7 +347,7 @@ class EpochPostingMap {
   // removes may or may not be seen.
   template <typename Fn>  // Fn: bool(const std::string& key)
   void ForEachKey(const std::string& value, Fn fn) const {
-    const uint64_t h = HashValue(value);
+    const uint64_t h = Fnv1a(value);
     const Table* t = table_.load(std::memory_order_acquire);
     for (const AttrNode* n =
              t->buckets[h & t->mask].load(std::memory_order_acquire);
@@ -366,7 +367,7 @@ class EpochPostingMap {
   // Adds (value, key). Returns true when newly added; postings are sets,
   // a duplicate pair is a no-op.
   bool Add(const std::string& value, const std::string& key) {
-    const uint64_t h = HashValue(value);
+    const uint64_t h = Fnv1a(value);
     Table* t = table_.load(std::memory_order_relaxed);
     auto& bucket = t->buckets[h & t->mask];
     AttrNode* attr = FindAttr(bucket, value, h);
@@ -397,7 +398,7 @@ class EpochPostingMap {
   // is unlinked too (its epoch-deferred deleter unrefs the shared list).
   // Returns true when the pair existed.
   bool Remove(const std::string& value, const std::string& key) {
-    const uint64_t h = HashValue(value);
+    const uint64_t h = Fnv1a(value);
     Table* t = table_.load(std::memory_order_relaxed);
     auto& bucket = t->buckets[h & t->mask];
     AttrNode* attr_prev = nullptr;
@@ -471,15 +472,6 @@ class EpochPostingMap {
 
   static void UnrefList(PostingList* l) {
     if (l->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete l;
-  }
-
-  static uint64_t HashValue(const std::string& v) {
-    uint64_t h = 1469598103934665603ull;  // FNV-1a
-    for (const char c : v) {
-      h ^= uint8_t(c);
-      h *= 1099511628211ull;
-    }
-    return h;
   }
 
   static size_t RoundUpPow2(size_t n) {

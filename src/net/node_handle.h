@@ -1,33 +1,31 @@
-// NodeHandle: the transport-agnostic face of one cluster node. The router
-// (src/cluster/cluster_store.cc) routes, fans out, migrates slots, verifies
-// audit chains, and merges metrics exclusively through this interface — it
-// never touches a KvGdprStore* — so a node can live in-process today and
-// behind a socket (RemoteHandle, src/net/rpc_client.h) or on another
-// machine tomorrow without the router changing.
+// NodeHandle: one cluster node as the router sees it — the GdprStore
+// vocabulary plus what only a node adds: slot migration and audit-chain
+// evidence. The router (src/cluster/cluster_store.cc) routes, fans out,
+// migrates slots, verifies audit chains, and merges metrics exclusively
+// through this interface. Two implementations: a KvGdprStore is itself the
+// in-process node (direct calls), and RemoteHandle (src/net/rpc_client.h)
+// reaches a node's RpcServer over a socket.
 //
-// Surface notes vs. GdprStore:
+// Surface notes:
 //   * ScanRecords keeps the callback signature, but a remote node ships the
 //     full readable record set in one response and the handle replays the
 //     callback locally — op status (including DataLoss partial-scan
 //     verdicts) rides alongside the records.
 //   * Migration exports are slot-scoped (slot, num_slots) instead of
 //     predicate-scoped: a predicate cannot cross the wire, and both sides
-//     computing membership with net::SlotForKey — the exact function the
-//     router routes by — means they can never disagree about a slot's keys.
-//   * ExportTombstones gains a Status (the in-process call cannot fail; a
-//     remote one can).
+//     computing membership with SlotForKey (common/hash.h) — the exact
+//     function the router routes by — means they can never disagree about
+//     a slot's keys.
 //   * VerifyAuditChain returns verdict + head hash so transport-equivalence
 //     tests can compare evidence across handle types byte-for-byte.
 
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "gdpr/kv_backend.h"
 #include "gdpr/store.h"
-#include "net/wire.h"
 
 namespace gdpr::net {
 
@@ -36,200 +34,34 @@ struct AuditChainVerdict {
   std::string head_hash;
 };
 
-class NodeHandle {
+class NodeHandle : public virtual GdprStore {
  public:
-  virtual ~NodeHandle() = default;
+  // Slot migration (router-driven; not GDPR-audited node-side: a rebalance
+  // is infrastructure, audited once on the router's chain).
 
-  virtual Status Open() = 0;
-  virtual Status Close() = 0;
-
-  // The Table 2 vocabulary.
-  virtual Status CreateRecord(const Actor& actor,
-                              const GdprRecord& record) = 0;
-  virtual StatusOr<GdprRecord> ReadDataByKey(const Actor& actor,
-                                             const std::string& key) = 0;
-  virtual StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
-                                                   const std::string& key) = 0;
-  virtual StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
-      const Actor& actor, const std::string& user) = 0;
-  virtual StatusOr<std::vector<GdprRecord>> ReadMetadataByPurpose(
-      const Actor& actor, const std::string& purpose) = 0;
-  virtual StatusOr<std::vector<GdprRecord>> ReadMetadataBySharing(
-      const Actor& actor, const std::string& third_party) = 0;
-  virtual StatusOr<std::vector<GdprRecord>> ReadRecordsByUser(
-      const Actor& actor, const std::string& user) = 0;
-  virtual Status UpdateMetadataByKey(const Actor& actor,
-                                     const std::string& key,
-                                     const MetadataUpdate& update) = 0;
-  virtual Status UpdateDataByKey(const Actor& actor, const std::string& key,
-                                 const std::string& data) = 0;
-  virtual Status DeleteRecordByKey(const Actor& actor,
-                                   const std::string& key) = 0;
-  // Acks only once the node's tombstones are decided durable: in-process
-  // that is the store's own commit-pipeline blocking, remote it is the
-  // response frame the server only sends after that same call returns.
-  virtual StatusOr<size_t> DeleteRecordsByUser(const Actor& actor,
-                                               const std::string& user) = 0;
-  virtual StatusOr<size_t> DeleteExpiredRecords(const Actor& actor) = 0;
-  virtual StatusOr<bool> VerifyDeletion(const Actor& actor,
-                                        const std::string& key) = 0;
-  virtual StatusOr<std::vector<AuditEntry>> GetSystemLogs(
-      const Actor& actor, int64_t from_micros, int64_t to_micros) = 0;
-  virtual StatusOr<Features> GetFeatures(const Actor& actor) = 0;
-  virtual Status ScanRecords(
-      const Actor& actor,
-      const std::function<bool(const GdprRecord&)>& fn) = 0;
-
-  // Introspection.
-  virtual size_t RecordCount() = 0;
-  virtual size_t TotalBytes() = 0;
-  virtual Status Reset() = 0;
-  virtual HealthState GetHealth() = 0;
-  virtual Status GetHealthCause() = 0;
-  virtual obs::RegistrySnapshot StatsSnapshot() = 0;
-
-  // Erasure-aware compaction.
-  virtual StatusOr<CompactionStats> CompactNow(const Actor& actor) = 0;
-  virtual CompactionStats GetCompactionStats() = 0;
-
-  // Slot migration (router-driven; not GDPR-audited node-side).
+  // Records (expired included) whose key hashes into slot of num_slots.
+  // DataLoss when any record failed at-rest decryption: a slot migration
+  // built on a partial export would silently drop records.
   virtual StatusOr<std::vector<GdprRecord>> ExportSlotRecords(
       uint32_t slot, uint32_t num_slots) = 0;
+  // Erasure tombstones in the slot, so VerifyDeletion stays truthful after
+  // the slot moves.
   virtual StatusOr<std::vector<std::string>> ExportSlotTombstones(
       uint32_t slot, uint32_t num_slots) = 0;
+  // Adopts a record copied in from a departing node: blob + secondary
+  // indexes, clearing any stale tombstone for the key.
   virtual Status ImportRecord(const GdprRecord& record) = 0;
+  // Adopts erasure evidence for a key this node now owns. Fails when the
+  // evidence cannot be persisted.
   virtual Status AdoptTombstone(const std::string& key) = 0;
+  // Removes a record that was copied out — indexes dropped, no tombstone
+  // (the record still exists, just elsewhere).
   virtual Status EvictRecord(const std::string& key) = 0;
+  // Drops a stale tombstone (rollback of a failed slot-copy adoption).
   virtual Status ClearTombstone(const std::string& key) = 0;
 
-  // Audit evidence.
+  // Audit evidence: the node's chain verdict and head hash.
   virtual StatusOr<AuditChainVerdict> VerifyAuditChain() = 0;
-};
-
-// Direct-call handle: zero copies, zero frames — exactly the pre-seam
-// behavior and performance. Does not own the store.
-class InProcessHandle final : public NodeHandle {
- public:
-  explicit InProcessHandle(KvGdprStore* store) : store_(store) {}
-
-  Status Open() override { return store_->Open(); }
-  Status Close() override { return store_->Close(); }
-
-  Status CreateRecord(const Actor& actor, const GdprRecord& record) override {
-    return store_->CreateRecord(actor, record);
-  }
-  StatusOr<GdprRecord> ReadDataByKey(const Actor& actor,
-                                     const std::string& key) override {
-    return store_->ReadDataByKey(actor, key);
-  }
-  StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
-                                           const std::string& key) override {
-    return store_->ReadMetadataByKey(actor, key);
-  }
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
-      const Actor& actor, const std::string& user) override {
-    return store_->ReadMetadataByUser(actor, user);
-  }
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByPurpose(
-      const Actor& actor, const std::string& purpose) override {
-    return store_->ReadMetadataByPurpose(actor, purpose);
-  }
-  StatusOr<std::vector<GdprRecord>> ReadMetadataBySharing(
-      const Actor& actor, const std::string& third_party) override {
-    return store_->ReadMetadataBySharing(actor, third_party);
-  }
-  StatusOr<std::vector<GdprRecord>> ReadRecordsByUser(
-      const Actor& actor, const std::string& user) override {
-    return store_->ReadRecordsByUser(actor, user);
-  }
-  Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
-                             const MetadataUpdate& update) override {
-    return store_->UpdateMetadataByKey(actor, key, update);
-  }
-  Status UpdateDataByKey(const Actor& actor, const std::string& key,
-                         const std::string& data) override {
-    return store_->UpdateDataByKey(actor, key, data);
-  }
-  Status DeleteRecordByKey(const Actor& actor,
-                           const std::string& key) override {
-    return store_->DeleteRecordByKey(actor, key);
-  }
-  StatusOr<size_t> DeleteRecordsByUser(const Actor& actor,
-                                       const std::string& user) override {
-    return store_->DeleteRecordsByUser(actor, user);
-  }
-  StatusOr<size_t> DeleteExpiredRecords(const Actor& actor) override {
-    return store_->DeleteExpiredRecords(actor);
-  }
-  StatusOr<bool> VerifyDeletion(const Actor& actor,
-                                const std::string& key) override {
-    return store_->VerifyDeletion(actor, key);
-  }
-  StatusOr<std::vector<AuditEntry>> GetSystemLogs(const Actor& actor,
-                                                  int64_t from_micros,
-                                                  int64_t to_micros) override {
-    return store_->GetSystemLogs(actor, from_micros, to_micros);
-  }
-  StatusOr<Features> GetFeatures(const Actor& actor) override {
-    return store_->GetFeatures(actor);
-  }
-  Status ScanRecords(
-      const Actor& actor,
-      const std::function<bool(const GdprRecord&)>& fn) override {
-    return store_->ScanRecords(actor, fn);
-  }
-
-  size_t RecordCount() override { return store_->RecordCount(); }
-  size_t TotalBytes() override { return store_->TotalBytes(); }
-  Status Reset() override { return store_->Reset(); }
-  HealthState GetHealth() override { return store_->GetHealth(); }
-  Status GetHealthCause() override { return store_->GetHealthCause(); }
-  obs::RegistrySnapshot StatsSnapshot() override {
-    return store_->StatsSnapshot();
-  }
-
-  StatusOr<CompactionStats> CompactNow(const Actor& actor) override {
-    return store_->CompactNow(actor);
-  }
-  CompactionStats GetCompactionStats() override {
-    return store_->GetCompactionStats();
-  }
-
-  StatusOr<std::vector<GdprRecord>> ExportSlotRecords(
-      uint32_t slot, uint32_t num_slots) override {
-    return store_->ExportRecords([slot, num_slots](const std::string& key) {
-      return SlotForKey(key, num_slots) == slot;
-    });
-  }
-  StatusOr<std::vector<std::string>> ExportSlotTombstones(
-      uint32_t slot, uint32_t num_slots) override {
-    return store_->ExportTombstones(
-        [slot, num_slots](const std::string& key) {
-          return SlotForKey(key, num_slots) == slot;
-        });
-  }
-  Status ImportRecord(const GdprRecord& record) override {
-    return store_->ImportRecord(record);
-  }
-  Status AdoptTombstone(const std::string& key) override {
-    return store_->AdoptTombstone(key);
-  }
-  Status EvictRecord(const std::string& key) override {
-    return store_->EvictRecord(key);
-  }
-  Status ClearTombstone(const std::string& key) override {
-    return store_->ClearTombstone(key);
-  }
-
-  StatusOr<AuditChainVerdict> VerifyAuditChain() override {
-    AuditChainVerdict v;
-    v.chain_ok = store_->audit_log()->VerifyChain();
-    v.head_hash = store_->audit_log()->head_hash();
-    return v;
-  }
-
- private:
-  KvGdprStore* store_;
 };
 
 }  // namespace gdpr::net

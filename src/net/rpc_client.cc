@@ -16,6 +16,24 @@ Status Unreachable(const std::string& label, const Status& cause) {
   return Status::Unavailable(std::move(msg));
 }
 
+// A request with the fields most ops carry; ops that need more set them on
+// the result.
+WireRequest Req(WireOp op, const Actor& actor = Actor(),
+                const std::string& key = std::string()) {
+  WireRequest req;
+  req.op = op;
+  req.actor = actor;
+  req.key = key;
+  return req;
+}
+
+WireRequest SlotReq(WireOp op, uint32_t slot, uint32_t num_slots) {
+  WireRequest req = Req(op);
+  req.slot = slot;
+  req.num_slots = num_slots;
+  return req;
+}
+
 }  // namespace
 
 RemoteHandle::RemoteHandle(int fd, RemoteHandleOptions opts)
@@ -96,222 +114,112 @@ Status RemoteHandle::Call(const WireRequest& req, WireResponse* resp) {
   return Status::OK();
 }
 
+Status RemoteHandle::Rpc(const WireRequest& req) {
+  WireResponse resp;
+  Status s = Call(req, &resp);
+  return s.ok() ? resp.status : s;
+}
+
 // ---- vocabulary ------------------------------------------------------------
 
-Status RemoteHandle::Open() {
-  WireRequest req;
-  req.op = WireOp::kOpen;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
-}
+Status RemoteHandle::Open() { return Rpc(Req(WireOp::kOpen)); }
 
-Status RemoteHandle::Close() {
-  WireRequest req;
-  req.op = WireOp::kClose;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
-}
+Status RemoteHandle::Close() { return Rpc(Req(WireOp::kClose)); }
 
 Status RemoteHandle::CreateRecord(const Actor& actor,
                                   const GdprRecord& record) {
-  WireRequest req;
-  req.op = WireOp::kCreateRecord;
-  req.actor = actor;
+  WireRequest req = Req(WireOp::kCreateRecord, actor);
   req.record = record;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
+  return Rpc(req);
 }
 
 StatusOr<GdprRecord> RemoteHandle::ReadDataByKey(const Actor& actor,
                                                  const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kReadData;
-  req.actor = actor;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.record);
+  return Rpc(Req(WireOp::kReadData, actor, key), &WireResponse::record);
 }
 
 StatusOr<GdprMetadata> RemoteHandle::ReadMetadataByKey(const Actor& actor,
                                                        const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kReadMeta;
-  req.actor = actor;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.metadata);
+  return Rpc(Req(WireOp::kReadMeta, actor, key), &WireResponse::metadata);
 }
 
 StatusOr<std::vector<GdprRecord>> RemoteHandle::ReadMetadataByUser(
     const Actor& actor, const std::string& user) {
-  WireRequest req;
-  req.op = WireOp::kReadMetaUser;
-  req.actor = actor;
-  req.key = user;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.records);
+  return Rpc(Req(WireOp::kReadMetaUser, actor, user), &WireResponse::records);
 }
 
 StatusOr<std::vector<GdprRecord>> RemoteHandle::ReadMetadataByPurpose(
     const Actor& actor, const std::string& purpose) {
-  WireRequest req;
-  req.op = WireOp::kReadMetaPurpose;
-  req.actor = actor;
-  req.key = purpose;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.records);
+  return Rpc(Req(WireOp::kReadMetaPurpose, actor, purpose),
+             &WireResponse::records);
 }
 
 StatusOr<std::vector<GdprRecord>> RemoteHandle::ReadMetadataBySharing(
     const Actor& actor, const std::string& third_party) {
-  WireRequest req;
-  req.op = WireOp::kReadMetaSharing;
-  req.actor = actor;
-  req.key = third_party;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.records);
+  return Rpc(Req(WireOp::kReadMetaSharing, actor, third_party),
+             &WireResponse::records);
 }
 
 StatusOr<std::vector<GdprRecord>> RemoteHandle::ReadRecordsByUser(
     const Actor& actor, const std::string& user) {
-  WireRequest req;
-  req.op = WireOp::kReadRecordsUser;
-  req.actor = actor;
-  req.key = user;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.records);
+  return Rpc(Req(WireOp::kReadRecordsUser, actor, user),
+             &WireResponse::records);
 }
 
 Status RemoteHandle::UpdateMetadataByKey(const Actor& actor,
                                          const std::string& key,
                                          const MetadataUpdate& update) {
-  WireRequest req;
-  req.op = WireOp::kUpdateMeta;
-  req.actor = actor;
-  req.key = key;
+  WireRequest req = Req(WireOp::kUpdateMeta, actor, key);
   req.update = update;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
+  return Rpc(req);
 }
 
 Status RemoteHandle::UpdateDataByKey(const Actor& actor,
                                      const std::string& key,
                                      const std::string& data) {
-  WireRequest req;
-  req.op = WireOp::kUpdateData;
-  req.actor = actor;
-  req.key = key;
+  WireRequest req = Req(WireOp::kUpdateData, actor, key);
   req.data = data;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
+  return Rpc(req);
 }
 
 Status RemoteHandle::DeleteRecordByKey(const Actor& actor,
                                        const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kDeleteKey;
-  req.actor = actor;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
+  return Rpc(Req(WireOp::kDeleteKey, actor, key));
 }
 
 StatusOr<size_t> RemoteHandle::DeleteRecordsByUser(const Actor& actor,
                                                    const std::string& user) {
-  WireRequest req;
-  req.op = WireOp::kDeleteUser;
-  req.actor = actor;
-  req.key = user;
-  WireResponse resp;
   // The response frame only exists once the remote store call returned,
   // i.e. once its tombstones were decided durable — so a transport failure
   // here (no frame) correctly reads as "erasure not acked on this node".
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return size_t(resp.count);
+  return Rpc(Req(WireOp::kDeleteUser, actor, user), &WireResponse::count);
 }
 
 StatusOr<size_t> RemoteHandle::DeleteExpiredRecords(const Actor& actor) {
-  WireRequest req;
-  req.op = WireOp::kDeleteExpired;
-  req.actor = actor;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return size_t(resp.count);
+  return Rpc(Req(WireOp::kDeleteExpired, actor), &WireResponse::count);
 }
 
 StatusOr<bool> RemoteHandle::VerifyDeletion(const Actor& actor,
                                             const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kVerifyDeletion;
-  req.actor = actor;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return resp.flag;
+  return Rpc(Req(WireOp::kVerifyDeletion, actor, key), &WireResponse::flag);
 }
 
 StatusOr<std::vector<AuditEntry>> RemoteHandle::GetSystemLogs(
     const Actor& actor, int64_t from_micros, int64_t to_micros) {
-  WireRequest req;
-  req.op = WireOp::kGetLogs;
-  req.actor = actor;
+  WireRequest req = Req(WireOp::kGetLogs, actor);
   req.from_micros = from_micros;
   req.to_micros = to_micros;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.entries);
+  return Rpc(req, &WireResponse::entries);
 }
 
 StatusOr<Features> RemoteHandle::GetFeatures(const Actor& actor) {
-  WireRequest req;
-  req.op = WireOp::kGetFeatures;
-  req.actor = actor;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.features);
+  return Rpc(Req(WireOp::kGetFeatures, actor), &WireResponse::features);
 }
 
 Status RemoteHandle::ScanRecords(
     const Actor& actor, const std::function<bool(const GdprRecord&)>& fn) {
-  WireRequest req;
-  req.op = WireOp::kScanRecords;
-  req.actor = actor;
   WireResponse resp;
-  Status s = Call(req, &resp);
+  Status s = Call(Req(WireOp::kScanRecords, actor), &resp);
   if (!s.ok()) return s;
   // Replay the callback over the shipped record set. The remote scan has
   // already completed in full; an early stop here only stops the replay,
@@ -323,147 +231,82 @@ Status RemoteHandle::ScanRecords(
 }
 
 // ---- introspection ---------------------------------------------------------
+// Statusless: an unreachable node reads as zero / empty.
 
 size_t RemoteHandle::RecordCount() {
-  WireRequest req;
-  req.op = WireOp::kRecordCount;
-  WireResponse resp;
-  return Call(req, &resp).ok() ? size_t(resp.count) : 0;
+  return Rpc(Req(WireOp::kRecordCount), &WireResponse::count).value_or(0);
 }
 
 size_t RemoteHandle::TotalBytes() {
-  WireRequest req;
-  req.op = WireOp::kTotalBytes;
-  WireResponse resp;
-  return Call(req, &resp).ok() ? size_t(resp.count) : 0;
+  return Rpc(Req(WireOp::kTotalBytes), &WireResponse::count).value_or(0);
 }
 
-Status RemoteHandle::Reset() {
-  WireRequest req;
-  req.op = WireOp::kReset;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
-}
+Status RemoteHandle::Reset() { return Rpc(Req(WireOp::kReset)); }
 
 HealthState RemoteHandle::GetHealth() {
-  WireRequest req;
-  req.op = WireOp::kHealth;
-  WireResponse resp;
-  if (!Call(req, &resp).ok()) {
-    // Unreachable != data lost: the node may be fine behind a dead link.
-    // Degraded is the conservative report that keeps reads routing around
-    // it without declaring its state unrecoverable.
-    return HealthState::kDegradedReadOnly;
-  }
-  return resp.health;
+  // Unreachable != data lost: the node may be fine behind a dead link.
+  // Degraded is the conservative report that keeps reads routing around
+  // it without declaring its state unrecoverable.
+  return Rpc(Req(WireOp::kHealth), &WireResponse::health)
+      .value_or(HealthState::kDegradedReadOnly);
 }
 
 Status RemoteHandle::GetHealthCause() {
-  WireRequest req;
-  req.op = WireOp::kHealth;
   WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  return resp.health_cause;
+  Status s = Call(Req(WireOp::kHealth), &resp);
+  return s.ok() ? resp.health_cause : s;
 }
 
 obs::RegistrySnapshot RemoteHandle::StatsSnapshot() {
-  WireRequest req;
-  req.op = WireOp::kStatsSnapshot;
-  WireResponse resp;
-  if (!Call(req, &resp).ok()) return {};
-  return std::move(resp.snapshot);
+  auto snap = Rpc(Req(WireOp::kStatsSnapshot), &WireResponse::snapshot);
+  return snap.ok() ? std::move(snap.value()) : obs::RegistrySnapshot{};
 }
 
 StatusOr<CompactionStats> RemoteHandle::CompactNow(const Actor& actor) {
-  WireRequest req;
-  req.op = WireOp::kCompactNow;
-  req.actor = actor;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return resp.stats;
+  return Rpc(Req(WireOp::kCompactNow, actor), &WireResponse::stats);
 }
 
 CompactionStats RemoteHandle::GetCompactionStats() {
-  WireRequest req;
-  req.op = WireOp::kCompactionStats;
-  WireResponse resp;
-  if (!Call(req, &resp).ok()) return {};
-  return resp.stats;
+  return Rpc(Req(WireOp::kCompactionStats), &WireResponse::stats)
+      .value_or(CompactionStats{});
 }
 
 // ---- migration -------------------------------------------------------------
 
 StatusOr<std::vector<GdprRecord>> RemoteHandle::ExportSlotRecords(
     uint32_t slot, uint32_t num_slots) {
-  WireRequest req;
-  req.op = WireOp::kExportRecords;
-  req.slot = slot;
-  req.num_slots = num_slots;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.records);
+  return Rpc(SlotReq(WireOp::kExportRecords, slot, num_slots),
+             &WireResponse::records);
 }
 
 StatusOr<std::vector<std::string>> RemoteHandle::ExportSlotTombstones(
     uint32_t slot, uint32_t num_slots) {
-  WireRequest req;
-  req.op = WireOp::kExportTombstones;
-  req.slot = slot;
-  req.num_slots = num_slots;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.keys);
+  return Rpc(SlotReq(WireOp::kExportTombstones, slot, num_slots),
+             &WireResponse::keys);
 }
 
 Status RemoteHandle::ImportRecord(const GdprRecord& record) {
-  WireRequest req;
-  req.op = WireOp::kImportRecord;
+  WireRequest req = Req(WireOp::kImportRecord);
   req.record = record;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
+  return Rpc(req);
 }
 
 Status RemoteHandle::AdoptTombstone(const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kAdoptTombstone;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
+  return Rpc(Req(WireOp::kAdoptTombstone, Actor(), key));
 }
 
 Status RemoteHandle::EvictRecord(const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kEvictRecord;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
+  return Rpc(Req(WireOp::kEvictRecord, Actor(), key));
 }
 
 Status RemoteHandle::ClearTombstone(const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kClearTombstone;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
+  return Rpc(Req(WireOp::kClearTombstone, Actor(), key));
 }
 
 StatusOr<AuditChainVerdict> RemoteHandle::VerifyAuditChain() {
-  WireRequest req;
-  req.op = WireOp::kVerifyAuditChain;
   WireResponse resp;
-  Status s = Call(req, &resp);
+  Status s = Call(Req(WireOp::kVerifyAuditChain), &resp);
+  if (s.ok()) s = resp.status;
   if (!s.ok()) return s;
   AuditChainVerdict v;
   v.chain_ok = resp.flag;

@@ -21,7 +21,9 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <utility>
 
+#include "common/clock.h"
 #include "net/node_handle.h"
 #include "net/wire.h"
 
@@ -105,6 +107,10 @@ class RemoteHandle final : public NodeHandle {
 
   StatusOr<AuditChainVerdict> VerifyAuditChain() override;
 
+  // The wall clock RPC latencies are timed with; the node's own clock
+  // stays on the node.
+  Clock* clock() override { return RealClock::Default(); }
+
   // Severs the connection as if the peer died (tests: a killed node).
   void InjectDisconnect();
 
@@ -112,6 +118,17 @@ class RemoteHandle final : public NodeHandle {
   // One round trip. Locks, (re)connects if needed, writes the framed
   // request, reads exactly one response frame, validates the op echo.
   Status Call(const WireRequest& req, WireResponse* resp);
+  // The shape of every op with a status: one Call, a transport failure
+  // winning over the op status, then the op's result moved out of `field`.
+  Status Rpc(const WireRequest& req);
+  template <typename T>
+  StatusOr<T> Rpc(const WireRequest& req, T WireResponse::*field) {
+    WireResponse resp;
+    Status s = Call(req, &resp);
+    if (s.ok()) s = resp.status;
+    if (!s.ok()) return s;
+    return std::move(resp.*field);
+  }
   // Requires mu_. Marks the connection dead.
   void DropConnLocked();
   // Requires mu_. Ensures fd_ is a live connection; Unavailable otherwise.

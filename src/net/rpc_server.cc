@@ -28,7 +28,7 @@ void TakeStatusOr(StatusOr<T> r, Status* status, T* out) {
 
 }  // namespace
 
-WireResponse DispatchRequest(KvGdprStore* store, const WireRequest& req) {
+WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req) {
   WireResponse resp;
   resp.op = req.op;
   switch (req.op) {
@@ -139,23 +139,14 @@ WireResponse DispatchRequest(KvGdprStore* store, const WireRequest& req) {
     case WireOp::kCompactionStats:
       resp.stats = store->GetCompactionStats();
       break;
-    case WireOp::kExportRecords: {
-      const uint32_t slot = req.slot, num_slots = req.num_slots;
-      TakeStatusOr(
-          store->ExportRecords([slot, num_slots](const std::string& key) {
-            return SlotForKey(key, num_slots) == slot;
-          }),
-          &resp.status, &resp.records);
+    case WireOp::kExportRecords:
+      TakeStatusOr(store->ExportSlotRecords(req.slot, req.num_slots),
+                   &resp.status, &resp.records);
       break;
-    }
-    case WireOp::kExportTombstones: {
-      const uint32_t slot = req.slot, num_slots = req.num_slots;
-      resp.keys = store->ExportTombstones(
-          [slot, num_slots](const std::string& key) {
-            return SlotForKey(key, num_slots) == slot;
-          });
+    case WireOp::kExportTombstones:
+      TakeStatusOr(store->ExportSlotTombstones(req.slot, req.num_slots),
+                   &resp.status, &resp.keys);
       break;
-    }
     case WireOp::kImportRecord:
       resp.status = store->ImportRecord(req.record);
       break;
@@ -168,15 +159,18 @@ WireResponse DispatchRequest(KvGdprStore* store, const WireRequest& req) {
     case WireOp::kClearTombstone:
       resp.status = store->ClearTombstone(req.key);
       break;
-    case WireOp::kVerifyAuditChain:
-      resp.flag = store->audit_log()->VerifyChain();
-      resp.head_hash = store->audit_log()->head_hash();
+    case WireOp::kVerifyAuditChain: {
+      AuditChainVerdict v;
+      TakeStatusOr(store->VerifyAuditChain(), &resp.status, &v);
+      resp.flag = v.chain_ok;
+      resp.head_hash = std::move(v.head_hash);
       break;
+    }
   }
   return resp;
 }
 
-RpcServer::RpcServer(KvGdprStore* store) : store_(store) {}
+RpcServer::RpcServer(NodeHandle* store) : store_(store) {}
 
 RpcServer::~RpcServer() { Stop(); }
 

@@ -1,9 +1,9 @@
-// RpcServer: one server per cluster node, wrapping a KvGdprStore behind the
-// wire protocol. A single poll()-based event loop owns every connection —
-// the listener (Unix or TCP, optional), in-process loopback socketpairs
-// handed out by CreateLoopbackConnection(), and whatever accept() yields —
-// reads frames, dispatches them against the store, and writes response
-// frames back.
+// RpcServer: one server per cluster node, wrapping a NodeHandle (in practice
+// the node's KvGdprStore) behind the wire protocol. A single poll()-based
+// event loop owns every connection — the listener (Unix or TCP, optional),
+// in-process loopback socketpairs handed out by CreateLoopbackConnection(),
+// and whatever accept() yields — reads frames, dispatches them against the
+// store, and writes response frames back.
 //
 // Robustness contract (test_rpc exercises all of it):
 //   * A malformed request payload gets an error *response* frame and the
@@ -25,7 +25,7 @@
 #include <thread>
 #include <vector>
 
-#include "gdpr/kv_backend.h"
+#include "net/node_handle.h"
 #include "net/wire.h"
 
 namespace gdpr::net {
@@ -33,12 +33,12 @@ namespace gdpr::net {
 // Executes one decoded request against the store and builds the response.
 // Shared by the event loop and by anything that wants to serve the
 // protocol without sockets (tests drive it directly).
-WireResponse DispatchRequest(KvGdprStore* store, const WireRequest& req);
+WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req);
 
 class RpcServer {
  public:
   // Does not own the store; the store must outlive Stop().
-  explicit RpcServer(KvGdprStore* store);
+  explicit RpcServer(NodeHandle* store);
   ~RpcServer();
 
   RpcServer(const RpcServer&) = delete;
@@ -66,7 +66,7 @@ class RpcServer {
   // Returns false when the connection must drop.
   bool ServeBuffered(size_t i);
 
-  KvGdprStore* store_;
+  NodeHandle* store_;
   std::string listen_addr_;
   int listen_fd_ = -1;
   int wake_rd_ = -1;  // self-pipe: Stop() and new loopback fds wake poll()

@@ -422,15 +422,6 @@ const char* WireOpName(WireOp op) {
   return "UNKNOWN";
 }
 
-uint32_t SlotForKey(std::string_view key, uint32_t num_slots) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : key) {
-    h ^= uint8_t(c);
-    h *= 1099511628211ull;
-  }
-  return num_slots ? uint32_t(h % num_slots) : 0;
-}
-
 std::string EncodeRequest(const WireRequest& req) {
   std::string out;
   out.push_back(char(kWireVersion));

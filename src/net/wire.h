@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hash.h"  // SlotForKey: slot-scoped export membership
 #include "common/status.h"
 #include "gdpr/actor.h"
 #include "gdpr/audit.h"
@@ -93,13 +94,6 @@ enum class WireOp : uint8_t {
 
 bool ValidWireOp(uint8_t tag);
 const char* WireOpName(WireOp op);
-
-// The slot hash shared by the router's SlotMap and the wire protocol's
-// slot-scoped export requests (FNV-1a over the whole key): a node asked to
-// export "slot S of N" computes membership with exactly the function the
-// router routes by, so the two sides can never disagree about which keys a
-// slot holds.
-uint32_t SlotForKey(std::string_view key, uint32_t num_slots);
 
 // One decoded request. Only the fields the op uses are meaningful; the
 // codec encodes exactly those, so an unused vector costs nothing on the

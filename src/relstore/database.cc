@@ -483,11 +483,17 @@ Status Database::CreateIndex(const std::string& table,
       t->indexes_.emplace(size_t(col), std::make_unique<BPlusTree>());
   if (!inserted) return Status::AlreadyExists("index on " + column);
   BPlusTree* tree = it->second.get();
+  size_t unreadable = 0;
   for (size_t slot = 0; slot < t->slots_.size(); ++slot) {
     if (!t->slots_[slot]) continue;
-    Row decoded = DecodeRow(t, *t->slots_[slot]);
-    tree->Insert(decoded[size_t(col)], uint64_t(slot) + 1);
+    Value plain;
+    if (OpenCell((*t->slots_[slot])[size_t(col)], &plain)) {
+      tree->Insert(plain, uint64_t(slot) + 1);
+    } else {
+      ++unreadable;
+    }
   }
+  if (unreadable != 0) t->index_unreadable_[size_t(col)] = unreadable;
   return Status::OK();
 }
 
@@ -506,6 +512,17 @@ void Database::EncodeCells(std::string* dst, const Row& stored) {
 Value Database::EncodeCell(const Value& v) {
   if (!aead_ || v.type() != ValueType::kString) return v;
   return Value(aead_->Seal(v.AsString(), seal_seq_.fetch_add(1)));
+}
+
+bool Database::OpenCell(const Value& cell, Value* plain) const {
+  if (!aead_ || cell.type() != ValueType::kString) {
+    *plain = cell;
+    return true;
+  }
+  auto p = aead_->Open(cell.AsString());
+  if (!p.ok()) return false;
+  *plain = Value(std::move(p.value()));
+  return true;
 }
 
 Row Database::DecodeRow(const Table* /*t*/, const Row& stored,
@@ -603,20 +620,19 @@ std::vector<uint64_t> Database::MatchRowIds(Table* t, const Predicate& pred,
         return want_more();
       });
     }
+    const auto missed = t->index_unreadable_.find(pred.col);
+    if (unreadable && missed != t->index_unreadable_.end()) {
+      *unreadable += missed->second;
+    }
     return ids;
   }
   // Sequential scan. Only the predicate column needs decoding.
   for (size_t slot = 0; slot < t->slots_.size() && want_more(); ++slot) {
     if (!t->slots_[slot]) continue;
-    const Value& cell = (*t->slots_[slot])[pred.col];
-    Value plain = cell;
-    if (aead_ && cell.type() == ValueType::kString) {
-      auto p = aead_->Open(cell.AsString());
-      if (!p.ok()) {
-        if (unreadable) ++*unreadable;
-        continue;
-      }
-      plain = Value(p.value());
+    Value plain;
+    if (!OpenCell((*t->slots_[slot])[pred.col], &plain)) {
+      if (unreadable) ++*unreadable;
+      continue;
     }
     if (plain.Matches(pred.op, pred.value)) ids.push_back(uint64_t(slot) + 1);
   }
@@ -779,7 +795,7 @@ StatusOr<size_t> Database::Delete(Table* t, const Predicate& pred) {
       for (auto& [col, tree] : t->indexes_) tree->Erase(plain[col], rid);
       for (const Value& v : *slot) t->row_bytes_ -= v.ByteSize();
       slot.reset();
-      --t->live_rows_;
+      if (--t->live_rows_ == 0) t->index_unreadable_.clear();
       ++deleted;
       if (options_.wal_enabled) {
         wal_blob.push_back('D');
@@ -818,7 +834,7 @@ StatusOr<size_t> Database::DeleteWhere(
       for (auto& [col, tree] : t->indexes_) tree->Erase(plain[col], rid);
       for (const Value& v : *slot) t->row_bytes_ -= v.ByteSize();
       slot.reset();
-      --t->live_rows_;
+      if (--t->live_rows_ == 0) t->index_unreadable_.clear();
       ++deleted;
       if (options_.wal_enabled) {
         wal_blob.push_back('D');

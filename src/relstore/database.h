@@ -153,6 +153,10 @@ class Table {
   size_t live_rows_ = 0;
   size_t row_bytes_ = 0;
   std::map<size_t, std::unique_ptr<BPlusTree>> indexes_;  // by column
+  // Per indexed column: rows CreateIndex's backfill could not decrypt the
+  // cell of. They are in no index, so every probe of that index reports
+  // them as unreadable. Sticky until the table empties or is reopened.
+  std::map<size_t, size_t> index_unreadable_;
 };
 
 // What recovery restored on Open (observability + tests).
@@ -278,10 +282,13 @@ class Database {
   static void EncodeCells(std::string* dst, const Row& stored);
   static bool DecodeCells(std::string_view* in, Row* out);
   // Collects matching row ids under the table's lock (shared). A scanned
-  // predicate cell that fails decryption counts into *unreadable.
+  // predicate cell that fails decryption counts into *unreadable, as do an
+  // index's unindexed unreadable rows when the index serves the probe.
   std::vector<uint64_t> MatchRowIds(Table* t, const Predicate& pred,
                                     size_t limit,
                                     size_t* unreadable = nullptr) const;
+  // Opens one stored cell into *plain; false when a sealed cell fails.
+  bool OpenCell(const Value& cell, Value* plain) const;
   // Opens sealed cells; one that fails stays sealed and clears *intact.
   Row DecodeRow(const Table* t, const Row& stored,
                 bool* intact = nullptr) const;

@@ -199,6 +199,13 @@ size_t CommitPipeline::QueuedFrames(Target* t) const {
   return t->queued.load();
 }
 
+size_t CommitPipeline::QueuedFrames() const {
+  std::lock_guard<std::mutex> l(mu_);
+  size_t n = 0;
+  for (const auto& t : targets_) n += t->queued.load();
+  return n;
+}
+
 void CommitPipeline::CommitterLoop() {
   std::vector<Target*> ts;
   for (;;) {

@@ -129,8 +129,11 @@ class CommitPipeline {
   // Install/remove from within WithQuiesced's fn. nullptr removes.
   void SetTee(Target* t, std::function<void(std::string_view)> tee);
 
-  // Testing/introspection: frames queued but not yet written.
+  // Testing/introspection: frames queued and not yet retired — on one
+  // target, or on every target (for owners that never see theirs). A batch
+  // retires after its write, its acks and its timed-sync check.
   size_t QueuedFrames(Target* t) const;
+  size_t QueuedFrames() const;
 
  private:
   struct Frame;

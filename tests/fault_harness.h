@@ -237,7 +237,7 @@ inline void CheckIndexMatchesScan(GdprStore* store) {
 }
 
 // Machine-checks the reopened store against the ledger.
-inline void CheckRecovery(GdprStore* store, const Ledger& led) {
+inline void CheckRecovery(AuditedStore* store, const Ledger& led) {
   const Actor ctrl = Actor::Controller();
   for (const auto& [key, data] : led.durable) {
     auto rec = store->ReadDataByKey(ctrl, key);

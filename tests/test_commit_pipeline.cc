@@ -358,6 +358,10 @@ TEST(CommitPipeline, EverySecCrashLosesAtMostTheUnsyncedTail) {
   FaultEnv fenv(&mem, /*seed=*/0xc0117);
   SimulatedClock clock(0);
   {
+    // The test's own pipeline, so it can see when k1's batch retires.
+    CommitPipeline::Options po;
+    po.clock = &clock;
+    CommitPipeline pl(po);
     kv::Options o;
     o.env = &fenv;
     o.clock = &clock;
@@ -365,10 +369,15 @@ TEST(CommitPipeline, EverySecCrashLosesAtMostTheUnsyncedTail) {
     o.aof_enabled = true;
     o.aof_path = "kv/aof";
     o.sync_policy = SyncPolicy::kEverySec;
+    o.pipeline = &pl;
     kv::MemKV db(o);
     ASSERT_TRUE(db.Open().ok());
 
     ASSERT_TRUE(db.Set("k1", "alpha-payload-1").ok());
+    // The ack fires before the batch's own timed-sync check; advancing the
+    // clock before that check would let k1 take the timed sync alone and
+    // leave k2 unsynced in FaultEnv's buffer. Wait for the batch to retire.
+    ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames() == 0; }));
     clock.AdvanceSeconds(2);
     // This Set's batch triggers the committer's timed sync, flushing k1+k2
     // through FaultEnv's write buffer to the base MemEnv.

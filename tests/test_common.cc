@@ -8,6 +8,7 @@
 #include "common/clock.h"
 #include "common/distributions.h"
 #include "common/epoch.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -105,6 +106,35 @@ struct RetireProbe {
   ~RetireProbe() { freed->fetch_add(1); }
   std::atomic<int>* freed;
 };
+
+// A restarted node replays its AOF into the slots its keys hash to, so the
+// slot hash is an on-disk contract: these values must never change.
+TEST(Hash, SlotForKeyIsPinned) {
+  struct Pin {
+    const char* key;
+    uint32_t num_slots;
+    uint32_t slot;
+  };
+  const Pin pins[] = {
+      {"", 16, 3},
+      {"", 1024, 899},
+      {"k1", 16, 11},
+      {"k1", 1024, 75},
+      {"k1", 16384, 2123},
+      {"user0-k0", 16, 12},
+      {"user0-k0", 16384, 11612},
+      {"some-key", 1024, 941},
+      {"some-key", 16384, 16301},
+      {"key-12345", 16, 8},
+      {"key-12345", 16384, 776},
+  };
+  for (const Pin& p : pins) {
+    EXPECT_EQ(SlotForKey(p.key, p.num_slots), p.slot)
+        << p.key << " / " << p.num_slots;
+    EXPECT_EQ(SlotForKey(p.key, 1), 0u);
+  }
+  EXPECT_EQ(SlotForKey("k1", 0), 0u);
+}
 
 TEST(Epoch, RetiredObjectsFreeAfterTwoAdvances) {
   auto& mgr = EpochManager::Global();

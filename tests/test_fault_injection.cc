@@ -153,9 +153,9 @@ TEST(FaultEnvSmoke, CorruptReadFlipsExactlyOneByte) {
 
 // ---- sweep driver ----------------------------------------------------------
 
-using StoreFactory = std::function<std::unique_ptr<GdprStore>(Env*)>;
+using StoreFactory = std::function<std::unique_ptr<AuditedStore>(Env*)>;
 
-std::unique_ptr<GdprStore> MakeKvStore(Env* env, SyncPolicy sync) {
+std::unique_ptr<AuditedStore> MakeKvStore(Env* env, SyncPolicy sync) {
   KvGdprOptions o;
   o.compliance.metadata_indexing = true;
   o.kv.env = env;
@@ -173,7 +173,7 @@ std::unique_ptr<GdprStore> MakeKvStore(Env* env, SyncPolicy sync) {
   return store;
 }
 
-std::unique_ptr<GdprStore> MakeRelStore(Env* env) {
+std::unique_ptr<AuditedStore> MakeRelStore(Env* env) {
   RelGdprOptions o;
   o.compliance.metadata_indexing = true;
   o.rel.env = env;

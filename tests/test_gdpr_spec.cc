@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -51,6 +52,20 @@ GdprRecord MakeRec(const std::string& key, const std::string& user,
   rec.metadata.shared_with = std::move(shared);
   rec.metadata.origin = "first-party";
   return rec;
+}
+
+// Flips one bit of the engine log "spec.log" at the offset where(log)
+// names.
+void FlipLogBit(MemEnv* env,
+                const std::function<size_t(const std::string&)>& where) {
+  std::string log = env->ReadFileToString("spec.log").value();
+  const size_t at = where(log);
+  ASSERT_LT(at, log.size());
+  log[at] = char(uint8_t(log[at]) ^ 0x01);
+  auto f = env->NewWritableFile("spec.log", /*truncate=*/true);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(f.value()->Append(log).ok());
+  ASSERT_TRUE(f.value()->Close().ok());
 }
 
 std::set<std::string> KeysOf(const std::vector<GdprRecord>& recs) {
@@ -244,13 +259,9 @@ TEST_P(GdprSpec, AtRestCorruptionIsDataLossNotAShorterAnswer) {
   }
   // Flip the MAC tail of k2's last sealed field. memkv's 'S' frame ends
   // with an 8-byte expiry; reldb's row ends with two 9-byte int cells.
-  std::string log = env.ReadFileToString("spec.log").value();
-  const size_t mac_tail = log.size() - (memkv() ? 9 : 19);
-  log[mac_tail] = char(uint8_t(log[mac_tail]) ^ 0x01);
-  auto f = env.NewWritableFile("spec.log", /*truncate=*/true);
-  ASSERT_TRUE(f.ok());
-  ASSERT_TRUE(f.value()->Append(log).ok());
-  ASSERT_TRUE(f.value()->Close().ok());
+  FlipLogBit(&env, [&](const std::string& log) {
+    return log.size() - (memkv() ? 9 : 19);
+  });
 
   auto store = Make(setup);
   ASSERT_TRUE(store->Open().ok());
@@ -280,10 +291,46 @@ TEST_P(GdprSpec, AtRestCorruptionIsDataLossNotAShorterAnswer) {
   }
   if (kv) {
     // A slot migration built on a partial export would drop the record.
-    EXPECT_TRUE(kv->ExportRecords([](const std::string&) { return true; })
-                    .status()
-                    .IsDataLoss());
+    EXPECT_TRUE(kv->ExportSlotRecords(0, 1).status().IsDataLoss());
   }
+}
+
+// A row whose indexed cell no longer authenticates is missing from that
+// index, and an indexed by-user answer must say so rather than answer OK
+// without it. reldb seals cells one by one, so only k2's user cell is
+// corrupted (its index backfill on reopen meets it); memkv seals each
+// record whole, so there the record itself is unreadable.
+TEST_P(GdprSpec, UnreadableUserCellIsDataLossNotAMiss) {
+  MemEnv env;
+  StoreSetup setup;
+  setup.env = &env;
+  setup.encrypt = true;
+  {
+    auto store = Make(setup);
+    ASSERT_TRUE(store->Open().ok());
+    for (int i = 0; i < 3; ++i) {
+      const GdprRecord rec = MakeRec("k" + std::to_string(i), "neo", {});
+      ASSERT_TRUE(store->CreateRecord(Actor::Controller(), rec).ok());
+    }
+    ASSERT_TRUE(store->Close().ok());
+  }
+  FlipLogBit(&env, [&](const std::string& log) -> size_t {
+    if (memkv()) return log.size() - 9;
+    // k2's row is the last gdpr_records insert: the table name, a one-byte
+    // cell count, then [type][one-byte length][sealed bytes] per cell, key
+    // first and user second. The tag is a sealed cell's last 16 bytes.
+    const std::string table = "gdpr_records";
+    size_t at = log.rfind(table) + table.size() + 1;
+    at += 2 + uint8_t(log[at + 1]);
+    return at + 2 + uint8_t(log[at + 1]) - 1;
+  });
+
+  auto store = Make(setup);
+  ASSERT_TRUE(store->Open().ok());
+  const Actor ctrl = Actor::Controller();
+  EXPECT_TRUE(store->ReadMetadataByUser(ctrl, "neo").status().IsDataLoss());
+  EXPECT_TRUE(store->ReadRecordsByUser(ctrl, "neo").status().IsDataLoss());
+  EXPECT_TRUE(store->ReadDataByKey(ctrl, "k0").ok());
 }
 
 // Every acked write is whole after a restart, whichever single log write

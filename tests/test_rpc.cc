@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -253,6 +254,56 @@ TEST_F(RpcLoopback, FullOpFlowOverTheWire) {
   const auto snap = registry_.Snapshot();
   EXPECT_GT(snap.CounterValue("cluster_rpc_bytes_total"), 0u);
   ASSERT_TRUE(handle_->Close().ok());
+}
+
+// The node-only surface answers the same called directly on the store and
+// through a RemoteHandle: slot exports partition the records and the
+// tombstones exactly as the router's SlotMap does, and the audit verdicts
+// carry the same head hash.
+TEST_F(RpcLoopback, NodeSurfaceMatchesTheStoreCalledDirectly) {
+  const Actor controller = Actor::Controller();
+  constexpr uint32_t kSlots = 8;
+  const cluster::SlotMap slot_map(kSlots, 1);
+  std::vector<std::set<std::string>> want_records(kSlots);
+  std::vector<std::set<std::string>> want_tombstones(kSlots);
+  for (int i = 0; i < 40; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    ASSERT_TRUE(store_->CreateRecord(controller, MakeRecord(key, "u")).ok());
+    if (i % 3 == 0) {
+      ASSERT_TRUE(store_->DeleteRecordByKey(controller, key).ok());
+      want_tombstones[slot_map.SlotOf(key)].insert(key);
+    } else {
+      want_records[slot_map.SlotOf(key)].insert(key);
+    }
+  }
+
+  NodeHandle* const direct = store_.get();
+  NodeHandle* const remote = handle_.get();
+  for (NodeHandle* node : {direct, remote}) {
+    SCOPED_TRACE(node == direct ? "direct" : "remote");
+    for (uint32_t slot = 0; slot < kSlots; ++slot) {
+      auto records = node->ExportSlotRecords(slot, kSlots);
+      ASSERT_TRUE(records.ok()) << records.status().ToString();
+      std::set<std::string> got;
+      for (const GdprRecord& rec : records.value()) got.insert(rec.key);
+      EXPECT_EQ(got, want_records[slot]) << "slot " << slot;
+      auto tombstones = node->ExportSlotTombstones(slot, kSlots);
+      ASSERT_TRUE(tombstones.ok()) << tombstones.status().ToString();
+      EXPECT_EQ(std::set<std::string>(tombstones.value().begin(),
+                                      tombstones.value().end()),
+                want_tombstones[slot])
+          << "slot " << slot;
+    }
+  }
+
+  const auto direct_verdict = direct->VerifyAuditChain();
+  const auto remote_verdict = remote->VerifyAuditChain();
+  ASSERT_TRUE(direct_verdict.ok() && remote_verdict.ok());
+  EXPECT_TRUE(direct_verdict.value().chain_ok);
+  EXPECT_EQ(remote_verdict.value().chain_ok, direct_verdict.value().chain_ok);
+  EXPECT_FALSE(direct_verdict.value().head_hash.empty());
+  EXPECT_EQ(remote_verdict.value().head_hash,
+            direct_verdict.value().head_hash);
 }
 
 TEST_F(RpcLoopback, ReconnectsAfterInjectedDisconnectAndCountsIt) {
