@@ -50,7 +50,7 @@ Status KvGdprStore::Open() {
     const size_t decrypt_failures =
         db_->Scan([&](const std::string&, const std::string& value) {
           auto rec = GdprRecord::Parse(value);
-          if (rec.ok()) IndexAdd(rec.value());
+          if (rec.ok()) IndexUpdate(nullptr, &rec.value());
           else ++parse_failures;
           return true;
         });
@@ -73,53 +73,61 @@ StatusOr<GdprRecord> KvGdprStore::GetRaw(const std::string& key) {
 }
 
 // Index mutation serializes on idx_writer_mu_ (readers never touch it —
-// they walk the posting chains under an epoch pin). index_bytes_ is only
-// ever written here and in Reset, both under the mutex, so plain
-// load/adjust/store is race-free; the atomic exists for lock-free readers.
-void KvGdprStore::IndexAdd(const GdprRecord& record) {
-  std::lock_guard<std::mutex> l(idx_writer_mu_);
-  size_t added = 0;
-  if (by_user_.Add(record.metadata.user, record.key)) {
-    added += record.metadata.user.size() + record.key.size() + 16;
-  }
-  for (const auto& p : record.metadata.purposes) {
-    if (by_purpose_.Add(p, record.key)) {
-      added += p.size() + record.key.size() + 16;
-    }
-  }
-  for (const auto& tp : record.metadata.shared_with) {
-    if (by_sharing_.Add(tp, record.key)) {
-      added += tp.size() + record.key.size() + 16;
-    }
-  }
-  if (record.metadata.expiry_micros != 0) {
-    ttl_heap_.push(TtlItem{record.metadata.expiry_micros, record.key});
-    ttl_backlog_.store(ttl_heap_.size(), std::memory_order_relaxed);
-    added += record.key.size() + 16;
-  }
-  index_bytes_.store(index_bytes_.load(std::memory_order_relaxed) + added,
-                     std::memory_order_relaxed);
+// they walk the posting sets under an epoch pin). index_bytes_ is only
+// ever written under the mutex, so plain load/adjust/store is race-free;
+// the atomic exists for lock-free readers.
+void KvGdprStore::AdjustIndexBytes(size_t added, size_t dropped) {
+  const size_t cur = index_bytes_.load(std::memory_order_relaxed) + added;
+  index_bytes_.store(cur - std::min(cur, dropped), std::memory_order_relaxed);
 }
 
-void KvGdprStore::IndexRemove(const GdprRecord& record) {
+void KvGdprStore::PushTtl(TtlItem item) {
+  AdjustIndexBytes(item.key.size() + 16, 0);
+  ttl_heap_.push(std::move(item));
+  ttl_backlog_.store(ttl_heap_.size(), std::memory_order_relaxed);
+}
+
+// Touches only the (value, key) pairs that differ between prev and next:
+// an update that rotates shared_with costs two posting-set operations,
+// whatever the record's user and purposes. A null prev indexes next from
+// scratch; a null next unindexes prev. Stale TTL items of prev stay in the
+// heap and are skipped (and uncharged) when they pop.
+void KvGdprStore::IndexUpdate(const GdprRecord* prev, const GdprRecord* next) {
+  static const std::vector<std::string> kNone;
+  const GdprMetadata* from = prev ? &prev->metadata : nullptr;
+  const GdprMetadata* to = next ? &next->metadata : nullptr;
+  const std::string& key = next ? next->key : prev->key;
+  const auto charge = [&](const std::string& v) {
+    return v.size() + key.size() + 16;
+  };
+  size_t added = 0, dropped = 0;
+  const auto diff = [&](kv::EpochPostingMap& index,
+                        const std::vector<std::string>& old_values,
+                        const std::vector<std::string>& new_values) {
+    const auto has = [](const std::vector<std::string>& v,
+                        const std::string& x) {
+      return std::find(v.begin(), v.end(), x) != v.end();
+    };
+    for (const auto& v : old_values) {
+      if (!has(new_values, v) && index.Remove(v, key)) dropped += charge(v);
+    }
+    for (const auto& v : new_values) {
+      if (!has(old_values, v) && index.Add(v, key)) added += charge(v);
+    }
+  };
   std::lock_guard<std::mutex> l(idx_writer_mu_);
-  size_t dropped = 0;
-  if (by_user_.Remove(record.metadata.user, record.key)) {
-    dropped += record.metadata.user.size() + record.key.size() + 16;
+  if (!from || !to || from->user != to->user) {
+    if (from && by_user_.Remove(from->user, key)) dropped += charge(from->user);
+    if (to && by_user_.Add(to->user, key)) added += charge(to->user);
   }
-  for (const auto& p : record.metadata.purposes) {
-    if (by_purpose_.Remove(p, record.key)) {
-      dropped += p.size() + record.key.size() + 16;
-    }
+  diff(by_purpose_, from ? from->purposes : kNone, to ? to->purposes : kNone);
+  diff(by_sharing_, from ? from->shared_with : kNone,
+       to ? to->shared_with : kNone);
+  AdjustIndexBytes(added, dropped);
+  const int64_t expiry = to ? to->expiry_micros : 0;
+  if (expiry != 0 && expiry != (from ? from->expiry_micros : 0)) {
+    PushTtl(TtlItem{expiry, key});
   }
-  for (const auto& tp : record.metadata.shared_with) {
-    if (by_sharing_.Remove(tp, record.key)) {
-      dropped += tp.size() + record.key.size() + 16;
-    }
-  }
-  const size_t cur = index_bytes_.load(std::memory_order_relaxed);
-  index_bytes_.store(cur - std::min(cur, dropped), std::memory_order_relaxed);
-  // Stale TTL heap entries are skipped at pop time.
 }
 
 Status KvGdprStore::Put(const GdprRecord& rec, const GdprRecord* prev) {
@@ -133,10 +141,7 @@ Status KvGdprStore::Put(const GdprRecord& rec, const GdprRecord* prev) {
   }
   Status s = db_->Set(rec.key, rec.Serialize());
   if (!s.ok()) return s;
-  if (indexing()) {
-    if (prev) IndexRemove(*prev);
-    IndexAdd(rec);
-  }
+  if (indexing()) IndexUpdate(prev, &rec);
   return live ? Status::OK() : db_->ClearTombstone(rec.key);
 }
 
@@ -147,7 +152,7 @@ Status KvGdprStore::Erase(const GdprRecord& rec) {
     // tombstone evidence for an erasure that did not happen.
     return s;
   }
-  if (indexing()) IndexRemove(rec);
+  if (indexing()) IndexUpdate(&rec, nullptr);
   // Data gone but evidence unwritable: surface it — VerifyDeletion would
   // deny the erasure ever happened after a restart.
   s = db_->AddTombstone(rec.key);
@@ -168,7 +173,7 @@ Status KvGdprStore::Collect(Attr attr, const std::string& value,
                                                               : by_sharing_;
   std::vector<std::string> keys;
   {
-    // Lock-free probe: pin one epoch, copy the posting chain out. Index
+    // Lock-free probe: pin one epoch, copy the key set out. Index
     // writers (upserts, erasure, expiry) proceed concurrently throughout.
     EpochGuard guard;
     index.ForEachKey(value, [&](const std::string& k) {
@@ -217,13 +222,13 @@ Status KvGdprStore::ForEachExpired(
       item = ttl_heap_.top();
       ttl_heap_.pop();
       ttl_backlog_.store(ttl_heap_.size(), std::memory_order_relaxed);
+      AdjustIndexBytes(0, item.key.size() + 16);
     }
     s = fn(item.key);
     if (!s.ok()) {
       // Still resident: keep it queued for the next sweep.
       std::lock_guard<std::mutex> l(idx_writer_mu_);
-      ttl_heap_.push(std::move(item));
-      ttl_backlog_.store(ttl_heap_.size(), std::memory_order_relaxed);
+      PushTtl(std::move(item));
     }
   }
   return s;
@@ -292,7 +297,7 @@ Status KvGdprStore::EvictRecord(const std::string& key) {
   if (!rec.ok()) return rec.status();
   Status s = db_->Delete(key);
   if (!s.ok() && !s.IsNotFound()) return s;  // still resident: don't unindex
-  if (indexing()) IndexRemove(rec.value());
+  if (indexing()) IndexUpdate(&rec.value(), nullptr);
   return Status::OK();
 }
 

@@ -13,8 +13,14 @@
 //
 // Read fast path: every record fetch bottoms out in MemKV's epoch-protected
 // lock-free Get, and the secondary indexes are epoch-protected posting maps
-// (kv::EpochPostingMap) — a collection pins one epoch, copies the posting
-// chain without any index lock, then fetches each key. Index writers
+// (kv::EpochPostingMap) — a collection pins one epoch, copies one
+// attribute's key set without any index lock, then fetches each key.
+//
+// Write path: each attribute's keys form a small hashed set that grows
+// copy-on-grow, and an upsert diffs the old and new metadata, touching only
+// the (value, key) pairs that changed and pushing a TTL item only when the
+// expiry moved. A sharing rotation therefore costs two O(1) set operations,
+// not a walk of the record's purpose and sharing postings. Index writers
 // (upsert/erasure/expiry) serialize on a narrow mutex that no read path
 // touches, so metadata queries scale with reader threads. Scan paths report
 // at-rest decrypt failures as DataLoss instead of skipping them silently.
@@ -101,15 +107,17 @@ class KvGdprStore : public PolicyStore, public net::NodeHandle {
     }
   };
 
-  void IndexAdd(const GdprRecord& record);
-  void IndexRemove(const GdprRecord& record);
+  void IndexUpdate(const GdprRecord* prev, const GdprRecord* next);
+  // Caller holds idx_writer_mu_.
+  void AdjustIndexBytes(size_t added, size_t dropped);
+  void PushTtl(TtlItem item);
 
   KvGdprOptions options_;
   std::unique_ptr<kv::MemKV> db_;
 
   // Secondary indexes, readable with no lock at all: readers pin an epoch
-  // and walk the posting chains. This narrow mutex serializes only index
-  // *mutation* (IndexAdd/IndexRemove, TTL-heap pushes and pops, Reset) —
+  // and walk the posting sets. This narrow mutex serializes only index
+  // *mutation* (IndexUpdate, TTL-heap pushes and pops, Reset) —
   // no read path acquires it. The per-key mutexes already order same-key
   // index updates against each other; this one orders cross-key writers
   // inside the shared posting structures.

@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -278,15 +279,27 @@ class EpochMap {
 
 // EpochPostingMap: a lock-free-readable multimap for the GDPR secondary
 // indexes — attribute value (a user id, a purpose, a sharing partner) ->
-// posting chain of record keys. Same discipline as EpochMap (single writer
-// under an external narrow mutex; readers pin an epoch and walk atomic
-// links) with one extra level of indirection: each attribute node points at
-// a refcounted PostingList that is *stable across table generations*.
-// Growth copies attribute nodes but shares their lists, so a reader mid-walk
-// in a pre-growth generation still observes the list's current head — the
-// chain is never forked by a resize.
+// the set of record keys carrying it. Same discipline as EpochMap (single
+// writer under an external narrow mutex; readers pin an epoch and walk
+// atomic links), one level deeper: each attribute node points at a
+// refcounted PostingList that is *stable across attribute-table
+// generations*, and each list is itself a small EpochMap-shaped hash set of
+// keys.
 //
-// Posting chains are hint sets, not ground truth. A reader may see a key
+//   * Attribute layer. Growth copies attribute nodes but shares their
+//     lists, so a reader mid-walk in a pre-growth generation still observes
+//     the list's current key table — a resize never forks a set.
+//   * Key layer. A list holds an atomic pointer to a KeyTable: header and
+//     buckets in one allocation, chains of {key, next} nodes. Add and Remove
+//     hash the key and walk one bucket, so a posting update costs
+//     O(kMaxChain), not O(set size). Every set starts at one bucket (a small
+//     set is a plain chain, no bigger than one) and doubles copy-on-grow
+//     when its average chain exceeds kMaxChain: fresh nodes go into a fresh
+//     table, the release store of the list's table pointer publishes it, and
+//     the old generation — nodes and table — is retired as one batch, its
+//     links intact for readers still walking it.
+//
+// Posting sets are hint sets, not ground truth. A reader may see a key
 // whose record was erased or re-attributed after its walk began, and may
 // miss a key added after it; the GDPR layer revalidates every key against
 // the record fetched from the engine. What the epoch protocol guarantees is
@@ -299,22 +312,62 @@ class EpochPostingMap {
     const std::string key;
     std::atomic<PostingNode*> next{nullptr};
   };
+  using Bucket = std::atomic<PostingNode*>;
+
+  // One generation of a key set: the bucket count and the buckets in a
+  // single allocation. A loaded cluster holds tens of thousands of
+  // few-key per-user sets, where a separate bucket array per set shows in
+  // RSS.
+  class KeyTable {
+   public:
+    static KeyTable* New(size_t n) {
+      void* mem = ::operator new(sizeof(KeyTable) + n * sizeof(Bucket));
+      auto* t = new (mem) KeyTable(n);
+      for (size_t i = 0; i < n; ++i) new (&t->buckets()[i]) Bucket(nullptr);
+      return t;
+    }
+    // Frees the table only; its nodes belong to whoever retires them.
+    static void Delete(void* p) { ::operator delete(p); }
+
+    size_t size() const { return mask_ + 1; }
+    Bucket& bucket(size_t i) const { return buckets()[i]; }
+    // Folds the high half in: a cluster node holds only the keys of its own
+    // slots, which pins the low bits of their hashes.
+    Bucket& at(uint64_t key_hash) const {
+      return buckets()[(key_hash ^ (key_hash >> 32)) & mask_];
+    }
+
+   private:
+    explicit KeyTable(size_t n) : mask_(n - 1) {}
+    Bucket* buckets() const {
+      return reinterpret_cast<Bucket*>(const_cast<KeyTable*>(this) + 1);
+    }
+    const size_t mask_;
+  };
+  static_assert(alignof(KeyTable) >= alignof(Bucket));
 
   // Shared between attribute-node generations via a writer-side refcount
   // (the EntryBlock pattern). The destructor only ever runs epoch-deferred
   // (last unref from a retired AttrNode's deleter) or at map teardown, so
-  // any chain nodes still linked are unreachable by then.
+  // the current table and its nodes are unreachable by then; superseded
+  // tables were retired on growth.
   struct PostingList {
-    std::atomic<PostingNode*> head{nullptr};
-    std::atomic<uint32_t> refs{1};
+    PostingList() : table(KeyTable::New(1)) {}
     ~PostingList() {
-      PostingNode* n = head.load(std::memory_order_relaxed);
-      while (n) {
-        PostingNode* next = n->next.load(std::memory_order_relaxed);
-        delete n;
-        n = next;
+      KeyTable* t = table.load(std::memory_order_relaxed);
+      for (size_t i = 0; i < t->size(); ++i) {
+        PostingNode* n = t->bucket(i).load(std::memory_order_relaxed);
+        while (n) {
+          PostingNode* next = n->next.load(std::memory_order_relaxed);
+          delete n;
+          n = next;
+        }
       }
+      KeyTable::Delete(t);
     }
+    std::atomic<KeyTable*> table;
+    std::atomic<uint32_t> refs{1};
+    size_t size = 0;  // live keys; writers only
   };
 
   struct AttrNode {
@@ -326,6 +379,9 @@ class EpochPostingMap {
     PostingList* const list;
     std::atomic<AttrNode*> next{nullptr};
   };
+
+  // A key set doubles when its average bucket chain exceeds this.
+  static constexpr size_t kMaxChain = 8;
 
   explicit EpochPostingMap(size_t initial_buckets = 16)
       : table_(new Table(RoundUpPow2(initial_buckets))) {}
@@ -342,9 +398,9 @@ class EpochPostingMap {
 
   // ---- reader side (caller holds an EpochGuard) ---------------------------
 
-  // Lock-free walk of one attribute's posting chain; fn returns false to
-  // stop early. The snapshot guarantee is per-link: concurrent adds and
-  // removes may or may not be seen.
+  // Lock-free walk of one attribute's key set; fn returns false to stop
+  // early. The snapshot guarantee is per-link: concurrent adds and removes
+  // may or may not be seen.
   template <typename Fn>  // Fn: bool(const std::string& key)
   void ForEachKey(const std::string& value, Fn fn) const {
     const uint64_t h = Fnv1a(value);
@@ -353,10 +409,13 @@ class EpochPostingMap {
              t->buckets[h & t->mask].load(std::memory_order_acquire);
          n != nullptr; n = n->next.load(std::memory_order_acquire)) {
       if (n->hash != h || n->value != value) continue;
-      for (const PostingNode* p =
-               n->list->head.load(std::memory_order_acquire);
-           p != nullptr; p = p->next.load(std::memory_order_acquire)) {
-        if (!fn(p->key)) return;
+      const KeyTable* kt = n->list->table.load(std::memory_order_acquire);
+      for (size_t i = 0; i < kt->size(); ++i) {
+        for (const PostingNode* p =
+                 kt->bucket(i).load(std::memory_order_acquire);
+             p != nullptr; p = p->next.load(std::memory_order_acquire)) {
+          if (!fn(p->key)) return;
+        }
       }
       return;
     }
@@ -377,19 +436,22 @@ class EpochPostingMap {
                        std::memory_order_relaxed);
       bucket.store(attr, std::memory_order_release);  // publish
       values_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      for (PostingNode* p = attr->list->head.load(std::memory_order_relaxed);
-           p != nullptr; p = p->next.load(std::memory_order_relaxed)) {
-        if (p->key == key) return false;
-      }
     }
-    auto* node = new PostingNode(key);
-    node->next.store(attr->list->head.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    attr->list->head.store(node, std::memory_order_release);  // publish
-    entries_.fetch_add(1, std::memory_order_relaxed);
     // Even if Grow() retires `attr`'s generation one day, mutating through
     // it stays correct: the PostingList is shared, not copied.
+    PostingList* list = attr->list;
+    KeyTable* kt = list->table.load(std::memory_order_relaxed);
+    Bucket& slot = kt->at(Fnv1a(key));
+    for (PostingNode* p = slot.load(std::memory_order_relaxed); p != nullptr;
+         p = p->next.load(std::memory_order_relaxed)) {
+      if (p->key == key) return false;
+    }
+    auto* node = new PostingNode(key);
+    node->next.store(slot.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    slot.store(node, std::memory_order_release);  // publish
+    entries_.fetch_add(1, std::memory_order_relaxed);
+    if (++list->size > kMaxChain * kt->size()) GrowList(list);
     if (values_.load(std::memory_order_relaxed) > t->buckets.size()) Grow();
     return true;
   }
@@ -408,24 +470,26 @@ class EpochPostingMap {
       if (attr->hash == h && attr->value == value) break;
     }
     if (attr == nullptr) return false;
+    PostingList* list = attr->list;
+    Bucket& slot = list->table.load(std::memory_order_relaxed)->at(Fnv1a(key));
     PostingNode* prev = nullptr;
-    for (PostingNode* p = attr->list->head.load(std::memory_order_relaxed);
-         p != nullptr; prev = p, p = p->next.load(std::memory_order_relaxed)) {
+    for (PostingNode* p = slot.load(std::memory_order_relaxed); p != nullptr;
+         prev = p, p = p->next.load(std::memory_order_relaxed)) {
       if (p->key != key) continue;
       PostingNode* after = p->next.load(std::memory_order_relaxed);
       // Unlink without touching p->next: a reader standing on p keeps a
       // valid view of the rest of the chain.
       if (prev == nullptr) {
-        attr->list->head.store(after, std::memory_order_release);
+        slot.store(after, std::memory_order_release);
       } else {
         prev->next.store(after, std::memory_order_release);
       }
       EpochManager::Global().Retire(p);
       entries_.fetch_sub(1, std::memory_order_relaxed);
       retired_.fetch_add(1, std::memory_order_relaxed);
-      if (attr->list->head.load(std::memory_order_relaxed) == nullptr) {
-        // Empty list: drop the attribute node (readers standing on it see
-        // an empty chain; a re-add builds a fresh node + list).
+      if (--list->size == 0) {
+        // Empty set: drop the attribute node (readers standing on it see
+        // an empty set; a re-add builds a fresh node + list).
         AttrNode* attr_after = attr->next.load(std::memory_order_relaxed);
         if (attr_prev == nullptr) {
           bucket.store(attr_after, std::memory_order_release);
@@ -455,10 +519,11 @@ class EpochPostingMap {
 
   // Live (value, key) postings across all attributes.
   size_t entries() const { return entries_.load(std::memory_order_relaxed); }
-  // Distinct attribute values with a non-empty posting chain.
+  // Distinct attribute values with a non-empty key set.
   size_t values() const { return values_.load(std::memory_order_relaxed); }
-  // Cumulative nodes handed to the epoch reclaimer (postings, attribute
-  // nodes, retired generations) — the retire pressure this index generates.
+  // Cumulative objects handed to the epoch reclaimer (postings, attribute
+  // nodes, superseded key tables and attribute generations with their
+  // nodes) — the retire pressure this index generates.
   uint64_t retired_nodes() const {
     return retired_.load(std::memory_order_relaxed);
   }
@@ -489,9 +554,36 @@ class EpochPostingMap {
     return nullptr;
   }
 
-  // Doubles the table. Fresh attribute nodes share the PostingLists via a
-  // ref bump — the one structural difference from EpochMap's growth, and
-  // what lets writers keep mutating lists reachable from both generations.
+  // Doubles one key set: copies its nodes into a fresh table (rehashing
+  // each key), publishes it, and retires the old table with its nodes as
+  // one batch.
+  void GrowList(PostingList* list) {
+    KeyTable* old = list->table.load(std::memory_order_relaxed);
+    KeyTable* grown = KeyTable::New(old->size() * 2);
+    std::vector<std::pair<void*, void (*)(void*)>> batch;
+    batch.reserve(list->size + 1);
+    for (size_t i = 0; i < old->size(); ++i) {
+      for (PostingNode* n = old->bucket(i).load(std::memory_order_relaxed);
+           n != nullptr; n = n->next.load(std::memory_order_relaxed)) {
+        auto* copy = new PostingNode(n->key);
+        Bucket& slot = grown->at(Fnv1a(n->key));
+        copy->next.store(slot.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+        slot.store(copy, std::memory_order_relaxed);
+        batch.emplace_back(
+            n, [](void* q) { delete static_cast<PostingNode*>(q); });
+      }
+    }
+    batch.emplace_back(old, KeyTable::Delete);
+    list->table.store(grown, std::memory_order_release);  // publish
+    retired_.fetch_add(batch.size(), std::memory_order_relaxed);
+    EpochManager::Global().RetireBatch(std::move(batch));
+  }
+
+  // Doubles the attribute table. Fresh attribute nodes share the
+  // PostingLists via a ref bump — the one structural difference from
+  // EpochMap's growth, and what lets writers keep mutating sets reachable
+  // from both generations.
   void Grow() {
     Table* old = table_.load(std::memory_order_relaxed);
     auto* grown = new Table(old->buckets.size() * 2);
@@ -513,7 +605,7 @@ class EpochPostingMap {
   void RetireGeneration(Table* t) {
     // One batch, one retire-mutex acquisition (see EpochMap). Attribute
     // deleters unref the shared lists; the last unref frees a list and its
-    // remaining chain.
+    // current key table.
     std::vector<std::pair<void*, void (*)(void*)>> batch;
     batch.reserve(t->buckets.size() + 1);
     for (auto& bucket : t->buckets) {

@@ -155,6 +155,42 @@ TEST(KvGdprStore, ExpiredUpsertDoesNotLeaveStaleIndexEntries) {
   EXPECT_TRUE(store.ReadDataByKey(Actor::Customer("bob"), "k1").ok());
 }
 
+// An update that leaves the expiry alone must not re-queue the record's
+// TTL or re-charge its index bytes, and a TTL item the sweep pops is
+// uncharged: the accounting follows the live index, not the update count.
+TEST(KvGdprStore, SharingRotationsLeaveIndexAccountingFlat) {
+  SimulatedClock clock(1000);
+  KvGdprOptions o;
+  o.clock = &clock;
+  o.compliance.metadata_indexing = true;
+  KvGdprStore store(o);
+  ASSERT_TRUE(store.Open().ok());
+  GdprRecord rec = MakeRec("k1", "neo", {"billing"}, {"partner-a"});
+  rec.metadata.expiry_micros = 1000000;
+  ASSERT_TRUE(store.CreateRecord(Actor::Controller(), rec).ok());
+  const obs::RegistrySnapshot before = store.StatsSnapshot();
+  EXPECT_EQ(before.GaugeValue("gdpr_ttl_backlog"), 1);
+  EXPECT_GT(before.GaugeValue("gdpr_index_bytes"), 0);
+  for (int i = 0; i < 1000; ++i) {
+    MetadataUpdate u;
+    u.shared_with = std::vector<std::string>{i % 2 ? "partner-a" : "partner-b"};
+    ASSERT_TRUE(store.UpdateMetadataByKey(Actor::Controller(), "k1", u).ok());
+  }
+  const obs::RegistrySnapshot after = store.StatsSnapshot();
+  EXPECT_EQ(after.GaugeValue("gdpr_index_bytes"),
+            before.GaugeValue("gdpr_index_bytes"));
+  EXPECT_EQ(after.GaugeValue("gdpr_ttl_backlog"),
+            before.GaugeValue("gdpr_ttl_backlog"));
+
+  clock.AdvanceMicros(2000000);
+  auto reclaimed = store.DeleteExpiredRecords(Actor::Controller());
+  ASSERT_TRUE(reclaimed.ok());
+  EXPECT_EQ(reclaimed.value(), 1u);
+  const obs::RegistrySnapshot drained = store.StatsSnapshot();
+  EXPECT_EQ(drained.GaugeValue("gdpr_ttl_backlog"), 0);
+  EXPECT_EQ(drained.GaugeValue("gdpr_index_bytes"), 0);
+}
+
 TEST(KvGdprStore, AccessControlOffAllowsEverything) {
   KvGdprOptions o;
   o.compliance.enforce_access_control = false;

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -384,6 +385,112 @@ TEST_P(GdprSpec, AckedUpsertSurvivesAnyFailedLogWrite) {
   }
   // A failure inside Close() leaves the three acks standing.
   EXPECT_GT(acked_runs, 0u);
+}
+
+// Updates that reshuffle a record's attributes, duplicates included, leave
+// every by-user, by-purpose and by-sharing answer exact: an index that
+// diffs old against new metadata must drop exactly the pairs that left and
+// add exactly the ones that arrived.
+TEST_P(GdprSpec, ReshuffledAttributesKeepEveryQueryExact) {
+  auto store = Make();
+  ASSERT_TRUE(store->Open().ok());
+  const Actor ctrl = Actor::Controller();
+  std::map<std::string, GdprRecord> model;
+  auto create = [&](GdprRecord rec) {
+    ASSERT_TRUE(store->CreateRecord(ctrl, rec).ok());
+    model[rec.key] = std::move(rec);
+  };
+  auto update = [&](const std::string& key, const MetadataUpdate& u) {
+    ASSERT_TRUE(store->UpdateMetadataByKey(ctrl, key, u).ok());
+    GdprMetadata& m = model[key].metadata;
+    if (u.user) m.user = *u.user;
+    if (u.purposes) m.purposes = *u.purposes;
+    if (u.shared_with) m.shared_with = *u.shared_with;
+  };
+  auto expect_exact = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    for (const std::string user : {"neo", "trinity"}) {
+      std::set<std::string> want;
+      for (const auto& [k, r] : model) {
+        if (r.metadata.user == user) want.insert(k);
+      }
+      EXPECT_EQ(KeysOf(store->ReadMetadataByUser(ctrl, user).value()), want)
+          << user;
+    }
+    for (const std::string purpose : {"a", "b", "c"}) {
+      std::set<std::string> want;
+      for (const auto& [k, r] : model) {
+        if (r.metadata.HasPurpose(purpose)) want.insert(k);
+      }
+      EXPECT_EQ(KeysOf(store->ReadMetadataByPurpose(ctrl, purpose).value()),
+                want)
+          << purpose;
+    }
+    for (const std::string partner : {"p", "q", "r"}) {
+      std::set<std::string> want;
+      for (const auto& [k, r] : model) {
+        if (r.metadata.SharedWith(partner)) want.insert(k);
+      }
+      EXPECT_EQ(KeysOf(store->ReadMetadataBySharing(ctrl, partner).value()),
+                want)
+          << partner;
+    }
+    if (memkv() && GetParam().indexed) {
+      // Answers are revalidated against each record, which hides a stale
+      // posting; the index's own census does not.
+      int64_t purposes = 0, partners = 0;
+      for (const auto& [k, r] : model) {
+        const auto& m = r.metadata;
+        purposes += std::set<std::string>(m.purposes.begin(), m.purposes.end())
+                        .size();
+        partners +=
+            std::set<std::string>(m.shared_with.begin(), m.shared_with.end())
+                .size();
+      }
+      const obs::RegistrySnapshot snap = store->StatsSnapshot();
+      EXPECT_EQ(snap.GaugeValue("gdpr_index_entries{index=\"user\"}"),
+                int64_t(model.size()));
+      EXPECT_EQ(snap.GaugeValue("gdpr_index_entries{index=\"purpose\"}"),
+                purposes);
+      EXPECT_EQ(snap.GaugeValue("gdpr_index_entries{index=\"sharing\"}"),
+                partners);
+    }
+  };
+  create(MakeRec("k1", "neo", {"a", "a", "b"}, {"p", "p", "q"}));
+  create(MakeRec("k2", "neo", {"b"}, {"q"}));
+  create(MakeRec("k3", "trinity", {"c"}, {}));
+  expect_exact("created");
+
+  MetadataUpdate purposes;
+  purposes.purposes = std::vector<std::string>{"b", "c"};
+  update("k1", purposes);
+  expect_exact("purposes {a,a,b} -> {b,c}");
+
+  MetadataUpdate user;
+  user.user = "trinity";
+  update("k1", user);
+  expect_exact("user neo -> trinity");
+
+  MetadataUpdate sharing;
+  sharing.shared_with = std::vector<std::string>{"q", "r", "r"};
+  update("k1", sharing);
+  expect_exact("shared_with {p,p,q} -> {q,r,r}");
+
+  sharing.shared_with = std::vector<std::string>{};
+  update("k1", sharing);
+  expect_exact("shared_with -> empty");
+
+  MetadataUpdate all;
+  all.user = "neo";
+  all.purposes = std::vector<std::string>{"a", "a"};
+  all.shared_with = std::vector<std::string>{"p"};
+  update("k1", all);
+  update("k2", all);
+  expect_exact("everything at once");
+
+  ASSERT_TRUE(store->DeleteRecordByKey(ctrl, "k1").ok());
+  model.erase("k1");
+  expect_exact("k1 erased");
 }
 
 // Index hits are hints. While a writer flips records between purposes and

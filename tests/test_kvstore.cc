@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -8,6 +9,7 @@
 
 #include "common/coding.h"
 #include "kvstore/db.h"
+#include "kvstore/epoch_map.h"
 
 namespace gdpr::kv {
 namespace {
@@ -422,6 +424,149 @@ TEST(MemKV, ConcurrentMixedOps) {
   }
   for (auto& th : threads) th.join();
   EXPECT_LE(db.Size(), 97u);
+}
+
+// ---- EpochPostingMap: the posting sets behind the GDPR indexes ------------
+
+std::set<std::string> KeysOf(const EpochPostingMap& map,
+                             const std::string& value) {
+  std::set<std::string> keys;
+  EpochGuard guard;
+  map.ForEachKey(value, [&](const std::string& k) {
+    EXPECT_TRUE(keys.insert(k).second) << "key seen twice: " << k;
+    return true;
+  });
+  return keys;
+}
+
+TEST(EpochPostingMap, PostingsAreSets) {
+  EpochPostingMap map;
+  EXPECT_TRUE(map.Add("neo", "k1"));
+  EXPECT_FALSE(map.Add("neo", "k1"));  // duplicate pair
+  EXPECT_TRUE(map.Add("neo", "k2"));
+  EXPECT_TRUE(map.Add("trinity", "k1"));
+  EXPECT_EQ(map.entries(), 3u);
+  EXPECT_EQ(map.values(), 2u);
+  EXPECT_FALSE(map.Remove("neo", "k3"));     // absent key
+  EXPECT_FALSE(map.Remove("morpheus", "k1"));  // absent value
+  EXPECT_EQ(map.entries(), 3u);
+  EXPECT_EQ(KeysOf(map, "neo"), (std::set<std::string>{"k1", "k2"}));
+
+  // Emptying a value drops it; re-adding builds it afresh.
+  EXPECT_TRUE(map.Remove("trinity", "k1"));
+  EXPECT_FALSE(map.Remove("trinity", "k1"));
+  EXPECT_EQ(map.values(), 1u);
+  EXPECT_TRUE(KeysOf(map, "trinity").empty());
+  EXPECT_TRUE(map.Add("trinity", "k9"));
+  EXPECT_EQ(KeysOf(map, "trinity"), (std::set<std::string>{"k9"}));
+  EXPECT_EQ(map.entries(), 3u);
+  EXPECT_EQ(map.values(), 2u);
+
+  map.Clear();
+  EXPECT_EQ(map.entries(), 0u);
+  EXPECT_EQ(map.values(), 0u);
+  EXPECT_TRUE(KeysOf(map, "neo").empty());
+  EXPECT_TRUE(map.Add("neo", "k1"));  // usable after Clear
+  EXPECT_EQ(KeysOf(map, "neo"), (std::set<std::string>{"k1"}));
+}
+
+// Set sizes on both sides of every growth threshold: one bucket holds up to
+// kMaxChain keys, then the set doubles.
+TEST(EpochPostingMap, ForEachKeyYieldsTheLiveSetAcrossGrowth) {
+  for (const size_t n : {size_t{1}, size_t{8}, size_t{9}, size_t{100},
+                         size_t{10000}}) {
+    SCOPED_TRACE(n);
+    EpochPostingMap map;
+    std::set<std::string> live;
+    for (size_t i = 0; i < n; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      ASSERT_TRUE(map.Add("purpose", key));
+      live.insert(key);
+    }
+    ASSERT_TRUE(map.Add("other", "key0"));
+    for (size_t i = 0; i < n; ++i) {  // every duplicate is still refused
+      ASSERT_FALSE(map.Add("purpose", "key" + std::to_string(i)));
+    }
+    EXPECT_EQ(KeysOf(map, "purpose"), live);
+    EXPECT_EQ(map.entries(), n + 1);
+
+    for (size_t i = 0; i < n; i += 3) {
+      const std::string key = "key" + std::to_string(i);
+      ASSERT_TRUE(map.Remove("purpose", key));
+      live.erase(key);
+    }
+    EXPECT_EQ(KeysOf(map, "purpose"), live);
+    EXPECT_EQ(KeysOf(map, "other"), (std::set<std::string>{"key0"}));
+    EXPECT_EQ(map.entries(), live.size() + 1);
+
+    size_t visited = 0;  // fn returning false stops the walk
+    {
+      EpochGuard guard;
+      map.ForEachKey("purpose", [&](const std::string&) {
+        return ++visited < 2;
+      });
+    }
+    EXPECT_EQ(visited, std::min<size_t>(2, live.size()));
+
+    for (const auto& key : live) ASSERT_TRUE(map.Remove("purpose", key));
+    EXPECT_TRUE(KeysOf(map, "purpose").empty());
+    EXPECT_EQ(map.values(), 1u);
+  }
+}
+
+// One writer adds and removes churn keys across many growths while readers
+// walk: a key that is never removed is in every walk, and every key a walk
+// yields was added at some point.
+TEST(EpochPostingMap, ReadersSeeStableKeysWhileTheSetGrows) {
+  constexpr size_t kStable = 50;
+  constexpr size_t kChurn = 3000;
+  EpochPostingMap map;
+  for (size_t i = 0; i < kStable; ++i) {
+    ASSERT_TRUE(map.Add("purpose", "stable" + std::to_string(i)));
+  }
+  std::atomic<bool> done{false};
+  std::atomic<size_t> walks{0}, missing{0}, unknown{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        size_t stable = 0;
+        {
+          EpochGuard guard;
+          map.ForEachKey("purpose", [&](const std::string& k) {
+            if (k.rfind("stable", 0) == 0) {
+              ++stable;
+            } else if (k.rfind("churn", 0) != 0 ||
+                       std::stoul(k.substr(5)) >= kChurn) {
+              unknown.fetch_add(1);
+            }
+            return true;
+          });
+        }
+        if (stable != kStable) missing.fetch_add(1);
+        walks.fetch_add(1);
+      }
+    });
+  }
+  while (walks.load() == 0) std::this_thread::yield();
+  size_t refused = 0;  // counted, not asserted: the readers must be joined
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < kChurn; ++i) {
+      if (!map.Add("purpose", "churn" + std::to_string(i))) ++refused;
+    }
+    for (size_t i = 0; i < kChurn; ++i) {
+      if (!map.Remove("purpose", "churn" + std::to_string(i))) ++refused;
+    }
+  }
+  // Let every reader finish at least one walk against the final set.
+  const size_t floor = walks.load() + 2;
+  while (walks.load() < floor) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(refused, 0u);
+  EXPECT_EQ(missing.load(), 0u);
+  EXPECT_EQ(unknown.load(), 0u);
+  EXPECT_EQ(map.entries(), kStable);
 }
 
 }  // namespace
