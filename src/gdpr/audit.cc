@@ -1,7 +1,6 @@
 #include "gdpr/audit.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/clock.h"
 #include "common/coding.h"
@@ -588,8 +587,13 @@ void AuditLog::SealPendingLocked() const {
 }
 
 AuditLog::Stage& AuditLog::StageFor() const {
-  const size_t h = std::hash<std::thread::id>()(std::this_thread::get_id());
-  return stages_[h % kStages];
+  // Threads take stages round-robin in the order they first append, so any
+  // kStages threads that start appending in turn share no stage mutex, the
+  // same on every run.
+  static std::atomic<size_t> next{0};
+  thread_local const size_t index =
+      next.fetch_add(1, std::memory_order_relaxed) % kStages;
+  return stages_[index];
 }
 
 void AuditLog::DrainStagedLocked() const {

@@ -189,7 +189,7 @@ class AuditLog {
   Status ReplayLocked();
 
   // --- per-shard append staging -------------------------------------------
-  // Append() pushes into one of kStages slot buffers picked by thread id,
+  // Append() pushes into one of kStages slot buffers picked per thread,
   // touching only that slot's mutex — concurrent appenders no longer
   // serialize on mu_ for every entry. Staged entries merge into the chain
   // (timestamp order, per-slot FIFO preserved, clamped monotone) the moment

@@ -37,76 +37,108 @@ WireRequest SlotReq(WireOp op, uint32_t slot, uint32_t num_slots) {
 }  // namespace
 
 RemoteHandle::RemoteHandle(int fd, RemoteHandleOptions opts)
-    : fd_(fd), opts_(std::move(opts)) {
+    : opts_(std::move(opts)) {
   if (opts_.metrics) {
-    rpc_us_ = opts_.metrics->GetHistogram("cluster_rpc_us{node=\"" +
-                                          opts_.node_label + "\"}");
+    const std::string label = "{node=\"" + opts_.node_label + "\"}";
+    rpc_us_ = opts_.metrics->GetHistogram("cluster_rpc_us" + label);
+    connections_ = opts_.metrics->GetGauge("cluster_rpc_connections" + label);
     rpc_bytes_ = opts_.metrics->GetCounter("cluster_rpc_bytes_total");
     reconnects_ = opts_.metrics->GetCounter("cluster_rpc_reconnects_total");
+  }
+  if (fd >= 0) {
+    idle_.push_back(Conn{fd, {}});
+    if (connections_) connections_->Add(1);
   }
 }
 
 RemoteHandle::~RemoteHandle() {
   std::lock_guard<std::mutex> lock(mu_);
-  CloseFd(fd_);
-  fd_ = -1;
+  DropIdleLocked();
 }
 
-void RemoteHandle::DropConnLocked() {
-  CloseFd(fd_);
-  fd_ = -1;
-  buf_ = FrameBuffer{};  // a fresh connection starts at a frame boundary
+void RemoteHandle::CloseLocked(const Conn& conn) {
+  CloseFd(conn.fd);
+  ++dropped_;
+  if (connections_) connections_->Add(-1);
 }
 
-Status RemoteHandle::EnsureConnectedLocked() {
-  if (fd_ >= 0) return Status::OK();
-  int fd = -1;
+void RemoteHandle::DropIdleLocked() {
+  for (const Conn& conn : idle_) CloseLocked(conn);
+  idle_.clear();
+}
+
+Status RemoteHandle::Acquire(Conn* conn, uint64_t* gen) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    *gen = generation_;
+    if (!idle_.empty()) {
+      *conn = std::move(idle_.back());
+      idle_.pop_back();
+      return Status::OK();
+    }
+  }
+  // Dial unlocked: other callers keep taking and returning connections.
   std::string err = "no reconnect path configured";
   if (opts_.reconnect_fn) {
-    fd = opts_.reconnect_fn();
-    if (fd < 0) err = "reconnect callback failed";
+    conn->fd = opts_.reconnect_fn();
+    if (conn->fd < 0) err = "reconnect callback failed";
   } else if (!opts_.dial_addr.empty()) {
-    fd = Dial(opts_.dial_addr, opts_.timeout_ms, &err);
+    conn->fd = Dial(opts_.dial_addr, opts_.timeout_ms, &err);
   }
-  if (fd < 0) return Unreachable(opts_.node_label, Status::Unavailable(err));
-  fd_ = fd;
-  buf_ = FrameBuffer{};
-  if (reconnects_) reconnects_->Add(1);
+  if (conn->fd < 0) {
+    return Unreachable(opts_.node_label, Status::Unavailable(err));
+  }
+  if (connections_) connections_->Add(1);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (dropped_ > 0) {
+    --dropped_;
+    if (reconnects_) reconnects_->Add(1);
+  }
   return Status::OK();
 }
 
-Status RemoteHandle::Call(const WireRequest& req, WireResponse* resp) {
+void RemoteHandle::Return(Conn conn, uint64_t gen, bool healthy) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (healthy && gen == generation_) {
+    idle_.push_back(std::move(conn));
+    return;
+  }
+  CloseLocked(conn);
+  if (!healthy) DropIdleLocked();
+}
+
+Status RemoteHandle::Call(const WireRequest& req, WireResponse* resp) {
   // RPC latency is wall time regardless of the store's (possibly
   // simulated) clock — and reading a real clock here keeps transport
   // metrics from perturbing deterministic simulated-time tests.
   obs::ScopedTimer timer(rpc_us_, RealClock::Default());
-  Status s = EnsureConnectedLocked();
+  Conn conn;
+  uint64_t gen = 0;
+  Status s = Acquire(&conn, &gen);
   if (!s.ok()) return s;
-  const std::string frame = Frame(EncodeRequest(req));
-  s = WriteAll(fd_, frame, opts_.timeout_ms);
-  if (!s.ok()) {
-    DropConnLocked();
-    return Unreachable(opts_.node_label, s);
-  }
+  s = RoundTrip(&conn, req, resp);
+  // A failed round trip leaves the connection's byte position untrusted.
+  Return(std::move(conn), gen, s.ok());
+  return s;
+}
+
+Status RemoteHandle::RoundTrip(Conn* conn, const WireRequest& req,
+                               WireResponse* resp) {
+  const std::string request = EncodeRequest(req);
+  Status s = WriteFrame(conn->fd, request, opts_.timeout_ms);
+  if (!s.ok()) return Unreachable(opts_.node_label, s);
   std::string payload;
-  s = ReadFrame(fd_, &buf_, &payload, opts_.timeout_ms);
-  if (!s.ok()) {
-    // Timeout, peer death, or an unframeable stream: either way this
-    // connection's byte position can no longer be trusted.
-    DropConnLocked();
-    return s.IsDataLoss() ? s : Unreachable(opts_.node_label, s);
+  s = ReadFrame(conn->fd, &conn->buf, &payload, opts_.timeout_ms);
+  // Timeout, peer death, or an unframeable stream (DataLoss).
+  if (!s.ok()) return s.IsDataLoss() ? s : Unreachable(opts_.node_label, s);
+  if (rpc_bytes_) {
+    rpc_bytes_->Add(kFrameHeaderBytes + request.size() + payload.size());
   }
-  if (rpc_bytes_) rpc_bytes_->Add(frame.size() + payload.size());
   s = DecodeResponse(payload, resp);
-  if (!s.ok()) {
-    DropConnLocked();
-    return s;
-  }
+  if (!s.ok()) return s;
   if (resp->op != req.op) {
-    // A stray or reordered frame — single in-flight request means the
-    // stream is corrupt, not merely slow.
-    DropConnLocked();
+    // A stray or reordered frame — one request in flight per connection
+    // means the stream is corrupt, not merely slow.
     return Status::DataLoss("rpc response op mismatch: sent " +
                             std::string(WireOpName(req.op)) + ", got " +
                             WireOpName(resp->op));
@@ -316,7 +348,8 @@ StatusOr<AuditChainVerdict> RemoteHandle::VerifyAuditChain() {
 
 void RemoteHandle::InjectDisconnect() {
   std::lock_guard<std::mutex> lock(mu_);
-  DropConnLocked();
+  ++generation_;  // in-flight connections close when they come back
+  DropIdleLocked();
 }
 
 }  // namespace gdpr::net

@@ -1,6 +1,8 @@
-// RemoteHandle: the framed-socket NodeHandle. One connection per handle,
-// serialized by a mutex (the router's fan-out runs one sub-query per node
-// at a time, so a single in-flight request per node is the natural shape).
+// RemoteHandle: the framed-socket NodeHandle. Each handle pools connections
+// with one request in flight on each: a call takes an idle connection (or
+// dials one), runs its round trip with no handle-wide lock held, and puts
+// it back, so a point read never waits behind another caller's fan-out.
+// The pool is uncapped; it grows to the handle's peak concurrency.
 //
 // Failure model:
 //   * Every request runs under a per-request poll timeout. A node that
@@ -8,7 +10,7 @@
 //     store's own refusals use — so the router's existing merge logic
 //     (skip Unavailable parts, name failed nodes in Forget) covers dead
 //     transports with no new cases.
-//   * An I/O failure marks the connection dead; the NEXT call re-dials
+//   * An I/O failure closes the pool's connections; the NEXT call re-dials
 //     (dial_addr) or re-establishes through reconnect_fn (loopback). The
 //     failing call itself is never retried: a mutation whose response was
 //     lost may have applied, and blind replay would double-apply it.
@@ -22,6 +24,7 @@
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "net/node_handle.h"
@@ -38,7 +41,8 @@ struct RemoteHandleOptions {
   std::string dial_addr;
   std::function<int()> reconnect_fn;
   // Per-handle RPC metrics land here when set: cluster_rpc_us{node=label},
-  // cluster_rpc_bytes_total, cluster_rpc_reconnects_total.
+  // cluster_rpc_connections{node=label}, cluster_rpc_bytes_total,
+  // cluster_rpc_reconnects_total.
   obs::MetricsRegistry* metrics = nullptr;
   std::string node_label;
 };
@@ -111,13 +115,21 @@ class RemoteHandle final : public NodeHandle {
   // stays on the node.
   Clock* clock() override { return RealClock::Default(); }
 
-  // Severs the connection as if the peer died (tests: a killed node).
+  // Severs every connection as if the peer died (tests: a killed node):
+  // idle ones close now, in-flight ones close when their call returns.
   void InjectDisconnect();
 
  private:
-  // One round trip. Locks, (re)connects if needed, writes the framed
-  // request, reads exactly one response frame, validates the op echo.
+  struct Conn {
+    int fd = -1;
+    FrameBuffer buf;  // a fresh connection starts at a frame boundary
+  };
+
+  // One RPC: takes a pooled connection, runs RoundTrip on it, returns it.
   Status Call(const WireRequest& req, WireResponse* resp);
+  // Writes the framed request, reads exactly one response frame, validates
+  // the op echo.
+  Status RoundTrip(Conn* conn, const WireRequest& req, WireResponse* resp);
   // The shape of every op with a status: one Call, a transport failure
   // winning over the op status, then the op's result moved out of `field`.
   Status Rpc(const WireRequest& req);
@@ -129,16 +141,24 @@ class RemoteHandle final : public NodeHandle {
     if (!s.ok()) return s;
     return std::move(resp.*field);
   }
-  // Requires mu_. Marks the connection dead.
-  void DropConnLocked();
-  // Requires mu_. Ensures fd_ is a live connection; Unavailable otherwise.
-  Status EnsureConnectedLocked();
+  // Pops an idle connection or dials one; *gen is the pool generation.
+  Status Acquire(Conn* conn, uint64_t* gen);
+  // Pools a healthy connection of the current generation. Otherwise closes
+  // it, and after a failure the idle ones too: the peer is probably gone.
+  void Return(Conn conn, uint64_t gen, bool healthy);
+  // Require mu_. Close one / every idle connection, counting it dropped.
+  void CloseLocked(const Conn& conn);
+  void DropIdleLocked();
 
+  const RemoteHandleOptions opts_;
   std::mutex mu_;
-  int fd_;
-  FrameBuffer buf_;  // guarded by mu_
-  RemoteHandleOptions opts_;
+  std::vector<Conn> idle_;   // guarded by mu_
+  uint64_t generation_ = 0;  // guarded by mu_; InjectDisconnect bumps it
+  // Connections lost and not yet replaced; a dial while this is nonzero
+  // counts as a reconnect, any other dial is pool growth. Guarded by mu_.
+  size_t dropped_ = 0;
   obs::Histogram* rpc_us_ = nullptr;
+  obs::Gauge* connections_ = nullptr;
   obs::Counter* rpc_bytes_ = nullptr;
   obs::Counter* reconnects_ = nullptr;
 };

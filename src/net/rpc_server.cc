@@ -1,9 +1,6 @@
 #include "net/rpc_server.h"
 
-#include <errno.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <utility>
 
@@ -13,8 +10,8 @@ namespace gdpr::net {
 
 namespace {
 
-// The loop never hangs on a slow reader: a peer that cannot drain a
-// response within this budget is treated as dead.
+// A serving thread never hangs on a slow reader: a peer that cannot drain
+// a response within this budget is treated as dead.
 constexpr int kWriteTimeoutMs = 10'000;
 
 template <typename T>
@@ -182,132 +179,96 @@ Status RpcServer::Start(const std::string& listen_addr) {
     if (listen_fd_ < 0) return Status::IOError(err);
     listen_addr_ = listen_addr;
   }
-  int pipefd[2];
-  if (pipe(pipefd) != 0) {
-    CloseFd(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IOError("rpc server wake pipe");
-  }
-  wake_rd_ = pipefd[0];
-  wake_wr_ = pipefd[1];
-  stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  loop_ = std::thread([this] { Loop(); });
+  if (listen_fd_ >= 0) accept_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
 
 void RpcServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stop_.store(true, std::memory_order_release);
-  Wake();
-  if (loop_.joinable()) loop_.join();
-  for (Conn& c : conns_) CloseFd(c.fd);
-  conns_.clear();
+  std::list<Conn> conns;
   {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    for (int fd : pending_fds_) CloseFd(fd);
-    pending_fds_.clear();
+    // Adopt() checks running_ under mu_, so no connection joins after
+    // this pass. shutdown() wakes each blocked read (and the accept) with
+    // EOF; the serving threads then close their own fds.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (listen_fd_ >= 0) shutdown(listen_fd_, SHUT_RDWR);
+    for (Conn& c : conns_) {
+      if (c.fd >= 0) shutdown(c.fd, SHUT_RDWR);
+    }
+    conns.swap(conns_);
   }
+  if (accept_.joinable()) accept_.join();
+  for (Conn& c : conns) c.thread.join();
   CloseFd(listen_fd_);
   listen_fd_ = -1;
-  CloseFd(wake_rd_);
-  CloseFd(wake_wr_);
-  wake_rd_ = wake_wr_ = -1;
-}
-
-void RpcServer::Wake() {
-  if (wake_wr_ >= 0) {
-    const char b = 1;
-    [[maybe_unused]] ssize_t n = write(wake_wr_, &b, 1);
-  }
 }
 
 int RpcServer::CreateLoopbackConnection() {
-  if (!running()) return -1;
   auto [server_fd, client_fd] = StreamPair();
   if (server_fd < 0) return -1;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_fds_.push_back(server_fd);
+  if (!Adopt(server_fd)) {
+    CloseFd(client_fd);
+    return -1;
   }
-  Wake();
   return client_fd;
 }
 
-bool RpcServer::ServeBuffered(size_t i) {
-  Conn& c = conns_[i];
-  for (;;) {
-    std::string payload;
-    bool have = false;
-    Status fs = c.buf.Next(&payload, &have);
-    if (!fs.ok()) return false;  // unframeable stream: drop the connection
-    if (!have) return true;
-    WireRequest req;
-    WireResponse resp;
-    Status ds = DecodeRequest(payload, &req);
-    if (ds.ok()) {
-      resp = DispatchRequest(store_, req);
-    } else {
-      // Malformed payload: answer with the decode error so the client sees
-      // exactly why, and keep the connection — the framing is still sound.
-      resp.op = WireOp::kPing;
-      resp.status = ds;
-    }
-    const std::string frame = Frame(EncodeResponse(resp));
-    if (!WriteAll(c.fd, frame, kWriteTimeoutMs).ok()) return false;
+bool RpcServer::Adopt(int fd) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!running()) {
+    CloseFd(fd);
+    return false;
   }
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (it->done) {
+      it->thread.join();
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  Conn& c = conns_.emplace_back();
+  c.fd = fd;
+  c.thread = std::thread([this, &c] { Serve(&c); });
+  return true;
 }
 
-void RpcServer::Loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
+void RpcServer::Serve(Conn* conn) {
+  const int fd = conn->fd;  // only this thread closes it
+  FrameBuffer buf;
+  for (;;) {
+    WireRequest req;
+    WireResponse resp;
     {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      for (int fd : pending_fds_) conns_.push_back(Conn{fd, {}});
-      pending_fds_.clear();
-    }
-    std::vector<pollfd> fds;
-    fds.reserve(conns_.size() + 2);
-    fds.push_back(pollfd{wake_rd_, POLLIN, 0});
-    if (listen_fd_ >= 0) fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    const size_t conn_base = fds.size();
-    for (const Conn& c : conns_) fds.push_back(pollfd{c.fd, POLLIN, 0});
-    // A connection accept() adds below joins conns_ but has no pollfd this
-    // round — only walk the entries that were actually polled.
-    const size_t polled = conns_.size();
-    const int rc = poll(fds.data(), nfds_t(fds.size()), 500);
-    if (rc <= 0) continue;
-    if (fds[0].revents & POLLIN) {
-      char drain[64];
-      [[maybe_unused]] ssize_t n = read(wake_rd_, drain, sizeof(drain));
-    }
-    if (listen_fd_ >= 0 && (fds[1].revents & POLLIN)) {
-      const int fd = accept(listen_fd_, nullptr, nullptr);
-      if (fd >= 0) conns_.push_back(Conn{fd, {}});
-    }
-    // Walk backwards so dropping connection i cannot shift unprocessed
-    // entries under the iteration.
-    for (size_t i = polled; i-- > 0;) {
-      const short rev = fds[conn_base + i].revents;
-      if (!(rev & (POLLIN | POLLHUP | POLLERR))) continue;
-      bool alive = true;
-      if (rev & POLLIN) {
-        char chunk[16 * 1024];
-        const ssize_t n = recv(conns_[i].fd, chunk, sizeof(chunk), 0);
-        if (n > 0) {
-          conns_[i].buf.Feed(chunk, size_t(n));
-          alive = ServeBuffered(i);
-        } else if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN &&
-                              errno != EWOULDBLOCK)) {
-          alive = false;
-        }
+      std::string payload;
+      // No deadline: an idle pooled connection waits here until its next
+      // request, EOF, or Stop()'s shutdown().
+      if (!ReadFrame(fd, &buf, &payload, -1).ok()) break;
+      const Status ds = DecodeRequest(payload, &req);
+      if (ds.ok()) {
+        resp = DispatchRequest(store_, req);
       } else {
-        alive = false;  // hangup/error with nothing readable
-      }
-      if (!alive) {
-        CloseFd(conns_[i].fd);
-        conns_.erase(conns_.begin() + long(i));
+        // Malformed payload: answer with the decode error so the client
+        // sees exactly why, and keep the connection — the framing is
+        // still sound.
+        resp.op = WireOp::kPing;
+        resp.status = ds;
       }
     }
+    if (!WriteFrame(fd, EncodeResponse(resp), kWriteTimeoutMs).ok()) break;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  CloseFd(fd);
+  conn->fd = -1;
+  conn->done = true;
+}
+
+void RpcServer::AcceptLoop() {
+  // Stop() shuts the listener down, which fails the blocked accept().
+  while (running()) {
+    const int fd = accept(listen_fd_, nullptr, nullptr);
+    if (fd >= 0 && !Adopt(fd)) return;
   }
 }
 

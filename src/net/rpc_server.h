@@ -1,9 +1,11 @@
 // RpcServer: one server per cluster node, wrapping a NodeHandle (in practice
-// the node's KvGdprStore) behind the wire protocol. A single poll()-based
-// event loop owns every connection — the listener (Unix or TCP, optional),
-// in-process loopback socketpairs handed out by CreateLoopbackConnection(),
-// and whatever accept() yields — reads frames, dispatches them against the
-// store, and writes response frames back.
+// the node's KvGdprStore) behind the wire protocol. Every connection — an
+// in-process loopback socketpair handed out by CreateLoopbackConnection(),
+// or whatever the optional listener (Unix or TCP) accepts — is served by
+// its own thread: read a frame, dispatch it against the store, write the
+// response frame, repeat. A slow request therefore delays only its own
+// connection; the node store is thread-safe. A listener gets one accept
+// thread.
 //
 // Robustness contract (test_rpc exercises all of it):
 //   * A malformed request payload gets an error *response* frame and the
@@ -19,11 +21,10 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "net/node_handle.h"
 #include "net/wire.h"
@@ -31,7 +32,7 @@
 namespace gdpr::net {
 
 // Executes one decoded request against the store and builds the response.
-// Shared by the event loop and by anything that wants to serve the
+// Shared by the serving threads and by anything that wants to serve the
 // protocol without sockets (tests drive it directly).
 WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req);
 
@@ -44,46 +45,43 @@ class RpcServer {
   RpcServer(const RpcServer&) = delete;
   RpcServer& operator=(const RpcServer&) = delete;
 
-  // Starts the event loop. listen_addr: "unix:<path>" / "tcp:host:port",
-  // or empty for a loopback-only server (connections come exclusively from
+  // Starts serving. listen_addr: "unix:<path>" / "tcp:host:port", or empty
+  // for a loopback-only server (connections come exclusively from
   // CreateLoopbackConnection).
   Status Start(const std::string& listen_addr = "");
-  // Drains the loop and closes every connection. Idempotent.
+  // Shuts every connection down, joins their threads, closes the
+  // listener. Idempotent.
   void Stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  // Creates a connected AF_UNIX socketpair; the server end joins the event
-  // loop, the client end is returned (caller owns it). -1 when the server
-  // is not running or the pair cannot be created.
+  // Creates a connected AF_UNIX socketpair; the server end gets a serving
+  // thread, the client end is returned (caller owns it). -1 when the
+  // server is not running or the pair cannot be created.
   int CreateLoopbackConnection();
 
   const std::string& listen_addr() const { return listen_addr_; }
 
  private:
-  void Loop();
-  void Wake();
-  // Drains every complete frame currently buffered on connection i.
-  // Returns false when the connection must drop.
-  bool ServeBuffered(size_t i);
+  struct Conn {
+    int fd = -1;  // guarded by mu_; -1 once the serving thread closed it
+    bool done = false;  // guarded by mu_
+    std::thread thread;
+  };
+
+  // Gives fd a serving thread, reaping the threads of closed connections.
+  // Closes fd and returns false once the server is stopping.
+  bool Adopt(int fd);
+  void Serve(Conn* conn);
+  void AcceptLoop();
 
   NodeHandle* store_;
   std::string listen_addr_;
   int listen_fd_ = -1;
-  int wake_rd_ = -1;  // self-pipe: Stop() and new loopback fds wake poll()
-  int wake_wr_ = -1;
 
-  struct Conn {
-    int fd;
-    FrameBuffer buf;
-  };
-  std::vector<Conn> conns_;  // event-loop thread only
-
-  std::mutex pending_mu_;
-  std::vector<int> pending_fds_;  // loopback fds awaiting loop adoption
-
+  std::mutex mu_;
+  std::list<Conn> conns_;  // guarded by mu_; nodes never move
   std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
-  std::thread loop_;
+  std::thread accept_;
 };
 
 }  // namespace gdpr::net

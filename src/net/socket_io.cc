@@ -7,9 +7,11 @@
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace gdpr::net {
@@ -156,11 +158,22 @@ void CloseFd(int fd) {
   if (fd >= 0) close(fd);
 }
 
-Status WriteAll(int fd, std::string_view data, int timeout_ms) {
-  while (!data.empty()) {
-    const ssize_t n = send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+Status WriteFrame(int fd, std::string_view payload, int timeout_ms) {
+  // Gathers header and payload into each send: the header never leaves as
+  // a segment of its own, and the payload is never copied into a frame.
+  const std::string header = FrameHeader(payload.size());
+  std::string_view head = header;
+  while (!head.empty() || !payload.empty()) {
+    iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = 2;
+    const ssize_t n = sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
-      data.remove_prefix(size_t(n));
+      const size_t from_head = std::min(size_t(n), head.size());
+      head.remove_prefix(from_head);
+      payload.remove_prefix(size_t(n) - from_head);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {

@@ -30,14 +30,15 @@ std::pair<int, int> StreamPair();
 
 void CloseFd(int fd);
 
-// Writes the whole buffer, polling for writability between partial sends.
-// Unavailable on timeout or a dead peer; never raises SIGPIPE.
-Status WriteAll(int fd, std::string_view data, int timeout_ms);
+// Writes one frame (length header, then payload), polling for writability
+// between partial sends. Unavailable on timeout or a dead peer; never
+// raises SIGPIPE.
+Status WriteFrame(int fd, std::string_view payload, int timeout_ms);
 
 // Reads from fd into buf until one complete frame pops out, polling with
-// the given budget. OK + payload on success; Unavailable on timeout or
-// EOF-before-frame; DataLoss when the stream is unframeable (oversized
-// length prefix — the connection cannot be resynchronized).
+// the given budget (-1: no deadline). OK + payload on success; Unavailable
+// on timeout or EOF-before-frame; DataLoss when the stream is unframeable
+// (oversized length prefix — the connection cannot be resynchronized).
 Status ReadFrame(int fd, FrameBuffer* buf, std::string* payload,
                  int timeout_ms);
 

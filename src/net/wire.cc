@@ -344,43 +344,8 @@ Status Malformed(const char* what, WireOp op) {
 }  // namespace
 
 bool ValidWireOp(uint8_t tag) {
-  switch (WireOp(tag)) {
-    case WireOp::kPing:
-    case WireOp::kOpen:
-    case WireOp::kClose:
-    case WireOp::kCreateRecord:
-    case WireOp::kReadData:
-    case WireOp::kReadMeta:
-    case WireOp::kReadMetaUser:
-    case WireOp::kReadMetaPurpose:
-    case WireOp::kReadMetaSharing:
-    case WireOp::kReadRecordsUser:
-    case WireOp::kUpdateMeta:
-    case WireOp::kUpdateData:
-    case WireOp::kDeleteKey:
-    case WireOp::kDeleteUser:
-    case WireOp::kDeleteExpired:
-    case WireOp::kVerifyDeletion:
-    case WireOp::kGetLogs:
-    case WireOp::kGetFeatures:
-    case WireOp::kScanRecords:
-    case WireOp::kRecordCount:
-    case WireOp::kTotalBytes:
-    case WireOp::kReset:
-    case WireOp::kHealth:
-    case WireOp::kStatsSnapshot:
-    case WireOp::kCompactNow:
-    case WireOp::kCompactionStats:
-    case WireOp::kExportRecords:
-    case WireOp::kExportTombstones:
-    case WireOp::kImportRecord:
-    case WireOp::kAdoptTombstone:
-    case WireOp::kEvictRecord:
-    case WireOp::kClearTombstone:
-    case WireOp::kVerifyAuditChain:
-      return true;
-  }
-  return false;
+  // WireOpName names exactly the defined tags.
+  return std::string_view(WireOpName(WireOp(tag))) != "UNKNOWN";
 }
 
 const char* WireOpName(WireOp op) {
@@ -725,11 +690,9 @@ Status DecodeResponse(std::string_view payload, WireResponse* resp) {
   return Status::OK();
 }
 
-std::string Frame(std::string_view payload) {
+std::string FrameHeader(size_t payload_bytes) {
   std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  PutFixed32(&out, uint32_t(payload.size()));
-  out.append(payload.data(), payload.size());
+  PutFixed32(&out, uint32_t(payload_bytes));
   return out;
 }
 
@@ -749,8 +712,16 @@ Status FrameBuffer::Next(std::string* payload, bool* have) {
                             std::to_string(kMaxFrameBytes));
   }
   if (buf_.size() < kFrameHeaderBytes + len) return Status::OK();
-  payload->assign(buf_, kFrameHeaderBytes, len);
-  buf_.erase(0, kFrameHeaderBytes + len);
+  if (buf_.size() == kFrameHeaderBytes + len) {
+    // Exactly one frame buffered, the common case with one request in
+    // flight per connection: hand it over and keep no memory behind.
+    buf_.erase(0, kFrameHeaderBytes);
+    payload->swap(buf_);
+    std::string().swap(buf_);
+  } else {
+    payload->assign(buf_, kFrameHeaderBytes, len);
+    buf_.erase(0, kFrameHeaderBytes + len);
+  }
   *have = true;
   return Status::OK();
 }

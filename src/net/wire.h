@@ -132,14 +132,14 @@ struct WireResponse {
   std::string head_hash;               // kVerifyAuditChain
 };
 
-// Payload codecs (no frame header — see Frame()/FrameBuffer for framing).
+// Payload codecs (no frame header — see FrameHeader()/FrameBuffer).
 std::string EncodeRequest(const WireRequest& req);
 Status DecodeRequest(std::string_view payload, WireRequest* req);
 std::string EncodeResponse(const WireResponse& resp);
 Status DecodeResponse(std::string_view payload, WireResponse* resp);
 
-// Wraps a payload in its length frame.
-std::string Frame(std::string_view payload);
+// The length prefix of a frame carrying payload_bytes.
+std::string FrameHeader(size_t payload_bytes);
 
 // Incremental frame extractor for a byte stream: feed whatever arrived,
 // pull zero or more complete payloads. A length prefix over kMaxFrameBytes
@@ -150,7 +150,9 @@ class FrameBuffer {
   void Feed(const char* data, size_t n) { buf_.append(data, n); }
 
   // OK + *have=true: one payload extracted. OK + *have=false: need more
-  // bytes. DataLoss: stream poisoned (oversized frame).
+  // bytes. DataLoss: stream poisoned (oversized frame). Once the buffer is
+  // drained it holds no memory, so an idle connection does not keep its
+  // largest frame.
   Status Next(std::string* payload, bool* have);
 
   size_t buffered_bytes() const { return buf_.size(); }

@@ -1,16 +1,21 @@
 // The RPC seam end to end: DispatchRequest against a live store, the
 // server/client pair over loopback sockets and a unix listener, the failure
 // model (timeouts → Unavailable, reconnection, malformed frames answered
-// without dropping the connection), and the cluster-level consequence that
-// matters most — a killed node makes Forget report partial failure naming
-// that node, never a silent success.
+// without dropping the connection), the connection pool (no head-of-line
+// blocking, pool-aware disconnects and reconnect counting), and the
+// cluster-level consequence that matters most — a killed node makes Forget
+// report partial failure naming that node, never a silent success.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster_store.h"
@@ -340,7 +345,7 @@ TEST_F(RpcLoopback, MalformedFrameGetsErrorResponseConnectionSurvives) {
   FrameBuffer buf;
   std::string payload;
 
-  ASSERT_TRUE(WriteAll(fd, Frame("\xde\xad\xbe\xef"), 5000).ok());
+  ASSERT_TRUE(WriteFrame(fd, "\xde\xad\xbe\xef", 5000).ok());
   ASSERT_TRUE(ReadFrame(fd, &buf, &payload, 5000).ok());
   WireResponse resp;
   ASSERT_TRUE(DecodeResponse(payload, &resp).ok());
@@ -350,7 +355,7 @@ TEST_F(RpcLoopback, MalformedFrameGetsErrorResponseConnectionSurvives) {
   WireRequest ping;
   ping.op = WireOp::kPing;
   ping.actor = Actor::Controller();
-  ASSERT_TRUE(WriteAll(fd, Frame(EncodeRequest(ping)), 5000).ok());
+  ASSERT_TRUE(WriteFrame(fd, EncodeRequest(ping), 5000).ok());
   ASSERT_TRUE(ReadFrame(fd, &buf, &payload, 5000).ok());
   ASSERT_TRUE(DecodeResponse(payload, &resp).ok());
   EXPECT_TRUE(resp.status.ok());
@@ -380,6 +385,198 @@ TEST(RpcClient, DeadHandleWithNoReconnectPathStaysCleanlyDead) {
       handle.ReadDataByKey(Actor::Controller(), "k").status().IsUnavailable());
   EXPECT_EQ(handle.RecordCount(), 0u);
   EXPECT_EQ(handle.GetHealth(), HealthState::kDegradedReadOnly);
+}
+
+// ---- the connection pool ---------------------------------------------------
+
+// A node whose purpose queries park inside the store until the test opens
+// the latch. A watchdog opens it after 2 s regardless, so a transport that
+// queues a second call behind a parked one fails its test instead of
+// hanging it.
+class LatchedStore : public KvGdprStore {
+ public:
+  LatchedStore() : KvGdprStore(KvGdprOptions{}) {
+    watchdog_ = std::thread([this] {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait_for(lock, std::chrono::seconds(2), [&] { return open_; });
+      open_ = true;
+      cv_.notify_all();
+    });
+  }
+  ~LatchedStore() override {
+    OpenLatch();
+    watchdog_.join();
+  }
+
+  void OpenLatch() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  bool is_open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return open_;
+  }
+  // Blocks until n purpose queries are parked (or the latch opened).
+  void WaitParked(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parked_ >= n || open_; });
+  }
+
+ protected:
+  Status Collect(Attr attr, const std::string& value,
+                 std::vector<GdprRecord>* out) override {
+    if (attr == Attr::kPurpose) {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++parked_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+    }
+    return KvGdprStore::Collect(attr, value, out);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  int parked_ = 0;
+  std::thread watchdog_;
+};
+
+class RpcPool : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(store_.Open().ok());
+    ASSERT_TRUE(server_.Start().ok());
+    RemoteHandleOptions ro;
+    ro.timeout_ms = 5000;
+    ro.reconnect_fn = [this] { return server_.CreateLoopbackConnection(); };
+    ro.metrics = &registry_;
+    ro.node_label = "0";
+    handle_ = std::make_unique<RemoteHandle>(
+        server_.CreateLoopbackConnection(), std::move(ro));
+    for (int i = 0; i < 64; ++i) {
+      GdprRecord rec = MakeRecord("k" + std::to_string(i), "u");
+      rec.metadata.purposes = {"p" + std::to_string(i % 4)};
+      ASSERT_TRUE(store_.CreateRecord(controller_, rec).ok());
+    }
+  }
+  void TearDown() override { store_.OpenLatch(); }
+
+  // Runs n purpose queries on their own threads; each parks in the store
+  // until the latch opens, holding one pooled connection.
+  std::vector<std::thread> ParkQueries(int n) {
+    std::vector<std::thread> threads;
+    for (int i = 0; i < n; ++i) {
+      threads.emplace_back([this] {
+        const auto r = handle_->ReadMetadataByPurpose(controller_, "p0");
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(r.value().size(), 16u);
+      });
+    }
+    store_.WaitParked(n);
+    return threads;
+  }
+  int64_t Connections() {
+    return registry_.Snapshot().GaugeValue(
+        "cluster_rpc_connections{node=\"0\"}");
+  }
+  uint64_t Reconnects() {
+    return registry_.Snapshot().CounterValue("cluster_rpc_reconnects_total");
+  }
+
+  const Actor controller_ = Actor::Controller();
+  LatchedStore store_;
+  RpcServer server_{&store_};
+  obs::MetricsRegistry registry_;
+  std::unique_ptr<RemoteHandle> handle_;
+};
+
+TEST_F(RpcPool, PointReadDoesNotQueueBehindAParkedPurposeQuery) {
+  std::vector<std::thread> parked = ParkQueries(1);
+  const auto read = handle_->ReadDataByKey(controller_, "k5");
+  // Sampled before the latch opens: on a transport that serializes calls
+  // the read could only have returned after the watchdog opened it.
+  const bool answered_while_parked = !store_.is_open();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value().data, "data-for-k5");
+  EXPECT_TRUE(answered_while_parked)
+      << "the point read waited for the purpose query";
+  store_.OpenLatch();
+  for (std::thread& t : parked) t.join();
+}
+
+TEST_F(RpcPool, MixedCallsFromEightThreadsAllAnswerCorrectly) {
+  store_.OpenLatch();  // purpose queries run unparked
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([this, t] {
+      for (int i = 0; i < 50; ++i) {
+        const int k = (t * 50 + i) % 64;
+        if (i % 4 == 0) {
+          const std::string purpose = "p" + std::to_string(k % 4);
+          const auto r = handle_->ReadMetadataByPurpose(controller_, purpose);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          ASSERT_EQ(r.value().size(), 16u);
+          for (const GdprRecord& rec : r.value()) {
+            ASSERT_EQ(rec.metadata.purposes,
+                      std::vector<std::string>{purpose});
+          }
+        } else {
+          const std::string key = "k" + std::to_string(k);
+          const auto r = handle_->ReadDataByKey(controller_, key);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          ASSERT_EQ(r.value().data, "data-for-" + key);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_GE(Connections(), 1);
+  EXPECT_LE(Connections(), 8);
+  EXPECT_EQ(Reconnects(), 0u);
+}
+
+TEST_F(RpcPool, DisconnectDuringAnInFlightCallClosesItOnReturn) {
+  std::vector<std::thread> parked = ParkQueries(1);
+  EXPECT_EQ(Connections(), 1);
+  handle_->InjectDisconnect();
+  store_.OpenLatch();
+  for (std::thread& t : parked) t.join();  // the call itself still succeeds
+  EXPECT_EQ(Connections(), 0);  // ...but its connection was not pooled
+  EXPECT_TRUE(handle_->ReadDataByKey(controller_, "k1").ok());
+  EXPECT_EQ(Connections(), 1);
+  EXPECT_EQ(Reconnects(), 1u);
+}
+
+TEST_F(RpcPool, ReconnectsCountReplacementsNotPoolGrowth) {
+  std::vector<std::thread> parked = ParkQueries(4);
+  EXPECT_EQ(Connections(), 4);  // three dialed on demand
+  store_.OpenLatch();
+  for (std::thread& t : parked) t.join();
+  EXPECT_EQ(Connections(), 4);  // all four pooled
+  EXPECT_EQ(Reconnects(), 0u);  // growth is not reconnection
+  handle_->InjectDisconnect();
+  EXPECT_EQ(Connections(), 0);
+  EXPECT_TRUE(handle_->ReadDataByKey(controller_, "k1").ok());
+  EXPECT_EQ(Reconnects(), 1u);
+}
+
+TEST_F(RpcPool, StopWithIdlePooledConnectionsIsPromptAndUnavailable) {
+  std::vector<std::thread> parked = ParkQueries(4);
+  store_.OpenLatch();
+  for (std::thread& t : parked) t.join();
+  ASSERT_EQ(Connections(), 4);
+  const auto start = std::chrono::steady_clock::now();
+  server_.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  // The first call finds a dead pooled connection; that failure drops the
+  // whole idle pool, and the call after it finds no server to dial.
+  EXPECT_TRUE(
+      handle_->ReadDataByKey(controller_, "k1").status().IsUnavailable());
+  EXPECT_EQ(Connections(), 0);
+  EXPECT_TRUE(
+      handle_->ReadDataByKey(controller_, "k1").status().IsUnavailable());
 }
 
 // ---- unix-socket listener: genuinely cross-process-capable ----------------

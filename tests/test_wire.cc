@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -332,6 +333,10 @@ TEST(WireResponses, ResultPayloadsRoundTrip) {
 
 // ---- framing --------------------------------------------------------------
 
+std::string Frame(std::string_view payload) {
+  return FrameHeader(payload.size()).append(payload);
+}
+
 TEST(FrameBufferTest, ReassemblesFramesFedByteByByte) {
   const std::string p1 = EncodeRequest(AllRequests()[3]);  // kCreateRecord
   const std::string p2 = "x";
@@ -352,6 +357,38 @@ TEST(FrameBufferTest, ReassemblesFramesFedByteByByte) {
   EXPECT_EQ(out[1], p2);
   EXPECT_EQ(out[2], "");
   EXPECT_EQ(buf.buffered_bytes(), 0u);
+}
+
+TEST(FrameBufferTest, BackToBackFramesSplitAtEveryOffset) {
+  // Three frames in one stream, fed in two pieces cut at every offset: a
+  // piece can end mid-header, mid-payload, or hold the tail of one frame
+  // and the head of the next. The payload string is reused across Next
+  // calls, as the transport reuses it, so a handed-over buffer must never
+  // leak bytes of an earlier frame.
+  const std::string p1 = EncodeRequest(AllRequests()[3]);  // kCreateRecord
+  const std::string p2 = std::string(300, 'y');
+  const std::string p3 = "z";
+  const std::string stream = Frame(p1) + Frame(p2) + Frame(p3);
+  for (size_t cut = 0; cut <= stream.size(); ++cut) {
+    FrameBuffer buf;
+    std::vector<std::string> out;
+    std::string payload = "stale";
+    for (const std::string_view piece :
+         {std::string_view(stream).substr(0, cut),
+          std::string_view(stream).substr(cut)}) {
+      buf.Feed(piece.data(), piece.size());
+      bool have = true;
+      while (have) {
+        ASSERT_TRUE(buf.Next(&payload, &have).ok());
+        if (have) out.push_back(payload);
+      }
+    }
+    ASSERT_EQ(out.size(), 3u) << "cut at " << cut;
+    EXPECT_EQ(out[0], p1) << "cut at " << cut;
+    EXPECT_EQ(out[1], p2) << "cut at " << cut;
+    EXPECT_EQ(out[2], p3) << "cut at " << cut;
+    EXPECT_EQ(buf.buffered_bytes(), 0u);
+  }
 }
 
 TEST(FrameBufferTest, OversizedLengthPrefixPoisonsTheStream) {

@@ -226,7 +226,7 @@ int RunConnect(const Args& a) {
   net::WireRequest req;
   req.op = net::WireOp::kStatsSnapshot;
   req.actor = Actor::Regulator();
-  Status s = net::WriteAll(fd, net::Frame(net::EncodeRequest(req)), 5000);
+  Status s = net::WriteFrame(fd, net::EncodeRequest(req), 5000);
   std::string payload;
   net::FrameBuffer buf;
   if (s.ok()) s = net::ReadFrame(fd, &buf, &payload, 5000);
