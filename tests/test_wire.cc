@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -329,6 +331,217 @@ TEST(WireResponses, ResultPayloadsRoundTrip) {
     EXPECT_EQ(back.snapshot.histograms[0].counts,
               resp.snapshot.histograms[0].counts);
   }
+}
+
+// ---- golden bytes ---------------------------------------------------------
+// The exact payload of every request in AllRequests() and of one populated
+// response per response body layout. The round trips above would still pass
+// if the encoder and the decoder drifted together; these literals pin the
+// format itself, so a change to them is a wire-format change and needs a
+// kWireVersion bump.
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out.push_back(kDigits[uint8_t(c) >> 4]);
+    out.push_back(kDigits[uint8_t(c) & 0xf]);
+  }
+  return out;
+}
+
+// One response per body layout, every field of the layout set.
+std::vector<WireResponse> GoldenResponses() {
+  std::vector<WireResponse> resps;
+  const auto with = [&](WireOp op) -> WireResponse& {
+    WireResponse r;
+    r.op = op;
+    resps.push_back(std::move(r));
+    return resps.back();
+  };
+  // No body; a refusal carries its code and message.
+  with(WireOp::kCreateRecord).status = Status::AlreadyExists("key exists: k");
+  with(WireOp::kReadData).record = SampleRecord("key-read");
+  with(WireOp::kReadMeta).metadata = SampleRecord("key-meta").metadata;
+  {
+    WireResponse& r = with(WireOp::kScanRecords);
+    r.status = Status::DataLoss("1 record unreadable");
+    r.records = {SampleRecord("a"), SampleRecord("b")};
+  }
+  with(WireOp::kDeleteUser).count = 300;
+  with(WireOp::kVerifyDeletion).flag = true;
+  {
+    WireResponse& r = with(WireOp::kGetLogs);
+    AuditEntry e;
+    e.timestamp_micros = 123456789;
+    e.actor_id = "controller";
+    e.role = Actor::Role::kRegulator;
+    e.op = "READ-DATA";
+    e.key = "k";
+    e.allowed = true;
+    r.entries = {e, e};
+    r.entries[1].role = Actor::Role::kCustomer;
+    r.entries[1].allowed = false;
+  }
+  {
+    WireResponse& r = with(WireOp::kGetFeatures);
+    r.features.backend = "memkv";
+    r.features.rows = {{"G 17", "erase on request", "tombstone", true},
+                       {"G 32", "encrypt at rest", "aead", false}};
+  }
+  {
+    WireResponse& r = with(WireOp::kHealth);
+    r.health = HealthState::kDegradedReadOnly;
+    r.health_cause = Status::IOError("audit fsync failed");
+  }
+  {
+    WireResponse& r = with(WireOp::kCompactionStats);
+    r.stats.compactions = 3;
+    r.stats.log_bytes = 4096;
+    r.stats.live_bytes = 2048;
+    r.stats.last_bytes_before = 8192;
+    r.stats.last_bytes_after = 4096;
+    r.stats.last_compaction_micros = 1700000000000000;
+    r.stats.erasure_barrier = 777;
+    r.stats.erasures_pending_compaction = 2;
+    r.stats.audit_segments = 5;
+    r.stats.audit_dropped_entries = 11;
+  }
+  {
+    WireResponse& r = with(WireOp::kStatsSnapshot);
+    r.snapshot.counters = {{"ops_total", 7}};
+    r.snapshot.gauges = {{"health", -2}};
+    obs::HistogramSnapshot h;
+    h.name = "lat_us";
+    h.counts[0] = 1;
+    h.counts[17] = 200;
+    h.sum = 70003;
+    r.snapshot.histograms = {h};
+  }
+  with(WireOp::kExportTombstones).keys = {"k1", std::string("k\x00\x03", 3)};
+  {
+    WireResponse& r = with(WireOp::kVerifyAuditChain);
+    r.flag = true;
+    r.head_hash = std::string("\x01\x02\x03\xff", 4);
+  }
+  return resps;
+}
+
+const char* const kGoldenRequests[] = {
+    "0101000a636f6e74726f6c6c657200",
+    "0102010b757365722d30303030303100",
+    "0103020670726f632d3709616e616c7974696373",
+    "010a0309726567756c61746f72007f47010a6b65792d63726561746520706179"
+    "6c6f61642d6279746573200102ff20666f72206b65792d6372656174650b7573"
+    "65722d3030303034320b66697273742d7061727479020361647309616e616c79"
+    "7469637301036164730209706172746e65722d6109706172746e65722d62f2eb"
+    "864b791f0600f24b14fd60160600",
+    "010b000a636f6e74726f6c6c657200086b65792d72656164",
+    "010c010b757365722d30303030303100086b65792d6d657461",
+    "010d020670726f632d3709616e616c79746963730b757365722d303030303432",
+    "010e0309726567756c61746f720003616473",
+    "010f000a636f6e74726f6c6c65720009706172746e65722d61",
+    "0110010b757365722d303030303031000b757365722d303030303432",
+    "0111020670726f632d3709616e616c79746963730a6b65792d7570646174653f"
+    "0b757365722d303030303939010762696c6c696e67000109706172746e65722d"
+    "630b74686972642d70617274792a00000000000000",
+    "01120309726567756c61746f7200086b65792d64617461086e65770064617461",
+    "0113000a636f6e74726f6c6c657200076b65792d64656c",
+    "0114010b757365722d303030303031000b757365722d303030303432",
+    "0115020670726f632d3709616e616c7974696373",
+    "01160309726567756c61746f72000a6b65792d766572696679",
+    "0117000a636f6e74726f6c6c657200fbffffffffffffffff9f724e18090000",
+    "0118010b757365722d30303030303100",
+    "0119020670726f632d3709616e616c7974696373",
+    "011e0309726567756c61746f7200",
+    "011f000a636f6e74726f6c6c657200",
+    "0120010b757365722d30303030303100",
+    "0121020670726f632d3709616e616c7974696373",
+    "01220309726567756c61746f7200",
+    "0128000a636f6e74726f6c6c657200",
+    "0129010b757365722d30303030303100",
+    "0132020670726f632d3709616e616c7974696373118008",
+    "01330309726567756c61746f7200ff078008",
+    "0134000a636f6e74726f6c6c6572007f47010a6b65792d696d706f7274207061"
+    "796c6f61642d6279746573200102ff20666f72206b65792d696d706f72740b75"
+    "7365722d3030303034320b66697273742d7061727479020361647309616e616c"
+    "797469637301036164730209706172746e65722d6109706172746e65722d62f2"
+    "eb864b791f0600f24b14fd60160600",
+    "0135010b757365722d30303030303100086b65792d746f6d62",
+    "0136020670726f632d3709616e616c7974696373096b65792d6576696374",
+    "01370309726567756c61746f7200096b65792d636c656172",
+    "013c000a636f6e74726f6c6c657200",
+};
+
+const char* const kGoldenResponses[] = {
+    "010a020d6b6579206578697374733a206b",
+    "010b00007b4701086b65792d726561641e7061796c6f61642d62797465732001"
+    "02ff20666f72206b65792d726561640b757365722d3030303034320b66697273"
+    "742d7061727479020361647309616e616c797469637301036164730209706172"
+    "746e65722d6109706172746e65722d62f2eb864b791f0600f24b14fd60160600",
+    "010c000055470100000b757365722d3030303034320b66697273742d70617274"
+    "79020361647309616e616c797469637301036164730209706172746e65722d61"
+    "09706172746e65722d62f2eb864b791f0600f24b14fd60160600",
+    "0119071331207265636f726420756e7265616461626c65026d47010161177061"
+    "796c6f61642d6279746573200102ff20666f7220610b757365722d3030303034"
+    "320b66697273742d7061727479020361647309616e616c797469637301036164"
+    "730209706172746e65722d6109706172746e65722d62f2eb864b791f0600f24b"
+    "14fd601606006d47010162177061796c6f61642d6279746573200102ff20666f"
+    "7220620b757365722d3030303034320b66697273742d70617274790203616473"
+    "09616e616c797469637301036164730209706172746e65722d6109706172746e"
+    "65722d62f2eb864b791f0600f24b14fd60160600",
+    "01140000ac02",
+    "0116000001",
+    "011700000215cd5b07000000000a636f6e74726f6c6c65720309524541442d44"
+    "415441016b0115cd5b07000000000a636f6e74726f6c6c65720109524541442d"
+    "44415441016b00",
+    "01180000056d656d6b76020447203137106572617365206f6e20726571756573"
+    "7409746f6d6273746f6e650104472033320f656e637279707420617420726573"
+    "74046165616400",
+    "012100000106126175646974206673796e63206661696c6564",
+    "0129000003000000000000000010000000000000000800000000000000200000"
+    "00000000001000000000000000401e18240a0600090300000000000002000000"
+    "0000000005000000000000000b00000000000000",
+    "0122000001096f70735f746f74616c070000000000000001066865616c7468fe"
+    "ffffffffffffff01066c61745f75730100000000000000000000000000000000"
+    "c801000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000007311010000000000",
+    "0133000002026b31036b0003",
+    "013c00000104010203ff",
+};
+
+TEST(WireGolden, EveryRequestEncodesToItsPinnedBytes) {
+  const std::vector<WireRequest> reqs = AllRequests();
+  ASSERT_EQ(reqs.size(), std::size(kGoldenRequests));
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(Hex(EncodeRequest(reqs[i])), kGoldenRequests[i])
+        << WireOpName(reqs[i].op);
+  }
+}
+
+TEST(WireGolden, EveryResponseLayoutEncodesToItsPinnedBytes) {
+  const std::vector<WireResponse> resps = GoldenResponses();
+  ASSERT_EQ(resps.size(), std::size(kGoldenResponses));
+  for (size_t i = 0; i < resps.size(); ++i) {
+    EXPECT_EQ(Hex(EncodeResponse(resps[i])), kGoldenResponses[i])
+        << WireOpName(resps[i].op);
+  }
+}
+
+TEST(WireOps, ExactlyTheDefinedTagsAreValidEachWithADistinctName) {
+  std::set<WireOp> defined;
+  for (const WireRequest& req : AllRequests()) defined.insert(req.op);
+  ASSERT_EQ(defined.size(), 33u);
+  std::set<std::string> names;
+  for (int tag = 0; tag < 256; ++tag) {
+    const bool valid = ValidWireOp(uint8_t(tag));
+    EXPECT_EQ(valid, defined.count(WireOp(tag)) == 1) << "tag " << tag;
+    if (valid) {
+      EXPECT_TRUE(names.insert(WireOpName(WireOp(tag))).second)
+          << "duplicate name " << WireOpName(WireOp(tag));
+    }
+  }
+  EXPECT_EQ(names.size(), 33u);
 }
 
 // ---- framing --------------------------------------------------------------
