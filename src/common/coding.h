@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace gdpr {
 
@@ -58,6 +59,28 @@ inline bool GetLengthPrefixed(std::string_view* input, std::string_view* out) {
   if (!GetVarint64(input, &len) || input->size() < len) return false;
   *out = input->substr(0, size_t(len));
   input->remove_prefix(size_t(len));
+  return true;
+}
+
+// A varint count, then each string length-prefixed: the one list layout the
+// record format and the wire share.
+inline void PutStringList(std::string* dst, const std::vector<std::string>& v) {
+  PutVarint64(dst, v.size());
+  for (const auto& s : v) PutLengthPrefixed(dst, s);
+}
+
+// Returns false on truncation, or when the count exceeds the bytes left.
+inline bool GetStringList(std::string_view* input,
+                          std::vector<std::string>* out) {
+  uint64_t n = 0;
+  if (!GetVarint64(input, &n) || n > input->size()) return false;
+  out->clear();
+  out->reserve(size_t(n));
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string_view s;
+    if (!GetLengthPrefixed(input, &s)) return false;
+    out->emplace_back(s);
+  }
   return true;
 }
 

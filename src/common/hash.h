@@ -7,7 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
+
+#include "common/status.h"
 
 namespace gdpr {
 
@@ -25,6 +28,15 @@ inline uint64_t Fnv1a(std::string_view s) {
 // one function, so they can never disagree about which keys a slot holds.
 inline uint32_t SlotForKey(std::string_view key, uint32_t num_slots) {
   return num_slots ? uint32_t(Fnv1a(key) % num_slots) : 0;
+}
+
+// The rule every slot-scoped request obeys, on every transport: it names one
+// of num_slots > 0 slots.
+inline Status CheckSlot(uint32_t slot, uint32_t num_slots) {
+  if (num_slots > 0 && slot < num_slots) return Status::OK();
+  return Status::InvalidArgument("slot " + std::to_string(slot) +
+                                 " out of range for " +
+                                 std::to_string(num_slots) + " slots");
 }
 
 }  // namespace gdpr

@@ -258,6 +258,7 @@ size_t KvGdprStore::TombstoneCount() { return db_->TombstoneCount(); }
 
 StatusOr<std::vector<GdprRecord>> KvGdprStore::ExportSlotRecords(
     uint32_t slot, uint32_t num_slots) {
+  if (Status s = CheckSlot(slot, num_slots); !s.ok()) return s;
   const auto in_slot = InSlot(slot, num_slots);
   std::vector<GdprRecord> out;
   size_t parse_failures = 0;
@@ -279,6 +280,7 @@ StatusOr<std::vector<GdprRecord>> KvGdprStore::ExportSlotRecords(
 
 StatusOr<std::vector<std::string>> KvGdprStore::ExportSlotTombstones(
     uint32_t slot, uint32_t num_slots) {
+  if (Status s = CheckSlot(slot, num_slots); !s.ok()) return s;
   return db_->Tombstones(InSlot(slot, num_slots));
 }
 

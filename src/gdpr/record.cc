@@ -9,24 +9,6 @@ namespace {
 constexpr char kMagic = '\x47';  // 'G'
 constexpr char kVersion = 1;
 
-void PutStringList(std::string* dst, const std::vector<std::string>& v) {
-  PutVarint64(dst, v.size());
-  for (const auto& s : v) PutLengthPrefixed(dst, s);
-}
-
-bool GetStringList(std::string_view* in, std::vector<std::string>* out) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n) || n > in->size()) return false;
-  out->clear();
-  out->reserve(size_t(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string_view s;
-    if (!GetLengthPrefixed(in, &s)) return false;
-    out->emplace_back(s);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::string GdprRecord::Serialize() const {

@@ -453,8 +453,11 @@ size_t MemKV::RunStrictCycle(int64_t now) {
       }
       EraseLocked(s, item.key, h);
       // Logged under the shard lock so a racing re-Set of the key cannot
-      // be ordered before this 'D' in the AOF.
-      if (log) AofAppend('D', item.key, "", 0).ok();
+      // be ordered before this 'D' in the AOF. Its status is not needed:
+      // a failed append is counted and degrades health in the pipeline,
+      // and replay erases an 'S' frame whose expiry has passed, so a lost
+      // 'D' never brings the key back.
+      if (log) (void)AofAppend('D', item.key, "", 0);
       ++erased;
     }
   }
@@ -487,7 +490,9 @@ size_t MemKV::RunLazyCycle(int64_t now) {
       const EntryBlock* e = s.map.FindLocked(key, h);
       if (e != nullptr && e->expiry_micros != 0 && e->expiry_micros <= now) {
         EraseLocked(s, key, h);
-        if (log) AofAppend('D', key, "", 0).ok();
+        // Status not needed, as in RunStrictCycle: replay drops the expired
+        // 'S' frame even when this 'D' is lost.
+        if (log) (void)AofAppend('D', key, "", 0);
         ++erased;
       }
     }

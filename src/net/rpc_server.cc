@@ -251,8 +251,9 @@ void RpcServer::Serve(Conn* conn) {
       } else {
         // Malformed payload: answer with the decode error so the client
         // sees exactly why, and keep the connection — the framing is
-        // still sound.
-        resp.op = WireOp::kPing;
+        // still sound. Once the header decoded, req.op is the request's
+        // own tag, so the caller matches the answer to its call.
+        resp.op = req.op;
         resp.status = ds;
       }
     }

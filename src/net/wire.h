@@ -19,7 +19,8 @@
 //   * Every decode failure is a clean DataLoss/InvalidArgument, never a
 //     crash, a hang, or an over-read: length prefixes are bounded by
 //     kMaxFrameBytes, list counts are validated against remaining bytes,
-//     and enum bytes are range-checked (test_wire fuzzes this).
+//     enum bytes are range-checked, and a slot spec must name one of its
+//     slots (test_wire fuzzes this).
 //   * A version byte leads every payload for forward compatibility: a
 //     server refuses versions it does not speak with InvalidArgument
 //     instead of misparsing.
@@ -31,7 +32,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/hash.h"  // SlotForKey: slot-scoped export membership
+#include "common/hash.h"  // SlotForKey, CheckSlot: slot-scoped exports
 #include "common/status.h"
 #include "gdpr/actor.h"
 #include "gdpr/audit.h"
@@ -92,6 +93,8 @@ enum class WireOp : uint8_t {
   kVerifyAuditChain = 60,
 };
 
+// Both read the one op table in wire.cc, which also gives each op its
+// request and response body layout.
 bool ValidWireOp(uint8_t tag);
 const char* WireOpName(WireOp op);
 

@@ -1,4 +1,4 @@
-#include "src/storage/commit_pipeline.h"
+#include "storage/commit_pipeline.h"
 
 #include <chrono>
 #include <deque>

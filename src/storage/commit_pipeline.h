@@ -46,11 +46,11 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/clock.h"
-#include "src/common/health.h"
-#include "src/common/status.h"
-#include "src/obs/metrics.h"
-#include "src/storage/env.h"
+#include "common/clock.h"
+#include "common/health.h"
+#include "common/status.h"
+#include "obs/metrics.h"
+#include "storage/env.h"
 
 namespace gdpr {
 

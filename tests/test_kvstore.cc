@@ -10,6 +10,8 @@
 #include "common/coding.h"
 #include "kvstore/db.h"
 #include "kvstore/epoch_map.h"
+#include "obs/metrics.h"
+#include "storage/fault_env.h"
 
 namespace gdpr::kv {
 namespace {
@@ -134,6 +136,54 @@ TEST(MemKV, AofPersistsAcrossReopen) {
     EXPECT_FALSE(db.Get("delete-me").ok());
     EXPECT_EQ(db.Size(), 1u);
   }
+}
+
+// An expiry cycle drops the status of its 'D' append on purpose: the
+// pipeline counts the failure and degrades health, and replay erases an 'S'
+// frame whose expiry has passed. So a lost 'D' never resurrects the key.
+TEST(MemKV, LostExpiryFrameDoesNotResurrectTheKey) {
+  MemEnv mem;
+  FaultEnv fenv(&mem);
+  SimulatedClock clock(0);
+  obs::MetricsRegistry registry;
+  Options o;
+  o.env = &fenv;
+  o.clock = &clock;
+  o.metrics = &registry;
+  o.expiry_mode = ExpiryMode::kStrictScan;
+  o.aof_enabled = true;
+  o.aof_path = "expiry.aof";
+  o.sync_policy = SyncPolicy::kAlways;
+  {
+    MemKV db(o);
+    ASSERT_TRUE(db.Open().ok());
+    ASSERT_TRUE(db.SetWithTtl("doomed", "v", 1000).ok());
+    ASSERT_TRUE(db.Set("kept", "w").ok());
+    clock.AdvanceMicros(2000);
+    // Every append from here on fails: the cycle's 'D' never reaches the
+    // log, while both 'S' frames were synced on their acks.
+    FaultPlan plan;
+    plan.fail_prob[int(FaultOpKind::kAppend)] = 1.0;
+    fenv.set_plan(plan);
+    EXPECT_EQ(db.RunExpiryCycle(), 1u);
+    EXPECT_EQ(registry.Snapshot().CounterValue(
+                  "memkv_aof_append_failures_total"),
+              1u);
+    EXPECT_EQ(db.Health(), HealthState::kDegradedReadOnly);
+    fenv.ClearFaults();
+    (void)db.Close();
+  }
+  auto aof = mem.ReadFileToString("expiry.aof");
+  ASSERT_TRUE(aof.ok());
+  EXPECT_NE(aof.value().find("doomed"), std::string::npos);
+
+  o.env = &mem;
+  o.metrics = nullptr;
+  MemKV db(o);
+  ASSERT_TRUE(db.Open().ok());
+  EXPECT_FALSE(db.Get("doomed").ok());
+  EXPECT_EQ(db.Get("kept").value(), "w");
+  EXPECT_EQ(db.Size(), 1u);
 }
 
 TEST(MemKV, EncryptionAtRestRoundTrip) {

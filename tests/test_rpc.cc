@@ -16,6 +16,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_store.h"
@@ -301,6 +302,20 @@ TEST_F(RpcLoopback, NodeSurfaceMatchesTheStoreCalledDirectly) {
     }
   }
 
+  // An out-of-range slot spec is refused with the same code on both
+  // transports, and the refusal is an answer, not a broken connection.
+  for (const auto& [slot, num_slots] :
+       {std::pair<uint32_t, uint32_t>{3, 2}, {0, 0}}) {
+    SCOPED_TRACE("slot " + std::to_string(slot) + " of " +
+                 std::to_string(num_slots));
+    for (NodeHandle* node : {direct, remote}) {
+      EXPECT_EQ(node->ExportSlotRecords(slot, num_slots).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(node->ExportSlotTombstones(slot, num_slots).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
+
   const auto direct_verdict = direct->VerifyAuditChain();
   const auto remote_verdict = remote->VerifyAuditChain();
   ASSERT_TRUE(direct_verdict.ok() && remote_verdict.ok());
@@ -309,6 +324,8 @@ TEST_F(RpcLoopback, NodeSurfaceMatchesTheStoreCalledDirectly) {
   EXPECT_FALSE(direct_verdict.value().head_hash.empty());
   EXPECT_EQ(remote_verdict.value().head_hash,
             direct_verdict.value().head_hash);
+  EXPECT_EQ(registry_.Snapshot().CounterValue("cluster_rpc_reconnects_total"),
+            0u);
 }
 
 TEST_F(RpcLoopback, ReconnectsAfterInjectedDisconnectAndCountsIt) {
