@@ -104,7 +104,9 @@ void AccessControlAblation(const BenchArgs& args) {
     cfg.record_count = records;
     cfg.op_count = ops;
     cfg.threads = args.threads;
-    GdprBenchRunner runner(&store, cfg);
+    static const char* kRows[] = {"off", "acl", "acl-audit"};
+    GdprBenchRunner runner(
+        &store, std::string("ablation-memkv-") + kRows[mode], cfg);
     runner.Load().ok();
     WorkloadSpec point_reads;
     point_reads.name = "point-reads";

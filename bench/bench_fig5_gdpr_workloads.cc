@@ -24,11 +24,11 @@ struct StoreRun {
   double space_factor = 0;
 };
 
-StoreRun RunAll(const std::string& label, GdprStore* store,
-                const RunConfig& cfg) {
+StoreRun RunAll(const std::string& label, const std::string& row_label,
+                GdprStore* store, const RunConfig& cfg) {
   StoreRun run;
   run.label = label;
-  GdprBenchRunner runner(store, cfg);
+  GdprBenchRunner runner(store, row_label, cfg);
   if (!runner.Load().ok()) {
     fprintf(stderr, "%s: load failed\n", label.c_str());
     exit(1);
@@ -67,15 +67,16 @@ int main(int argc, char** argv) {
   std::vector<StoreRun> runs;
   {
     auto store = MakeKvStore();
-    runs.push_back(RunAll("memkv (5a)", store.get(), cfg));
+    runs.push_back(RunAll("memkv (5a)", "fig5-memkv", store.get(), cfg));
   }
   {
     auto store = MakeRelStore(/*metadata_indexing=*/false);
-    runs.push_back(RunAll("reldb (5b)", store.get(), cfg));
+    runs.push_back(RunAll("reldb (5b)", "fig5-reldb", store.get(), cfg));
   }
   {
     auto store = MakeRelStore(/*metadata_indexing=*/true);
-    runs.push_back(RunAll("reldb+idx (5c)", store.get(), cfg));
+    runs.push_back(
+        RunAll("reldb+idx (5c)", "fig5-reldb-idx", store.get(), cfg));
   }
 
   ReportTable table({"store", "workload", "completion", "ops/s",

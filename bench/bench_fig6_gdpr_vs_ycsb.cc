@@ -41,8 +41,9 @@ double YcsbThroughputRel(rel::Database* db, size_t records, size_t ops,
   return (a + c) / 2;
 }
 
-double GdprThroughput(GdprStore* store, RunConfig cfg) {
-  GdprBenchRunner runner(store, cfg);
+double GdprThroughput(GdprStore* store, const std::string& label,
+                      RunConfig cfg) {
+  GdprBenchRunner runner(store, label, cfg);
   runner.Load().ok();
   double total_ops = 0, total_secs = 0;
   for (const WorkloadSpec& spec : CoreWorkloads()) {
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
   }
   {
     auto store = MakeKvStore();
-    kv_gdpr = GdprThroughput(store.get(), gcfg);
+    kv_gdpr = GdprThroughput(store.get(), "fig6-memkv", gcfg);
   }
   {
     auto store = MakeRelStore(true);
@@ -89,7 +90,7 @@ int main(int argc, char** argv) {
   }
   {
     auto store = MakeRelStore(true);
-    rel_gdpr = GdprThroughput(store.get(), gcfg);
+    rel_gdpr = GdprThroughput(store.get(), "fig6-reldb-idx", gcfg);
   }
 
   ReportTable table({"series", "throughput (ops/sec)", "log10"});

@@ -32,7 +32,8 @@ int64_t CustomerCompletion(size_t records, size_t ops, size_t threads) {
   cfg.record_count = records;
   cfg.op_count = ops;
   cfg.threads = threads;
-  GdprBenchRunner runner(store.get(), cfg);
+  GdprBenchRunner runner(store.get(), "fig7-memkv-" + std::to_string(records),
+                         cfg);
   runner.Load().ok();
   return runner.Run(CustomerWorkload()).completion_micros;
 }

@@ -140,8 +140,10 @@ struct RunConfig {
 
 class GdprBenchRunner {
  public:
-  GdprBenchRunner(GdprStore* store, const RunConfig& cfg)
-      : store_(store), cfg_(cfg),
+  // `label` is "<bench>-<store>" and names every result row
+  // gdprbench-<label>-<workload>, so rows of different stores never collide.
+  GdprBenchRunner(GdprStore* store, std::string label, const RunConfig& cfg)
+      : store_(store), label_(std::move(label)), cfg_(cfg),
         gen_(cfg.dataset, store->clock()),
         zipf_(cfg.record_count ? cfg.record_count : 1),
         next_create_(cfg.record_count) {}
@@ -204,7 +206,7 @@ class GdprBenchRunner {
         store_->StatsSnapshot().Delta(engine_before);
     const obs::HistogramSnapshot engine_ops =
         MergeEngineOpHistograms(engine_delta);
-    printf("%s\n", BenchResultJson("gdprbench-" + spec.name,
+    printf("%s\n", BenchResultJson("gdprbench-" + label_ + "-" + spec.name,
                                    r.throughput_ops_sec(),
                                    r.latency.Percentile(50),
                                    r.latency.Percentile(99),
@@ -311,6 +313,7 @@ class GdprBenchRunner {
   }
 
   GdprStore* store_;
+  std::string label_;
   RunConfig cfg_;
   RecordGenerator gen_;
   ZipfianDistribution zipf_;

@@ -5,6 +5,7 @@
 #include "common/clock.h"
 #include "common/coding.h"
 #include "crypto/sha256.h"
+#include "storage/file_rewrite.h"
 
 namespace gdpr {
 
@@ -127,12 +128,7 @@ Status AuditLog::OpenDurable(const AuditLogOptions& opts) {
   active_seg_ = 1;
   active_bytes_ = 0;
   io_status_ = Status::OK();
-  // A leftover temp (compaction or tail-fix) means a crash before its
-  // atomic rename: the existing segments are authoritative.
-  for (const char* suffix : {".compact.tmp", ".tailfix.tmp"}) {
-    const std::string tmp_path = opts_.path + suffix;
-    if (opts_.env->FileExists(tmp_path)) opts_.env->DeleteFile(tmp_path).ok();
-  }
+  FileRewrite::DiscardLeftover(opts_.env, RewriteTmpPath());
   Status s = ReplayLocked();
   if (!s.ok()) {
     // Don't present the partially-replayed prefix as a healthy chain: a
@@ -286,40 +282,26 @@ Status AuditLog::ReplayLocked() {
       break;
     }
   }
+  active_bytes_ = last_contents.size();
   if (rewrote_tail) {
-    // Truncate to the valid prefix via temp + atomic rename: rewriting the
-    // segment in place would open a window where a second crash destroys
-    // durably sealed groups, not just the torn tail.
-    const std::string tmp_path = opts_.path + ".tailfix.tmp";
-    auto tmp = env->NewWritableFile(tmp_path, /*truncate=*/true);
-    if (!tmp.ok()) return tmp.status();
-    Status s = Status::OK();
-    uint64_t rewritten = 0;
-    if (last_contents.empty()) {
+    // Replace the segment with its valid prefix: rewriting it in place
+    // would open a window where a second crash destroys durably sealed
+    // groups, not just the torn tail.
+    FileRewrite fix(env, opts_.io_policy, RewriteTmpPath(),
+                    SegmentPath(active_seg_));
+    Status s = fix.Open();
+    if (s.ok() && last_contents.empty()) {
       // Even the header was torn: re-establish one for the current chain.
-      s = WriteSegmentHeaderLocked(tmp.value().get(), epoch_, head_,
-                                   &rewritten);
-    } else {
-      s = tmp.value()->Append(last_contents);
-      if (s.ok()) s = tmp.value()->Sync();
-      rewritten = last_contents.size();
+      s = WriteSegmentHeaderLocked(fix.file(), epoch_, head_, &active_bytes_);
+    } else if (s.ok()) {
+      s = fix.file()->Append(last_contents);
     }
-    if (s.ok()) s = tmp.value()->Close();
-    if (s.ok()) s = env->RenameFile(tmp_path, SegmentPath(active_seg_));
-    if (!s.ok()) {
-      env->DeleteFile(tmp_path).ok();
-      return s;
-    }
-    auto f = env->NewWritableFile(SegmentPath(active_seg_), /*truncate=*/false);
-    if (!f.ok()) return f.status();
-    active_ = std::move(f.value());
-    active_bytes_ = rewritten;
-  } else {
-    auto f = env->NewWritableFile(SegmentPath(active_seg_), /*truncate=*/false);
-    if (!f.ok()) return f.status();
-    active_ = std::move(f.value());
-    active_bytes_ = last_contents.size();
+    if (s.ok()) s = fix.Commit(&active_);
+    return s;
   }
+  auto f = env->NewWritableFile(SegmentPath(active_seg_), /*truncate=*/false);
+  if (!f.ok()) return f.status();
+  active_ = std::move(f.value());
   return Status::OK();
 }
 
@@ -476,33 +458,15 @@ StatusOr<AuditCompactResult> AuditLog::Compact(int64_t now_micros) {
       active_->Close().ok();
       active_.reset();
     }
-    const std::string tmp_path = opts_.path + ".compact.tmp";
-    auto reopen_active = [&]() {
-      auto f =
-          env->NewWritableFile(SegmentPath(active_seg_), /*truncate=*/false);
-      if (f.ok()) {
-        active_ = std::move(f.value());
-        pipeline_->SetFile(target_, active_.get());
-      } else {
-        io_status_ = f.status();
-      }
-    };
-    std::unique_ptr<WritableFile> tmpf;
-    Status tmp_s = RetryIo(opts_.io_policy, [&] {
-      auto f = env->NewWritableFile(tmp_path, /*truncate=*/true);
-      if (!f.ok()) return f.status();
-      tmpf = std::move(f.value());
-      return Status::OK();
-    });
-    if (!tmp_s.ok()) {
-      reopen_active();
-      return tmp_s;
-    }
+    FileRewrite rewrite(env, opts_.io_policy, RewriteTmpPath(),
+                        SegmentPath(1));
     const uint64_t next_epoch = epoch_ + 1;
-    uint64_t hdr = 0;
-    Status s =
-        WriteSegmentHeaderLocked(tmpf.get(), next_epoch, new_anchor, &hdr);
-    uint64_t new_bytes = hdr;
+    uint64_t new_bytes = 0;
+    Status s = rewrite.Open();
+    if (s.ok()) {
+      s = WriteSegmentHeaderLocked(rewrite.file(), next_epoch, new_anchor,
+                                   &new_bytes);
+    }
     std::string chain = new_anchor;
     size_t at = drop_entries;
     for (size_t g = drop_groups; s.ok() && g < group_sizes_.size(); ++g) {
@@ -514,25 +478,23 @@ StatusOr<AuditCompactResult> AuditLog::Compact(int64_t now_micros) {
       PutLengthPrefixed(&frame, chain);
       PutVarint64(&frame, n);
       frame += payload;
-      s = tmpf->Append(frame);
+      s = rewrite.file()->Append(frame);
       new_bytes += frame.size();
       at += n;
     }
-    if (s.ok()) s = tmpf->Sync();
-    if (s.ok()) s = tmpf->Close();
-    if (!s.ok()) {
-      env->DeleteFile(tmp_path).ok();
-      reopen_active();
-      return s;
-    }
-    // Commit point. A crash before this rename leaves the old segments
+    // Commit point. A crash before the rename leaves the old segments
     // authoritative (the temp is discarded on the next open); after it, the
     // epoch bump fences the not-yet-deleted old segments off.
-    s = RetryIo(opts_.io_policy,
-                [&] { return env->RenameFile(tmp_path, SegmentPath(1)); });
-    if (!s.ok()) {
-      env->DeleteFile(tmp_path).ok();
-      reopen_active();
+    if (s.ok()) s = rewrite.Commit(&active_);
+    if (!rewrite.committed()) {
+      auto f =
+          env->NewWritableFile(SegmentPath(active_seg_), /*truncate=*/false);
+      if (f.ok()) {
+        active_ = std::move(f.value());
+        pipeline_->SetFile(target_, active_.get());
+      } else {
+        io_status_ = f.status();
+      }
       return s;
     }
     for (uint64_t stale = 2;
@@ -551,18 +513,10 @@ StatusOr<AuditCompactResult> AuditLog::Compact(int64_t now_micros) {
     active_seg_ = 1;
     active_bytes_ = new_bytes;
     // The rewrite re-persisted the entire surviving chain from memory, so a
-    // previously latched append failure is healed.
-    io_status_ = Status::OK();
-    Status rs = RetryIo(opts_.io_policy, [&] {
-      auto f = env->NewWritableFile(SegmentPath(1), /*truncate=*/false);
-      if (!f.ok()) return f.status();
-      active_ = std::move(f.value());
-      return Status::OK();
-    });
-    if (!rs.ok()) {
-      io_status_ = rs;
-      return rs;
-    }
+    // previously latched append failure is healed — unless segment 1 could
+    // not be reopened for append.
+    io_status_ = s;
+    if (!s.ok()) return s;
     pipeline_->SetFile(target_, active_.get());
     res.dropped_entries = drop_entries;
     res.dropped_groups = drop_groups;

@@ -101,8 +101,8 @@ class AuditLog {
   // re-verifying whatever a previous incarnation persisted. Replaces the
   // in-memory chain state — call before the first Append. DataLoss when a
   // non-tail frame is unreadable or a group hash does not recompute
-  // (tampering / corruption); a torn tail on the last segment is truncated
-  // and tolerated, like the WAL.
+  // (tampering / corruption); a torn tail on the last segment is cut off
+  // by rewriting the segment (FileRewrite) and tolerated, like the WAL.
   Status OpenDurable(const AuditLogOptions& opts);
   // Seals the pending tail into a final durable group, syncs, and detaches.
   // Returns the first swallowed I/O error if the backing ever failed.
@@ -177,6 +177,8 @@ class AuditLog {
   static size_t EntryCost(const AuditEntry& e);
 
   std::string SegmentPath(uint64_t n) const;
+  // Temp of every segment rewrite (torn-tail repair and compaction).
+  std::string RewriteTmpPath() const { return opts_.path + ".compact.tmp"; }
   void SealPendingLocked() const;
   // Appends the just-sealed group's frame through the commit pipeline and
   // rotates when the segment passes rotate_bytes. Errors latch io_status_

@@ -7,6 +7,7 @@
 #include "common/coding.h"
 #include "common/hash.h"
 #include "crypto/sha256.h"
+#include "storage/file_rewrite.h"
 
 namespace gdpr::kv {
 
@@ -99,49 +100,42 @@ Status MemKV::Open() {
       return Status::InvalidArgument("aof_enabled requires aof_path");
     }
     health_.Reset();
-    // A leftover rewrite temp means a crash mid-compaction before the
-    // atomic rename: the old AOF is authoritative, the temp is garbage.
-    if (env_->FileExists(CompactTmpPath(options_.aof_path))) {
-      (void)env_->DeleteFile(CompactTmpPath(options_.aof_path)).ok();
-    }
+    FileRewrite::DiscardLeftover(env_, CompactTmpPath(options_.aof_path));
+    Status s = Status::OK();
+    size_t valid = 0;
     if (env_->FileExists(options_.aof_path)) {
+      // An unreadable existing log must not open as an empty store: the
+      // next append would strand everything already on disk.
       auto contents = env_->ReadFileToString(options_.aof_path);
-      if (!contents.ok()) {
-        // An unreadable existing log must not open as an empty store: the
-        // next append would strand everything already on disk.
-        health_.Fail(contents.status());
-        return contents.status();
-      }
-      size_t valid = 0;
-      Status s = AofReplay(contents.value(), &valid);
-      if (!s.ok()) {
-        health_.Fail(s);
-        return s;
-      }
-      if (valid < contents.value().size()) {
-        // Torn tail (crash mid-append or partial page writeback): keep the
-        // valid prefix and rewrite the file to it — appending after torn
-        // bytes would strand every later record. Same contract as the WAL.
+      s = contents.status();
+      if (s.ok()) s = AofReplay(contents.value(), &valid);
+      if (s.ok() && valid < contents.value().size()) {
+        // Torn tail (crash mid-append or partial page writeback): replace
+        // the log with its valid prefix — appending after torn bytes would
+        // strand every later record, and truncating in place would let a
+        // crash mid-repair take synced records with it.
         aof_replay_stats_.truncated_tail = true;
         aof_replay_stats_.dropped_bytes = contents.value().size() - valid;
-        auto fixed = env_->NewWritableFile(options_.aof_path,
-                                           /*truncate=*/true);
-        Status ws = fixed.ok() ? fixed.value()->Append(
-                                     std::string_view(contents.value())
-                                         .substr(0, valid))
-                               : fixed.status();
-        if (ws.ok()) ws = fixed.value()->Sync();
-        if (ws.ok()) ws = fixed.value()->Close();
-        if (!ws.ok()) {
-          health_.Fail(ws);
-          return ws;
+        FileRewrite fix(env_, options_.io_policy,
+                        CompactTmpPath(options_.aof_path), options_.aof_path);
+        s = fix.Open();
+        if (s.ok()) {
+          s = fix.file()->Append(
+              std::string_view(contents.value()).substr(0, valid));
         }
+        if (s.ok()) s = fix.Commit(&aof_);
       }
-      m_aof_log_bytes_->Set(static_cast<int64_t>(valid));
     }
-    auto file = env_->NewWritableFile(options_.aof_path, /*truncate=*/false);
-    if (!file.ok()) return file.status();
-    aof_ = std::move(file.value());
+    if (s.ok() && !aof_) {
+      auto file = env_->NewWritableFile(options_.aof_path, /*truncate=*/false);
+      s = file.status();
+      if (s.ok()) aof_ = std::move(file.value());
+    }
+    if (!s.ok()) {
+      health_.Fail(s);
+      return s;
+    }
+    m_aof_log_bytes_->Set(static_cast<int64_t>(valid));
     pipeline_
         ->WithQuiesced(aof_target_,
                        [&] {
@@ -684,7 +678,7 @@ Status MemKV::AofReplay(const std::string& contents, size_t* valid_prefix) {
   const int64_t now = NowMicros();
   // Offset of the last fully-applied frame boundary. Parse failures stop
   // replay here: the caller treats everything after as a torn tail and
-  // truncates the file to it (a fully-written bad frame is
+  // rewrites the file to it (a fully-written bad frame is
   // indistinguishable from a partial one in this unchecksummed format —
   // the conservative move is the same either way: keep the valid prefix).
   *valid_prefix = 0;
@@ -810,41 +804,18 @@ Status MemKV::CompactAof() {
                      })
       .ok();
   aof_rewrite_starts_.fetch_add(1);
-  auto abort_rewrite = [this](const std::string& tmp_path) {
-    pipeline_
-        ->WithQuiesced(aof_target_,
-                       [&] {
-                         pipeline_->SetTee(aof_target_, nullptr);
-                         std::lock_guard<std::mutex> rl(rewrite_mu_);
-                         rewrite_buf_.clear();
-                         return Status::OK();
-                       })
-        .ok();
-    (void)env_->DeleteFile(tmp_path).ok();
-  };
   // Phase 2: snapshot live state into the temp file, one shard lock at a
   // time (writers to other shards proceed). Stored values are copied
   // verbatim — sealed bytes never round-trip through plaintext. Expired-
   // but-unreclaimed entries are dropped: replay would erase them anyway.
-  const std::string tmp_path = CompactTmpPath(options_.aof_path);
-  // Background path: a transient ENOSPC here costs a rewrite pass, not
-  // durability — worth the bounded retry before giving up.
-  std::unique_ptr<WritableFile> out;
-  Status tmp_status = RetryIo(options_.io_policy, [&] {
-    auto tmp = env_->NewWritableFile(tmp_path, /*truncate=*/true);
-    if (!tmp.ok()) return tmp.status();
-    out = std::move(tmp.value());
-    return Status::OK();
-  });
-  if (!tmp_status.ok()) {
-    abort_rewrite(tmp_path);
-    return tmp_status;
-  }
+  FileRewrite rewrite(env_, options_.io_policy,
+                      CompactTmpPath(options_.aof_path), options_.aof_path);
+  Status st = rewrite.Open();
   const int64_t now = NowMicros();
   uint64_t tmp_bytes = 0;
   std::string buf;
-  for (const auto& sp : shards_) {
-    Shard& s = *sp;
+  for (size_t i = 0; st.ok() && i < shards_.size(); ++i) {
+    Shard& s = *shards_[i];
     buf.clear();
     {
       // Shared lock: excludes writers for a consistent per-shard snapshot;
@@ -857,26 +828,31 @@ Status MemKV::CompactAof() {
         return true;
       });
     }
-    Status st = out->Append(buf);
-    if (!st.ok()) {
-      abort_rewrite(tmp_path);
-      return st;
-    }
+    st = rewrite.file()->Append(buf);
     tmp_bytes += buf.size();
   }
   // Sync the bulk snapshot BEFORE taking aof_mu_: this fsync is
   // proportional to total live data and must not stall writers; the one
   // under the lock covers only the small racing-write tail.
-  Status st = out->Sync();
+  if (st.ok()) st = rewrite.file()->Sync();
   if (!st.ok()) {
-    abort_rewrite(tmp_path);
+    // Disarm the tee; the temp goes away with `rewrite`.
+    pipeline_
+        ->WithQuiesced(aof_target_,
+                       [&] {
+                         pipeline_->SetTee(aof_target_, nullptr);
+                         std::lock_guard<std::mutex> rl(rewrite_mu_);
+                         rewrite_buf_.clear();
+                         return Status::OK();
+                       })
+        .ok();
     return st;
   }
   // Phase 3: quiesce the pipeline (queued frames drain to the old log and
   // into the mirror, new commits park at the pipeline gate), drain the
   // mirror buffer, emit the tombstone snapshot, fsync the tail, and
   // atomically swap the logs. Writers stall only for this window — the
-  // p99 cost bench_compaction measures. A crash before RenameFile leaves
+  // p99 cost bench_compaction measures. A crash before the rename leaves
   // the old AOF authoritative; after it, the new one. Never a mix.
   //
   // The tombstone snapshot comes AFTER the mirror drain, not in phase 2:
@@ -893,7 +869,7 @@ Status MemKV::CompactAof() {
     {
       std::lock_guard<std::mutex> rl(rewrite_mu_);
       if (!rewrite_buf_.empty()) {
-        st = out->Append(rewrite_buf_);
+        st = rewrite.file()->Append(rewrite_buf_);
         tmp_bytes += rewrite_buf_.size();
       }
       rewrite_buf_.clear();
@@ -906,7 +882,7 @@ Status MemKV::CompactAof() {
           EncodeAofRecord(&buf, 'T', key, "", 0);
         }
       }
-      st = out->Append(buf);
+      st = rewrite.file()->Append(buf);
       tmp_bytes += buf.size();
     }
     if (st.ok() && aead_) {
@@ -917,15 +893,11 @@ Status MemKV::CompactAof() {
       std::string seq_frame;
       seq_frame.push_back('Q');
       PutFixed64(&seq_frame, seal_seq_.load());
-      st = out->Append(seq_frame);
+      st = rewrite.file()->Append(seq_frame);
       tmp_bytes += seq_frame.size();
     }
-    if (st.ok()) st = out->Sync();
-    if (st.ok()) st = out->Close();
-    if (!st.ok()) {
-      (void)env_->DeleteFile(tmp_path).ok();
-      return st;
-    }
+    if (st.ok()) st = rewrite.Seal();
+    if (!st.ok()) return st;
     if (aof_) {
       // Best-effort: a degraded (poisoned) handle errors here, which is
       // fine — the rename below replaces its file wholesale.
@@ -934,17 +906,7 @@ Status MemKV::CompactAof() {
       aof_.reset();
     }
     pipeline_->SetFile(aof_target_, nullptr);
-    st = RetryIo(options_.io_policy,
-                 [&] { return env_->RenameFile(tmp_path, options_.aof_path); });
-    if (st.ok()) {
-      st = RetryIo(options_.io_policy, [&] {
-        auto reopened = env_->NewWritableFile(options_.aof_path,
-                                              /*truncate=*/false);
-        if (!reopened.ok()) return reopened.status();
-        aof_ = std::move(reopened.value());
-        return Status::OK();
-      });
-    }
+    st = rewrite.Commit(&aof_);
     if (!st.ok()) {
       // Memory state is intact but the log handle is gone. Degrade to
       // read-only instead of accepting writes that would silently vanish

@@ -4,6 +4,7 @@
 
 #include "common/coding.h"
 #include "common/string_util.h"
+#include "storage/file_rewrite.h"
 
 namespace gdpr::rel {
 
@@ -77,11 +78,10 @@ Status Database::Open() {
       return Status::InvalidArgument("wal_enabled requires wal_path");
     }
     const std::string snap_path = SnapshotPath(options_.wal_path);
-    // A leftover checkpoint temp means a crash before the atomic rename:
-    // the previous snapshot (if any) + full WAL are authoritative.
-    if (env_->FileExists(snap_path + ".tmp")) {
-      env_->DeleteFile(snap_path + ".tmp").ok();
-    }
+    // Both rewrites here (checkpoint snapshot, WAL repair) use the temp
+    // "<target>.tmp".
+    FileRewrite::DiscardLeftover(env_, snap_path + ".tmp");
+    FileRewrite::DiscardLeftover(env_, options_.wal_path + ".tmp");
     uint64_t snapshot_seal_seq = 0;
     bool has_snapshot = false;
     if (env_->FileExists(snap_path)) {
@@ -98,6 +98,7 @@ Status Database::Open() {
       has_snapshot = true;
       replay_stats_.from_snapshot = true;
     }
+    Status s = Status::OK();
     if (env_->FileExists(options_.wal_path)) {
       auto contents = env_->ReadFileToString(options_.wal_path);
       if (!contents.ok()) {
@@ -124,35 +125,16 @@ Status Database::Open() {
         // Pre-checkpoint WAL: the crash hit between the snapshot rename
         // and the WAL truncate. Every byte of this log is already inside
         // the snapshot — finish the interrupted truncation now.
-        auto f = env_->NewWritableFile(options_.wal_path, /*truncate=*/true);
-        if (!f.ok()) {
-          wal_health_.Fail(f.status());
-          return f.status();
-        }
-        wal_ = std::move(f.value());
-        std::string frame;
-        frame.push_back('E');
-        PutVarint64(&frame, epoch_);
-        Status s = wal_->Append(frame);
-        if (s.ok()) s = wal_->Sync();
-        if (!s.ok()) {
-          wal_health_.Fail(s);
-          return s;
-        }
-        m_wal_log_bytes_->Set(static_cast<int64_t>(frame.size()));
+        s = StampWal(epoch_);
       } else {
         const size_t frame_len = size_t(body.data() - contents.value().data());
         const size_t valid = ParseWal(body);
         if (replay_stats_.truncated_tail) {
-          // Rewrite the log to the recovered prefix: appending after torn
+          // Replace the log with the recovered prefix: appending after torn
           // bytes would make every later record unreachable on the next
-          // replay (the parser stops at the first bad frame).
-          auto f = env_->NewWritableFile(options_.wal_path, /*truncate=*/true);
-          if (!f.ok()) {
-            wal_health_.Fail(f.status());
-            return f.status();
-          }
-          wal_ = std::move(f.value());
+          // replay (the parser stops at the first bad frame), and
+          // truncating in place would let a crash mid-repair take synced
+          // records with it.
           std::string keep =
               frame_intact ? contents.value().substr(0, frame_len + valid)
                            : std::string();
@@ -162,14 +144,11 @@ Status Database::Open() {
             keep.push_back('E');
             PutVarint64(&keep, epoch_);
           }
-          if (!keep.empty()) {
-            Status s = wal_->Append(keep);
-            if (s.ok()) s = wal_->Sync();
-            if (!s.ok()) {
-              wal_health_.Fail(s);
-              return s;
-            }
-          }
+          FileRewrite fix(env_, options_.io_policy, options_.wal_path + ".tmp",
+                          options_.wal_path);
+          s = fix.Open();
+          if (s.ok()) s = fix.file()->Append(keep);
+          if (s.ok()) s = fix.Commit(&wal_);
           m_wal_log_bytes_->Set(static_cast<int64_t>(keep.size()));
         } else {
           m_wal_log_bytes_->Set(static_cast<int64_t>(contents.value().size()));
@@ -181,34 +160,18 @@ Status Database::Open() {
       seal_seq_.store(snapshot_seal_seq + contents.value().size() + 1);
     } else {
       seal_seq_.store(snapshot_seal_seq + 1);
-      if (has_snapshot) {
-        // Fresh WAL next to an existing snapshot: stamp the epoch so the
-        // tail is recognized as post-checkpoint on the next recovery.
-        auto f = env_->NewWritableFile(options_.wal_path, /*truncate=*/true);
-        if (!f.ok()) {
-          wal_health_.Fail(f.status());
-          return f.status();
-        }
-        wal_ = std::move(f.value());
-        std::string frame;
-        frame.push_back('E');
-        PutVarint64(&frame, epoch_);
-        Status s = wal_->Append(frame);
-        if (s.ok()) s = wal_->Sync();
-        if (!s.ok()) {
-          wal_health_.Fail(s);
-          return s;
-        }
-        m_wal_log_bytes_->Set(static_cast<int64_t>(frame.size()));
-      }
+      // Fresh WAL next to an existing snapshot: stamp the epoch so the
+      // tail is recognized as post-checkpoint on the next recovery.
+      if (has_snapshot) s = StampWal(epoch_);
     }
-    if (!wal_) {
+    if (s.ok() && !wal_) {
       auto f = env_->NewWritableFile(options_.wal_path, /*truncate=*/false);
-      if (!f.ok()) {
-        wal_health_.Fail(f.status());
-        return f.status();
-      }
-      wal_ = std::move(f.value());
+      s = f.status();
+      if (f.ok()) wal_ = std::move(f.value());
+    }
+    if (!s.ok()) {
+      wal_health_.Fail(s);
+      return s;
     }
     pipeline_
         ->WithQuiesced(wal_target_,
@@ -922,17 +885,11 @@ Status Database::Checkpoint() {
   for (auto& [name, t] : tables_) frozen.emplace_back(t->mu_);
   const uint64_t next_epoch = epoch_ + 1;
   const std::string snap_path = SnapshotPath(options_.wal_path);
-  const std::string tmp_path = snap_path + ".tmp";
-  // Background path: transient ENOSPC-style failures get a bounded retry
-  // before the checkpoint gives up (truncating re-creation is idempotent).
-  std::unique_ptr<WritableFile> tmp;
-  Status ts = RetryIo(options_.io_policy, [&] {
-    auto f = env_->NewWritableFile(tmp_path, /*truncate=*/true);
-    if (!f.ok()) return f.status();
-    tmp = std::move(f.value());
-    return Status::OK();
-  });
-  if (!ts.ok()) return ts;
+  FileRewrite snapshot(env_, options_.io_policy, snap_path + ".tmp",
+                       snap_path);
+  Status s = snapshot.Open();
+  if (!s.ok()) return s;
+  WritableFile* tmp = snapshot.file();
   // Stream one table at a time: the transient buffer stays bounded by the
   // largest table instead of doubling the whole database in memory.
   uint64_t snapshot_bytes = 0;
@@ -941,7 +898,7 @@ Status Database::Checkpoint() {
   PutVarint64(&blob, next_epoch);
   PutFixed64(&blob, seal_seq_.load());
   PutVarint64(&blob, tables_.size());
-  Status s = tmp->Append(blob);
+  s = tmp->Append(blob);
   snapshot_bytes += blob.size();
   for (auto& [name, t] : tables_) {
     if (!s.ok()) break;
@@ -961,24 +918,13 @@ Status Database::Checkpoint() {
     s = tmp->Append(blob);
     snapshot_bytes += blob.size();
   }
-  if (s.ok()) s = tmp->Sync();
-  if (s.ok()) s = tmp->Close();
-  if (!s.ok()) {
-    // The failed attempt only touched the temp file: the old snapshot and
-    // the full WAL are still authoritative, so the store stays healthy and
-    // the caller may simply try again later.
-    env_->DeleteFile(tmp_path).ok();
-    return s;
-  }
-  // Commit point. A crash before this rename leaves the old snapshot +
-  // full WAL; after it, the new snapshot makes the old WAL redundant
-  // (recovery drops an epoch-mismatched log).
-  s = RetryIo(options_.io_policy,
-              [&] { return env_->RenameFile(tmp_path, snap_path); });
-  if (!s.ok()) {
-    env_->DeleteFile(tmp_path).ok();
-    return s;
-  }
+  // Commit point. A failure before the rename only touched the temp: the
+  // old snapshot and the full WAL are still authoritative, so the store
+  // stays healthy and the caller may simply try again later. After the
+  // rename, the new snapshot makes the old WAL redundant (recovery drops
+  // an epoch-mismatched log).
+  if (s.ok()) s = snapshot.Commit(/*reopened=*/nullptr);
+  if (!s.ok()) return s;
   const uint64_t wal_before = WalBytes();
   // Quiesce the pipeline for the swap. Every table lock is held shared, so
   // no mutator is mid-commit; the quiesce drains whatever the committer
@@ -990,12 +936,7 @@ Status Database::Checkpoint() {
       wal_->Close().ok();
       wal_.reset();
     }
-    Status fs = RetryIo(options_.io_policy, [&] {
-      auto f = env_->NewWritableFile(options_.wal_path, /*truncate=*/true);
-      if (!f.ok()) return f.status();
-      wal_ = std::move(f.value());
-      return Status::OK();
-    });
+    Status fs = StampWal(next_epoch);
     if (!fs.ok()) {
       // The snapshot committed but the WAL could not be re-established.
       // Writes from here on would either be lost silently (no handle) or
@@ -1005,23 +946,10 @@ Status Database::Checkpoint() {
       wal_health_.Degrade(fs);
       return fs;
     }
-    std::string frame;
-    frame.push_back('E');
-    PutVarint64(&frame, next_epoch);
-    s = wal_->Append(frame);
-    if (s.ok()) s = wal_->Sync();
-    if (!s.ok()) {
-      // An unstamped WAL would be classified as pre-checkpoint on the
-      // next Open and dropped wholesale. Refuse to write into it.
-      wal_.reset();
-      wal_health_.Degrade(s);
-      return s;
-    }
     // Re-attaching clears the pipeline's poison latch: a freshly stamped
     // WAL next to a snapshot of all of memory is exactly the full rewrite
     // a previously degraded WAL was waiting for.
     pipeline_->SetFile(wal_target_, wal_.get());
-    m_wal_log_bytes_->Set(static_cast<int64_t>(frame.size()));
     wal_health_.Heal();
     return Status::OK();
   });
@@ -1033,6 +961,25 @@ Status Database::Checkpoint() {
   last_ckpt_snapshot_bytes_.store(snapshot_bytes);
   last_ckpt_micros_.store(RealClock::Default()->NowMicros());
   return Status::OK();
+}
+
+Status Database::StampWal(uint64_t epoch) {
+  Status s = RetryIo(options_.io_policy, [&] {
+    auto f = env_->NewWritableFile(options_.wal_path, /*truncate=*/true);
+    if (!f.ok()) return f.status();
+    wal_ = std::move(f.value());
+    return Status::OK();
+  });
+  std::string frame(1, 'E');
+  PutVarint64(&frame, epoch);
+  if (s.ok()) s = wal_->Append(frame);
+  if (s.ok()) s = wal_->Sync();
+  if (!s.ok()) {
+    wal_.reset();
+    return s;
+  }
+  m_wal_log_bytes_->Set(static_cast<int64_t>(frame.size()));
+  return s;
 }
 
 CheckpointStats Database::GetCheckpointStats() const {

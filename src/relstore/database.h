@@ -308,6 +308,10 @@ class Database {
     return stmt_active_.load(std::memory_order_acquire);
   }
   Status WalAppend(const std::string& text);
+  // Truncates the WAL into a fresh wal_ stamped with `epoch` (a synced 'E'
+  // frame). Only for a WAL already inside the snapshot: the truncation
+  // loses nothing. The caller decides what a failure does to health.
+  Status StampWal(uint64_t epoch);
   // Pre-mutation gate: mutators apply to memory before their WAL append,
   // so an offline WAL must reject the op up front, not after the fact.
   Status WalHealthy();

@@ -38,7 +38,7 @@ class Env {
   virtual StatusOr<uint64_t> FileSize(const std::string& path) = 0;
   virtual Status DeleteFile(const std::string& path) = 0;
   virtual bool FileExists(const std::string& path) = 0;
-  // Atomically replaces `to` with `from` (the compaction commit point: a
+  // Atomically replaces `to` with `from` (FileRewrite's commit point: a
   // crash leaves either the old file or the new one, never a mix).
   virtual Status RenameFile(const std::string& from, const std::string& to) = 0;
 

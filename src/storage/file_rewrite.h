@@ -1,0 +1,61 @@
+// Crash-safe whole-file replacement, the one way a durable file (AOF, WAL,
+// checkpoint snapshot, audit segment) is replaced: the new contents go to a
+// temp that is synced, closed and renamed over the target. A crash leaves
+// the old file or the new one, never a mix or a truncated original. The
+// rename is not yet made durable by a directory fsync (Env has no such
+// call). An uncommitted temp is deleted on every failure path and when the
+// object goes away.
+
+#pragma once
+
+#include <memory>
+#include <string>
+#include <utility>
+
+#include "common/health.h"
+#include "common/status.h"
+#include "storage/env.h"
+
+namespace gdpr {
+
+class FileRewrite {
+ public:
+  // Deletes a temp that a crash left before its rename: the target is
+  // still authoritative.
+  static void DiscardLeftover(Env* env, const std::string& tmp_path);
+
+  FileRewrite(Env* env, const IoFailurePolicy& policy, std::string tmp_path,
+              std::string target_path)
+      : env_(env), policy_(policy), tmp_path_(std::move(tmp_path)),
+        target_path_(std::move(target_path)) {}
+  ~FileRewrite();
+  FileRewrite(const FileRewrite&) = delete;
+  FileRewrite& operator=(const FileRewrite&) = delete;
+
+  // Creates (truncating) the temp, with the policy's bounded retry.
+  Status Open();
+  WritableFile* file() const { return tmp_.get(); }
+  // Syncs and closes the temp. Commit() does it when the caller has not; a
+  // caller seals first when it must close its own handle on the target
+  // before the rename.
+  Status Seal();
+  // Renames the temp over the target (bounded retry), then, unless
+  // `reopened` is null, reopens the target for append into it (bounded
+  // retry). committed() says whether the rename landed: if not, the target
+  // is untouched.
+  Status Commit(std::unique_ptr<WritableFile>* reopened);
+  bool committed() const { return committed_; }
+
+ private:
+  Status Abandon(Status cause);  // drops the handle, deletes the temp
+
+  Env* const env_;
+  const IoFailurePolicy policy_;
+  const std::string tmp_path_;
+  const std::string target_path_;
+  std::unique_ptr<WritableFile> tmp_;
+  bool opened_ = false;  // a temp may exist on disk
+  bool committed_ = false;
+};
+
+}  // namespace gdpr

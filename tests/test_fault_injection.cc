@@ -22,8 +22,10 @@
 
 #include "cluster/cluster_store.h"
 #include "fault_harness.h"
+#include "gdpr/audit.h"
 #include "gdpr/kv_backend.h"
 #include "gdpr/rel_backend.h"
+#include "kvstore/db.h"
 #include "relstore/database.h"
 #include "storage/fault_env.h"
 
@@ -433,6 +435,163 @@ TEST(StatementLogTorn, RotationRenameFailureDegradesThenReopenHeals) {
   ASSERT_TRUE(db2.Open().ok());
   EXPECT_EQ(db2.Health(), HealthState::kHealthy);
   ASSERT_TRUE(db2.Close().ok());
+}
+
+// ---- crash during torn-tail repair -----------------------------------------
+//
+// Each log gets synced records and a torn tail, then reopens over a FaultEnv
+// that crashes at one op of the repairing Open(), swept over every op of it.
+// The repair replaces the log, so it must be atomic: a reopen from what
+// survived still holds every record that was synced before the tear.
+
+struct TornLog {
+  std::function<void(MemEnv*)> build;    // synced records, then the tear
+  std::function<void(Env*)> open;        // the repairing Open; store dropped
+  std::function<void(Env*)> check_all;   // reopen and check the survivors
+};
+
+void SweepCrashDuringRepair(const TornLog& log) {
+  uint64_t total = 0;
+  {
+    MemEnv mem;
+    log.build(&mem);
+    FaultEnv fenv(&mem, kSeed);
+    log.open(&fenv);
+    total = fenv.op_count();  // an over-count only sweeps Close as well
+    log.check_all(&mem);
+  }
+  ASSERT_GT(total, 2u);
+  for (uint64_t i = 1; i <= total; ++i) {
+    SCOPED_TRACE("crash at op " + std::to_string(i) + " of " +
+                 std::to_string(total));
+    MemEnv mem;
+    log.build(&mem);
+    FaultEnv fenv(&mem, kSeed);
+    FaultPlan plan;
+    plan.crash_at_op = i;
+    fenv.set_plan(plan);
+    log.open(&fenv);
+    ASSERT_TRUE(fenv.crashed());
+    log.check_all(&mem);
+  }
+}
+
+constexpr int kTornRecords = 20;  // the tear cuts into the last one
+
+TEST(RepairCrash, AofKeepsEverySyncedRecord) {
+  auto opts = [](Env* env) {
+    kv::Options o;
+    o.env = env;
+    o.aof_enabled = true;
+    o.aof_path = "aof";
+    o.sync_policy = SyncPolicy::kAlways;
+    o.io_policy.retry_backoff_micros = 0;
+    return o;
+  };
+  TornLog log;
+  log.build = [&](MemEnv* mem) {
+    kv::MemKV db(opts(mem));
+    ASSERT_TRUE(db.Open().ok());
+    for (int i = 0; i < kTornRecords; ++i) {
+      ASSERT_TRUE(db.Set("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE(db.Close().ok());
+    Truncate(mem, "aof", 3);
+  };
+  log.open = [&](Env* env) {
+    kv::MemKV db(opts(env));
+    (void)db.Open().ok();
+  };
+  log.check_all = [&](Env* env) {
+    kv::MemKV db(opts(env));
+    ASSERT_TRUE(db.Open().ok());
+    EXPECT_EQ(db.Size(), size_t(kTornRecords - 1));
+    for (int i = 0; i + 1 < kTornRecords; ++i) {
+      auto v = db.Get("k" + std::to_string(i));
+      ASSERT_TRUE(v.ok()) << "k" << i;
+      EXPECT_EQ(v.value(), "v" + std::to_string(i));
+    }
+  };
+  SweepCrashDuringRepair(log);
+}
+
+TEST(RepairCrash, WalKeepsEverySyncedRecord) {
+  auto opts = [](Env* env) {
+    rel::RelOptions o;
+    o.env = env;
+    o.wal_enabled = true;
+    o.wal_path = "wal";
+    o.sync_policy = SyncPolicy::kAlways;
+    o.io_policy.retry_backoff_micros = 0;
+    return o;
+  };
+  const rel::Schema schema({{"id", rel::ValueType::kInt64}});
+  TornLog log;
+  log.build = [&](MemEnv* mem) {
+    rel::Database db(opts(mem));
+    ASSERT_TRUE(db.Open().ok());
+    rel::Table* t = db.CreateTable("t", schema).value();
+    for (int64_t i = 0; i < kTornRecords; ++i) {
+      ASSERT_TRUE(db.Insert(t, {rel::Value(i)}).ok());
+    }
+    ASSERT_TRUE(db.Close().ok());
+    Truncate(mem, "wal", 3);
+  };
+  log.open = [&](Env* env) {
+    rel::Database db(opts(env));
+    (void)db.Open().ok();
+  };
+  log.check_all = [&](Env* env) {
+    rel::Database db(opts(env));
+    ASSERT_TRUE(db.Open().ok());
+    rel::Table* t = db.CreateTable("t", schema).value();
+    EXPECT_EQ(t->live_rows(), size_t(kTornRecords - 1));
+    for (int64_t i = 0; i + 1 < kTornRecords; ++i) {
+      auto rows =
+          db.Select(t, rel::Compare(0, rel::CompareOp::kEq, rel::Value(i)));
+      ASSERT_TRUE(rows.ok());
+      EXPECT_EQ(rows.value().size(), 1u) << "row " << i;
+    }
+  };
+  SweepCrashDuringRepair(log);
+}
+
+TEST(RepairCrash, AuditKeepsEverySealedGroup) {
+  auto opts = [](Env* env) {
+    AuditLogOptions o;
+    o.env = env;
+    o.path = "audit";
+    o.sync_policy = SyncPolicy::kAlways;
+    o.io_policy.retry_backoff_micros = 0;
+    return o;
+  };
+  constexpr size_t kGroup = 4;
+  TornLog log;
+  log.build = [&](MemEnv* mem) {
+    AuditLog audit(kGroup);
+    ASSERT_TRUE(audit.OpenDurable(opts(mem)).ok());
+    for (size_t i = 0; i < 3 * kGroup; ++i) {  // three sealed groups
+      AuditEntry e;
+      e.timestamp_micros = 1000 + int64_t(i);
+      e.actor_id = "ctrl";
+      e.op = "CREATE-RECORD";
+      e.key = "k" + std::to_string(i);
+      audit.Append(e);
+    }
+    ASSERT_TRUE(audit.CloseDurable().ok());
+    Truncate(mem, "audit.seg1", 5);  // the third group's frame is cut
+  };
+  log.open = [&](Env* env) {
+    AuditLog audit(kGroup);
+    (void)audit.OpenDurable(opts(env)).ok();
+  };
+  log.check_all = [&](Env* env) {
+    AuditLog audit(kGroup);
+    ASSERT_TRUE(audit.OpenDurable(opts(env)).ok());
+    EXPECT_EQ(audit.size(), 2 * kGroup);
+    EXPECT_TRUE(audit.VerifyChain());
+  };
+  SweepCrashDuringRepair(log);
 }
 
 // ---- cluster: degraded node ------------------------------------------------

@@ -186,6 +186,23 @@ TEST(MemKV, LostExpiryFrameDoesNotResurrectTheKey) {
   EXPECT_EQ(db.Size(), 1u);
 }
 
+// A store that could not open its AOF append handle must not report
+// healthy: every other failed Open marks it failed.
+TEST(MemKV, AofHandleOpenFailureFailsHealth) {
+  MemEnv mem;
+  FaultEnv fenv(&mem);
+  FaultPlan plan;
+  plan.fail_prob[int(FaultOpKind::kNewFile)] = 1.0;
+  fenv.set_plan(plan);
+  Options o;
+  o.env = &fenv;
+  o.aof_enabled = true;
+  o.aof_path = "kv.aof";
+  MemKV db(o);
+  EXPECT_FALSE(db.Open().ok());
+  EXPECT_EQ(db.Health(), HealthState::kFailed);
+}
+
 TEST(MemKV, EncryptionAtRestRoundTrip) {
   MemEnv env;
   Options o;
