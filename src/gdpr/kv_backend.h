@@ -13,8 +13,10 @@
 //
 // Read fast path: every record fetch bottoms out in MemKV's epoch-protected
 // lock-free Get, and the secondary indexes are epoch-protected posting maps
-// (kv::EpochPostingMap) — a collection pins one epoch, copies one
-// attribute's key set without any index lock, then fetches each key.
+// (kv::EpochPostingMap: an attribute table and per-attribute key sets, two
+// node types of the table behind MemKV's shard map) — a collection pins one
+// epoch, copies one attribute's key set without any index lock, then
+// fetches each key.
 //
 // Write path: each attribute's keys form a small hashed set that grows
 // copy-on-grow, and an upsert diffs the old and new metadata, touching only

@@ -232,7 +232,7 @@ Status MemKV::SetInternal(const std::string& key, const std::string& value,
     int64_t prev_expiry = 0;
     bool prev_existed = false;
     if (log) {
-      const EntryBlock* prev = s.map.FindLocked(key, h);
+      const EntryBlock* prev = s.map.Find(key, h);
       if (prev != nullptr) {
         prev_value = prev->value;
         prev_expiry = prev->expiry_micros;
@@ -336,7 +336,7 @@ Status MemKV::Delete(const std::string& key) {
     std::string prev_value;
     int64_t prev_expiry = 0;
     if (log) {
-      const EntryBlock* prev = s.map.FindLocked(key, h);
+      const EntryBlock* prev = s.map.Find(key, h);
       if (prev != nullptr) {
         prev_value = prev->value;
         prev_expiry = prev->expiry_micros;
@@ -395,7 +395,7 @@ size_t MemKV::Scan(const std::function<bool(const std::string&,
     // long one holds back reclamation process-wide.
     EpochGuard guard;
     const bool keep_going =
-        s->map.ForEachReader([&](const std::string& key, const EntryBlock& e) {
+        s->map.ForEach([&](const std::string& key, const EntryBlock& e) {
           if (e.expiry_micros != 0 && e.expiry_micros <= now) return true;
           if (aead_) {
             auto plain = aead_->Open(e.value);
@@ -439,7 +439,7 @@ size_t MemKV::RunStrictCycle(int64_t now) {
       HeapItem item = s.ttl_heap.top();
       s.ttl_heap.pop();
       const uint64_t h = Fnv1a(item.key);
-      const EntryBlock* e = s.map.FindLocked(item.key, h);
+      const EntryBlock* e = s.map.Find(item.key, h);
       // Skip stale heap entries: key gone, TTL rewritten, or persisted.
       if (e == nullptr || e->expiry_micros == 0 || e->expiry_micros > now ||
           e->expiry_micros != item.expiry_micros) {
@@ -481,7 +481,7 @@ size_t MemKV::RunLazyCycle(int64_t now) {
       const std::string key = s.ttl_keys[lazy_rng_.Uniform(s.ttl_keys.size())];
       ++sampled;
       const uint64_t h = Fnv1a(key);
-      const EntryBlock* e = s.map.FindLocked(key, h);
+      const EntryBlock* e = s.map.Find(key, h);
       if (e != nullptr && e->expiry_micros != 0 && e->expiry_micros <= now) {
         EraseLocked(s, key, h);
         // Status not needed, as in RunStrictCycle: replay drops the expired
@@ -821,7 +821,7 @@ Status MemKV::CompactAof() {
       // Shared lock: excludes writers for a consistent per-shard snapshot;
       // the lock-free readers are unaffected.
       std::shared_lock<std::shared_mutex> l(s.mu);
-      s.map.ForEachLocked([&](const std::string& key, const EntryBlock& e) {
+      s.map.ForEach([&](const std::string& key, const EntryBlock& e) {
         if (e.expiry_micros == 0 || e.expiry_micros > now) {
           EncodeAofRecord(&buf, 'S', key, e.value, e.expiry_micros);
         }

@@ -3,10 +3,12 @@
 //
 //   * N shards; writers contend only within a shard (per-shard writer
 //     lock), and point reads are lock-free: an epoch pin plus an
-//     acquire-load walk of the shard's EpochMap (see kvstore/epoch_map.h
-//     and common/epoch.h). Writers swap immutable entry blocks and retire
-//     the displaced ones; readers never stall behind a writer holding the
-//     shard. GDPRbench stacks metadata cost on top of every operation, so
+//     acquire-load walk of the shard's EpochMap: the one epoch-protected
+//     table, which the GDPR indexes also use, over entry-block nodes (see
+//     kvstore/epoch_map.h and common/epoch.h). The shard is picked by the
+//     key hash's low bits, so the table's bucket rule folds in the high
+//     half. Writers swap immutable entry blocks and retire the displaced
+//     ones; readers never stall behind a writer holding the shard. GDPRbench stacks metadata cost on top of every operation, so
 //     the base Get must cost what the hardware charges — not what a
 //     shared_mutex charges (bench_get_scale measures the difference).
 //   * TTL bookkeeping per shard: a min-heap keyed on expiry makes the strict

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/hash.h"
 #include "kvstore/db.h"
 #include "kvstore/epoch_map.h"
 #include "obs/metrics.h"
@@ -491,6 +492,142 @@ TEST(MemKV, ConcurrentMixedOps) {
   }
   for (auto& th : threads) th.join();
   EXPECT_LE(db.Size(), 97u);
+}
+
+// ---- EpochMap: the shard map behind MemKV ----------------------------------
+
+// A 16-shard MemKV routes a key by the low 4 bits of its hash, so one shard's
+// map holds only keys that share them. Its buckets must not index by those
+// same bits: with `hash & mask` these keys fill 512 of 8,192 buckets and
+// chain 21 deep.
+TEST(EpochMap, ShardLocalKeysSpreadOverEveryBucket) {
+  EpochMap map;
+  std::vector<std::pair<std::string, uint64_t>> keys;
+  for (size_t i = 0; keys.size() < 6250; ++i) {
+    std::string key = "user" + std::to_string(i) + "/record";
+    const uint64_t h = Fnv1a(key);
+    if ((h & 15) == 5) keys.emplace_back(std::move(key), h);
+  }
+  for (const auto& [key, h] : keys) {
+    ASSERT_TRUE(map.Upsert(key, h, "v", 0, nullptr, nullptr));
+  }
+  EXPECT_EQ(map.size(), keys.size());
+  EXPECT_LE(map.longest_chain(), 8u);
+  EpochGuard guard;
+  for (const auto& [key, h] : keys) ASSERT_NE(map.Find(key, h), nullptr);
+}
+
+// Readers walk and Find while one writer grows the map through ten
+// doublings, overwrites, erases and clears it. A key present for a reader's
+// whole walk or Find is seen; every key seen was put; no walk yields a key
+// twice. The writer bumps `phase` to odd before each Clear and back to even
+// once the stable keys are back, so a reader that reads the same even phase
+// before and after knows every stable key was present throughout. Before
+// each growth, erase and Clear burst the writer stops one reader mid-walk,
+// standing on a node, until the burst is done: the reader then finishes its
+// walk in a retired generation, which must still be intact.
+TEST(EpochMap, ReadersSeeStableKeysThroughGrowthEraseAndClear) {
+  constexpr size_t kStable = 50;
+  constexpr size_t kChurn = 4000;
+  const auto key_hash = [](const std::string& key) {
+    return std::make_pair(key, Fnv1a(key));
+  };
+  EpochMap map;
+  const auto put_stable = [&](const std::string& value) {
+    for (size_t i = 0; i < kStable; ++i) {
+      const auto [key, h] = key_hash("stable" + std::to_string(i));
+      map.Upsert(key, h, value, 0, nullptr, nullptr);
+    }
+  };
+  put_stable("v0");
+  std::atomic<uint64_t> phase{0};
+  std::atomic<bool> park{false}, parked{false};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> walks{0}, missing{0}, unknown{0}, twice{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const uint64_t before = phase.load(std::memory_order_acquire);
+        std::vector<int> seen(kStable, 0);
+        size_t found = 0;
+        {
+          EpochGuard guard;
+          map.ForEach([&](const std::string& k, const EntryBlock& e) {
+            bool asked = true;
+            if (park.compare_exchange_strong(asked, false)) {
+              parked.store(true);
+              while (parked.load()) std::this_thread::yield();
+            }
+            if (e.value.empty() || e.value[0] != 'v') unknown.fetch_add(1);
+            if (k.rfind("stable", 0) == 0) {
+              if (++seen[std::stoul(k.substr(6)) % kStable] > 1) {
+                twice.fetch_add(1);
+              }
+            } else if (k.rfind("churn", 0) != 0 ||
+                       std::stoul(k.substr(5)) >= kChurn) {
+              unknown.fetch_add(1);
+            }
+            return true;
+          });
+          for (size_t i = 0; i < kStable; i += 7) {
+            const auto [key, h] = key_hash("stable" + std::to_string(i));
+            if (map.Find(key, h) != nullptr) ++found;
+          }
+        }
+        const uint64_t after = phase.load(std::memory_order_acquire);
+        if (before == after && before % 2 == 0) {
+          if (std::count(seen.begin(), seen.end(), 1) != kStable) {
+            missing.fetch_add(1);
+          }
+          if (found != (kStable + 6) / 7) missing.fetch_add(1);
+        }
+        walks.fetch_add(1);
+      }
+    });
+  }
+  const auto with_a_reader_parked = [&](auto burst) {
+    park.store(true);
+    while (!parked.load()) std::this_thread::yield();
+    burst();
+    parked.store(false);
+  };
+  size_t refused = 0;  // counted, not asserted: the readers must be joined
+  size_t longest = 0;
+  for (int round = 1; round <= 3; ++round) {
+    with_a_reader_parked([&] {
+      for (size_t i = 0; i < kChurn; ++i) {
+        const auto [key, h] = key_hash("churn" + std::to_string(i));
+        if (!map.Upsert(key, h, "v", 0, nullptr, nullptr)) ++refused;
+      }
+    });
+    longest = std::max(longest, map.longest_chain());
+    put_stable("v" + std::to_string(round));  // block swaps, no inserts
+    with_a_reader_parked([&] {
+      for (size_t i = 0; i < kChurn; i += 2) {
+        const auto [key, h] = key_hash("churn" + std::to_string(i));
+        if (!map.Erase(key, h, nullptr)) ++refused;
+      }
+    });
+    if (map.size() != kStable + kChurn / 2) ++refused;
+    with_a_reader_parked([&] {
+      phase.fetch_add(1);  // odd: stable keys may be absent
+      map.Clear();
+      put_stable("v0");
+      phase.fetch_add(1);
+    });
+  }
+  // Let every reader finish at least one walk against the final map.
+  const size_t floor = walks.load() + 2;
+  while (walks.load() < floor) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(refused, 0u);
+  EXPECT_EQ(missing.load(), 0u);
+  EXPECT_EQ(unknown.load(), 0u);
+  EXPECT_EQ(twice.load(), 0u);
+  EXPECT_LE(longest, 10u);
+  EXPECT_EQ(map.size(), kStable);
 }
 
 // ---- EpochPostingMap: the posting sets behind the GDPR indexes ------------
