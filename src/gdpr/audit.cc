@@ -113,35 +113,12 @@ Status AuditLog::OpenDurable(const AuditLogOptions& opts) {
   // Disk is authoritative: the replayed chain replaces any in-memory state
   // (a clean CloseDurable sealed everything to disk first, so a reopen on
   // the same object loses nothing).
-  for (Stage& st : stages_) {
-    std::lock_guard<std::mutex> sl(st.mu);
-    staged_.fetch_sub(st.entries.size(), std::memory_order_acq_rel);
-    st.entries.clear();
-  }
-  entries_.clear();
-  group_sizes_.clear();
-  pending_ = 0;
-  bytes_ = 0;
-  anchor_ = kGenesis;
-  head_ = kGenesis;
+  ResetChainLocked();
   epoch_ = 0;
   active_seg_ = 1;
   active_bytes_ = 0;
   io_status_ = Status::OK();
   FileRewrite::DiscardLeftover(opts_.env, RewriteTmpPath());
-  Status s = ReplayLocked();
-  if (!s.ok()) {
-    // Don't present the partially-replayed prefix as a healthy chain: a
-    // diagnostic VerifyChain() on this object after a refused open would
-    // otherwise report "verified" over exactly the bytes the open rejected.
-    entries_.clear();
-    group_sizes_.clear();
-    head_ = kGenesis;
-    anchor_ = kGenesis;
-    bytes_ = 0;
-    active_.reset();
-    return s;
-  }
   if (opts_.pipeline) {
     pipeline_ = opts_.pipeline;
   } else {
@@ -154,24 +131,32 @@ Status AuditLog::OpenDurable(const AuditLogOptions& opts) {
   }
   // No HealthTracker: the chain's health() derives from io_status_, which
   // latches on the first failed Commit.
-  target_ = pipeline_->Attach("audit", active_.get(), opts_.sync_policy);
+  target_ = pipeline_->Attach("audit", opts_.sync_policy);
+  Status s = pipeline_->WithFile(target_, [&](CommitPipeline::FileSlot& seg) {
+    Status rs = ReplayLocked(seg);
+    if (!rs.ok()) seg.reset();
+    return rs;
+  });
+  if (!s.ok()) {
+    // Don't present the partially-replayed prefix as a healthy chain: a
+    // diagnostic VerifyChain() on this object after a refused open would
+    // otherwise report "verified" over exactly the bytes the open rejected.
+    ResetChainLocked();
+    return s;
+  }
   durable_ = true;
   return Status::OK();
 }
 
-Status AuditLog::ReplayLocked() {
+Status AuditLog::ReplayLocked(CommitPipeline::FileSlot& active) {
   Env* env = opts_.env;
   if (!env->FileExists(SegmentPath(1))) {
     // Fresh chain: establish segment 1 with a genesis-anchored header.
     auto f = env->NewWritableFile(SegmentPath(1), /*truncate=*/true);
     if (!f.ok()) return f.status();
-    active_ = std::move(f.value());
-    uint64_t hdr = 0;
-    Status s = WriteSegmentHeaderLocked(active_.get(), epoch_, anchor_, &hdr);
-    if (!s.ok()) return s;
-    active_bytes_ = hdr;
-    active_seg_ = 1;
-    return Status::OK();
+    active = std::move(f.value());
+    return WriteSegmentHeaderLocked(active.get(), epoch_, anchor_,
+                                    &active_bytes_);
   }
   uint64_t seg = 1;
   bool rewrote_tail = false;
@@ -209,10 +194,7 @@ Status AuditLog::ReplayLocked() {
         // Stale leftovers of an interrupted compaction (segment 1 was
         // rewritten with a bumped epoch; these were about to be deleted).
         // Finish the job and stop — the compacted chain is complete.
-        for (uint64_t stale = seg; env->FileExists(SegmentPath(stale));
-             ++stale) {
-          env->DeleteFile(SegmentPath(stale)).ok();
-        }
+        DeleteSegmentsFromLocked(seg);
         active_seg_ = seg - 1;
         auto prev = env->ReadFileToString(SegmentPath(active_seg_));
         if (!prev.ok()) return prev.status();
@@ -296,12 +278,12 @@ Status AuditLog::ReplayLocked() {
     } else if (s.ok()) {
       s = fix.file()->Append(last_contents);
     }
-    if (s.ok()) s = fix.Commit(&active_);
+    if (s.ok()) s = fix.Commit(&active);
     return s;
   }
   auto f = env->NewWritableFile(SegmentPath(active_seg_), /*truncate=*/false);
   if (!f.ok()) return f.status();
-  active_ = std::move(f.value());
+  active = std::move(f.value());
   return Status::OK();
 }
 
@@ -311,14 +293,7 @@ Status AuditLog::CloseDurable() {
   DrainStagedLocked();
   SealPendingLocked();  // the tail becomes a durable group
   Status out = io_status_;
-  Status qs = pipeline_->WithQuiesced(target_, [&]() -> Status {
-    pipeline_->SetFile(target_, nullptr);
-    if (!active_) return Status::OK();
-    Status s = active_->Sync();
-    Status c = active_->Close();
-    active_.reset();
-    return s.ok() ? c : s;
-  });
+  Status qs = pipeline_->CloseFile(target_);
   if (out.ok() && !qs.ok()) out = qs;
   // The (now detached) target stays parked in the pipeline; a reopen
   // attaches a fresh one.
@@ -339,7 +314,7 @@ Status AuditLog::durable_status() const {
 }
 
 void AuditLog::PersistGroupLocked(const std::string& payload, size_t n) const {
-  if (!active_ || !io_status_.ok()) {
+  if (!io_status_.ok()) {
     // After one failed group the disk chain is a strict prefix; writing a
     // later group would leave a hash gap that replay must reject. Stay
     // offline until a compaction rewrites the full chain from memory.
@@ -371,38 +346,27 @@ void AuditLog::PersistGroupLocked(const std::string& payload, size_t n) const {
 void AuditLog::RotateLocked() const {
   // All commits to this target happen under mu_ (held here), so the
   // pipeline drains instantly and no writer can observe the swap.
-  Status qs = pipeline_->WithQuiesced(target_, [&]() -> Status {
-    pipeline_->SetFile(target_, nullptr);
-    Status s = active_->Sync();
-    if (s.ok()) s = active_->Close();
+  Status qs = pipeline_->WithFile(target_, [&](CommitPipeline::FileSlot&
+                                                    seg) -> Status {
+    Status s = seg->Sync();
+    if (s.ok()) s = seg->Close();
     if (!s.ok()) return s;
-    active_.reset();
+    seg.reset();
     ++active_seg_;
     // truncate=true: a stale same-numbered file (fenced leftover of an old
     // incarnation) must not leak frames ahead of ours. Rotation is a
     // background path and the truncating create is idempotent, so transient
     // failures get a bounded retry before the latch trips.
-    std::unique_ptr<WritableFile> next;
-    Status fs = RetryIo(opts_.io_policy, [&] {
-      auto f = opts_.env->NewWritableFile(SegmentPath(active_seg_),
-                                          /*truncate=*/true);
-      if (!f.ok()) return f.status();
-      next = std::move(f.value());
-      return Status::OK();
-    });
+    Status fs = OpenWithRetry(opts_.env, opts_.io_policy,
+                              SegmentPath(active_seg_), /*truncate=*/true,
+                              &seg);
     if (!fs.ok()) {
       --active_seg_;
       return fs;
     }
-    active_ = std::move(next);
-    uint64_t hdr = 0;
-    // Header written directly while the target is detached: the segment is
-    // not part of the commit stream until SetFile re-attaches it.
-    s = WriteSegmentHeaderLocked(active_.get(), epoch_, head_, &hdr);
-    if (!s.ok()) return s;
-    active_bytes_ = hdr;
-    pipeline_->SetFile(target_, active_.get());
-    return Status::OK();
+    // The header goes straight to the file: the segment joins the commit
+    // stream only when WithFile attaches it.
+    return WriteSegmentHeaderLocked(seg.get(), epoch_, head_, &active_bytes_);
   });
   if (!qs.ok()) io_status_ = qs;
 }
@@ -448,15 +412,15 @@ StatusOr<AuditCompactResult> AuditLog::Compact(int64_t now_micros) {
     }
   }
   Env* env = opts_.env;
-  // The whole rewrite runs with the target quiesced: the pipeline must not
-  // touch the handle being replaced, and SetFile at the end re-establishes
-  // the log (clearing any poison from the failure being healed).
-  Status cs = pipeline_->WithQuiesced(target_, [&]() -> Status {
-    pipeline_->SetFile(target_, nullptr);
-    if (active_) {
-      active_->Sync().ok();
-      active_->Close().ok();
-      active_.reset();
+  // The whole rewrite runs inside WithFile: the pipeline must not touch
+  // the segment being replaced, and the new file it ends with re-
+  // establishes the log (clearing any poison from the failure being healed).
+  Status cs = pipeline_->WithFile(target_, [&](CommitPipeline::FileSlot&
+                                                   seg) -> Status {
+    if (seg) {
+      seg->Sync().ok();
+      seg->Close().ok();
+      seg.reset();
     }
     FileRewrite rewrite(env, opts_.io_policy, RewriteTmpPath(),
                         SegmentPath(1));
@@ -482,26 +446,24 @@ StatusOr<AuditCompactResult> AuditLog::Compact(int64_t now_micros) {
       new_bytes += frame.size();
       at += n;
     }
-    // Commit point. A crash before the rename leaves the old segments
-    // authoritative (the temp is discarded on the next open); after it, the
-    // epoch bump fences the not-yet-deleted old segments off.
-    if (s.ok()) s = rewrite.Commit(&active_);
+    // Commit point. A crash before the rename is durable leaves the old
+    // segments authoritative (the temp is discarded on the next open);
+    // after it, the epoch bump fences the not-yet-deleted old ones off.
+    if (s.ok()) s = rewrite.Commit(&seg);
     if (!rewrite.committed()) {
       auto f =
           env->NewWritableFile(SegmentPath(active_seg_), /*truncate=*/false);
       if (f.ok()) {
-        active_ = std::move(f.value());
-        pipeline_->SetFile(target_, active_.get());
+        seg = std::move(f.value());
       } else {
         io_status_ = f.status();
       }
       return s;
     }
-    for (uint64_t stale = 2;
-         stale <= active_seg_ || env->FileExists(SegmentPath(stale));
-         ++stale) {
-      env->DeleteFile(SegmentPath(stale)).ok();
-    }
+    // A failed commit may have renamed without a durable directory entry:
+    // the old segments stay until a crash can no longer bring the old
+    // segment 1 back (replay drops them as stale leftovers meanwhile).
+    if (s.ok()) DeleteSegmentsFromLocked(2);
     epoch_ = next_epoch;
     entries_.erase(entries_.begin(), entries_.begin() + drop_entries);
     group_sizes_.erase(group_sizes_.begin(),
@@ -517,7 +479,6 @@ StatusOr<AuditCompactResult> AuditLog::Compact(int64_t now_micros) {
     // not be reopened for append.
     io_status_ = s;
     if (!s.ok()) return s;
-    pipeline_->SetFile(target_, active_.get());
     res.dropped_entries = drop_entries;
     res.dropped_groups = drop_groups;
     res.segments_after = 1;
@@ -679,8 +640,7 @@ size_t AuditLog::ApproximateBytes() const {
   return bytes_;
 }
 
-void AuditLog::Clear() {
-  std::lock_guard<std::mutex> l(mu_);
+void AuditLog::ResetChainLocked() {
   for (Stage& st : stages_) {
     std::lock_guard<std::mutex> sl(st.mu);
     staged_.fetch_sub(st.entries.size(), std::memory_order_acq_rel);
@@ -692,42 +652,39 @@ void AuditLog::Clear() {
   head_ = kGenesis;
   anchor_ = kGenesis;
   bytes_ = 0;
+}
+
+void AuditLog::DeleteSegmentsFromLocked(uint64_t first) const {
+  for (uint64_t seg = first;
+       seg <= active_seg_ || opts_.env->FileExists(SegmentPath(seg)); ++seg) {
+    opts_.env->DeleteFile(SegmentPath(seg)).ok();
+  }
+}
+
+void AuditLog::Clear() {
+  std::lock_guard<std::mutex> l(mu_);
+  ResetChainLocked();
   if (!durable_) return;
   // Destroy the backing too: a cleared chain whose disk still held the old
   // one would resurrect it on the next open. Delete the higher segments
   // first (a crash mid-clear then leaves the old segment 1, i.e. simply an
   // unfinished clear, never a fenced-off mix).
-  Env* env = opts_.env;
-  pipeline_->WithQuiesced(target_, [&]() -> Status {
-    pipeline_->SetFile(target_, nullptr);
-    if (active_) {
-      active_->Close().ok();
-      active_.reset();
+  // Fresh backing: the new segment 1 clears any poison too.
+  io_status_ = pipeline_->WithFile(target_, [&](CommitPipeline::FileSlot&
+                                                    active) -> Status {
+    if (active) {
+      active->Close().ok();
+      active.reset();
     }
-    for (uint64_t seg = 2;
-         seg <= active_seg_ || env->FileExists(SegmentPath(seg)); ++seg) {
-      env->DeleteFile(SegmentPath(seg)).ok();
-    }
+    DeleteSegmentsFromLocked(2);
     ++epoch_;
     active_seg_ = 1;
-    auto f = env->NewWritableFile(SegmentPath(1), /*truncate=*/true);
-    if (!f.ok()) {
-      io_status_ = f.status();
-      return Status::OK();
-    }
-    active_ = std::move(f.value());
-    uint64_t hdr = 0;
-    Status s = WriteSegmentHeaderLocked(active_.get(), epoch_, anchor_, &hdr);
-    if (!s.ok()) {
-      io_status_ = s;
-      return Status::OK();
-    }
-    active_bytes_ = hdr;
-    io_status_ = Status::OK();
-    // Fresh backing, fresh target: SetFile clears any poison too.
-    pipeline_->SetFile(target_, active_.get());
-    return Status::OK();
-  }).ok();
+    auto f = opts_.env->NewWritableFile(SegmentPath(1), /*truncate=*/true);
+    if (!f.ok()) return f.status();
+    active = std::move(f.value());
+    return WriteSegmentHeaderLocked(active.get(), epoch_, anchor_,
+                                    &active_bytes_);
+  });
 }
 
 size_t AuditLog::seal_interval() const {

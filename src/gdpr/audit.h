@@ -179,6 +179,11 @@ class AuditLog {
   std::string SegmentPath(uint64_t n) const;
   // Temp of every segment rewrite (torn-tail repair and compaction).
   std::string RewriteTmpPath() const { return opts_.path + ".compact.tmp"; }
+  // Deletes segment `first` and every later one, through the active
+  // segment or the last on disk, whichever is further.
+  void DeleteSegmentsFromLocked(uint64_t first) const;
+  // Empties the in-memory chain: stages, entries, groups, anchor and head.
+  void ResetChainLocked();
   void SealPendingLocked() const;
   // Appends the just-sealed group's frame through the commit pipeline and
   // rotates when the segment passes rotate_bytes. Errors latch io_status_
@@ -188,7 +193,9 @@ class AuditLog {
   Status WriteSegmentHeaderLocked(WritableFile* f, uint64_t epoch,
                                   const std::string& anchor,
                                   uint64_t* bytes) const;
-  Status ReplayLocked();
+  // Replays the segments into memory and leaves the last one open for
+  // append in `active` (repairing a torn tail first).
+  Status ReplayLocked(CommitPipeline::FileSlot& active);
 
   // --- per-shard append staging -------------------------------------------
   // Append() pushes into one of kStages slot buffers picked per thread,
@@ -233,7 +240,6 @@ class AuditLog {
   // which persists — happens on const chain reads) ---
   AuditLogOptions opts_;
   bool durable_ = false;
-  mutable std::unique_ptr<WritableFile> active_;
   mutable uint64_t active_bytes_ = 0;
   mutable uint64_t active_seg_ = 1;
   uint64_t epoch_ = 0;
@@ -249,14 +255,12 @@ class AuditLog {
   uint64_t dropped_entries_total_ = 0;
 
   // Group-commit plumbing: frames flow Commit() -> committer thread ->
-  // active_. The pipeline BORROWS active_; every handle swap (rotation,
-  // compaction, clear, close) happens inside WithQuiesced + SetFile.
+  // the active segment, which target_ owns; replay, rotation, compaction
+  // and clear reach it through WithFile, close through CloseFile.
   // nullptr while not durable. A fresh target is attached per OpenDurable
   // (stale ones stay detached in the pipeline, which is harmless).
   CommitPipeline* pipeline_ = nullptr;
   mutable CommitPipeline::Target* target_ = nullptr;
-  // Declared last: destroyed first, so the committer thread joins before
-  // active_ (which its target points at) goes away.
   std::unique_ptr<CommitPipeline> owned_pipeline_;
 };
 

@@ -46,8 +46,8 @@ MemKV::MemKV(const Options& options) : options_(options) {
     owned_pipeline_ = std::make_unique<CommitPipeline>(po);
     pipeline_ = owned_pipeline_.get();
   }
-  aof_target_ = pipeline_->Attach("kv-aof", nullptr, options_.sync_policy,
-                                  &health_, m_aof_syncs_, m_aof_sync_fail_);
+  aof_target_ = pipeline_->Attach("kv-aof", options_.sync_policy, &health_,
+                                  m_aof_syncs_, m_aof_sync_fail_);
 }
 
 void MemKV::InitMetrics() {
@@ -103,6 +103,7 @@ Status MemKV::Open() {
     FileRewrite::DiscardLeftover(env_, CompactTmpPath(options_.aof_path));
     Status s = Status::OK();
     size_t valid = 0;
+    CommitPipeline::FileSlot aof;
     if (env_->FileExists(options_.aof_path)) {
       // An unreadable existing log must not open as an empty store: the
       // next append would strand everything already on disk.
@@ -123,26 +124,23 @@ Status MemKV::Open() {
           s = fix.file()->Append(
               std::string_view(contents.value()).substr(0, valid));
         }
-        if (s.ok()) s = fix.Commit(&aof_);
+        if (s.ok()) s = fix.Commit(&aof);
       }
     }
-    if (s.ok() && !aof_) {
+    if (s.ok() && !aof) {
       auto file = env_->NewWritableFile(options_.aof_path, /*truncate=*/false);
       s = file.status();
-      if (s.ok()) aof_ = std::move(file.value());
+      if (s.ok()) aof = std::move(file.value());
     }
     if (!s.ok()) {
       health_.Fail(s);
       return s;
     }
     m_aof_log_bytes_->Set(static_cast<int64_t>(valid));
-    pipeline_
-        ->WithQuiesced(aof_target_,
-                       [&] {
-                         pipeline_->SetFile(aof_target_, aof_.get());
-                         return Status::OK();
-                       })
-        .ok();
+    (void)pipeline_->WithFile(aof_target_, [&](CommitPipeline::FileSlot& f) {
+      f = std::move(aof);
+      return Status::OK();
+    });
     aof_active_.store(true, std::memory_order_release);
   }
   open_.store(true);
@@ -157,21 +155,11 @@ Status MemKV::Close() {
   // dead nodes in the global lists.
   EpochManager::Global().DrainRetired();
   aof_active_.store(false, std::memory_order_release);
-  // compact_mu_ keeps a racing CompactAof from swapping the handle while
-  // we detach and close it.
+  // compact_mu_ keeps a racing CompactAof from swapping the file while we
+  // close it. Every queued frame is written before the final sync — an
+  // acked write never dies in the ring, whatever the sync policy.
   std::lock_guard<std::mutex> compact_lock(compact_mu_);
-  if (aof_) {
-    // Quiesce: every queued frame is written (and synced per policy)
-    // before the target detaches — an acked write never dies in the ring.
-    return pipeline_->WithQuiesced(aof_target_, [&] {
-      pipeline_->SetFile(aof_target_, nullptr);
-      aof_->Flush().ok();
-      Status s = aof_->Close();
-      aof_.reset();
-      return s;
-    });
-  }
-  return Status::OK();
+  return pipeline_->CloseFile(aof_target_);
 }
 
 void MemKV::RegisterTtlLocked(Shard& s, const std::string& key,
@@ -693,9 +681,7 @@ Status MemKV::AofReplay(const std::string& contents, size_t* valid_prefix) {
       // Resuming lower would reuse ChaCha20 (key, seq) nonces.
       uint64_t seq = 0;
       if (!GetFixed64(&in, &seq)) return Status::OK();
-      uint64_t cur = seal_seq_.load();
-      while (seq + 1 > cur && !seal_seq_.compare_exchange_weak(cur, seq + 1)) {
-      }
+      RaiseSealSeq(seq);
       mark_valid();
       continue;
     }
@@ -715,9 +701,7 @@ Status MemKV::AofReplay(const std::string& contents, size_t* valid_prefix) {
         for (int i = 0; i < 8; ++i) {
           seq |= uint64_t(uint8_t(value[size_t(i)])) << (8 * i);
         }
-        uint64_t cur = seal_seq_.load();
-        while (seq + 1 > cur && !seal_seq_.compare_exchange_weak(cur, seq + 1)) {
-        }
+        RaiseSealSeq(seq);
       }
       if (expiry != 0 && int64_t(expiry) <= now) {
         // The last write of this key is already dead: erase any earlier
@@ -772,7 +756,29 @@ Status MemKV::AofReplay(const std::string& contents, size_t* valid_prefix) {
   return Status::OK();
 }
 
+void MemKV::RaiseSealSeq(uint64_t seq) {
+  uint64_t cur = seal_seq_.load();
+  while (seq + 1 > cur && !seal_seq_.compare_exchange_weak(cur, seq + 1)) {
+  }
+}
+
 // --- AOF rewrite -------------------------------------------------------------
+
+void MemKV::SetRewriteMirror(bool on) {
+  std::function<void(std::string_view)> tee;
+  if (on) {
+    tee = [this](std::string_view batch) {
+      std::lock_guard<std::mutex> rl(rewrite_mu_);
+      rewrite_buf_.append(batch);
+    };
+  }
+  (void)pipeline_->WithFile(aof_target_, [&](CommitPipeline::FileSlot&) {
+    pipeline_->SetTee(aof_target_, std::move(tee));
+    std::lock_guard<std::mutex> rl(rewrite_mu_);
+    rewrite_buf_.clear();
+    return Status::OK();
+  });
+}
 
 Status MemKV::CompactAof() {
   if (!options_.aof_enabled) return Status::OK();  // nothing on disk to shrink
@@ -788,21 +794,7 @@ Status MemKV::CompactAof() {
   // A degraded store may have no live handle (failed re-establishment);
   // the rewrite proceeds anyway — memory is authoritative and a
   // successful pass heals it.
-  pipeline_
-      ->WithQuiesced(aof_target_,
-                     [&] {
-                       {
-                         std::lock_guard<std::mutex> rl(rewrite_mu_);
-                         rewrite_buf_.clear();
-                       }
-                       pipeline_->SetTee(
-                           aof_target_, [this](std::string_view batch) {
-                             std::lock_guard<std::mutex> rl(rewrite_mu_);
-                             rewrite_buf_.append(batch);
-                           });
-                       return Status::OK();
-                     })
-      .ok();
+  SetRewriteMirror(true);
   aof_rewrite_starts_.fetch_add(1);
   // Phase 2: snapshot live state into the temp file, one shard lock at a
   // time (writers to other shards proceed). Stored values are copied
@@ -836,24 +828,16 @@ Status MemKV::CompactAof() {
   // under the lock covers only the small racing-write tail.
   if (st.ok()) st = rewrite.file()->Sync();
   if (!st.ok()) {
-    // Disarm the tee; the temp goes away with `rewrite`.
-    pipeline_
-        ->WithQuiesced(aof_target_,
-                       [&] {
-                         pipeline_->SetTee(aof_target_, nullptr);
-                         std::lock_guard<std::mutex> rl(rewrite_mu_);
-                         rewrite_buf_.clear();
-                         return Status::OK();
-                       })
-        .ok();
+    SetRewriteMirror(false);  // the temp goes away with `rewrite`
     return st;
   }
   // Phase 3: quiesce the pipeline (queued frames drain to the old log and
   // into the mirror, new commits park at the pipeline gate), drain the
   // mirror buffer, emit the tombstone snapshot, fsync the tail, and
   // atomically swap the logs. Writers stall only for this window — the
-  // p99 cost bench_compaction measures. A crash before the rename leaves
-  // the old AOF authoritative; after it, the new one. Never a mix.
+  // p99 cost bench_compaction measures. A crash before the rename is
+  // durable leaves the old AOF authoritative; after, the new one. Never a
+  // mix.
   //
   // The tombstone snapshot comes AFTER the mirror drain, not in phase 2:
   // a Get's 'R' frame enqueued only while its key was un-tombstoned (the
@@ -864,7 +848,8 @@ Status MemKV::CompactAof() {
   // the live log guarantees. Tombstones outlive the records they
   // evidence: the erased data's frames are gone from the new log, the
   // proof of erasure is not.
-  Status swap = pipeline_->WithQuiesced(aof_target_, [&]() -> Status {
+  Status swap = pipeline_->WithFile(aof_target_, [&](CommitPipeline::FileSlot&
+                                                         aof) -> Status {
     pipeline_->SetTee(aof_target_, nullptr);
     {
       std::lock_guard<std::mutex> rl(rewrite_mu_);
@@ -898,15 +883,13 @@ Status MemKV::CompactAof() {
     }
     if (st.ok()) st = rewrite.Seal();
     if (!st.ok()) return st;
-    if (aof_) {
+    if (aof) {
       // Best-effort: a degraded (poisoned) handle errors here, which is
       // fine — the rename below replaces its file wholesale.
-      (void)aof_->Flush().ok();
-      (void)aof_->Close().ok();
-      aof_.reset();
+      (void)aof->Close().ok();
+      aof.reset();
     }
-    pipeline_->SetFile(aof_target_, nullptr);
-    st = rewrite.Commit(&aof_);
+    st = rewrite.Commit(&aof);
     if (!st.ok()) {
       // Memory state is intact but the log handle is gone. Degrade to
       // read-only instead of accepting writes that would silently vanish
@@ -915,9 +898,8 @@ Status MemKV::CompactAof() {
       health_.Degrade(st);
       return st;
     }
-    // Re-establishing the file clears the pipeline's poison latch: the
-    // whole log was just rebuilt from authoritative memory and fsynced.
-    pipeline_->SetFile(aof_target_, aof_.get());
+    // The new file clears the pipeline's poison latch: the whole log was
+    // just rebuilt from authoritative memory and fsynced.
     m_aof_log_bytes_->Set(static_cast<int64_t>(tmp_bytes));
     aof_active_.store(true, std::memory_order_release);
     health_.Heal();

@@ -293,6 +293,12 @@ class MemKV {
   // the byte offset of that point (== contents.size() when the log is
   // whole). Returns non-OK only for damage replay cannot skip.
   Status AofReplay(const std::string& contents, size_t* valid_prefix);
+  // Resumes the seal counter above a replayed `seq`: a lower resume would
+  // reuse ChaCha20 (key, seq) nonces.
+  void RaiseSealSeq(uint64_t seq);
+  // Starts (on) or drops (off) CompactAof's mirror tee, emptying
+  // rewrite_buf_ either way.
+  void SetRewriteMirror(bool on);
   static void EncodeAofRecord(std::string* dst, char op, const std::string& key,
                               const std::string& value, int64_t expiry);
 
@@ -328,13 +334,10 @@ class MemKV {
   // All AOF appends flow through the group-commit pipeline: callers
   // enqueue framed records (Commit blocks until durability is decided per
   // sync policy) and the committer thread batches them into single
-  // write()+fsync calls. The file handle itself is swapped only under
-  // pipeline quiesce (Open, Close, CompactAof phase 3).
-  std::unique_ptr<WritableFile> aof_;
+  // write()+fsync calls. The AOF file lives in aof_target_; Open, Close
+  // and CompactAof phase 3 reach it through WithFile / CloseFile.
   CommitPipeline* pipeline_ = nullptr;
   CommitPipeline::Target* aof_target_ = nullptr;
-  // Declared after aof_ so the committer thread is joined (and can no
-  // longer touch the handle) before the handle is destroyed.
   std::unique_ptr<CommitPipeline> owned_pipeline_;
   // Checked on hot paths; the pipeline acks detached targets as OK so the
   // flag is advisory, not a correctness gate.

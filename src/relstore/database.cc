@@ -24,10 +24,10 @@ Database::Database(const RelOptions& options) : options_(options) {
     owned_pipeline_ = std::make_unique<CommitPipeline>(po);
     pipeline_ = owned_pipeline_.get();
   }
-  wal_target_ = pipeline_->Attach("rel-wal", nullptr, options_.sync_policy,
-                                  &wal_health_);
-  stmt_target_ = pipeline_->Attach("rel-stmt", nullptr, options_.sync_policy,
-                                   &stmt_health_);
+  wal_target_ =
+      pipeline_->Attach("rel-wal", options_.sync_policy, &wal_health_);
+  stmt_target_ =
+      pipeline_->Attach("rel-stmt", options_.sync_policy, &stmt_health_);
 }
 
 void Database::InitMetrics() {
@@ -99,6 +99,7 @@ Status Database::Open() {
       replay_stats_.from_snapshot = true;
     }
     Status s = Status::OK();
+    CommitPipeline::FileSlot wal;
     if (env_->FileExists(options_.wal_path)) {
       auto contents = env_->ReadFileToString(options_.wal_path);
       if (!contents.ok()) {
@@ -125,7 +126,7 @@ Status Database::Open() {
         // Pre-checkpoint WAL: the crash hit between the snapshot rename
         // and the WAL truncate. Every byte of this log is already inside
         // the snapshot — finish the interrupted truncation now.
-        s = StampWal(epoch_);
+        s = StampWal(wal, epoch_);
       } else {
         const size_t frame_len = size_t(body.data() - contents.value().data());
         const size_t valid = ParseWal(body);
@@ -148,7 +149,7 @@ Status Database::Open() {
                           options_.wal_path);
           s = fix.Open();
           if (s.ok()) s = fix.file()->Append(keep);
-          if (s.ok()) s = fix.Commit(&wal_);
+          if (s.ok()) s = fix.Commit(&wal);
           m_wal_log_bytes_->Set(static_cast<int64_t>(keep.size()));
         } else {
           m_wal_log_bytes_->Set(static_cast<int64_t>(contents.value().size()));
@@ -162,37 +163,38 @@ Status Database::Open() {
       seal_seq_.store(snapshot_seal_seq + 1);
       // Fresh WAL next to an existing snapshot: stamp the epoch so the
       // tail is recognized as post-checkpoint on the next recovery.
-      if (has_snapshot) s = StampWal(epoch_);
+      if (has_snapshot) s = StampWal(wal, epoch_);
     }
-    if (s.ok() && !wal_) {
+    if (s.ok() && !wal) {
       auto f = env_->NewWritableFile(options_.wal_path, /*truncate=*/false);
       s = f.status();
-      if (f.ok()) wal_ = std::move(f.value());
+      if (f.ok()) wal = std::move(f.value());
     }
     if (!s.ok()) {
       wal_health_.Fail(s);
       return s;
     }
-    pipeline_
-        ->WithQuiesced(wal_target_,
-                       [&] {
-                         pipeline_->SetFile(wal_target_, wal_.get());
-                         return Status::OK();
-                       })
-        .ok();
+    (void)pipeline_->WithFile(wal_target_, [&](CommitPipeline::FileSlot& f) {
+      f = std::move(wal);
+      return Status::OK();
+    });
   }
   if (options_.log_statements) {
     if (options_.statement_log_path.empty()) {
       return Status::InvalidArgument(
           "log_statements requires statement_log_path");
     }
-    auto f =
-        env_->NewWritableFile(options_.statement_log_path, /*truncate=*/false);
-    if (!f.ok()) {
-      stmt_health_.Fail(f.status());
+    Status s = pipeline_->WithFile(stmt_target_, [&](CommitPipeline::FileSlot&
+                                                         log) {
+      auto f = env_->NewWritableFile(options_.statement_log_path,
+                                     /*truncate=*/false);
+      if (f.ok()) log = std::move(f.value());
       return f.status();
+    });
+    if (!s.ok()) {
+      stmt_health_.Fail(s);
+      return s;
     }
-    stmt_log_ = std::move(f.value());
     stmt_bytes_ = 0;
     if (options_.stmt_log_rotate_bytes != 0) {
       // Resume the rotation threshold across restarts: a reopened log is
@@ -201,13 +203,6 @@ Status Database::Open() {
       if (existing.ok()) stmt_bytes_ = existing.value();
     }
     m_stmt_log_bytes_->Set(static_cast<int64_t>(stmt_bytes_));
-    pipeline_
-        ->WithQuiesced(stmt_target_,
-                       [&] {
-                         pipeline_->SetFile(stmt_target_, stmt_log_.get());
-                         return Status::OK();
-                       })
-        .ok();
     stmt_active_.store(true, std::memory_order_release);
   }
   open_ = true;
@@ -217,43 +212,17 @@ Status Database::Open() {
 Status Database::Close() {
   if (!open_) return Status::OK();
   open_ = false;
-  // First failure wins: a lost final flush/sync must not read as a clean
+  // First failure wins: a lost final sync must not read as a clean
   // shutdown — the recovery story depends on knowing the tail is suspect.
-  Status out = Status::OK();
-  auto record = [&out](Status s) {
-    if (out.ok() && !s.ok()) out = s;
-  };
   // checkpoint_mu_ keeps a racing Checkpoint() from swapping the WAL
-  // handle while we detach and close it. Quiescing drains every queued
-  // frame (written + synced per policy) before the targets detach.
+  // while we close it. Every queued frame is written before each log's
+  // final sync.
   std::lock_guard<std::mutex> ck(checkpoint_mu_);
-  record(pipeline_->WithQuiesced(wal_target_, [&] {
-    pipeline_->SetFile(wal_target_, nullptr);
-    Status s = Status::OK();
-    if (wal_) {
-      s = wal_->Flush();
-      Status cs = wal_->Close();
-      if (s.ok()) s = cs;
-      wal_.reset();
-    }
-    return s;
-  }));
+  Status wal = pipeline_->CloseFile(wal_target_);
   stmt_active_.store(false, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> l(stmt_mu_);
-    record(pipeline_->WithQuiesced(stmt_target_, [&] {
-      pipeline_->SetFile(stmt_target_, nullptr);
-      Status s = Status::OK();
-      if (stmt_log_) {
-        s = stmt_log_->Flush();
-        Status cs = stmt_log_->Close();
-        if (s.ok()) s = cs;
-        stmt_log_.reset();
-      }
-      return s;
-    }));
-  }
-  return out;
+  std::lock_guard<std::mutex> l(stmt_mu_);
+  Status stmt = pipeline_->CloseFile(stmt_target_);
+  return wal.ok() ? stmt : wal;
 }
 
 bool Database::DecodeCells(std::string_view* in, Row* out) {
@@ -528,8 +497,8 @@ Status Database::Insert(Table* t, Row row) {
   // The WAL carries the stored (possibly sealed) cells: with encryption on,
   // personal data must not reach disk in plaintext. Length-prefixed binary
   // framing — sealed cells contain arbitrary bytes, so a text format would
-  // be unparseable on replay. Gate on the option, not the handle: wal_ is
-  // swapped by Checkpoint under wal_mu_, which this thread does not hold.
+  // be unparseable on replay. Gate on the option, not the handle: the WAL
+  // file lives in the pipeline and Checkpoint swaps it there.
   std::string wal_line;
   if (options_.wal_enabled) {
     wal_line.push_back('I');
@@ -922,21 +891,26 @@ Status Database::Checkpoint() {
   // old snapshot and the full WAL are still authoritative, so the store
   // stays healthy and the caller may simply try again later. After the
   // rename, the new snapshot makes the old WAL redundant (recovery drops
-  // an epoch-mismatched log).
+  // an epoch-mismatched log). A rename whose directory sync failed is
+  // visible but maybe not durable: the WAL may neither be truncated (a
+  // crash can bring the old snapshot back) nor take more writes (recovery
+  // would drop them with the old WAL), so it degrades until a checkpoint
+  // succeeds.
   if (s.ok()) s = snapshot.Commit(/*reopened=*/nullptr);
-  if (!s.ok()) return s;
+  if (!s.ok()) {
+    if (snapshot.committed()) wal_health_.Degrade(s);
+    return s;
+  }
   const uint64_t wal_before = WalBytes();
   // Quiesce the pipeline for the swap. Every table lock is held shared, so
   // no mutator is mid-commit; the quiesce drains whatever the committer
   // had in flight and parks new commits until the stamped WAL is in.
-  Status ws = pipeline_->WithQuiesced(wal_target_, [&]() -> Status {
-    pipeline_->SetFile(wal_target_, nullptr);
-    if (wal_) {
-      wal_->Flush().ok();
-      wal_->Close().ok();
-      wal_.reset();
-    }
-    Status fs = StampWal(next_epoch);
+  Status ws = pipeline_->WithFile(wal_target_, [&](CommitPipeline::FileSlot&
+                                                        wal) -> Status {
+    // Closed before the truncating reopen, so no buffered tail of the old
+    // handle can land in the new file.
+    if (wal) (void)wal->Close().ok();
+    Status fs = StampWal(wal, next_epoch);
     if (!fs.ok()) {
       // The snapshot committed but the WAL could not be re-established.
       // Writes from here on would either be lost silently (no handle) or
@@ -946,10 +920,9 @@ Status Database::Checkpoint() {
       wal_health_.Degrade(fs);
       return fs;
     }
-    // Re-attaching clears the pipeline's poison latch: a freshly stamped
+    // The new file clears the pipeline's poison latch: a freshly stamped
     // WAL next to a snapshot of all of memory is exactly the full rewrite
     // a previously degraded WAL was waiting for.
-    pipeline_->SetFile(wal_target_, wal_.get());
     wal_health_.Heal();
     return Status::OK();
   });
@@ -963,19 +936,15 @@ Status Database::Checkpoint() {
   return Status::OK();
 }
 
-Status Database::StampWal(uint64_t epoch) {
-  Status s = RetryIo(options_.io_policy, [&] {
-    auto f = env_->NewWritableFile(options_.wal_path, /*truncate=*/true);
-    if (!f.ok()) return f.status();
-    wal_ = std::move(f.value());
-    return Status::OK();
-  });
+Status Database::StampWal(CommitPipeline::FileSlot& wal, uint64_t epoch) {
+  Status s = OpenWithRetry(env_, options_.io_policy, options_.wal_path,
+                           /*truncate=*/true, &wal);
   std::string frame(1, 'E');
   PutVarint64(&frame, epoch);
-  if (s.ok()) s = wal_->Append(frame);
-  if (s.ok()) s = wal_->Sync();
+  if (s.ok()) s = wal->Append(frame);
+  if (s.ok()) s = wal->Sync();
   if (!s.ok()) {
-    wal_.reset();
+    wal.reset();
     return s;
   }
   m_wal_log_bytes_->Set(static_cast<int64_t>(frame.size()));
@@ -994,8 +963,8 @@ CheckpointStats Database::GetCheckpointStats() const {
 }
 
 Status Database::LogStatement(const std::string& text) {
-  // The unlocked gate reads the atomic flag, never the pointer: Close()
-  // resets stmt_log_ under stmt_mu_, and a raw pointer check here raced it.
+  // The unlocked gate reads the atomic flag: Close() drops the statement
+  // log under stmt_mu_, which this path does not hold.
   if (!stmt_logging()) return Status::OK();
   // Degraded statement logging suspends silently for reads: mutations are
   // already refused at WalHealthy(), and failing every SELECT would turn
@@ -1026,11 +995,11 @@ Status Database::RotateStatementLogLocked() {
   // Quiesce the pipeline for the handle swap: queued statement frames
   // drain into the old segment (they logically precede the rotation),
   // racing commits park at the pipeline gate until the fresh log is in.
-  return pipeline_->WithQuiesced(stmt_target_, [&]() -> Status {
-    pipeline_->SetFile(stmt_target_, nullptr);
-    Status s = stmt_log_->Flush();
-    if (s.ok()) s = stmt_log_->Close();
-    stmt_log_.reset();
+  return pipeline_->WithFile(stmt_target_, [&](CommitPipeline::FileSlot&
+                                                  log) -> Status {
+    Status s = log->Sync();
+    if (s.ok()) s = log->Close();
+    log.reset();
     const std::string& base = options_.statement_log_path;
     const size_t max = std::max<size_t>(options_.stmt_log_max_segments, 1);
     if (s.ok()) {
@@ -1045,17 +1014,13 @@ Status Database::RotateStatementLogLocked() {
       }
     }
     if (s.ok()) s = env_->RenameFile(base, base + ".1");
+    if (s.ok()) s = env_->SyncDir(base);
     if (s.ok()) {
       // Background path: bounded retry on transient failure — re-creating
       // the truncated fresh log is idempotent.
-      s = RetryIo(options_.io_policy, [&] {
-        auto f = env_->NewWritableFile(base, /*truncate=*/true);
-        if (!f.ok()) return f.status();
-        stmt_log_ = std::move(f.value());
-        return Status::OK();
-      });
+      s = OpenWithRetry(env_, options_.io_policy, base, /*truncate=*/true,
+                        &log);
       if (s.ok()) {
-        pipeline_->SetFile(stmt_target_, stmt_log_.get());
         stmt_bytes_ = 0;
         m_stmt_log_bytes_->Set(0);
       }

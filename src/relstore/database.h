@@ -301,17 +301,17 @@ class Database {
   // stmt_mu_. Failure (after bounded retry) degrades the store: mutations
   // refuse, reads serve unlogged.
   Status RotateStatementLogLocked();
-  // Hot-path gate for "is statement logging on": the stmt_log_ pointer is
-  // reset by Close() under stmt_mu_, so unlocked reads of it race; this
-  // flag is what the fast paths may read.
+  // Hot-path gate for "is statement logging on": Close() drops the
+  // statement log under stmt_mu_, so this flag is what the fast paths read.
   bool stmt_logging() const {
     return stmt_active_.load(std::memory_order_acquire);
   }
   Status WalAppend(const std::string& text);
-  // Truncates the WAL into a fresh wal_ stamped with `epoch` (a synced 'E'
-  // frame). Only for a WAL already inside the snapshot: the truncation
-  // loses nothing. The caller decides what a failure does to health.
-  Status StampWal(uint64_t epoch);
+  // Truncates the WAL into a fresh file in `wal` stamped with `epoch` (a
+  // synced 'E' frame); `wal` is left empty on failure. Only for a WAL
+  // already inside the snapshot: the truncation loses nothing. The caller
+  // decides what a failure does to health.
+  Status StampWal(CommitPipeline::FileSlot& wal, uint64_t epoch);
   // Pre-mutation gate: mutators apply to memory before their WAL append,
   // so an offline WAL must reject the op up front, not after the fact.
   Status WalHealthy();
@@ -358,16 +358,11 @@ class Database {
   std::atomic<uint64_t> last_ckpt_snapshot_bytes_{0};
   std::atomic<int64_t> last_ckpt_micros_{0};
 
-  // Both log handles are written only by the group-commit pipeline's
-  // committer thread; the handles themselves are swapped only under
-  // pipeline quiesce (Open, Close, Checkpoint, statement-log rotation).
-  std::unique_ptr<WritableFile> wal_;
   // Degraded when the WAL can no longer be trusted to persist acked
   // mutations (failed hot-path append/sync, failed re-establishment after
   // a checkpoint). Healed by the next successful Checkpoint().
   HealthTracker wal_health_;
   std::mutex stmt_mu_;
-  std::unique_ptr<WritableFile> stmt_log_;
   uint64_t stmt_bytes_ = 0;  // active statement log length; under stmt_mu_
   // Degraded when statement logging failed (append or rotation): evidence
   // of later statements would be lost, so mutations refuse and read
@@ -375,11 +370,12 @@ class Database {
   HealthTracker stmt_health_;
   std::atomic<bool> stmt_active_{false};
 
+  // Both log files live in their pipeline targets: the committer thread
+  // writes them, and Open, Close, Checkpoint and statement-log rotation
+  // reach them through WithFile / CloseFile.
   CommitPipeline* pipeline_ = nullptr;
   CommitPipeline::Target* wal_target_ = nullptr;
   CommitPipeline::Target* stmt_target_ = nullptr;
-  // Declared after the log handles so the committer thread is joined
-  // before either handle is destroyed.
   std::unique_ptr<CommitPipeline> owned_pipeline_;
 
   bool open_ = false;

@@ -17,6 +17,16 @@ struct CommitWaiter {
   std::condition_variable cv;
   bool done = false;
   Status status;
+
+  // Notifies under the mutex: the waiter frees its stack slot the moment
+  // it observes done, so a notify after unlock would race the condvar's
+  // destruction.
+  void Finish(const Status& s) {
+    std::lock_guard<std::mutex> l(mu);
+    status = s;
+    done = true;
+    cv.notify_one();
+  }
 };
 
 struct CommitPipeline::Frame {
@@ -38,9 +48,9 @@ struct CommitPipeline::Target {
   obs::Counter* sync_failures = nullptr;
   obs::Histogram* stall_us = nullptr;
 
-  // Changed only while quiesced (committer idle, writers excluded), so the
+  // Changed only inside WithFile (committer idle, writers parked), so the
   // committer reads these without a lock.
-  WritableFile* file = nullptr;
+  std::unique_ptr<WritableFile> file;
   std::function<void(std::string_view)> tee;
 
   std::vector<std::unique_ptr<Ring>> rings;
@@ -53,7 +63,7 @@ struct CommitPipeline::Target {
   int64_t last_sync_us = 0;  // committer-only (reset under quiesce)
   size_t steal_cursor = 0;   // committer-only
 
-  // Writers hold shared while enqueuing; WithQuiesced holds unique so a
+  // Writers hold shared while enqueuing; WithFile holds unique so a
   // swap/rotation never races an enqueue.
   std::shared_mutex pause_mu;
 };
@@ -90,14 +100,12 @@ uint64_t CommitPipeline::NowMicros() const {
 }
 
 CommitPipeline::Target* CommitPipeline::Attach(std::string name,
-                                               WritableFile* file,
                                                SyncPolicy sync,
                                                HealthTracker* health,
                                                obs::Counter* syncs,
                                                obs::Counter* sync_failures) {
   auto t = std::make_unique<Target>();
   t->name = std::move(name);
-  t->file = file;
   t->sync = sync;
   t->health = health;
   t->syncs = syncs;
@@ -120,10 +128,7 @@ Status CommitPipeline::Commit(Target* t, std::string frame,
   CommitWaiter w;
   {
     std::shared_lock<std::shared_mutex> pause(t->pause_mu);
-    if (t->poisoned.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> l(mu_);
-      return t->poison_status;
-    }
+    if (t->poisoned.load(std::memory_order_acquire)) return PoisonStatus(t);
     Ring& r = *t->rings[ring_hint % t->rings.size()];
     std::lock_guard<std::mutex> rl(r.mu);
     // The gate runs under the ring mutex: whatever state it observes is
@@ -162,8 +167,8 @@ void CommitPipeline::RequestSync(Target* t) {
   cv_work_.notify_one();
 }
 
-Status CommitPipeline::WithQuiesced(Target* t,
-                                    const std::function<Status()>& fn) {
+Status CommitPipeline::WithFile(
+    Target* t, const std::function<Status(FileSlot& file)>& fn) {
   std::unique_lock<std::shared_mutex> pause(t->pause_mu);
   t->quiescing.store(true);  // seq_cst: pairs with the committer's
                              // in_flight handshake around timed syncs
@@ -174,20 +179,31 @@ Status CommitPipeline::WithQuiesced(Target* t,
       return t->queued.load() == 0 && !t->in_flight.load();
     });
   }
-  Status s = fn();
+  // Serials, not addresses: a handle opened after the old one was freed
+  // may reuse its address and must still count as a new file.
+  const auto serial = [&] { return t->file ? t->file->serial() : 0; };
+  const uint64_t before = serial();
+  Status s = fn(t->file);
+  if (serial() != before) {
+    t->last_sync_us = clock_->NowMicros();
+    t->sync_requested.store(false);
+    std::lock_guard<std::mutex> l(mu_);
+    t->poison_status = Status::OK();
+    t->poisoned.store(false, std::memory_order_release);
+  }
   t->quiescing.store(false);
   return s;
 }
 
-void CommitPipeline::SetFile(Target* t, WritableFile* file) {
-  t->file = file;
-  t->last_sync_us = clock_->NowMicros();
-  t->sync_requested.store(false);
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    t->poison_status = Status::OK();
-  }
-  t->poisoned.store(false, std::memory_order_release);
+Status CommitPipeline::CloseFile(Target* t) {
+  return WithFile(t, [&](FileSlot& file) {
+    if (!file) return Status::OK();
+    Status s = PoisonStatus(t);  // OK unless poisoned
+    if (s.ok()) s = SyncFile(t);
+    Status c = file->Close();
+    file.reset();
+    return s.ok() ? c : s;
+  });
 }
 
 void CommitPipeline::SetTee(Target* t,
@@ -225,27 +241,11 @@ void CommitPipeline::CommitterLoop() {
   }
 }
 
-void CommitPipeline::FailBatch(Target* t, std::vector<Frame>& batch,
-                               const Status& s) {
-  m_failures_->Add(1);
-  if (t->health) t->health->Degrade(s);
-  for (Frame& f : batch) {
-    CommitWaiter* w = f.waiter;
-    // Notify under the waiter's mutex: the waiter frees its stack slot
-    // the moment it observes done, so a notify after unlock would race
-    // the condvar's destruction.
-    std::lock_guard<std::mutex> wl(w->mu);
-    w->status = s;
-    w->done = true;
-    w->cv.notify_one();
-  }
-}
-
 bool CommitPipeline::ProcessTarget(Target* t) {
   bool did = false;
   while (t->queued.load(std::memory_order_acquire) > 0) {
     m_queue_depth_->Set(static_cast<int64_t>(t->queued.load()));
-    // Mark in-flight BEFORE decrementing queued so WithQuiesced never
+    // Mark in-flight BEFORE decrementing queued so WithFile never
     // observes (queued==0, !in_flight) while a batch is outstanding.
     t->in_flight.store(true);
     std::vector<Frame> batch;
@@ -262,9 +262,7 @@ bool CommitPipeline::ProcessTarget(Target* t) {
     }
     t->steal_cursor = (t->steal_cursor + 1) % nrings;
     if (batch.empty()) {
-      std::lock_guard<std::mutex> l(mu_);
-      t->in_flight.store(false);
-      cv_idle_.notify_all();
+      Settle(t);
       break;
     }
     did = true;
@@ -276,29 +274,15 @@ bool CommitPipeline::ProcessTarget(Target* t) {
     for (const Frame& f : batch) buf.append(f.bytes);
 
     Status s = t->file->Append(buf);
-    if (s.ok() && t->sync == SyncPolicy::kAlways) {
-      uint64_t t0 = NowMicros();
-      Status ss = t->file->Sync();
-      m_fsync_us_->Record(NowMicros() - t0);
-      if (ss.ok()) {
-        if (t->syncs) t->syncs->Add(1);
-        t->last_sync_us = clock_->NowMicros();
-      } else {
-        if (t->sync_failures) t->sync_failures->Add(1);
-        s = ss;
-      }
-    }
+    if (s.ok() && t->sync == SyncPolicy::kAlways) s = SyncFile(t);
 
     if (!s.ok()) {
       // fsyncgate: the handle may have dropped dirty pages while marking
       // them clean — poison the target, never retry; only a full
-      // rewrite-from-memory (SetFile under quiesce) re-establishes it.
-      {
-        std::lock_guard<std::mutex> l(mu_);
-        if (t->poison_status.ok()) t->poison_status = s;
-      }
-      t->poisoned.store(true, std::memory_order_release);
-      FailBatch(t, batch, s);
+      // rewrite-from-memory (a new file via WithFile) re-establishes it.
+      // Every waiter in the batch gets the failure.
+      Poison(t, s);
+      for (Frame& f : batch) f.waiter->Finish(s);
     } else {
       m_batch_frames_->Record(batch.size());
       m_batches_->Add(1);
@@ -311,26 +295,17 @@ bool CommitPipeline::ProcessTarget(Target* t) {
       uint64_t now = NowMicros();
       for (Frame& f : batch) {
         t->stall_us->Record(now >= f.enqueue_us ? now - f.enqueue_us : 0);
-        CommitWaiter* w = f.waiter;
-        // Notify under the waiter's mutex (see FailBatch).
-        std::lock_guard<std::mutex> wl(w->mu);
-        w->status = Status::OK();
-        w->done = true;
-        w->cv.notify_one();
+        f.waiter->Finish(Status::OK());
       }
       MaybeTimedSync(t);
     }
 
     t->queued.fetch_sub(batch.size(), std::memory_order_acq_rel);
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      t->in_flight.store(false);
-    }
-    cv_idle_.notify_all();
+    Settle(t);
   }
 
   // Standalone timed sync (RequestSync / periodic tick). The in_flight
-  // handshake keeps us off the file while WithQuiesced swaps it: we set
+  // handshake keeps us off the file while WithFile swaps it: we set
   // in_flight, THEN check quiescing; the quiescer sets quiescing, THEN
   // waits for !in_flight (both seq_cst, so at most one side proceeds).
   if (t->sync_requested.load(std::memory_order_acquire)) {
@@ -339,60 +314,72 @@ bool CommitPipeline::ProcessTarget(Target* t) {
       MaybeTimedSync(t);
       did = true;
     }
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      t->in_flight.store(false);
-    }
-    cv_idle_.notify_all();
+    Settle(t);
   }
   return did;
+}
+
+void CommitPipeline::Settle(Target* t) {
+  {
+    std::lock_guard<std::mutex> l(mu_);
+    t->in_flight.store(false);
+  }
+  cv_idle_.notify_all();
+}
+
+Status CommitPipeline::PoisonStatus(Target* t) const {
+  std::lock_guard<std::mutex> l(mu_);
+  return t->poison_status;
+}
+
+void CommitPipeline::Poison(Target* t, const Status& s) {
+  m_failures_->Add(1);
+  {
+    std::lock_guard<std::mutex> l(mu_);
+    if (t->poison_status.ok()) t->poison_status = s;
+    t->poisoned.store(true, std::memory_order_release);
+  }
+  if (t->health) t->health->Degrade(s);
+}
+
+Status CommitPipeline::SyncFile(Target* t) {
+  uint64_t t0 = NowMicros();
+  Status s = t->file->Sync();
+  m_fsync_us_->Record(NowMicros() - t0);
+  if (s.ok()) {
+    if (t->syncs) t->syncs->Add(1);
+    t->last_sync_us = clock_->NowMicros();
+  } else if (t->sync_failures) {
+    t->sync_failures->Add(1);
+  }
+  return s;
 }
 
 void CommitPipeline::MaybeTimedSync(Target* t) {
   if (t->sync != SyncPolicy::kEverySec) return;
   if (t->file == nullptr || t->poisoned.load(std::memory_order_acquire))
     return;
-  int64_t now = clock_->NowMicros();
-  if (now - t->last_sync_us < kEverySecIntervalMicros) return;
-  uint64_t t0 = NowMicros();
-  Status s = t->file->Sync();
-  m_fsync_us_->Record(NowMicros() - t0);
-  if (s.ok()) {
-    if (t->syncs) t->syncs->Add(1);
-    t->last_sync_us = now;
-    return;
-  }
+  if (clock_->NowMicros() - t->last_sync_us < kEverySecIntervalMicros) return;
+  Status s = SyncFile(t);
+  if (s.ok()) return;
   // A timed fsync covers already-acked writes, so there is no caller to
   // fail — poison the target and degrade; future commits fail fast.
-  if (t->sync_failures) t->sync_failures->Add(1);
-  m_failures_->Add(1);
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    if (t->poison_status.ok()) t->poison_status = s;
-  }
-  t->poisoned.store(true, std::memory_order_release);
-  if (t->health) t->health->Degrade(s);
+  Poison(t, s);
 }
 
 void CommitPipeline::DrainAllOnShutdown() {
   // Committer is joined; fail anything still queued so no waiter hangs.
-  // Proper shutdown (owners quiesce + detach before destroying the
-  // pipeline) never reaches here with queued frames.
+  // Proper shutdown (owners CloseFile before destroying the pipeline)
+  // never reaches here with queued frames.
   std::lock_guard<std::mutex> l(mu_);
   for (const auto& t : targets_) {
     for (const auto& r : t->rings) {
       std::lock_guard<std::mutex> rl(r->mu);
-      while (!r->q.empty()) {
-        Frame f = std::move(r->q.front());
-        r->q.pop_front();
-        t->queued.fetch_sub(1);
-        CommitWaiter* w = f.waiter;
-        // Notify under the waiter's mutex (see FailBatch).
-        std::lock_guard<std::mutex> wl(w->mu);
-        w->status = Status::Unavailable("commit pipeline shut down");
-        w->done = true;
-        w->cv.notify_one();
+      for (Frame& f : r->q) {
+        f.waiter->Finish(Status::Unavailable("commit pipeline shut down"));
       }
+      t->queued.fetch_sub(r->q.size());
+      r->q.clear();
     }
   }
 }

@@ -6,10 +6,14 @@
 // frames, coalesces them into one write() (+ one fsync under kAlways) per
 // target file, and signals every waiter in the batch with the batch's
 // outcome. Batch failure fans out to ALL waiters in the batch; fsync
-// failure keeps the PR 6 fsyncgate semantics: the target is poisoned
-// (never retried), the owning store degrades via its HealthTracker, and
-// only a full rewrite-from-memory (compaction / checkpoint) re-establishes
-// the log via SetFile().
+// failure keeps the fsyncgate semantics: the target is poisoned (never
+// retried), the owning store degrades via its HealthTracker, and only a
+// full rewrite-from-memory (compaction / checkpoint) re-establishes the
+// log by putting a new file in the target (WithFile).
+//
+// Each target owns its log file: owners reach it only through WithFile
+// (drain, run fn on the file slot, attach what it then holds) and end it
+// with CloseFile (drain, sync, close).
 //
 // Ack contract per sync policy (see docs/PERSISTENCE.md "Group commit"):
 //   kAlways   — Commit() returns after the batch's write AND fsync
@@ -19,7 +23,7 @@
 //               (off every caller mutex — this is the AofMaybeSync fix).
 //               A timed-fsync failure cannot be attributed to an acked
 //               caller, so it only poisons the target and degrades health.
-//   kNever    — Commit() returns after write(); no fsync is ever issued.
+//   kNever    — Commit() returns after write(); only CloseFile fsyncs.
 //
 // Ordering contract: frames pushed to the SAME ring of a target are
 // written in push order (rings drain FIFO and batches concatenate rings
@@ -81,13 +85,13 @@ class CommitPipeline {
   CommitPipeline(const CommitPipeline&) = delete;
   CommitPipeline& operator=(const CommitPipeline&) = delete;
 
-  // Registers a log file with the pipeline. The pipeline BORROWS `file`;
-  // the owner keeps ownership and must quiesce (WithQuiesced + SetFile)
-  // before closing or swapping it. `health` (optional) is degraded on
-  // batch failure with the failing status as cause. `syncs` /
-  // `sync_failures` (optional) are bumped per fsync attempt so owners
-  // keep their existing per-log sync counters.
-  Target* Attach(std::string name, WritableFile* file, SyncPolicy sync,
+  using FileSlot = std::unique_ptr<WritableFile>;
+
+  // Registers a log. The target starts detached (no file); WithFile puts
+  // one in. `health` (optional) is degraded on batch failure with the
+  // failing status as cause. `syncs` / `sync_failures` (optional) are
+  // bumped per fsync attempt so owners keep their per-log sync counters.
+  Target* Attach(std::string name, SyncPolicy sync,
                  HealthTracker* health = nullptr,
                  obs::Counter* syncs = nullptr,
                  obs::Counter* sync_failures = nullptr);
@@ -100,7 +104,7 @@ class CommitPipeline {
   // and its status is returned verbatim. Gates must not block on locks
   // that Commit() callers hold across Commit().
   //
-  // A detached target (SetFile(nullptr)) accepts and acks commits as OK
+  // A detached target (no file) accepts and acks commits as OK
   // without writing, mirroring the legacy "log disabled" fast path.
   // A poisoned target fails fast with the poisoning status.
   Status Commit(Target* t, std::string frame, uint64_t ring_hint = 0,
@@ -111,22 +115,25 @@ class CommitPipeline {
   // no-op for kAlways/kNever targets and while the target is quiesced.
   void RequestSync(Target* t);
 
-  // Drains the target (all queued frames written, none in flight), blocks
-  // new Commit() calls, and runs `fn` on the calling thread with exclusive
-  // access to the underlying file. Used for log rotation, compaction
-  // swaps, and close. Returns fn's status.
-  Status WithQuiesced(Target* t, const std::function<Status()>& fn);
+  // Drains the target (all queued frames written, none in flight), parks
+  // new Commit() calls, and runs `fn` on the calling thread with the
+  // target's file slot. fn may write to the file directly (a segment
+  // header, an epoch stamp), or close it and put another file — or none —
+  // in the slot. When fn returns, whatever the slot holds is attached.
+  // A different file is a freshly re-established log, so it clears the
+  // poison latch; the same file stays poisoned. Returns fn's status.
+  Status WithFile(Target* t, const std::function<Status(FileSlot& file)>& fn);
 
-  // Replaces the target's file. MUST be called from within WithQuiesced's
-  // fn (or before any Commit). Clears poison — a swapped-in file is a
-  // freshly re-established log. nullptr detaches (commits ack OK).
-  void SetFile(Target* t, WritableFile* file);
+  // Drains the target, then syncs, closes and drops its file, leaving the
+  // target detached. The first failure wins; a poisoned target reports
+  // its poisoning status and is not synced again (fsyncgate).
+  Status CloseFile(Target* t);
 
   // Installs a tap that observes every successfully committed batch's
   // bytes, in commit order, on the committer thread. Invoked only AFTER
   // the whole batch's write (and kAlways fsync) succeeded, so a mirror
   // fed by the tee can never resurrect a failed, rolled-back record.
-  // Install/remove from within WithQuiesced's fn. nullptr removes.
+  // Install/remove from within WithFile's fn. nullptr removes.
   void SetTee(Target* t, std::function<void(std::string_view)> tee);
 
   // Testing/introspection: frames queued and not yet retired — on one
@@ -142,7 +149,14 @@ class CommitPipeline {
   void CommitterLoop();
   // Steals and writes one batch for `t`. Returns true if any work done.
   bool ProcessTarget(Target* t);
-  void FailBatch(Target* t, std::vector<Frame>& batch, const Status& s);
+  // Clears in_flight under mu_, so a draining WithFile cannot miss it.
+  void Settle(Target* t);
+  Status PoisonStatus(Target* t) const;  // OK while not poisoned
+  // Latches `s` as the target's poisoning status (the first one wins),
+  // counts the failure and degrades the target's health.
+  void Poison(Target* t, const Status& s);
+  // fsyncs the target's file, timing it and bumping the target's counters.
+  Status SyncFile(Target* t);
   // Issues the kEverySec fsync if the interval elapsed. Committer-only.
   void MaybeTimedSync(Target* t);
   void DrainAllOnShutdown();

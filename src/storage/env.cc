@@ -1,11 +1,14 @@
 #include "storage/env.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -25,13 +28,6 @@ class PosixWritableFile : public WritableFile {
     if (!f_) return Status::IOError(path_ + ": append: file closed");
     if (fwrite(data.data(), 1, data.size(), f_) != data.size()) {
       return Status::IOError(path_ + ": append: " + strerror(errno));
-    }
-    return Status::OK();
-  }
-
-  Status Flush() override {
-    if (f_ && fflush(f_) != 0) {
-      return Status::IOError(path_ + ": flush: " + strerror(errno));
     }
     return Status::OK();
   }
@@ -114,9 +110,28 @@ class PosixEnv : public Env {
     }
     return Status::OK();
   }
+
+  Status SyncDir(const std::string& path) override {
+    const size_t slash = path.find_last_of('/');
+    const std::string dir = slash == std::string::npos
+                                ? "."
+                                : path.substr(0, std::max<size_t>(slash, 1));
+    const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (fd < 0) return Status::IOError(dir + ": open: " + strerror(errno));
+    Status s = fsync(fd) == 0 ? Status::OK()
+                              : Status::IOError(dir + ": fsync: " +
+                                                strerror(errno));
+    close(fd);
+    return s;
+  }
 };
 
 }  // namespace
+
+WritableFile::WritableFile() {
+  static std::atomic<uint64_t> next{1};
+  serial_ = next.fetch_add(1, std::memory_order_relaxed);
+}
 
 Env* Env::Posix() {
   static PosixEnv env;
@@ -133,7 +148,6 @@ class MemWritableFile : public WritableFile {
     env_->files_[path_].append(data.data(), data.size());
     return Status::OK();
   }
-  Status Flush() override { return Status::OK(); }
   Status Sync() override { return Status::OK(); }
   Status Close() override { return Status::OK(); }
 

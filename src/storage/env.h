@@ -20,11 +20,18 @@ enum class SyncPolicy { kNever, kEverySec, kAlways };
 
 class WritableFile {
  public:
+  WritableFile();
   virtual ~WritableFile() = default;
   virtual Status Append(std::string_view data) = 0;
-  virtual Status Flush() = 0;
   virtual Status Sync() = 0;
   virtual Status Close() = 0;
+
+  // Process-unique and never reused, unlike the object's address: tells a
+  // newly opened handle from the one it replaced.
+  uint64_t serial() const { return serial_; }
+
+ private:
+  uint64_t serial_;
 };
 
 class Env {
@@ -41,11 +48,14 @@ class Env {
   // Atomically replaces `to` with `from` (FileRewrite's commit point: a
   // crash leaves either the old file or the new one, never a mix).
   virtual Status RenameFile(const std::string& from, const std::string& to) = 0;
+  // fsyncs the directory holding `path`, making the renames into it
+  // durable: until then a crash may bring back the directory's old entries.
+  virtual Status SyncDir(const std::string& path) = 0;
 
   static Env* Posix();
 };
 
-// In-memory Env: files are strings in a map. Sync is a no-op.
+// In-memory Env: files are strings in a map. Sync and SyncDir are no-ops.
 class MemEnv : public Env {
  public:
   StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
@@ -55,6 +65,7 @@ class MemEnv : public Env {
   Status DeleteFile(const std::string& path) override;
   bool FileExists(const std::string& path) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
+  Status SyncDir(const std::string&) override { return Status::OK(); }
 
  private:
   friend class MemWritableFile;

@@ -8,18 +8,24 @@ const char* FaultOpKindName(FaultOpKind kind) {
   switch (kind) {
     case FaultOpKind::kNewFile: return "new-file";
     case FaultOpKind::kAppend: return "append";
-    case FaultOpKind::kFlush: return "flush";
     case FaultOpKind::kSync: return "sync";
     case FaultOpKind::kClose: return "close";
     case FaultOpKind::kRead: return "read";
     case FaultOpKind::kFileSize: return "file-size";
     case FaultOpKind::kDelete: return "delete";
     case FaultOpKind::kRename: return "rename";
+    case FaultOpKind::kSyncDir: return "sync-dir";
   }
   return "unknown";
 }
 
 namespace {
+
+// The directory part of `path` ("" for a bare name).
+std::string DirOf(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? std::string() : path.substr(0, slash);
+}
 
 Status InjectedError(FaultOpKind kind, const std::string& path) {
   // Kind-appropriate errno flavor: Append fails like ENOSPC (transient,
@@ -70,23 +76,6 @@ class FaultWritableFile : public WritableFile {
       case FaultEnv::Decision::kNone: break;
     }
     buffer_.append(data);
-    return Status::OK();
-  }
-
-  Status Flush() override {
-    // Flush is fflush: user buffer -> page cache. Both live in buffer_
-    // here, so a successful flush is a no-op for durability.
-    std::lock_guard<std::mutex> l(mu_);
-    if (ObserveCrashLocked()) return Status::OK();
-    if (poisoned_) return PoisonError();
-    switch (env_->Check(FaultOpKind::kFlush, path_)) {
-      case FaultEnv::Decision::kCrash:
-        (void)ObserveCrashLocked();
-        return Status::OK();
-      case FaultEnv::Decision::kFail:
-        return InjectedError(FaultOpKind::kFlush, path_);
-      case FaultEnv::Decision::kNone: break;
-    }
     return Status::OK();
   }
 
@@ -207,7 +196,9 @@ FaultEnv::Decision FaultEnv::Check(FaultOpKind kind, const std::string& path) {
   std::lock_guard<std::mutex> l(mu_);
   const uint64_t n = op_count_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (plan_.crash_at_op != 0 && n >= plan_.crash_at_op) {
-    crashed_.store(true, std::memory_order_release);
+    if (!crashed_.exchange(true, std::memory_order_acq_rel)) {
+      UndoUnsyncedRenamesLocked();
+    }
     faults_injected_.fetch_add(1, std::memory_order_relaxed);
     return Decision::kCrash;
   }
@@ -238,7 +229,6 @@ StatusOr<std::unique_ptr<WritableFile>> FaultEnv::NewWritableFile(
     class NullFile : public WritableFile {
      public:
       Status Append(std::string_view) override { return Status::OK(); }
-      Status Flush() override { return Status::OK(); }
       Status Sync() override { return Status::OK(); }
       Status Close() override { return Status::OK(); }
     };
@@ -312,7 +302,42 @@ Status FaultEnv::RenameFile(const std::string& from, const std::string& to) {
     case Decision::kFail: return InjectedError(FaultOpKind::kRename, from);
     case Decision::kNone: break;
   }
-  return base_->RenameFile(from, to);
+  // Under mu_, so a crash latching on another thread sees the rename
+  // either not yet made or already recorded for undo.
+  std::lock_guard<std::mutex> l(mu_);
+  UnsyncedRename r{from, to, std::nullopt};
+  auto old = base_->ReadFileToString(to);  // not found: nothing replaced
+  if (old.ok()) r.replaced = std::move(old.value());
+  Status s = base_->RenameFile(from, to);
+  if (s.ok()) unsynced_renames_[DirOf(to)].push_back(std::move(r));
+  return s;
+}
+
+Status FaultEnv::SyncDir(const std::string& path) {
+  if (crashed()) return Status::OK();  // abandoned
+  switch (Check(FaultOpKind::kSyncDir, path)) {
+    case Decision::kCrash: return Status::OK();
+    case Decision::kFail: return InjectedError(FaultOpKind::kSyncDir, path);
+    case Decision::kNone: break;
+  }
+  Status s = base_->SyncDir(path);
+  std::lock_guard<std::mutex> l(mu_);
+  if (s.ok()) unsynced_renames_.erase(DirOf(path));
+  return s;
+}
+
+void FaultEnv::UndoUnsyncedRenamesLocked() {
+  for (auto& [dir, renames] : unsynced_renames_) {
+    for (auto r = renames.rbegin(); r != renames.rend(); ++r) {
+      (void)base_->RenameFile(r->to, r->from).ok();
+      if (r->replaced) {
+        auto f = base_->NewWritableFile(r->to, /*truncate=*/true);
+        if (f.ok()) (void)f.value()->Append(*r->replaced).ok();
+      }
+      renames_undone_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  unsynced_renames_.clear();
 }
 
 }  // namespace gdpr

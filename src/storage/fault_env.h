@@ -19,8 +19,12 @@
 //     failing, exercising checksum/hash-chain detection.
 //   - crash point: from op N on, the world stops — every pending write
 //     buffer is spilled as a pseudo-random prefix (torn tail) and all
-//     subsequent writes, deletes and renames are silently abandoned. The
-//     base Env then holds the post-crash disk image for reopen tests.
+//     subsequent writes, deletes and renames are silently abandoned. A
+//     rename that no SyncDir of its directory followed is undone: the
+//     target gets its old contents back (or goes away) and the source
+//     reappears. The base Env then holds the post-crash disk image for
+//     reopen tests. (A handle opened on a renamed path before its
+//     SyncDir is not modeled: the engine syncs every rename at once.)
 //
 // Durability model: FaultWritableFile buffers appends in memory ("page
 // cache") and only pushes them to the base Env on Sync or Close. Data a
@@ -32,8 +36,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "storage/env.h"
 
@@ -44,15 +51,15 @@ namespace gdpr {
 enum class FaultOpKind {
   kNewFile = 0,
   kAppend,
-  kFlush,
   kSync,
   kClose,
   kRead,
   kFileSize,
   kDelete,
   kRename,
+  kSyncDir,
 };
-inline constexpr int kNumFaultOpKinds = 9;
+inline constexpr int kNumFaultOpKinds = 10;
 
 const char* FaultOpKindName(FaultOpKind kind);
 
@@ -103,6 +110,12 @@ class FaultEnv : public Env {
   Status DeleteFile(const std::string& path) override;
   bool FileExists(const std::string& path) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
+  Status SyncDir(const std::string& path) override;
+
+  // Renames a crash undid because no SyncDir of their directory followed.
+  uint64_t renames_undone() const {
+    return renames_undone_.load(std::memory_order_relaxed);
+  }
 
  private:
   friend class FaultWritableFile;
@@ -115,6 +128,16 @@ class FaultEnv : public Env {
   uint64_t NextRandLocked();
   // Pseudo-random prefix length in [0, n] for torn writes / crash spills.
   uint64_t TornPrefixLen(uint64_t n);
+  // Undoes every rename still waiting for its SyncDir, newest first in
+  // each directory. Called once, when the crash latches; callers hold mu_.
+  void UndoUnsyncedRenamesLocked();
+
+  // A rename whose directory entry is not yet durable.
+  struct UnsyncedRename {
+    std::string from;
+    std::string to;
+    std::optional<std::string> replaced;  // `to`'s contents before, if any
+  };
 
   Env* const base_;
   mutable std::mutex mu_;
@@ -123,6 +146,9 @@ class FaultEnv : public Env {
   std::atomic<uint64_t> op_count_{0};
   std::atomic<uint64_t> faults_injected_{0};
   std::atomic<bool> crashed_{false};
+  // By directory, oldest first; guarded by mu_.
+  std::map<std::string, std::vector<UnsyncedRename>> unsynced_renames_;
+  std::atomic<uint64_t> renames_undone_{0};
 };
 
 }  // namespace gdpr

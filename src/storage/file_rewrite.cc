@@ -2,6 +2,17 @@
 
 namespace gdpr {
 
+Status OpenWithRetry(Env* env, const IoFailurePolicy& policy,
+                     const std::string& path, bool truncate,
+                     std::unique_ptr<WritableFile>* file) {
+  return RetryIo(policy, [&] {
+    auto f = env->NewWritableFile(path, truncate);
+    if (!f.ok()) return f.status();
+    *file = std::move(f.value());
+    return Status::OK();
+  });
+}
+
 void FileRewrite::DiscardLeftover(Env* env, const std::string& tmp_path) {
   if (env->FileExists(tmp_path)) (void)env->DeleteFile(tmp_path).ok();
 }
@@ -12,12 +23,7 @@ FileRewrite::~FileRewrite() {
 
 Status FileRewrite::Open() {
   opened_ = true;
-  Status s = RetryIo(policy_, [&] {
-    auto f = env_->NewWritableFile(tmp_path_, /*truncate=*/true);
-    if (!f.ok()) return f.status();
-    tmp_ = std::move(f.value());
-    return Status::OK();
-  });
+  Status s = OpenWithRetry(env_, policy_, tmp_path_, /*truncate=*/true, &tmp_);
   return s.ok() ? s : Abandon(s);
 }
 
@@ -40,13 +46,10 @@ Status FileRewrite::Commit(std::unique_ptr<WritableFile>* reopened) {
   }
   if (!s.ok()) return Abandon(s);
   committed_ = true;
-  if (reopened == nullptr) return s;
-  return RetryIo(policy_, [&] {
-    auto f = env_->NewWritableFile(target_path_, /*truncate=*/false);
-    if (!f.ok()) return f.status();
-    *reopened = std::move(f.value());
-    return Status::OK();
-  });
+  s = env_->SyncDir(target_path_);
+  if (!s.ok() || reopened == nullptr) return s;
+  return OpenWithRetry(env_, policy_, target_path_, /*truncate=*/false,
+                       reopened);
 }
 
 Status FileRewrite::Abandon(Status cause) {

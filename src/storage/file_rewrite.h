@@ -1,10 +1,10 @@
 // Crash-safe whole-file replacement, the one way a durable file (AOF, WAL,
 // checkpoint snapshot, audit segment) is replaced: the new contents go to a
-// temp that is synced, closed and renamed over the target. A crash leaves
-// the old file or the new one, never a mix or a truncated original. The
-// rename is not yet made durable by a directory fsync (Env has no such
-// call). An uncommitted temp is deleted on every failure path and when the
-// object goes away.
+// temp that is synced, closed and renamed over the target, and the
+// directory is synced so the rename survives a crash. A crash leaves the
+// old file or the new one, never a mix or a truncated original. An
+// uncommitted temp is deleted on every failure path and when the object
+// goes away.
 
 #pragma once
 
@@ -17,6 +17,12 @@
 #include "storage/env.h"
 
 namespace gdpr {
+
+// Opens `path` for append into `*file` (truncating it when asked), with the
+// policy's bounded retry; `*file` is untouched on failure.
+Status OpenWithRetry(Env* env, const IoFailurePolicy& policy,
+                     const std::string& path, bool truncate,
+                     std::unique_ptr<WritableFile>* file);
 
 class FileRewrite {
  public:
@@ -39,10 +45,11 @@ class FileRewrite {
   // caller seals first when it must close its own handle on the target
   // before the rename.
   Status Seal();
-  // Renames the temp over the target (bounded retry), then, unless
-  // `reopened` is null, reopens the target for append into it (bounded
-  // retry). committed() says whether the rename landed: if not, the target
-  // is untouched.
+  // Renames the temp over the target (bounded retry) and syncs the
+  // directory, then, unless `reopened` is null, reopens the target for
+  // append into it (bounded retry). committed() says whether the rename
+  // landed: if not, the target is untouched. A failed directory sync fails
+  // the commit with the rename landed but maybe not durable.
   Status Commit(std::unique_ptr<WritableFile>* reopened);
   bool committed() const { return committed_; }
 

@@ -10,7 +10,8 @@
 //   * kEverySec acks at write() return, syncs on the committer's timed
 //     cadence, and a timed-sync failure poisons without failing an acked
 //     caller;
-//   * quiesce/SetFile swaps, detached-target acks, and gate aborts;
+//   * WithFile swaps, detached-target acks, poison kept or cleared by
+//     WithFile, CloseFile's sync, and gate aborts;
 //   * end-to-end over MemKV + FaultEnv: a crash inside the kEverySec
 //     window loses at most the unsynced tail, and never a kAlways ack.
 
@@ -63,7 +64,6 @@ class GateSyncFile : public WritableFile {
     buf_.append(data);
     return Status::OK();
   }
-  Status Flush() override { return Status::OK(); }
 
   Status Sync() override {
     std::unique_lock<std::mutex> l(mu_);
@@ -126,18 +126,28 @@ std::unique_ptr<GateSyncFile> OpenGateFile(MemEnv* env,
   return std::make_unique<GateSyncFile>(std::move(base.value()));
 }
 
+// Puts `file` in the target: the pipeline owns it from here on.
+void PutFile(CommitPipeline& pl, CommitPipeline::Target* t,
+             std::unique_ptr<WritableFile> file) {
+  ASSERT_TRUE(pl.WithFile(t, [&](CommitPipeline::FileSlot& slot) {
+                  slot = std::move(file);
+                  return Status::OK();
+                }).ok());
+}
+
 // Four writers, committer held inside the first batch's fsync: the three
 // late arrivals coalesce into ONE second batch (one write, one fsync).
 TEST(CommitPipeline, ConcurrentWritersCoalesceIntoOneBatch) {
   MemEnv mem;
-  auto file = OpenGateFile(&mem, "log");
+  auto owned = OpenGateFile(&mem, "log");
+  GateSyncFile* file = owned.get();
   file->BlockOnSync(1);
   obs::MetricsRegistry reg;
   CommitPipeline::Options po;
   po.metrics = &reg;
   CommitPipeline pl(po);
-  CommitPipeline::Target* t =
-      pl.Attach("log", file.get(), SyncPolicy::kAlways);
+  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kAlways);
+  PutFile(pl, t, std::move(owned));
 
   Status sa;
   std::thread wa([&] { sa = pl.Commit(t, "A|", 0); });
@@ -175,7 +185,8 @@ TEST(CommitPipeline, ConcurrentWritersCoalesceIntoOneBatch) {
 // the batch, and none of their records are on disk afterwards.
 TEST(CommitPipeline, MidBatchFsyncFailureFansOutToAllWriters) {
   MemEnv mem;
-  auto file = OpenGateFile(&mem, "log");
+  auto owned = OpenGateFile(&mem, "log");
+  GateSyncFile* file = owned.get();
   file->BlockOnSync(1);
   file->FailOnSync(2);
   obs::MetricsRegistry reg;
@@ -184,7 +195,8 @@ TEST(CommitPipeline, MidBatchFsyncFailureFansOutToAllWriters) {
   CommitPipeline pl(po);
   HealthTracker health;
   CommitPipeline::Target* t =
-      pl.Attach("log", file.get(), SyncPolicy::kAlways, &health);
+      pl.Attach("log", SyncPolicy::kAlways, &health);
+  PutFile(pl, t, std::move(owned));
 
   Status sa;
   std::thread wa([&] { sa = pl.Commit(t, "A|", 0); });
@@ -227,14 +239,13 @@ TEST(CommitPipeline, MidBatchFsyncFailureFansOutToAllWriters) {
 // against: every frame pays its own write()+fsync, no coalescing ever.
 TEST(CommitPipeline, PerWriteBaselineNeverCoalesces) {
   MemEnv mem;
-  auto file = OpenGateFile(&mem, "log");
   obs::MetricsRegistry reg;
   CommitPipeline::Options po;
   po.metrics = &reg;
   po.max_batch_frames = 1;
   CommitPipeline pl(po);
-  CommitPipeline::Target* t =
-      pl.Attach("log", file.get(), SyncPolicy::kAlways);
+  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kAlways);
+  PutFile(pl, t, OpenGateFile(&mem, "log"));
 
   constexpr size_t kThreads = 4, kFrames = 8;
   std::vector<std::thread> ws;
@@ -255,24 +266,23 @@ TEST(CommitPipeline, PerWriteBaselineNeverCoalesces) {
   EXPECT_EQ(mem.ReadFileToString("log").value().size(), kThreads * kFrames);
 }
 
-// Quiesce drains the target, SetFile swaps the log under it, a detached
+// WithFile drains the target and swaps the log under it, a detached
 // target acks without writing, and a gate abort returns verbatim without
 // enqueuing anything.
-TEST(CommitPipeline, QuiesceSwapDetachAndGateAbort) {
+TEST(CommitPipeline, WithFileSwapDetachAndGateAbort) {
   MemEnv mem;
-  auto f1 = OpenGateFile(&mem, "log1");
-  auto f2 = OpenGateFile(&mem, "log2");
   CommitPipeline pl;
-  CommitPipeline::Target* t =
-      pl.Attach("log", f1.get(), SyncPolicy::kAlways);
+  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kAlways);
+  PutFile(pl, t, OpenGateFile(&mem, "log1"));
 
   ASSERT_TRUE(pl.Commit(t, "one|").ok());
 
-  // Swap to log2 under quiesce; the drain guarantee means log1 holds
-  // everything committed before the swap.
-  Status qs = pl.WithQuiesced(t, [&]() -> Status {
+  // Swap to log2; the drain guarantee means log1 holds everything
+  // committed before the swap.
+  Status qs = pl.WithFile(t, [&](CommitPipeline::FileSlot& file) {
     EXPECT_EQ(pl.QueuedFrames(t), 0u);
-    pl.SetFile(t, f2.get());
+    EXPECT_TRUE(file->Close().ok());
+    file = OpenGateFile(&mem, "log2");
     return Status::OK();
   });
   ASSERT_TRUE(qs.ok());
@@ -281,18 +291,17 @@ TEST(CommitPipeline, QuiesceSwapDetachAndGateAbort) {
   EXPECT_EQ(mem.ReadFileToString("log2").value(), "two|");
 
   // Detached: commits ack OK, nothing is written anywhere.
-  ASSERT_TRUE(pl.WithQuiesced(t, [&]() -> Status {
-                  pl.SetFile(t, nullptr);
+  ASSERT_TRUE(pl.WithFile(t, [&](CommitPipeline::FileSlot& file) {
+                  file.reset();
                   return Status::OK();
                 }).ok());
   ASSERT_TRUE(pl.Commit(t, "three|").ok());
   EXPECT_EQ(mem.ReadFileToString("log2").value(), "two|");
 
   // Gate abort: status comes back verbatim, no frame enqueued.
-  ASSERT_TRUE(pl.WithQuiesced(t, [&]() -> Status {
-                  pl.SetFile(t, f2.get());
-                  return Status::OK();
-                }).ok());
+  auto reopened = mem.NewWritableFile("log2", /*truncate=*/false);
+  ASSERT_TRUE(reopened.ok());
+  PutFile(pl, t, std::move(reopened.value()));
   Status gs = pl.Commit(t, "four|", 0, [] {
     return Status::FailedPrecondition("gate says no");
   });
@@ -302,13 +311,72 @@ TEST(CommitPipeline, QuiesceSwapDetachAndGateAbort) {
   EXPECT_EQ(mem.ReadFileToString("log2").value(), "two|");
 }
 
+// The poison latch clears only when WithFile leaves a different file in
+// the slot: writing to the poisoned file (or just looking at it) keeps the
+// target poisoned, and a replacement re-establishes the log.
+TEST(CommitPipeline, PoisonClearsOnlyWhenWithFileReplacesTheFile) {
+  MemEnv mem;
+  auto owned = OpenGateFile(&mem, "log1");
+  owned->FailOnSync(1);
+  CommitPipeline pl;
+  HealthTracker health;
+  CommitPipeline::Target* t =
+      pl.Attach("log", SyncPolicy::kAlways, &health);
+  PutFile(pl, t, std::move(owned));
+  ASSERT_FALSE(pl.Commit(t, "lost|").ok());
+
+  ASSERT_TRUE(pl.WithFile(t, [&](CommitPipeline::FileSlot& file) {
+                  return file->Append("direct|");
+                }).ok());
+  Status still = pl.Commit(t, "refused|");
+  EXPECT_FALSE(still.ok());
+  EXPECT_NE(still.message().find("injected fsync failure"),
+            std::string::npos);
+
+  // Free the old file before opening the new one, so the replacement may
+  // well reuse its address: it must still count as a new file.
+  ASSERT_TRUE(pl.WithFile(t, [&](CommitPipeline::FileSlot& file) {
+                  file.reset();
+                  file = OpenGateFile(&mem, "log2");
+                  return Status::OK();
+                }).ok());
+  ASSERT_TRUE(pl.Commit(t, "healed|").ok());
+  EXPECT_EQ(mem.ReadFileToString("log2").value(), "healed|");
+}
+
+// CloseFile writes what was queued, syncs, closes and detaches; a failed
+// final sync is the close's status, and later commits ack detached.
+TEST(CommitPipeline, CloseFileSyncsAndReportsTheFirstFailure) {
+  MemEnv mem;
+  CommitPipeline pl;
+  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kNever);
+  auto owned = OpenGateFile(&mem, "log");
+  GateSyncFile* file = owned.get();
+  PutFile(pl, t, std::move(owned));
+  ASSERT_TRUE(pl.Commit(t, "kept|").ok());
+  EXPECT_EQ(file->sync_calls(), 0);  // kNever: no fsync before close
+  ASSERT_TRUE(pl.CloseFile(t).ok());
+  EXPECT_EQ(mem.ReadFileToString("log").value(), "kept|");
+  ASSERT_TRUE(pl.Commit(t, "detached|").ok());
+  EXPECT_EQ(mem.ReadFileToString("log").value(), "kept|");
+
+  owned = OpenGateFile(&mem, "log2");
+  owned->FailOnSync(1);
+  PutFile(pl, t, std::move(owned));
+  ASSERT_TRUE(pl.Commit(t, "dropped|").ok());
+  Status cs = pl.CloseFile(t);
+  EXPECT_FALSE(cs.ok());
+  EXPECT_NE(cs.message().find("injected fsync failure"), std::string::npos);
+}
+
 // kEverySec ack contract: Commit returns once write() succeeded — no
 // fsync on the ack path. The committer syncs on its own once the interval
 // elapses, and a timed-sync failure poisons the target (degrading future
 // commits) instead of failing a caller that was already acked.
 TEST(CommitPipeline, EverySecAcksBeforeSyncAndTimedFailurePoisons) {
   MemEnv mem;
-  auto file = OpenGateFile(&mem, "log");
+  auto owned = OpenGateFile(&mem, "log");
+  GateSyncFile* file = owned.get();
   SimulatedClock clock(0);
   obs::MetricsRegistry reg;
   CommitPipeline::Options po;
@@ -317,7 +385,8 @@ TEST(CommitPipeline, EverySecAcksBeforeSyncAndTimedFailurePoisons) {
   CommitPipeline pl(po);
   HealthTracker health;
   CommitPipeline::Target* t =
-      pl.Attach("log", file.get(), SyncPolicy::kEverySec, &health);
+      pl.Attach("log", SyncPolicy::kEverySec, &health);
+  PutFile(pl, t, std::move(owned));
 
   ASSERT_TRUE(pl.Commit(t, "a|").ok());
   EXPECT_EQ(file->sync_calls(), 0);  // acked with zero fsyncs issued

@@ -129,6 +129,36 @@ TEST(FaultEnvSmoke, CrashPointAbandonsSubsequentWrites) {
   EXPECT_EQ(img.substr(4), std::string("BBBB").substr(0, img.size() - 4));
 }
 
+TEST(FaultEnvSmoke, CrashUndoesRenamesNoSyncDirFollowed) {
+  MemEnv mem;
+  FaultEnv fenv(&mem, kSeed);
+  auto put = [&](const std::string& path, const std::string& data) {
+    auto f = std::move(fenv.NewWritableFile(path, true).value());
+    ASSERT_TRUE(f->Append(data).ok());
+    ASSERT_TRUE(f->Close().ok());
+  };
+  put("d/a", "old");
+  put("d/a.tmp", "synced");
+  ASSERT_TRUE(fenv.RenameFile("d/a.tmp", "d/a").ok());
+  ASSERT_TRUE(fenv.SyncDir("d/a").ok());  // this rename is durable
+  put("d/a.tmp", "unsynced");
+  ASSERT_TRUE(fenv.RenameFile("d/a.tmp", "d/a").ok());
+  put("d/b.tmp", "fresh");
+  ASSERT_TRUE(fenv.RenameFile("d/b.tmp", "d/b").ok());
+  ASSERT_TRUE(fenv.SyncDir("e/x").ok());  // another directory: no help
+  FaultPlan plan;
+  plan.crash_at_op = fenv.op_count() + 1;
+  fenv.set_plan(plan);
+  EXPECT_TRUE(fenv.SyncDir("d/a").ok());  // the crash — before this sync
+  ASSERT_TRUE(fenv.crashed());
+  // Both unsynced renames are undone; the synced one stands.
+  EXPECT_EQ(fenv.renames_undone(), 2u);
+  EXPECT_EQ(mem.ReadFileToString("d/a").value_or(""), "synced");
+  EXPECT_EQ(mem.ReadFileToString("d/a.tmp").value_or(""), "unsynced");
+  EXPECT_FALSE(mem.FileExists("d/b"));
+  EXPECT_EQ(mem.ReadFileToString("d/b.tmp").value_or(""), "fresh");
+}
+
 TEST(FaultEnvSmoke, CorruptReadFlipsExactlyOneByte) {
   MemEnv mem;
   FaultEnv fenv(&mem, kSeed);
@@ -437,12 +467,80 @@ TEST(StatementLogTorn, RotationRenameFailureDegradesThenReopenHeals) {
   ASSERT_TRUE(db2.Close().ok());
 }
 
+// ---- close fsyncs every log -------------------------------------------------
+//
+// kNever promises an fsync on close and kEverySec bounds the loss to about a
+// second, so a close whose final fsync fails must say so under both.
+
+void FailEverySync(FaultEnv* fenv) {
+  FaultPlan plan;
+  plan.fail_prob[static_cast<int>(FaultOpKind::kSync)] = 1.0;
+  fenv->set_plan(plan);
+}
+
+TEST(CloseSync, AofCloseReportsFailedFinalSync) {
+  for (SyncPolicy policy : {SyncPolicy::kEverySec, SyncPolicy::kNever}) {
+    MemEnv mem;
+    FaultEnv fenv(&mem, kSeed);
+    kv::Options o;
+    o.env = &fenv;
+    o.aof_enabled = true;
+    o.aof_path = "aof";
+    o.sync_policy = policy;
+    kv::MemKV db(o);
+    ASSERT_TRUE(db.Open().ok());
+    ASSERT_TRUE(db.Set("k", "v").ok());
+    FailEverySync(&fenv);
+    EXPECT_FALSE(db.Close().ok()) << "policy " << int(policy);
+  }
+}
+
+TEST(CloseSync, WalCloseReportsFailedFinalSync) {
+  for (SyncPolicy policy : {SyncPolicy::kEverySec, SyncPolicy::kNever}) {
+    MemEnv mem;
+    FaultEnv fenv(&mem, kSeed);
+    rel::RelOptions o;
+    o.env = &fenv;
+    o.wal_enabled = true;
+    o.wal_path = "wal";
+    o.sync_policy = policy;
+    rel::Database db(o);
+    ASSERT_TRUE(db.Open().ok());
+    auto t = db.CreateTable("t", rel::Schema({{"id", rel::ValueType::kInt64}}));
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE(db.Insert(t.value(), {rel::Value(int64_t(1))}).ok());
+    FailEverySync(&fenv);
+    EXPECT_FALSE(db.Close().ok()) << "policy " << int(policy);
+  }
+}
+
+TEST(CloseSync, StatementLogCloseReportsFailedFinalSync) {
+  for (SyncPolicy policy : {SyncPolicy::kEverySec, SyncPolicy::kNever}) {
+    MemEnv mem;
+    FaultEnv fenv(&mem, kSeed);
+    rel::RelOptions o;
+    o.env = &fenv;
+    o.log_statements = true;
+    o.statement_log_path = "stmt";
+    o.sync_policy = policy;
+    rel::Database db(o);
+    ASSERT_TRUE(db.Open().ok());
+    auto t = db.CreateTable("t", rel::Schema({{"id", rel::ValueType::kInt64}}));
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE(db.Insert(t.value(), {rel::Value(int64_t(1))}).ok());
+    FailEverySync(&fenv);
+    EXPECT_FALSE(db.Close().ok()) << "policy " << int(policy);
+  }
+}
+
 // ---- crash during torn-tail repair -----------------------------------------
 //
 // Each log gets synced records and a torn tail, then reopens over a FaultEnv
 // that crashes at one op of the repairing Open(), swept over every op of it.
 // The repair replaces the log, so it must be atomic: a reopen from what
-// survived still holds every record that was synced before the tear.
+// survived still holds every record that was synced before the tear. One
+// crash point falls between the repair's rename and its directory sync,
+// which undoes the rename: the torn original must still be repairable.
 
 struct TornLog {
   std::function<void(MemEnv*)> build;    // synced records, then the tear
@@ -461,6 +559,7 @@ void SweepCrashDuringRepair(const TornLog& log) {
     log.check_all(&mem);
   }
   ASSERT_GT(total, 2u);
+  uint64_t renames_undone = 0;
   for (uint64_t i = 1; i <= total; ++i) {
     SCOPED_TRACE("crash at op " + std::to_string(i) + " of " +
                  std::to_string(total));
@@ -472,8 +571,11 @@ void SweepCrashDuringRepair(const TornLog& log) {
     fenv.set_plan(plan);
     log.open(&fenv);
     ASSERT_TRUE(fenv.crashed());
+    renames_undone += fenv.renames_undone();
     log.check_all(&mem);
   }
+  EXPECT_GT(renames_undone, 0u)
+      << "no crash point fell between the rename and the directory sync";
 }
 
 constexpr int kTornRecords = 20;  // the tear cuts into the last one
