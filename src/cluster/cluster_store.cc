@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_set>
 
 #include "common/epoch.h"
 #include "common/string_util.h"
@@ -138,38 +137,47 @@ std::vector<T> ClusterGdprStore::FanOut(
 }
 
 std::vector<GdprRecord> ClusterGdprStore::MergeRecords(
-    std::vector<StatusOr<std::vector<GdprRecord>>> parts,
-    Status* status) {
+    std::vector<StatusOr<std::vector<GdprRecord>>> parts, Status* status) {
   *status = Status::OK();
-  std::vector<GdprRecord> out;
-  std::unordered_set<std::string> seen;
   size_t unavailable = 0;
+  size_t answer = 0;
   Status first_unavailable = Status::OK();
-  for (auto& part : parts) {
-    if (!part.ok()) {
-      if (part.status().IsUnavailable()) {
-        // A degraded node refusing the sub-query — or, over a socket
-        // transport, a node that stopped answering: route around it. Its
-        // records are a partition the healthy nodes don't hold, but a
-        // partial answer beats a cluster-wide outage. (Point ops to its
-        // slots still surface the refusal directly.)
-        ++unavailable;
-        m_degraded_skips_->Add(1);
-        if (first_unavailable.ok()) first_unavailable = part.status();
-        continue;
-      }
+  for (const auto& part : parts) {
+    if (part.ok()) {
+      answer += part.value().size();
+      continue;
+    }
+    if (!part.status().IsUnavailable()) {
       // Access decisions depend only on (actor, flags), so every node
       // returns the same verdict; surface the first denial.
       *status = part.status();
       return {};
     }
-    for (auto& rec : part.value()) {
-      if (seen.insert(rec.key).second) out.push_back(std::move(rec));
-    }
+    // A degraded node refusing the sub-query — or, over a socket
+    // transport, a node that stopped answering: route around it. Its
+    // records are a partition the healthy nodes don't hold, but a partial
+    // answer beats a cluster-wide outage. (Point ops to its slots still
+    // surface the refusal directly.)
+    ++unavailable;
+    m_degraded_skips_->Add(1);
+    if (first_unavailable.ok()) first_unavailable = part.status();
   }
   if (unavailable == parts.size() && unavailable > 0) {
     *status = first_unavailable;  // nothing answered: that's an outage
     return {};
+  }
+  // Parts are in node order, so node i's records are kept only where node
+  // i owns their slot. The caller holds migrate_mu_ shared, so ownership
+  // cannot flip mid-merge.
+  std::vector<GdprRecord> out;
+  out.reserve(answer);
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (!parts[i].ok()) continue;
+    for (auto& rec : parts[i].value()) {
+      if (slot_map_.OwnerOf(SlotOf(rec.key)) == i) {
+        out.push_back(std::move(rec));
+      }
+    }
   }
   return out;
 }

@@ -24,7 +24,8 @@
 //     key slot under a per-slot read fence.
 //   * Metadata queries (by user / purpose / sharing) and GDPR broadcasts
 //     (user erasure, TTL sweep, log pulls) scatter over a worker pool and
-//     gather: per-node results are merged and deduped by key.
+//     gather: per-node results are merged, keeping each record only from
+//     the node that owns its slot.
 //   * MoveSlots rebalances live: one slot at a time is write-fenced, its
 //     records (and erasure tombstones) are copied to the destination node
 //     through slot-scoped handle exports, ownership flips, and the source
@@ -208,8 +209,10 @@ class ClusterGdprStore : public AuditedStore {
   template <typename T>
   std::vector<T> FanOut(const std::function<T(net::NodeHandle*)>& fn);
 
-  // Concatenates per-node record vectors, dropping duplicate keys —
-  // defense in depth should a key ever live on two nodes at once.
+  // Concatenates per-node record vectors (parts in node order), keeping a
+  // record from node i only when node i owns its slot: O(answer), and a
+  // slot left on two nodes by a failed rollback or eviction serves the
+  // owner's copy, exactly once. The caller holds migrate_mu_ shared.
   // Unavailable parts (a degraded node refusing the sub-query, or an
   // unreachable node behind a dead socket) are skipped so one bad disk or
   // link does not take down cluster-wide reads; the merge only fails when

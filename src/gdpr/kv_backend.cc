@@ -165,7 +165,7 @@ Status KvGdprStore::Erase(const GdprRecord& rec) {
   return Status::OK();
 }
 
-Status KvGdprStore::Collect(Attr attr, const std::string& value,
+Status KvGdprStore::Collect(Attr attr, const std::string& value, bool mask,
                             std::vector<GdprRecord>* out) {
   if (!indexing()) return ScanCollect(attr, value, out);
   const kv::EpochPostingMap& index = attr == Attr::kUser      ? by_user_
@@ -183,16 +183,21 @@ Status KvGdprStore::Collect(Attr attr, const std::string& value,
   }
   size_t unreadable = index_unreadable_records_.load(std::memory_order_relaxed);
   out->reserve(out->size() + keys.size());
-  for (const auto& k : keys) {
-    auto rec = GetRaw(k);
-    if (rec.ok()) {
-      out->push_back(std::move(rec.value()));
-    } else if (!rec.status().IsNotFound()) {
-      // NotFound is normal (erased since the probe); anything else means
-      // the record exists but cannot be read back.
-      ++unreadable;
+  db_->GetBatch(keys, [&](size_t, const Status& s, std::string_view raw) {
+    if (s.ok()) {
+      // Parsed straight from the engine's bytes; a masked query's payload
+      // is never copied.
+      auto rec = GdprRecord::Parse(raw, /*with_data=*/!mask);
+      if (rec.ok()) {
+        out->push_back(std::move(rec.value()));
+        return;
+      }
+    } else if (s.IsNotFound()) {
+      return;  // normal: erased (or expired) since the probe
     }
-  }
+    // The record exists but cannot be read back.
+    ++unreadable;
+  });
   return CollectionStatus(unreadable);
 }
 

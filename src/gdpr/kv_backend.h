@@ -11,12 +11,14 @@
 // sharing -> keys, and a TTL min-heap), turning the same collections into
 // indexed lookups; bench_index_fastpath measures the gap.
 //
-// Read fast path: every record fetch bottoms out in MemKV's epoch-protected
-// lock-free Get, and the secondary indexes are epoch-protected posting maps
+// Read fast path: the secondary indexes are epoch-protected posting maps
 // (kv::EpochPostingMap: an attribute table and per-attribute key sets, two
-// node types of the table behind MemKV's shard map) — a collection pins one
-// epoch, copies one attribute's key set without any index lock, then
-// fetches each key.
+// node types of the table behind MemKV's shard map). A collection pins one
+// epoch, copies one attribute's key set without any index lock, then reads
+// the keys through one MemKV::GetBatch — one epoch pin, prefetched lookups
+// in groups of 16, and Get's per-entry rules — parsing each record straight
+// from the engine's bytes, and skipping the payload copy when the query is
+// masked. Point fetches (GetRaw) are MemKV's lock-free Get.
 //
 // Write path: each attribute's keys form a small hashed set that grows
 // copy-on-grow, and an upsert diffs the old and new metadata, touching only
@@ -84,7 +86,7 @@ class KvGdprStore : public PolicyStore, public net::NodeHandle {
   StatusOr<GdprRecord> GetRaw(const std::string& key) override;
   Status Put(const GdprRecord& rec, const GdprRecord* prev) override;
   Status Erase(const GdprRecord& rec) override;
-  Status Collect(Attr attr, const std::string& value,
+  Status Collect(Attr attr, const std::string& value, bool mask,
                  std::vector<GdprRecord>* out) override;
   Status ForEachExpired(
       int64_t now,

@@ -156,7 +156,7 @@ StatusOr<std::vector<GdprRecord>> PolicyStore::Query(const Actor& actor,
   Audit(actor, op, value, access.ok());
   if (!access.ok()) return access;
   std::vector<GdprRecord> recs;
-  Status s = Collect(attr, value, &recs);
+  Status s = Collect(attr, value, mask, &recs);
   if (!s.ok()) return s;
   // Collections are hints: a concurrent upsert may have re-attributed a key
   // since the index probe, and serving it under the old attribute would hand
@@ -169,6 +169,7 @@ StatusOr<std::vector<GdprRecord>> PolicyStore::Query(const Actor& actor,
                             }),
              recs.end());
   if (mask) {
+    // An engine may already have left data empty; the rule is this one.
     for (auto& r : recs) r.data.clear();
   }
   return recs;
@@ -258,8 +259,9 @@ StatusOr<size_t> PolicyStore::DeleteRecordsByUser(const Actor& actor,
     Audit(actor, ops::kDeleteUser, user, false);
     return access;
   }
+  // Only the victims' keys are read: each is re-fetched under its lock.
   std::vector<GdprRecord> victims;
-  const Status collected = Collect(Attr::kUser, user, &victims);
+  const Status collected = Collect(Attr::kUser, user, /*mask=*/true, &victims);
   size_t erased = 0;
   for (const auto& victim : victims) {
     std::lock_guard<std::mutex> key_lock(KeyMutex(victim.key));

@@ -97,9 +97,11 @@ class PolicyStore : public AuditedStore {
   // cannot be made durable.
   virtual Status Erase(const GdprRecord& rec) = 0;
   // Appends records whose attr may equal value — hints, expired records
-  // included; the engine picks index or scan. Returns DataLoss when it met
-  // records it could not read; *out then holds the readable ones.
-  virtual Status Collect(Attr attr, const std::string& value,
+  // included; the engine picks index or scan. mask says the caller never
+  // reads the records' data, so the engine may leave it empty instead of
+  // copying it. Returns DataLoss when it met records it could not read;
+  // *out then holds the readable ones.
+  virtual Status Collect(Attr attr, const std::string& value, bool mask,
                          std::vector<GdprRecord>* out) = 0;
   // Calls fn(key) for every record that may have expired by now, stopping
   // at (and returning) the first failure. DataLoss when unreadable records

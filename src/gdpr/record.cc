@@ -28,7 +28,8 @@ std::string GdprRecord::Serialize() const {
   return out;
 }
 
-StatusOr<GdprRecord> GdprRecord::Parse(std::string_view wire) {
+StatusOr<GdprRecord> GdprRecord::Parse(std::string_view wire,
+                                       bool with_data) {
   if (wire.size() < 2 || wire[0] != kMagic) {
     return Status::DataLoss("bad record magic");
   }
@@ -41,7 +42,7 @@ StatusOr<GdprRecord> GdprRecord::Parse(std::string_view wire) {
     return Status::DataLoss("truncated record header");
   }
   rec.key.assign(key);
-  rec.data.assign(data);
+  if (with_data) rec.data.assign(data);
   rec.metadata.user.assign(user);
   rec.metadata.origin.assign(origin);
   if (!GetStringList(&wire, &rec.metadata.purposes) ||

@@ -43,7 +43,10 @@ struct GdprRecord {
   GdprMetadata metadata;
 
   std::string Serialize() const;
-  static StatusOr<GdprRecord> Parse(std::string_view wire);
+  // with_data = false leaves data empty without copying it: a masked
+  // metadata query parses straight from the engine's bytes.
+  static StatusOr<GdprRecord> Parse(std::string_view wire,
+                                    bool with_data = true);
 
   size_t ApproximateBytes() const;
 };

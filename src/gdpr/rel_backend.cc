@@ -199,8 +199,9 @@ Status RelGdprStore::Erase(const GdprRecord& rec) {
   return Status::OK();
 }
 
+// Rows decode whole, so mask saves nothing here and is ignored.
 Status RelGdprStore::Collect(Attr attr, const std::string& value,
-                             std::vector<GdprRecord>* out) {
+                             bool /*mask*/, std::vector<GdprRecord>* out) {
   if (!indexing()) return ScanCollect(attr, value, out);
   if (attr == Attr::kUser) {
     auto rows = db_->Select(records_,

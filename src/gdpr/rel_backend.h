@@ -49,7 +49,7 @@ class RelGdprStore : public PolicyStore {
   // Upsert = delete the prior row and its join rows, insert the new ones.
   Status Put(const GdprRecord& rec, const GdprRecord* prev) override;
   Status Erase(const GdprRecord& rec) override;
-  Status Collect(Attr attr, const std::string& value,
+  Status Collect(Attr attr, const std::string& value, bool mask,
                  std::vector<GdprRecord>* out) override;
   Status ForEachExpired(
       int64_t now,

@@ -58,6 +58,7 @@ void MemKV::InitMetrics() {
     metrics_ = owned_metrics_.get();
   }
   get_us_ = metrics_->GetHistogram("memkv_get_us");
+  get_batch_us_ = metrics_->GetHistogram("memkv_get_batch_us");
   set_us_ = metrics_->GetHistogram("memkv_set_us");
   delete_us_ = metrics_->GetHistogram("memkv_delete_us");
   expiry_cycle_us_ = metrics_->GetHistogram("memkv_expiry_cycle_us");
@@ -281,34 +282,86 @@ StatusOr<std::string> MemKV::Get(const std::string& key) {
   // path that costs a few hundred ns.
   obs::SampledTimer timer(get_us_, clock_);
   const uint64_t h = Fnv1a(key);
-  Shard& s = ShardFor(h);
-  std::string stored;
-  {
-    // Lock-free fast path: pin the epoch, walk the shard map with acquire
-    // loads, copy the value out of the immutable block, unpin. No shared
-    // cache line is written except the thread's own epoch slot, so Gets
-    // scale with reader threads and never wait behind a writer holding the
-    // shard (bench_get_scale proves both properties).
-    EpochGuard guard;
-    const EntryBlock* b = s.map.Find(key, h);
-    if (b == nullptr) return Status::NotFound(key);
-    if (b->expiry_micros != 0 && b->expiry_micros <= NowMicros()) {
-      // Logically dead; erasure happens in the expiry cycle.
-      return Status::NotFound(key + " (expired)");
+  // Lock-free: pin the epoch and walk the shard map with acquire loads. No
+  // shared cache line is written except the thread's own epoch slot, so
+  // Gets scale with reader threads and never wait behind a writer holding
+  // the shard (bench_get_scale proves both properties).
+  EpochGuard guard;
+  std::string scratch;
+  std::string_view value;
+  Status s = ReadEntry(key, ShardFor(h).map.Find(key, h), NowMicros(),
+                       &scratch, &value);
+  if (!s.ok()) return s;
+  return aead_ ? std::move(scratch) : std::string(value);
+}
+
+void MemKV::GetBatch(const std::vector<std::string>& keys,
+                     const BatchFn& fn) {
+  // Exact, one sample per batch: a batch costs hundreds of µs, so two
+  // clock reads are noise, and memkv_get_us stays a point-read histogram.
+  obs::ScopedTimer timer(get_batch_us_, clock_);
+  const int64_t now = NowMicros();
+  std::string scratch;
+  EpochGuard guard;
+  for (size_t base = 0; base < keys.size(); base += kBatchGroup) {
+    const size_t n = std::min(kBatchGroup, keys.size() - base);
+    const std::string* key = &keys[base];
+    uint64_t hash[kBatchGroup];
+    const EntryBlock* block[kBatchGroup];
+    // Each stage issues the group's next dependent load while the previous
+    // stage's misses are still in flight: bucket slot, head node, entry
+    // block, value bytes. Only the Find in stage three is a lookup.
+    for (size_t j = 0; j < n; ++j) {
+      hash[j] = Fnv1a(key[j]);
+      ShardFor(hash[j]).map.PrefetchBucket(hash[j]);
     }
-    stored = b->value;
+    for (size_t j = 0; j < n; ++j) ShardFor(hash[j]).map.PrefetchHead(hash[j]);
+    for (size_t j = 0; j < n; ++j) {
+      block[j] = ShardFor(hash[j]).map.Find(key[j], hash[j]);
+      Prefetch(block[j], sizeof(EntryBlock));
+    }
+    for (size_t j = 0; j < n; ++j) {
+      // A record's bytes fit in a few lines; a long value's tail is left to
+      // the hardware prefetcher, since hinting it would evict the group's.
+      if (block[j] != nullptr) {
+        const std::string& v = block[j]->value;
+        Prefetch(v.data(), std::min<size_t>(v.size(), 512));
+      }
+    }
+    for (size_t j = 0; j < n; ++j) {
+      std::string_view value;
+      const Status s = ReadEntry(key[j], block[j], now, &scratch, &value);
+      fn(base + j, s, value);
+    }
+  }
+}
+
+Status MemKV::ReadEntry(const std::string& key, const EntryBlock* b,
+                        int64_t now, std::string* scratch,
+                        std::string_view* value) {
+  if (b == nullptr) return Status::NotFound(key);
+  if (b->expiry_micros != 0 && b->expiry_micros <= now) {
+    // Logically dead; erasure happens in the expiry cycle.
+    return Status::NotFound(key + " (expired)");
   }
   if (options_.log_reads && aof_active_.load(std::memory_order_acquire) &&
       health_.writable()) {
     // Degraded stores keep serving reads but stop appending 'R' evidence —
     // the AOF handle cannot be trusted (docs/PERSISTENCE.md). The read
-    // that *discovers* the failure still errors (below): the caller must
-    // see the transition once, loudly.
-    Status s2 = AppendReadLog(key);
-    if (!s2.ok()) return s2;
+    // that *discovers* the failure still errors: the caller must see the
+    // transition once, loudly.
+    Status s = AppendReadLog(key);
+    if (!s.ok()) return s;
   }
-  if (aead_) return aead_->Open(stored);
-  return stored;
+  if (!aead_) {
+    *value = b->value;
+    return Status::OK();
+  }
+  auto plain = aead_->Open(b->value);
+  if (!plain.ok()) return plain.status();
+  *scratch = std::move(plain.value());
+  *value = *scratch;
+  return Status::OK();
 }
 
 Status MemKV::Delete(const std::string& key) {

@@ -143,6 +143,18 @@ class MemKV {
   StatusOr<std::string> Get(const std::string& key);
   Status Delete(const std::string& key);
 
+  // Batched Get for index collections: one epoch pin for the whole batch,
+  // keys walked in groups of kBatchGroup whose bucket, node, entry-block and
+  // value loads are each prefetched one stage before they are needed. fn(i,
+  // status, value) runs once per key, in order, with what Get(keys[i])
+  // would return — the same per-entry rules, applied once per key. value
+  // views the plaintext and is valid only inside the call. With log_reads
+  // on, the pin spans the batch's read-log commits.
+  static constexpr size_t kBatchGroup = 16;
+  using BatchFn = std::function<void(size_t i, const Status& status,
+                                     std::string_view value)>;
+  void GetBatch(const std::vector<std::string>& keys, const BatchFn& fn);
+
   // Number of resident entries (expired-but-not-yet-erased keys count:
   // that residue is exactly what Fig 3a measures).
   size_t Size() const;
@@ -284,7 +296,14 @@ class MemKV {
   // the frame is enqueued — see AppendReadLog.
   Status AofCommit(std::string rec, uint64_t ring_hint,
                    const std::function<Status()>& gate = nullptr);
-  // Read-log append for Get, sequenced against erasure tombstones: the
+  // The per-entry read rules, written once for Get and GetBatch: the
+  // expiry check, the read-log frame with its tombstone gate, and the AEAD
+  // open. b is the key's block (null when absent), found under the
+  // caller's epoch pin; on OK *value views b's bytes, or *scratch when the
+  // value is sealed.
+  Status ReadEntry(const std::string& key, const EntryBlock* b, int64_t now,
+                   std::string* scratch, std::string_view* value);
+  // Read-log append for ReadEntry, sequenced against erasure tombstones: the
   // enqueue gate re-checks the tombstone registry, so a tombstoned key
   // yields NotFound (and no 'R' frame) and the log can never show a read
   // *after* the erasure that it actually preceded.
@@ -317,6 +336,7 @@ class MemKV {
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Histogram* get_us_ = nullptr;
+  obs::Histogram* get_batch_us_ = nullptr;
   obs::Histogram* set_us_ = nullptr;
   obs::Histogram* delete_us_ = nullptr;
   obs::Histogram* expiry_cycle_us_ = nullptr;

@@ -44,6 +44,15 @@
 
 namespace gdpr::kv {
 
+// The one prefetch helper: a read hint for the cache lines of [p, p + bytes).
+// A hint never faults, so a stale or null address costs nothing but the
+// miss it failed to hide.
+inline void Prefetch(const void* p, size_t bytes = 1) {
+  if (p == nullptr) return;
+  const char* c = static_cast<const char*>(p);
+  for (size_t off = 0; off < bytes; off += 64) __builtin_prefetch(c + off);
+}
+
 // The table over one node type. A Node provides:
 //   std::atomic<Node*> next;
 //   static constexpr size_t kMinBuckets;  // first and post-Clear size
@@ -77,6 +86,19 @@ class EpochTable {
       return found == nullptr;
     });
     return found;
+  }
+
+  // The first two stages of a batched lookup, under the reader's EpochGuard:
+  // the bucket slot of hash, then (a stage later, once the slot is cached)
+  // the head node it links. Pure hints — Find stays the lookup, so a table
+  // that grew in between only costs the misses the hints meant to hide.
+  void PrefetchBucket(uint64_t hash) const {
+    Prefetch(&gen_.load(std::memory_order_acquire)->at(hash));
+  }
+  void PrefetchHead(uint64_t hash) const {
+    Prefetch(gen_.load(std::memory_order_acquire)
+                 ->at(hash)
+                 .load(std::memory_order_acquire));
   }
 
   // Walks one consistent generation; fn(Node&) returns false to stop.
@@ -301,6 +323,10 @@ class EpochMap {
     const Node* n = table_.Find(key, hash);
     return n ? n->block.load(std::memory_order_acquire) : nullptr;
   }
+
+  // Batched-lookup stages ahead of Find (see EpochTable).
+  void PrefetchBucket(uint64_t hash) const { table_.PrefetchBucket(hash); }
+  void PrefetchHead(uint64_t hash) const { table_.PrefetchHead(hash); }
 
   // Traversal of one consistent generation; fn returns false to stop.
   // Readers hold an EpochGuard for the whole walk; snapshot paths hold the

@@ -340,6 +340,179 @@ TEST_P(ClusterTransportTest, RebalanceUnderLiveTraffic) {
   EXPECT_TRUE(cluster.VerifyAuditChains());
 }
 
+// ---- the owner-filtered merge ---------------------------------------------
+
+// Every key in answer appears once; returns the key set.
+std::set<std::string> UniqueKeys(const std::vector<GdprRecord>& answer,
+                                 const char* what) {
+  std::set<std::string> keys;
+  for (const auto& rec : answer) {
+    EXPECT_TRUE(keys.insert(rec.key).second) << what << ": " << rec.key
+                                             << " returned twice";
+  }
+  return keys;
+}
+
+TEST_P(ClusterTransportTest, DoubleResidentSlotsServeTheOwnersCopyOnce) {
+  // A failed rollback or eviction can leave a slot's records on two nodes.
+  // Recreate that by importing a differing copy of every third record
+  // through a non-owner's handle: every query must still return each key
+  // once, and always the owner's copy.
+  SimulatedClock clock(1000000);
+  ClusterOptions co = BaseOptions();
+  co.clock = &clock;
+  ClusterGdprStore cluster(co);
+  ASSERT_TRUE(cluster.Open().ok());
+  DatasetConfig cfg;
+  cfg.data_bytes = 32;
+  cfg.users = 12;
+  cfg.purposes = 6;
+  cfg.partners = 3;
+  cfg.ttl_every = 0;
+  RecordGenerator gen(cfg, &clock);
+  const Actor controller = Actor::Controller();
+  const size_t kRecords = 300;
+  for (size_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(cluster.CreateRecord(controller, gen.Make(i)).ok());
+  }
+  const auto queries = [&] {
+    std::vector<std::pair<std::string, std::vector<GdprRecord>>> out;
+    for (size_t u = 0; u < cfg.users; ++u) {
+      out.emplace_back("by-user",
+                       cluster.ReadMetadataByUser(controller, gen.UserOf(u))
+                           .value());
+      out.emplace_back("records-by-user",
+                       cluster.ReadRecordsByUser(controller, gen.UserOf(u))
+                           .value());
+    }
+    for (size_t p = 0; p < cfg.purposes; ++p) {
+      out.emplace_back(
+          "by-purpose",
+          cluster.ReadMetadataByPurpose(controller, gen.PurposeOf(p)).value());
+    }
+    for (size_t t = 0; t < cfg.partners; ++t) {
+      out.emplace_back("by-sharing", cluster
+                                         .ReadMetadataBySharing(
+                                             Actor::Regulator(),
+                                             gen.PartnerOf(t))
+                                         .value());
+    }
+    return out;
+  };
+  const auto before = queries();
+  size_t doubled = 0;
+  for (size_t i = 0; i < kRecords; i += 3) {
+    GdprRecord stale = gen.Make(i);
+    stale.data = "stale-copy";
+    stale.metadata.origin = "stale-copy";
+    const uint32_t owner =
+        cluster.slot_map().OwnerOf(cluster.slot_map().SlotOf(stale.key));
+    const size_t other = (owner + 1) % cluster.node_count();
+    ASSERT_TRUE(cluster.handle(other)->ImportRecord(stale).ok());
+    ++doubled;
+  }
+  EXPECT_EQ(cluster.RecordCount(), kRecords + doubled);
+  const auto after = queries();
+  ASSERT_EQ(before.size(), after.size());
+  size_t returned = 0;
+  for (size_t q = 0; q < after.size(); ++q) {
+    const char* what = after[q].first.c_str();
+    UniqueKeys(after[q].second, what);
+    ExpectSameRecordSets(before[q].second, after[q].second, what);
+    for (const auto& rec : after[q].second) {
+      EXPECT_NE(rec.metadata.origin, "stale-copy") << what << ": " << rec.key;
+      EXPECT_NE(rec.data, "stale-copy") << what << ": " << rec.key;
+    }
+    returned += after[q].second.size();
+  }
+  // Users twice (metadata and records), purposes once: 3 per record, plus
+  // the shared quarter.
+  EXPECT_EQ(returned, 3 * kRecords + kRecords / cfg.share_every);
+}
+
+TEST_P(ClusterTransportTest, MaskedQueriesCarryNoPayloadButExportsDo) {
+  SimulatedClock clock(1000000);
+  ClusterOptions co = BaseOptions();
+  co.clock = &clock;
+  ClusterGdprStore cluster(co);
+  ASSERT_TRUE(cluster.Open().ok());
+  DatasetConfig cfg;
+  cfg.data_bytes = 32;
+  cfg.users = 4;
+  cfg.purposes = 2;
+  cfg.partners = 1;
+  cfg.ttl_every = 0;
+  RecordGenerator gen(cfg, &clock);
+  const size_t kRecords = 80;
+  for (size_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(cluster.CreateRecord(Actor::Controller(), gen.Make(i)).ok());
+  }
+  const std::vector<StatusOr<std::vector<GdprRecord>>> masked = {
+      cluster.ReadMetadataByUser(Actor::Controller(), gen.UserOf(1)),
+      cluster.ReadMetadataByPurpose(Actor::Controller(), gen.PurposeOf(1)),
+      cluster.ReadMetadataBySharing(Actor::Regulator(), gen.PartnerOf(0))};
+  for (const auto& answer : masked) {
+    ASSERT_TRUE(answer.ok());
+    EXPECT_FALSE(answer.value().empty());
+    for (const auto& r : answer.value()) EXPECT_TRUE(r.data.empty()) << r.key;
+  }
+  auto exported = cluster.ReadRecordsByUser(Actor::Controller(), gen.UserOf(1));
+  ASSERT_TRUE(exported.ok());
+  EXPECT_EQ(exported.value().size(), kRecords / cfg.users);
+  for (const auto& r : exported.value()) {
+    const size_t i = size_t(std::stoul(r.key.substr(4)));
+    EXPECT_EQ(r.data, gen.Make(i).data) << r.key;
+  }
+}
+
+TEST_P(ClusterTransportTest, QueriesRacingRebalanceReturnEachKeyOnce) {
+  SimulatedClock clock(1000000);
+  ClusterOptions co = BaseOptions();
+  co.clock = &clock;
+  ClusterGdprStore cluster(co);
+  ASSERT_TRUE(cluster.Open().ok());
+  DatasetConfig cfg;
+  cfg.data_bytes = 32;
+  cfg.users = 16;
+  cfg.purposes = 4;
+  cfg.ttl_every = 0;
+  RecordGenerator gen(cfg, &clock);
+  const Actor controller = Actor::Controller();
+  const size_t kRecords = 400;
+  for (size_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(cluster.CreateRecord(controller, gen.Make(i)).ok());
+  }
+  // Skew everything onto node 0, then level it while queries run.
+  std::vector<uint32_t> all_slots(cluster.slot_map().num_slots());
+  for (uint32_t s = 0; s < all_slots.size(); ++s) all_slots[s] = s;
+  ASSERT_TRUE(cluster.MoveSlots(all_slots, 0).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> answers{0}, wrong{0};
+  std::vector<std::thread> queriers;
+  for (int t = 0; t < 2; ++t) {
+    queriers.emplace_back([&, t] {
+      for (size_t n = 0; !stop.load() || n < 4; ++n) {
+        const std::string purpose = gen.PurposeOf(n + size_t(t));
+        auto got = cluster.ReadMetadataByPurpose(controller, purpose);
+        if (!got.ok()) {
+          wrong.fetch_add(1);
+          continue;
+        }
+        const auto keys = UniqueKeys(got.value(), "by-purpose");
+        if (keys.size() != kRecords / cfg.purposes) wrong.fetch_add(1);
+        answers.fetch_add(1);
+      }
+    });
+  }
+  ASSERT_TRUE(cluster.Rebalance().ok());
+  stop.store(true);
+  for (auto& th : queriers) th.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GE(answers.load(), 8u);
+  for (const size_t c : cluster.slot_map().SlotsPerNode()) EXPECT_EQ(c, 256u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Transports, ClusterTransportTest,
     ::testing::Values(ClusterTransport::kInProcess,

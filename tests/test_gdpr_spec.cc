@@ -221,6 +221,42 @@ TEST_P(GdprSpec, IndexedAndScanPathsAgree) {
   EXPECT_TRUE(store->VerifyDeletion(Actor::Regulator(), "k003").value());
 }
 
+// Masking is the policy layer's rule, whatever the engine does with the
+// flag it is handed: the three metadata queries carry no payload, on plain
+// and encrypted stores, and the subject's export (G 15/20) carries all of it.
+TEST_P(GdprSpec, MaskedQueriesCarryNoPayloadButExportsDo) {
+  for (const bool encrypt : {false, true}) {
+    SCOPED_TRACE(encrypt ? "encrypt_at_rest" : "plain");
+    auto store = Make({nullptr, nullptr, encrypt});
+    ASSERT_TRUE(store->Open().ok());
+    for (size_t i = 0; i < 40; ++i) {
+      ASSERT_TRUE(store
+                      ->CreateRecord(Actor::Controller(),
+                                     MakeRec(StringPrintf("k%02zu", i),
+                                             StringPrintf("user-%zu", i % 2),
+                                             {"ads"}, {"partner"}))
+                      .ok());
+    }
+    const Actor subject = Actor::Customer("user-1");
+    const std::vector<StatusOr<std::vector<GdprRecord>>> masked = {
+        store->ReadMetadataByUser(subject, "user-1"),
+        store->ReadMetadataByPurpose(Actor::Controller(), "ads"),
+        store->ReadMetadataBySharing(Actor::Regulator(), "partner")};
+    for (const auto& answer : masked) {
+      ASSERT_TRUE(answer.ok());
+      EXPECT_FALSE(answer.value().empty());
+      for (const auto& r : answer.value()) {
+        EXPECT_TRUE(r.data.empty()) << r.key;
+        EXPECT_FALSE(r.metadata.user.empty()) << r.key;
+      }
+    }
+    auto exported = store->ReadRecordsByUser(subject, "user-1");
+    ASSERT_TRUE(exported.ok());
+    EXPECT_EQ(exported.value().size(), 20u);
+    for (const auto& r : exported.value()) EXPECT_EQ(r.data, "data-" + r.key);
+  }
+}
+
 // The right to be forgotten reaches records that expired but were not yet
 // reclaimed: their bytes go now, with evidence.
 TEST_P(GdprSpec, DeleteByKeyErasesExpiredRecords) {

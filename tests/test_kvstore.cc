@@ -309,6 +309,19 @@ std::vector<std::pair<char, std::string>> ParseAofFrames(
   return frames;
 }
 
+// GetBatch's answers as Get-shaped results, for comparing the two paths.
+std::vector<StatusOr<std::string>> GetBatchResults(
+    MemKV& db, const std::vector<std::string>& keys) {
+  std::vector<StatusOr<std::string>> out;
+  db.GetBatch(keys, [&](size_t i, const Status& s, std::string_view value) {
+    EXPECT_EQ(i, out.size()) << "batch answers out of order";
+    if (s.ok()) out.emplace_back(std::string(value));
+    else out.emplace_back(s);
+  });
+  EXPECT_EQ(out.size(), keys.size());
+  return out;
+}
+
 TEST(MemKV, NoopDeleteDoesNotAppendDFrame) {
   MemEnv env;
   Options o;
@@ -344,34 +357,48 @@ TEST(MemKV, ReadLogNeverOrdersAfterErasureTombstone) {
   // Deterministic half of the satellite fix: once the tombstone is
   // registered, a Get that already captured the value must not emit an 'R'
   // frame (which would land after the 'T') — it linearizes after the
-  // erasure and reports NotFound instead.
-  MemEnv env;
-  Options o;
-  o.env = &env;
-  o.aof_enabled = true;
-  o.aof_path = "rlog.aof";
-  o.log_reads = true;
-  o.sync_policy = SyncPolicy::kNever;
-  MemKV db(o);
-  ASSERT_TRUE(db.Open().ok());
-  db.Set("pii", "v").ok();
-  EXPECT_TRUE(db.Get("pii").ok());  // logged: R before any T
-  ASSERT_TRUE(db.AddTombstone("pii").ok());
-  auto got = db.Get("pii");  // value still resident, but erasure evidence wins
-  EXPECT_FALSE(got.ok());
-  db.Close().ok();
-  auto contents = env.ReadFileToString("rlog.aof");
-  ASSERT_TRUE(contents.ok());
-  bool saw_tombstone = false;
-  size_t reads_before = 0, reads_after = 0;
-  for (const auto& [op, key] : ParseAofFrames(contents.value())) {
-    if (key != "pii") continue;
-    if (op == 'T') saw_tombstone = true;
-    if (op == 'R') (saw_tombstone ? reads_after : reads_before)++;
+  // erasure and reports NotFound instead. GetBatch applies the same rule
+  // per key, and logs one 'R' per key it delivers.
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "GetBatch" : "Get");
+    MemEnv env;
+    Options o;
+    o.env = &env;
+    o.aof_enabled = true;
+    o.aof_path = "rlog.aof";
+    o.log_reads = true;
+    o.sync_policy = SyncPolicy::kNever;
+    MemKV db(o);
+    ASSERT_TRUE(db.Open().ok());
+    db.Set("pii", "v").ok();
+    if (batch) {
+      // Delivered twice, absent once: two 'R' frames, none for the miss.
+      const auto got = GetBatchResults(db, {"pii", "absent", "pii"});
+      EXPECT_TRUE(got[0].ok() && got[2].ok());
+      EXPECT_TRUE(got[1].status().IsNotFound());
+    } else {
+      EXPECT_TRUE(db.Get("pii").ok());  // logged: R before any T
+    }
+    ASSERT_TRUE(db.AddTombstone("pii").ok());
+    // Value still resident, but erasure evidence wins.
+    EXPECT_FALSE(batch ? GetBatchResults(db, {"pii"})[0].ok()
+                       : db.Get("pii").ok());
+    db.Close().ok();
+    auto contents = env.ReadFileToString("rlog.aof");
+    ASSERT_TRUE(contents.ok());
+    bool saw_tombstone = false;
+    size_t reads_before = 0, reads_after = 0, reads_absent = 0;
+    for (const auto& [op, key] : ParseAofFrames(contents.value())) {
+      if (op == 'R' && key == "absent") ++reads_absent;
+      if (key != "pii") continue;
+      if (op == 'T') saw_tombstone = true;
+      if (op == 'R') (saw_tombstone ? reads_after : reads_before)++;
+    }
+    EXPECT_TRUE(saw_tombstone);
+    EXPECT_EQ(reads_before, batch ? 2u : 1u);
+    EXPECT_EQ(reads_after, 0u);
+    EXPECT_EQ(reads_absent, 0u);
   }
-  EXPECT_TRUE(saw_tombstone);
-  EXPECT_EQ(reads_before, 1u);
-  EXPECT_EQ(reads_after, 0u);
 }
 
 TEST(MemKV, ReadLogOrderingHoldsUnderGetForgetRaces) {
@@ -393,11 +420,19 @@ TEST(MemKV, ReadLogOrderingHoldsUnderGetForgetRaces) {
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&] {
+    // Reader 0 reads through GetBatch, the others through Get: both paths
+    // share the one read-log rule, and both must keep this ordering.
+    readers.emplace_back([&, t] {
       while (!stop.load()) {
         const int i = cursor.load();
-        db.Get("k" + std::to_string(i)).ok();
-        db.Get("k" + std::to_string(i > 0 ? i - 1 : 0)).ok();
+        const std::string cur = "k" + std::to_string(i);
+        const std::string prev = "k" + std::to_string(i > 0 ? i - 1 : 0);
+        if (t == 0) {
+          GetBatchResults(db, {cur, prev, cur});
+        } else {
+          db.Get(cur).ok();
+          db.Get(prev).ok();
+        }
       }
     });
   }
@@ -425,6 +460,109 @@ TEST(MemKV, ReadLogOrderingHoldsUnderGetForgetRaces) {
     }
   }
   EXPECT_EQ(tombstoned.size(), size_t(kKeys));
+}
+
+TEST(MemKV, GetBatchAnswersLikeGet) {
+  // Present, absent, expired and repeated keys, over several prefetch
+  // groups and values long enough to span cache lines: every batch answer
+  // is Get's status code and bytes, on plain and at-rest-encrypted stores.
+  for (const bool encrypt : {false, true}) {
+    SCOPED_TRACE(encrypt ? "encrypt_at_rest" : "plain");
+    SimulatedClock clock(1000);
+    Options o;
+    o.clock = &clock;
+    o.encrypt_at_rest = encrypt;
+    MemKV db(o);
+    ASSERT_TRUE(db.Open().ok());
+    std::vector<std::string> keys;
+    for (int i = 0; i < 60; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      const std::string value(size_t(1 + i * 7), char('a' + i % 26));
+      ASSERT_TRUE((i % 6 == 0 ? db.SetWithTtl(key, value, 100)
+                              : db.Set(key, value))
+                      .ok());
+      keys.push_back(key);
+      if (i % 5 == 0) keys.push_back("absent" + std::to_string(i));
+      if (i % 7 == 0) keys.push_back("k" + std::to_string(i / 2));
+    }
+    clock.AdvanceMicros(200);  // every 6th key is now expired
+    keys.push_back("k1");
+    keys.push_back("k1");
+    ASSERT_GT(keys.size(), 4 * MemKV::kBatchGroup);
+    const auto batch = GetBatchResults(db, keys);
+    size_t found = 0, missing = 0;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const auto point = db.Get(keys[i]);
+      ASSERT_EQ(batch[i].status().code(), point.status().code()) << keys[i];
+      if (!point.ok()) {
+        ++missing;
+        continue;
+      }
+      EXPECT_EQ(batch[i].value(), point.value()) << keys[i];
+      ++found;
+    }
+    EXPECT_GT(found, 40u);
+    EXPECT_GT(missing, 20u);  // absent and expired keys both miss
+    GetBatchResults(db, {});  // an empty batch calls nothing
+  }
+}
+
+TEST(MemKV, GetBatchReadersSurviveOverwriteEraseAndGrowth) {
+  // Batch readers walk the shard maps while writers overwrite stable keys,
+  // erase and re-create churn keys, and keep inserting fresh keys so every
+  // shard map grows (retiring whole generations mid-batch). A stable key
+  // must always be found, and every delivered value must be one some
+  // writer stored under that key. Runs under the TSAN job.
+  Options o;
+  o.shards = 4;
+  MemKV db(o);
+  ASSERT_TRUE(db.Open().ok());
+  constexpr int kStable = 64, kChurn = 64, kWrites = 3000;
+  std::vector<std::string> keys;
+  for (int i = 0; i < kStable; ++i) {
+    keys.push_back("s" + std::to_string(i));
+    ASSERT_TRUE(db.Set(keys.back(), keys.back() + ":0").ok());
+  }
+  for (int i = 0; i < kChurn; ++i) keys.push_back("c" + std::to_string(i));
+  std::atomic<int> writers_left{2};
+  std::atomic<size_t> bad{0}, delivered{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {  // overwrites + growth
+    for (int n = 1; n <= kWrites; ++n) {
+      const std::string& key = keys[size_t(n % kStable)];
+      db.Set(key, key + ":" + std::to_string(n)).ok();
+      db.Set("g" + std::to_string(n), "grow").ok();
+    }
+    writers_left.fetch_sub(1);
+  });
+  threads.emplace_back([&] {  // erase + re-create
+    for (int n = 0; n < kWrites; ++n) {
+      const std::string& key = keys[size_t(kStable + n % kChurn)];
+      if (n % 2 == 0) db.Set(key, key + ":" + std::to_string(n)).ok();
+      else db.Delete(key).ok();
+    }
+    writers_left.fetch_sub(1);
+  });
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      do {
+        db.GetBatch(keys, [&](size_t i, const Status& s,
+                              std::string_view value) {
+          const bool stable = i < size_t(kStable);
+          const std::string prefix = keys[i] + ":";
+          if (s.ok() ? value.substr(0, prefix.size()) != prefix
+                     : stable || !s.IsNotFound()) {
+            bad.fetch_add(1);
+          }
+          if (s.ok()) delivered.fetch_add(1);
+        });
+      } while (writers_left.load() > 0);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GE(delivered.load(), 2u * kStable);
+  EXPECT_EQ(db.Get("g" + std::to_string(kWrites)).value(), "grow");
 }
 
 TEST(MemKV, ScanCountsAndSurfacesDecryptFailures) {

@@ -441,7 +441,7 @@ class LatchedStore : public KvGdprStore {
   }
 
  protected:
-  Status Collect(Attr attr, const std::string& value,
+  Status Collect(Attr attr, const std::string& value, bool mask,
                  std::vector<GdprRecord>* out) override {
     if (attr == Attr::kPurpose) {
       std::unique_lock<std::mutex> lock(mu_);
@@ -449,7 +449,7 @@ class LatchedStore : public KvGdprStore {
       cv_.notify_all();
       cv_.wait(lock, [&] { return open_; });
     }
-    return KvGdprStore::Collect(attr, value, out);
+    return KvGdprStore::Collect(attr, value, mask, out);
   }
 
  private:
