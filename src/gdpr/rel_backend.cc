@@ -230,14 +230,9 @@ Status RelGdprStore::Collect(Attr attr, const std::string& value,
 Status RelGdprStore::ForEachExpired(
     int64_t now, const std::function<Status(const std::string&)>& fn) {
   // Indexed: a range probe over the expiry B+tree, O(expired) — rows with
-  // kNoExpiry sort above `now` and are never touched.
-  auto rows =
-      indexing()
-          ? db_->Select(records_, rel::Compare(kExpiry, rel::CompareOp::kLe,
-                                               rel::Value(now), "expiry"))
-          : db_->SelectWhere(records_, [&](const rel::Row& row) {
-              return row[kExpiry].AsInt64() <= now;
-            });
+  // kNoExpiry sort above `now` and are never touched. Unindexed: a scan.
+  auto rows = db_->Select(records_, rel::Compare(kExpiry, rel::CompareOp::kLe,
+                                                 rel::Value(now), "expiry"));
   if (!rows.ok()) return rows.status();
   for (const auto& row : rows.value()) {
     Status s = fn(row[kKey].AsString());

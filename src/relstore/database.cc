@@ -271,9 +271,25 @@ size_t Database::ParseWal(std::string_view contents) {
   return contents.size();
 }
 
+void Database::EncodeWalOp(std::string* dst, std::string_view table,
+                            const WalOp& op) {
+  // Length-prefixed binary framing: sealed cells contain arbitrary bytes,
+  // so a text format would be unparseable on replay.
+  dst->push_back(op.op);
+  PutLengthPrefixed(dst, table);
+  if (op.op != 'I') PutVarint64(dst, op.rid);
+  if (op.op != 'D') EncodeCells(dst, op.stored);
+}
+
 namespace {
 constexpr char kSnapshotMagic[] = "RSNP1";
 constexpr size_t kSnapshotMagicLen = 5;
+
+size_t RowBytes(const Row& row) {
+  size_t bytes = 0;
+  for (const Value& v : row) bytes += v.ByteSize();
+  return bytes;
+}
 }  // namespace
 
 Status Database::ParseSnapshot(std::string_view contents, uint64_t* seal_seq) {
@@ -320,60 +336,46 @@ Status Database::ParseSnapshot(std::string_view contents, uint64_t* seal_seq) {
   return Status::OK();
 }
 
+uint64_t Database::ApplyOp(Table* t, WalOp op) {
+  // An 'I' takes the next slot even when its row is unusable: skipping it
+  // would shift every later rid in the log onto a neighboring row.
+  if (op.op == 'I') t->slots_.emplace_back();
+  const uint64_t rid = op.op == 'I' ? uint64_t(t->slots_.size()) : op.rid;
+  if (rid == 0 || rid > t->slots_.size()) return 0;
+  std::optional<Row>& slot = t->slots_[rid - 1];
+  if (op.op != 'I' && !slot) return 0;  // U/D of a deleted row
+  if (op.op != 'D' && op.stored.size() != t->schema().num_columns()) {
+    return 0;  // arity mismatch (schema drift): the row is unusable
+  }
+  if (slot) t->row_bytes_ -= RowBytes(*slot);
+  if (op.op == 'D') {
+    slot.reset();
+    if (--t->live_rows_ == 0) t->index_unreadable_.clear();
+  } else {
+    if (!slot) ++t->live_rows_;
+    t->row_bytes_ += RowBytes(op.stored);
+    slot = std::move(op.stored);
+  }
+  return rid;
+}
+
 void Database::ApplySnapshot(Table* t, std::vector<std::optional<Row>> slots) {
   for (auto& slot : slots) {
-    if (slot && slot->size() != t->schema().num_columns()) {
-      // Schema drift: unusable row, but the slot must survive so later
-      // rids don't shift (same rule as WAL replay).
-      slot.reset();
-    }
-    if (slot) {
-      for (const Value& v : *slot) t->row_bytes_ += v.ByteSize();
-      ++t->live_rows_;
+    if (!slot) {
+      t->slots_.emplace_back();  // deleted: kept so later rids don't shift
+    } else if (ApplyOp(t, {'I', 0, std::move(*slot)}) != 0) {
       ++replay_stats_.snapshot_rows;
     }
-    t->slots_.emplace_back(std::move(slot));
   }
 }
 
 void Database::ApplyReplay(Table* t, std::vector<WalOp> ops) {
   for (WalOp& op : ops) {
-    switch (op.op) {
-      case 'I': {
-        if (op.stored.size() != t->schema().num_columns()) {
-          // Arity mismatch (schema drift): the row is unusable, but its
-          // slot must still exist or every later rid in the log would
-          // shift by one and U/D records would hit neighboring rows.
-          t->slots_.emplace_back(std::nullopt);
-          break;
-        }
-        for (const Value& v : op.stored) t->row_bytes_ += v.ByteSize();
-        t->slots_.emplace_back(std::move(op.stored));
-        ++t->live_rows_;
-        ++replay_stats_.inserts;
-        break;
-      }
-      case 'U': {
-        if (op.rid == 0 || op.rid > t->slots_.size()) continue;
-        auto& slot = t->slots_[op.rid - 1];
-        if (!slot || op.stored.size() != t->schema().num_columns()) continue;
-        for (const Value& v : *slot) t->row_bytes_ -= v.ByteSize();
-        for (const Value& v : op.stored) t->row_bytes_ += v.ByteSize();
-        *slot = std::move(op.stored);
-        ++replay_stats_.updates;
-        break;
-      }
-      case 'D': {
-        if (op.rid == 0 || op.rid > t->slots_.size()) continue;
-        auto& slot = t->slots_[op.rid - 1];
-        if (!slot) continue;
-        for (const Value& v : *slot) t->row_bytes_ -= v.ByteSize();
-        slot.reset();
-        --t->live_rows_;
-        ++replay_stats_.deletes;
-        break;
-      }
-    }
+    const char kind = op.op;
+    if (ApplyOp(t, std::move(op)) == 0) continue;
+    ++(kind == 'I'   ? replay_stats_.inserts
+       : kind == 'U' ? replay_stats_.updates
+                     : replay_stats_.deletes);
   }
 }
 
@@ -446,6 +448,13 @@ Value Database::EncodeCell(const Value& v) {
   return Value(aead_->Seal(v.AsString(), seal_seq_.fetch_add(1)));
 }
 
+Row Database::EncodeRow(const Row& plain) {
+  Row stored;
+  stored.reserve(plain.size());
+  for (const Value& v : plain) stored.push_back(EncodeCell(v));
+  return stored;
+}
+
 bool Database::OpenCell(const Value& cell, Value* plain) const {
   if (!aead_ || cell.type() != ValueType::kString) {
     *plain = cell;
@@ -457,19 +466,13 @@ bool Database::OpenCell(const Value& cell, Value* plain) const {
   return true;
 }
 
-Row Database::DecodeRow(const Table* /*t*/, const Row& stored,
-                        bool* intact) const {
+Row Database::DecodeRow(const Row& stored, bool* intact) const {
   if (!aead_) return stored;
-  Row out;
-  out.reserve(stored.size());
-  for (const Value& v : stored) {
-    if (v.type() == ValueType::kString) {
-      auto plain = aead_->Open(v.AsString());
-      if (!plain.ok() && intact) *intact = false;
-      out.push_back(plain.ok() ? Value(plain.value()) : v);
-    } else {
-      out.push_back(v);
-    }
+  Row out(stored.size());
+  for (size_t i = 0; i < stored.size(); ++i) {
+    if (OpenCell(stored[i], &out[i])) continue;
+    out[i] = stored[i];
+    if (intact) *intact = false;
   }
   return out;
 }
@@ -479,53 +482,62 @@ Status Database::Unreadable(const Table* t, size_t rows) {
                           " failed at-rest decryption");
 }
 
-Status Database::Insert(Table* t, Row row) {
-  obs::SampledTimer timer(insert_us_, clock_);
-  if (!t) return Status::InvalidArgument("null table");
-  if (row.size() != t->schema().num_columns()) {
-    return Status::InvalidArgument("row arity mismatch");
-  }
-  Status healthy = WalHealthy();
-  if (!healthy.ok()) return healthy;
-  Row stored;
-  stored.reserve(row.size());
-  size_t bytes = 0;
-  for (const Value& v : row) {
-    stored.push_back(EncodeCell(v));
-    bytes += stored.back().ByteSize();
-  }
+Status Database::ApplyChanges(Table* t, std::vector<RowChange>* changes) {
   // The WAL carries the stored (possibly sealed) cells: with encryption on,
-  // personal data must not reach disk in plaintext. Length-prefixed binary
-  // framing — sealed cells contain arbitrary bytes, so a text format would
-  // be unparseable on replay. Gate on the option, not the handle: the WAL
-  // file lives in the pipeline and Checkpoint swaps it there.
-  std::string wal_line;
+  // personal data must not reach disk in plaintext. Gate on the option, not
+  // the handle: the WAL file lives in the pipeline and Checkpoint swaps it
+  // there.
+  std::string wal_blob;
   if (options_.wal_enabled) {
-    wal_line.push_back('I');
-    PutLengthPrefixed(&wal_line, t->name());
-    EncodeCells(&wal_line, stored);
+    for (const RowChange& c : *changes) EncodeWalOp(&wal_blob, t->name(), c.op);
   }
-  {
-    std::unique_lock<std::shared_mutex> l(t->mu_);
-    t->slots_.emplace_back(std::move(stored));
-    const uint64_t row_id = uint64_t(t->slots_.size());
-    ++t->live_rows_;
-    t->row_bytes_ += bytes;
+  for (RowChange& c : *changes) {
+    const uint64_t rid = ApplyOp(t, std::move(c.op));
+    // Index maintenance on changed columns only — the Fig 3b write cost.
+    const bool had = !c.before.empty(), has = !c.after.empty();
     for (auto& [col, tree] : t->indexes_) {
-      tree->Insert(row[col], row_id);
-    }
-    // Logged while the table lock is held: WAL order must equal apply
-    // order or replayed rids would point at the wrong rows.
-    if (!wal_line.empty()) {
-      Status s = WalAppend(wal_line);
-      if (!s.ok()) return s;
+      if (had && has && c.before[col] == c.after[col]) continue;
+      if (had) tree->Erase(c.before[col], rid);
+      if (has) tree->Insert(c.after[col], rid);
     }
   }
-  if (stmt_logging()) return LogStatement("INSERT INTO " + t->name());
-  return Status::OK();
+  // Logged while the table lock is held: WAL order must equal apply order
+  // or replayed rids would point at the wrong rows.
+  return wal_blob.empty() ? Status::OK() : WalAppend(wal_blob);
 }
 
-std::vector<uint64_t> Database::MatchRowIds(Table* t, const Predicate& pred,
+StatusOr<size_t> Database::Mutate(
+    Table* t, const char* verb, const char* where,
+    const std::function<Status(std::vector<RowChange>*)>& build) {
+  if (!t) return Status::InvalidArgument("null table");
+  Status s = WalHealthy();
+  std::vector<RowChange> changes;
+  if (s.ok()) {
+    std::unique_lock<std::shared_mutex> l(t->mu_);
+    s = build(&changes);
+    if (s.ok()) s = ApplyChanges(t, &changes);
+  }
+  if (s.ok() && stmt_logging()) s = LogStatement(verb + t->name() + where);
+  if (!s.ok()) return s;
+  return changes.size();
+}
+
+Status Database::Insert(Table* t, Row row) {
+  obs::SampledTimer timer(insert_us_, clock_);
+  if (t && row.size() != t->schema().num_columns()) {
+    return Status::InvalidArgument("row arity mismatch");
+  }
+  RowChange c;  // sealed outside the table lock
+  c.op.stored = EncodeRow(row);
+  c.after = std::move(row);
+  return Mutate(t, "INSERT INTO ", "", [&](std::vector<RowChange>* changes) {
+    changes->push_back(std::move(c));
+    return Status::OK();
+  }).status();
+}
+
+std::vector<uint64_t> Database::MatchRowIds(const Table* t,
+                                            const Predicate& pred,
                                             size_t limit,
                                             size_t* unreadable) const {
   // Caller holds t->mu_ (shared or exclusive).
@@ -539,23 +551,17 @@ std::vector<uint64_t> Database::MatchRowIds(Table* t, const Predicate& pred,
         ids.push_back(rid);
         return want_more();
       });
-    } else if (pred.op == CompareOp::kGe || pred.op == CompareOp::kGt) {
-      tree->ScanRange(pred.value, nullptr, [&](const Value& k, uint64_t rid) {
-        if (pred.op == CompareOp::kGt && k == pred.value) return true;
-        ids.push_back(rid);
-        return want_more();
-      });
-    } else {  // kLt / kLe: scan from -inf (null sorts first) up to the bound
-      tree->ScanRange(Value(), &pred.value, [&](const Value& k, uint64_t rid) {
-        if (pred.op == CompareOp::kLt && k == pred.value) return true;
-        ids.push_back(rid);
-        return want_more();
-      });
+    } else {  // up from the bound, or from -inf (null sorts first) to it
+      const bool up = pred.op == CompareOp::kGe || pred.op == CompareOp::kGt;
+      tree->ScanRange(up ? pred.value : Value(), up ? nullptr : &pred.value,
+                      [&](const Value& k, uint64_t rid) {
+                        if (!k.Matches(pred.op, pred.value)) return true;
+                        ids.push_back(rid);
+                        return want_more();
+                      });
     }
     const auto missed = t->index_unreadable_.find(pred.col);
-    if (unreadable && missed != t->index_unreadable_.end()) {
-      *unreadable += missed->second;
-    }
+    if (missed != t->index_unreadable_.end()) *unreadable += missed->second;
     return ids;
   }
   // Sequential scan. Only the predicate column needs decoding.
@@ -563,7 +569,7 @@ std::vector<uint64_t> Database::MatchRowIds(Table* t, const Predicate& pred,
     if (!t->slots_[slot]) continue;
     Value plain;
     if (!OpenCell((*t->slots_[slot])[pred.col], &plain)) {
-      if (unreadable) ++*unreadable;
+      ++*unreadable;
       continue;
     }
     if (plain.Matches(pred.op, pred.value)) ids.push_back(uint64_t(slot) + 1);
@@ -571,224 +577,117 @@ std::vector<uint64_t> Database::MatchRowIds(Table* t, const Predicate& pred,
   return ids;
 }
 
-StatusOr<std::vector<Row>> Database::Select(Table* t, const Predicate& pred,
-                                            size_t limit) {
-  obs::SampledTimer timer(select_us_, clock_);
+Status Database::VisitRows(Table* t, const Predicate* pred, size_t limit,
+                           const std::function<bool(Row&)>& fn) {
   if (!t) return Status::InvalidArgument("null table");
-  std::vector<Row> out;
   size_t unreadable = 0;
   {
     std::shared_lock<std::shared_mutex> l(t->mu_);
-    const std::vector<uint64_t> ids = MatchRowIds(t, pred, limit, &unreadable);
-    out.reserve(ids.size());
-    for (const uint64_t rid : ids) {
-      const auto& slot = t->slots_[rid - 1];
+    std::vector<uint64_t> ids;
+    if (pred) ids = MatchRowIds(t, *pred, limit, &unreadable);
+    const size_t n = pred ? ids.size() : t->slots_.size();
+    for (size_t i = 0; i < n; ++i) {
+      const auto& slot = t->slots_[pred ? ids[i] - 1 : i];
       if (!slot) continue;
       bool intact = true;
-      out.push_back(DecodeRow(t, *slot, &intact));
-      if (!intact) ++unreadable;
-    }
-  }
-  if (stmt_logging()) {
-    Status s = LogStatement("SELECT FROM " + t->name() + " WHERE " +
-                            pred.col_name + " " + pred.value.ToString());
-    if (!s.ok()) return s;
-  }
-  if (unreadable != 0) return Unreadable(t, unreadable);
-  return out;
-}
-
-StatusOr<std::vector<Row>> Database::SelectWhere(
-    Table* t, const std::function<bool(const Row&)>& pred, size_t limit) {
-  obs::SampledTimer timer(select_us_, clock_);
-  if (!t) return Status::InvalidArgument("null table");
-  std::vector<Row> out;
-  size_t unreadable = 0;
-  {
-    std::shared_lock<std::shared_mutex> l(t->mu_);
-    for (size_t slot = 0; slot < t->slots_.size(); ++slot) {
-      if (!t->slots_[slot]) continue;
-      bool intact = true;
-      Row decoded = DecodeRow(t, *t->slots_[slot], &intact);
+      Row row = DecodeRow(*slot, &intact);
       if (!intact) {
         ++unreadable;
-      } else if (pred(decoded)) {
-        out.push_back(std::move(decoded));
-        if (limit != 0 && out.size() >= limit) break;
-      }
-    }
-  }
-  if (stmt_logging()) {
-    Status s = LogStatement("SELECT FROM " + t->name() + " WHERE <scan>");
-    if (!s.ok()) return s;
-  }
-  if (unreadable != 0) return Unreadable(t, unreadable);
-  return out;
-}
-
-Status Database::ScanRows(Table* t,
-                          const std::function<bool(const Row&)>& fn) {
-  if (!t) return Status::InvalidArgument("null table");
-  size_t unreadable = 0;
-  {
-    std::shared_lock<std::shared_mutex> l(t->mu_);
-    for (size_t slot = 0; slot < t->slots_.size(); ++slot) {
-      if (!t->slots_[slot]) continue;
-      bool intact = true;
-      Row decoded = DecodeRow(t, *t->slots_[slot], &intact);
-      if (!intact) {
-        ++unreadable;
-      } else if (!fn(decoded)) {
+      } else if (!fn(row)) {
         break;
       }
     }
   }
   if (stmt_logging()) {
-    Status s = LogStatement("SELECT FROM " + t->name() + " WHERE <scan>");
+    Status s = LogStatement(
+        "SELECT FROM " + t->name() + " WHERE " +
+        (pred ? pred->col_name + " " + pred->value.ToString() : "<scan>"));
     if (!s.ok()) return s;
   }
   if (unreadable != 0) return Unreadable(t, unreadable);
   return Status::OK();
 }
 
+StatusOr<std::vector<Row>> Database::Select(Table* t, const Predicate& pred,
+                                            size_t limit) {
+  obs::SampledTimer timer(select_us_, clock_);
+  std::vector<Row> out;
+  Status s = VisitRows(t, &pred, limit, [&](Row& row) {
+    out.push_back(std::move(row));
+    return true;
+  });
+  if (!s.ok()) return s;
+  return out;
+}
+
+Status Database::ScanRows(Table* t,
+                          const std::function<bool(const Row&)>& fn) {
+  return VisitRows(t, nullptr, 0, fn);
+}
+
 StatusOr<size_t> Database::Update(Table* t, const Predicate& pred,
                                   const std::function<void(Row*)>& mutate) {
   obs::SampledTimer timer(update_us_, clock_);
-  if (!t) return Status::InvalidArgument("null table");
-  Status healthy = WalHealthy();
-  if (!healthy.ok()) return healthy;
-  size_t updated = 0;
-  std::string wal_blob;
-  {
-    std::unique_lock<std::shared_mutex> l(t->mu_);
-    const std::vector<uint64_t> ids = MatchRowIds(t, pred, 0);
-    for (const uint64_t rid : ids) {
-      auto& slot = t->slots_[rid - 1];
+  return Mutate(t, "UPDATE ", "", [&](std::vector<RowChange>* changes) {
+    size_t unreadable = 0;
+    // Every new image is built and checked before anything changes, so a
+    // failure on any matched row applies none of them.
+    for (const uint64_t rid : MatchRowIds(t, pred, 0, &unreadable)) {
+      const auto& slot = t->slots_[rid - 1];
       if (!slot) continue;
-      Row old_plain = DecodeRow(t, *slot);
-      Row new_plain = old_plain;
-      mutate(&new_plain);
-      if (new_plain.size() != old_plain.size()) {
+      bool intact = true;
+      RowChange c{{'U', rid, {}}, DecodeRow(*slot, &intact), {}};
+      if (!intact) {  // re-sealing would store a cell's ciphertext as plain
+        ++unreadable;
+        continue;
+      }
+      c.after = c.before;
+      mutate(&c.after);
+      if (c.after.size() != c.before.size()) {
         return Status::InvalidArgument("update changed row arity");
       }
-      // Index maintenance on changed columns only — the Fig 3b write cost.
-      for (auto& [col, tree] : t->indexes_) {
-        if (!(old_plain[col] == new_plain[col])) {
-          tree->Erase(old_plain[col], rid);
-          tree->Insert(new_plain[col], rid);
-        }
-      }
-      Row stored;
-      stored.reserve(new_plain.size());
-      size_t bytes = 0;
-      for (const Value& v : new_plain) {
-        stored.push_back(EncodeCell(v));
-        bytes += stored.back().ByteSize();
-      }
-      if (options_.wal_enabled) {
-        wal_blob.push_back('U');
-        PutLengthPrefixed(&wal_blob, t->name());
-        PutVarint64(&wal_blob, rid);
-        EncodeCells(&wal_blob, stored);
-      }
-      for (const Value& v : *slot) t->row_bytes_ -= v.ByteSize();
-      t->row_bytes_ += bytes;
-      *slot = std::move(stored);
-      ++updated;
+      c.op.stored = EncodeRow(c.after);
+      changes->push_back(std::move(c));
     }
-    // Under the table lock: same-rid updates must hit the WAL in apply
-    // order or replay ends at the wrong final image.
-    if (!wal_blob.empty()) {
-      Status s = WalAppend(wal_blob);
-      if (!s.ok()) return s;
-    }
-  }
-  if (stmt_logging()) {
-    Status s = LogStatement("UPDATE " + t->name());
-    if (!s.ok()) return s;
-  }
-  return updated;
+    return unreadable == 0 ? Status::OK() : Unreadable(t, unreadable);
+  });
 }
 
 StatusOr<size_t> Database::Delete(Table* t, const Predicate& pred) {
   obs::SampledTimer timer(delete_us_, clock_);
-  if (!t) return Status::InvalidArgument("null table");
-  Status healthy = WalHealthy();
-  if (!healthy.ok()) return healthy;
-  size_t deleted = 0;
-  std::string wal_blob;
-  {
-    std::unique_lock<std::shared_mutex> l(t->mu_);
-    const std::vector<uint64_t> ids = MatchRowIds(t, pred, 0);
+  return Mutate(t, "DELETE FROM ", "", [&](std::vector<RowChange>* changes) {
+    size_t unreadable = 0;
+    const std::vector<uint64_t> ids = MatchRowIds(t, pred, 0, &unreadable);
+    if (unreadable != 0) return Unreadable(t, unreadable);
+    // A cell that fails to open stays sealed in `before`; CreateIndex's
+    // backfill never indexed it, so its index erase finds nothing.
     for (const uint64_t rid : ids) {
-      auto& slot = t->slots_[rid - 1];
-      if (!slot) continue;
-      Row plain = DecodeRow(t, *slot);
-      for (auto& [col, tree] : t->indexes_) tree->Erase(plain[col], rid);
-      for (const Value& v : *slot) t->row_bytes_ -= v.ByteSize();
-      slot.reset();
-      if (--t->live_rows_ == 0) t->index_unreadable_.clear();
-      ++deleted;
-      if (options_.wal_enabled) {
-        wal_blob.push_back('D');
-        PutLengthPrefixed(&wal_blob, t->name());
-        PutVarint64(&wal_blob, rid);
-      }
+      const auto& slot = t->slots_[rid - 1];
+      if (slot) changes->push_back({{'D', rid, {}}, DecodeRow(*slot), {}});
     }
-    if (!wal_blob.empty()) {
-      Status s = WalAppend(wal_blob);
-      if (!s.ok()) return s;
-    }
-  }
-  if (stmt_logging()) {
-    Status s = LogStatement("DELETE FROM " + t->name());
-    if (!s.ok()) return s;
-  }
-  return deleted;
+    return Status::OK();
+  });
 }
 
 StatusOr<size_t> Database::DeleteWhere(
     Table* t, const std::function<bool(const Row&)>& pred) {
   obs::SampledTimer timer(delete_us_, clock_);
-  if (!t) return Status::InvalidArgument("null table");
-  Status healthy = WalHealthy();
-  if (!healthy.ok()) return healthy;
-  size_t deleted = 0;
-  std::string wal_blob;
-  {
-    std::unique_lock<std::shared_mutex> l(t->mu_);
-    for (size_t slot_idx = 0; slot_idx < t->slots_.size(); ++slot_idx) {
-      auto& slot = t->slots_[slot_idx];
-      if (!slot) continue;
-      Row plain = DecodeRow(t, *slot);
-      if (!pred(plain)) continue;
-      const uint64_t rid = uint64_t(slot_idx) + 1;
-      for (auto& [col, tree] : t->indexes_) tree->Erase(plain[col], rid);
-      for (const Value& v : *slot) t->row_bytes_ -= v.ByteSize();
-      slot.reset();
-      if (--t->live_rows_ == 0) t->index_unreadable_.clear();
-      ++deleted;
-      if (options_.wal_enabled) {
-        wal_blob.push_back('D');
-        PutLengthPrefixed(&wal_blob, t->name());
-        PutVarint64(&wal_blob, rid);
+  const auto scan = [&](std::vector<RowChange>* changes) {
+    for (size_t i = 0; i < t->slots_.size(); ++i) {
+      if (!t->slots_[i]) continue;
+      Row plain = DecodeRow(*t->slots_[i]);
+      if (pred(plain)) {
+        changes->push_back({{'D', uint64_t(i) + 1, {}}, std::move(plain), {}});
       }
     }
-    if (!wal_blob.empty()) {
-      Status s = WalAppend(wal_blob);
-      if (!s.ok()) return s;
-    }
-  }
-  if (stmt_logging()) {
-    Status s = LogStatement("DELETE FROM " + t->name() + " WHERE <scan>");
-    if (!s.ok()) return s;
-  }
-  return deleted;
+    return Status::OK();
+  };
+  return Mutate(t, "DELETE FROM ", " WHERE <scan>", scan);
 }
 
 size_t Database::ApproximateBytes() const {
   size_t total = 0;
-  std::lock_guard<std::mutex> l(const_cast<std::mutex&>(tables_mu_));
+  std::lock_guard<std::mutex> l(tables_mu_);
   for (const auto& [name, t] : tables_) {
     std::shared_lock<std::shared_mutex> tl(t->mu_);
     total += t->row_bytes_ + t->slots_.size() * 16;

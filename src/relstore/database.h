@@ -197,21 +197,29 @@ class Database {
   Status CreateIndex(const std::string& table, const std::string& column);
 
   Status Insert(Table* t, Row row);
-  // The three read paths return DataLoss when a row they met failed at-rest
-  // decryption — never its sealed bytes, never a silently shorter answer.
+  // Rows that fail at-rest decryption ("unreadable") are never answered
+  // with their sealed bytes, and never silently left out:
+  // - Select and ScanRows return DataLoss after visiting every readable
+  //   row they met.
+  // - Update and Delete return DataLoss and change nothing when they cannot
+  //   tell whether an unreadable row matches: its predicate cell is sealed,
+  //   or the probed index could not hold it (see Table::index_unreadable_).
+  // - Update also refuses a matched row with any unreadable cell, rather
+  //   than re-seal its ciphertext; Delete removes it.
   StatusOr<std::vector<Row>> Select(Table* t, const Predicate& pred,
                                     size_t limit = 0);
-  // Sequential scan with an arbitrary row predicate (no index assist).
-  StatusOr<std::vector<Row>> SelectWhere(
-      Table* t, const std::function<bool(const Row&)>& pred, size_t limit = 0);
   // Visits every live row (decoded); fn returns false to stop the scan. fn
   // sees every readable row before an unreadable one turns into DataLoss.
   Status ScanRows(Table* t, const std::function<bool(const Row&)>& fn);
   // Applies `mutate` to each matching row, maintaining indices on changed
-  // columns. Returns rows updated.
+  // columns. All or nothing: every new row image is built and checked
+  // before any slot, index or WAL frame changes. Returns rows updated.
   StatusOr<size_t> Update(Table* t, const Predicate& pred,
                           const std::function<void(Row*)>& mutate);
   StatusOr<size_t> Delete(Table* t, const Predicate& pred);
+  // The wipe path (RelGdprStore::Reset, TtlDaemon): a sequential scan whose
+  // predicate sees unreadable cells still sealed, so it can remove a
+  // corrupt row; it never returns DataLoss.
   StatusOr<size_t> DeleteWhere(Table* t,
                                const std::function<bool(const Row&)>& pred);
 
@@ -262,38 +270,69 @@ class Database {
   obs::RegistrySnapshot StatsSnapshot();
 
  private:
-  // One parsed WAL mutation awaiting its table.
+  // One row mutation: parsed from the WAL awaiting its table, or built by
+  // a live write on its way to the WAL and the heap.
   struct WalOp {
     char op = 'I';      // 'I' / 'U' / 'D'
     uint64_t rid = 0;   // U/D target row id
     Row stored;         // I/U cells, already encoded for storage
   };
+  // A live write's change to one row: its op plus the plain images the
+  // indexes need (`before` empty on insert, `after` empty on delete).
+  struct RowChange {
+    WalOp op;
+    Row before;
+    Row after;
+  };
 
   // Parses the whole log into pending_replay_; stops at a torn tail.
   // Returns the byte length of the valid prefix.
   size_t ParseWal(std::string_view contents);
+  // Appends one frame; the inverse of ParseWal.
+  static void EncodeWalOp(std::string* dst, std::string_view table,
+                          const WalOp& op);
   // Parses a checkpoint snapshot into pending_snapshot_ + epoch_; fills
   // *seal_seq with the seal counter recorded at checkpoint time.
   Status ParseSnapshot(std::string_view contents, uint64_t* seal_seq);
+  // The one heap change for an I/U/D op, shared by live writes and
+  // replay: the slot, live_rows_ and row_bytes_. Returns the row id it
+  // changed, 0 when the op does not fit the table (a missing row, schema
+  // drift); an 'I' that does not fit still takes its slot.
+  uint64_t ApplyOp(Table* t, WalOp op);
   // Applies queued ops for a freshly created table (no locks needed: the
   // table is not yet visible to other threads).
   void ApplyReplay(Table* t, std::vector<WalOp> ops);
   void ApplySnapshot(Table* t, std::vector<std::optional<Row>> slots);
+  // Caller holds t->mu_ exclusive and has checked every change: logs them
+  // as one WAL append and applies each to the indexes and the heap.
+  Status ApplyChanges(Table* t, std::vector<RowChange>* changes);
   static void EncodeCells(std::string* dst, const Row& stored);
   static bool DecodeCells(std::string_view* in, Row* out);
-  // Collects matching row ids under the table's lock (shared). A scanned
-  // predicate cell that fails decryption counts into *unreadable, as do an
-  // index's unindexed unreadable rows when the index serves the probe.
-  std::vector<uint64_t> MatchRowIds(Table* t, const Predicate& pred,
-                                    size_t limit,
-                                    size_t* unreadable = nullptr) const;
+  // The one place that picks an index probe or a scan; caller holds
+  // t->mu_. A scanned predicate cell that fails decryption counts into
+  // *unreadable, as do an index's unindexed unreadable rows when the index
+  // serves the probe.
+  std::vector<uint64_t> MatchRowIds(const Table* t, const Predicate& pred,
+                                    size_t limit, size_t* unreadable) const;
+  // The read loop behind Select (pred set) and ScanRows (every row): fn
+  // gets each readable matched row, returning false to stop.
+  Status VisitRows(Table* t, const Predicate* pred, size_t limit,
+                   const std::function<bool(Row&)>& fn);
+  // The one write path behind Insert, Update, Delete and DeleteWhere:
+  // under t->mu_ (exclusive) `build` lists every row change, which applies
+  // only if it returns OK; the statement `verb <table> where` is logged
+  // once the lock drops. Returns the number of changes.
+  StatusOr<size_t> Mutate(
+      Table* t, const char* verb, const char* where,
+      const std::function<Status(std::vector<RowChange>*)>& build);
   // Opens one stored cell into *plain; false when a sealed cell fails.
   bool OpenCell(const Value& cell, Value* plain) const;
   // Opens sealed cells; one that fails stays sealed and clears *intact.
-  Row DecodeRow(const Table* t, const Row& stored,
-                bool* intact = nullptr) const;
+  Row DecodeRow(const Row& stored, bool* intact = nullptr) const;
   static Status Unreadable(const Table* t, size_t rows);
   Value EncodeCell(const Value& v);
+  // The one stored-row encoder: seals every string cell when encrypting.
+  Row EncodeRow(const Row& plain);
 
   Status LogStatement(const std::string& text);
   // Shifts <path>.i -> <path>.i+1, the active log to <path>.1, and opens a
@@ -340,7 +379,7 @@ class Database {
   obs::Gauge* m_wal_log_bytes_ = nullptr;   // reldb_wal_log_bytes (view)
   obs::Gauge* m_stmt_log_bytes_ = nullptr;  // active statement log length
 
-  std::mutex tables_mu_;
+  mutable std::mutex tables_mu_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
 
   std::map<std::string, std::vector<WalOp>> pending_replay_;

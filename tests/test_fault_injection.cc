@@ -457,7 +457,7 @@ TEST(StatementLogTorn, RotationRenameFailureDegradesThenReopenHeals) {
   // reads keep serving, unlogged.
   EXPECT_TRUE(db.Insert(t.value(), {rel::Value(int64_t(999))}).IsUnavailable());
   EXPECT_TRUE(
-      db.SelectWhere(t.value(), [](const rel::Row&) { return true; }).ok());
+      db.ScanRows(t.value(), [](const rel::Row&) { return true; }).ok());
   (void)db.Close().ok();
   // A new incarnation over the recovered disk starts healthy.
   fenv.ClearFaults();

@@ -322,9 +322,14 @@ TEST_P(GdprSpec, AtRestCorruptionIsDataLossNotAShorterAnswer) {
   EXPECT_TRUE(store->ReadRecordsByUser(ctrl, "neo").status().IsDataLoss());
   EXPECT_TRUE(store->DeleteRecordsByUser(ctrl, "neo").status().IsDataLoss());
   // A sweep cannot vouch for a TTL it cannot read. reldb keeps expiry in an
-  // unsealed column, so its expiry index still knows k2 never expires.
-  if (memkv() || !GetParam().indexed) {
+  // unsealed column, so its expiry probe, by index or by scan, still knows
+  // k2 never expires.
+  if (memkv()) {
     EXPECT_TRUE(store->DeleteExpiredRecords(ctrl).status().IsDataLoss());
+  } else {
+    auto swept = store->DeleteExpiredRecords(ctrl);
+    ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+    EXPECT_EQ(swept.value(), 0u);
   }
   if (kv) {
     // A slot migration built on a partial export would drop the record.

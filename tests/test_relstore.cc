@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "relstore/database.h"
 #include "relstore/ttl_daemon.h"
 
@@ -148,8 +151,10 @@ TEST(Database, WalNeverSeesPlaintextWhenEncrypted) {
 }
 
 // A sealed cell whose MAC no longer verifies must never come back as its
-// ciphertext, nor vanish from a scan: every read path that meets the row
-// says DataLoss, and a path that never touches it still answers.
+// ciphertext, nor vanish from an answer: every read that meets the row says
+// DataLoss, and a read that never touches it still answers. A write that
+// cannot tell whether the row matches, or would re-seal its ciphertext,
+// says DataLoss and changes nothing; only deletion may remove the row.
 TEST(Database, UnreadableRowIsDataLossNotCiphertext) {
   MemEnv env;
   RelOptions o;
@@ -172,31 +177,112 @@ TEST(Database, UnreadableRowIsDataLossNotCiphertext) {
   // The WAL ends with row 2's sealed owner cell; its last byte is the MAC.
   std::string wal = env.ReadFileToString("rel.wal").value();
   wal.back() = char(uint8_t(wal.back()) ^ 0x01);
-  auto f = env.NewWritableFile("rel.wal", /*truncate=*/true);
-  ASSERT_TRUE(f.ok());
-  ASSERT_TRUE(f.value()->Append(wal).ok());
-  ASSERT_TRUE(f.value()->Close().ok());
+  // Each database below starts from this corrupt log.
+  const auto reopen = [&](std::unique_ptr<Database>* db) {
+    db->reset();
+    auto f = env.NewWritableFile("rel.wal", /*truncate=*/true);
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE(f.value()->Append(wal).ok());
+    ASSERT_TRUE(f.value()->Close().ok());
+    *db = std::make_unique<Database>(o);
+    ASSERT_TRUE((*db)->Open().ok());
+  };
+  const auto by_owner = [](const char* owner) {
+    return Compare(2, CompareOp::kEq, Value(owner), "owner");
+  };
+  const auto by_aid = [](int64_t aid) {
+    return Compare(0, CompareOp::kEq, Value(aid), "aid");
+  };
+  const auto bump = [](Row* r) { (*r)[1] = Value((*r)[1].AsInt64() + 10); };
 
+  std::unique_ptr<Database> db;
+  reopen(&db);
+  Table* t = MakeAccounts(db.get());
+  EXPECT_TRUE(db->Select(t, by_owner("u0")).status().IsDataLoss());
+  EXPECT_TRUE(db->Select(t, by_aid(2)).status().IsDataLoss());
+  auto healthy = db->Select(t, by_aid(0));
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  EXPECT_EQ(healthy.value()[0][2].AsString(), "u0");
+  size_t visited = 0;
+  EXPECT_TRUE(db->ScanRows(t, [&](const Row&) { return ++visited > 0; })
+                  .IsDataLoss());
+  EXPECT_EQ(visited, 2u);
+
+  // A scanned predicate cell that fails to open: the write cannot tell
+  // whether row 2 matches, so it refuses rather than answer 1 for u0.
+  EXPECT_TRUE(db->Update(t, by_owner("u0"), bump).status().IsDataLoss());
+  EXPECT_TRUE(db->Delete(t, by_owner("u0")).status().IsDataLoss());
+  // Row 2 matches on a readable cell, but re-sealing its row would turn
+  // the owner's ciphertext into its plaintext.
+  EXPECT_TRUE(db->Update(t, by_aid(2), bump).status().IsDataLoss());
+  EXPECT_TRUE(db->Select(t, by_aid(2)).status().IsDataLoss());
+  // An index whose backfill could not open row 2 cannot say either.
+  ASSERT_TRUE(db->CreateIndex("accounts", "owner").ok());
+  EXPECT_TRUE(db->Update(t, by_owner("u1"), bump).status().IsDataLoss());
+  EXPECT_TRUE(db->Delete(t, by_owner("u1")).status().IsDataLoss());
+  // Nothing changed, in memory or in the log.
+  ASSERT_EQ(t->live_rows(), 3u);
+  EXPECT_EQ(db->Select(t, by_aid(0)).value()[0][1].AsInt64(), 0);
+  EXPECT_EQ(db->Select(t, by_aid(1)).value()[0][1].AsInt64(), 1);
+  EXPECT_EQ(env.ReadFileToString("rel.wal").value(), wal);
+
+  // Deletion may remove a matched row whose other cells are unreadable.
+  auto erased = db->Delete(t, by_aid(2));
+  ASSERT_TRUE(erased.ok()) << erased.status().ToString();
+  EXPECT_EQ(erased.value(), 1u);
+  visited = 0;
+  EXPECT_TRUE(db->ScanRows(t, [&](const Row&) { return ++visited > 0; }).ok());
+  EXPECT_EQ(visited, 2u);
+
+  // DeleteWhere is the wipe path: its predicate sees unreadable cells still
+  // sealed, and every row it accepts goes.
+  reopen(&db);
+  t = MakeAccounts(db.get());
+  auto wiped = db->DeleteWhere(t, [](const Row&) { return true; });
+  ASSERT_TRUE(wiped.ok()) << wiped.status().ToString();
+  EXPECT_EQ(wiped.value(), 3u);
+  EXPECT_EQ(t->live_rows(), 0u);
+}
+
+// An Update that fails on any matched row applies none of them: not in
+// memory, not in the log.
+TEST(Database, UpdateIsAllOrNothing) {
+  MemEnv env;
+  RelOptions o;
+  o.env = &env;
+  o.wal_enabled = true;
+  o.wal_path = "rel.wal";
+  o.sync_policy = SyncPolicy::kNever;
+  const auto owned_by_u = [] {
+    return Compare(2, CompareOp::kEq, Value("u"), "owner");
+  };
+  const auto balances = [&](Database* db, Table* t) {
+    std::vector<int64_t> out;
+    auto rows = db->Select(t, owned_by_u());
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    for (const Row& r : rows.value()) out.push_back(r[1].AsInt64());
+    return out;
+  };
+  {
+    Database db(o);
+    ASSERT_TRUE(db.Open().ok());
+    Table* t = MakeAccounts(&db);
+    for (int64_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(db.Insert(t, {Value(i), Value(i), Value("u")}).ok());
+    }
+    size_t calls = 0;
+    auto updated = db.Update(t, owned_by_u(), [&](Row* r) {
+      (*r)[1] = Value(int64_t(100));
+      if (++calls == 2) r->push_back(Value("extra"));  // arity change
+    });
+    EXPECT_EQ(updated.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(balances(&db, t), (std::vector<int64_t>{0, 1, 2}));
+    ASSERT_TRUE(db.Close().ok());
+  }
   Database db(o);
   ASSERT_TRUE(db.Open().ok());
   Table* t = MakeAccounts(&db);
-  EXPECT_TRUE(db.Select(t, Compare(2, CompareOp::kEq, Value("u0"), "owner"))
-                  .status()
-                  .IsDataLoss());
-  EXPECT_TRUE(db.Select(t, Compare(0, CompareOp::kEq, Value(int64_t(2)), "aid"))
-                  .status()
-                  .IsDataLoss());
-  auto healthy =
-      db.Select(t, Compare(0, CompareOp::kEq, Value(int64_t(0)), "aid"));
-  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
-  EXPECT_EQ(healthy.value()[0][2].AsString(), "u0");
-  EXPECT_TRUE(db.SelectWhere(t, [](const Row&) { return true; })
-                  .status()
-                  .IsDataLoss());
-  size_t visited = 0;
-  EXPECT_TRUE(db.ScanRows(t, [&](const Row&) { return ++visited > 0; })
-                  .IsDataLoss());
-  EXPECT_EQ(visited, 2u);
+  EXPECT_EQ(balances(&db, t), (std::vector<int64_t>{0, 1, 2}));
 }
 
 TEST(Database, ScanRowsStopsEarly) {
