@@ -48,6 +48,8 @@ void Database::InitMetrics() {
   m_stmt_statements_ = metrics_->GetCounter("reldb_stmt_statements_total");
   m_stmt_bytes_total_ = metrics_->GetCounter("reldb_stmt_bytes_total");
   m_checkpoints_ = metrics_->GetCounter("reldb_checkpoints_total");
+  m_cells_sealed_ = metrics_->GetCounter("reldb_cells_sealed_total");
+  m_cells_opened_ = metrics_->GetCounter("reldb_cells_opened_total");
   m_wal_log_bytes_ = metrics_->GetGauge("reldb_wal_log_bytes");
   m_stmt_log_bytes_ = metrics_->GetGauge("reldb_stmt_log_bytes");
   wal_health_.AttachMetrics(
@@ -445,6 +447,7 @@ void Database::EncodeCells(std::string* dst, const Row& stored) {
 
 Value Database::EncodeCell(const Value& v) {
   if (!aead_ || v.type() != ValueType::kString) return v;
+  m_cells_sealed_->Add(1);
   return Value(aead_->Seal(v.AsString(), seal_seq_.fetch_add(1)));
 }
 
@@ -460,6 +463,7 @@ bool Database::OpenCell(const Value& cell, Value* plain) const {
     *plain = cell;
     return true;
   }
+  m_cells_opened_->Add(1);
   auto p = aead_->Open(cell.AsString());
   if (!p.ok()) return false;
   *plain = Value(std::move(p.value()));

@@ -376,6 +376,8 @@ class Database {
   obs::Counter* m_stmt_statements_ = nullptr;
   obs::Counter* m_stmt_bytes_total_ = nullptr;
   obs::Counter* m_checkpoints_ = nullptr;   // reldb_checkpoints_total (view)
+  obs::Counter* m_cells_sealed_ = nullptr;  // AEAD seals (encrypt_at_rest)
+  obs::Counter* m_cells_opened_ = nullptr;  // AEAD opens (encrypt_at_rest)
   obs::Gauge* m_wal_log_bytes_ = nullptr;   // reldb_wal_log_bytes (view)
   obs::Gauge* m_stmt_log_bytes_ = nullptr;  // active statement log length
 

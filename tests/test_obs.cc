@@ -405,5 +405,34 @@ TEST(ObsCluster, FanOutAndMigrationMetrics) {
   ASSERT_TRUE(store.Close().ok());
 }
 
+// With encrypt_at_rest, every sealed string cell counts once when sealed and
+// once each time it is opened; int cells and unencrypted stores count none.
+TEST(ObsRelDb, AeadCellCounters) {
+  for (const bool encrypt : {false, true}) {
+    rel::RelOptions o;
+    o.encrypt_at_rest = encrypt;
+    rel::Database db(o);
+    ASSERT_TRUE(db.Open().ok());
+    rel::Table* t =
+        db.CreateTable("people",
+                       rel::Schema({{"name", rel::ValueType::kString},
+                                    {"age", rel::ValueType::kInt64},
+                                    {"city", rel::ValueType::kString}}))
+            .value();
+    ASSERT_TRUE(db.Insert(t, {rel::Value("ada"), rel::Value(int64_t(36)),
+                              rel::Value("london")})
+                    .ok());
+    RegistrySnapshot snap = db.StatsSnapshot();
+    EXPECT_EQ(snap.CounterValue("reldb_cells_sealed_total"), encrypt ? 2u : 0u);
+    EXPECT_EQ(snap.CounterValue("reldb_cells_opened_total"), 0u);
+    auto rows = db.Select(
+        t, rel::Compare(1, rel::CompareOp::kEq, rel::Value(int64_t(36))));
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows.value().size(), 1u);
+    snap = db.StatsSnapshot();
+    EXPECT_EQ(snap.CounterValue("reldb_cells_opened_total"), encrypt ? 2u : 0u);
+  }
+}
+
 }  // namespace
 }  // namespace gdpr

@@ -342,5 +342,37 @@ TEST(WalGolden, EveryFrameKindEncodesToItsPinnedBytes) {
   EXPECT_EQ(Hex(env.ReadFileToString("wal").value()), expected);
 }
 
+// The same 'I' frame with encrypt_at_rest on: the string cell is stored as
+// the AEAD's [8B LE seq][ciphertext][16B tag], the int64 cell in the clear.
+// The sealed bytes were captured before the SHA-256 kernels changed, so
+// this pins that logs written by older builds still open.
+TEST(WalGolden, SealedInsertEncodesToItsPinnedBytes) {
+  MemEnv env;
+  RelOptions o = WalOptions(&env, "wal");
+  o.encrypt_at_rest = true;
+  {
+    Database db(o);
+    ASSERT_TRUE(db.Open().ok());
+    Table* t = db.CreateTable("people", PeopleSchema()).value();
+    ASSERT_TRUE(db.Insert(t, {Value("ada"), Value(int64_t(36))}).ok());
+    ASSERT_TRUE(db.Close().ok());
+  }
+  const std::string expected = std::string() +
+      "49" "06" "70656f706c65"                  // 'I' "people"
+          "02" "02" "1b"                        //   2 cells: 27 sealed bytes
+          "0100000000000000"                    //     seq 1
+          "c3b248"                              //     "ada" enciphered
+          "e75a583760196af05ed9d1910b0e8b91"    //     tag
+          "01" "2400000000000000";              //   36
+  EXPECT_EQ(Hex(env.ReadFileToString("wal").value()), expected);
+  Database db(o);
+  ASSERT_TRUE(db.Open().ok());
+  Table* t = db.CreateTable("people", PeopleSchema()).value();
+  auto rows = db.Select(t, Compare(0, CompareOp::kEq, Value("ada")));
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows.value().size(), 1u);
+  EXPECT_EQ(rows.value()[0][1].AsInt64(), 36);
+}
+
 }  // namespace
 }  // namespace gdpr::rel
