@@ -59,7 +59,7 @@ double MeasureTps(size_t num_secondary, size_t rows, size_t txns) {
     // pgbench tpcb-like step: point select + balance update + metadata
     // update (touches the indexed columns).
     const int64_t aid = int64_t(rng.Uniform(rows));
-    auto by_aid = rel::Compare(0, CompareOp::kEq, Value(aid), "aid");
+    auto by_aid = rel::Compare(0, CompareOp::kEq, Value(aid));
     db.Select(accounts, by_aid, 1).ok();
     db.Update(accounts, by_aid, [&](std::vector<Value>* c) {
         (*c)[1] = Value((*c)[1].AsInt64() + 1);

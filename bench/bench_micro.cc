@@ -224,8 +224,7 @@ void BM_RelIndexedSelect(benchmark::State& state) {
     auto rows = db.Select(
         t.value(),
         rel::Compare(0, rel::CompareOp::kEq,
-                     rel::Value("key-" + std::to_string(rng.Uniform(10000))),
-                     "k"),
+                     rel::Value("key-" + std::to_string(rng.Uniform(10000)))),
         1);
     benchmark::DoNotOptimize(rows);
   }

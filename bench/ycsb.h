@@ -123,7 +123,7 @@ class RelYcsbAdapter : public YcsbAdapter {
   }
   Status Read(const std::string& key, std::string* value) override {
     auto rows = db_->Select(
-        table_, rel::Compare(0, rel::CompareOp::kEq, rel::Value(key), "k"), 1);
+        table_, rel::Compare(0, rel::CompareOp::kEq, rel::Value(key)), 1);
     if (!rows.ok()) return rows.status();
     if (rows.value().empty()) return Status::NotFound(key);
     *value = rows.value()[0][1].AsString();
@@ -131,7 +131,7 @@ class RelYcsbAdapter : public YcsbAdapter {
   }
   Status Update(const std::string& key, const std::string& value) override {
     auto n = db_->Update(
-        table_, rel::Compare(0, rel::CompareOp::kEq, rel::Value(key), "k"),
+        table_, rel::Compare(0, rel::CompareOp::kEq, rel::Value(key)),
         [&](rel::Row* row) { (*row)[1] = rel::Value(value); });
     if (!n.ok()) return n.status();
     return n.value() > 0 ? Status::OK() : Status::NotFound(key);
@@ -141,7 +141,7 @@ class RelYcsbAdapter : public YcsbAdapter {
     auto rows = db_->Select(
         table_,
         rel::Compare(0, rel::CompareOp::kGe,
-                     rel::Value(OrdinalKey(first_ordinal)), "k"),
+                     rel::Value(OrdinalKey(first_ordinal))),
         count);
     return rows.ok() ? rows.value().size() : 0;
   }

@@ -68,9 +68,9 @@ ClusterGdprStore::ClusterGdprStore(const ClusterOptions& options)
       registry_.GetCounter("cluster_records_migrated_total");
   m_migration_active_ = registry_.GetGauge("cluster_migration_active");
   audit_log_.AttachMetrics(&registry_);
-  const size_t workers =
-      options_.fanout_threads ? options_.fanout_threads : n;
-  pool_ = std::make_unique<ScatterGather>(workers);
+  // One fan-out worker per node: each node's sub-query gets a thread, the
+  // practical ceiling for scatter-gather speedup.
+  pool_ = std::make_unique<ScatterGather>(n);
 }
 
 ClusterGdprStore::~ClusterGdprStore() {

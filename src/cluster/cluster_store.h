@@ -58,9 +58,6 @@ enum class ClusterTransport { kInProcess, kLoopbackSocket };
 struct ClusterOptions {
   size_t nodes = 4;
   uint32_t slots = SlotMap::kDefaultSlots;
-  // Fan-out worker threads; 0 = one per node (each node's sub-query gets a
-  // thread, the practical ceiling for scatter-gather speedup).
-  size_t fanout_threads = 0;
   Clock* clock = nullptr;
   ComplianceFlags compliance;
   // Per-node inner KV template. When an AOF path is set, node i appends

@@ -266,19 +266,12 @@ StatusOr<std::vector<GdprRecord>> KvGdprStore::ExportSlotRecords(
   if (Status s = CheckSlot(slot, num_slots); !s.ok()) return s;
   const auto in_slot = InSlot(slot, num_slots);
   std::vector<GdprRecord> out;
-  size_t parse_failures = 0;
-  const size_t decrypt_failures =
-      db_->Scan([&](const std::string& key, const std::string& value) {
-        if (in_slot(key)) {
-          auto rec = GdprRecord::Parse(value);
-          if (rec.ok()) out.push_back(std::move(rec.value()));
-          else ++parse_failures;
-        }
-        return true;
-      });
   // A partial export would migrate a slot minus its unreadable records —
   // the copy would silently drop data the source still legally holds.
-  Status s = CollectionStatus(decrypt_failures + parse_failures);
+  Status s = Scan([&](GdprRecord& rec) {
+    if (in_slot(rec.key)) out.push_back(std::move(rec));
+    return true;
+  });
   if (!s.ok()) return s;
   return out;
 }

@@ -25,6 +25,11 @@ enum Col : size_t {
 // only truly expired rows.
 constexpr int64_t kNoExpiry = std::numeric_limits<int64_t>::max();
 
+// Both tables keep the key in column 0.
+rel::Predicate ByKey(const std::string& key) {
+  return rel::Compare(kKey, rel::CompareOp::kEq, rel::Value(key));
+}
+
 }  // namespace
 
 RelGdprStore::RelGdprStore(const RelGdprOptions& options)
@@ -77,32 +82,19 @@ Status RelGdprStore::Open() {
   tombstones_ = tomb.value();
   si = db_->CreateIndex("gdpr_tombstones", "key");
   if (!si.ok()) return si;
-  // Normalized join tables for the multi-valued metadata columns. Created
-  // unconditionally — even with indexing off — so WAL/snapshot replay from
-  // an indexing-on incarnation always has a home for its rows (a pending
-  // table would otherwise block Checkpoint forever). Rows are only
-  // *maintained* when indexing() is on.
-  auto p = db_->CreateTable("gdpr_purpose_idx",
-                            Schema({{"purpose", ValueType::kString},
-                                    {"key", ValueType::kString}}));
-  if (!p.ok()) return p.status();
-  purpose_idx_ = p.value();
-  db_->CreateIndex("gdpr_purpose_idx", "purpose").ok();
-  db_->CreateIndex("gdpr_purpose_idx", "key").ok();
-  auto sh = db_->CreateTable("gdpr_sharing_idx",
-                             Schema({{"party", ValueType::kString},
-                                     {"key", ValueType::kString}}));
-  if (!sh.ok()) return sh.status();
-  sharing_idx_ = sh.value();
-  db_->CreateIndex("gdpr_sharing_idx", "party").ok();
-  db_->CreateIndex("gdpr_sharing_idx", "key").ok();
+  // Older stores also logged every purpose and sharing party as a row of a
+  // join table. gdpr_records holds the same lists, so replay drops those
+  // rows and the next checkpoint leaves them off disk.
+  db_->DiscardPending("gdpr_purpose_idx");
+  db_->DiscardPending("gdpr_sharing_idx");
   if (indexing()) {
     si = db_->CreateIndex("gdpr_records", "user");
-    if (!si.ok()) return si;
-    si = db_->CreateIndex("gdpr_records", "expiry");
-    if (!si.ok()) return si;
+    if (si.ok()) si = db_->CreateIndex("gdpr_records", "expiry");
+    // The multi-valued metadata: one entry per purpose or sharing party.
+    if (si.ok()) si = db_->CreateIndex("gdpr_records", "purposes", true);
+    if (si.ok()) si = db_->CreateIndex("gdpr_records", "shared", true);
   }
-  return Status::OK();
+  return si;
 }
 
 Status RelGdprStore::CloseEngine() { return db_->Close(); }
@@ -137,53 +129,30 @@ GdprRecord RelGdprStore::FromRow(const rel::Row& row) const {
 }
 
 StatusOr<GdprRecord> RelGdprStore::GetRaw(const std::string& key) {
-  auto rows = db_->Select(records_,
-                          rel::Compare(kKey, rel::CompareOp::kEq,
-                                       rel::Value(key), "key"),
-                          1);
+  auto rows = db_->Select(records_, ByKey(key), 1);
   if (!rows.ok()) return rows.status();
   if (rows.value().empty()) return Status::NotFound(key);
   return FromRow(rows.value()[0]);
 }
 
-Status RelGdprStore::DeleteRows(const std::string& key) {
-  const rel::Value kv(key);
-  for (rel::Table* t : {records_, purpose_idx_, sharing_idx_}) {
-    const size_t key_col = t == records_ ? size_t(kKey) : 1;
-    auto deleted =
-        db_->Delete(t, rel::Compare(key_col, rel::CompareOp::kEq, kv, "key"));
-    if (!deleted.ok()) return deleted.status();
-  }
-  return Status::OK();
-}
-
 Status RelGdprStore::Put(const GdprRecord& rec, const GdprRecord* prev) {
-  Status s = DeleteRows(rec.key);
+  if (prev) {
+    // The live row changes in place: one 'U' frame, so a failure or a crash
+    // leaves the old record or the new one, never neither.
+    auto updated = db_->Update(records_, ByKey(rec.key),
+                               [&](rel::Row* row) { *row = ToRow(rec); });
+    if (!updated.ok() || updated.value() != 0) return updated.status();
+  }
+  // No live row known: retire any prior incarnation, insert, and clear the
+  // key's tombstone.
+  Status s = db_->Delete(records_, ByKey(rec.key)).status();
   if (s.ok()) s = db_->Insert(records_, ToRow(rec));
-  // Join rows are an indexing cost (the Fig 3b effect): only paid when the
-  // flag is on. The tables themselves always exist (see Open). A join row
-  // that failed to land would hide the record from purpose and sharing
-  // queries, so its status fails the upsert.
-  if (indexing()) {
-    for (const auto& p : rec.metadata.purposes) {
-      if (!s.ok()) break;
-      s = db_->Insert(purpose_idx_, {rel::Value(p), rel::Value(rec.key)});
-    }
-    for (const auto& tp : rec.metadata.shared_with) {
-      if (!s.ok()) break;
-      s = db_->Insert(sharing_idx_, {rel::Value(tp), rel::Value(rec.key)});
-    }
-  }
-  if (s.ok() && !prev) {
-    s = db_->Delete(tombstones_, rel::Compare(0, rel::CompareOp::kEq,
-                                              rel::Value(rec.key), "key"))
-            .status();
-  }
+  if (s.ok()) s = db_->Delete(tombstones_, ByKey(rec.key)).status();
   return s;
 }
 
 Status RelGdprStore::Erase(const GdprRecord& rec) {
-  Status s = DeleteRows(rec.key);
+  Status s = db_->Delete(records_, ByKey(rec.key)).status();
   if (!s.ok()) return s;
   auto evidenced = HasTombstone(rec.key);
   if (!evidenced.ok()) return evidenced.status();
@@ -199,31 +168,20 @@ Status RelGdprStore::Erase(const GdprRecord& rec) {
   return Status::OK();
 }
 
-// Rows decode whole, so mask saves nothing here and is ignored.
+// One Select: MatchRowIds probes the column's index when indexing() built
+// one and scans otherwise. Rows decode whole, so mask saves nothing here
+// and is ignored.
 Status RelGdprStore::Collect(Attr attr, const std::string& value,
                              bool /*mask*/, std::vector<GdprRecord>* out) {
-  if (!indexing()) return ScanCollect(attr, value, out);
-  if (attr == Attr::kUser) {
-    auto rows = db_->Select(records_,
-                            rel::Compare(kUser, rel::CompareOp::kEq,
-                                         rel::Value(value), "user"));
-    if (!rows.ok()) return rows.status();
-    out->reserve(out->size() + rows.value().size());
-    for (const auto& row : rows.value()) out->push_back(FromRow(row));
-    return Status::OK();
-  }
-  rel::Table* join = attr == Attr::kPurpose ? purpose_idx_ : sharing_idx_;
-  auto rows = db_->Select(
-      join, rel::Compare(0, rel::CompareOp::kEq, rel::Value(value), ""));
+  const rel::Predicate pred =
+      attr == Attr::kUser
+          ? rel::Compare(kUser, rel::CompareOp::kEq, rel::Value(value))
+          : rel::Compare(attr == Attr::kPurpose ? kPurposes : kShared,
+                         rel::CompareOp::kHas, rel::Value(value));
+  auto rows = db_->Select(records_, pred);
   if (!rows.ok()) return rows.status();
-  for (const auto& row : rows.value()) {
-    auto rec = GetRaw(row[1].AsString());
-    if (rec.ok()) {
-      out->push_back(std::move(rec.value()));
-    } else if (!rec.status().IsNotFound()) {
-      return rec.status();
-    }
-  }
+  out->reserve(out->size() + rows.value().size());
+  for (const auto& row : rows.value()) out->push_back(FromRow(row));
   return Status::OK();
 }
 
@@ -232,7 +190,7 @@ Status RelGdprStore::ForEachExpired(
   // Indexed: a range probe over the expiry B+tree, O(expired) — rows with
   // kNoExpiry sort above `now` and are never touched. Unindexed: a scan.
   auto rows = db_->Select(records_, rel::Compare(kExpiry, rel::CompareOp::kLe,
-                                                 rel::Value(now), "expiry"));
+                                                 rel::Value(now)));
   if (!rows.ok()) return rows.status();
   for (const auto& row : rows.value()) {
     Status s = fn(row[kKey].AsString());
@@ -249,9 +207,7 @@ Status RelGdprStore::Scan(const std::function<bool(GdprRecord&)>& fn) {
 }
 
 StatusOr<bool> RelGdprStore::HasTombstone(const std::string& key) {
-  auto rows = db_->Select(
-      tombstones_,
-      rel::Compare(0, rel::CompareOp::kEq, rel::Value(key), "key"), 1);
+  auto rows = db_->Select(tombstones_, ByKey(key), 1);
   if (!rows.ok()) return rows.status();
   return !rows.value().empty();
 }
@@ -267,7 +223,7 @@ size_t RelGdprStore::RecordCount() {
 size_t RelGdprStore::EngineBytes() { return db_->ApproximateBytes(); }
 
 Status RelGdprStore::Reset() {
-  for (rel::Table* t : {records_, purpose_idx_, sharing_idx_, tombstones_}) {
+  for (rel::Table* t : {records_, tombstones_}) {
     if (!t) continue;
     auto deleted = db_->DeleteWhere(t, [](const rel::Row&) { return true; });
     if (!deleted.ok()) return deleted.status();

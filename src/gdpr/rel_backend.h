@@ -3,10 +3,11 @@
 // B+tree primary index on the key; every Table 2 rule is PolicyStore's, and
 // this class supplies only the engine hooks. With
 // compliance.metadata_indexing the engine adds a user index, an expiry
-// index, and normalized purpose/sharing join tables (multi-valued
-// metadata), so collections are index probes — the Fig 5c / Fig 8
-// configuration. Without it they are sequential scans. A row that fails
-// at-rest decryption makes the collection that met it return DataLoss.
+// index, and element indexes on the purposes and shared list columns (one
+// entry per element), so collections are index probes — the Fig 5c / Fig 8
+// configuration. Without it the same Select is a sequential scan. A row
+// that fails at-rest decryption makes the collection that met it return
+// DataLoss.
 
 #pragma once
 
@@ -46,7 +47,7 @@ class RelGdprStore : public PolicyStore {
 
  protected:
   StatusOr<GdprRecord> GetRaw(const std::string& key) override;
-  // Upsert = delete the prior row and its join rows, insert the new ones.
+  // Upsert: an Update of the live row, or delete + insert without one.
   Status Put(const GdprRecord& rec, const GdprRecord* prev) override;
   Status Erase(const GdprRecord& rec) override;
   Status Collect(Attr attr, const std::string& value, bool mask,
@@ -70,14 +71,10 @@ class RelGdprStore : public PolicyStore {
  private:
   rel::Row ToRow(const GdprRecord& rec) const;
   GdprRecord FromRow(const rel::Row& row) const;
-  // Deletes the key's row and join rows.
-  Status DeleteRows(const std::string& key);
 
   RelGdprOptions options_;
   std::unique_ptr<rel::Database> db_;
   rel::Table* records_ = nullptr;
-  rel::Table* purpose_idx_ = nullptr;
-  rel::Table* sharing_idx_ = nullptr;
   // Erasure evidence as rows: WAL-replayed and checkpoint-serialized like
   // any other table, so tombstones survive restarts AND compaction.
   rel::Table* tombstones_ = nullptr;

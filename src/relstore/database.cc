@@ -409,28 +409,34 @@ Table* Database::GetTable(const std::string& name) {
 }
 
 Status Database::CreateIndex(const std::string& table,
-                             const std::string& column) {
+                             const std::string& column, bool elements) {
   Table* t = GetTable(table);
   if (!t) return Status::NotFound("table " + table);
   const int col = t->schema().FindColumn(column);
   if (col < 0) return Status::NotFound("column " + column);
   std::unique_lock<std::shared_mutex> l(t->mu_);
-  auto [it, inserted] =
-      t->indexes_.emplace(size_t(col), std::make_unique<BPlusTree>());
+  auto [it, inserted] = t->indexes_.try_emplace(size_t(col));
   if (!inserted) return Status::AlreadyExists("index on " + column);
-  BPlusTree* tree = it->second.get();
+  Table::Index& index = it->second;
+  index.elements = elements;
   size_t unreadable = 0;
   for (size_t slot = 0; slot < t->slots_.size(); ++slot) {
     if (!t->slots_[slot]) continue;
     Value plain;
     if (OpenCell((*t->slots_[slot])[size_t(col)], &plain)) {
-      tree->Insert(plain, uint64_t(slot) + 1);
+      index.Insert(plain, uint64_t(slot) + 1);
     } else {
       ++unreadable;
     }
   }
   if (unreadable != 0) t->index_unreadable_[size_t(col)] = unreadable;
   return Status::OK();
+}
+
+void Database::DiscardPending(const std::string& table) {
+  std::lock_guard<std::mutex> l(tables_mu_);
+  pending_replay_.erase(table);
+  pending_snapshot_.erase(table);
 }
 
 void Database::EncodeCells(std::string* dst, const Row& stored) {
@@ -499,10 +505,10 @@ Status Database::ApplyChanges(Table* t, std::vector<RowChange>* changes) {
     const uint64_t rid = ApplyOp(t, std::move(c.op));
     // Index maintenance on changed columns only — the Fig 3b write cost.
     const bool had = !c.before.empty(), has = !c.after.empty();
-    for (auto& [col, tree] : t->indexes_) {
+    for (auto& [col, index] : t->indexes_) {
       if (had && has && c.before[col] == c.after[col]) continue;
-      if (had) tree->Erase(c.before[col], rid);
-      if (has) tree->Insert(c.after[col], rid);
+      if (had) index.Erase(c.before[col], rid);
+      if (has) index.Insert(c.after[col], rid);
     }
   }
   // Logged while the table lock is held: WAL order must equal apply order
@@ -548,9 +554,12 @@ std::vector<uint64_t> Database::MatchRowIds(const Table* t,
   std::vector<uint64_t> ids;
   auto want_more = [&] { return limit == 0 || ids.size() < limit; };
   auto it = t->indexes_.find(pred.col);
-  if (it != t->indexes_.end() && pred.op != CompareOp::kNe) {
-    const BPlusTree* tree = it->second.get();
-    if (pred.op == CompareOp::kEq) {
+  // An element index serves only kHas; a whole-cell one all but kNe/kHas.
+  const bool has = pred.op == CompareOp::kHas;
+  if (it != t->indexes_.end() && pred.op != CompareOp::kNe &&
+      has == it->second.elements) {
+    const BPlusTree* tree = &it->second.tree;
+    if (pred.op == CompareOp::kEq || has) {
       tree->ScanEqual(pred.value, [&](uint64_t rid) {
         ids.push_back(rid);
         return want_more();
@@ -605,7 +614,9 @@ Status Database::VisitRows(Table* t, const Predicate* pred, size_t limit,
   if (stmt_logging()) {
     Status s = LogStatement(
         "SELECT FROM " + t->name() + " WHERE " +
-        (pred ? pred->col_name + " " + pred->value.ToString() : "<scan>"));
+        (pred ? t->schema().column(pred->col).name + " " +
+                    pred->value.ToString()
+              : "<scan>"));
     if (!s.ok()) return s;
   }
   if (unreadable != 0) return Unreadable(t, unreadable);
@@ -695,8 +706,8 @@ size_t Database::ApproximateBytes() const {
   for (const auto& [name, t] : tables_) {
     std::shared_lock<std::shared_mutex> tl(t->mu_);
     total += t->row_bytes_ + t->slots_.size() * 16;
-    for (const auto& [col, tree] : t->indexes_) {
-      total += tree->ApproximateBytes();
+    for (const auto& [col, index] : t->indexes_) {
+      total += index.tree.ApproximateBytes();
     }
   }
   return total;

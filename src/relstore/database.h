@@ -4,7 +4,10 @@
 // retrofit), and optional at-rest encryption of string cells.
 //
 // Predicates on an indexed column use the index (point or range probe);
-// everything else falls back to a sequential scan.
+// everything else falls back to a sequential scan. An element index files a
+// list cell under each of its distinct elements (value.h) and serves only
+// kHas; kEq on that column still means the whole cell, so it scans. Index
+// entries are derived from the rows and never logged.
 //
 // WAL format: one self-framing binary record per mutation, carrying the
 // stored (possibly AEAD-sealed) cells so personal data never reaches disk
@@ -119,16 +122,13 @@ struct Predicate {
   size_t col = 0;
   CompareOp op = CompareOp::kEq;
   Value value;
-  std::string col_name;
 };
 
-inline Predicate Compare(size_t col, CompareOp op, Value value,
-                         std::string col_name = "") {
+inline Predicate Compare(size_t col, CompareOp op, Value value) {
   Predicate p;
   p.col = col;
   p.op = op;
   p.value = std::move(value);
-  p.col_name = std::move(col_name);
   return p;
 }
 
@@ -152,7 +152,21 @@ class Table {
   std::vector<std::optional<Row>> slots_;
   size_t live_rows_ = 0;
   size_t row_bytes_ = 0;
-  std::map<size_t, std::unique_ptr<BPlusTree>> indexes_;  // by column
+  // A B+tree over one column, keyed by the whole cell or, for an element
+  // index, by each of the cell's distinct elements.
+  struct Index {
+    BPlusTree tree;
+    bool elements = false;
+    void Insert(const Value& cell, uint64_t rid) {
+      if (!elements) return tree.Insert(cell, rid);
+      for (const Value& e : cell.Elements()) tree.Insert(e, rid);
+    }
+    void Erase(const Value& cell, uint64_t rid) {
+      if (!elements) return (void)tree.Erase(cell, rid);
+      for (const Value& e : cell.Elements()) tree.Erase(e, rid);
+    }
+  };
+  std::map<size_t, Index> indexes_;  // by column
   // Per indexed column: rows CreateIndex's backfill could not decrypt the
   // cell of. They are in no index, so every probe of that index reports
   // them as unreadable. Sticky until the table empties or is reopened.
@@ -193,8 +207,14 @@ class Database {
 
   StatusOr<Table*> CreateTable(const std::string& name, Schema schema);
   Table* GetTable(const std::string& name);
-  // Builds a B+tree over the column, backfilling existing rows.
-  Status CreateIndex(const std::string& table, const std::string& column);
+  // Builds a B+tree over the column, backfilling existing rows; with
+  // `elements`, an element index (one entry per distinct list element).
+  Status CreateIndex(const std::string& table, const std::string& column,
+                     bool elements = false);
+  // Drops the recovered rows of a table that will not be created again
+  // (its rows are derivable from another table's), so Checkpoint stops
+  // refusing and the next one leaves them out. A created table is kept.
+  void DiscardPending(const std::string& table);
 
   Status Insert(Table* t, Row row);
   // Rows that fail at-rest decryption ("unreadable") are never answered

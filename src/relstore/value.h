@@ -1,18 +1,23 @@
 // Typed cell values for the relational store. Small tagged union over
 // int64 / string with a total ordering (type tag first, then value) so a
-// single B+tree implementation serves every column type.
+// single B+tree implementation serves every column type. A string cell can
+// also be read as a list of '|'-separated elements (empty = no elements),
+// which kHas tests and an element index files under.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace gdpr::rel {
 
 enum class ValueType { kNull, kInt64, kString };
 
-enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
+// kHas: the cell's element list holds the value.
+enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe, kHas };
 
 class Value {
  public:
@@ -43,6 +48,10 @@ class Value {
   bool operator<(const Value& o) const { return Compare(o) < 0; }
 
   bool Matches(CompareOp op, const Value& rhs) const {
+    if (op == CompareOp::kHas) {
+      const std::vector<Value> e = Elements();
+      return std::binary_search(e.begin(), e.end(), rhs);
+    }
     const int c = Compare(rhs);
     switch (op) {
       case CompareOp::kEq: return c == 0;
@@ -51,8 +60,23 @@ class Value {
       case CompareOp::kLe: return c <= 0;
       case CompareOp::kGt: return c > 0;
       case CompareOp::kGe: return c >= 0;
+      case CompareOp::kHas: break;
     }
     return false;
+  }
+
+  // The distinct elements of a string cell, sorted; none for other types.
+  std::vector<Value> Elements() const {
+    std::vector<Value> out;
+    if (type_ != ValueType::kString || s_.empty()) return out;
+    for (size_t at = 0; at <= s_.size();) {
+      const size_t end = std::min(s_.find('|', at), s_.size());
+      out.emplace_back(s_.substr(at, end - at));
+      at = end + 1;
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
   }
 
   std::string ToString() const {

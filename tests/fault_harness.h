@@ -143,16 +143,16 @@ inline void RunGdprWorkload(GdprStore* store, FaultEnv* fenv, Ledger* led,
   (void)store->ReadDataByKey(ctrl, "user0-k0").ok();
   (void)store->ReadMetadataByUser(ctrl, "user1").ok();
   (void)store->ReadMetadataBySharing(ctrl, "partner-x").ok();
-  // Destructive ops (update = delete+insert in the relational engine,
-  // erasure = delete+tombstone everywhere) void the *old* promise the
-  // moment they are attempted: a fault mid-op can legitimately persist the
-  // destructive half before failing, so the old value may be gone without
-  // the new outcome having been acked. The key drops to "indeterminate"
-  // (only the `ever`/`acceptable` checks bind) unless the op acks.
+  // An update is one atomic write in every engine: a faulted one leaves
+  // the old value or the new one, never neither, so an acked old value
+  // stays promised (either offered value satisfies it) until the new one
+  // acks. Erasure (delete + tombstone) voids the *old* promise the moment
+  // it is attempted: a fault mid-op can legitimately persist the delete
+  // before failing, so the key drops to "indeterminate" (only the
+  // `ever`/`acceptable` checks bind) unless the op acks.
   {
     const std::string key = "user0-k1", data = "v1-" + key;
     offer(key, data);
-    led->durable.erase(key);
     if (acked(store->UpdateDataByKey(ctrl, key, data))) {
       led->durable[key] = data;
     }

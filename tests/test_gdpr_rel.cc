@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <set>
+
 #include "common/string_util.h"
 #include "gdpr/rel_backend.h"
 
@@ -92,6 +95,114 @@ TEST(RelGdprStore, SpaceGrowsWithIndexing) {
   }
   // Table 3's point: the indexed configuration costs measurably more space.
   EXPECT_GT(bytes_indexed, bytes_plain + bytes_plain / 10);
+}
+
+std::set<std::string> KeysOf(const StatusOr<std::vector<GdprRecord>>& recs) {
+  EXPECT_TRUE(recs.ok()) << recs.status().ToString();
+  std::set<std::string> keys;
+  if (recs.ok()) {
+    for (const auto& r : recs.value()) keys.insert(r.key);
+  }
+  return keys;
+}
+
+// Stores written before element indexes kept every purpose and sharing
+// party a second time, as sealed rows of two join tables. Such a store
+// still opens, WAL-only or checkpointed: its join rows are dropped at open,
+// purpose and sharing answers come from gdpr_records, by scan or by index,
+// and the next compaction leaves the join tables off disk.
+TEST(RelGdprStore, OpensStoreWithLegacyJoinTables) {
+  using rel::ValueType;
+  const ValueType kStr = ValueType::kString, kInt = ValueType::kInt64;
+  const int64_t kNoExpiry = std::numeric_limits<int64_t>::max();
+  for (const bool checkpointed : {false, true}) {
+    SCOPED_TRACE(checkpointed ? "checkpointed" : "WAL only");
+    MemEnv env;
+    rel::RelOptions ro;
+    ro.env = &env;
+    ro.wal_enabled = true;
+    ro.wal_path = "legacy.wal";
+    ro.encrypt_at_rest = true;
+    {
+      // The older layout, written table by table as RelGdprStore did.
+      rel::Database db(ro);
+      ASSERT_TRUE(db.Open().ok());
+      rel::Table* records =
+          db.CreateTable("gdpr_records",
+                         rel::Schema({{"key", kStr},
+                                      {"user", kStr},
+                                      {"data", kStr},
+                                      {"origin", kStr},
+                                      {"purposes", kStr},
+                                      {"objections", kStr},
+                                      {"shared", kStr},
+                                      {"expiry", kInt},
+                                      {"created", kInt}}))
+              .value();
+      ASSERT_TRUE(
+          db.CreateTable("gdpr_tombstones", rel::Schema({{"key", kStr}})).ok());
+      rel::Table* purpose_idx =
+          db.CreateTable("gdpr_purpose_idx",
+                         rel::Schema({{"purpose", kStr}, {"key", kStr}}))
+              .value();
+      rel::Table* sharing_idx =
+          db.CreateTable("gdpr_sharing_idx",
+                         rel::Schema({{"party", kStr}, {"key", kStr}}))
+              .value();
+      for (int i = 0; i < 6; ++i) {
+        const std::string key = "k" + std::to_string(i);
+        const std::vector<std::string> purposes =
+            i % 2 ? std::vector<std::string>{"ads", "billing"}
+                  : std::vector<std::string>{"billing"};
+        const std::string party = i % 3 == 0 ? "p1" : "p2";
+        ASSERT_TRUE(db.Insert(records, {key, "neo", "data-" + key,
+                                        "first-party",
+                                        JoinStrings(purposes, '|'), "", party,
+                                        kNoExpiry, int64_t(0)})
+                        .ok());
+        for (const auto& p : purposes) {
+          ASSERT_TRUE(db.Insert(purpose_idx, {p, key}).ok());
+        }
+        ASSERT_TRUE(db.Insert(sharing_idx, {party, key}).ok());
+      }
+      if (checkpointed) ASSERT_TRUE(db.Checkpoint().ok());
+      ASSERT_TRUE(db.Close().ok());
+    }
+    const std::string snapshot = rel::Database::SnapshotPath(ro.wal_path);
+    auto on_disk = [&](const std::string& path) {
+      return env.FileExists(path) ? env.ReadFileToString(path).value() : "";
+    };
+    EXPECT_EQ(on_disk(snapshot).find("gdpr_purpose_idx") != std::string::npos,
+              checkpointed);
+    const Actor ctrl = Actor::Controller();
+    for (const bool indexed : {false, true}) {
+      SCOPED_TRACE(indexed ? "indexed" : "scan");
+      RelGdprOptions o;
+      o.compliance.metadata_indexing = indexed;
+      o.compliance.encrypt_at_rest = true;
+      o.rel = ro;
+      RelGdprStore store(o);
+      ASSERT_TRUE(store.Open().ok());
+      EXPECT_EQ(store.RecordCount(), 6u);
+      EXPECT_EQ(KeysOf(store.ReadMetadataByPurpose(ctrl, "ads")),
+                (std::set<std::string>{"k1", "k3", "k5"}));
+      EXPECT_EQ(KeysOf(store.ReadMetadataByPurpose(ctrl, "billing")).size(),
+                6u);
+      EXPECT_EQ(KeysOf(store.ReadMetadataBySharing(ctrl, "p1")),
+                (std::set<std::string>{"k0", "k3"}));
+      EXPECT_EQ(KeysOf(store.ReadMetadataBySharing(ctrl, "p2")),
+                (std::set<std::string>{"k1", "k2", "k4", "k5"}));
+      if (indexed) {
+        auto compacted = store.CompactNow(ctrl);
+        EXPECT_TRUE(compacted.ok()) << compacted.status().ToString();
+        EXPECT_EQ(on_disk(snapshot).find("gdpr_purpose_idx"),
+                  std::string::npos);
+        EXPECT_EQ(on_disk(ro.wal_path).find("gdpr_purpose_idx"),
+                  std::string::npos);
+      }
+      ASSERT_TRUE(store.Close().ok());
+    }
+  }
 }
 
 }  // namespace

@@ -338,41 +338,50 @@ TEST_P(GdprSpec, AtRestCorruptionIsDataLossNotAShorterAnswer) {
 }
 
 // A row whose indexed cell no longer authenticates is missing from that
-// index, and an indexed by-user answer must say so rather than answer OK
-// without it. reldb seals cells one by one, so only k2's user cell is
-// corrupted (its index backfill on reopen meets it); memkv seals each
-// record whole, so there the record itself is unreadable.
+// index, and an indexed answer on that column must say so rather than
+// answer OK without it. reldb seals cells one by one, so only one cell of
+// k2 is corrupted: its user cell, then its purposes cell (the index
+// backfill on reopen meets it). memkv seals each record whole, so there the
+// record itself is unreadable.
 TEST_P(GdprSpec, UnreadableUserCellIsDataLossNotAMiss) {
-  MemEnv env;
-  StoreSetup setup;
-  setup.env = &env;
-  setup.encrypt = true;
-  {
+  for (const size_t cell : {1, 4}) {  // gdpr_records' user, purposes
+    SCOPED_TRACE(cell == 1 ? "user cell" : "purposes cell");
+    MemEnv env;
+    StoreSetup setup;
+    setup.env = &env;
+    setup.encrypt = true;
+    {
+      auto store = Make(setup);
+      ASSERT_TRUE(store->Open().ok());
+      for (int i = 0; i < 3; ++i) {
+        const GdprRecord rec = MakeRec("k" + std::to_string(i), "neo", {"ads"});
+        ASSERT_TRUE(store->CreateRecord(Actor::Controller(), rec).ok());
+      }
+      ASSERT_TRUE(store->Close().ok());
+    }
+    FlipLogBit(&env, [&](const std::string& log) -> size_t {
+      if (memkv()) return log.size() - 9;
+      // k2's row is the last gdpr_records insert: the table name, a
+      // one-byte cell count, then [type][one-byte length][sealed bytes] per
+      // cell. The tag is a sealed cell's last 16 bytes.
+      const std::string table = "gdpr_records";
+      size_t at = log.rfind(table) + table.size() + 1;
+      for (size_t c = 0; c < cell; ++c) at += 2 + uint8_t(log[at + 1]);
+      return at + 2 + uint8_t(log[at + 1]) - 1;
+    });
+
     auto store = Make(setup);
     ASSERT_TRUE(store->Open().ok());
-    for (int i = 0; i < 3; ++i) {
-      const GdprRecord rec = MakeRec("k" + std::to_string(i), "neo", {});
-      ASSERT_TRUE(store->CreateRecord(Actor::Controller(), rec).ok());
+    const Actor ctrl = Actor::Controller();
+    if (cell == 1) {
+      EXPECT_TRUE(store->ReadMetadataByUser(ctrl, "neo").status().IsDataLoss());
+      EXPECT_TRUE(store->ReadRecordsByUser(ctrl, "neo").status().IsDataLoss());
+    } else {
+      EXPECT_TRUE(
+          store->ReadMetadataByPurpose(ctrl, "ads").status().IsDataLoss());
     }
-    ASSERT_TRUE(store->Close().ok());
+    EXPECT_TRUE(store->ReadDataByKey(ctrl, "k0").ok());
   }
-  FlipLogBit(&env, [&](const std::string& log) -> size_t {
-    if (memkv()) return log.size() - 9;
-    // k2's row is the last gdpr_records insert: the table name, a one-byte
-    // cell count, then [type][one-byte length][sealed bytes] per cell, key
-    // first and user second. The tag is a sealed cell's last 16 bytes.
-    const std::string table = "gdpr_records";
-    size_t at = log.rfind(table) + table.size() + 1;
-    at += 2 + uint8_t(log[at + 1]);
-    return at + 2 + uint8_t(log[at + 1]) - 1;
-  });
-
-  auto store = Make(setup);
-  ASSERT_TRUE(store->Open().ok());
-  const Actor ctrl = Actor::Controller();
-  EXPECT_TRUE(store->ReadMetadataByUser(ctrl, "neo").status().IsDataLoss());
-  EXPECT_TRUE(store->ReadRecordsByUser(ctrl, "neo").status().IsDataLoss());
-  EXPECT_TRUE(store->ReadDataByKey(ctrl, "k0").ok());
 }
 
 // Every acked write is whole after a restart, whichever single log write

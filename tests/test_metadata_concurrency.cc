@@ -408,8 +408,8 @@ uint32_t SeedOverride(uint32_t fallback) {
 }
 
 // Both engines face the same harness: memkv's lock-free posting maps and
-// reldb's B+tree indexes and join tables, each under its own log (AOF /
-// WAL) so CompactNow rewrites it mid-run.
+// reldb's B+tree indexes, element indexes on the list columns included,
+// each under its own log (AOF / WAL) so CompactNow rewrites it mid-run.
 class MetadataConcurrency : public testing::TestWithParam<bool> {
  protected:
   std::unique_ptr<GdprStore> MakeStore(Env* env) const {

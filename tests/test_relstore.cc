@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "relstore/database.h"
@@ -26,16 +28,16 @@ TEST(Database, InsertSelectScanPath) {
                               Value("u" + std::to_string(i % 10))})
                     .ok());
   }
-  auto rows = db.Select(t, Compare(0, CompareOp::kEq, Value(int64_t(7)), "aid"));
+  auto rows = db.Select(t, Compare(0, CompareOp::kEq, Value(int64_t(7))));
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 1u);
   EXPECT_EQ(rows.value()[0][1].AsInt64(), 70);
   // Scan predicate over a non-indexed column.
-  auto owned = db.Select(t, Compare(2, CompareOp::kEq, Value("u3"), "owner"));
+  auto owned = db.Select(t, Compare(2, CompareOp::kEq, Value("u3")));
   EXPECT_EQ(owned.value().size(), 10u);
   // Limit.
   auto limited =
-      db.Select(t, Compare(2, CompareOp::kEq, Value("u3"), "owner"), 3);
+      db.Select(t, Compare(2, CompareOp::kEq, Value("u3")), 3);
   EXPECT_EQ(limited.value().size(), 3u);
 }
 
@@ -46,9 +48,9 @@ TEST(Database, IndexedSelectMatchesScan) {
   for (int64_t i = 0; i < 500; ++i) {
     db.Insert(t, {Value(i), Value(i), Value("u" + std::to_string(i % 7))}).ok();
   }
-  auto scan = db.Select(t, Compare(2, CompareOp::kEq, Value("u5"), "owner"));
+  auto scan = db.Select(t, Compare(2, CompareOp::kEq, Value("u5")));
   ASSERT_TRUE(db.CreateIndex("accounts", "owner").ok());
-  auto indexed = db.Select(t, Compare(2, CompareOp::kEq, Value("u5"), "owner"));
+  auto indexed = db.Select(t, Compare(2, CompareOp::kEq, Value("u5")));
   ASSERT_TRUE(scan.ok());
   ASSERT_TRUE(indexed.ok());
   EXPECT_EQ(scan.value().size(), indexed.value().size());
@@ -63,7 +65,7 @@ TEST(Database, UpdateMaintainsIndexes) {
   for (int64_t i = 0; i < 50; ++i) {
     db.Insert(t, {Value(i), Value(int64_t(0)), Value("before")}).ok();
   }
-  auto n = db.Update(t, Compare(0, CompareOp::kEq, Value(int64_t(3)), "aid"),
+  auto n = db.Update(t, Compare(0, CompareOp::kEq, Value(int64_t(3))),
                      [](Row* row) {
                        (*row)[1] = Value(int64_t(777));
                        (*row)[2] = Value("after");
@@ -71,11 +73,11 @@ TEST(Database, UpdateMaintainsIndexes) {
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 1u);
   // The index must reflect the new value and forget the old one.
-  auto after = db.Select(t, Compare(2, CompareOp::kEq, Value("after"), "owner"));
+  auto after = db.Select(t, Compare(2, CompareOp::kEq, Value("after")));
   ASSERT_EQ(after.value().size(), 1u);
   EXPECT_EQ(after.value()[0][1].AsInt64(), 777);
   auto before =
-      db.Select(t, Compare(2, CompareOp::kEq, Value("before"), "owner"));
+      db.Select(t, Compare(2, CompareOp::kEq, Value("before")));
   EXPECT_EQ(before.value().size(), 49u);
 }
 
@@ -87,12 +89,12 @@ TEST(Database, DeleteRemovesFromIndexes) {
   for (int64_t i = 0; i < 30; ++i) {
     db.Insert(t, {Value(i), Value(i), Value(i % 2 ? "odd" : "even")}).ok();
   }
-  auto n = db.Delete(t, Compare(2, CompareOp::kEq, Value("odd"), "owner"));
+  auto n = db.Delete(t, Compare(2, CompareOp::kEq, Value("odd")));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 15u);
   EXPECT_EQ(t->live_rows(), 15u);
   EXPECT_TRUE(
-      db.Select(t, Compare(2, CompareOp::kEq, Value("odd"), "owner"))
+      db.Select(t, Compare(2, CompareOp::kEq, Value("odd")))
           .value()
           .empty());
 }
@@ -105,11 +107,11 @@ TEST(Database, RangePredicatesUseIndex) {
   for (int64_t i = 0; i < 100; ++i) {
     db.Insert(t, {Value(i), Value(i), Value("u")}).ok();
   }
-  EXPECT_EQ(db.Select(t, Compare(0, CompareOp::kGe, Value(int64_t(90)), "aid"))
+  EXPECT_EQ(db.Select(t, Compare(0, CompareOp::kGe, Value(int64_t(90))))
                 .value()
                 .size(),
             10u);
-  EXPECT_EQ(db.Select(t, Compare(0, CompareOp::kLt, Value(int64_t(10)), "aid"))
+  EXPECT_EQ(db.Select(t, Compare(0, CompareOp::kLt, Value(int64_t(10))))
                 .value()
                 .size(),
             10u);
@@ -123,7 +125,7 @@ TEST(Database, EncryptionAtRestTransparentToQueries) {
   Table* t = MakeAccounts(&db);
   ASSERT_TRUE(db.CreateIndex("accounts", "owner").ok());
   db.Insert(t, {Value(int64_t(1)), Value(int64_t(5)), Value("alice")}).ok();
-  auto rows = db.Select(t, Compare(2, CompareOp::kEq, Value("alice"), "owner"));
+  auto rows = db.Select(t, Compare(2, CompareOp::kEq, Value("alice")));
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 1u);
   EXPECT_EQ(rows.value()[0][2].AsString(), "alice");
@@ -188,10 +190,10 @@ TEST(Database, UnreadableRowIsDataLossNotCiphertext) {
     ASSERT_TRUE((*db)->Open().ok());
   };
   const auto by_owner = [](const char* owner) {
-    return Compare(2, CompareOp::kEq, Value(owner), "owner");
+    return Compare(2, CompareOp::kEq, Value(owner));
   };
   const auto by_aid = [](int64_t aid) {
-    return Compare(0, CompareOp::kEq, Value(aid), "aid");
+    return Compare(0, CompareOp::kEq, Value(aid));
   };
   const auto bump = [](Row* r) { (*r)[1] = Value((*r)[1].AsInt64() + 10); };
 
@@ -254,7 +256,7 @@ TEST(Database, UpdateIsAllOrNothing) {
   o.wal_path = "rel.wal";
   o.sync_policy = SyncPolicy::kNever;
   const auto owned_by_u = [] {
-    return Compare(2, CompareOp::kEq, Value("u"), "owner");
+    return Compare(2, CompareOp::kEq, Value("u"));
   };
   const auto balances = [&](Database* db, Table* t) {
     std::vector<int64_t> out;
@@ -295,6 +297,110 @@ TEST(Database, ScanRowsStopsEarly) {
   size_t visited = 0;
   ASSERT_TRUE(db.ScanRows(t, [&](const Row&) { return ++visited < 7; }).ok());
   EXPECT_EQ(visited, 7u);
+}
+
+// Ids of the rows whose tags column satisfies `op v`, ascending.
+std::vector<int64_t> TagIds(Database* db, Table* t, CompareOp op,
+                            const std::string& v) {
+  auto rows = db->Select(t, Compare(1, op, Value(v)));
+  EXPECT_TRUE(rows.ok());
+  std::vector<int64_t> ids;
+  for (const Row& r : rows.value()) ids.push_back(r[0].AsInt64());
+  return ids;
+}
+
+// The element-indexed table answers kHas, and kEq, as the scanned one does.
+void ExpectSameTagAnswers(Database* db, Table* indexed, Table* scanned) {
+  for (const char* v : {"a", "b", "c", "d", "", "a|b", "b|c"}) {
+    for (CompareOp op : {CompareOp::kHas, CompareOp::kEq}) {
+      EXPECT_EQ(TagIds(db, indexed, op, v), TagIds(db, scanned, op, v))
+          << "value '" << v << "' op " << int(op);
+    }
+  }
+}
+
+RelOptions TagOptions(Env* env) {
+  RelOptions o;
+  o.env = env;
+  o.wal_enabled = true;
+  o.wal_path = "tags.wal";
+  o.sync_policy = SyncPolicy::kNever;
+  o.encrypt_at_rest = true;
+  return o;
+}
+
+// Two tables of (id, tags): "indexed" has an element index on tags, made
+// after the tables' replay so reopening backfills it; "scanned" has none.
+std::pair<Table*, Table*> OpenTagTables(Database* db) {
+  const Schema schema(
+      {{"id", ValueType::kInt64}, {"tags", ValueType::kString}});
+  Table* indexed = db->CreateTable("indexed", schema).value();
+  Table* scanned = db->CreateTable("scanned", schema).value();
+  EXPECT_TRUE(db->CreateIndex("indexed", "tags", /*elements=*/true).ok());
+  return {indexed, scanned};
+}
+
+// An element index files a list cell under each distinct element and
+// answers kHas exactly as a scan does: through inserts, an update that
+// moves elements, a delete, a duplicate element, an empty list, a backfill,
+// and a reopen from the WAL and from a checkpoint. kEq on the indexed
+// column still compares whole cells.
+TEST(Database, ElementIndexAnswersHasLikeAScan) {
+  using Ids = std::vector<int64_t>;
+  MemEnv env;
+  {
+    Database db(TagOptions(&env));
+    ASSERT_TRUE(db.Open().ok());
+    auto [indexed, scanned] = OpenTagTables(&db);
+    const std::vector<std::pair<int64_t, std::string>> rows = {
+        {1, "a|b"}, {2, "b|c"}, {3, "a|a"}, {4, ""}, {5, "c|"}};
+    for (const auto& [id, tags] : rows) {
+      for (Table* t : {indexed, scanned}) {
+        ASSERT_TRUE(db.Insert(t, {Value(id), Value(tags)}).ok());
+      }
+    }
+    ExpectSameTagAnswers(&db, indexed, scanned);
+    // Row 3's "a" is one entry, "" is no element, and "c|" holds "".
+    EXPECT_EQ(TagIds(&db, indexed, CompareOp::kHas, "a"), (Ids{1, 3}));
+    EXPECT_EQ(TagIds(&db, indexed, CompareOp::kHas, ""), (Ids{5}));
+    EXPECT_EQ(TagIds(&db, indexed, CompareOp::kEq, "b|c"), (Ids{2}));
+    EXPECT_EQ(TagIds(&db, indexed, CompareOp::kEq, ""), (Ids{4}));
+    EXPECT_TRUE(TagIds(&db, indexed, CompareOp::kEq, "b").empty());
+    // Row 1 moves from {a, b} to {c, d}; row 3 drops its duplicate "a"
+    // whole, or a stale entry would still find it; row 2 goes.
+    auto by_id = [](int64_t id) {
+      return Compare(0, CompareOp::kEq, Value(id));
+    };
+    for (Table* t : {indexed, scanned}) {
+      EXPECT_EQ(db.Update(t, by_id(1), [](Row* r) { (*r)[1] = Value("c|d"); })
+                    .value(),
+                1u);
+      EXPECT_EQ(
+          db.Update(t, by_id(3), [](Row* r) { (*r)[1] = Value("b"); }).value(),
+          1u);
+      EXPECT_EQ(db.Delete(t, by_id(2)).value(), 1u);
+    }
+    ExpectSameTagAnswers(&db, indexed, scanned);
+    EXPECT_TRUE(TagIds(&db, indexed, CompareOp::kHas, "a").empty());
+    EXPECT_EQ(TagIds(&db, indexed, CompareOp::kHas, "c"), (Ids{1, 5}));
+    // A backfill over live rows files them as the maintained index did.
+    ASSERT_TRUE(db.CreateIndex("scanned", "tags", /*elements=*/true).ok());
+    ExpectSameTagAnswers(&db, indexed, scanned);
+    ASSERT_TRUE(db.Close().ok());
+  }
+  // Index entries are never logged: replay, then the backfill, rebuild
+  // them from the WAL and then from a checkpoint.
+  for (const bool from_snapshot : {false, true}) {
+    Database db(TagOptions(&env));
+    ASSERT_TRUE(db.Open().ok());
+    EXPECT_EQ(db.replay_stats().from_snapshot, from_snapshot);
+    auto [indexed, scanned] = OpenTagTables(&db);
+    ExpectSameTagAnswers(&db, indexed, scanned);
+    EXPECT_EQ(TagIds(&db, indexed, CompareOp::kHas, "b"), (Ids{3}));
+    EXPECT_EQ(TagIds(&db, indexed, CompareOp::kHas, "d"), (Ids{1}));
+    if (!from_snapshot) ASSERT_TRUE(db.Checkpoint().ok());
+    ASSERT_TRUE(db.Close().ok());
+  }
 }
 
 TEST(TtlDaemon, ReclaimsExpiredRows) {

@@ -208,9 +208,9 @@ DbState Capture(Database* db, Table* t) {
                   s.rows.push_back(r);
                   return true;
                 }).ok());
-  s.old = db->Select(t, Compare(1, CompareOp::kGe, Value(int64_t(100)), "age"))
+  s.old = db->Select(t, Compare(1, CompareOp::kGe, Value(int64_t(100))))
               .value();
-  s.named = db->Select(t, Compare(0, CompareOp::kEq, Value("q8"), "name"))
+  s.named = db->Select(t, Compare(0, CompareOp::kEq, Value("q8")))
                 .value();
   std::sort(s.rows.begin(), s.rows.end());
   std::sort(s.old.begin(), s.old.end());
