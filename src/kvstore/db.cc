@@ -195,8 +195,25 @@ bool MemKV::EraseLocked(Shard& s, const std::string& key, uint64_t hash) {
   return true;
 }
 
+void MemKV::UpsertLocked(Shard& s, const std::string& key, uint64_t hash,
+                         std::string stored, int64_t expiry_abs) {
+  const size_t new_value_size = stored.size();
+  int64_t old_expiry = 0;
+  size_t old_value_size = 0;
+  const bool inserted = s.map.Upsert(key, hash, std::move(stored), expiry_abs,
+                                     &old_expiry, &old_value_size);
+  if (inserted) {
+    s.bytes += key.size();
+  } else {
+    s.bytes -= old_value_size;
+    if (old_expiry != 0 && expiry_abs == 0) UnregisterTtlLocked(s, key);
+  }
+  s.bytes += new_value_size;
+  if (expiry_abs != 0) RegisterTtlLocked(s, key, expiry_abs);
+}
+
 Status MemKV::SetInternal(const std::string& key, const std::string& value,
-                          int64_t expiry_abs, bool log_to_aof) {
+                          int64_t expiry_abs) {
   obs::SampledTimer timer(set_us_, clock_);
   Status gate = health_.WriteGate("memkv");
   if (!gate.ok()) return gate;
@@ -204,77 +221,33 @@ Status MemKV::SetInternal(const std::string& key, const std::string& value,
   if (aead_) {
     stored = aead_->Seal(value, seal_seq_.fetch_add(1));
   }
-  // The AOF carries the stored (possibly sealed) value: at-rest bytes never
-  // hit disk in plaintext when encryption is on.
-  const bool log = log_to_aof && aof_active_.load(std::memory_order_acquire);
-  std::string aof_copy = log ? stored : std::string();
   const uint64_t h = Fnv1a(key);
   Shard& s = ShardFor(h);
-  {
-    std::unique_lock<std::shared_mutex> l(s.mu);
-    // Snapshot the displaced state before applying: a failed AOF append
-    // rolls the apply back below. A record resident in memory but absent
-    // from the log is invisible to index-driven GDPR erasure yet gets
-    // durably resurrected by the next compaction rewrite — the op must
-    // fail atomically (docs/PERSISTENCE.md, "Failure policy").
-    std::string prev_value;
-    int64_t prev_expiry = 0;
-    bool prev_existed = false;
-    if (log) {
-      const EntryBlock* prev = s.map.Find(key, h);
-      if (prev != nullptr) {
-        prev_value = prev->value;
-        prev_expiry = prev->expiry_micros;
-        prev_existed = true;
-      }
-    }
-    const size_t new_value_size = stored.size();
-    int64_t old_expiry = 0;
-    size_t old_value_size = 0;
-    const bool inserted = s.map.Upsert(key, h, std::move(stored), expiry_abs,
-                                       &old_expiry, &old_value_size);
-    if (inserted) {
-      s.bytes += key.size();
-    } else {
-      s.bytes -= old_value_size;
-      if (old_expiry != 0 && expiry_abs == 0) UnregisterTtlLocked(s, key);
-    }
-    s.bytes += new_value_size;
-    if (expiry_abs != 0) RegisterTtlLocked(s, key, expiry_abs);
-    // Log under the shard lock: AOF order must match apply order for
-    // same-key races, or replay restores the overwritten value. The
-    // commit blocks here (the committer thread needs no shard locks), so
-    // "AofAppend returned OK" still means the frame is on disk per the
-    // sync policy, exactly as before the pipeline.
-    if (log) {
-      Status append = AofAppend('S', key, aof_copy, expiry_abs);
-      if (!append.ok()) {
-        if (!prev_existed) {
-          EraseLocked(s, key, h);
-        } else {
-          const size_t restore_size = prev_value.size();
-          s.map.Upsert(key, h, std::move(prev_value), prev_expiry,
-                       &old_expiry, &old_value_size);
-          s.bytes -= new_value_size;
-          s.bytes += restore_size;
-          if (expiry_abs != 0 && prev_expiry == 0) UnregisterTtlLocked(s, key);
-          if (prev_expiry != 0) RegisterTtlLocked(s, key, prev_expiry);
-        }
-      }
-      return append;
-    }
+  std::unique_lock<std::shared_mutex> l(s.mu);
+  // Log before apply (docs/PERSISTENCE.md, "Failure policy"): a failed
+  // append returns before memory changes, so a record can never be
+  // resident but absent from the log. Logged under the shard lock: AOF
+  // order must match apply order for same-key races, or replay restores
+  // the overwritten value. The commit blocks here (the committer thread
+  // needs no shard locks), so "AofAppend returned OK" means the frame is
+  // on disk per the sync policy. The AOF carries the stored (possibly
+  // sealed) value: at-rest bytes never hit disk in plaintext.
+  if (aof_active_.load(std::memory_order_acquire)) {
+    Status append = AofAppend('S', key, stored, expiry_abs);
+    if (!append.ok()) return append;
   }
+  UpsertLocked(s, key, h, std::move(stored), expiry_abs);
   return Status::OK();
 }
 
 Status MemKV::Set(const std::string& key, const std::string& value) {
-  return SetInternal(key, value, 0, true);
+  return SetInternal(key, value, 0);
 }
 
 Status MemKV::SetWithTtl(const std::string& key, const std::string& value,
                          int64_t ttl_micros) {
   const int64_t expiry = ttl_micros > 0 ? NowMicros() + ttl_micros : 0;
-  return SetInternal(key, value, expiry, true);
+  return SetInternal(key, value, expiry);
 }
 
 StatusOr<std::string> MemKV::Get(const std::string& key) {
@@ -370,42 +343,20 @@ Status MemKV::Delete(const std::string& key) {
   if (!gate.ok()) return gate;
   const uint64_t h = Fnv1a(key);
   Shard& s = ShardFor(h);
-  bool existed = false;
-  {
-    std::unique_lock<std::shared_mutex> l(s.mu);
-    const bool log = aof_active_.load(std::memory_order_acquire);
-    std::string prev_value;
-    int64_t prev_expiry = 0;
-    if (log) {
-      const EntryBlock* prev = s.map.Find(key, h);
-      if (prev != nullptr) {
-        prev_value = prev->value;
-        prev_expiry = prev->expiry_micros;
-      }
-    }
-    existed = EraseLocked(s, key, h);
-    // Only a delete that actually removed something earns a 'D' frame: a
-    // miss used to append one anyway, inflating the log (and the
-    // compaction-ratio policy feeding on it) with no-op deletes.
-    if (existed && log) {
-      Status s2 = AofAppend('D', key, "", 0);
-      if (!s2.ok()) {
-        // Roll the erase back: the delete failed, so the record is still
-        // resident and still served, and the caller must not treat the
-        // erasure as done. Replay of a torn 'D' tail agrees — the frame is
-        // discarded and the prior 'S' wins.
-        const size_t restore_size = prev_value.size();
-        int64_t old_expiry = 0;
-        size_t old_value_size = 0;
-        s.map.Upsert(key, h, std::move(prev_value), prev_expiry, &old_expiry,
-                     &old_value_size);
-        s.bytes += key.size() + restore_size;
-        if (prev_expiry != 0) RegisterTtlLocked(s, key, prev_expiry);
-        return s2;
-      }
-    }
+  std::unique_lock<std::shared_mutex> l(s.mu);
+  // Only a resident key earns a 'D' frame: a miss appending one anyway
+  // would inflate the log (and the compaction-ratio policy feeding on
+  // it) with no-op deletes.
+  if (s.map.Find(key, h) == nullptr) return Status::NotFound(key);
+  // Log before apply, as in SetInternal: a failed 'D' leaves the record
+  // resident and served, and the caller must not treat the erasure as
+  // done. Replay of a torn 'D' tail agrees — the prior 'S' wins.
+  if (aof_active_.load(std::memory_order_acquire)) {
+    Status append = AofAppend('D', key, "", 0);
+    if (!append.ok()) return append;
   }
-  return existed ? Status::OK() : Status::NotFound(key);
+  EraseLocked(s, key, h);
+  return Status::OK();
 }
 
 size_t MemKV::Size() const {
@@ -486,13 +437,13 @@ size_t MemKV::RunStrictCycle(int64_t now) {
           e->expiry_micros != item.expiry_micros) {
         continue;
       }
-      EraseLocked(s, item.key, h);
-      // Logged under the shard lock so a racing re-Set of the key cannot
-      // be ordered before this 'D' in the AOF. Its status is not needed:
-      // a failed append is counted and degrades health in the pipeline,
-      // and replay erases an 'S' frame whose expiry has passed, so a lost
-      // 'D' never brings the key back.
+      // Logged before the erase and under the shard lock, so a racing
+      // re-Set of the key cannot be ordered before this 'D' in the AOF.
+      // Its status is not needed: a failed append is counted and degrades
+      // health in the pipeline, and replay erases an 'S' frame whose
+      // expiry has passed, so a lost 'D' never brings the key back.
       if (log) (void)AofAppend('D', item.key, "", 0);
+      EraseLocked(s, item.key, h);
       ++erased;
     }
   }
@@ -524,10 +475,10 @@ size_t MemKV::RunLazyCycle(int64_t now) {
       const uint64_t h = Fnv1a(key);
       const EntryBlock* e = s.map.Find(key, h);
       if (e != nullptr && e->expiry_micros != 0 && e->expiry_micros <= now) {
-        EraseLocked(s, key, h);
         // Status not needed, as in RunStrictCycle: replay drops the expired
         // 'S' frame even when this 'D' is lost.
         if (log) (void)AofAppend('D', key, "", 0);
+        EraseLocked(s, key, h);
         ++erased;
       }
     }
@@ -600,10 +551,14 @@ Status MemKV::AddTombstone(const std::string& key) {
   }
   if (inserted) m_tombstones_->Add(1);
   if (inserted && aof_active_.load(std::memory_order_acquire)) {
+    // The one write that registers before it logs: AppendReadLog's
+    // enqueue gate must see the tombstone before this 'T' is queued, or a
+    // racing read could land its 'R' frame after the 'T' in the log
+    // (docs/PERSISTENCE.md, "Failure policy"). So a failed append rolls
+    // back: unpersisted evidence would vanish on restart, and the caller
+    // must not report an erasure it cannot prove later.
     Status s = AofAppend('T', key, "", 0);
     if (!s.ok()) {
-      // Unpersisted evidence would vanish on restart: roll back so the
-      // caller does not report an erasure it cannot prove later.
       std::lock_guard<std::mutex> l(tomb_mu_);
       tombstones_.erase(key);
       m_tombstones_->Add(-1);
@@ -614,22 +569,20 @@ Status MemKV::AddTombstone(const std::string& key) {
 }
 
 Status MemKV::ClearTombstone(const std::string& key) {
-  bool erased;
+  // Log before apply: until the erase below, a racing read still sees the
+  // tombstone and neither serves nor logs the key, so every later 'R'
+  // frame lands after this 't'. tomb_mu_ is not held across the append:
+  // AppendReadLog's gate takes it under the ring mutex.
+  if (!HasTombstone(key)) return Status::OK();
+  if (aof_active_.load(std::memory_order_acquire)) {
+    Status s = AofAppend('t', key, "", 0);
+    if (!s.ok()) return s;
+  }
   {
     std::lock_guard<std::mutex> l(tomb_mu_);
-    erased = tombstones_.erase(key) != 0;
+    if (tombstones_.erase(key) == 0) return Status::OK();
   }
-  if (erased) m_tombstones_->Add(-1);
-  if (erased && aof_active_.load(std::memory_order_acquire)) {
-    Status s = AofAppend('t', key, "", 0);
-    if (!s.ok()) {
-      // The evidence would reappear on restart: keep it in memory too.
-      std::lock_guard<std::mutex> l(tomb_mu_);
-      tombstones_.insert(key);
-      m_tombstones_->Add(1);
-      return s;
-    }
-  }
+  m_tombstones_->Add(-1);
   return Status::OK();
 }
 
@@ -771,21 +724,7 @@ Status MemKV::AofReplay(const std::string& contents, size_t* valid_prefix) {
       const uint64_t h = Fnv1a(k);
       Shard& s = ShardFor(h);
       std::unique_lock<std::shared_mutex> l(s.mu);
-      int64_t old_expiry = 0;
-      size_t old_value_size = 0;
-      const bool inserted = s.map.Upsert(k, h, std::string(value),
-                                         int64_t(expiry), &old_expiry,
-                                         &old_value_size);
-      if (inserted) {
-        s.bytes += k.size();
-      } else {
-        s.bytes -= old_value_size;
-        if (old_expiry != 0 && expiry == 0) UnregisterTtlLocked(s, k);
-      }
-      s.bytes += value.size();
-      if (expiry != 0) {
-        RegisterTtlLocked(s, k, int64_t(expiry));
-      }
+      UpsertLocked(s, k, h, std::string(value), int64_t(expiry));
     } else if (op == 'D') {
       const std::string k(key);
       const uint64_t h = Fnv1a(k);
@@ -842,8 +781,9 @@ Status MemKV::CompactAof() {
   }
   // Phase 1: arm the pipeline tee — from here on every committed batch is
   // mirrored into rewrite_buf_ for the new log as well as the old one.
-  // The tee fires only after a batch fully succeeded, so a failed append
-  // whose memory effect was rolled back cannot resurrect via the mirror.
+  // The tee fires only after a batch fully succeeded, so a failed append,
+  // whose write never reached memory (log before apply), cannot resurrect
+  // via the mirror.
   // A degraded store may have no live handle (failed re-establishment);
   // the rewrite proceeds anyway — memory is authoritative and a
   // successful pass heals it.

@@ -17,7 +17,8 @@
 //     lazy probabilistic algorithm for the Fig 3a comparison.
 //   * Optional append-only file (AOF) with Redis-like fsync policies, an
 //     at-rest AEAD encryption path, and read logging (every read becomes a
-//     read + a log append — the paper's audit retrofit).
+//     read + a log append — the paper's audit retrofit). Every write
+//     commits its frame before it changes memory (AddTombstone excepted).
 
 #pragma once
 
@@ -218,8 +219,9 @@ class MemKV {
   // the registry over even though the erased record's frames are dropped.
   // AddTombstone fails (and rolls the in-memory entry back) when the 'T'
   // frame cannot be appended: evidence that would not survive a restart
-  // must not be reported as recorded. ClearTombstone likewise keeps the
-  // entry when its 't' frame cannot be appended.
+  // must not be reported as recorded. It registers before it logs so the
+  // read-log gate orders 'R' frames before its 'T'; ClearTombstone logs
+  // its 't' first and keeps the entry when that append fails.
   Status AddTombstone(const std::string& key);
   Status ClearTombstone(const std::string& key);
   bool HasTombstone(const std::string& key) const;
@@ -279,7 +281,11 @@ class MemKV {
   int64_t NowMicros() { return clock_->NowMicros(); }
 
   Status SetInternal(const std::string& key, const std::string& value,
-                     int64_t expiry_abs_micros, bool log_to_aof);
+                     int64_t expiry_abs_micros);
+  // The map, byte-count and TTL-registry change for one stored value,
+  // shared by SetInternal and replay. Caller holds s.mu exclusive.
+  void UpsertLocked(Shard& s, const std::string& key, uint64_t hash,
+                    std::string stored, int64_t expiry_abs_micros);
   void RegisterTtlLocked(Shard& s, const std::string& key, int64_t expiry);
   void UnregisterTtlLocked(Shard& s, const std::string& key);
   // Returns whether the key was resident (and is now erased + retired).

@@ -493,13 +493,18 @@ Status Database::Unreadable(const Table* t, size_t rows) {
 }
 
 Status Database::ApplyChanges(Table* t, std::vector<RowChange>* changes) {
-  // The WAL carries the stored (possibly sealed) cells: with encryption on,
-  // personal data must not reach disk in plaintext. Gate on the option, not
-  // the handle: the WAL file lives in the pipeline and Checkpoint swaps it
-  // there.
-  std::string wal_blob;
-  if (options_.wal_enabled) {
+  // Log before apply (docs/PERSISTENCE.md, "Failure policy"): a failed
+  // append returns before the table changes. Logged while the table lock
+  // is held: WAL order must equal apply order or replayed rids would point
+  // at the wrong rows. The WAL carries the stored (possibly sealed) cells:
+  // with encryption on, personal data must not reach disk in plaintext.
+  // Gate on the option, not the handle: the WAL file lives in the pipeline
+  // and Checkpoint swaps it there.
+  if (options_.wal_enabled && !changes->empty()) {
+    std::string wal_blob;
     for (const RowChange& c : *changes) EncodeWalOp(&wal_blob, t->name(), c.op);
+    Status s = WalAppend(wal_blob);
+    if (!s.ok()) return s;
   }
   for (RowChange& c : *changes) {
     const uint64_t rid = ApplyOp(t, std::move(c.op));
@@ -511,9 +516,7 @@ Status Database::ApplyChanges(Table* t, std::vector<RowChange>* changes) {
       if (has) index.Insert(c.after[col], rid);
     }
   }
-  // Logged while the table lock is held: WAL order must equal apply order
-  // or replayed rids would point at the wrong rows.
-  return wal_blob.empty() ? Status::OK() : WalAppend(wal_blob);
+  return Status::OK();
 }
 
 StatusOr<size_t> Database::Mutate(
@@ -521,13 +524,16 @@ StatusOr<size_t> Database::Mutate(
     const std::function<Status(std::vector<RowChange>*)>& build) {
   if (!t) return Status::InvalidArgument("null table");
   Status s = WalHealthy();
+  // Logged as received, before the table lock (PostgreSQL's
+  // log_statement does the same): a failed append refuses the write
+  // before anything changes.
+  if (s.ok() && stmt_logging()) s = LogStatement(verb + t->name() + where);
   std::vector<RowChange> changes;
   if (s.ok()) {
     std::unique_lock<std::shared_mutex> l(t->mu_);
     s = build(&changes);
     if (s.ok()) s = ApplyChanges(t, &changes);
   }
-  if (s.ok() && stmt_logging()) s = LogStatement(verb + t->name() + where);
   if (!s.ok()) return s;
   return changes.size();
 }

@@ -9,9 +9,9 @@
 // kHas; kEq on that column still means the whole cell, so it scans. Index
 // entries are derived from the rows and never logged.
 //
-// WAL format: one self-framing binary record per mutation, carrying the
-// stored (possibly AEAD-sealed) cells so personal data never reaches disk
-// in plaintext:
+// WAL format: one self-framing binary record per mutation, committed before
+// the table changes and carrying the stored (possibly AEAD-sealed) cells so
+// personal data never reaches disk in plaintext:
 //   'I' <table> <ncells> <cells>          insert (row id = arrival order)
 //   'U' <table> <rid> <ncells> <cells>    full new row image for rid
 //   'D' <table> <rid>                     delete of rid
@@ -324,7 +324,8 @@ class Database {
   void ApplyReplay(Table* t, std::vector<WalOp> ops);
   void ApplySnapshot(Table* t, std::vector<std::optional<Row>> slots);
   // Caller holds t->mu_ exclusive and has checked every change: logs them
-  // as one WAL append and applies each to the indexes and the heap.
+  // as one WAL append, then applies each to the indexes and the heap; a
+  // failed append changes nothing.
   Status ApplyChanges(Table* t, std::vector<RowChange>* changes);
   static void EncodeCells(std::string* dst, const Row& stored);
   static bool DecodeCells(std::string_view* in, Row* out);
@@ -339,9 +340,9 @@ class Database {
   Status VisitRows(Table* t, const Predicate* pred, size_t limit,
                    const std::function<bool(Row&)>& fn);
   // The one write path behind Insert, Update, Delete and DeleteWhere:
-  // under t->mu_ (exclusive) `build` lists every row change, which applies
-  // only if it returns OK; the statement `verb <table> where` is logged
-  // once the lock drops. Returns the number of changes.
+  // the statement `verb <table> where` is logged as received, then under
+  // t->mu_ (exclusive) `build` lists every row change, which applies only
+  // if it returns OK. Returns the number of changes.
   StatusOr<size_t> Mutate(
       Table* t, const char* verb, const char* where,
       const std::function<Status(std::vector<RowChange>*)>& build);

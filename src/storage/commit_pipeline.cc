@@ -289,8 +289,9 @@ bool CommitPipeline::ProcessTarget(Target* t) {
       m_frames_->Add(batch.size());
       m_bytes_->Add(bytes);
       // The tee observes only fully committed batches (post-write, and
-      // post-fsync under kAlways): a failed batch whose memory effects
-      // the caller rolled back can never leak into a compaction mirror.
+      // post-fsync under kAlways): a failed batch, whose callers log
+      // before they apply and so never changed memory, can never leak
+      // into a compaction mirror.
       if (t->tee) t->tee(buf);
       uint64_t now = NowMicros();
       for (Frame& f : batch) {

@@ -128,15 +128,18 @@ inline void RunGdprWorkload(GdprStore* store, FaultEnv* fenv, Ledger* led,
     led->ever.insert(key);
     led->acceptable[key].insert(data);
   };
+  // The value each key's last successful write left in memory, whatever
+  // the sync policy: a failed write must not change it (log before apply).
+  std::map<std::string, std::string> live;
   for (int u = 0; u < 3; ++u) {
     const std::string user = "user" + std::to_string(u);
     for (int k = 0; k < 4; ++k) {
       const std::string key = user + "-k" + std::to_string(k);
       const std::string data = "v0-" + key;
       offer(key, data);
-      if (acked(store->CreateRecord(ctrl, MakeRecord(key, user, data)))) {
-        led->durable[key] = data;
-      }
+      const Status s = store->CreateRecord(ctrl, MakeRecord(key, user, data));
+      if (s.ok()) live[key] = data;
+      if (acked(s)) led->durable[key] = data;
     }
   }
   // Reads never touch the ledger; degraded stores must keep serving them.
@@ -150,11 +153,24 @@ inline void RunGdprWorkload(GdprStore* store, FaultEnv* fenv, Ledger* led,
   // it is attempted: a fault mid-op can legitimately persist the delete
   // before failing, so the key drops to "indeterminate" (only the
   // `ever`/`acceptable` checks bind) unless the op acks.
+  //
+  // A failed update is also checked live, before any reopen: it must
+  // leave the record reading as it did. Only the update is checked this
+  // way, since it is one engine mutation everywhere while a reldb create
+  // is three; a read that itself errs proves nothing and is skipped.
   {
     const std::string key = "user0-k1", data = "v1-" + key;
     offer(key, data);
-    if (acked(store->UpdateDataByKey(ctrl, key, data))) {
-      led->durable[key] = data;
+    const Status s = store->UpdateDataByKey(ctrl, key, data);
+    if (acked(s)) led->durable[key] = data;
+    const auto prev = live.find(key);
+    if (!s.ok() && !fenv->crashed() && prev != live.end()) {
+      auto r = store->ReadDataByKey(ctrl, key);
+      if (r.ok()) {
+        EXPECT_EQ(r.value().data, prev->second)
+            << "failed update changed the served value: " << s.ToString();
+        CountCheck();
+      }
     }
   }
   {

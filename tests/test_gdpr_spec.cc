@@ -437,6 +437,56 @@ TEST_P(GdprSpec, AckedUpsertSurvivesAnyFailedLogWrite) {
   EXPECT_GT(acked_runs, 0u);
 }
 
+// Log before apply: a write whose first engine-log append fails returns an
+// error and leaves every answer as it was, live and after a restart. A
+// write applied before its log failed would still be served, and a
+// compaction (or checkpoint) would then make it durable.
+TEST_P(GdprSpec, FailedLogAppendChangesNothing) {
+  MemEnv mem;
+  FaultEnv fenv(&mem);
+  const Actor ctrl = Actor::Controller();
+  auto store = Make({nullptr, &fenv});
+  ASSERT_TRUE(store->Open().ok());
+  ASSERT_TRUE(store->CreateRecord(ctrl, MakeRec("k1", "neo", {"ads"})).ok());
+  ASSERT_TRUE(store->CreateRecord(ctrl, MakeRec("k2", "neo")).ok());
+  auto expect_unchanged = [&](GdprStore* s, const std::string& step) {
+    SCOPED_TRACE(step);
+    EXPECT_TRUE(s->ReadDataByKey(ctrl, "k0").status().IsNotFound());
+    auto k1 = s->ReadDataByKey(ctrl, "k1");
+    ASSERT_TRUE(k1.ok()) << k1.status().ToString();
+    EXPECT_EQ(k1.value().data, "data-k1");
+    EXPECT_TRUE(s->ReadDataByKey(ctrl, "k2").ok());
+    EXPECT_EQ(KeysOf(s->ReadMetadataByUser(ctrl, "neo").value()),
+              (std::set<std::string>{"k1", "k2"}));
+    EXPECT_EQ(KeysOf(s->ReadMetadataByPurpose(ctrl, "ads").value()),
+              std::set<std::string>{"k1"});
+    EXPECT_FALSE(s->VerifyDeletion(Actor::Regulator(), "k2").value());
+  };
+  // Fails every append to the engine log, then heals the store.
+  auto with_failing_log = [&](const std::string& step,
+                              const std::function<Status()>& write) {
+    FaultPlan plan;
+    plan.fail_prob[int(FaultOpKind::kAppend)] = 1.0;
+    plan.path_filter = "spec.log";
+    fenv.set_plan(plan);
+    EXPECT_FALSE(write().ok()) << step;
+    fenv.ClearFaults();
+    ASSERT_TRUE(store->CompactNow(ctrl).ok()) << step;
+    expect_unchanged(store.get(), step);
+  };
+  with_failing_log("create", [&] {
+    return store->CreateRecord(ctrl, MakeRec("k0", "neo", {"ads"}));
+  });
+  with_failing_log("update",
+                   [&] { return store->UpdateDataByKey(ctrl, "k1", "new"); });
+  with_failing_log("delete",
+                   [&] { return store->DeleteRecordByKey(ctrl, "k2"); });
+  ASSERT_TRUE(store->Close().ok());
+  auto reopened = Make({nullptr, &mem});
+  ASSERT_TRUE(reopened->Open().ok());
+  expect_unchanged(reopened.get(), "reopen");
+}
+
 // Updates that reshuffle a record's attributes, duplicates included, leave
 // every by-user, by-purpose and by-sharing answer exact: an index that
 // diffs old against new metadata must drop exactly the pairs that left and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -185,6 +186,49 @@ TEST(MemKV, LostExpiryFrameDoesNotResurrectTheKey) {
   EXPECT_FALSE(db.Get("doomed").ok());
   EXPECT_EQ(db.Get("kept").value(), "w");
   EXPECT_EQ(db.Size(), 1u);
+}
+
+// Log before apply: with the AOF failing, each write returns the error and
+// changes nothing — no value, TTL, byte count or tombstone.
+TEST(MemKV, FailedAofAppendChangesNothing) {
+  MemEnv mem;
+  FaultEnv fenv(&mem);
+  SimulatedClock clock(0);
+  Options o;
+  o.env = &fenv;
+  o.clock = &clock;
+  o.expiry_mode = ExpiryMode::kStrictScan;
+  o.aof_enabled = true;
+  o.aof_path = "fail.aof";
+  o.sync_policy = SyncPolicy::kAlways;
+  MemKV db(o);
+  ASSERT_TRUE(db.Open().ok());
+  ASSERT_TRUE(db.Set("kept", "v").ok());
+  ASSERT_TRUE(db.AddTombstone("erased").ok());
+  const size_t bytes = db.ApproximateBytes();
+  const std::vector<std::pair<const char*, std::function<Status()>>> writes = {
+      {"new key", [&] { return db.Set("fresh", "w"); }},
+      {"overwrite adding a TTL",
+       [&] { return db.SetWithTtl("kept", "a longer value", 1000); }},
+      {"delete", [&] { return db.Delete("kept"); }},
+      {"clear tombstone", [&] { return db.ClearTombstone("erased"); }},
+  };
+  for (const auto& [name, write] : writes) {
+    SCOPED_TRACE(name);
+    FaultPlan plan;
+    plan.fail_prob[int(FaultOpKind::kAppend)] = 1.0;
+    fenv.set_plan(plan);
+    EXPECT_FALSE(write().ok());
+    fenv.ClearFaults();
+    ASSERT_TRUE(db.CompactAof().ok());  // heals the degraded store
+    EXPECT_TRUE(db.Get("fresh").status().IsNotFound());
+    EXPECT_EQ(db.Get("kept").value(), "v");
+    EXPECT_TRUE(db.HasTombstone("erased"));
+    EXPECT_EQ(db.ApproximateBytes(), bytes);
+    clock.AdvanceMicros(2000);
+    EXPECT_EQ(db.RunExpiryCycle(), 0u);  // no TTL was left behind
+    EXPECT_EQ(db.Get("kept").value(), "v");
+  }
 }
 
 // A store that could not open its AOF append handle must not report

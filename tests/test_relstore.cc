@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -7,6 +8,7 @@
 
 #include "relstore/database.h"
 #include "relstore/ttl_daemon.h"
+#include "storage/fault_env.h"
 
 namespace gdpr::rel {
 namespace {
@@ -285,6 +287,81 @@ TEST(Database, UpdateIsAllOrNothing) {
   ASSERT_TRUE(db.Open().ok());
   Table* t = MakeAccounts(&db);
   EXPECT_EQ(balances(&db, t), (std::vector<int64_t>{0, 1, 2}));
+}
+
+// Log before apply: an Insert, Update or Delete whose WAL append, or whose
+// statement-log append, fails returns the error and changes nothing — not
+// what Select serves, and not what a Checkpoint and a reopen recover.
+TEST(Database, FailedLogAppendChangesNothing) {
+  const auto by_aid = [](int64_t aid) {
+    return Compare(0, CompareOp::kEq, Value(aid));
+  };
+  const std::vector<std::function<Status(Database*, Table*)>> writes = {
+      [](Database* db, Table* t) {
+        return db->Insert(t, {Value(int64_t(3)), Value(int64_t(30)),
+                              Value("u")});
+      },
+      [&](Database* db, Table* t) {
+        return db
+            ->Update(t, by_aid(1),
+                     [](Row* r) { (*r)[1] = Value(int64_t(100)); })
+            .status();
+      },
+      [&](Database* db, Table* t) {
+        return db->Delete(t, by_aid(2)).status();
+      },
+  };
+  const auto balances = [](Database* db, Table* t) {
+    std::vector<int64_t> out;
+    auto rows = db->Select(t, Compare(2, CompareOp::kEq, Value("u")));
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    for (const Row& r : rows.value()) out.push_back(r[1].AsInt64());
+    return out;
+  };
+  const std::vector<int64_t> want = {10, 20};
+  for (const std::string log : {"rel.wal", "rel.stmt"}) {
+    MemEnv mem;
+    FaultEnv fenv(&mem);
+    RelOptions o;
+    o.env = &fenv;
+    o.wal_enabled = true;
+    o.wal_path = "rel.wal";
+    o.log_statements = true;
+    o.statement_log_path = "rel.stmt";
+    o.sync_policy = SyncPolicy::kAlways;
+    {
+      Database db(o);
+      ASSERT_TRUE(db.Open().ok());
+      Table* t = MakeAccounts(&db);
+      ASSERT_TRUE(
+          db.Insert(t, {Value(int64_t(1)), Value(int64_t(10)), Value("u")})
+              .ok());
+      ASSERT_TRUE(
+          db.Insert(t, {Value(int64_t(2)), Value(int64_t(20)), Value("u")})
+              .ok());
+      ASSERT_TRUE(db.Close().ok());
+    }
+    // One open per write: a reopen heals a failed statement log.
+    for (size_t i = 0; i < writes.size(); ++i) {
+      SCOPED_TRACE(log + " failing, write " + std::to_string(i));
+      Database db(o);
+      ASSERT_TRUE(db.Open().ok());
+      Table* t = MakeAccounts(&db);
+      FaultPlan plan;
+      plan.fail_prob[int(FaultOpKind::kAppend)] = 1.0;
+      plan.path_filter = log;
+      fenv.set_plan(plan);
+      EXPECT_FALSE(writes[i](&db, t).ok());
+      fenv.ClearFaults();
+      EXPECT_EQ(balances(&db, t), want);
+      EXPECT_TRUE(db.Checkpoint().ok());
+      (void)db.Close();
+    }
+    SCOPED_TRACE(log + " failing, reopened");
+    Database db(o);
+    ASSERT_TRUE(db.Open().ok());
+    EXPECT_EQ(balances(&db, MakeAccounts(&db)), want);
+  }
 }
 
 TEST(Database, ScanRowsStopsEarly) {
