@@ -551,12 +551,13 @@ Status MemKV::AddTombstone(const std::string& key) {
   }
   if (inserted) m_tombstones_->Add(1);
   if (inserted && aof_active_.load(std::memory_order_acquire)) {
-    // The one write that registers before it logs: AppendReadLog's
-    // enqueue gate must see the tombstone before this 'T' is queued, or a
-    // racing read could land its 'R' frame after the 'T' in the log
-    // (docs/PERSISTENCE.md, "Failure policy"). So a failed append rolls
-    // back: unpersisted evidence would vanish on restart, and the caller
-    // must not report an erasure it cannot prove later.
+    // One of the two writes that apply before they log (ClearTombstone is
+    // the other): AppendReadLog's enqueue gate must see the tombstone
+    // before this 'T' is queued, or a racing read could land its 'R' frame
+    // after the 'T' in the log (docs/PERSISTENCE.md, "Failure policy"). So
+    // a failed append rolls back: unpersisted evidence would vanish on
+    // restart, and the caller must not report an erasure it cannot prove
+    // later.
     Status s = AofAppend('T', key, "", 0);
     if (!s.ok()) {
       std::lock_guard<std::mutex> l(tomb_mu_);
@@ -569,20 +570,28 @@ Status MemKV::AddTombstone(const std::string& key) {
 }
 
 Status MemKV::ClearTombstone(const std::string& key) {
-  // Log before apply: until the erase below, a racing read still sees the
-  // tombstone and neither serves nor logs the key, so every later 'R'
-  // frame lands after this 't'. tomb_mu_ is not held across the append:
-  // AppendReadLog's gate takes it under the ring mutex.
-  if (!HasTombstone(key)) return Status::OK();
-  if (aof_active_.load(std::memory_order_acquire)) {
-    Status s = AofAppend('t', key, "", 0);
-    if (!s.ok()) return s;
-  }
+  bool erased;
   {
     std::lock_guard<std::mutex> l(tomb_mu_);
-    if (tombstones_.erase(key) == 0) return Status::OK();
+    erased = tombstones_.erase(key) != 0;
   }
-  m_tombstones_->Add(-1);
+  if (erased) m_tombstones_->Add(-1);
+  if (erased && aof_active_.load(std::memory_order_acquire)) {
+    // The second write that applies before it logs: CompactAof snapshots
+    // the tombstone set after the mirror drain, so it must never find a
+    // tombstone whose 't' is already committed, or the rewritten log would
+    // read 't' then 'T' and restart with the tombstone back. tomb_mu_
+    // cannot be held across the append (AppendReadLog's gate takes it
+    // under the ring mutex), so the erase goes first and a failed append
+    // re-inserts: the evidence would reappear on restart.
+    Status s = AofAppend('t', key, "", 0);
+    if (!s.ok()) {
+      std::lock_guard<std::mutex> l(tomb_mu_);
+      tombstones_.insert(key);
+      m_tombstones_->Add(1);
+      return s;
+    }
+  }
   return Status::OK();
 }
 
@@ -838,8 +847,10 @@ Status MemKV::CompactAof() {
   // commit order — so every mirrored 'R' precedes its key's tombstone
   // registration, and emitting the 'T' snapshot behind the mirror keeps
   // the rewritten log honoring the same no-R-after-T evidence ordering
-  // the live log guarantees. Tombstones outlive the records they
-  // evidence: the erased data's frames are gone from the new log, the
+  // the live log guarantees. A mirrored 't' is safe behind it too:
+  // ClearTombstone erases before it logs, so the snapshot cannot still
+  // hold a key whose 't' has committed. Tombstones outlive the records
+  // they evidence: the erased data's frames are gone from the new log, the
   // proof of erasure is not.
   Status swap = pipeline_->WithFile(aof_target_, [&](CommitPipeline::FileSlot&
                                                          aof) -> Status {

@@ -18,7 +18,8 @@
 //   * Optional append-only file (AOF) with Redis-like fsync policies, an
 //     at-rest AEAD encryption path, and read logging (every read becomes a
 //     read + a log append — the paper's audit retrofit). Every write
-//     commits its frame before it changes memory (AddTombstone excepted).
+//     commits its frame before it changes memory (the tombstone set's
+//     Add/ClearTombstone excepted).
 
 #pragma once
 
@@ -220,8 +221,10 @@ class MemKV {
   // AddTombstone fails (and rolls the in-memory entry back) when the 'T'
   // frame cannot be appended: evidence that would not survive a restart
   // must not be reported as recorded. It registers before it logs so the
-  // read-log gate orders 'R' frames before its 'T'; ClearTombstone logs
-  // its 't' first and keeps the entry when that append fails.
+  // read-log gate orders 'R' frames before its 'T'. ClearTombstone erases
+  // before it logs, so CompactAof's tombstone snapshot never holds an
+  // entry whose 't' is already committed; it re-inserts the entry when the
+  // 't' append fails. These two are the only writes that apply first.
   Status AddTombstone(const std::string& key);
   Status ClearTombstone(const std::string& key);
   bool HasTombstone(const std::string& key) const;

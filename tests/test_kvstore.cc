@@ -506,6 +506,100 @@ TEST(MemKV, ReadLogOrderingHoldsUnderGetForgetRaces) {
   EXPECT_EQ(tombstoned.size(), size_t(kKeys));
 }
 
+// Hands each batch the pipeline appends to one path to a callback, on the
+// committer thread, before the batch is written.
+class FrameWatchEnv : public MemEnv {
+ public:
+  FrameWatchEnv(std::string path, std::function<void(std::string_view)> fn)
+      : path_(std::move(path)), fn_(std::move(fn)) {}
+  StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool truncate) override {
+    auto file = MemEnv::NewWritableFile(path, truncate);
+    if (!file.ok() || path != path_) return file;
+    return std::unique_ptr<WritableFile>(
+        std::make_unique<Watched>(std::move(file.value()), &fn_));
+  }
+
+ private:
+  struct Watched : WritableFile {
+    Watched(std::unique_ptr<WritableFile> f,
+            const std::function<void(std::string_view)>* fn)
+        : f(std::move(f)), fn(fn) {}
+    Status Append(std::string_view data) override {
+      (*fn)(data);
+      return f->Append(data);
+    }
+    Status Sync() override { return f->Sync(); }
+    Status Close() override { return f->Close(); }
+    std::unique_ptr<WritableFile> f;
+    const std::function<void(std::string_view)>* fn;
+  };
+  const std::string path_;
+  const std::function<void(std::string_view)> fn_;
+};
+
+TEST(MemKV, ClearTombstoneRacingCompactionSurvivesReopen) {
+  // Writers add and clear tombstones (the GDPR erase, then re-create shape)
+  // while a rewrite loops. The rewrite snapshots the tombstone set after
+  // the frames it mirrored, so a 't' frame must never be written while its
+  // tombstone is still in memory: checked on every frame as it is written,
+  // and end to end by reopening the rewritten log.
+  MemKV* live = nullptr;
+  std::atomic<int> written_early{0};
+  FrameWatchEnv env("clear-race.aof", [&](std::string_view batch) {
+    for (const auto& [op, key] : ParseAofFrames(std::string(batch))) {
+      if (op == 't' && live->HasTombstone(key)) ++written_early;
+    }
+  });
+  Options o;
+  o.env = &env;
+  o.aof_enabled = true;
+  o.aof_path = "clear-race.aof";
+  o.sync_policy = SyncPolicy::kNever;
+  constexpr int kWriters = 4, kKeys = 300;
+  auto key_of = [](int w, int i) {
+    return "w" + std::to_string(w) + "-k" + std::to_string(i);
+  };
+  {
+    MemKV db(o);
+    live = &db;
+    ASSERT_TRUE(db.Open().ok());
+    std::atomic<bool> stop{false};
+    std::thread compactor([&] {
+      while (!stop.load()) EXPECT_TRUE(db.CompactAof().ok());
+    });
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        for (int i = 0; i < kKeys; ++i) {
+          const std::string key = key_of(w, i);
+          EXPECT_TRUE(db.AddTombstone(key).ok());
+          EXPECT_TRUE(db.ClearTombstone(key).ok());
+          if (i % 3 == 0) {
+            EXPECT_TRUE(db.AddTombstone(key).ok());
+          }
+        }
+      });
+    }
+    for (auto& th : writers) th.join();
+    stop.store(true);
+    compactor.join();
+    ASSERT_GT(db.GetAofStats().rewrites, 0u);
+    ASSERT_TRUE(db.Close().ok());
+  }
+  EXPECT_EQ(written_early.load(), 0)
+      << "'t' frames written while their tombstone was still in memory";
+  MemKV reopened(o);
+  live = &reopened;
+  ASSERT_TRUE(reopened.Open().ok());
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kKeys; ++i) {
+      EXPECT_EQ(reopened.HasTombstone(key_of(w, i)), i % 3 == 0)
+          << key_of(w, i);
+    }
+  }
+}
+
 TEST(MemKV, GetBatchAnswersLikeGet) {
   // Present, absent, expired and repeated keys, over several prefetch
   // groups and values long enough to span cache lines: every batch answer
