@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/coding.h"
+#include "common/epoch.h"
 #include "common/string_util.h"
 #include "storage/file_rewrite.h"
 
@@ -50,6 +51,7 @@ void Database::InitMetrics() {
   m_checkpoints_ = metrics_->GetCounter("reldb_checkpoints_total");
   m_cells_sealed_ = metrics_->GetCounter("reldb_cells_sealed_total");
   m_cells_opened_ = metrics_->GetCounter("reldb_cells_opened_total");
+  m_write_rebuilds_ = metrics_->GetCounter("reldb_write_rebuilds_total");
   m_wal_log_bytes_ = metrics_->GetGauge("reldb_wal_log_bytes");
   m_stmt_log_bytes_ = metrics_->GetGauge("reldb_stmt_log_bytes");
   wal_health_.AttachMetrics(
@@ -84,7 +86,6 @@ Status Database::Open() {
     // "<target>.tmp".
     FileRewrite::DiscardLeftover(env_, snap_path + ".tmp");
     FileRewrite::DiscardLeftover(env_, options_.wal_path + ".tmp");
-    uint64_t snapshot_seal_seq = 0;
     bool has_snapshot = false;
     if (env_->FileExists(snap_path)) {
       auto snap = env_->ReadFileToString(snap_path);
@@ -92,7 +93,7 @@ Status Database::Open() {
         wal_health_.Fail(snap.status());
         return snap.status();
       }
-      Status s = ParseSnapshot(snap.value(), &snapshot_seal_seq);
+      Status s = ParseSnapshot(snap.value());
       if (!s.ok()) {
         wal_health_.Fail(s);
         return s;
@@ -157,12 +158,7 @@ Status Database::Open() {
           m_wal_log_bytes_->Set(static_cast<int64_t>(contents.value().size()));
         }
       }
-      // Sealed snapshot cells carry seqs below the recorded checkpoint
-      // counter; every sealed WAL cell after it occupies >= 1 log byte.
-      // Starting above their sum can never reuse an AEAD (key, seq) pair.
-      seal_seq_.store(snapshot_seal_seq + contents.value().size() + 1);
     } else {
-      seal_seq_.store(snapshot_seal_seq + 1);
       // Fresh WAL next to an existing snapshot: stamp the epoch so the
       // tail is recognized as post-checkpoint on the next recovery.
       if (has_snapshot) s = StampWal(wal, epoch_);
@@ -268,6 +264,7 @@ size_t Database::ParseWal(std::string_view contents) {
       replay_stats_.truncated_tail = mark.size() > 0;
       return size_t(mark.data() - contents.data());
     }
+    RaiseSealSeq(wal_op.stored);
     pending_replay_[std::string(table)].push_back(std::move(wal_op));
   }
   return contents.size();
@@ -294,20 +291,21 @@ size_t RowBytes(const Row& row) {
 }
 }  // namespace
 
-Status Database::ParseSnapshot(std::string_view contents, uint64_t* seal_seq) {
+Status Database::ParseSnapshot(std::string_view contents) {
   std::string_view in = contents;
   if (in.size() < kSnapshotMagicLen ||
       in.substr(0, kSnapshotMagicLen) != kSnapshotMagic) {
     return Status::DataLoss("bad snapshot magic");
   }
   in.remove_prefix(kSnapshotMagicLen);
-  uint64_t epoch = 0, ntables = 0;
+  uint64_t epoch = 0, seal_seq = 0, ntables = 0;
   // Unlike the WAL, the snapshot is written whole behind an atomic rename:
   // any parse failure here is corruption, not a torn tail.
-  if (!GetVarint64(&in, &epoch) || !GetFixed64(&in, seal_seq) ||
+  if (!GetVarint64(&in, &epoch) || !GetFixed64(&in, &seal_seq) ||
       !GetVarint64(&in, &ntables)) {
     return Status::DataLoss("truncated snapshot header");
   }
+  RaiseSealSeq(seal_seq);
   for (uint64_t ti = 0; ti < ntables; ++ti) {
     std::string_view name;
     uint64_t nslots = 0;
@@ -330,6 +328,7 @@ Status Database::ParseSnapshot(std::string_view contents, uint64_t* seal_seq) {
       if (!DecodeCells(&in, &stored)) {
         return Status::DataLoss("truncated snapshot row");
       }
+      RaiseSealSeq(stored);
       slots.emplace_back(std::move(stored));
     }
     pending_snapshot_[std::string(name)] = std::move(slots);
@@ -338,25 +337,48 @@ Status Database::ParseSnapshot(std::string_view contents, uint64_t* seal_seq) {
   return Status::OK();
 }
 
+void Database::RaiseSealSeq(uint64_t seq) {
+  uint64_t cur = seal_seq_.load();
+  while (seq >= cur && !seal_seq_.compare_exchange_weak(cur, seq + 1)) {
+  }
+}
+
+void Database::RaiseSealSeq(const Row& stored) {
+  if (!aead_) return;  // nothing is sealed from now on: no nonce to protect
+  for (const Value& cell : stored) {
+    if (cell.type() != ValueType::kString) continue;
+    // A sealed cell leads with its seq (Aead's wire format).
+    std::string_view in = cell.AsString();
+    uint64_t seq = 0;
+    if (in.size() >= Aead::kOverhead && GetFixed64(&in, &seq)) {
+      RaiseSealSeq(seq);
+    }
+  }
+}
+
 uint64_t Database::ApplyOp(Table* t, WalOp op) {
   // An 'I' takes the next slot even when its row is unusable: skipping it
   // would shift every later rid in the log onto a neighboring row.
   if (op.op == 'I') t->slots_.emplace_back();
   const uint64_t rid = op.op == 'I' ? uint64_t(t->slots_.size()) : op.rid;
   if (rid == 0 || rid > t->slots_.size()) return 0;
-  std::optional<Row>& slot = t->slots_[rid - 1];
+  std::unique_ptr<const Row>& slot = t->slots_[rid - 1];
   if (op.op != 'I' && !slot) return 0;  // U/D of a deleted row
   if (op.op != 'D' && op.stored.size() != t->schema().num_columns()) {
     return 0;  // arity mismatch (schema drift): the row is unusable
   }
-  if (slot) t->row_bytes_ -= RowBytes(*slot);
+  if (slot) {
+    t->row_bytes_ -= RowBytes(*slot);
+    // A reader may still be decoding the displaced image after dropping
+    // the table lock; the epoch retire frees it once none can be.
+    EpochManager::Global().Retire(const_cast<Row*>(slot.release()));
+  }
   if (op.op == 'D') {
-    slot.reset();
     if (--t->live_rows_ == 0) t->index_unreadable_.clear();
   } else {
-    if (!slot) ++t->live_rows_;
+    if (op.op == 'I') ++t->live_rows_;
     t->row_bytes_ += RowBytes(op.stored);
-    slot = std::move(op.stored);
+    slot = std::make_unique<const Row>(std::move(op.stored));
   }
   return rid;
 }
@@ -519,21 +541,43 @@ Status Database::ApplyChanges(Table* t, std::vector<RowChange>* changes) {
   return Status::OK();
 }
 
-StatusOr<size_t> Database::Mutate(
-    Table* t, const char* verb, const char* where,
-    const std::function<Status(std::vector<RowChange>*)>& build) {
+StatusOr<size_t> Database::Mutate(Table* t, const char* verb,
+                                  const char* where, const Predicate* pred,
+                                  const BuildFn& build) {
   if (!t) return Status::InvalidArgument("null table");
   Status s = WalHealthy();
   // Logged as received, before the table lock (PostgreSQL's
   // log_statement does the same): a failed append refuses the write
   // before anything changes.
   if (s.ok() && stmt_logging()) s = LogStatement(verb + t->name() + where);
+  if (!s.ok()) return s;
+  // Pins every image the first match saw until the second one compares
+  // them, so an equal pointer is the same image, never a new image at a
+  // reused address.
+  EpochGuard guard;
+  Matched seen;
   std::vector<RowChange> changes;
-  if (s.ok()) {
-    std::unique_lock<std::shared_mutex> l(t->mu_);
-    s = build(&changes);
-    if (s.ok()) s = ApplyChanges(t, &changes);
+  if (pred) {
+    {
+      std::shared_lock<std::shared_mutex> l(t->mu_);
+      seen = MatchRowIds(t, pred, 0);
+    }
+    if (seen.rows.empty() && seen.unreadable == 0) return size_t(0);
+    s = build(seen, &changes);
+    if (!s.ok()) return s;
   }
+  std::unique_lock<std::shared_mutex> l(t->mu_);
+  if (pred) {
+    Matched now = MatchRowIds(t, pred, 0);
+    if (!(now == seen)) {  // a write overtook the build
+      m_write_rebuilds_->Add(1);
+      changes.clear();
+      s = build(now, &changes);
+    }
+  } else {
+    s = build(seen, &changes);
+  }
+  if (s.ok()) s = ApplyChanges(t, &changes);
   if (!s.ok()) return s;
   return changes.size();
 }
@@ -546,54 +590,57 @@ Status Database::Insert(Table* t, Row row) {
   RowChange c;  // sealed outside the table lock
   c.op.stored = EncodeRow(row);
   c.after = std::move(row);
-  return Mutate(t, "INSERT INTO ", "", [&](std::vector<RowChange>* changes) {
-    changes->push_back(std::move(c));
-    return Status::OK();
-  }).status();
+  return Mutate(t, "INSERT INTO ", "", nullptr,
+                [&](const Matched&, std::vector<RowChange>* changes) {
+                  changes->push_back(std::move(c));
+                  return Status::OK();
+                })
+      .status();
 }
 
-std::vector<uint64_t> Database::MatchRowIds(const Table* t,
-                                            const Predicate& pred,
-                                            size_t limit,
-                                            size_t* unreadable) const {
+Database::Matched Database::MatchRowIds(const Table* t, const Predicate* pred,
+                                        size_t limit) const {
   // Caller holds t->mu_ (shared or exclusive).
-  std::vector<uint64_t> ids;
-  auto want_more = [&] { return limit == 0 || ids.size() < limit; };
-  auto it = t->indexes_.find(pred.col);
+  Matched m;
+  const auto add = [&](uint64_t rid) {
+    if (const Row* image = t->slots_[rid - 1].get()) {
+      m.rows.emplace_back(rid, image);
+    }
+    return limit == 0 || m.rows.size() < limit;
+  };
+  auto it = pred ? t->indexes_.find(pred->col) : t->indexes_.end();
   // An element index serves only kHas; a whole-cell one all but kNe/kHas.
-  const bool has = pred.op == CompareOp::kHas;
-  if (it != t->indexes_.end() && pred.op != CompareOp::kNe &&
+  const bool has = pred && pred->op == CompareOp::kHas;
+  if (it != t->indexes_.end() && pred->op != CompareOp::kNe &&
       has == it->second.elements) {
     const BPlusTree* tree = &it->second.tree;
-    if (pred.op == CompareOp::kEq || has) {
-      tree->ScanEqual(pred.value, [&](uint64_t rid) {
-        ids.push_back(rid);
-        return want_more();
-      });
+    if (pred->op == CompareOp::kEq || has) {
+      tree->ScanEqual(pred->value, add);
     } else {  // up from the bound, or from -inf (null sorts first) to it
-      const bool up = pred.op == CompareOp::kGe || pred.op == CompareOp::kGt;
-      tree->ScanRange(up ? pred.value : Value(), up ? nullptr : &pred.value,
+      const bool up = pred->op == CompareOp::kGe || pred->op == CompareOp::kGt;
+      tree->ScanRange(up ? pred->value : Value(), up ? nullptr : &pred->value,
                       [&](const Value& k, uint64_t rid) {
-                        if (!k.Matches(pred.op, pred.value)) return true;
-                        ids.push_back(rid);
-                        return want_more();
+                        return !k.Matches(pred->op, pred->value) || add(rid);
                       });
     }
-    const auto missed = t->index_unreadable_.find(pred.col);
-    if (missed != t->index_unreadable_.end()) *unreadable += missed->second;
-    return ids;
+    const auto missed = t->index_unreadable_.find(pred->col);
+    if (missed != t->index_unreadable_.end()) m.unreadable += missed->second;
+    return m;
   }
   // Sequential scan. Only the predicate column needs decoding.
-  for (size_t slot = 0; slot < t->slots_.size() && want_more(); ++slot) {
+  for (size_t slot = 0; slot < t->slots_.size(); ++slot) {
     if (!t->slots_[slot]) continue;
-    Value plain;
-    if (!OpenCell((*t->slots_[slot])[pred.col], &plain)) {
-      ++*unreadable;
-      continue;
+    if (pred) {
+      Value plain;
+      if (!OpenCell((*t->slots_[slot])[pred->col], &plain)) {
+        ++m.unreadable;
+        continue;
+      }
+      if (!plain.Matches(pred->op, pred->value)) continue;
     }
-    if (plain.Matches(pred.op, pred.value)) ids.push_back(uint64_t(slot) + 1);
+    if (!add(uint64_t(slot) + 1)) break;
   }
-  return ids;
+  return m;
 }
 
 Status Database::VisitRows(Table* t, const Predicate* pred, size_t limit,
@@ -601,15 +648,19 @@ Status Database::VisitRows(Table* t, const Predicate* pred, size_t limit,
   if (!t) return Status::InvalidArgument("null table");
   size_t unreadable = 0;
   {
-    std::shared_lock<std::shared_mutex> l(t->mu_);
-    std::vector<uint64_t> ids;
-    if (pred) ids = MatchRowIds(t, *pred, limit, &unreadable);
-    const size_t n = pred ? ids.size() : t->slots_.size();
-    for (size_t i = 0; i < n; ++i) {
-      const auto& slot = t->slots_[pred ? ids[i] - 1 : i];
-      if (!slot) continue;
+    // The matched images stay allocated while the guard lives, so they are
+    // opened and visited after the lock drops: writers wait for the match
+    // only.
+    EpochGuard guard;
+    Matched m;
+    {
+      std::shared_lock<std::shared_mutex> l(t->mu_);
+      m = MatchRowIds(t, pred, limit);
+    }
+    unreadable = m.unreadable;
+    for (const auto& [rid, image] : m.rows) {
       bool intact = true;
-      Row row = DecodeRow(*slot, &intact);
+      Row row = DecodeRow(*image, &intact);
       if (!intact) {
         ++unreadable;
       } else if (!fn(row)) {
@@ -649,15 +700,13 @@ Status Database::ScanRows(Table* t,
 StatusOr<size_t> Database::Update(Table* t, const Predicate& pred,
                                   const std::function<void(Row*)>& mutate) {
   obs::SampledTimer timer(update_us_, clock_);
-  return Mutate(t, "UPDATE ", "", [&](std::vector<RowChange>* changes) {
-    size_t unreadable = 0;
+  const auto build = [&](const Matched& m, std::vector<RowChange>* changes) {
+    size_t unreadable = m.unreadable;
     // Every new image is built and checked before anything changes, so a
     // failure on any matched row applies none of them.
-    for (const uint64_t rid : MatchRowIds(t, pred, 0, &unreadable)) {
-      const auto& slot = t->slots_[rid - 1];
-      if (!slot) continue;
+    for (const auto& [rid, image] : m.rows) {
       bool intact = true;
-      RowChange c{{'U', rid, {}}, DecodeRow(*slot, &intact), {}};
+      RowChange c{{'U', rid, {}}, DecodeRow(*image, &intact), {}};
       if (!intact) {  // re-sealing would store a cell's ciphertext as plain
         ++unreadable;
         continue;
@@ -671,29 +720,28 @@ StatusOr<size_t> Database::Update(Table* t, const Predicate& pred,
       changes->push_back(std::move(c));
     }
     return unreadable == 0 ? Status::OK() : Unreadable(t, unreadable);
-  });
+  };
+  return Mutate(t, "UPDATE ", "", &pred, build);
 }
 
 StatusOr<size_t> Database::Delete(Table* t, const Predicate& pred) {
   obs::SampledTimer timer(delete_us_, clock_);
-  return Mutate(t, "DELETE FROM ", "", [&](std::vector<RowChange>* changes) {
-    size_t unreadable = 0;
-    const std::vector<uint64_t> ids = MatchRowIds(t, pred, 0, &unreadable);
-    if (unreadable != 0) return Unreadable(t, unreadable);
+  const auto build = [&](const Matched& m, std::vector<RowChange>* changes) {
+    if (m.unreadable != 0) return Unreadable(t, m.unreadable);
     // A cell that fails to open stays sealed in `before`; CreateIndex's
     // backfill never indexed it, so its index erase finds nothing.
-    for (const uint64_t rid : ids) {
-      const auto& slot = t->slots_[rid - 1];
-      if (slot) changes->push_back({{'D', rid, {}}, DecodeRow(*slot), {}});
+    for (const auto& [rid, image] : m.rows) {
+      changes->push_back({{'D', rid, {}}, DecodeRow(*image), {}});
     }
     return Status::OK();
-  });
+  };
+  return Mutate(t, "DELETE FROM ", "", &pred, build);
 }
 
 StatusOr<size_t> Database::DeleteWhere(
     Table* t, const std::function<bool(const Row&)>& pred) {
   obs::SampledTimer timer(delete_us_, clock_);
-  const auto scan = [&](std::vector<RowChange>* changes) {
+  const auto scan = [&](const Matched&, std::vector<RowChange>* changes) {
     for (size_t i = 0; i < t->slots_.size(); ++i) {
       if (!t->slots_[i]) continue;
       Row plain = DecodeRow(*t->slots_[i]);
@@ -703,7 +751,7 @@ StatusOr<size_t> Database::DeleteWhere(
     }
     return Status::OK();
   };
-  return Mutate(t, "DELETE FROM ", " WHERE <scan>", scan);
+  return Mutate(t, "DELETE FROM ", " WHERE <scan>", nullptr, scan);
 }
 
 size_t Database::ApproximateBytes() const {

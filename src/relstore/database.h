@@ -40,6 +40,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -147,9 +148,12 @@ class Table {
   std::string name_;
   Schema schema_;
   mutable std::shared_mutex mu_;
-  // Row id = slot index + 1; deleted rows become empty optionals so ids in
-  // index leaves stay stable.
-  std::vector<std::optional<Row>> slots_;
+  // Row id = slot index + 1. A live slot owns an immutable image: a write
+  // installs a new image and epoch-retires the one it displaces (ApplyOp),
+  // never changes one in place, so a reader that took an image under mu_
+  // may decode it after unlocking while an EpochGuard pins it. A deleted
+  // row leaves a null slot so ids in index leaves stay stable.
+  std::vector<std::unique_ptr<const Row>> slots_;
   size_t live_rows_ = 0;
   size_t row_bytes_ = 0;
   // A B+tree over one column, keyed by the whole cell or, for an element
@@ -234,6 +238,9 @@ class Database {
   // Applies `mutate` to each matching row, maintaining indices on changed
   // columns. All or nothing: every new row image is built and checked
   // before any slot, index or WAL frame changes. Returns rows updated.
+  // `mutate` runs with no table lock held, and may run twice for one row:
+  // when a concurrent write overtook the build, it is discarded and run
+  // again under the lock (see Mutate). It must only change the row given.
   StatusOr<size_t> Update(Table* t, const Predicate& pred,
                           const std::function<void(Row*)>& mutate);
   StatusOr<size_t> Delete(Table* t, const Predicate& pred);
@@ -304,6 +311,17 @@ class Database {
     Row before;
     Row after;
   };
+  // What a predicate matched: each live row's id with the image the match
+  // saw, and how many rows it could not tell about (unreadable).
+  struct Matched {
+    std::vector<std::pair<uint64_t, const Row*>> rows;
+    size_t unreadable = 0;
+    bool operator==(const Matched& o) const {
+      return unreadable == o.unreadable && rows == o.rows;
+    }
+  };
+  using BuildFn =
+      std::function<Status(const Matched&, std::vector<RowChange>*)>;
 
   // Parses the whole log into pending_replay_; stops at a torn tail.
   // Returns the byte length of the valid prefix.
@@ -311,13 +329,20 @@ class Database {
   // Appends one frame; the inverse of ParseWal.
   static void EncodeWalOp(std::string* dst, std::string_view table,
                           const WalOp& op);
-  // Parses a checkpoint snapshot into pending_snapshot_ + epoch_; fills
-  // *seal_seq with the seal counter recorded at checkpoint time.
-  Status ParseSnapshot(std::string_view contents, uint64_t* seal_seq);
+  // Parses a checkpoint snapshot into pending_snapshot_ + epoch_.
+  Status ParseSnapshot(std::string_view contents);
+  // Resumes the seal counter above `seq`, or above the seq every sealed
+  // cell of `stored` leads with. Recovery calls it on the snapshot's
+  // recorded counter and on every replayed cell (as MemKV does), so no
+  // (key, seq) pair on disk is sealed again, including seqs a discarded
+  // build burned without writing a byte.
+  void RaiseSealSeq(uint64_t seq);
+  void RaiseSealSeq(const Row& stored);
   // The one heap change for an I/U/D op, shared by live writes and
-  // replay: the slot, live_rows_ and row_bytes_. Returns the row id it
-  // changed, 0 when the op does not fit the table (a missing row, schema
-  // drift); an 'I' that does not fit still takes its slot.
+  // replay: the slot, live_rows_ and row_bytes_. An I/U installs a new
+  // image; U/D retire the displaced one to the EpochManager. Returns the
+  // row id it changed, 0 when the op does not fit the table (a missing
+  // row, schema drift); an 'I' that does not fit still takes its slot.
   uint64_t ApplyOp(Table* t, WalOp op);
   // Applies queued ops for a freshly created table (no locks needed: the
   // table is not yet visible to other threads).
@@ -329,23 +354,35 @@ class Database {
   Status ApplyChanges(Table* t, std::vector<RowChange>* changes);
   static void EncodeCells(std::string* dst, const Row& stored);
   static bool DecodeCells(std::string_view* in, Row* out);
-  // The one place that picks an index probe or a scan; caller holds
-  // t->mu_. A scanned predicate cell that fails decryption counts into
-  // *unreadable, as do an index's unindexed unreadable rows when the index
+  // The one place that picks an index probe or a scan (every live row
+  // when pred is null). Caller holds t->mu_, shared or exclusive; the
+  // images it returns outlive the lock only under an EpochGuard taken
+  // before it. A scanned predicate cell that fails decryption counts as
+  // unreadable, as do an index's unindexed unreadable rows when the index
   // serves the probe.
-  std::vector<uint64_t> MatchRowIds(const Table* t, const Predicate& pred,
-                                    size_t limit, size_t* unreadable) const;
-  // The read loop behind Select (pred set) and ScanRows (every row): fn
-  // gets each readable matched row, returning false to stop.
+  Matched MatchRowIds(const Table* t, const Predicate* pred,
+                      size_t limit) const;
+  // The read loop behind Select (pred set) and ScanRows (every row): the
+  // match runs under t->mu_ (shared), then the lock drops and each
+  // readable matched row is decoded and handed to fn, which returns false
+  // to stop.
   Status VisitRows(Table* t, const Predicate* pred, size_t limit,
                    const std::function<bool(Row&)>& fn);
-  // The one write path behind Insert, Update, Delete and DeleteWhere:
-  // the statement `verb <table> where` is logged as received, then under
-  // t->mu_ (exclusive) `build` lists every row change, which applies only
+  // The one write path behind Insert, Update, Delete and DeleteWhere: the
+  // statement `verb <table> where` is logged as received, then `build`
+  // lists every row change, which applies under t->mu_ (exclusive) only
   // if it returns OK. Returns the number of changes.
-  StatusOr<size_t> Mutate(
-      Table* t, const char* verb, const char* where,
-      const std::function<Status(std::vector<RowChange>*)>& build);
+  // - With no `pred` (Insert, DeleteWhere), build runs once, under the
+  //   exclusive lock, and is given an empty match.
+  // - With a `pred` (Update, Delete), the match runs under the shared lock
+  //   and build runs on it with no lock held, so AEAD and row decoding do
+  //   not block the table. A match of nothing returns 0 there, and a
+  //   failed build its error, with no exclusive lock and no WAL frame.
+  //   Under the exclusive lock the match runs again: if its rows or
+  //   images changed, the build is discarded (reldb_write_rebuilds_total)
+  //   and run again under the lock.
+  StatusOr<size_t> Mutate(Table* t, const char* verb, const char* where,
+                          const Predicate* pred, const BuildFn& build);
   // Opens one stored cell into *plain; false when a sealed cell fails.
   bool OpenCell(const Value& cell, Value* plain) const;
   // Opens sealed cells; one that fails stays sealed and clears *intact.
@@ -399,6 +436,7 @@ class Database {
   obs::Counter* m_checkpoints_ = nullptr;   // reldb_checkpoints_total (view)
   obs::Counter* m_cells_sealed_ = nullptr;  // AEAD seals (encrypt_at_rest)
   obs::Counter* m_cells_opened_ = nullptr;  // AEAD opens (encrypt_at_rest)
+  obs::Counter* m_write_rebuilds_ = nullptr;  // discarded optimistic builds
   obs::Gauge* m_wal_log_bytes_ = nullptr;   // reldb_wal_log_bytes (view)
   obs::Gauge* m_stmt_log_bytes_ = nullptr;  // active statement log length
 

@@ -3,6 +3,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -362,6 +363,80 @@ TEST(Database, FailedLogAppendChangesNothing) {
     ASSERT_TRUE(db.Open().ok());
     EXPECT_EQ(balances(&db, MakeAccounts(&db)), want);
   }
+}
+
+// Update builds its new images with no table lock held. A write that lands
+// between the build's match and its apply makes it discard the build and
+// run `mutate` again, under the lock, on the image that write installed.
+// A write that matches nothing appends no WAL frame.
+TEST(Database, UpdateRebuildsWhenRowChangesMidBuild) {
+  MemEnv env;
+  RelOptions o;
+  o.env = &env;
+  o.wal_enabled = true;
+  o.wal_path = "rel.wal";
+  o.sync_policy = SyncPolicy::kNever;
+  o.encrypt_at_rest = true;
+  const auto by_aid = [](int64_t aid) {
+    return Compare(0, CompareOp::kEq, Value(aid));
+  };
+  const auto counter = [](Database* db, const char* name) {
+    return db->metrics_registry()->GetCounter(name)->Value();
+  };
+  const auto rows = [](Database* db, Table* t) {
+    std::vector<Row> out;
+    EXPECT_TRUE(db->ScanRows(t, [&](const Row& r) {
+                    out.push_back(r);
+                    return true;
+                  }).ok());
+    return out;
+  };
+  const auto open_accounts = [](Database* db) {
+    Table* t = MakeAccounts(db);
+    EXPECT_TRUE(db->CreateIndex("accounts", "aid").ok());
+    return t;
+  };
+  std::vector<Row> live;
+  {
+    Database db(o);
+    ASSERT_TRUE(db.Open().ok());
+    Table* t = open_accounts(&db);
+    for (int64_t aid : {1, 2}) {
+      ASSERT_TRUE(db.Insert(t, {Value(aid), Value(aid * 10), Value("u")}).ok());
+    }
+    size_t calls = 0;
+    auto updated = db.Update(t, by_aid(1), [&](Row* r) {
+      if (++calls == 1) {  // the competitor applies before this build does
+        std::thread([&] {
+          auto n = db.Update(t, by_aid(1), [](Row* c) {
+            (*c)[2] = Value("competitor");
+          });
+          EXPECT_EQ(n.value(), 1u);
+        }).join();
+      }
+      (*r)[1] = Value((*r)[1].AsInt64() + 1);
+    });
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    EXPECT_EQ(updated.value(), 1u);
+    EXPECT_EQ(calls, 2u);
+    EXPECT_EQ(counter(&db, "reldb_write_rebuilds_total"), 1u);
+    auto one = db.Select(t, by_aid(1));
+    ASSERT_EQ(one.value().size(), 1u);
+    EXPECT_EQ(one.value()[0][1].AsInt64(), 11);
+    EXPECT_EQ(one.value()[0][2].AsString(), "competitor");
+
+    const uint64_t appends = counter(&db, "reldb_wal_appends_total");
+    EXPECT_EQ(db.Update(t, by_aid(9), [](Row* r) { (*r)[1] = Value(); })
+                  .value(),
+              0u);
+    EXPECT_EQ(db.Delete(t, by_aid(9)).value(), 0u);
+    EXPECT_EQ(counter(&db, "reldb_wal_appends_total"), appends);
+    live = rows(&db, t);
+    ASSERT_TRUE(db.Close().ok());
+  }
+  Database db(o);
+  ASSERT_TRUE(db.Open().ok());
+  EXPECT_EQ(rows(&db, open_accounts(&db)), live);
 }
 
 TEST(Database, ScanRowsStopsEarly) {

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 
+#include "common/coding.h"
+#include "crypto/aead.h"
 #include "gdpr/rel_backend.h"
 #include "relstore/database.h"
 
@@ -372,6 +374,57 @@ TEST(WalGolden, SealedInsertEncodesToItsPinnedBytes) {
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 1u);
   EXPECT_EQ(rows.value()[0][1].AsInt64(), 36);
+}
+
+// Recovery resumes the seal counter above the seq of every sealed cell it
+// replays, not above the log's length: an Update whose build a concurrent
+// write overtook seals its cells again, and the discarded seqs never reach
+// the WAL. A log holding one cell sealed at seq 1,000,000 (far more seqs
+// than log bytes) must make the next seal use a higher one.
+TEST(WalReplay, SealSeqResumesAboveEveryReplayedCell) {
+  MemEnv env;
+  RelOptions o = WalOptions(&env, "wal");
+  o.encrypt_at_rest = true;
+  std::string frame(1, 'I');
+  PutLengthPrefixed(&frame, "people");
+  PutVarint64(&frame, 2);
+  frame.push_back(char(ValueType::kString));
+  PutLengthPrefixed(&frame, Aead(o.encryption_key).Seal("ada", 1000000));
+  frame.push_back(char(ValueType::kInt64));
+  PutFixed64(&frame, 36);
+  {
+    auto f = env.NewWritableFile("wal", /*truncate=*/true);
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE(f.value()->Append(frame).ok());
+    ASSERT_TRUE(f.value()->Close().ok());
+  }
+  {
+    Database db(o);
+    ASSERT_TRUE(db.Open().ok());
+    Table* t = db.CreateTable("people", PeopleSchema()).value();
+    auto rows = db.Select(t, Compare(0, CompareOp::kEq, Value("ada")));
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows.value().size(), 1u);
+    ASSERT_TRUE(db.Insert(t, {Value("alan"), Value(int64_t(41))}).ok());
+    ASSERT_TRUE(db.Close().ok());
+  }
+  // The insert's frame follows the hand-built one: 'I', the table name,
+  // the cell count and the string cell's type, then the sealed cell.
+  const std::string wal = env.ReadFileToString("wal").value();
+  std::string_view in(wal);
+  ASSERT_GT(in.size(), frame.size());
+  in.remove_prefix(frame.size());
+  std::string_view table, sealed;
+  uint64_t ncells = 0, seq = 0;
+  ASSERT_EQ(in.front(), 'I');
+  in.remove_prefix(1);
+  ASSERT_TRUE(GetLengthPrefixed(&in, &table));
+  ASSERT_TRUE(GetVarint64(&in, &ncells));
+  ASSERT_EQ(in.front(), char(ValueType::kString));
+  in.remove_prefix(1);
+  ASSERT_TRUE(GetLengthPrefixed(&in, &sealed));
+  ASSERT_TRUE(GetFixed64(&sealed, &seq));
+  EXPECT_GT(seq, 1000000u);
 }
 
 }  // namespace
