@@ -325,12 +325,10 @@ void AuditLog::PersistGroupLocked(const std::string& payload, size_t n) const {
   PutVarint64(&frame, n);
   frame += payload;
   const size_t frame_bytes = frame.size();
-  // Seals happen under mu_, so ring 0 alone carries every frame — the FIFO
-  // the hash chain's frame order depends on. kAlways commits return
-  // through the fsync; kEverySec syncs ride the committer's timer (a
-  // timed-sync failure poisons the target, so the NEXT group latches
-  // io_status_ here before any hash gap can reach disk).
-  Status s = pipeline_->Commit(target_, std::move(frame), /*ring_hint=*/0);
+  // Seals happen under mu_ and the target is one FIFO, so frames land in
+  // chain order. A kEverySec timed-sync failure poisons the target, so
+  // the NEXT group latches io_status_ here before a hash gap reaches disk.
+  Status s = pipeline_->Commit(target_, std::move(frame));
   if (!s.ok()) {
     if (m_persist_fail_) m_persist_fail_->Add(1);
     io_status_ = s;

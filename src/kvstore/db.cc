@@ -158,7 +158,7 @@ Status MemKV::Close() {
   aof_active_.store(false, std::memory_order_release);
   // compact_mu_ keeps a racing CompactAof from swapping the file while we
   // close it. Every queued frame is written before the final sync — an
-  // acked write never dies in the ring, whatever the sync policy.
+  // acked write never dies in the queue, whatever the sync policy.
   std::lock_guard<std::mutex> compact_lock(compact_mu_);
   return pipeline_->CloseFile(aof_target_);
 }
@@ -447,12 +447,6 @@ size_t MemKV::RunStrictCycle(int64_t now) {
       ++erased;
     }
   }
-  // Everysec fsync rides the cycle, but runs on the committer thread — the
-  // old AofMaybeSync held the log mutex across Sync(), stalling read-log
-  // and tombstone appends for the fsync's full duration.
-  if (aof_active_.load(std::memory_order_acquire)) {
-    pipeline_->RequestSync(aof_target_);
-  }
   return erased;
 }
 
@@ -484,9 +478,6 @@ size_t MemKV::RunLazyCycle(int64_t now) {
     }
     erased_total += erased;
     if (sampled == 0 || erased * 4 <= sampled) break;  // < 25% expired
-  }
-  if (aof_active_.load(std::memory_order_acquire)) {
-    pipeline_->RequestSync(aof_target_);
   }
   return erased_total;
 }
@@ -582,7 +573,7 @@ Status MemKV::ClearTombstone(const std::string& key) {
     // tombstone whose 't' is already committed, or the rewritten log would
     // read 't' then 'T' and restart with the tombstone back. tomb_mu_
     // cannot be held across the append (AppendReadLog's gate takes it
-    // under the ring mutex), so the erase goes first and a failed append
+    // under the queue mutex), so the erase goes first and a failed append
     // re-inserts: the evidence would reappear on restart.
     Status s = AofAppend('t', key, "", 0);
     if (!s.ok()) {
@@ -629,16 +620,13 @@ Status MemKV::AofAppend(char op, const std::string& key,
                         const std::string& value, int64_t expiry) {
   std::string rec;
   EncodeAofRecord(&rec, op, key, value, expiry);
-  // Ring = key hash: every frame for one key lands on one ring, and rings
-  // drain FIFO, so replay order matches apply order per key even though
-  // different keys' frames may interleave differently than their callers.
-  return AofCommit(std::move(rec), Fnv1a(key));
+  // The AOF is one FIFO, so replay order matches enqueue order.
+  return AofCommit(std::move(rec));
 }
 
-Status MemKV::AofCommit(std::string rec, uint64_t ring_hint,
-                        const std::function<Status()>& gate) {
+Status MemKV::AofCommit(std::string rec, const std::function<Status()>& gate) {
   const size_t n = rec.size();
-  Status s = pipeline_->Commit(aof_target_, std::move(rec), ring_hint, gate);
+  Status s = pipeline_->Commit(aof_target_, std::move(rec), gate);
   if (!s.ok()) {
     // A gate rejection (NotFound on a tombstoned read) is an ordering
     // verdict, not an I/O failure; everything else is. The pipeline has
@@ -658,16 +646,13 @@ Status MemKV::AppendReadLog(const std::string& key) {
   std::string rec;
   EncodeAofRecord(&rec, 'R', key, "", 0);
   // Ordering contract with erasure evidence ('T' frames): the gate runs
-  // under the ring mutex at enqueue time, and 'R' and 'T' frames for one
-  // key share a ring (both hash the key). So either this gate observes no
-  // tombstone — then the racing AddTombstone has not yet enqueued its 'T',
-  // which must queue behind this 'R' on the same FIFO ring, and the 'R'
-  // lands strictly before it in the log — or the tombstone is visible and
-  // the read linearizes after the erasure: no value, no frame. The
-  // lock-free read path made this race wide (the value is captured with
-  // no lock held), so the evidence ordering is enforced here, at the log's
-  // enqueue point, rather than at the shard.
-  return AofCommit(std::move(rec), Fnv1a(key), [this, &key]() -> Status {
+  // under the AOF's queue mutex, and the AOF is one FIFO. So either this
+  // gate observes no tombstone — then the racing AddTombstone's 'T' has
+  // not been enqueued and lands after this 'R' — or the tombstone is
+  // visible and the read linearizes after the erasure: no value, no
+  // frame. The lock-free read path captures the value with no lock held,
+  // so the order is enforced here, at the log's enqueue point.
+  return AofCommit(std::move(rec), [this, &key]() -> Status {
     std::lock_guard<std::mutex> tl(tomb_mu_);
     if (tombstones_.count(key) != 0) {
       return Status::NotFound(key + " (erased)");
@@ -843,7 +828,7 @@ Status MemKV::CompactAof() {
   //
   // The tombstone snapshot comes AFTER the mirror drain, not in phase 2:
   // a Get's 'R' frame enqueued only while its key was un-tombstoned (the
-  // AppendReadLog gate), rings are FIFO per key, and the tee preserves
+  // AppendReadLog gate), the AOF is one FIFO, and the tee preserves
   // commit order — so every mirrored 'R' precedes its key's tombstone
   // registration, and emitting the 'T' snapshot behind the mirror keeps
   // the rewritten log honoring the same no-R-after-T evidence ordering

@@ -299,11 +299,10 @@ class MemKV {
 
   Status AofAppend(char op, const std::string& key, const std::string& value,
                    int64_t expiry);
-  // Group-commits one encoded frame through the pipeline (ring selected by
-  // `ring_hint`, normally the key hash so per-key frames stay FIFO) and
-  // maintains the append metrics. `gate` runs under the ring mutex before
-  // the frame is enqueued — see AppendReadLog.
-  Status AofCommit(std::string rec, uint64_t ring_hint,
+  // Group-commits one encoded frame through the pipeline and maintains the
+  // append metrics. `gate` runs under the queue mutex before the frame is
+  // enqueued — see AppendReadLog.
+  Status AofCommit(std::string rec,
                    const std::function<Status()>& gate = nullptr);
   // The per-entry read rules, written once for Get and GetBatch: the
   // expiry check, the read-log frame with its tombstone gate, and the AEAD

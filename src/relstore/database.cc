@@ -778,11 +778,9 @@ Status Database::WalHealthy() {
 Status Database::WalAppend(const std::string& text) {
   Status gate = wal_health_.WriteGate("reldb-wal");
   if (!gate.ok()) return gate;
-  // Ring 0 for every frame: WAL appends happen under their table's
-  // exclusive lock, so one FIFO ring keeps log order identical to apply
-  // order. The commit blocks until the batch is written (and fsynced
-  // under kAlways), so the ack contract is unchanged.
-  Status s = pipeline_->Commit(wal_target_, text, /*ring_hint=*/0);
+  // The commit blocks until the batch is written (and fsynced under
+  // kAlways); the WAL is one FIFO, so log order is enqueue order.
+  Status s = pipeline_->Commit(wal_target_, text);
   if (s.ok()) {
     m_wal_appends_->Add(1);
     m_wal_append_bytes_->Add(text.size());
@@ -941,7 +939,7 @@ Status Database::LogStatement(const std::string& text) {
   // The commit happens OUTSIDE stmt_mu_ — the group fsync must never run
   // under a mutex the read paths contend on. Rotation bookkeeping below
   // retakes the lock.
-  Status s = pipeline_->Commit(stmt_target_, text + "\n", /*ring_hint=*/0);
+  Status s = pipeline_->Commit(stmt_target_, text + "\n");
   if (!s.ok()) {
     // The discovering statement sees the error once, loudly (the pipeline
     // degraded stmt_health_); later ones serve unlogged under the latch.

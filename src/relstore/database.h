@@ -409,8 +409,11 @@ class Database {
   // already inside the snapshot: the truncation loses nothing. The caller
   // decides what a failure does to health.
   Status StampWal(CommitPipeline::FileSlot& wal, uint64_t epoch);
-  // Pre-mutation gate: mutators apply to memory before their WAL append,
-  // so an offline WAL must reject the op up front, not after the fact.
+  // Pre-mutation gate, run before the statement is logged: refuses a write
+  // up front when either log is degraded. A degraded statement log means
+  // the write's evidence would be missing; a checkpoint can degrade the
+  // WAL without poisoning its target, so the pipeline alone would still
+  // take the frame.
   Status WalHealthy();
 
   RelOptions options_;

@@ -1,5 +1,6 @@
 #include "storage/commit_pipeline.h"
 
+#include <atomic>
 #include <chrono>
 #include <deque>
 
@@ -35,11 +36,6 @@ struct CommitPipeline::Frame {
   uint64_t enqueue_us = 0;
 };
 
-struct CommitPipeline::Ring {
-  std::mutex mu;
-  std::deque<Frame> q;
-};
-
 struct CommitPipeline::Target {
   std::string name;
   SyncPolicy sync = SyncPolicy::kAlways;
@@ -53,15 +49,21 @@ struct CommitPipeline::Target {
   std::unique_ptr<WritableFile> file;
   std::function<void(std::string_view)> tee;
 
-  std::vector<std::unique_ptr<Ring>> rings;
-  std::atomic<size_t> queued{0};
+  // Writers contend on the queue mutex; its own cache line keeps them off
+  // the committer's atomics below.
+  alignas(64) std::mutex queue_mu;
+  std::deque<Frame> queue;
+
+  alignas(64) std::atomic<size_t> queued{0};
   std::atomic<bool> in_flight{false};
   std::atomic<bool> quiescing{false};
-  std::atomic<bool> sync_requested{false};
   std::atomic<bool> poisoned{false};
+  // Bytes written since the last sync, and when that sync ran. Written by
+  // the committer (and by WithFile while it is parked); the committer's
+  // idle check reads them without the in_flight handshake.
+  std::atomic<bool> unsynced{false};
+  std::atomic<int64_t> last_sync_us{0};
   Status poison_status;  // guarded by pipeline mu_
-  int64_t last_sync_us = 0;  // committer-only (reset under quiesce)
-  size_t steal_cursor = 0;   // committer-only
 
   // Writers hold shared while enqueuing; WithFile holds unique so a
   // swap/rotation never races an enqueue.
@@ -74,7 +76,6 @@ CommitPipeline::CommitPipeline(Options opts)
     : opts_(opts),
       clock_(opts.clock ? opts.clock : RealClock::Default()),
       metrics_(opts.metrics ? opts.metrics : &owned_metrics_) {
-  if (opts_.rings == 0) opts_.rings = 1;
   m_batch_frames_ = metrics_->GetHistogram("commit_batch_frames");
   m_fsync_us_ = metrics_->GetHistogram("commit_fsync_us");
   m_queue_depth_ = metrics_->GetGauge("commit_queue_depth");
@@ -112,10 +113,7 @@ CommitPipeline::Target* CommitPipeline::Attach(std::string name,
   t->sync_failures = sync_failures;
   t->stall_us =
       metrics_->GetHistogram("commit_stall_us{log=\"" + t->name + "\"}");
-  t->rings.reserve(opts_.rings);
-  for (size_t i = 0; i < opts_.rings; ++i)
-    t->rings.push_back(std::make_unique<Ring>());
-  t->last_sync_us = clock_->NowMicros();
+  t->last_sync_us.store(clock_->NowMicros());
   Target* out = t.get();
   std::lock_guard<std::mutex> l(mu_);
   targets_.push_back(std::move(t));
@@ -123,16 +121,14 @@ CommitPipeline::Target* CommitPipeline::Attach(std::string name,
 }
 
 Status CommitPipeline::Commit(Target* t, std::string frame,
-                              uint64_t ring_hint,
                               const std::function<Status()>& gate) {
   CommitWaiter w;
   {
     std::shared_lock<std::shared_mutex> pause(t->pause_mu);
     if (t->poisoned.load(std::memory_order_acquire)) return PoisonStatus(t);
-    Ring& r = *t->rings[ring_hint % t->rings.size()];
-    std::lock_guard<std::mutex> rl(r.mu);
-    // The gate runs under the ring mutex: whatever state it observes is
-    // ordered against every other gated enqueue on this ring.
+    std::lock_guard<std::mutex> ql(t->queue_mu);
+    // The gate runs under the queue mutex: whatever state it observes is
+    // ordered against every other gated enqueue on this target.
     if (gate) {
       Status gs = gate();
       if (!gs.ok()) return gs;
@@ -144,7 +140,7 @@ Status CommitPipeline::Commit(Target* t, std::string frame,
     f.bytes = std::move(frame);
     f.waiter = &w;
     f.enqueue_us = NowMicros();
-    r.q.push_back(std::move(f));
+    t->queue.push_back(std::move(f));
     t->queued.fetch_add(1, std::memory_order_acq_rel);
   }
   // Lock-then-notify so a committer mid-predicate-evaluation cannot miss
@@ -156,15 +152,6 @@ Status CommitPipeline::Commit(Target* t, std::string frame,
   std::unique_lock<std::mutex> wl(w.mu);
   w.cv.wait(wl, [&] { return w.done; });
   return w.status;
-}
-
-void CommitPipeline::RequestSync(Target* t) {
-  if (t->sync != SyncPolicy::kEverySec) return;
-  t->sync_requested.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> l(mu_);
-  }
-  cv_work_.notify_one();
 }
 
 Status CommitPipeline::WithFile(
@@ -185,8 +172,8 @@ Status CommitPipeline::WithFile(
   const uint64_t before = serial();
   Status s = fn(t->file);
   if (serial() != before) {
-    t->last_sync_us = clock_->NowMicros();
-    t->sync_requested.store(false);
+    t->last_sync_us.store(clock_->NowMicros());
+    t->unsynced.store(false);
     std::lock_guard<std::mutex> l(mu_);
     t->poison_status = Status::OK();
     t->poisoned.store(false, std::memory_order_release);
@@ -227,10 +214,12 @@ void CommitPipeline::CommitterLoop() {
   for (;;) {
     {
       std::unique_lock<std::mutex> l(mu_);
+      // The timeout is the kEverySec clock: an idle wakeup still runs
+      // ProcessTarget, which syncs a tail that is due.
       cv_work_.wait_for(l, std::chrono::milliseconds(100), [&] {
         if (shutdown_) return true;
         for (const auto& t : targets_)
-          if (t->queued.load() > 0 || t->sync_requested.load()) return true;
+          if (t->queued.load() > 0) return true;
         return false;
       });
       if (shutdown_) return;
@@ -241,31 +230,25 @@ void CommitPipeline::CommitterLoop() {
   }
 }
 
-bool CommitPipeline::ProcessTarget(Target* t) {
-  bool did = false;
+void CommitPipeline::ProcessTarget(Target* t) {
   while (t->queued.load(std::memory_order_acquire) > 0) {
     m_queue_depth_->Set(static_cast<int64_t>(t->queued.load()));
     // Mark in-flight BEFORE decrementing queued so WithFile never
     // observes (queued==0, !in_flight) while a batch is outstanding.
     t->in_flight.store(true);
     std::vector<Frame> batch;
-    const size_t maxf = opts_.max_batch_frames;
-    const size_t nrings = t->rings.size();
-    for (size_t k = 0; k < nrings; ++k) {
-      if (maxf != 0 && batch.size() >= maxf) break;
-      Ring& r = *t->rings[(t->steal_cursor + k) % nrings];
-      std::lock_guard<std::mutex> rl(r.mu);
-      while (!r.q.empty() && (maxf == 0 || batch.size() < maxf)) {
-        batch.push_back(std::move(r.q.front()));
-        r.q.pop_front();
+    {
+      const size_t maxf = opts_.max_batch_frames;
+      std::lock_guard<std::mutex> ql(t->queue_mu);
+      while (!t->queue.empty() && (maxf == 0 || batch.size() < maxf)) {
+        batch.push_back(std::move(t->queue.front()));
+        t->queue.pop_front();
       }
     }
-    t->steal_cursor = (t->steal_cursor + 1) % nrings;
     if (batch.empty()) {
       Settle(t);
       break;
     }
-    did = true;
 
     std::string buf;
     size_t bytes = 0;
@@ -274,6 +257,7 @@ bool CommitPipeline::ProcessTarget(Target* t) {
     for (const Frame& f : batch) buf.append(f.bytes);
 
     Status s = t->file->Append(buf);
+    if (s.ok()) t->unsynced.store(true, std::memory_order_release);
     if (s.ok() && t->sync == SyncPolicy::kAlways) s = SyncFile(t);
 
     if (!s.ok()) {
@@ -298,6 +282,8 @@ bool CommitPipeline::ProcessTarget(Target* t) {
         t->stall_us->Record(now >= f.enqueue_us ? now - f.enqueue_us : 0);
         f.waiter->Finish(Status::OK());
       }
+      // Under sustained load this loop never exits, so the timed sync
+      // rides the batches too.
       MaybeTimedSync(t);
     }
 
@@ -305,19 +291,15 @@ bool CommitPipeline::ProcessTarget(Target* t) {
     Settle(t);
   }
 
-  // Standalone timed sync (RequestSync / periodic tick). The in_flight
+  // Idle tail: writes stopped with bytes still unsynced. The in_flight
   // handshake keeps us off the file while WithFile swaps it: we set
   // in_flight, THEN check quiescing; the quiescer sets quiescing, THEN
   // waits for !in_flight (both seq_cst, so at most one side proceeds).
-  if (t->sync_requested.load(std::memory_order_acquire)) {
+  if (SyncDue(t)) {
     t->in_flight.store(true);
-    if (!t->quiescing.load() && t->sync_requested.exchange(false)) {
-      MaybeTimedSync(t);
-      did = true;
-    }
+    if (!t->quiescing.load()) MaybeTimedSync(t);
     Settle(t);
   }
-  return did;
 }
 
 void CommitPipeline::Settle(Target* t) {
@@ -349,18 +331,25 @@ Status CommitPipeline::SyncFile(Target* t) {
   m_fsync_us_->Record(NowMicros() - t0);
   if (s.ok()) {
     if (t->syncs) t->syncs->Add(1);
-    t->last_sync_us = clock_->NowMicros();
+    t->unsynced.store(false, std::memory_order_release);
+    t->last_sync_us.store(clock_->NowMicros(), std::memory_order_release);
   } else if (t->sync_failures) {
     t->sync_failures->Add(1);
   }
   return s;
 }
 
+bool CommitPipeline::SyncDue(const Target* t) const {
+  return t->sync == SyncPolicy::kEverySec &&
+         t->unsynced.load(std::memory_order_acquire) &&
+         !t->poisoned.load(std::memory_order_acquire) &&
+         clock_->NowMicros() -
+                 t->last_sync_us.load(std::memory_order_acquire) >=
+             kEverySecIntervalMicros;
+}
+
 void CommitPipeline::MaybeTimedSync(Target* t) {
-  if (t->sync != SyncPolicy::kEverySec) return;
-  if (t->file == nullptr || t->poisoned.load(std::memory_order_acquire))
-    return;
-  if (clock_->NowMicros() - t->last_sync_us < kEverySecIntervalMicros) return;
+  if (t->file == nullptr || !SyncDue(t)) return;
   Status s = SyncFile(t);
   if (s.ok()) return;
   // A timed fsync covers already-acked writes, so there is no caller to
@@ -374,14 +363,12 @@ void CommitPipeline::DrainAllOnShutdown() {
   // never reaches here with queued frames.
   std::lock_guard<std::mutex> l(mu_);
   for (const auto& t : targets_) {
-    for (const auto& r : t->rings) {
-      std::lock_guard<std::mutex> rl(r->mu);
-      for (Frame& f : r->q) {
-        f.waiter->Finish(Status::Unavailable("commit pipeline shut down"));
-      }
-      t->queued.fetch_sub(r->q.size());
-      r->q.clear();
+    std::lock_guard<std::mutex> ql(t->queue_mu);
+    for (Frame& f : t->queue) {
+      f.waiter->Finish(Status::Unavailable("commit pipeline shut down"));
     }
+    t->queued.fetch_sub(t->queue.size());
+    t->queue.clear();
   }
 }
 

@@ -1,8 +1,8 @@
 // Group-commit pipeline: one batched durability path for every log in the
 // system (MemKV AOF, rel WAL, rel statement log, durable audit chain).
 //
-// Writers enqueue framed records into per-target rings and block on a
-// completion handle; a single committer thread per pipeline steals queued
+// Writers enqueue framed records into their target's FIFO and block on a
+// completion handle; a single committer thread per pipeline takes queued
 // frames, coalesces them into one write() (+ one fsync under kAlways) per
 // target file, and signals every waiter in the batch with the batch's
 // outcome. Batch failure fans out to ALL waiters in the batch; fsync
@@ -18,20 +18,19 @@
 // Ack contract per sync policy (see docs/PERSISTENCE.md "Group commit"):
 //   kAlways   — Commit() returns after the batch's write AND fsync
 //               succeeded: an OK ack means bytes are durable.
-//   kEverySec — Commit() returns after the batch's write() succeeded; the
-//               committer issues a timed fsync at most once per second
-//               (off every caller mutex — this is the AofMaybeSync fix).
-//               A timed-fsync failure cannot be attributed to an acked
-//               caller, so it only poisons the target and degrades health.
+//   kEverySec — Commit() returns after the batch's write() succeeded. The
+//               committer keeps the clock: after a batch, and on every
+//               wakeup (at least every 100 ms) while the log is idle, it
+//               fsyncs a target holding unsynced bytes once a second has
+//               passed since its last sync. A timed-fsync failure cannot be
+//               attributed to an acked caller, so it only poisons the
+//               target and degrades health.
 //   kNever    — Commit() returns after write(); only CloseFile fsyncs.
 //
-// Ordering contract: frames pushed to the SAME ring of a target are
-// written in push order (rings drain FIFO and batches concatenate rings
-// in index order within one write call). Callers that need per-key order
-// (e.g. MemKV's no-R-after-T invariant) route all frames for a key to the
-// same ring via `ring_hint` and run ordering checks in the enqueue `gate`,
-// which executes under the ring mutex — a gate that observes state X is
-// guaranteed to enqueue before any later frame whose gate observes X'.
+// Ordering contract: each target is one FIFO, and a batch writes its
+// frames in enqueue order, so frames reach the file in the order they were
+// enqueued. The enqueue `gate` runs under the queue mutex: a gate that
+// observes state X enqueues before any later frame whose gate observes X'.
 //
 // Single-threaded callers see batches of exactly one frame (each Commit
 // blocks until its frame is written), so deterministic fault sweeps over
@@ -61,10 +60,6 @@ namespace gdpr {
 class CommitPipeline {
  public:
   struct Options {
-    // Rings per target. Writers spread by ring_hint % rings; per-key
-    // ordering only needs "same hint -> same ring", so any power of two
-    // that exceeds typical writer concurrency works.
-    size_t rings = 8;
     // Max frames coalesced into one write()+fsync. 0 = unbounded (true
     // group commit); 1 = one frame per batch, i.e. the per-write
     // baseline benches compare against.
@@ -99,7 +94,7 @@ class CommitPipeline {
   // Blocking group commit of one framed record. Returns when durability
   // has been decided per the target's sync policy (see header comment).
   //
-  // `gate` (optional) runs under the ring mutex immediately before the
+  // `gate` (optional) runs under the queue mutex immediately before the
   // frame is enqueued; a non-OK gate aborts the commit without enqueuing
   // and its status is returned verbatim. Gates must not block on locks
   // that Commit() callers hold across Commit().
@@ -107,13 +102,8 @@ class CommitPipeline {
   // A detached target (no file) accepts and acks commits as OK
   // without writing, mirroring the legacy "log disabled" fast path.
   // A poisoned target fails fast with the poisoning status.
-  Status Commit(Target* t, std::string frame, uint64_t ring_hint = 0,
+  Status Commit(Target* t, std::string frame,
                 const std::function<Status()>& gate = nullptr);
-
-  // Asks the committer to run the target's timed (kEverySec) fsync off
-  // the caller's thread if the sync interval has elapsed. Non-blocking;
-  // no-op for kAlways/kNever targets and while the target is quiesced.
-  void RequestSync(Target* t);
 
   // Drains the target (all queued frames written, none in flight), parks
   // new Commit() calls, and runs `fn` on the calling thread with the
@@ -144,11 +134,11 @@ class CommitPipeline {
 
  private:
   struct Frame;
-  struct Ring;
 
   void CommitterLoop();
-  // Steals and writes one batch for `t`. Returns true if any work done.
-  bool ProcessTarget(Target* t);
+  // Writes `t`'s queued frames batch by batch, then runs its timed sync
+  // if one is due.
+  void ProcessTarget(Target* t);
   // Clears in_flight under mu_, so a draining WithFile cannot miss it.
   void Settle(Target* t);
   Status PoisonStatus(Target* t) const;  // OK while not poisoned
@@ -157,7 +147,11 @@ class CommitPipeline {
   void Poison(Target* t, const Status& s);
   // fsyncs the target's file, timing it and bumping the target's counters.
   Status SyncFile(Target* t);
-  // Issues the kEverySec fsync if the interval elapsed. Committer-only.
+  // kEverySec target with unsynced bytes, not poisoned, whose last sync is
+  // a second old. Reads atomics only, so the idle check takes no lock.
+  bool SyncDue(const Target* t) const;
+  // Issues the kEverySec fsync if one is due. Committer-only, with the
+  // target's in_flight set.
   void MaybeTimedSync(Target* t);
   void DrainAllOnShutdown();
   uint64_t NowMicros() const;

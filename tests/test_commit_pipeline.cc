@@ -8,8 +8,8 @@
 //     batch, poisons the target, degrades health, and none of the failed
 //     batch's records survive on disk (fsyncgate: dirty pages dropped);
 //   * kEverySec acks at write() return, syncs on the committer's timed
-//     cadence, and a timed-sync failure poisons without failing an acked
-//     caller;
+//     cadence (an idle tail too, exactly once), and a timed-sync failure
+//     poisons without failing an acked caller;
 //   * WithFile swaps, detached-target acks, poison kept or cleared by
 //     WithFile, CloseFile's sync, and gate aborts;
 //   * end-to-end over MemKV + FaultEnv: a crash inside the kEverySec
@@ -150,15 +150,15 @@ TEST(CommitPipeline, ConcurrentWritersCoalesceIntoOneBatch) {
   PutFile(pl, t, std::move(owned));
 
   Status sa;
-  std::thread wa([&] { sa = pl.Commit(t, "A|", 0); });
+  std::thread wa([&] { sa = pl.Commit(t, "A|"); });
   file->WaitUntilBlockedInSync();
 
   Status sb, sc, sd;
-  std::thread wb([&] { sb = pl.Commit(t, "B|", 0); });
-  std::thread wc([&] { sc = pl.Commit(t, "C|", 1); });
-  std::thread wd([&] { sd = pl.Commit(t, "D|", 2); });
+  std::thread wb([&] { sb = pl.Commit(t, "B|"); });
+  std::thread wc([&] { sc = pl.Commit(t, "C|"); });
+  std::thread wd([&] { sd = pl.Commit(t, "D|"); });
   // A is still counted in `queued` until its batch retires, so 4 = A in
-  // flight + B/C/D parked in the rings.
+  // flight + B/C/D parked in the queue.
   ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames(t) == 4; }));
   file->ReleaseBlockedSync();
   wa.join();
@@ -199,13 +199,13 @@ TEST(CommitPipeline, MidBatchFsyncFailureFansOutToAllWriters) {
   PutFile(pl, t, std::move(owned));
 
   Status sa;
-  std::thread wa([&] { sa = pl.Commit(t, "A|", 0); });
+  std::thread wa([&] { sa = pl.Commit(t, "A|"); });
   file->WaitUntilBlockedInSync();
 
   Status sb, sc, sd;
-  std::thread wb([&] { sb = pl.Commit(t, "B|", 0); });
-  std::thread wc([&] { sc = pl.Commit(t, "C|", 1); });
-  std::thread wd([&] { sd = pl.Commit(t, "D|", 2); });
+  std::thread wb([&] { sb = pl.Commit(t, "B|"); });
+  std::thread wc([&] { sc = pl.Commit(t, "C|"); });
+  std::thread wd([&] { sd = pl.Commit(t, "D|"); });
   ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames(t) == 4; }));
   file->ReleaseBlockedSync();
   wa.join();
@@ -226,7 +226,7 @@ TEST(CommitPipeline, MidBatchFsyncFailureFansOutToAllWriters) {
 
   // fsyncgate: poisoned, never retried — later commits fail fast with the
   // poisoning status and issue no further I/O.
-  Status again = pl.Commit(t, "E|", 0);
+  Status again = pl.Commit(t, "E|");
   EXPECT_FALSE(again.ok());
   EXPECT_NE(again.message().find("injected fsync failure"), std::string::npos);
   EXPECT_EQ(file->sync_calls(), 2);
@@ -251,9 +251,9 @@ TEST(CommitPipeline, PerWriteBaselineNeverCoalesces) {
   std::vector<std::thread> ws;
   std::atomic<size_t> failures{0};
   for (size_t i = 0; i < kThreads; ++i) {
-    ws.emplace_back([&, i] {
+    ws.emplace_back([&] {
       for (size_t j = 0; j < kFrames; ++j)
-        if (!pl.Commit(t, "x", i).ok()) failures.fetch_add(1);
+        if (!pl.Commit(t, "x").ok()) failures.fetch_add(1);
     });
   }
   for (auto& w : ws) w.join();
@@ -302,7 +302,7 @@ TEST(CommitPipeline, WithFileSwapDetachAndGateAbort) {
   auto reopened = mem.NewWritableFile("log2", /*truncate=*/false);
   ASSERT_TRUE(reopened.ok());
   PutFile(pl, t, std::move(reopened.value()));
-  Status gs = pl.Commit(t, "four|", 0, [] {
+  Status gs = pl.Commit(t, "four|", [] {
     return Status::FailedPrecondition("gate says no");
   });
   EXPECT_FALSE(gs.ok());
@@ -372,7 +372,9 @@ TEST(CommitPipeline, CloseFileSyncsAndReportsTheFirstFailure) {
 // kEverySec ack contract: Commit returns once write() succeeded — no
 // fsync on the ack path. The committer syncs on its own once the interval
 // elapses, and a timed-sync failure poisons the target (degrading future
-// commits) instead of failing a caller that was already acked.
+// commits) instead of failing a caller that was already acked. Each clock
+// advance is followed by a wait for the sync it makes due: the committer
+// may run it after the batch or on its next idle wakeup, never both.
 TEST(CommitPipeline, EverySecAcksBeforeSyncAndTimedFailurePoisons) {
   MemEnv mem;
   auto owned = OpenGateFile(&mem, "log");
@@ -390,31 +392,59 @@ TEST(CommitPipeline, EverySecAcksBeforeSyncAndTimedFailurePoisons) {
 
   ASSERT_TRUE(pl.Commit(t, "a|").ok());
   EXPECT_EQ(file->sync_calls(), 0);  // acked with zero fsyncs issued
-  // The ack fires before the batch's own timed-sync check; wait for the
-  // committer to retire the batch (which happens after that check) so
-  // the clock advance below cannot race it into syncing a| alone and
-  // consuming the interval b|'s batch needs.
-  ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames(t) == 0; }));
 
-  // Interval elapses; the next batch's post-ack timed sync flushes.
+  // Interval elapses; the timed sync flushes.
   clock.AdvanceSeconds(2);
-  ASSERT_TRUE(pl.Commit(t, "b|").ok());
   ASSERT_TRUE(WaitFor([&] { return file->sync_calls() == 1; }));
   ASSERT_TRUE(
-      WaitFor([&] { return mem.ReadFileToString("log").value() == "a|b|"; }));
+      WaitFor([&] { return mem.ReadFileToString("log").value() == "a|"; }));
+  // The interval restarted at that sync: b| acks with no fsync of its own.
+  ASSERT_TRUE(pl.Commit(t, "b|").ok());
+  EXPECT_EQ(file->sync_calls(), 1);
 
   // Timed-sync failure: the acked caller still got OK (its write
   // succeeded); the poison surfaces on the NEXT commit, and health
   // degrades so the store stops taking writes.
   file->FailOnSync(2);
   clock.AdvanceSeconds(2);
-  ASSERT_TRUE(pl.Commit(t, "c|").ok());
-  ASSERT_TRUE(WaitFor([&] { return !pl.Commit(t, "d|").ok(); }));
-  Status poisoned = pl.Commit(t, "e|");
+  ASSERT_TRUE(WaitFor([&] { return !pl.Commit(t, "c|").ok(); }));
+  Status poisoned = pl.Commit(t, "d|");
   EXPECT_NE(poisoned.message().find("injected fsync failure"),
             std::string::npos);
   EXPECT_EQ(health.state(), HealthState::kDegradedReadOnly);
   EXPECT_EQ(reg.GetCounter("commit_failures_total")->Value(), 1u);
+  EXPECT_EQ(file->sync_calls(), 2);  // poisoned: never synced again
+  EXPECT_EQ(mem.ReadFileToString("log").value(), "a|");  // b| dropped
+}
+
+// A log whose writes stop still gets its tail synced: the committer's idle
+// wakeup runs the timed sync once the interval has passed, exactly once,
+// and a later interval with nothing new written syncs nothing.
+TEST(CommitPipeline, EverySecSyncsAnIdleTail) {
+  MemEnv mem;
+  auto owned = OpenGateFile(&mem, "log");
+  GateSyncFile* file = owned.get();
+  SimulatedClock clock(0);
+  CommitPipeline::Options po;
+  po.clock = &clock;
+  CommitPipeline pl(po);
+  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kEverySec);
+  PutFile(pl, t, std::move(owned));
+
+  ASSERT_TRUE(pl.Commit(t, "tail|").ok());
+  // The batch retires after its own timed-sync check: once it has, only
+  // an idle wakeup can sync the tail.
+  ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames(t) == 0; }));
+  clock.AdvanceSeconds(2);
+  ASSERT_TRUE(WaitFor([&] { return file->sync_calls() == 1; }));
+  EXPECT_EQ(mem.ReadFileToString("log").value(), "tail|");
+
+  // Several idle wakeups (100 ms apiece), then another interval: nothing
+  // was written since the sync, so nothing is synced.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  clock.AdvanceSeconds(2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(file->sync_calls(), 1);
 }
 
 // ---- end-to-end over MemKV + FaultEnv --------------------------------------
@@ -427,10 +457,6 @@ TEST(CommitPipeline, EverySecCrashLosesAtMostTheUnsyncedTail) {
   FaultEnv fenv(&mem, /*seed=*/0xc0117);
   SimulatedClock clock(0);
   {
-    // The test's own pipeline, so it can see when k1's batch retires.
-    CommitPipeline::Options po;
-    po.clock = &clock;
-    CommitPipeline pl(po);
     kv::Options o;
     o.env = &fenv;
     o.clock = &clock;
@@ -438,23 +464,24 @@ TEST(CommitPipeline, EverySecCrashLosesAtMostTheUnsyncedTail) {
     o.aof_enabled = true;
     o.aof_path = "kv/aof";
     o.sync_policy = SyncPolicy::kEverySec;
-    o.pipeline = &pl;
     kv::MemKV db(o);
     ASSERT_TRUE(db.Open().ok());
 
+    // Each write is followed by an interval and a wait for the timed sync
+    // it makes due, which flushes it through FaultEnv's write buffer to
+    // the base MemEnv.
+    const auto synced = [&](const char* payload) {
+      return WaitFor([&] {
+        auto s = mem.ReadFileToString("kv/aof");
+        return s.ok() && s.value().find(payload) != std::string::npos;
+      });
+    };
     ASSERT_TRUE(db.Set("k1", "alpha-payload-1").ok());
-    // The ack fires before the batch's own timed-sync check; advancing the
-    // clock before that check would let k1 take the timed sync alone and
-    // leave k2 unsynced in FaultEnv's buffer. Wait for the batch to retire.
-    ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames() == 0; }));
     clock.AdvanceSeconds(2);
-    // This Set's batch triggers the committer's timed sync, flushing k1+k2
-    // through FaultEnv's write buffer to the base MemEnv.
+    ASSERT_TRUE(synced("alpha-payload-1"));
     ASSERT_TRUE(db.Set("k2", "beta-payload-2").ok());
-    ASSERT_TRUE(WaitFor([&] {
-      auto s = mem.ReadFileToString("kv/aof");
-      return s.ok() && s.value().find("beta-payload-2") != std::string::npos;
-    }));
+    clock.AdvanceSeconds(2);
+    ASSERT_TRUE(synced("beta-payload-2"));
 
     // k3 lands in the window: written, acked, NOT yet synced.
     ASSERT_TRUE(db.Set("k3", "gamma-payload-3").ok());

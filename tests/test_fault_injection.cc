@@ -13,20 +13,24 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster_store.h"
+#include "common/clock.h"
 #include "fault_harness.h"
 #include "gdpr/audit.h"
 #include "gdpr/kv_backend.h"
 #include "gdpr/rel_backend.h"
 #include "kvstore/db.h"
 #include "relstore/database.h"
+#include "storage/commit_pipeline.h"
 #include "storage/fault_env.h"
 
 namespace gdpr {
@@ -531,6 +535,123 @@ TEST(CloseSync, StatementLogCloseReportsFailedFinalSync) {
     FailEverySync(&fenv);
     EXPECT_FALSE(db.Close().ok()) << "policy " << int(policy);
   }
+}
+
+// ---- kEverySec syncs an idle tail -------------------------------------------
+//
+// kEverySec bounds the loss to about a second even when writes stop. Each
+// log takes one write, then the interval passes with nothing more written:
+// the commit pipeline's own clock must still push the bytes through
+// FaultEnv's page cache to the base env. No store here runs an expiry cron.
+
+// Polls `pred` for up to ~5 s of real time: the committer runs on real
+// time even when the pipeline's clock is simulated.
+bool WaitFor(const std::function<bool()>& pred) {
+  for (int i = 0; i < 5000; ++i) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
+
+// True once `needle` is in the base env's copy of `path`.
+bool ReachesBase(MemEnv* mem, const std::string& path,
+                 const std::string& needle) {
+  return WaitFor([&] {
+    auto s = mem->ReadFileToString(path);
+    return s.ok() && s.value().find(needle) != std::string::npos;
+  });
+}
+
+// The stores below run on a pipeline the test owns where it can, and wait
+// for its batches to retire before the clock moves: a batch retires after
+// its own timed-sync check, so from then on only an idle wakeup can sync.
+
+TEST(IdleTailSync, KvGdprStoreAof) {
+  MemEnv mem;
+  FaultEnv fenv(&mem, kSeed);
+  SimulatedClock clock(0);
+  KvGdprOptions o;
+  o.clock = &clock;
+  o.kv.env = &fenv;
+  o.kv.aof_enabled = true;
+  o.kv.aof_path = "aof";
+  o.kv.sync_policy = SyncPolicy::kEverySec;
+  KvGdprStore store(o);
+  ASSERT_TRUE(store.Open().ok());
+  ASSERT_TRUE(store
+                  .CreateRecord(Actor::Controller(),
+                                fault::MakeRecord("idle-key", "u", "v"))
+                  .ok());
+  clock.AdvanceSeconds(2);
+  EXPECT_TRUE(ReachesBase(&mem, "aof", "idle-key"));
+  ASSERT_TRUE(store.Close().ok());
+}
+
+// One rel::Database over `o` takes one insert into table idle_t; then the
+// interval passes and, with the store still open and idle, `needle` must
+// reach the base copy of `path`.
+void ExpectIdleRelTailSynced(rel::RelOptions o, const std::string& path,
+                             const std::string& needle) {
+  MemEnv mem;
+  FaultEnv fenv(&mem, kSeed);
+  SimulatedClock clock(0);
+  CommitPipeline::Options po;
+  po.clock = &clock;
+  CommitPipeline pl(po);
+  o.env = &fenv;
+  o.clock = &clock;
+  o.sync_policy = SyncPolicy::kEverySec;
+  o.pipeline = &pl;
+  rel::Database db(o);
+  ASSERT_TRUE(db.Open().ok());
+  auto t = db.CreateTable("idle_t",
+                          rel::Schema({{"v", rel::ValueType::kString}}));
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE(db.Insert(t.value(), {rel::Value("idle-row")}).ok());
+  ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames() == 0; }));
+  clock.AdvanceSeconds(2);
+  EXPECT_TRUE(ReachesBase(&mem, path, needle));
+  ASSERT_TRUE(db.Close().ok());
+}
+
+TEST(IdleTailSync, RelWal) {
+  rel::RelOptions o;
+  o.wal_enabled = true;
+  o.wal_path = "wal";
+  ExpectIdleRelTailSynced(o, "wal", "idle-row");
+}
+
+TEST(IdleTailSync, RelStatementLog) {
+  rel::RelOptions o;
+  o.log_statements = true;
+  o.statement_log_path = "stmt";
+  ExpectIdleRelTailSynced(o, "stmt", "INSERT INTO idle_t");
+}
+
+TEST(IdleTailSync, DurableAuditChain) {
+  MemEnv mem;
+  FaultEnv fenv(&mem, kSeed);
+  SimulatedClock clock(0);
+  CommitPipeline::Options po;
+  po.clock = &clock;
+  CommitPipeline pl(po);
+  AuditLog log(/*seal_interval=*/1);  // every append seals one group
+  AuditLogOptions ao;
+  ao.env = &fenv;
+  ao.path = "audit";
+  ao.sync_policy = SyncPolicy::kEverySec;
+  ao.pipeline = &pl;
+  ASSERT_TRUE(log.OpenDurable(ao).ok());
+  AuditEntry e;
+  e.actor_id = "idle-actor";
+  e.op = "READ-DATA-BY-KEY";
+  e.key = "k";
+  log.Append(e);
+  ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames() == 0; }));
+  clock.AdvanceSeconds(2);
+  EXPECT_TRUE(ReachesBase(&mem, "audit.seg1", "idle-actor"));
+  ASSERT_TRUE(log.CloseDurable().ok());
 }
 
 // ---- crash during torn-tail repair -----------------------------------------
