@@ -381,9 +381,7 @@ StatusOr<std::vector<AuditEntry>> ClusterGdprStore::GetSystemLogs(
 
 StatusOr<Features> ClusterGdprStore::GetFeatures(const Actor& actor) {
   AuditCluster(actor, ops::kGetFeatures, "", true);
-  return BuildFeatures(
-      "cluster-memkv", options_.compliance,
-      /*has_secondary_indexes=*/options_.compliance.metadata_indexing);
+  return BuildFeatures("cluster-memkv", options_.compliance);
 }
 
 Status ClusterGdprStore::ScanRecords(
@@ -506,10 +504,10 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
     if (src_idx == dst_node) continue;
     net::NodeHandle* src = nodes_[src_idx];
     net::NodeHandle* dst = nodes_[dst_node];
-    // Slot-scoped exports: the node computes membership with the same
+    // A slot-scoped export: the node computes membership with the same
     // SlotForKey the router routes by, so no predicate crosses the
     // transport and the two sides cannot disagree about the slot's keys.
-    auto exported = src->ExportSlotRecords(slot, slot_map_.num_slots());
+    auto exported = src->ExportSlot(slot, slot_map_.num_slots());
     if (!exported.ok()) {
       // An unreadable record on the source: migrating would silently drop
       // it from the destination copy. Leave the slot where it is.
@@ -519,22 +517,20 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
                    false);
       return exported.status();
     }
-    const std::vector<GdprRecord>& records = exported.value();
-    // Undoes a partial copy on the destination; ownership never flipped.
-    // A rollback that itself fails (e.g. dst's AOF went offline) leaves
-    // the slot double-resident — escalate, don't pretend it's clean.
-    const auto rollback_copy = [&](size_t n_records,
-                                   const std::vector<std::string>& tombs,
-                                   Status cause) -> Status {
-      bool clean = true;
-      for (const std::string& key : tombs) {
-        Status cs = dst->ClearTombstone(key);
-        if (!cs.ok()) clean = false;
-      }
-      for (size_t j = 0; j < n_records; ++j) {
-        Status es = dst->EvictRecord(records[j].key);
-        if (!es.ok() && !es.IsNotFound()) clean = false;
-      }
+    const std::vector<GdprRecord>& records = exported.value().records;
+    std::vector<std::string> keys;
+    keys.reserve(records.size());
+    for (const GdprRecord& rec : records) keys.push_back(rec.key);
+    // Tombstones move with their slot, or VerifyDeletion turns false on the
+    // new owner.
+    Status imported = dst->ImportSlot(exported.value());
+    if (!imported.ok()) {
+      // Ownership never flipped; undo the partial copy on the destination.
+      // Tombstones it adopted may stay: the source keeps its own too, and
+      // routing consults only the owner. An undo that itself fails (dst's
+      // log is poisoned) leaves the slot double-resident — escalate, don't
+      // pretend it's clean.
+      const bool clean = dst->EvictRecords(keys).ok();
       AuditCluster(Actor::Controller(), ops::kMoveSlots,
                    StringPrintf("slot %u -> node %u%s", slot, dst_node,
                                 clean ? "" : " (rollback incomplete)"),
@@ -542,34 +538,12 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
       if (!clean) {
         return Status::Internal(
             "slot copy rollback incomplete; records resident on node " +
-            std::to_string(dst_node) + " after: " + cause.ToString());
+            std::to_string(dst_node) + " after: " + imported.ToString());
       }
-      return cause;
-    };
-    for (size_t i = 0; i < records.size(); ++i) {
-      Status s = dst->ImportRecord(records[i]);
-      if (!s.ok()) return rollback_copy(i, {}, s);
-    }
-    // Evidence must move with its slot or VerifyDeletion turns false on
-    // the new owner. The export itself can now fail (a dead transport);
-    // that aborts the move like any other copy failure.
-    auto tombstones = src->ExportSlotTombstones(slot, slot_map_.num_slots());
-    if (!tombstones.ok()) {
-      return rollback_copy(records.size(), {}, tombstones.status());
-    }
-    std::vector<std::string> adopted;
-    for (const std::string& key : tombstones.value()) {
-      Status s = dst->AdoptTombstone(key);
-      if (!s.ok()) return rollback_copy(records.size(), adopted, s);
-      adopted.push_back(key);
+      return imported;
     }
     slot_map_.SetOwner(slot, dst_node);
-    bool evict_clean = true;
-    for (const GdprRecord& rec : records) {
-      Status es = src->EvictRecord(rec.key);
-      if (!es.ok() && !es.IsNotFound()) evict_clean = false;
-    }
-    if (!evict_clean) {
+    if (!src->EvictRecords(keys).ok()) {
       // Ownership flipped (dst serves the slot correctly), but the source
       // still holds resident copies it could not evict — stale ciphertext
       // that a later compaction on src must not be assumed to have purged.

@@ -4,8 +4,7 @@
 
 namespace gdpr {
 
-Features BuildFeatures(const std::string& backend, const ComplianceFlags& f,
-                       bool has_secondary_indexes) {
+Features BuildFeatures(const std::string& backend, const ComplianceFlags& f) {
   Features out;
   out.backend = backend;
   auto add = [&](const char* article, const char* requirement,
@@ -32,7 +31,7 @@ Features BuildFeatures(const std::string& backend, const ComplianceFlags& f,
   add("G 33/34", "breach notification", "time-ranged GET-SYSTEM-LOGS",
       f.audit_enabled);
   add("Table 2", "indexed metadata queries", "user/purpose/sharing indexes",
-      f.metadata_indexing && has_secondary_indexes);
+      f.metadata_indexing);
   return out;
 }
 

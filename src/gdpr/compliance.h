@@ -40,10 +40,7 @@ struct Features {
 };
 
 // Builds the Table 1 matrix for a backend under the given flags.
-// `has_secondary_indexes` distinguishes stores that can serve indexed
-// metadata queries from those that must scan.
-Features BuildFeatures(const std::string& backend, const ComplianceFlags& f,
-                       bool has_secondary_indexes);
+Features BuildFeatures(const std::string& backend, const ComplianceFlags& f);
 
 std::string RenderComplianceMatrix(const Features& features);
 

@@ -20,8 +20,7 @@ auto InSlot(uint32_t slot, uint32_t num_slots) {
 
 KvGdprStore::KvGdprStore(const KvGdprOptions& options)
     : PolicyStore(options.clock, options.compliance, options.kv.metrics,
-                  options.kv.commit_max_batch_frames, "memkv",
-                  options.compliance.metadata_indexing),
+                  "memkv"),
       options_(options) {
   kv::Options kvo = options_.kv;
   kvo.clock = clock_;
@@ -261,48 +260,55 @@ StatusOr<bool> KvGdprStore::HasTombstone(const std::string& key) {
 
 size_t KvGdprStore::TombstoneCount() { return db_->TombstoneCount(); }
 
-StatusOr<std::vector<GdprRecord>> KvGdprStore::ExportSlotRecords(
-    uint32_t slot, uint32_t num_slots) {
+StatusOr<net::SlotContents> KvGdprStore::ExportSlot(uint32_t slot,
+                                                    uint32_t num_slots) {
   if (Status s = CheckSlot(slot, num_slots); !s.ok()) return s;
   const auto in_slot = InSlot(slot, num_slots);
-  std::vector<GdprRecord> out;
+  net::SlotContents out;
   // A partial export would migrate a slot minus its unreadable records —
   // the copy would silently drop data the source still legally holds.
   Status s = Scan([&](GdprRecord& rec) {
-    if (in_slot(rec.key)) out.push_back(std::move(rec));
+    if (in_slot(rec.key)) out.records.push_back(std::move(rec));
     return true;
   });
   if (!s.ok()) return s;
+  out.tombstones = db_->Tombstones(in_slot);
   return out;
 }
 
-StatusOr<std::vector<std::string>> KvGdprStore::ExportSlotTombstones(
-    uint32_t slot, uint32_t num_slots) {
-  if (Status s = CheckSlot(slot, num_slots); !s.ok()) return s;
-  return db_->Tombstones(InSlot(slot, num_slots));
+Status KvGdprStore::ImportSlot(const net::SlotContents& contents) {
+  for (const GdprRecord& rec : contents.records) {
+    std::lock_guard<std::mutex> key_lock(KeyMutex(rec.key));
+    Status s = Put(rec, nullptr);
+    if (!s.ok()) return s;
+  }
+  for (const std::string& key : contents.tombstones) {
+    std::lock_guard<std::mutex> key_lock(KeyMutex(key));
+    Status s = EvictLocked(key);
+    if (s.ok()) s = db_->AddTombstone(key);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
 }
 
-Status KvGdprStore::ImportRecord(const GdprRecord& record) {
-  std::lock_guard<std::mutex> key_lock(KeyMutex(record.key));
-  return Put(record, nullptr);
+Status KvGdprStore::EvictRecords(const std::vector<std::string>& keys) {
+  Status first = Status::OK();
+  for (const std::string& key : keys) {
+    std::lock_guard<std::mutex> key_lock(KeyMutex(key));
+    Status s = EvictLocked(key);
+    if (first.ok()) first = s;
+  }
+  return first;
 }
 
-Status KvGdprStore::AdoptTombstone(const std::string& key) {
-  return db_->AddTombstone(key);
-}
-
-Status KvGdprStore::EvictRecord(const std::string& key) {
-  std::lock_guard<std::mutex> key_lock(KeyMutex(key));
+Status KvGdprStore::EvictLocked(const std::string& key) {
   auto rec = GetRaw(key);
+  if (rec.status().IsNotFound()) return Status::OK();
   if (!rec.ok()) return rec.status();
   Status s = db_->Delete(key);
   if (!s.ok() && !s.IsNotFound()) return s;  // still resident: don't unindex
   if (indexing()) IndexUpdate(&rec.value(), nullptr);
   return Status::OK();
-}
-
-Status KvGdprStore::ClearTombstone(const std::string& key) {
-  return db_->ClearTombstone(key);
 }
 
 StatusOr<net::AuditChainVerdict> KvGdprStore::VerifyAuditChain() {

@@ -72,14 +72,10 @@ class KvGdprStore : public PolicyStore, public net::NodeHandle {
   const KvGdprOptions& options() const { return options_; }
 
   // --- The cluster-node surface (net/node_handle.h) -------------------------
-  StatusOr<std::vector<GdprRecord>> ExportSlotRecords(
-      uint32_t slot, uint32_t num_slots) override;
-  StatusOr<std::vector<std::string>> ExportSlotTombstones(
-      uint32_t slot, uint32_t num_slots) override;
-  Status ImportRecord(const GdprRecord& record) override;
-  Status AdoptTombstone(const std::string& key) override;
-  Status EvictRecord(const std::string& key) override;
-  Status ClearTombstone(const std::string& key) override;
+  StatusOr<net::SlotContents> ExportSlot(uint32_t slot,
+                                         uint32_t num_slots) override;
+  Status ImportSlot(const net::SlotContents& contents) override;
+  Status EvictRecords(const std::vector<std::string>& keys) override;
   StatusOr<net::AuditChainVerdict> VerifyAuditChain() override;
 
  protected:
@@ -112,6 +108,9 @@ class KvGdprStore : public PolicyStore, public net::NodeHandle {
   };
 
   void IndexUpdate(const GdprRecord* prev, const GdprRecord* next);
+  // Removes key's record, if resident, and unindexes it; writes no
+  // tombstone. Caller holds KeyMutex(key).
+  Status EvictLocked(const std::string& key);
   // Caller holds idx_writer_mu_.
   void AdjustIndexBytes(size_t added, size_t dropped);
   void PushTtl(TtlItem item);

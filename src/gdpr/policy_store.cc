@@ -16,13 +16,11 @@ bool Expired(const GdprMetadata& m, int64_t now) {
 
 PolicyStore::PolicyStore(Clock* clock, const ComplianceFlags& flags,
                          obs::MetricsRegistry* metrics,
-                         size_t commit_max_batch_frames,
-                         const char* engine_name, bool secondary_indexes)
+                         const char* engine_name)
     : AuditedStore(clock),
       flags_(flags),
       metrics_(metrics ? metrics : &registry_),
-      engine_name_(engine_name),
-      secondary_indexes_(secondary_indexes) {
+      engine_name_(engine_name) {
   for (int i = 0; i < static_cast<int>(ops::OpClass::kCount); ++i) {
     std::string name = "gdpr_op_us{op=\"";
     name += ops::OpClassName(static_cast<ops::OpClass>(i));
@@ -34,7 +32,6 @@ PolicyStore::PolicyStore(Clock* clock, const ComplianceFlags& flags,
   export_us_ = metrics_->GetHistogram("gdpr_export_us");
   audit_log_.AttachMetrics(metrics_);
   CommitPipeline::Options po;
-  po.max_batch_frames = commit_max_batch_frames;
   po.metrics = metrics_;
   po.clock = clock_;
   pipeline_ = std::make_unique<CommitPipeline>(po);
@@ -345,7 +342,7 @@ StatusOr<std::vector<AuditEntry>> PolicyStore::GetSystemLogs(
 StatusOr<Features> PolicyStore::GetFeatures(const Actor& actor) {
   obs::ScopedTimer op_timer(op_hist(ops::OpClass::kGetFeatures), clock_);
   Audit(actor, ops::kGetFeatures, "", true);
-  return BuildFeatures(engine_name_, flags_, secondary_indexes_);
+  return BuildFeatures(engine_name_, flags_);
 }
 
 Status PolicyStore::ScanRecords(

@@ -79,10 +79,9 @@ class PolicyStore : public AuditedStore {
   enum class Attr { kUser, kPurpose, kSharing };
 
   // metrics: the caller-supplied registry, or nullptr for the store's own.
-  // engine_name / secondary_indexes feed GET-SYSTEM-FEATURES.
+  // engine_name feeds GET-SYSTEM-FEATURES.
   PolicyStore(Clock* clock, const ComplianceFlags& flags,
-              obs::MetricsRegistry* metrics, size_t commit_max_batch_frames,
-              const char* engine_name, bool secondary_indexes);
+              obs::MetricsRegistry* metrics, const char* engine_name);
 
   // ---- Engine hooks --------------------------------------------------------
   // The stored record, expired or not. NotFound when absent.
@@ -169,7 +168,6 @@ class PolicyStore : public AuditedStore {
   }
 
   const char* const engine_name_;
-  const bool secondary_indexes_;
   obs::Histogram* op_hist_[static_cast<int>(ops::OpClass::kCount)] = {};
   obs::Counter* denied_ = nullptr;
   // Forget (G 17) end-to-end and SAR/portability export latencies, recorded

@@ -34,8 +34,7 @@ rel::Predicate ByKey(const std::string& key) {
 
 RelGdprStore::RelGdprStore(const RelGdprOptions& options)
     : PolicyStore(options.clock, options.compliance, options.rel.metrics,
-                  /*commit_max_batch_frames=*/0, "reldb",
-                  /*secondary_indexes=*/true),
+                  "reldb"),
       options_(options) {
   rel::RelOptions ro = options_.rel;
   ro.clock = clock_;

@@ -11,11 +11,12 @@
 //     full readable record set in one response and the handle replays the
 //     callback locally — op status (including DataLoss partial-scan
 //     verdicts) rides alongside the records.
-//   * Migration exports are slot-scoped (slot, num_slots) instead of
-//     predicate-scoped: a predicate cannot cross the wire, and both sides
-//     computing membership with SlotForKey (common/hash.h) — the exact
-//     function the router routes by — means they can never disagree about
-//     a slot's keys.
+//   * Migration speaks whole slots: one export, one import, one eviction
+//     per slot and node. Exports are slot-scoped (slot, num_slots) instead
+//     of predicate-scoped: a predicate cannot cross the wire, and both
+//     sides computing membership with SlotForKey (common/hash.h) — the
+//     exact function the router routes by — means they can never disagree
+//     about a slot's keys.
 //   * VerifyAuditChain returns verdict + head hash so transport-equivalence
 //     tests can compare evidence across handle types byte-for-byte.
 
@@ -34,31 +35,34 @@ struct AuditChainVerdict {
   std::string head_hash;
 };
 
+// What a slot holds on one node: its records (expired included) and the
+// erasure tombstones that keep VerifyDeletion truthful once it moves.
+struct SlotContents {
+  std::vector<GdprRecord> records;
+  std::vector<std::string> tombstones;
+};
+
 class NodeHandle : public virtual GdprStore {
  public:
   // Slot migration (router-driven; not GDPR-audited node-side: a rebalance
   // is infrastructure, audited once on the router's chain).
 
-  // Records (expired included) whose key hashes into slot of num_slots.
-  // DataLoss when any record failed at-rest decryption: a slot migration
-  // built on a partial export would silently drop records.
-  virtual StatusOr<std::vector<GdprRecord>> ExportSlotRecords(
-      uint32_t slot, uint32_t num_slots) = 0;
-  // Erasure tombstones in the slot, so VerifyDeletion stays truthful after
-  // the slot moves.
-  virtual StatusOr<std::vector<std::string>> ExportSlotTombstones(
-      uint32_t slot, uint32_t num_slots) = 0;
-  // Adopts a record copied in from a departing node: blob + secondary
-  // indexes, clearing any stale tombstone for the key.
-  virtual Status ImportRecord(const GdprRecord& record) = 0;
-  // Adopts erasure evidence for a key this node now owns. Fails when the
-  // evidence cannot be persisted.
-  virtual Status AdoptTombstone(const std::string& key) = 0;
-  // Removes a record that was copied out — indexes dropped, no tombstone
-  // (the record still exists, just elsewhere).
-  virtual Status EvictRecord(const std::string& key) = 0;
-  // Drops a stale tombstone (rollback of a failed slot-copy adoption).
-  virtual Status ClearTombstone(const std::string& key) = 0;
+  // Everything the node holds in slot of num_slots. DataLoss when any
+  // record failed at-rest decryption: a slot migration built on a partial
+  // export would silently drop records.
+  virtual StatusOr<SlotContents> ExportSlot(uint32_t slot,
+                                            uint32_t num_slots) = 0;
+  // Upserts each record (blob + secondary indexes, clearing any stale
+  // tombstone for its key), then adopts each tombstone, first evicting any
+  // record still resident under that key: a copy left behind by an earlier
+  // failed move must not outlive the evidence of its erasure. Stops at the
+  // first failure and returns it, with no undo: after an I/O failure the
+  // node's log is poisoned and an undo could not be logged either.
+  virtual Status ImportSlot(const SlotContents& contents) = 0;
+  // Removes the listed records — indexes dropped, no tombstone (the records
+  // still exist, just elsewhere). An absent key is already evicted. Tries
+  // every key and returns the first failure.
+  virtual Status EvictRecords(const std::vector<std::string>& keys) = 0;
 
   // Audit evidence: the node's chain verdict and head hash.
   virtual StatusOr<AuditChainVerdict> VerifyAuditChain() = 0;

@@ -27,13 +27,6 @@ WireRequest Req(WireOp op, const Actor& actor = Actor(),
   return req;
 }
 
-WireRequest SlotReq(WireOp op, uint32_t slot, uint32_t num_slots) {
-  WireRequest req = Req(op);
-  req.slot = slot;
-  req.num_slots = num_slots;
-  return req;
-}
-
 }  // namespace
 
 RemoteHandle::RemoteHandle(int fd, RemoteHandleOptions opts)
@@ -305,34 +298,24 @@ CompactionStats RemoteHandle::GetCompactionStats() {
 
 // ---- migration -------------------------------------------------------------
 
-StatusOr<std::vector<GdprRecord>> RemoteHandle::ExportSlotRecords(
-    uint32_t slot, uint32_t num_slots) {
-  return Rpc(SlotReq(WireOp::kExportRecords, slot, num_slots),
-             &WireResponse::records);
+StatusOr<SlotContents> RemoteHandle::ExportSlot(uint32_t slot,
+                                                uint32_t num_slots) {
+  WireRequest req = Req(WireOp::kExportSlot);
+  req.slot = slot;
+  req.num_slots = num_slots;
+  return Rpc(req, &WireResponse::contents);
 }
 
-StatusOr<std::vector<std::string>> RemoteHandle::ExportSlotTombstones(
-    uint32_t slot, uint32_t num_slots) {
-  return Rpc(SlotReq(WireOp::kExportTombstones, slot, num_slots),
-             &WireResponse::keys);
-}
-
-Status RemoteHandle::ImportRecord(const GdprRecord& record) {
-  WireRequest req = Req(WireOp::kImportRecord);
-  req.record = record;
+Status RemoteHandle::ImportSlot(const SlotContents& contents) {
+  WireRequest req = Req(WireOp::kImportSlot);
+  req.contents = contents;
   return Rpc(req);
 }
 
-Status RemoteHandle::AdoptTombstone(const std::string& key) {
-  return Rpc(Req(WireOp::kAdoptTombstone, Actor(), key));
-}
-
-Status RemoteHandle::EvictRecord(const std::string& key) {
-  return Rpc(Req(WireOp::kEvictRecord, Actor(), key));
-}
-
-Status RemoteHandle::ClearTombstone(const std::string& key) {
-  return Rpc(Req(WireOp::kClearTombstone, Actor(), key));
+Status RemoteHandle::EvictRecords(const std::vector<std::string>& keys) {
+  WireRequest req = Req(WireOp::kEvictRecords);
+  req.keys = keys;
+  return Rpc(req);
 }
 
 StatusOr<AuditChainVerdict> RemoteHandle::VerifyAuditChain() {

@@ -100,14 +100,10 @@ class RemoteHandle final : public NodeHandle {
   StatusOr<CompactionStats> CompactNow(const Actor& actor) override;
   CompactionStats GetCompactionStats() override;
 
-  StatusOr<std::vector<GdprRecord>> ExportSlotRecords(
-      uint32_t slot, uint32_t num_slots) override;
-  StatusOr<std::vector<std::string>> ExportSlotTombstones(
-      uint32_t slot, uint32_t num_slots) override;
-  Status ImportRecord(const GdprRecord& record) override;
-  Status AdoptTombstone(const std::string& key) override;
-  Status EvictRecord(const std::string& key) override;
-  Status ClearTombstone(const std::string& key) override;
+  StatusOr<SlotContents> ExportSlot(uint32_t slot,
+                                    uint32_t num_slots) override;
+  Status ImportSlot(const SlotContents& contents) override;
+  Status EvictRecords(const std::vector<std::string>& keys) override;
 
   StatusOr<AuditChainVerdict> VerifyAuditChain() override;
 

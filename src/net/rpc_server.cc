@@ -136,25 +136,15 @@ WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req) {
     case WireOp::kCompactionStats:
       resp.stats = store->GetCompactionStats();
       break;
-    case WireOp::kExportRecords:
-      TakeStatusOr(store->ExportSlotRecords(req.slot, req.num_slots),
-                   &resp.status, &resp.records);
+    case WireOp::kExportSlot:
+      TakeStatusOr(store->ExportSlot(req.slot, req.num_slots), &resp.status,
+                   &resp.contents);
       break;
-    case WireOp::kExportTombstones:
-      TakeStatusOr(store->ExportSlotTombstones(req.slot, req.num_slots),
-                   &resp.status, &resp.keys);
+    case WireOp::kImportSlot:
+      resp.status = store->ImportSlot(req.contents);
       break;
-    case WireOp::kImportRecord:
-      resp.status = store->ImportRecord(req.record);
-      break;
-    case WireOp::kAdoptTombstone:
-      resp.status = store->AdoptTombstone(req.key);
-      break;
-    case WireOp::kEvictRecord:
-      resp.status = store->EvictRecord(req.key);
-      break;
-    case WireOp::kClearTombstone:
-      resp.status = store->ClearTombstone(req.key);
+    case WireOp::kEvictRecords:
+      resp.status = store->EvictRecords(req.keys);
       break;
     case WireOp::kVerifyAuditChain: {
       AuditChainVerdict v;

@@ -17,22 +17,23 @@ namespace {
 // Request body layouts, after the version, the op tag and the actor, with
 // the name a malformed one gets in the decode error.
 enum class ReqBody : uint8_t {
-  kNone, kKey, kRecord, kKeyData, kKeyUpdate, kTimeRange, kSlotSpec
+  kNone, kKey, kRecord, kKeyData, kKeyUpdate, kTimeRange, kSlotSpec,
+  kContents, kKeys
 };
 constexpr const char* kReqBodyName[] = {
     "", "key", "record", "key/data", "metadata update", "time range",
-    "slot spec"};
-static_assert(std::size(kReqBodyName) == size_t(ReqBody::kSlotSpec) + 1);
+    "slot spec", "slot contents", "key list"};
+static_assert(std::size(kReqBodyName) == size_t(ReqBody::kKeys) + 1);
 
 // Response body layouts, after the version, the op tag echo and the status.
 enum class RespBody : uint8_t {
   kNone, kRecord, kMetadata, kRecords, kCount, kFlag, kEntries, kFeatures,
-  kHealth, kCompaction, kSnapshot, kKeys, kVerdict
+  kHealth, kCompaction, kSnapshot, kContents, kVerdict
 };
 constexpr const char* kRespBodyName[] = {
     "", "record", "metadata", "record vector", "count", "flag",
     "audit entries", "features", "health", "compaction stats",
-    "registry snapshot", "tombstone keys", "chain verdict"};
+    "registry snapshot", "slot contents", "chain verdict"};
 static_assert(std::size(kRespBodyName) == size_t(RespBody::kVerdict) + 1);
 
 struct OpSpec {
@@ -72,12 +73,9 @@ constexpr OpSpec kOps[] = {
     {WireOp::kStatsSnapshot,    "STATS-SNAPSHOT",       ReqBody::kNone,      RespBody::kSnapshot},
     {WireOp::kCompactNow,       ops::kCompact,          ReqBody::kNone,      RespBody::kCompaction},
     {WireOp::kCompactionStats,  "COMPACTION-STATS",     ReqBody::kNone,      RespBody::kCompaction},
-    {WireOp::kExportRecords,    "EXPORT-RECORDS",       ReqBody::kSlotSpec,  RespBody::kRecords},
-    {WireOp::kExportTombstones, "EXPORT-TOMBSTONES",    ReqBody::kSlotSpec,  RespBody::kKeys},
-    {WireOp::kImportRecord,     "IMPORT-RECORD",        ReqBody::kRecord,    RespBody::kNone},
-    {WireOp::kAdoptTombstone,   "ADOPT-TOMBSTONE",      ReqBody::kKey,       RespBody::kNone},
-    {WireOp::kEvictRecord,      "EVICT-RECORD",         ReqBody::kKey,       RespBody::kNone},
-    {WireOp::kClearTombstone,   "CLEAR-TOMBSTONE",      ReqBody::kKey,       RespBody::kNone},
+    {WireOp::kExportSlot,       "EXPORT-SLOT",          ReqBody::kSlotSpec,  RespBody::kContents},
+    {WireOp::kImportSlot,       "IMPORT-SLOT",          ReqBody::kContents,  RespBody::kNone},
+    {WireOp::kEvictRecords,     "EVICT-RECORDS",        ReqBody::kKeys,      RespBody::kNone},
     {WireOp::kVerifyAuditChain, "VERIFY-AUDIT-CHAIN",   ReqBody::kNone,      RespBody::kVerdict},
 };
 // clang-format on
@@ -332,6 +330,16 @@ constexpr auto kSnapshot = [](auto& io, auto& snap) {
          });
 };
 
+constexpr auto kRecordList = [](auto& io, auto& v) {
+  return io.List(v, [](auto& io, auto& rec) { return io.Record(rec); });
+};
+
+// A slot's records, then its tombstone keys: kImportSlot's request body and
+// kExportSlot's response body.
+constexpr auto kSlotContents = [](auto& io, auto& c) {
+  return kRecordList(io, c.records) && io.Strs(c.tombstones);
+};
+
 template <class Io, class R>
 bool RequestBody(Io& io, ReqBody shape, R& r) {
   switch (shape) {
@@ -343,6 +351,8 @@ bool RequestBody(Io& io, ReqBody shape, R& r) {
     case ReqBody::kTimeRange:
       return io.Fixed(r.from_micros) && io.Fixed(r.to_micros);
     case ReqBody::kSlotSpec: return io.Varint(r.slot) && io.Varint(r.num_slots);
+    case ReqBody::kContents: return kSlotContents(io, r.contents);
+    case ReqBody::kKeys: return io.Strs(r.keys);
   }
   return false;
 }
@@ -353,9 +363,7 @@ bool ResponseBody(Io& io, RespBody shape, R& r) {
     case RespBody::kNone: return true;
     case RespBody::kRecord: return io.Record(r.record);
     case RespBody::kMetadata: return io.Meta(r.metadata);
-    case RespBody::kRecords:
-      return io.List(r.records,
-                     [](auto& io, auto& rec) { return io.Record(rec); });
+    case RespBody::kRecords: return kRecordList(io, r.records);
     case RespBody::kCount: return io.Varint(r.count);
     case RespBody::kFlag: return io.Bool(r.flag);
     case RespBody::kEntries: return io.List(r.entries, kAuditEntry);
@@ -365,7 +373,7 @@ bool ResponseBody(Io& io, RespBody shape, R& r) {
              io.Stat(r.health_cause);
     case RespBody::kCompaction: return kCompactionStats(io, r.stats);
     case RespBody::kSnapshot: return kSnapshot(io, r.snapshot);
-    case RespBody::kKeys: return io.Strs(r.keys);
+    case RespBody::kContents: return kSlotContents(io, r.contents);
     case RespBody::kVerdict: return io.Bool(r.flag) && io.Str(r.head_hash);
   }
   return false;

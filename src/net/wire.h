@@ -40,6 +40,7 @@
 #include "gdpr/compliance.h"
 #include "gdpr/record.h"
 #include "gdpr/store.h"
+#include "net/node_handle.h"  // SlotContents
 #include "obs/metrics.h"
 
 namespace gdpr::net {
@@ -51,7 +52,9 @@ inline constexpr uint8_t kWireVersion = 1;
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 inline constexpr size_t kFrameHeaderBytes = 4;
 
-// Operation tags. Values are wire format — append only, never renumber.
+// Operation tags. Values are wire format — append only, never renumber,
+// and never reuse a retired tag (50–55 carried the per-record migration
+// ops that the slot-scoped ones below replaced).
 enum class WireOp : uint8_t {
   kPing = 1,
   kOpen = 2,
@@ -83,12 +86,9 @@ enum class WireOp : uint8_t {
   kCompactNow = 40,
   kCompactionStats = 41,
   // Slot migration (router-to-node only; never audited node-side).
-  kExportRecords = 50,
-  kExportTombstones = 51,
-  kImportRecord = 52,
-  kAdoptTombstone = 53,
-  kEvictRecord = 54,
-  kClearTombstone = 55,
+  kExportSlot = 56,
+  kImportSlot = 57,
+  kEvictRecords = 58,
   // Per-node audit chain verification (returns ok + head hash).
   kVerifyAuditChain = 60,
 };
@@ -106,12 +106,14 @@ struct WireRequest {
   Actor actor;
   std::string key;    // key / user / purpose / third-party argument
   std::string data;   // kUpdateData payload
-  GdprRecord record;  // kCreateRecord / kImportRecord
+  GdprRecord record;  // kCreateRecord
   MetadataUpdate update;
   int64_t from_micros = 0;  // kGetLogs
   int64_t to_micros = 0;
-  uint32_t slot = 0;  // kExportRecords / kExportTombstones
+  uint32_t slot = 0;  // kExportSlot
   uint32_t num_slots = 0;
+  SlotContents contents;           // kImportSlot
+  std::vector<std::string> keys;  // kEvictRecords
 };
 
 // One decoded response. `status` is the op-level Status (always present);
@@ -123,7 +125,7 @@ struct WireResponse {
   GdprRecord record;                   // kReadData
   GdprMetadata metadata;               // kReadMeta
   std::vector<GdprRecord> records;     // record-vector ops
-  std::vector<std::string> keys;       // kExportTombstones
+  SlotContents contents;               // kExportSlot
   std::vector<AuditEntry> entries;     // kGetLogs
   Features features;                   // kGetFeatures
   CompactionStats stats;               // kCompactNow / kCompactionStats

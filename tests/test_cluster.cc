@@ -408,7 +408,7 @@ TEST_P(ClusterTransportTest, DoubleResidentSlotsServeTheOwnersCopyOnce) {
     const uint32_t owner =
         cluster.slot_map().OwnerOf(cluster.slot_map().SlotOf(stale.key));
     const size_t other = (owner + 1) % cluster.node_count();
-    ASSERT_TRUE(cluster.handle(other)->ImportRecord(stale).ok());
+    ASSERT_TRUE(cluster.handle(other)->ImportSlot({{stale}, {}}).ok());
     ++doubled;
   }
   EXPECT_EQ(cluster.RecordCount(), kRecords + doubled);

@@ -917,6 +917,145 @@ TEST(ClusterFaults, DegradedNodeRoutesAroundAndReportsPartialForget) {
   ASSERT_TRUE(store.Close().ok());
 }
 
+// A slot copy that fails on the destination's log. Two nodes over one
+// FaultEnv; slot 0 of node 0 holds 12 keys of one user, 3 of them erased.
+// Node 1's AOF fails at failable op `offset` of the move.
+struct FailedSlotCopy {
+  static constexpr uint32_t kSlot = 0;
+
+  MemEnv mem;
+  FaultEnv fenv{&mem, kSeed};
+  std::unique_ptr<cluster::ClusterGdprStore> store;
+  std::vector<std::string> live;
+  std::vector<std::string> erased;
+  Status moved;
+
+  FailedSlotCopy(cluster::ClusterTransport transport, uint64_t offset) {
+    cluster::ClusterOptions o;
+    o.nodes = 2;
+    o.slots = 8;
+    o.compliance.metadata_indexing = true;
+    o.kv.env = &fenv;
+    o.kv.aof_enabled = true;
+    o.kv.aof_path = "slot/aof";
+    o.kv.sync_policy = SyncPolicy::kAlways;
+    o.audit.path = "slot/audit";
+    o.transport = transport;
+    store = std::make_unique<cluster::ClusterGdprStore>(o);
+    EXPECT_TRUE(store->Open().ok());
+    const Actor ctrl = Actor::Controller();
+    for (int i = 0; live.size() + erased.size() < 12; ++i) {
+      const std::string key = "sk" + std::to_string(i);
+      if (store->slot_map().SlotOf(key) != kSlot) continue;
+      EXPECT_TRUE(
+          store->CreateRecord(ctrl, fault::MakeRecord(key, "slot-user", key))
+              .ok());
+      if (erased.size() < 3) {
+        EXPECT_TRUE(store->DeleteRecordByKey(ctrl, key).ok());
+        erased.push_back(key);
+      } else {
+        live.push_back(key);
+      }
+    }
+    FaultPlan plan;
+    plan.fail_at_op = fenv.op_count() + offset;
+    plan.path_filter = ".node1";
+    fenv.set_plan(plan);
+    moved = store->MoveSlots({kSlot}, 1);
+  }
+
+  // The owner still answers for the whole slot: live keys read, erased keys
+  // verify, and a user query returns each live key exactly once.
+  void ExpectSlotWholeOnOwner() {
+    EXPECT_EQ(store->slot_map().OwnerOf(kSlot), 0u);
+    for (const std::string& key : live) {
+      EXPECT_TRUE(store->ReadDataByKey(Actor::Controller(), key).ok()) << key;
+    }
+    ExpectErased(erased);
+    auto by_user = store->ReadMetadataByUser(Actor::Controller(), "slot-user");
+    ASSERT_TRUE(by_user.ok()) << by_user.status().ToString();
+    std::multiset<std::string> got;
+    for (const GdprRecord& rec : by_user.value()) got.insert(rec.key);
+    EXPECT_EQ(got, std::multiset<std::string>(live.begin(), live.end()));
+  }
+
+  void ExpectErased(const std::vector<std::string>& keys) {
+    for (const std::string& key : keys) {
+      EXPECT_TRUE(
+          store->ReadDataByKey(Actor::Controller(), key).status().IsNotFound())
+          << key << " is readable after its erasure";
+      auto gone = store->VerifyDeletion(Actor::Regulator(), key);
+      ASSERT_TRUE(gone.ok()) << gone.status().ToString();
+      EXPECT_TRUE(gone.value()) << key;
+    }
+  }
+};
+
+const cluster::ClusterTransport kTransports[] = {
+    cluster::ClusterTransport::kInProcess,
+    cluster::ClusterTransport::kLoopbackSocket};
+
+const char* TransportName(cluster::ClusterTransport t) {
+  return t == cluster::ClusterTransport::kInProcess ? "in-process" : "socket";
+}
+
+TEST(ClusterFaults, SlotCopyFailingAtItsFirstFrameLeavesTheSlotOnItsOwner) {
+  for (const auto transport : kTransports) {
+    SCOPED_TRACE(TransportName(transport));
+    FailedSlotCopy copy(transport, /*offset=*/1);
+    EXPECT_FALSE(copy.moved.ok());
+    EXPECT_EQ(copy.store->node(1)->RecordCount(), 0u);
+    copy.ExpectSlotWholeOnOwner();
+
+    // Once node 1 heals, the same slot moves whole.
+    copy.fenv.ClearFaults();
+    ASSERT_TRUE(copy.store->node(1)->CompactNow(Actor::Controller()).ok());
+    Status moved = copy.store->MoveSlots({FailedSlotCopy::kSlot}, 1);
+    ASSERT_TRUE(moved.ok()) << moved.ToString();
+    EXPECT_EQ(copy.store->node(1)->RecordCount(), copy.live.size());
+    EXPECT_EQ(copy.store->node(0)->RecordCount(), 0u);
+    for (const std::string& key : copy.live) {
+      EXPECT_TRUE(copy.store->ReadDataByKey(Actor::Controller(), key).ok());
+    }
+    copy.ExpectErased(copy.erased);
+    ASSERT_TRUE(copy.store->Close().ok());
+  }
+}
+
+// The copy fails after 3 records landed on node 1, and the destination's
+// poisoned log cannot undo them. Those stale copies must not come back as
+// readable records once the owner erased them and the slot moved there.
+TEST(ClusterFaults, SlotCopyFailingMidwayCannotResurrectErasedRecords) {
+  for (const auto transport : kTransports) {
+    SCOPED_TRACE(TransportName(transport));
+    // The first fault offset at which 3 records land; the ops a record
+    // import issues are the engine's business, not this test's.
+    std::unique_ptr<FailedSlotCopy> copy;
+    for (uint64_t offset = 1; offset <= 64; ++offset) {
+      copy = std::make_unique<FailedSlotCopy>(transport, offset);
+      ASSERT_FALSE(copy->moved.ok()) << "offset " << offset;
+      if (copy->store->node(1)->RecordCount() >= 3) break;
+    }
+    ASSERT_EQ(copy->store->node(1)->RecordCount(), 3u);
+    copy->ExpectSlotWholeOnOwner();
+
+    // Heal node 1, erase the rest of the slot on its owner, move it again.
+    copy->fenv.ClearFaults();
+    ASSERT_TRUE(copy->store->node(1)->CompactNow(Actor::Controller()).ok());
+    for (const std::string& key : copy->live) {
+      ASSERT_TRUE(
+          copy->store->DeleteRecordByKey(Actor::Controller(), key).ok());
+    }
+    Status moved = copy->store->MoveSlots({FailedSlotCopy::kSlot}, 1);
+    ASSERT_TRUE(moved.ok()) << moved.ToString();
+    EXPECT_EQ(copy->store->slot_map().OwnerOf(FailedSlotCopy::kSlot), 1u);
+    EXPECT_EQ(copy->store->RecordCount(), 0u);
+    copy->ExpectErased(copy->live);
+    copy->ExpectErased(copy->erased);
+    ASSERT_TRUE(copy->store->Close().ok());
+  }
+}
+
 // ---- coverage floor + robustness trajectory --------------------------------
 
 // Runs last (registration order): asserts the acceptance floor on distinct

@@ -333,7 +333,7 @@ TEST_P(GdprSpec, AtRestCorruptionIsDataLossNotAShorterAnswer) {
   }
   if (kv) {
     // A slot migration built on a partial export would drop the record.
-    EXPECT_TRUE(kv->ExportSlotRecords(0, 1).status().IsDataLoss());
+    EXPECT_TRUE(kv->ExportSlot(0, 1).status().IsDataLoss());
   }
 }
 

@@ -117,13 +117,23 @@ TEST(Dispatch, CoversTheVocabularyAgainstALiveStore) {
   EXPECT_TRUE(DispatchRequest(&store, req).flag);
 
   req = {};
-  req.op = WireOp::kExportRecords;
+  req.op = WireOp::kExportSlot;
   req.slot = SlotForKey("k1", 8);
   req.num_slots = 8;
-  EXPECT_EQ(call(req).records.size(), 1u);
-  req.op = WireOp::kExportTombstones;
+  EXPECT_EQ(call(req).contents.records.size(), 1u);
   req.slot = SlotForKey("k2", 8);
-  EXPECT_EQ(call(req).keys, std::vector<std::string>{"k2"});
+  EXPECT_EQ(call(req).contents.tombstones, std::vector<std::string>{"k2"});
+
+  req = {};
+  req.op = WireOp::kImportSlot;
+  req.contents.records = {MakeRecord("k3", "user-C")};
+  EXPECT_TRUE(call(req).status.ok());
+  req = {};
+  req.op = WireOp::kEvictRecords;
+  req.keys = {"k3", "missing"};
+  EXPECT_TRUE(call(req).status.ok());
+  req.op = WireOp::kRecordCount;
+  EXPECT_EQ(call(req).count, 1u);
 
   req = {};
   req.op = WireOp::kHealth;
@@ -288,15 +298,15 @@ TEST_F(RpcLoopback, NodeSurfaceMatchesTheStoreCalledDirectly) {
   for (NodeHandle* node : {direct, remote}) {
     SCOPED_TRACE(node == direct ? "direct" : "remote");
     for (uint32_t slot = 0; slot < kSlots; ++slot) {
-      auto records = node->ExportSlotRecords(slot, kSlots);
-      ASSERT_TRUE(records.ok()) << records.status().ToString();
+      auto exported = node->ExportSlot(slot, kSlots);
+      ASSERT_TRUE(exported.ok()) << exported.status().ToString();
       std::set<std::string> got;
-      for (const GdprRecord& rec : records.value()) got.insert(rec.key);
+      for (const GdprRecord& rec : exported.value().records) {
+        got.insert(rec.key);
+      }
       EXPECT_EQ(got, want_records[slot]) << "slot " << slot;
-      auto tombstones = node->ExportSlotTombstones(slot, kSlots);
-      ASSERT_TRUE(tombstones.ok()) << tombstones.status().ToString();
-      EXPECT_EQ(std::set<std::string>(tombstones.value().begin(),
-                                      tombstones.value().end()),
+      const std::vector<std::string>& tombstones = exported.value().tombstones;
+      EXPECT_EQ(std::set<std::string>(tombstones.begin(), tombstones.end()),
                 want_tombstones[slot])
           << "slot " << slot;
     }
@@ -309,9 +319,7 @@ TEST_F(RpcLoopback, NodeSurfaceMatchesTheStoreCalledDirectly) {
     SCOPED_TRACE("slot " + std::to_string(slot) + " of " +
                  std::to_string(num_slots));
     for (NodeHandle* node : {direct, remote}) {
-      EXPECT_EQ(node->ExportSlotRecords(slot, num_slots).status().code(),
-                StatusCode::kInvalidArgument);
-      EXPECT_EQ(node->ExportSlotTombstones(slot, num_slots).status().code(),
+      EXPECT_EQ(node->ExportSlot(slot, num_slots).status().code(),
                 StatusCode::kInvalidArgument);
     }
   }

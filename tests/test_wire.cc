@@ -105,20 +105,18 @@ std::vector<WireRequest> AllRequests() {
   with(WireOp::kCompactNow);
   with(WireOp::kCompactionStats);
   {
-    WireRequest& r = with(WireOp::kExportRecords);
-    r.slot = 17;
-    r.num_slots = 1024;
-  }
-  {
-    WireRequest& r = with(WireOp::kExportTombstones);
+    WireRequest& r = with(WireOp::kExportSlot);
     r.slot = 1023;
     r.num_slots = 1024;
   }
-  with(WireOp::kImportRecord).record = SampleRecord("key-import");
-  with(WireOp::kAdoptTombstone).key = "key-tomb";
-  with(WireOp::kEvictRecord).key = "key-evict";
-  with(WireOp::kClearTombstone).key = "key-clear";
-  with(WireOp::kVerifyAuditChain);
+  {
+    WireRequest& r = with(WireOp::kImportSlot);
+    r.contents.records = {SampleRecord("key-import"), SampleRecord("k2")};
+    r.contents.tombstones = {"key-tomb", std::string("k\x00\x03", 3)};
+  }
+  with(WireOp::kEvictRecords).keys = {"key-evict", "key-clear"};
+  // Pinned with this actor before the rows above changed.
+  with(WireOp::kVerifyAuditChain).actor = Actor::Controller();
   return reqs;
 }
 
@@ -138,9 +136,15 @@ TEST(WireRequests, EveryOpRoundTrips) {
     EXPECT_EQ(back.to_micros, req.to_micros);
     EXPECT_EQ(back.slot, req.slot);
     EXPECT_EQ(back.num_slots, req.num_slots);
-    if (req.op == WireOp::kCreateRecord || req.op == WireOp::kImportRecord) {
+    EXPECT_EQ(back.keys, req.keys);
+    if (req.op == WireOp::kCreateRecord) {
       ExpectSameRecord(back.record, req.record);
     }
+    ASSERT_EQ(back.contents.records.size(), req.contents.records.size());
+    for (size_t i = 0; i < req.contents.records.size(); ++i) {
+      ExpectSameRecord(back.contents.records[i], req.contents.records[i]);
+    }
+    EXPECT_EQ(back.contents.tombstones, req.contents.tombstones);
     if (req.op == WireOp::kUpdateMeta) {
       EXPECT_EQ(back.update.user, req.update.user);
       EXPECT_EQ(back.update.purposes, req.update.purposes);
@@ -222,13 +226,16 @@ TEST(WireResponses, ResultPayloadsRoundTrip) {
     EXPECT_EQ(back.metadata.shared_with, resp.metadata.shared_with);
     EXPECT_EQ(back.metadata.expiry_micros, resp.metadata.expiry_micros);
   }
-  {  // tombstone keys
+  {  // slot contents
     WireResponse resp;
-    resp.op = WireOp::kExportTombstones;
-    resp.keys = {"k1", "k2", std::string("k\x00\x03", 4)};
+    resp.op = WireOp::kExportSlot;
+    resp.contents.records = {SampleRecord("a")};
+    resp.contents.tombstones = {"k1", "k2", std::string("k\x00\x03", 4)};
     WireResponse back;
     ASSERT_TRUE(DecodeResponse(EncodeResponse(resp), &back).ok());
-    EXPECT_EQ(back.keys, resp.keys);
+    ASSERT_EQ(back.contents.records.size(), 1u);
+    ExpectSameRecord(back.contents.records[0], resp.contents.records[0]);
+    EXPECT_EQ(back.contents.tombstones, resp.contents.tombstones);
   }
   {  // audit entries
     WireResponse resp;
@@ -337,8 +344,9 @@ TEST(WireResponses, ResultPayloadsRoundTrip) {
 // The exact payload of every request in AllRequests() and of one populated
 // response per response body layout. The round trips above would still pass
 // if the encoder and the decoder drifted together; these literals pin the
-// format itself, so a change to them is a wire-format change and needs a
-// kWireVersion bump.
+// format itself. A change to the bytes of an existing tag is a wire-format
+// change and needs a kWireVersion bump; a new tag only adds rows, since a
+// peer that lacks it refuses it as unknown.
 
 std::string Hex(std::string_view bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -418,7 +426,11 @@ std::vector<WireResponse> GoldenResponses() {
     h.sum = 70003;
     r.snapshot.histograms = {h};
   }
-  with(WireOp::kExportTombstones).keys = {"k1", std::string("k\x00\x03", 3)};
+  {
+    WireResponse& r = with(WireOp::kExportSlot);
+    r.contents.records = {SampleRecord("a")};
+    r.contents.tombstones = {"k1", std::string("k\x00\x03", 3)};
+  }
   {
     WireResponse& r = with(WireOp::kVerifyAuditChain);
     r.flag = true;
@@ -460,16 +472,18 @@ const char* const kGoldenRequests[] = {
     "01220309726567756c61746f7200",
     "0128000a636f6e74726f6c6c657200",
     "0129010b757365722d30303030303100",
-    "0132020670726f632d3709616e616c7974696373118008",
-    "01330309726567756c61746f7200ff078008",
-    "0134000a636f6e74726f6c6c6572007f47010a6b65792d696d706f7274207061"
+    "0138020670726f632d3709616e616c7974696373ff078008",
+    "01390309726567756c61746f7200027f47010a6b65792d696d706f7274207061"
     "796c6f61642d6279746573200102ff20666f72206b65792d696d706f72740b75"
     "7365722d3030303034320b66697273742d7061727479020361647309616e616c"
     "797469637301036164730209706172746e65722d6109706172746e65722d62f2"
-    "eb864b791f0600f24b14fd60160600",
-    "0135010b757365722d30303030303100086b65792d746f6d62",
-    "0136020670726f632d3709616e616c7974696373096b65792d6576696374",
-    "01370309726567756c61746f7200096b65792d636c656172",
+    "eb864b791f0600f24b14fd601606006f4701026b32187061796c6f61642d6279"
+    "746573200102ff20666f72206b320b757365722d3030303034320b6669727374"
+    "2d7061727479020361647309616e616c79746963730103616473020970617274"
+    "6e65722d6109706172746e65722d62f2eb864b791f0600f24b14fd6016060002"
+    "086b65792d746f6d62036b0003",
+    "013a000a636f6e74726f6c6c65720002096b65792d6576696374096b65792d63"
+    "6c656172",
     "013c000a636f6e74726f6c6c657200",
 };
 
@@ -506,7 +520,10 @@ const char* const kGoldenResponses[] = {
     "ffffffffffffff01066c61745f75730100000000000000000000000000000000"
     "c801000000000000000000000000000000000000000000000000000000000000"
     "000000000000000000000000000000007311010000000000",
-    "0133000002026b31036b0003",
+    "01380000016d47010161177061796c6f61642d6279746573200102ff20666f72"
+    "20610b757365722d3030303034320b66697273742d7061727479020361647309"
+    "616e616c797469637301036164730209706172746e65722d6109706172746e65"
+    "722d62f2eb864b791f0600f24b14fd6016060002026b31036b0003",
     "013c00000104010203ff",
 };
 
@@ -531,7 +548,7 @@ TEST(WireGolden, EveryResponseLayoutEncodesToItsPinnedBytes) {
 TEST(WireOps, ExactlyTheDefinedTagsAreValidEachWithADistinctName) {
   std::set<WireOp> defined;
   for (const WireRequest& req : AllRequests()) defined.insert(req.op);
-  ASSERT_EQ(defined.size(), 33u);
+  ASSERT_EQ(defined.size(), 30u);
   std::set<std::string> names;
   for (int tag = 0; tag < 256; ++tag) {
     const bool valid = ValidWireOp(uint8_t(tag));
@@ -541,7 +558,7 @@ TEST(WireOps, ExactlyTheDefinedTagsAreValidEachWithADistinctName) {
           << "duplicate name " << WireOpName(WireOp(tag));
     }
   }
-  EXPECT_EQ(names.size(), 33u);
+  EXPECT_EQ(names.size(), 30u);
 }
 
 // ---- framing --------------------------------------------------------------
@@ -645,6 +662,24 @@ TEST(WireMalformed, UnknownOpTagIsInvalidArgument) {
   EXPECT_TRUE(DecodeRequest(payload, &req).code() == StatusCode::kInvalidArgument);
   WireResponse resp;
   EXPECT_TRUE(DecodeResponse(payload, &resp).code() == StatusCode::kInvalidArgument);
+}
+
+TEST(WireMalformed, RetiredMigrationTagsAreRefusedNotMisparsed) {
+  // Tags 50-55 carried the per-record migration ops. A peer still sending
+  // one (here IMPORT-RECORD's old layout) gets an unknown-op refusal.
+  WireRequest create = AllRequests()[3];  // kCreateRecord: same body shape
+  for (uint8_t tag = 50; tag <= 55; ++tag) {
+    std::string payload = EncodeRequest(create);
+    payload[1] = char(tag);
+    WireRequest req;
+    EXPECT_EQ(DecodeRequest(payload, &req).code(),
+              StatusCode::kInvalidArgument)
+        << "tag " << int(tag);
+    WireResponse resp;
+    EXPECT_EQ(DecodeResponse(payload, &resp).code(),
+              StatusCode::kInvalidArgument)
+        << "tag " << int(tag);
+  }
 }
 
 TEST(WireMalformed, UnsupportedVersionIsRefusedNotMisparsed) {
