@@ -16,6 +16,31 @@
 
 namespace gdpr::cluster {
 
+namespace {
+
+// "node 1, node 3": the nodes a fan-out op could not finish on.
+std::string NodeNames(const std::vector<size_t>& nodes) {
+  std::string names;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (i) names += ", ";
+    names += "node " + std::to_string(nodes[i]);
+  }
+  return names;
+}
+
+// The partial-failure status of a fan-out op: names the failed nodes (the
+// operator's retry targets) and says what the others did get done.
+Status Incomplete(const char* what, const std::vector<size_t>& failed,
+                  size_t nodes, const std::string& done, const Status& cause) {
+  return Status(cause.code(),
+                StringPrintf("%s incomplete: %zu of %zu nodes failed (", what,
+                             failed.size(), nodes) +
+                    done + "; failed: " + NodeNames(failed) +
+                    "): " + cause.message());
+}
+
+}  // namespace
+
 ClusterGdprStore::ClusterGdprStore(const ClusterOptions& options)
     : AuditedStore(options.clock),
       options_(options),
@@ -136,52 +161,6 @@ std::vector<T> ClusterGdprStore::FanOut(
   return out;
 }
 
-std::vector<GdprRecord> ClusterGdprStore::MergeRecords(
-    std::vector<StatusOr<std::vector<GdprRecord>>> parts, Status* status) {
-  *status = Status::OK();
-  size_t unavailable = 0;
-  size_t answer = 0;
-  Status first_unavailable = Status::OK();
-  for (const auto& part : parts) {
-    if (part.ok()) {
-      answer += part.value().size();
-      continue;
-    }
-    if (!part.status().IsUnavailable()) {
-      // Access decisions depend only on (actor, flags), so every node
-      // returns the same verdict; surface the first denial.
-      *status = part.status();
-      return {};
-    }
-    // A degraded node refusing the sub-query — or, over a socket
-    // transport, a node that stopped answering: route around it. Its
-    // records are a partition the healthy nodes don't hold, but a partial
-    // answer beats a cluster-wide outage. (Point ops to its slots still
-    // surface the refusal directly.)
-    ++unavailable;
-    m_degraded_skips_->Add(1);
-    if (first_unavailable.ok()) first_unavailable = part.status();
-  }
-  if (unavailable == parts.size() && unavailable > 0) {
-    *status = first_unavailable;  // nothing answered: that's an outage
-    return {};
-  }
-  // Parts are in node order, so node i's records are kept only where node
-  // i owns their slot. The caller holds migrate_mu_ shared, so ownership
-  // cannot flip mid-merge.
-  std::vector<GdprRecord> out;
-  out.reserve(answer);
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (!parts[i].ok()) continue;
-    for (auto& rec : parts[i].value()) {
-      if (slot_map_.OwnerOf(SlotOf(rec.key)) == i) {
-        out.push_back(std::move(rec));
-      }
-    }
-  }
-  return out;
-}
-
 // ---- point ops: route by key slot -----------------------------------------
 
 Status ClusterGdprStore::CreateRecord(const Actor& actor,
@@ -235,70 +214,78 @@ StatusOr<bool> ClusterGdprStore::VerifyDeletion(const Actor& actor,
   return OwnerNode(slot)->VerifyDeletion(actor, key);
 }
 
-// ---- metadata queries and broadcasts: scatter-gather ----------------------
+// ---- collection reads and broadcasts: scatter-gather ----------------------
 
-StatusOr<std::vector<GdprRecord>> ClusterGdprStore::ReadMetadataByUser(
-    const Actor& actor, const std::string& user) {
+Status ClusterGdprStore::ReadCollection(const Actor& actor,
+                                        CollectionKind kind,
+                                        const std::string& value,
+                                        const RecordSink& sink) {
   std::shared_lock<std::shared_mutex> no_migration(migrate_mu_);
-  Status status;
-  auto merged = MergeRecords(
-      FanOut<StatusOr<std::vector<GdprRecord>>>([&](net::NodeHandle* node) {
-        // One epoch pin per worker task: guards are reentrant, so an
-        // in-process node's index probe and every per-key fetch under it
-        // ride this outer pin (depth bumps) instead of re-running the
-        // announce/re-check protocol once per node visited on the same
-        // thread. For a remote node the pin covers nothing (the store
-        // runs in the server's thread) and costs one announce — harmless.
-        // Erasure fan-outs deliberately do NOT do this — pinning an epoch
-        // across fsync-heavy mutations would stall reclamation.
-        EpochGuard epoch;
-        return node->ReadMetadataByUser(actor, user);
-      }),
-      &status);
-  if (!status.ok()) return status;
-  return merged;
-}
-
-StatusOr<std::vector<GdprRecord>> ClusterGdprStore::ReadMetadataByPurpose(
-    const Actor& actor, const std::string& purpose) {
-  std::shared_lock<std::shared_mutex> no_migration(migrate_mu_);
-  Status status;
-  auto merged = MergeRecords(
-      FanOut<StatusOr<std::vector<GdprRecord>>>([&](net::NodeHandle* node) {
-        EpochGuard epoch;  // one pin per worker task (see ReadMetadataByUser)
-        return node->ReadMetadataByPurpose(actor, purpose);
-      }),
-      &status);
-  if (!status.ok()) return status;
-  return merged;
-}
-
-StatusOr<std::vector<GdprRecord>> ClusterGdprStore::ReadMetadataBySharing(
-    const Actor& actor, const std::string& third_party) {
-  std::shared_lock<std::shared_mutex> no_migration(migrate_mu_);
-  Status status;
-  auto merged = MergeRecords(
-      FanOut<StatusOr<std::vector<GdprRecord>>>([&](net::NodeHandle* node) {
-        EpochGuard epoch;  // one pin per worker task (see ReadMetadataByUser)
-        return node->ReadMetadataBySharing(actor, third_party);
-      }),
-      &status);
-  if (!status.ok()) return status;
-  return merged;
-}
-
-StatusOr<std::vector<GdprRecord>> ClusterGdprStore::ReadRecordsByUser(
-    const Actor& actor, const std::string& user) {
-  std::shared_lock<std::shared_mutex> no_migration(migrate_mu_);
-  Status status;
-  auto merged = MergeRecords(
-      FanOut<StatusOr<std::vector<GdprRecord>>>([&](net::NodeHandle* node) {
-        EpochGuard epoch;  // one pin per worker task (see ReadMetadataByUser)
-        return node->ReadRecordsByUser(actor, user);
-      }),
-      &status);
-  if (!status.ok()) return status;
-  return merged;
+  struct Part {
+    Status status;
+    std::vector<GdprRecord> records;
+  };
+  auto parts = FanOut<Part>([&](net::NodeHandle* node) {
+    // One epoch pin per worker task: guards are reentrant, so an in-process
+    // node's index probe and every per-key fetch under it ride this pin
+    // instead of re-pinning. A remote node's store runs on the server's
+    // thread; there the pin costs one announce. Erasure fan-outs do not
+    // pin: an epoch held across fsyncs would stall reclamation.
+    EpochGuard epoch;
+    Part part;
+    part.status =
+        node->ReadCollection(actor, kind, value, AppendTo{&part.records});
+    return part;
+  });
+  // Access decisions depend only on (actor, flags), so every node returns
+  // the same verdict: the first denial (or any other hard error) wins, and
+  // nothing is delivered.
+  std::vector<size_t> missing;
+  Status first_missing = Status::OK();
+  Status first_loss = Status::OK();
+  for (size_t i = 0; i < parts.size(); ++i) {
+    const Status& s = parts[i].status;
+    if (s.ok()) continue;
+    if (s.IsDataLoss()) {
+      if (first_loss.ok()) first_loss = s;
+    } else if (s.IsUnavailable()) {
+      // A node that did not answer: a dead link, or a store refusing
+      // reads. Its records are a partition no other node holds.
+      missing.push_back(i);
+      m_degraded_skips_->Add(1);
+      if (first_missing.ok()) first_missing = s;
+    } else {
+      return s;
+    }
+  }
+  // Node i's records are kept only where node i owns their slot, so a slot
+  // left on two nodes by a failed rollback or eviction serves the owner's
+  // copy, exactly once. migrate_mu_ is held shared, so ownership cannot
+  // flip mid-merge.
+  size_t staged = 0;
+  for (const Part& part : parts) staged += part.records.size();
+  std::vector<GdprRecord> merged;
+  merged.reserve(staged);
+  for (size_t i = 0; i < parts.size(); ++i) {
+    for (GdprRecord& rec : parts[i].records) {
+      if (slot_map_.OwnerOf(SlotOf(rec.key)) == i) {
+        merged.push_back(std::move(rec));
+      }
+    }
+  }
+  const size_t answered = merged.size();
+  Deliver(sink, std::move(merged));
+  if (missing.empty()) return first_loss;
+  // An answer without some nodes' partitions must not read as complete, to
+  // the caller or in the evidence.
+  const char* op = ops::OpClassName(CollectionOpClass(kind));
+  AuditCluster(actor, op,
+               (value.empty() ? "" : value + "; ") + "failed: " +
+                   NodeNames(missing),
+               false);
+  return Incomplete("collection read", missing, parts.size(),
+                    StringPrintf("%zu records from the others", answered),
+                    first_missing);
 }
 
 StatusOr<size_t> ClusterGdprStore::DeleteRecordsByUser(
@@ -328,19 +315,9 @@ StatusOr<size_t> ClusterGdprStore::DeleteRecordsByUser(
     erased += parts[i].value();
   }
   if (!failed_nodes.empty()) {
-    // Name the nodes that still hold the user's records — the operator's
-    // retry targets.
-    std::string names;
-    for (size_t i = 0; i < failed_nodes.size(); ++i) {
-      if (i) names += ", ";
-      names += "node " + std::to_string(failed_nodes[i]);
-    }
-    return Status(first_failure.code(),
-                  StringPrintf("user erasure incomplete: %zu of %zu nodes "
-                               "failed (%zu records erased elsewhere; "
-                               "failed: ",
-                               failed_nodes.size(), parts.size(), erased) +
-                      names + "): " + first_failure.message());
+    return Incomplete("user erasure", failed_nodes, parts.size(),
+                      StringPrintf("%zu records erased elsewhere", erased),
+                      first_failure);
   }
   return erased;
 }
@@ -382,34 +359,6 @@ StatusOr<std::vector<AuditEntry>> ClusterGdprStore::GetSystemLogs(
 StatusOr<Features> ClusterGdprStore::GetFeatures(const Actor& actor) {
   AuditCluster(actor, ops::kGetFeatures, "", true);
   return BuildFeatures("cluster-memkv", options_.compliance);
-}
-
-Status ClusterGdprStore::ScanRecords(
-    const Actor& actor, const std::function<bool(const GdprRecord&)>& fn) {
-  std::shared_lock<std::shared_mutex> no_migration(migrate_mu_);
-  bool stop = false;
-  Status first_error = Status::OK();
-  for (auto& node : nodes_) {
-    Status s = node->ScanRecords(actor, [&](const GdprRecord& rec) {
-      if (!fn(rec)) {
-        stop = true;
-        return false;
-      }
-      return true;
-    });
-    if (!s.ok()) {
-      // DataLoss on one node means that node's corrupt records — not the
-      // other nodes' healthy ones. Keep scanning so the callback sees
-      // every readable record cluster-wide, then surface the first error.
-      if (s.IsDataLoss() && !stop) {
-        if (first_error.ok()) first_error = s;
-        continue;
-      }
-      return s;
-    }
-    if (stop) break;
-  }
-  return first_error;
 }
 
 size_t ClusterGdprStore::RecordCount() {

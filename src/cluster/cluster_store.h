@@ -22,10 +22,11 @@
 //
 //   * Point ops (create / read / update / delete / verify by key) route by
 //     key slot under a per-slot read fence.
-//   * Metadata queries (by user / purpose / sharing) and GDPR broadcasts
-//     (user erasure, TTL sweep, log pulls) scatter over a worker pool and
-//     gather: per-node results are merged, keeping each record only from
-//     the node that owns its slot.
+//   * Collection reads (by user / purpose / sharing, the export, the scan)
+//     and GDPR broadcasts (user erasure, TTL sweep, log pulls) scatter over
+//     a worker pool and gather: per-node records are merged, keeping each
+//     record only from the node that owns its slot. A read that misses a
+//     node says so (Unavailable, naming it).
 //   * MoveSlots rebalances live: one slot at a time is write-fenced, its
 //     records (and erasure tombstones) are copied to the destination node
 //     through slot-scoped handle exports, ownership flips, and the source
@@ -88,14 +89,15 @@ class ClusterGdprStore : public AuditedStore {
                                      const std::string& key) override;
   StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
                                            const std::string& key) override;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
-      const Actor& actor, const std::string& user) override;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByPurpose(
-      const Actor& actor, const std::string& purpose) override;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataBySharing(
-      const Actor& actor, const std::string& third_party) override;
-  StatusOr<std::vector<GdprRecord>> ReadRecordsByUser(
-      const Actor& actor, const std::string& user) override;
+  // Scatter-gather over every node, then a merge that delivers node i's
+  // records only where node i owns their slot. A denial from any node wins
+  // and delivers nothing. Otherwise, when some node did not answer, the
+  // answering nodes' records are delivered and the read fails Unavailable,
+  // naming the missing nodes in the status and in an allowed=false entry
+  // on the router's chain. Otherwise the first DataLoss, or OK.
+  Status ReadCollection(const Actor& actor, CollectionKind kind,
+                        const std::string& value,
+                        const RecordSink& sink) override;
   Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
                              const MetadataUpdate& update) override;
   Status UpdateDataByKey(const Actor& actor, const std::string& key,
@@ -110,20 +112,17 @@ class ClusterGdprStore : public AuditedStore {
                                                   int64_t from_micros,
                                                   int64_t to_micros) override;
   StatusOr<Features> GetFeatures(const Actor& actor) override;
-  Status ScanRecords(
-      const Actor& actor,
-      const std::function<bool(const GdprRecord&)>& fn) override;
 
   size_t RecordCount() override;
   size_t TotalBytes() override;
   Status Reset() override;
 
   // Worst health across every node plus the router's audit chain. A
-  // degraded node degrades the cluster *report*, but scatter-gather reads
-  // keep flowing around it (MergeRecords skips Unavailable parts) and
-  // point ops to healthy nodes' slots are unaffected. Over a socket
-  // transport an unreachable node reports kDegradedReadOnly with an
-  // Unavailable cause.
+  // degraded (read-only) node degrades the cluster *report* but still
+  // answers reads, and point ops to healthy nodes' slots are unaffected.
+  // Over a socket transport an unreachable node reports kDegradedReadOnly
+  // with an Unavailable cause; collection reads then fail Unavailable,
+  // naming it, after delivering the other nodes' records.
   HealthState GetHealth() override;
   Status GetHealthCause() override;
   // Per-node view (handle order) for operators deciding what to drain.
@@ -205,18 +204,6 @@ class ClusterGdprStore : public AuditedStore {
   // node-indexed vector so the merge is deterministic.
   template <typename T>
   std::vector<T> FanOut(const std::function<T(net::NodeHandle*)>& fn);
-
-  // Concatenates per-node record vectors (parts in node order), keeping a
-  // record from node i only when node i owns its slot: O(answer), and a
-  // slot left on two nodes by a failed rollback or eviction serves the
-  // owner's copy, exactly once. The caller holds migrate_mu_ shared.
-  // Unavailable parts (a degraded node refusing the sub-query, or an
-  // unreachable node behind a dead socket) are skipped so one bad disk or
-  // link does not take down cluster-wide reads; the merge only fails when
-  // every node is unavailable or a node reports a real error.
-  // Non-static: each skipped part counts on cluster_degraded_skips_total.
-  std::vector<GdprRecord> MergeRecords(
-      std::vector<StatusOr<std::vector<GdprRecord>>> parts, Status* status);
 
   ClusterOptions options_;
   SlotMap slot_map_;

@@ -145,16 +145,42 @@ StatusOr<GdprMetadata> PolicyStore::ReadMetadataByKey(const Actor& actor,
   return std::move(rec.value().metadata);
 }
 
-StatusOr<std::vector<GdprRecord>> PolicyStore::Query(const Actor& actor,
-                                                     const char* op, Attr attr,
-                                                     const std::string& value,
-                                                     bool mask) {
+Status PolicyStore::ReadCollection(const Actor& actor, CollectionKind kind,
+                                   const std::string& value,
+                                   const RecordSink& sink) {
+  // The attribute each kind selects on, and whether it masks personal data.
+  // kAll selects nothing.
+  struct Spec {
+    Attr attr;
+    bool mask;
+  };
+  static constexpr Spec kSpecs[] = {
+      {Attr::kUser, true},      // kMetaByUser
+      {Attr::kPurpose, true},   // kMetaByPurpose
+      {Attr::kSharing, true},   // kMetaBySharing
+      {Attr::kUser, false},     // kRecordsByUser
+      {Attr::kUser, false},     // kAll
+  };
+  const Spec& spec = kSpecs[static_cast<size_t>(kind)];
+  const ops::OpClass op_class = CollectionOpClass(kind);
+  const char* const op = ops::OpClassName(op_class);
+  obs::ScopedTimer op_timer(op_hist(op_class), clock_);
+  obs::ScopedTimer export_timer(
+      kind == CollectionKind::kRecordsByUser ? export_us_ : nullptr, clock_);
   Status access = CheckGdprAccess(flags_, actor, op, nullptr, &value);
   Audit(actor, op, value, access.ok());
   if (!access.ok()) return access;
+  if (kind == CollectionKind::kAll) {
+    const int64_t now = NowMicros();
+    // At-rest corruption surfaces as DataLoss: the skipped records are
+    // personal data this store can no longer produce — a compliance
+    // incident, not a detail to swallow.
+    return Scan([&](GdprRecord& rec) {
+      return Expired(rec.metadata, now) || sink(rec);
+    });
+  }
   std::vector<GdprRecord> recs;
-  Status s = Collect(attr, value, mask, &recs);
-  if (!s.ok()) return s;
+  const Status collected = Collect(spec.attr, value, spec.mask, &recs);
   // Collections are hints: a concurrent upsert may have re-attributed a key
   // since the index probe, and serving it under the old attribute would hand
   // subject A a record that now belongs to subject B.
@@ -162,40 +188,15 @@ StatusOr<std::vector<GdprRecord>> PolicyStore::Query(const Actor& actor,
   recs.erase(std::remove_if(recs.begin(), recs.end(),
                             [&](const GdprRecord& r) {
                               return Expired(r.metadata, now) ||
-                                     !Matches(attr, value, r.metadata);
+                                     !Matches(spec.attr, value, r.metadata);
                             }),
              recs.end());
-  if (mask) {
+  if (spec.mask) {
     // An engine may already have left data empty; the rule is this one.
     for (auto& r : recs) r.data.clear();
   }
-  return recs;
-}
-
-StatusOr<std::vector<GdprRecord>> PolicyStore::ReadMetadataByUser(
-    const Actor& actor, const std::string& user) {
-  obs::ScopedTimer op_timer(op_hist(ops::OpClass::kReadMetaUser), clock_);
-  return Query(actor, ops::kReadMetaUser, Attr::kUser, user, true);
-}
-
-StatusOr<std::vector<GdprRecord>> PolicyStore::ReadMetadataByPurpose(
-    const Actor& actor, const std::string& purpose) {
-  obs::ScopedTimer op_timer(op_hist(ops::OpClass::kReadMetaPurpose), clock_);
-  return Query(actor, ops::kReadMetaPurpose, Attr::kPurpose, purpose, true);
-}
-
-StatusOr<std::vector<GdprRecord>> PolicyStore::ReadMetadataBySharing(
-    const Actor& actor, const std::string& third_party) {
-  obs::ScopedTimer op_timer(op_hist(ops::OpClass::kReadMetaSharing), clock_);
-  return Query(actor, ops::kReadMetaSharing, Attr::kSharing, third_party,
-               true);
-}
-
-StatusOr<std::vector<GdprRecord>> PolicyStore::ReadRecordsByUser(
-    const Actor& actor, const std::string& user) {
-  obs::ScopedTimer op_timer(op_hist(ops::OpClass::kReadRecordsUser), clock_);
-  obs::ScopedTimer export_timer(export_us_, clock_);
-  return Query(actor, ops::kReadRecordsUser, Attr::kUser, user, false);
+  Deliver(sink, std::move(recs));
+  return collected;
 }
 
 Status PolicyStore::UpdateMetadataByKey(const Actor& actor,
@@ -343,21 +344,6 @@ StatusOr<Features> PolicyStore::GetFeatures(const Actor& actor) {
   obs::ScopedTimer op_timer(op_hist(ops::OpClass::kGetFeatures), clock_);
   Audit(actor, ops::kGetFeatures, "", true);
   return BuildFeatures(engine_name_, flags_);
-}
-
-Status PolicyStore::ScanRecords(
-    const Actor& actor, const std::function<bool(const GdprRecord&)>& fn) {
-  obs::ScopedTimer op_timer(op_hist(ops::OpClass::kScanRecords), clock_);
-  Status access = CheckGdprAccess(flags_, actor, ops::kScanRecords, nullptr);
-  Audit(actor, ops::kScanRecords, "", access.ok());
-  if (!access.ok()) return access;
-  const int64_t now = NowMicros();
-  // At-rest corruption surfaces as DataLoss: the skipped records are
-  // personal data this store can no longer produce — a compliance incident,
-  // not a detail to swallow.
-  return Scan([&](GdprRecord& rec) {
-    return Expired(rec.metadata, now) || fn(rec);
-  });
 }
 
 StatusOr<CompactionStats> PolicyStore::CompactNow(const Actor& actor) {

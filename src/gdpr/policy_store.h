@@ -35,14 +35,13 @@ class PolicyStore : public AuditedStore {
                                      const std::string& key) final;
   StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
                                            const std::string& key) final;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
-      const Actor& actor, const std::string& user) final;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByPurpose(
-      const Actor& actor, const std::string& purpose) final;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataBySharing(
-      const Actor& actor, const std::string& third_party) final;
-  StatusOr<std::vector<GdprRecord>> ReadRecordsByUser(
-      const Actor& actor, const std::string& user) final;
+  // Check, audit, collect, re-match, drop expired records, and mask
+  // personal data for the metadata kinds. kAll streams the engine's Scan.
+  // DataLoss when the engine met unreadable records; sink has already seen
+  // every readable one.
+  Status ReadCollection(const Actor& actor, CollectionKind kind,
+                        const std::string& value,
+                        const RecordSink& sink) final;
   Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
                              const MetadataUpdate& update) final;
   Status UpdateDataByKey(const Actor& actor, const std::string& key,
@@ -57,10 +56,6 @@ class PolicyStore : public AuditedStore {
                                                   int64_t from_micros,
                                                   int64_t to_micros) final;
   StatusOr<Features> GetFeatures(const Actor& actor) final;
-  // Expired records are dead to reads here too. DataLoss when the engine
-  // met unreadable records; fn has already seen every readable one.
-  Status ScanRecords(const Actor& actor,
-                     const std::function<bool(const GdprRecord&)>& fn) final;
 
   // Engine log compaction, then the audit chain's retention pass.
   StatusOr<CompactionStats> CompactNow(const Actor& actor) final;
@@ -158,11 +153,6 @@ class PolicyStore : public AuditedStore {
   StatusOr<GdprRecord> FetchForOp(const Actor& actor, const char* op,
                                   const std::string& key,
                                   bool include_expired);
-  // The four metadata queries: check, audit, collect, re-match, drop
-  // expired records, and mask personal data unless `mask` is false.
-  StatusOr<std::vector<GdprRecord>> Query(const Actor& actor, const char* op,
-                                          Attr attr, const std::string& value,
-                                          bool mask);
   obs::Histogram* op_hist(ops::OpClass c) {
     return op_hist_[static_cast<int>(c)];
   }

@@ -35,6 +35,54 @@ struct MetadataUpdate {
   std::optional<int64_t> expiry_micros;
 };
 
+// The collection a ReadCollection call reads: the records of one subject,
+// purpose or third party, with data masked (the three metadata queries) or
+// not (kRecordsByUser, the export path); or every record (kAll, the scan).
+enum class CollectionKind : uint8_t {
+  kMetaByUser,
+  kMetaByPurpose,
+  kMetaBySharing,
+  kRecordsByUser,
+  kAll,
+};
+
+// The op a collection read is audited and timed as.
+inline ops::OpClass CollectionOpClass(CollectionKind kind) {
+  static constexpr ops::OpClass kClass[] = {
+      ops::OpClass::kReadMetaUser, ops::OpClass::kReadMetaPurpose,
+      ops::OpClass::kReadMetaSharing, ops::OpClass::kReadRecordsUser,
+      ops::OpClass::kScanRecords};
+  return kClass[static_cast<size_t>(kind)];
+}
+
+// Receives one record of a collection read; may move from it. Returns false
+// to stop.
+using RecordSink = std::function<bool(GdprRecord&)>;
+
+// The sink that appends every record to a vector: the vector wrappers',
+// the cluster's per-node staging and the server's response.
+struct AppendTo {
+  std::vector<GdprRecord>* out;
+  bool operator()(GdprRecord& rec) const {
+    out->push_back(std::move(rec));
+    return true;
+  }
+};
+
+// Delivers a whole answer in order, stopping when the sink does. An
+// AppendTo sink with an empty vector takes the answer vector itself, so
+// handing an answer up a layer moves no record.
+inline void Deliver(const RecordSink& sink, std::vector<GdprRecord> recs) {
+  const AppendTo* append = sink.target<AppendTo>();
+  if (append && append->out->empty()) {
+    *append->out = std::move(recs);
+    return;
+  }
+  for (GdprRecord& rec : recs) {
+    if (!sink(rec)) return;
+  }
+}
+
 class GdprStore {
  public:
   virtual ~GdprStore() = default;
@@ -51,17 +99,42 @@ class GdprStore {
   // READ-METADATA-BY-KEY.
   virtual StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
                                                    const std::string& key) = 0;
-  // READ-METADATA-BY-USER / -PURPOSE / -SHR: metadata queries; personal data
-  // in the results is masked unless the actor owns it.
-  virtual StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
-      const Actor& actor, const std::string& user) = 0;
-  virtual StatusOr<std::vector<GdprRecord>> ReadMetadataByPurpose(
-      const Actor& actor, const std::string& purpose) = 0;
-  virtual StatusOr<std::vector<GdprRecord>> ReadMetadataBySharing(
-      const Actor& actor, const std::string& third_party) = 0;
-  // Full records for a user, data included (G 15 / G 20 export path).
-  virtual StatusOr<std::vector<GdprRecord>> ReadRecordsByUser(
-      const Actor& actor, const std::string& user) = 0;
+  // The collection reads: READ-METADATA-BY-USER / -PURPOSE / -SHR (personal
+  // data masked), the G 15/20 export (full records for a user) and the
+  // controller's scan over every record (retention audits). One virtual
+  // serves all five; the named wrappers below are the paper's API.
+  //
+  // sink receives every readable record that matches and may move from it;
+  // it returns false to stop. A non-OK status does not mean nothing was
+  // delivered: DataLoss (records that failed at-rest decryption) and a
+  // cluster's Unavailable (a node that did not answer) both follow the
+  // readable records. A denial delivers nothing.
+  virtual Status ReadCollection(const Actor& actor, CollectionKind kind,
+                                const std::string& value,
+                                const RecordSink& sink) = 0;
+
+  StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
+      const Actor& actor, const std::string& user) {
+    return CollectAll(actor, CollectionKind::kMetaByUser, user);
+  }
+  StatusOr<std::vector<GdprRecord>> ReadMetadataByPurpose(
+      const Actor& actor, const std::string& purpose) {
+    return CollectAll(actor, CollectionKind::kMetaByPurpose, purpose);
+  }
+  StatusOr<std::vector<GdprRecord>> ReadMetadataBySharing(
+      const Actor& actor, const std::string& third_party) {
+    return CollectAll(actor, CollectionKind::kMetaBySharing, third_party);
+  }
+  StatusOr<std::vector<GdprRecord>> ReadRecordsByUser(
+      const Actor& actor, const std::string& user) {
+    return CollectAll(actor, CollectionKind::kRecordsByUser, user);
+  }
+  // fn returns false to stop.
+  Status ScanRecords(const Actor& actor,
+                     const std::function<bool(const GdprRecord&)>& fn) {
+    return ReadCollection(actor, CollectionKind::kAll, std::string(),
+                          [&fn](GdprRecord& rec) { return fn(rec); });
+  }
 
   // UPDATE-METADATA-BY-KEY (G 16/18/21: rectification, consent, objection).
   virtual Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
@@ -88,12 +161,6 @@ class GdprStore {
 
   // GET-SYSTEM-FEATURES (Table 1 compliance matrix).
   virtual StatusOr<Features> GetFeatures(const Actor& actor) = 0;
-
-  // Controller-side iteration over all records (retention audits). fn
-  // returns false to stop.
-  virtual Status ScanRecords(
-      const Actor& actor,
-      const std::function<bool(const GdprRecord&)>& fn) = 0;
 
   // Erasure-aware log compaction: rewrites the persistence log(s) so no
   // pre-barrier frame of an erased record remains on disk (tombstones and
@@ -128,6 +195,18 @@ class GdprStore {
 
   // The clock audit entries, expiry checks and op timers read.
   virtual Clock* clock() = 0;
+
+ private:
+  // The vector wrappers: every delivered record, or the status when it is
+  // not OK.
+  StatusOr<std::vector<GdprRecord>> CollectAll(const Actor& actor,
+                                               CollectionKind kind,
+                                               const std::string& value) {
+    std::vector<GdprRecord> out;
+    Status s = ReadCollection(actor, kind, value, AppendTo{&out});
+    if (!s.ok()) return s;
+    return out;
+  }
 };
 
 // AuditedStore: the audit-chain half shared by the stores that keep a

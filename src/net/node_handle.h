@@ -7,10 +7,11 @@
 // reaches a node's RpcServer over a socket.
 //
 // Surface notes:
-//   * ScanRecords keeps the callback signature, but a remote node ships the
-//     full readable record set in one response and the handle replays the
-//     callback locally — op status (including DataLoss partial-scan
-//     verdicts) rides alongside the records.
+//   * The five collection reads (the Table 2 queries, the export and the
+//     scan) are one op, ReadCollection. A remote node ships the records it
+//     delivered in one response and the handle replays them into the
+//     caller's sink; the op status (a DataLoss verdict included) rides
+//     alongside.
 //   * Migration speaks whole slots: one export, one import, one eviction
 //     per slot and node. Exports are slot-scoped (slot, num_slots) instead
 //     of predicate-scoped: a predicate cannot cross the wire, and both

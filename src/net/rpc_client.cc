@@ -168,27 +168,15 @@ StatusOr<GdprMetadata> RemoteHandle::ReadMetadataByKey(const Actor& actor,
   return Rpc(Req(WireOp::kReadMeta, actor, key), &WireResponse::metadata);
 }
 
-StatusOr<std::vector<GdprRecord>> RemoteHandle::ReadMetadataByUser(
-    const Actor& actor, const std::string& user) {
-  return Rpc(Req(WireOp::kReadMetaUser, actor, user), &WireResponse::records);
-}
-
-StatusOr<std::vector<GdprRecord>> RemoteHandle::ReadMetadataByPurpose(
-    const Actor& actor, const std::string& purpose) {
-  return Rpc(Req(WireOp::kReadMetaPurpose, actor, purpose),
-             &WireResponse::records);
-}
-
-StatusOr<std::vector<GdprRecord>> RemoteHandle::ReadMetadataBySharing(
-    const Actor& actor, const std::string& third_party) {
-  return Rpc(Req(WireOp::kReadMetaSharing, actor, third_party),
-             &WireResponse::records);
-}
-
-StatusOr<std::vector<GdprRecord>> RemoteHandle::ReadRecordsByUser(
-    const Actor& actor, const std::string& user) {
-  return Rpc(Req(WireOp::kReadRecordsUser, actor, user),
-             &WireResponse::records);
+Status RemoteHandle::ReadCollection(const Actor& actor, CollectionKind kind,
+                                    const std::string& value,
+                                    const RecordSink& sink) {
+  WireResponse resp;
+  Status s = Call(Req(CollectionWireOp(kind), actor, value), &resp);
+  if (!s.ok()) return s;
+  // The node read in full; an early stop here only stops the replay.
+  Deliver(sink, std::move(resp.records));
+  return resp.status;
 }
 
 Status RemoteHandle::UpdateMetadataByKey(const Actor& actor,
@@ -241,20 +229,6 @@ StatusOr<Features> RemoteHandle::GetFeatures(const Actor& actor) {
   return Rpc(Req(WireOp::kGetFeatures, actor), &WireResponse::features);
 }
 
-Status RemoteHandle::ScanRecords(
-    const Actor& actor, const std::function<bool(const GdprRecord&)>& fn) {
-  WireResponse resp;
-  Status s = Call(Req(WireOp::kScanRecords, actor), &resp);
-  if (!s.ok()) return s;
-  // Replay the callback over the shipped record set. The remote scan has
-  // already completed in full; an early stop here only stops the replay,
-  // which matches the router's "stop feeding the callback" semantics.
-  for (const GdprRecord& rec : resp.records) {
-    if (!fn(rec)) break;
-  }
-  return resp.status;
-}
-
 // ---- introspection ---------------------------------------------------------
 // Statusless: an unreachable node reads as zero / empty.
 
@@ -270,8 +244,8 @@ Status RemoteHandle::Reset() { return Rpc(Req(WireOp::kReset)); }
 
 HealthState RemoteHandle::GetHealth() {
   // Unreachable != data lost: the node may be fine behind a dead link.
-  // Degraded is the conservative report that keeps reads routing around
-  // it without declaring its state unrecoverable.
+  // Degraded is the conservative report: it flags the node without
+  // declaring its state unrecoverable.
   return Rpc(Req(WireOp::kHealth), &WireResponse::health)
       .value_or(HealthState::kDegradedReadOnly);
 }

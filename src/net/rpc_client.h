@@ -7,9 +7,9 @@
 // Failure model:
 //   * Every request runs under a per-request poll timeout. A node that
 //     stops answering surfaces Unavailable — the same code a degraded
-//     store's own refusals use — so the router's existing merge logic
-//     (skip Unavailable parts, name failed nodes in Forget) covers dead
-//     transports with no new cases.
+//     store's own refusals use — so the router's fan-out rules (name the
+//     missing nodes of a collection read, name failed nodes in Forget)
+//     cover dead transports with no new cases.
 //   * An I/O failure closes the pool's connections; the NEXT call re-dials
 //     (dial_addr) or re-establishes through reconnect_fn (loopback). The
 //     failing call itself is never retried: a mutation whose response was
@@ -64,14 +64,11 @@ class RemoteHandle final : public NodeHandle {
                                      const std::string& key) override;
   StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
                                            const std::string& key) override;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
-      const Actor& actor, const std::string& user) override;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByPurpose(
-      const Actor& actor, const std::string& purpose) override;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataBySharing(
-      const Actor& actor, const std::string& third_party) override;
-  StatusOr<std::vector<GdprRecord>> ReadRecordsByUser(
-      const Actor& actor, const std::string& user) override;
+  // The node ships every readable record in one response, alongside the
+  // op status; the handle replays them into sink, stopping when it does.
+  Status ReadCollection(const Actor& actor, CollectionKind kind,
+                        const std::string& value,
+                        const RecordSink& sink) override;
   Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
                              const MetadataUpdate& update) override;
   Status UpdateDataByKey(const Actor& actor, const std::string& key,
@@ -86,9 +83,6 @@ class RemoteHandle final : public NodeHandle {
                                                   int64_t from_micros,
                                                   int64_t to_micros) override;
   StatusOr<Features> GetFeatures(const Actor& actor) override;
-  Status ScanRecords(
-      const Actor& actor,
-      const std::function<bool(const GdprRecord&)>& fn) override;
 
   size_t RecordCount() override;
   size_t TotalBytes() override;

@@ -49,20 +49,15 @@ WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req) {
                    &resp.metadata);
       break;
     case WireOp::kReadMetaUser:
-      TakeStatusOr(store->ReadMetadataByUser(req.actor, req.key),
-                   &resp.status, &resp.records);
-      break;
     case WireOp::kReadMetaPurpose:
-      TakeStatusOr(store->ReadMetadataByPurpose(req.actor, req.key),
-                   &resp.status, &resp.records);
-      break;
     case WireOp::kReadMetaSharing:
-      TakeStatusOr(store->ReadMetadataBySharing(req.actor, req.key),
-                   &resp.status, &resp.records);
-      break;
     case WireOp::kReadRecordsUser:
-      TakeStatusOr(store->ReadRecordsByUser(req.actor, req.key), &resp.status,
-                   &resp.records);
+    case WireOp::kScanRecords:
+      // The sink cannot cross the wire: ship every delivered record and let
+      // the handle replay them into the caller's sink. The op status
+      // (a DataLoss verdict included) rides alongside.
+      resp.status = store->ReadCollection(req.actor, CollectionKindOf(req.op),
+                                          req.key, AppendTo{&resp.records});
       break;
     case WireOp::kUpdateMeta:
       resp.status = store->UpdateMetadataByKey(req.actor, req.key, req.update);
@@ -104,15 +99,6 @@ WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req) {
     case WireOp::kGetFeatures:
       TakeStatusOr(store->GetFeatures(req.actor), &resp.status,
                    &resp.features);
-      break;
-    case WireOp::kScanRecords:
-      // The callback cannot cross the wire: ship every readable record and
-      // let the handle replay the caller's callback locally. The op Status
-      // (DataLoss partial-scan verdicts included) rides alongside.
-      resp.status = store->ScanRecords(req.actor, [&](const GdprRecord& rec) {
-        resp.records.push_back(rec);
-        return true;
-      });
       break;
     case WireOp::kRecordCount:
       resp.count = store->RecordCount();

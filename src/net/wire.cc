@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <algorithm>
 #include <array>
 #include <iterator>
 #include <numeric>
@@ -96,6 +97,12 @@ const OpSpec& Spec(uint8_t tag) {
   const uint8_t row = kRowOfTag[tag];
   return row ? kOps[row - 1] : kUnknownOp;
 }
+
+// The tag of each CollectionKind, in enum order.
+constexpr WireOp kCollectionOps[] = {
+    WireOp::kReadMetaUser, WireOp::kReadMetaPurpose, WireOp::kReadMetaSharing,
+    WireOp::kReadRecordsUser, WireOp::kScanRecords};
+static_assert(std::size(kCollectionOps) == size_t(CollectionKind::kAll) + 1);
 
 // ---- primitives ------------------------------------------------------------
 // Writer and Reader have the same calls, so each layout below is written
@@ -410,6 +417,16 @@ Status Malformed(const char* what, const OpSpec& spec) {
 bool ValidWireOp(uint8_t tag) { return kRowOfTag[tag] != 0; }
 
 const char* WireOpName(WireOp op) { return Spec(uint8_t(op)).name; }
+
+WireOp CollectionWireOp(CollectionKind kind) {
+  return kCollectionOps[size_t(kind)];
+}
+
+CollectionKind CollectionKindOf(WireOp op) {
+  const auto* it = std::find(std::begin(kCollectionOps),
+                             std::end(kCollectionOps), op);
+  return CollectionKind(it - std::begin(kCollectionOps));
+}
 
 std::string EncodeRequest(const WireRequest& req) {
   std::string out;

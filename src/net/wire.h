@@ -14,7 +14,7 @@
 // Design rules:
 //   * Lossless Status round-tripping — DataLoss, Unavailable (degraded-
 //     health refusals), PermissionDenied and their messages survive the
-//     seam byte-for-byte, so the router's merge logic (skip Unavailable
+//     seam byte-for-byte, so the router's merge logic (name Unavailable
 //     nodes, surface DataLoss) behaves identically over any transport.
 //   * Every decode failure is a clean DataLoss/InvalidArgument, never a
 //     crash, a hang, or an over-read: length prefixes are bounded by
@@ -98,6 +98,12 @@ enum class WireOp : uint8_t {
 bool ValidWireOp(uint8_t tag);
 const char* WireOpName(WireOp op);
 
+// The tag that carries each collection read, and back; every kind keeps the
+// tag its named read had. CollectionKindOf requires a collection tag
+// (13–16, 25).
+WireOp CollectionWireOp(CollectionKind kind);
+CollectionKind CollectionKindOf(WireOp op);
+
 // One decoded request. Only the fields the op uses are meaningful; the
 // codec encodes exactly those, so an unused vector costs nothing on the
 // wire.
@@ -117,14 +123,14 @@ struct WireRequest {
 };
 
 // One decoded response. `status` is the op-level Status (always present);
-// result fields ride alongside so an op like ScanRecords can deliver every
+// result fields ride alongside so a collection read can deliver every
 // readable record AND a DataLoss verdict in one frame.
 struct WireResponse {
   WireOp op = WireOp::kPing;  // echoes the request tag
   Status status = Status::OK();
   GdprRecord record;                   // kReadData
   GdprMetadata metadata;               // kReadMeta
-  std::vector<GdprRecord> records;     // record-vector ops
+  std::vector<GdprRecord> records;     // collection reads
   SlotContents contents;               // kExportSlot
   std::vector<AuditEntry> entries;     // kGetLogs
   Features features;                   // kGetFeatures

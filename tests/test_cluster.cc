@@ -204,6 +204,30 @@ TEST_P(ClusterTransportTest, LockstepOpSequenceMatchesSingleNode) {
   EXPECT_EQ(sr.value(), cr.value());
   EXPECT_EQ(single.RecordCount(), cluster.RecordCount());
 
+  // The controller's scan over the survivors: the same key set, and an
+  // early stop stops the callback.
+  const auto scan_keys = [&](GdprStore& store) {
+    std::set<std::string> keys;
+    EXPECT_TRUE(store
+                    .ScanRecords(controller,
+                                 [&](const GdprRecord& rec) {
+                                   EXPECT_TRUE(keys.insert(rec.key).second)
+                                       << rec.key << " scanned twice";
+                                   return true;
+                                 })
+                    .ok());
+    return keys;
+  };
+  const std::set<std::string> survivors = scan_keys(single);
+  EXPECT_EQ(survivors.size(), single.RecordCount());
+  EXPECT_EQ(scan_keys(cluster), survivors);
+  size_t seen = 0;
+  EXPECT_TRUE(cluster
+                  .ScanRecords(controller,
+                               [&](const GdprRecord&) { return ++seen < 5; })
+                  .ok());
+  EXPECT_EQ(seen, 5u);
+
   // Point reads on the survivors.
   size_t checked = 0;
   for (size_t i = 0; i < kRecords && checked < 20; ++i) {
@@ -356,8 +380,8 @@ std::set<std::string> UniqueKeys(const std::vector<GdprRecord>& answer,
 TEST_P(ClusterTransportTest, DoubleResidentSlotsServeTheOwnersCopyOnce) {
   // A failed rollback or eviction can leave a slot's records on two nodes.
   // Recreate that by importing a differing copy of every third record
-  // through a non-owner's handle: every query must still return each key
-  // once, and always the owner's copy.
+  // through a non-owner's handle: every query and the scan must still
+  // return each key once, and always the owner's copy.
   SimulatedClock clock(1000000);
   ClusterOptions co = BaseOptions();
   co.clock = &clock;
@@ -397,6 +421,15 @@ TEST_P(ClusterTransportTest, DoubleResidentSlotsServeTheOwnersCopyOnce) {
                                              gen.PartnerOf(t))
                                          .value());
     }
+    std::vector<GdprRecord> scanned;
+    EXPECT_TRUE(cluster
+                    .ScanRecords(controller,
+                                 [&](const GdprRecord& rec) {
+                                   scanned.push_back(rec);
+                                   return true;
+                                 })
+                    .ok());
+    out.emplace_back("scan", std::move(scanned));
     return out;
   };
   const auto before = queries();
@@ -425,9 +458,9 @@ TEST_P(ClusterTransportTest, DoubleResidentSlotsServeTheOwnersCopyOnce) {
     }
     returned += after[q].second.size();
   }
-  // Users twice (metadata and records), purposes once: 3 per record, plus
-  // the shared quarter.
-  EXPECT_EQ(returned, 3 * kRecords + kRecords / cfg.share_every);
+  // Users twice (metadata and records), purposes and the scan once: 4 per
+  // record, plus the shared quarter.
+  EXPECT_EQ(returned, 4 * kRecords + kRecords / cfg.share_every);
 }
 
 TEST_P(ClusterTransportTest, MaskedQueriesCarryNoPayloadButExportsDo) {

@@ -4,7 +4,8 @@
 // without dropping the connection), the connection pool (no head-of-line
 // blocking, pool-aware disconnects and reconnect counting), and the
 // cluster-level consequence that matters most — a killed node makes Forget
-// report partial failure naming that node, never a silent success.
+// and every collection read report partial failure naming that node, never
+// a silent success.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <string>
@@ -661,6 +663,33 @@ TEST(ClusterKilledNode, ForgetReportsPartialFailureNamingTheNode) {
 
   // Kill node 1's server: its RPCs now fail, its store keeps its records.
   cluster.node_server(1)->Stop();
+
+  // A collection read without node 1 never reads as complete: the other
+  // nodes' records arrive, the status names node 1, and the router's own
+  // chain holds the evidence.
+  const auto by_user = cluster.ReadMetadataByUser(controller, "user-A");
+  ASSERT_FALSE(by_user.ok());
+  EXPECT_TRUE(by_user.status().IsUnavailable()) << by_user.status().ToString();
+  EXPECT_NE(by_user.status().message().find("node 1"), std::string::npos)
+      << by_user.status().ToString();
+  size_t scanned = 0;
+  const Status scan = cluster.ScanRecords(controller, [&](const GdprRecord&) {
+    ++scanned;
+    return true;
+  });
+  EXPECT_TRUE(scan.IsUnavailable()) << scan.ToString();
+  EXPECT_NE(scan.message().find("node 1"), std::string::npos)
+      << scan.ToString();
+  EXPECT_EQ(scanned, made - on_node1);
+  size_t incomplete_reads = 0;
+  for (const AuditEntry& e :
+       cluster.audit_log()->Query(0, std::numeric_limits<int64_t>::max())) {
+    if (!e.allowed && e.op == ops::kReadMetaUser &&
+        e.key.find("node 1") != std::string::npos) {
+      ++incomplete_reads;
+    }
+  }
+  EXPECT_EQ(incomplete_reads, 1u);
 
   const auto erased = cluster.DeleteRecordsByUser(controller, "user-A");
   ASSERT_FALSE(erased.ok());
