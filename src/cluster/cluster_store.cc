@@ -39,6 +39,39 @@ Status Incomplete(const char* what, const std::vector<size_t>& failed,
                     "): " + cause.message());
 }
 
+// The status of a broadcast's parts. A denial is returned as is: access
+// depends only on the actor and the flags, so it is every node's verdict.
+// Otherwise failed parts make it Incomplete, naming the nodes (`*failed`)
+// and saying what the others did (`done`).
+template <typename T>
+Status BroadcastStatus(const std::vector<StatusOr<T>>& parts,
+                       const char* what, const std::string& done,
+                       std::vector<size_t>* failed) {
+  Status cause = Status::OK();
+  for (size_t i = 0; i < parts.size(); ++i) {
+    const Status& s = parts[i].status();
+    if (s.IsPermissionDenied()) return s;
+    if (s.ok()) continue;
+    failed->push_back(i);
+    if (cause.ok()) cause = s;
+  }
+  if (cause.ok()) return cause;
+  return Incomplete(what, *failed, parts.size(), done, cause);
+}
+
+// The total of a counting broadcast; a partial failure says "<total>
+// <done>" of the nodes that answered.
+StatusOr<size_t> SumParts(const std::vector<StatusOr<size_t>>& parts,
+                          const char* what, const char* done) {
+  size_t total = 0;
+  for (const auto& part : parts) total += part.value_or(0);
+  std::vector<size_t> failed;
+  const Status s = BroadcastStatus(parts, what,
+                                   std::to_string(total) + " " + done, &failed);
+  if (!s.ok()) return s;
+  return total;
+}
+
 }  // namespace
 
 ClusterGdprStore::ClusterGdprStore(const ClusterOptions& options)
@@ -303,23 +336,7 @@ StatusOr<size_t> ClusterGdprStore::DeleteRecordsByUser(
   // frame durable; remote, only after the response frame the server sends
   // once that same call returned — a node killed or timing out mid-erasure
   // therefore lands in the failed list below, never in `erased`.
-  size_t erased = 0;
-  std::vector<size_t> failed_nodes;
-  Status first_failure = Status::OK();
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (!parts[i].ok()) {
-      failed_nodes.push_back(i);
-      if (first_failure.ok()) first_failure = parts[i].status();
-      continue;
-    }
-    erased += parts[i].value();
-  }
-  if (!failed_nodes.empty()) {
-    return Incomplete("user erasure", failed_nodes, parts.size(),
-                      StringPrintf("%zu records erased elsewhere", erased),
-                      first_failure);
-  }
-  return erased;
+  return SumParts(parts, "user erasure", "records erased elsewhere");
 }
 
 StatusOr<size_t> ClusterGdprStore::DeleteExpiredRecords(const Actor& actor) {
@@ -327,12 +344,7 @@ StatusOr<size_t> ClusterGdprStore::DeleteExpiredRecords(const Actor& actor) {
   auto parts = FanOut<StatusOr<size_t>>([&](net::NodeHandle* node) {
     return node->DeleteExpiredRecords(actor);
   });
-  size_t reclaimed = 0;
-  for (const auto& part : parts) {
-    if (!part.ok()) return part.status();
-    reclaimed += part.value();
-  }
-  return reclaimed;
+  return SumParts(parts, "expiry sweep", "records reclaimed elsewhere");
 }
 
 StatusOr<std::vector<AuditEntry>> ClusterGdprStore::GetSystemLogs(
@@ -341,9 +353,12 @@ StatusOr<std::vector<AuditEntry>> ClusterGdprStore::GetSystemLogs(
       FanOut<StatusOr<std::vector<AuditEntry>>>([&](net::NodeHandle* node) {
         return node->GetSystemLogs(actor, from_micros, to_micros);
       });
+  std::vector<size_t> failed;
+  const Status s = BroadcastStatus(parts, "system-log read",
+                                   "no entries returned", &failed);
+  if (!s.ok()) return s;
   std::vector<AuditEntry> merged;
   for (const auto& part : parts) {
-    if (!part.ok()) return part.status();
     merged.insert(merged.end(), part.value().begin(), part.value().end());
   }
   const std::vector<AuditEntry> router =
@@ -390,14 +405,17 @@ StatusOr<CompactionStats> ClusterGdprStore::CompactNow(const Actor& actor) {
   auto parts = FanOut<StatusOr<CompactionStats>>([&](net::NodeHandle* node) {
     return node->CompactNow(actor);
   });
-  CompactionStats merged;
-  for (const auto& part : parts) {
-    if (!part.ok()) {
-      AuditCluster(actor, ops::kCompactAll, "", false);
-      return part.status();
-    }
-    merged.Merge(part.value());
+  std::vector<size_t> failed;
+  const Status s =
+      BroadcastStatus(parts, "compaction", "the others compacted", &failed);
+  if (!s.ok()) {
+    AuditCluster(actor, ops::kCompactAll,
+                 s.IsPermissionDenied() ? "" : "failed: " + NodeNames(failed),
+                 false);
+    return s;
   }
+  CompactionStats merged;
+  for (const auto& part : parts) merged.Merge(part.value());
   // Per-node chains were carried over inside each node's CompactNow; carry
   // the router's own chain too.
   auto ac = audit_log_.Compact(clock_->NowMicros());

@@ -32,8 +32,9 @@
 //     through slot-scoped handle exports, ownership flips, and the source
 //     copy is evicted.
 //   * Forget (DeleteRecordsByUser) acks only when every node acked its
-//     tombstones durable; failed or unreachable nodes are named in the
-//     partial-failure status.
+//     tombstones durable. It and the other broadcasts (TTL sweep, log
+//     pull, compaction) name failed or unreachable nodes in a
+//     partial-failure status; a denial is returned as is.
 
 #pragma once
 
@@ -129,7 +130,8 @@ class ClusterGdprStore : public AuditedStore {
   HealthState NodeHealth(size_t i) { return nodes_[i]->GetHealth(); }
 
   // Fans the erasure-aware compaction out to every node and merges the
-  // per-node stats; audited once on the router chain as COMPACT-ALL.
+  // per-node stats; audited once on the router chain as COMPACT-ALL, which
+  // a partial failure logs as denied, naming the failed nodes.
   StatusOr<CompactionStats> CompactNow(const Actor& actor) override;
   CompactionStats GetCompactionStats() override;
 

@@ -24,6 +24,13 @@ constexpr char kGenesis[] = "audit-chain-genesis";
 constexpr char kFrameHeader = 'A';
 constexpr char kFrameGroup = 'G';
 
+std::string HeaderFrame(uint64_t epoch, const std::string& anchor) {
+  std::string frame(1, kFrameHeader);
+  PutVarint64(&frame, epoch);
+  PutLengthPrefixed(&frame, anchor);
+  return frame;
+}
+
 }  // namespace
 
 AuditLog::AuditLog(size_t seal_interval)
@@ -91,9 +98,7 @@ std::string AuditLog::SegmentPath(uint64_t n) const {
 Status AuditLog::WriteSegmentHeaderLocked(WritableFile* f, uint64_t epoch,
                                           const std::string& anchor,
                                           uint64_t* bytes) const {
-  std::string frame(1, kFrameHeader);
-  PutVarint64(&frame, epoch);
-  PutLengthPrefixed(&frame, anchor);
+  const std::string frame = HeaderFrame(epoch, anchor);
   Status s = f->Append(frame);
   // Headers are rare (one per rotation) and anchor the whole segment's
   // meaning: always sync them regardless of policy.
@@ -150,140 +155,103 @@ Status AuditLog::OpenDurable(const AuditLogOptions& opts) {
 
 Status AuditLog::ReplayLocked(CommitPipeline::FileSlot& active) {
   Env* env = opts_.env;
-  if (!env->FileExists(SegmentPath(1))) {
-    // Fresh chain: establish segment 1 with a genesis-anchored header.
-    auto f = env->NewWritableFile(SegmentPath(1), /*truncate=*/true);
-    if (!f.ok()) return f.status();
-    active = std::move(f.value());
-    return WriteSegmentHeaderLocked(active.get(), epoch_, anchor_,
-                                    &active_bytes_);
-  }
   uint64_t seg = 1;
-  bool rewrote_tail = false;
-  std::string last_contents;  // valid prefix of the final segment
-  for (;; ++seg) {
-    if (!env->FileExists(SegmentPath(seg))) break;
-    auto contents = env->ReadFileToString(SegmentPath(seg));
-    if (!contents.ok()) return contents.status();
-    const bool last = !env->FileExists(SegmentPath(seg + 1));
-    std::string_view in(contents.value());
-    size_t valid = 0;
-    bool truncated = false;
-    // Header first.
-    {
-      uint64_t epoch = 0;
-      std::string_view anchor;
-      std::string_view p = in;
-      bool ok = !p.empty() && p.front() == kFrameHeader;
-      if (ok) p.remove_prefix(1);
-      ok = ok && GetVarint64(&p, &epoch) && GetLengthPrefixed(&p, &anchor);
-      if (!ok) {
-        if (!last) {
-          return Status::DataLoss("audit segment " + std::to_string(seg) +
-                                  ": unreadable header");
-        }
-        // Rotation crashed mid-header: the segment carries nothing yet.
-        truncated = true;
-      } else if (seg == 1) {
-        epoch_ = epoch;
-        anchor_ = std::string(anchor);
-        head_ = anchor_;
-        in = p;
-        valid = size_t(p.data() - contents.value().data());
-      } else if (epoch != epoch_) {
-        // Stale leftovers of an interrupted compaction (segment 1 was
-        // rewritten with a bumped epoch; these were about to be deleted).
-        // Finish the job and stop — the compacted chain is complete.
-        DeleteSegmentsFromLocked(seg);
-        active_seg_ = seg - 1;
-        auto prev = env->ReadFileToString(SegmentPath(active_seg_));
-        if (!prev.ok()) return prev.status();
-        last_contents = prev.value();
-        break;
-      } else if (std::string(anchor) != head_) {
-        return Status::DataLoss("audit segment " + std::to_string(seg) +
-                                ": boundary anchor does not match the chain");
-      } else {
-        in = p;
-        valid = size_t(p.data() - contents.value().data());
-      }
+  const auto corrupt = [&seg](const char* what) {
+    return Status::DataLoss("audit segment " + std::to_string(seg) + ": " +
+                            what);
+  };
+  bool stale = false;
+  // A segment's first frame is its header.
+  const auto decode_header = [&](std::string_view* in) -> StatusOr<bool> {
+    uint64_t epoch = 0;
+    std::string_view anchor;
+    if (in->front() != kFrameHeader) return false;
+    in->remove_prefix(1);
+    if (!GetVarint64(in, &epoch) || !GetLengthPrefixed(in, &anchor)) {
+      return false;
     }
-    while (!truncated && !in.empty()) {
-      std::string_view p = in;
-      bool ok = p.front() == kFrameGroup;
-      if (ok) p.remove_prefix(1);
-      std::string_view hash;
-      uint64_t n = 0;
-      ok = ok && GetLengthPrefixed(&p, &hash) && GetVarint64(&p, &n) && n > 0;
-      std::string payload;
-      std::vector<AuditEntry> decoded;
-      if (ok) {
-        decoded.reserve(size_t(n));
-        const char* payload_begin = p.data();
-        for (uint64_t i = 0; ok && i < n; ++i) {
-          AuditEntry e;
-          ok = DecodeEntry(&p, &e);
-          if (ok) decoded.push_back(std::move(e));
-        }
-        if (ok) payload.assign(payload_begin, size_t(p.data() - payload_begin));
-      }
-      if (!ok) {
-        if (!last) {
-          return Status::DataLoss("audit segment " + std::to_string(seg) +
-                                  ": torn frame before the final segment");
-        }
-        truncated = true;  // torn tail: keep the valid prefix
-        break;
-      }
-      // The hash is the tamper evidence: a fully-written frame that does
-      // not recompute is corruption, not a crash artifact.
-      const std::string expect = GroupStepEncoded(head_, payload);
-      if (std::string(hash) != expect) {
-        return Status::DataLoss("audit segment " + std::to_string(seg) +
-                                ": group hash mismatch (tamper/corruption)");
-      }
-      head_ = expect;
-      group_sizes_.push_back(uint32_t(n));
-      for (auto& e : decoded) {
-        bytes_ += EntryCost(e);
-        entries_.push_back(std::move(e));
-      }
-      in = p;
-      valid = size_t(p.data() - contents.value().data());
+    if (seg == 1) {
+      epoch_ = epoch;
+      anchor_ = std::string(anchor);
+      head_ = anchor_;
+    } else if (epoch != epoch_) {
+      // Stale leftovers of an interrupted compaction (segment 1 was
+      // rewritten with a bumped epoch; these were about to be deleted).
+      stale = true;
+      return false;
+    } else if (anchor != head_) {
+      return corrupt("boundary anchor does not match the chain");
     }
-    if (last) {
-      if (truncated) {
-        // Rewrite the segment to the recovered prefix: appending after torn
-        // bytes would strand every later frame on the next replay.
-        last_contents = contents.value().substr(0, valid);
-        rewrote_tail = true;
-      } else {
-        last_contents = contents.value();
-      }
-      active_seg_ = seg;
+    return true;
+  };
+  const auto decode_group = [&](std::string_view* in) -> StatusOr<bool> {
+    std::string_view hash;
+    uint64_t n = 0;
+    if (in->front() != kFrameGroup) return false;
+    in->remove_prefix(1);
+    if (!GetLengthPrefixed(in, &hash) || !GetVarint64(in, &n) || n == 0) {
+      return false;
+    }
+    const char* payload_begin = in->data();
+    std::vector<AuditEntry> decoded;
+    decoded.reserve(size_t(std::min<uint64_t>(n, in->size())));
+    for (uint64_t i = 0; i < n; ++i) {
+      AuditEntry e;
+      if (!DecodeEntry(in, &e)) return false;
+      decoded.push_back(std::move(e));
+    }
+    // The hash is the tamper evidence: a fully-written frame that does
+    // not recompute is corruption, not a crash artifact.
+    const std::string expect = GroupStepEncoded(
+        head_, std::string(payload_begin, size_t(in->data() - payload_begin)));
+    if (hash != expect) {
+      return corrupt("group hash mismatch (tamper/corruption)");
+    }
+    head_ = expect;
+    group_sizes_.push_back(uint32_t(n));
+    for (auto& e : decoded) {
+      bytes_ += EntryCost(e);
+      entries_.push_back(std::move(e));
+    }
+    return true;
+  };
+  std::string contents;  // the active segment's bytes
+  size_t valid = 0;      // ... and the length of their valid prefix
+  for (; env->FileExists(SegmentPath(seg)); ++seg) {
+    auto read = env->ReadFileToString(SegmentPath(seg));
+    if (!read.ok()) return read.status();
+    const std::string_view bytes(read.value());
+    auto frames = ReadFrames(bytes, [&](std::string_view* in) {
+      return in->data() == bytes.data() ? decode_header(in)
+                                        : decode_group(in);
+    });
+    if (!frames.ok()) return frames.status();
+    if (stale) {
+      // Finish the interrupted compaction and stop: the compacted chain,
+      // through the previous segment, is complete.
+      DeleteSegmentsFromLocked(seg);
       break;
     }
-  }
-  active_bytes_ = last_contents.size();
-  if (rewrote_tail) {
-    // Replace the segment with its valid prefix: rewriting it in place
-    // would open a window where a second crash destroys durably sealed
-    // groups, not just the torn tail.
-    FileRewrite fix(env, opts_.io_policy, RewriteTmpPath(),
-                    SegmentPath(active_seg_));
-    Status s = fix.Open();
-    if (s.ok() && last_contents.empty()) {
-      // Even the header was torn: re-establish one for the current chain.
-      s = WriteSegmentHeaderLocked(fix.file(), epoch_, head_, &active_bytes_);
-    } else if (s.ok()) {
-      s = fix.file()->Append(last_contents);
+    if (env->FileExists(SegmentPath(seg + 1)) &&
+        (frames.value() == 0 || frames.value() < bytes.size())) {
+      // Only the last segment may end torn: a rotation or crash there is
+      // a crash artifact, anywhere else it is lost evidence.
+      return corrupt(frames.value() == 0
+                         ? "unreadable header"
+                         : "torn frame before the final segment");
     }
-    if (s.ok()) s = fix.Commit(&active);
-    return s;
+    contents = std::move(read.value());
+    valid = frames.value();
+    active_seg_ = seg;
   }
-  auto f = env->NewWritableFile(SegmentPath(active_seg_), /*truncate=*/false);
-  if (!f.ok()) return f.status();
-  active = std::move(f.value());
+  // A missing header (a fresh chain, or a rotation that crashed
+  // mid-header) is written fresh for the current chain: segment 1 anchors
+  // at genesis.
+  auto kept = ReopenLog(env, opts_.io_policy, SegmentPath(active_seg_),
+                        RewriteTmpPath(), contents, valid,
+                        HeaderFrame(epoch_, head_), &active);
+  if (!kept.ok()) return kept.status();
+  active_bytes_ = kept.value();
   return Status::OK();
 }
 

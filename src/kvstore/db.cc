@@ -102,42 +102,26 @@ Status MemKV::Open() {
     }
     health_.Reset();
     FileRewrite::DiscardLeftover(env_, CompactTmpPath(options_.aof_path));
-    Status s = Status::OK();
-    size_t valid = 0;
+    // An unreadable existing log must not open as an empty store: the
+    // next append would strand everything already on disk.
+    auto log = ReadLog(env_, options_.aof_path);
+    Status s = log.status();
     CommitPipeline::FileSlot aof;
-    if (env_->FileExists(options_.aof_path)) {
-      // An unreadable existing log must not open as an empty store: the
-      // next append would strand everything already on disk.
-      auto contents = env_->ReadFileToString(options_.aof_path);
-      s = contents.status();
-      if (s.ok()) s = AofReplay(contents.value(), &valid);
-      if (s.ok() && valid < contents.value().size()) {
-        // Torn tail (crash mid-append or partial page writeback): replace
-        // the log with its valid prefix — appending after torn bytes would
-        // strand every later record, and truncating in place would let a
-        // crash mid-repair take synced records with it.
-        aof_replay_stats_.truncated_tail = true;
-        aof_replay_stats_.dropped_bytes = contents.value().size() - valid;
-        FileRewrite fix(env_, options_.io_policy,
-                        CompactTmpPath(options_.aof_path), options_.aof_path);
-        s = fix.Open();
-        if (s.ok()) {
-          s = fix.file()->Append(
-              std::string_view(contents.value()).substr(0, valid));
-        }
-        if (s.ok()) s = fix.Commit(&aof);
-      }
-    }
-    if (s.ok() && !aof) {
-      auto file = env_->NewWritableFile(options_.aof_path, /*truncate=*/false);
-      s = file.status();
-      if (s.ok()) aof = std::move(file.value());
+    if (s.ok()) {
+      const int64_t now = NowMicros();
+      auto valid = ReadFrames(log.value(), [&](std::string_view* in) {
+        return StatusOr<bool>(ReplayAofFrame(in, now));
+      });
+      auto kept = ReopenLog(env_, options_.io_policy, options_.aof_path,
+                            CompactTmpPath(options_.aof_path), log.value(),
+                            valid.value(), /*header=*/"", &aof);
+      s = kept.status();
+      if (s.ok()) m_aof_log_bytes_->Set(static_cast<int64_t>(kept.value()));
     }
     if (!s.ok()) {
       health_.Fail(s);
       return s;
     }
-    m_aof_log_bytes_->Set(static_cast<int64_t>(valid));
     (void)pipeline_->WithFile(aof_target_, [&](CommitPipeline::FileSlot& f) {
       f = std::move(aof);
       return Status::OK();
@@ -661,85 +645,63 @@ Status MemKV::AppendReadLog(const std::string& key) {
   });
 }
 
-Status MemKV::AofReplay(const std::string& contents, size_t* valid_prefix) {
-  std::string_view in(contents);
-  const int64_t now = NowMicros();
-  // Offset of the last fully-applied frame boundary. Parse failures stop
-  // replay here: the caller treats everything after as a torn tail and
-  // rewrites the file to it (a fully-written bad frame is
-  // indistinguishable from a partial one in this unchecksummed format —
-  // the conservative move is the same either way: keep the valid prefix).
-  *valid_prefix = 0;
-  const auto mark_valid = [&] { *valid_prefix = contents.size() - in.size(); };
-  while (!in.empty()) {
-    const char op = in.front();
-    in.remove_prefix(1);
-    if (op == 'Q') {
-      // Seal-sequence high-water mark, written by CompactAof. The rewrite
-      // drops dead sealed frames, so the embedded-seq recovery below can
-      // no longer see the true maximum — this frame carries it instead.
-      // Resuming lower would reuse ChaCha20 (key, seq) nonces.
-      uint64_t seq = 0;
-      if (!GetFixed64(&in, &seq)) return Status::OK();
-      RaiseSealSeq(seq);
-      mark_valid();
-      continue;
-    }
-    std::string_view key;
-    if (!GetLengthPrefixed(&in, &key)) return Status::OK();
-    if (op == 'S') {
-      std::string_view value;
-      uint64_t expiry = 0;
-      if (!GetLengthPrefixed(&in, &value) || !GetFixed64(&in, &expiry)) {
-        return Status::OK();
-      }
-      if (aead_ && value.size() >= 8) {
-        // Sealed blobs lead with their seal sequence; the counter must
-        // resume above every replayed value or ChaCha20 nonces repeat
-        // across restarts (keystream reuse => plaintext recovery).
-        uint64_t seq = 0;
-        for (int i = 0; i < 8; ++i) {
-          seq |= uint64_t(uint8_t(value[size_t(i)])) << (8 * i);
-        }
-        RaiseSealSeq(seq);
-      }
-      if (expiry != 0 && int64_t(expiry) <= now) {
-        // The last write of this key is already dead: erase any earlier
-        // replayed value instead of skipping, or it would be resurrected.
-        const std::string k(key);
-        const uint64_t h = Fnv1a(k);
-        Shard& s = ShardFor(h);
-        std::unique_lock<std::shared_mutex> l(s.mu);
-        EraseLocked(s, k, h);
-        mark_valid();
-        continue;
-      }
-      const std::string k(key);
-      const uint64_t h = Fnv1a(k);
-      Shard& s = ShardFor(h);
-      std::unique_lock<std::shared_mutex> l(s.mu);
-      UpsertLocked(s, k, h, std::string(value), int64_t(expiry));
-    } else if (op == 'D') {
-      const std::string k(key);
-      const uint64_t h = Fnv1a(k);
-      Shard& s = ShardFor(h);
-      std::unique_lock<std::shared_mutex> l(s.mu);
-      EraseLocked(s, k, h);
-    } else if (op == 'T') {
-      std::lock_guard<std::mutex> l(tomb_mu_);
-      if (tombstones_.insert(std::string(key)).second) m_tombstones_->Add(1);
-    } else if (op == 't') {
-      std::lock_guard<std::mutex> l(tomb_mu_);
-      if (tombstones_.erase(std::string(key)) != 0) m_tombstones_->Add(-1);
-    } else if (op == 'R') {
-      // read-log entry: no state change
-    } else {
-      // Unknown opcode: garbage tail. Stop at the last valid boundary.
-      return Status::OK();
-    }
-    mark_valid();
+bool MemKV::ReplayAofFrame(std::string_view* in, int64_t now) {
+  // A fully-written bad frame is indistinguishable from a partial one in
+  // this unchecksummed format: either way it does not parse, and replay
+  // keeps the valid prefix before it.
+  const char op = in->front();
+  in->remove_prefix(1);
+  if (op == 'Q') {
+    // Seal-sequence high-water mark, written by CompactAof. The rewrite
+    // drops dead sealed frames, so the embedded-seq recovery below can
+    // no longer see the true maximum — this frame carries it instead.
+    // Resuming lower would reuse ChaCha20 (key, seq) nonces.
+    uint64_t seq = 0;
+    if (!GetFixed64(in, &seq)) return false;
+    RaiseSealSeq(seq);
+    return true;
   }
-  return Status::OK();
+  std::string_view key, value;
+  uint64_t expiry = 0;
+  if (!GetLengthPrefixed(in, &key)) return false;
+  if (op == 'S') {
+    if (!GetLengthPrefixed(in, &value) || !GetFixed64(in, &expiry)) {
+      return false;
+    }
+    if (aead_ && value.size() >= 8) {
+      // Sealed blobs lead with their seal sequence; the counter must
+      // resume above every replayed value or ChaCha20 nonces repeat
+      // across restarts (keystream reuse => plaintext recovery).
+      uint64_t seq = 0;
+      for (int i = 0; i < 8; ++i) {
+        seq |= uint64_t(uint8_t(value[size_t(i)])) << (8 * i);
+      }
+      RaiseSealSeq(seq);
+    }
+  }
+  std::string k(key);
+  if (op == 'S' || op == 'D') {
+    const uint64_t h = Fnv1a(k);
+    Shard& s = ShardFor(h);
+    std::unique_lock<std::shared_mutex> l(s.mu);
+    if (op == 'S' && (expiry == 0 || int64_t(expiry) > now)) {
+      UpsertLocked(s, k, h, std::string(value), int64_t(expiry));
+    } else {
+      // A delete, or a last write of this key that is already dead: erase
+      // any earlier replayed value instead of skipping, or it would be
+      // resurrected.
+      EraseLocked(s, k, h);
+    }
+  } else if (op == 'T') {
+    std::lock_guard<std::mutex> l(tomb_mu_);
+    if (tombstones_.insert(std::move(k)).second) m_tombstones_->Add(1);
+  } else if (op == 't') {
+    std::lock_guard<std::mutex> l(tomb_mu_);
+    if (tombstones_.erase(k) != 0) m_tombstones_->Add(-1);
+  } else if (op != 'R') {  // 'R' is a read-log entry: no state change
+    return false;          // unknown opcode
+  }
+  return true;
 }
 
 void MemKV::RaiseSealSeq(uint64_t seq) {

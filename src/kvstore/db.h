@@ -117,15 +117,6 @@ struct AofStats {
   int64_t last_rewrite_micros = 0;
 };
 
-// What Open() found at the tail of the AOF. A crash mid-append (or a torn
-// page writeback) leaves a partial final record; recovery keeps the valid
-// prefix and rewrites the file to it, mirroring the WAL's torn-tail
-// contract.
-struct AofReplayStats {
-  bool truncated_tail = false;
-  uint64_t dropped_bytes = 0;
-};
-
 class MemKV {
  public:
   explicit MemKV(const Options& options);
@@ -243,7 +234,6 @@ class MemKV {
   // terminal (replay failure on open).
   HealthState Health() const { return health_.state(); }
   Status HealthCause() const { return health_.cause(); }
-  AofReplayStats aof_replay_stats() const { return aof_replay_stats_; }
 
   // --- Observability ---------------------------------------------------------
   // The registry this store records into (options.metrics, or the private
@@ -316,10 +306,10 @@ class MemKV {
   // yields NotFound (and no 'R' frame) and the log can never show a read
   // *after* the erasure that it actually preceded.
   Status AppendReadLog(const std::string& key);
-  // Applies frames up to the first unparseable point; *valid_prefix gets
-  // the byte offset of that point (== contents.size() when the log is
-  // whole). Returns non-OK only for damage replay cannot skip.
-  Status AofReplay(const std::string& contents, size_t* valid_prefix);
+  // Applies the AOF frame at the front of `*in` and consumes it; false
+  // when it does not parse. `now` decides which replayed 'S' frames are
+  // already dead.
+  bool ReplayAofFrame(std::string_view* in, int64_t now);
   // Resumes the seal counter above a replayed `seq`: a lower resume would
   // reuse ChaCha20 (key, seq) nonces.
   void RaiseSealSeq(uint64_t seq);
@@ -373,7 +363,6 @@ class MemKV {
   // Degraded when the AOF can no longer be trusted to persist acked
   // writes; mutations gate on it, reads do not.
   HealthTracker health_;
-  AofReplayStats aof_replay_stats_;
 
   // Rewrite-in-progress state: while a CompactAof snapshot runs, a
   // pipeline tee mirrors every committed batch into rewrite_buf_ so writes

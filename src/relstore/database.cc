@@ -9,6 +9,23 @@
 
 namespace gdpr::rel {
 
+namespace {
+
+// The 'E' epoch frame a checkpointed WAL leads with.
+std::string EpochFrame(uint64_t epoch) {
+  std::string frame(1, 'E');
+  PutVarint64(&frame, epoch);
+  return frame;
+}
+
+bool DecodeEpochFrame(std::string_view* in, uint64_t* epoch) {
+  if (in->empty() || in->front() != 'E') return false;
+  in->remove_prefix(1);
+  return GetVarint64(in, epoch);
+}
+
+}  // namespace
+
 Database::Database(const RelOptions& options) : options_(options) {
   clock_ = options_.clock ? options_.clock : RealClock::Default();
   env_ = options_.env ? options_.env : Env::Posix();
@@ -101,77 +118,46 @@ Status Database::Open() {
       has_snapshot = true;
       replay_stats_.from_snapshot = true;
     }
-    Status s = Status::OK();
-    CommitPipeline::FileSlot wal;
-    if (env_->FileExists(options_.wal_path)) {
-      auto contents = env_->ReadFileToString(options_.wal_path);
-      if (!contents.ok()) {
-        wal_health_.Fail(contents.status());
-        return contents.status();
-      }
-      // A truncated WAL leads with an 'E' epoch frame; a never-checkpointed
-      // log starts straight at the first mutation (epoch 0).
-      std::string_view body(contents.value());
-      uint64_t wal_epoch = 0;
-      bool frame_intact = true;
-      if (!body.empty() && body.front() == 'E') {
-        std::string_view p = body;
-        p.remove_prefix(1);
-        if (GetVarint64(&p, &wal_epoch)) {
-          body = p;
-        } else {  // torn mid-frame: nothing after it is readable
-          frame_intact = false;
-          body = std::string_view();
-          replay_stats_.truncated_tail = true;
-        }
-      }
-      if (has_snapshot && wal_epoch != epoch_) {
-        // Pre-checkpoint WAL: the crash hit between the snapshot rename
-        // and the WAL truncate. Every byte of this log is already inside
-        // the snapshot — finish the interrupted truncation now.
-        s = StampWal(wal, epoch_);
-      } else {
-        const size_t frame_len = size_t(body.data() - contents.value().data());
-        const size_t valid = ParseWal(body);
-        if (replay_stats_.truncated_tail) {
-          // Replace the log with the recovered prefix: appending after torn
-          // bytes would make every later record unreachable on the next
-          // replay (the parser stops at the first bad frame), and
-          // truncating in place would let a crash mid-repair take synced
-          // records with it.
-          std::string keep =
-              frame_intact ? contents.value().substr(0, frame_len + valid)
-                           : std::string();
-          if (keep.empty() && has_snapshot) {
-            // Keep the epoch stamp or the next Open would misread the
-            // post-recovery appends as a stale pre-snapshot log.
-            keep.push_back('E');
-            PutVarint64(&keep, epoch_);
-          }
-          FileRewrite fix(env_, options_.io_policy, options_.wal_path + ".tmp",
-                          options_.wal_path);
-          s = fix.Open();
-          if (s.ok()) s = fix.file()->Append(keep);
-          if (s.ok()) s = fix.Commit(&wal);
-          m_wal_log_bytes_->Set(static_cast<int64_t>(keep.size()));
-        } else {
-          m_wal_log_bytes_->Set(static_cast<int64_t>(contents.value().size()));
-        }
-      }
+    auto log = ReadLog(env_, options_.wal_path);
+    if (!log.ok()) {
+      wal_health_.Fail(log.status());
+      return log.status();
+    }
+    const std::string& contents = log.value();
+    // A checkpointed WAL leads with an 'E' epoch frame; a never-checkpointed
+    // log starts straight at the first mutation (epoch 0), and so does a
+    // log whose stamp is torn.
+    std::string_view stamp(contents);
+    uint64_t wal_epoch = 0;
+    const bool stamped = DecodeEpochFrame(&stamp, &wal_epoch);
+    size_t valid = 0;
+    if (has_snapshot && wal_epoch != epoch_) {
+      // A log from before the snapshot (the crash hit between the snapshot
+      // rename and the WAL truncate), or none: every byte of it is already
+      // inside the snapshot. Keep none; a torn stamp is a torn tail.
+      replay_stats_.truncated_tail =
+          !stamped && !contents.empty() && contents.front() == 'E';
     } else {
-      // Fresh WAL next to an existing snapshot: stamp the epoch so the
-      // tail is recognized as post-checkpoint on the next recovery.
-      if (has_snapshot) s = StampWal(wal, epoch_);
+      valid = ReadFrames(contents, [&](std::string_view* in) {
+                if (stamped && in->data() == contents.data()) {
+                  *in = stamp;  // decoded above; only ever the first frame
+                  return StatusOr<bool>(true);
+                }
+                return StatusOr<bool>(ParseWalFrame(in));
+              }).value();
+      replay_stats_.truncated_tail = valid < contents.size();
     }
-    if (s.ok() && !wal) {
-      auto f = env_->NewWritableFile(options_.wal_path, /*truncate=*/false);
-      s = f.status();
-      if (f.ok()) wal = std::move(f.value());
+    // Next to a snapshot an empty log gets the epoch stamp, or the next
+    // Open would misread the appends after it as a stale pre-snapshot log.
+    CommitPipeline::FileSlot wal;
+    auto kept = ReopenLog(env_, options_.io_policy, options_.wal_path,
+                          options_.wal_path + ".tmp", contents, valid,
+                          has_snapshot ? EpochFrame(epoch_) : "", &wal);
+    if (!kept.ok()) {
+      wal_health_.Fail(kept.status());
+      return kept.status();
     }
-    if (!s.ok()) {
-      wal_health_.Fail(s);
-      return s;
-    }
+    m_wal_log_bytes_->Set(static_cast<int64_t>(kept.value()));
     (void)pipeline_->WithFile(wal_target_, [&](CommitPipeline::FileSlot& f) {
       f = std::move(wal);
       return Status::OK();
@@ -245,29 +231,20 @@ bool Database::DecodeCells(std::string_view* in, Row* out) {
   return true;
 }
 
-size_t Database::ParseWal(std::string_view contents) {
-  std::string_view in = contents;
-  while (!in.empty()) {
-    const std::string_view mark = in;  // rewind point for a torn tail
-    const char op = in.front();
-    in.remove_prefix(1);
-    std::string_view table;
-    WalOp wal_op;
-    wal_op.op = op;
-    bool ok = (op == 'I' || op == 'U' || op == 'D') &&
-              GetLengthPrefixed(&in, &table);
-    if (ok && (op == 'U' || op == 'D')) ok = GetVarint64(&in, &wal_op.rid);
-    if (ok && (op == 'I' || op == 'U')) ok = DecodeCells(&in, &wal_op.stored);
-    if (!ok) {
-      // A crash mid-append leaves a torn last record; everything before it
-      // is intact, so recover the prefix and note the truncation.
-      replay_stats_.truncated_tail = mark.size() > 0;
-      return size_t(mark.data() - contents.data());
-    }
-    RaiseSealSeq(wal_op.stored);
-    pending_replay_[std::string(table)].push_back(std::move(wal_op));
-  }
-  return contents.size();
+bool Database::ParseWalFrame(std::string_view* in) {
+  const char op = in->front();
+  in->remove_prefix(1);
+  std::string_view table;
+  WalOp wal_op;
+  wal_op.op = op;
+  bool ok = (op == 'I' || op == 'U' || op == 'D') &&
+            GetLengthPrefixed(in, &table);
+  if (ok && (op == 'U' || op == 'D')) ok = GetVarint64(in, &wal_op.rid);
+  if (ok && (op == 'I' || op == 'U')) ok = DecodeCells(in, &wal_op.stored);
+  if (!ok) return false;
+  RaiseSealSeq(wal_op.stored);
+  pending_replay_[std::string(table)].push_back(std::move(wal_op));
+  return true;
 }
 
 void Database::EncodeWalOp(std::string* dst, std::string_view table,
@@ -905,8 +882,7 @@ Status Database::Checkpoint() {
 Status Database::StampWal(CommitPipeline::FileSlot& wal, uint64_t epoch) {
   Status s = OpenWithRetry(env_, options_.io_policy, options_.wal_path,
                            /*truncate=*/true, &wal);
-  std::string frame(1, 'E');
-  PutVarint64(&frame, epoch);
+  const std::string frame = EpochFrame(epoch);
   if (s.ok()) s = wal->Append(frame);
   if (s.ok()) s = wal->Sync();
   if (!s.ok()) {

@@ -323,10 +323,10 @@ class Database {
   using BuildFn =
       std::function<Status(const Matched&, std::vector<RowChange>*)>;
 
-  // Parses the whole log into pending_replay_; stops at a torn tail.
-  // Returns the byte length of the valid prefix.
-  size_t ParseWal(std::string_view contents);
-  // Appends one frame; the inverse of ParseWal.
+  // Parses the mutation frame at the front of `*in` into pending_replay_
+  // and consumes it; false when it does not parse.
+  bool ParseWalFrame(std::string_view* in);
+  // Appends one frame; the inverse of ParseWalFrame.
   static void EncodeWalOp(std::string* dst, std::string_view table,
                           const WalOp& op);
   // Parses a checkpoint snapshot into pending_snapshot_ + epoch_.

@@ -59,4 +59,52 @@ Status FileRewrite::Abandon(Status cause) {
   return cause;
 }
 
+// ---- log recovery ----------------------------------------------------------
+
+StatusOr<std::string> ReadLog(Env* env, const std::string& path) {
+  if (!env->FileExists(path)) return std::string();
+  return env->ReadFileToString(path);
+}
+
+StatusOr<size_t> ReadFrames(std::string_view contents,
+                            const FrameDecoder& decode) {
+  std::string_view in = contents;
+  while (!in.empty()) {
+    std::string_view frame = in;
+    StatusOr<bool> parsed = decode(&frame);
+    if (!parsed.ok()) return parsed.status();
+    if (!parsed.value()) break;
+    in = frame;
+  }
+  return contents.size() - in.size();
+}
+
+StatusOr<size_t> ReopenLog(Env* env, const IoFailurePolicy& policy,
+                           const std::string& path,
+                           const std::string& tmp_path,
+                           std::string_view contents, size_t valid,
+                           std::string_view header,
+                           std::unique_ptr<WritableFile>* file) {
+  const std::string_view keep = valid > 0 ? contents.substr(0, valid) : header;
+  Status s;
+  if (valid < contents.size()) {
+    FileRewrite fix(env, policy, tmp_path, path);
+    s = fix.Open();
+    if (s.ok()) s = fix.file()->Append(keep);
+    if (s.ok()) s = fix.Commit(file);
+  } else {
+    // A whole log is opened as it is. An empty one holds no frame a crash
+    // could lose, so it gets its header in place.
+    const bool stamp = valid == 0 && !header.empty();
+    s = OpenWithRetry(env, policy, path, /*truncate=*/false, file);
+    if (s.ok() && stamp) s = (*file)->Append(header);
+    if (s.ok() && stamp) s = (*file)->Sync();
+  }
+  if (!s.ok()) {
+    file->reset();
+    return s;
+  }
+  return keep.size();
+}
+
 }  // namespace gdpr

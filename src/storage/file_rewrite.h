@@ -5,11 +5,19 @@
 // old file or the new one, never a mix or a truncated original. An
 // uncommitted temp is deleted on every failure path and when the object
 // goes away.
+//
+// Log recovery is built on it, written once for every append-only log
+// (AOF, WAL, audit segments): replay stops at the first frame that does
+// not parse, and the log is replaced with the valid prefix before it, so
+// no later frame is stranded behind torn bytes and a crash mid-repair
+// cannot take synced frames with it. Each log keeps its own frame decoder.
 
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/health.h"
@@ -64,5 +72,32 @@ class FileRewrite {
   bool opened_ = false;  // a temp may exist on disk
   bool committed_ = false;
 };
+
+// ---- log recovery ----------------------------------------------------------
+
+// Decodes and applies the frame at the front of `*in`, consuming it.
+// Returns false when the frame does not parse, or an error that aborts the
+// read (the audit chain's hash mismatch).
+using FrameDecoder = std::function<StatusOr<bool>(std::string_view* in)>;
+
+// The bytes of the log at `path`; empty when it does not exist yet.
+StatusOr<std::string> ReadLog(Env* env, const std::string& path);
+
+// Feeds `contents` to `decode` until the input ends or a frame does not
+// parse; returns the length of the parsed prefix, or the decoder's error.
+StatusOr<size_t> ReadFrames(std::string_view contents,
+                            const FrameDecoder& decode);
+
+// Leaves `path` open for append in `*file`, holding the first `valid`
+// bytes of `contents`: a log that parsed in full is opened as it is, any
+// other is replaced (temp `tmp_path`) with that prefix. An empty prefix
+// gets `header` instead, written in place when the log was empty or
+// missing. Returns the log's length.
+StatusOr<size_t> ReopenLog(Env* env, const IoFailurePolicy& policy,
+                           const std::string& path,
+                           const std::string& tmp_path,
+                           std::string_view contents, size_t valid,
+                           std::string_view header,
+                           std::unique_ptr<WritableFile>* file);
 
 }  // namespace gdpr

@@ -31,7 +31,7 @@ namespace {
 // ---- helpers ----------------------------------------------------------------
 
 // Decodes MemKV AOF framing and returns the keys of all 'S' (set) records.
-// Mirrors MemKV::AofReplay's wire format.
+// Mirrors the wire format MemKV::ReplayAofFrame reads.
 std::vector<std::string> AofSetKeys(const std::string& contents) {
   std::vector<std::string> keys;
   std::string_view in(contents);

@@ -667,6 +667,8 @@ struct TornLog {
   std::function<void(MemEnv*)> build;    // synced records, then the tear
   std::function<void(Env*)> open;        // the repairing Open; store dropped
   std::function<void(Env*)> check_all;   // reopen and check the survivors
+  // Tear-offset sweeps only: one more record, checked after a reopen.
+  std::function<void(Env*)> append_one;
 };
 
 void SweepCrashDuringRepair(const TornLog& log) {
@@ -815,6 +817,251 @@ TEST(RepairCrash, AuditKeepsEverySealedGroup) {
     EXPECT_TRUE(audit.VerifyChain());
   };
   SweepCrashDuringRepair(log);
+}
+
+// ---- tear at every offset --------------------------------------------------
+//
+// The second TornLog driver. `build` writes the log whole and sets
+// `*frame_begin` to where its last frame starts: a record, or a header
+// that is all the file holds. The driver cuts `path` back to every length
+// from there to the end, a crash before, or partway through, that frame.
+// After each cut the repairing `open` must leave the file holding exactly
+// its valid prefix, or a fresh header (the same bytes as the one torn)
+// when that prefix is empty; `check_all` must find exactly the records of
+// the complete frames; and `append_one` must add a record that survives a
+// second reopen.
+
+void SweepTearOffsets(const TornLog& log, const std::string& path,
+                      const size_t* frame_begin) {
+  std::string whole;
+  {
+    MemEnv mem;
+    log.build(&mem);
+    whole = mem.ReadFileToString(path).value();
+  }
+  ASSERT_LT(*frame_begin, whole.size());
+  const std::string repaired =
+      whole.substr(0, *frame_begin > 0 ? *frame_begin : whole.size());
+  for (size_t cut = *frame_begin; cut < whole.size(); ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut) + " of " +
+                 std::to_string(whole.size()));
+    MemEnv mem;
+    log.build(&mem);
+    auto f = std::move(mem.NewWritableFile(path, /*truncate=*/true).value());
+    ASSERT_TRUE(f->Append(whole.substr(0, cut)).ok());
+    log.open(&mem);
+    EXPECT_EQ(mem.ReadFileToString(path).value(), repaired);
+    log.check_all(&mem);
+    log.append_one(&mem);
+  }
+}
+
+size_t FileBytes(Env* env, const std::string& path) {
+  return size_t(env->FileSize(path).value());
+}
+
+kv::Options TearAofOptions(Env* env) {
+  kv::Options o;
+  o.env = env;
+  o.aof_enabled = true;
+  o.aof_path = "aof";
+  o.sync_policy = SyncPolicy::kAlways;
+  return o;
+}
+
+// Sets keys [from, to) in a reopened AOF.
+void SetAofKeys(Env* env, int from, int to) {
+  kv::MemKV db(TearAofOptions(env));
+  ASSERT_TRUE(db.Open().ok());
+  for (int i = from; i < to; ++i) {
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(db.Set("k" + n, "v" + n).ok());
+  }
+  ASSERT_TRUE(db.Close().ok());
+}
+
+// Reopens the AOF and checks that it holds keys [0, keys) and nothing else.
+void ExpectAofKeys(Env* env, int keys) {
+  kv::MemKV db(TearAofOptions(env));
+  ASSERT_TRUE(db.Open().ok());
+  EXPECT_EQ(db.Size(), size_t(keys));
+  for (int i = 0; i < keys; ++i) {
+    const std::string n = std::to_string(i);
+    EXPECT_EQ(db.Get("k" + n).value_or(""), "v" + n) << "key " << i;
+  }
+}
+
+TEST(TearOffsets, AofLastFrame) {
+  size_t frame_begin = 0;
+  TornLog log;
+  log.build = [&](MemEnv* mem) {
+    SetAofKeys(mem, 0, kTornRecords - 1);
+    frame_begin = FileBytes(mem, "aof");
+    SetAofKeys(mem, kTornRecords - 1, kTornRecords);
+  };
+  log.open = [](Env* env) {
+    kv::MemKV db(TearAofOptions(env));
+    ASSERT_TRUE(db.Open().ok());
+  };
+  log.check_all = [](Env* env) { ExpectAofKeys(env, kTornRecords - 1); };
+  log.append_one = [](Env* env) {
+    SetAofKeys(env, kTornRecords - 1, kTornRecords);
+    ExpectAofKeys(env, kTornRecords);
+  };
+  SweepTearOffsets(log, "aof", &frame_begin);
+}
+
+rel::RelOptions TearWalOptions(Env* env) {
+  rel::RelOptions o;
+  o.env = env;
+  o.wal_enabled = true;
+  o.wal_path = "wal";
+  o.sync_policy = SyncPolicy::kAlways;
+  return o;
+}
+
+// Reopens the WAL and checks that it holds rows [0, rows) and nothing
+// else.
+void ExpectWalRows(Env* env, int64_t rows) {
+  rel::Database db(TearWalOptions(env));
+  ASSERT_TRUE(db.Open().ok());
+  rel::Table* t =
+      db.CreateTable("t", rel::Schema({{"id", rel::ValueType::kInt64}}))
+          .value();
+  EXPECT_EQ(t->live_rows(), size_t(rows));
+  for (int64_t i = 0; i < rows; ++i) {
+    auto match =
+        db.Select(t, rel::Compare(0, rel::CompareOp::kEq, rel::Value(i)));
+    ASSERT_TRUE(match.ok());
+    EXPECT_EQ(match.value().size(), 1u) << "row " << i;
+  }
+}
+
+// Inserts rows [from, to) into a reopened WAL, then checkpoints if asked.
+void InsertWalRows(Env* env, int64_t from, int64_t to, bool checkpoint) {
+  rel::Database db(TearWalOptions(env));
+  ASSERT_TRUE(db.Open().ok());
+  rel::Table* t =
+      db.CreateTable("t", rel::Schema({{"id", rel::ValueType::kInt64}}))
+          .value();
+  for (int64_t i = from; i < to; ++i) {
+    ASSERT_TRUE(db.Insert(t, {rel::Value(i)}).ok());
+  }
+  if (checkpoint) {
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  ASSERT_TRUE(db.Close().ok());
+}
+
+// `survivors` rows must outlive the tear; one more is appended.
+TornLog TornWal(int64_t survivors) {
+  TornLog log;
+  log.open = [](Env* env) {
+    rel::Database db(TearWalOptions(env));
+    ASSERT_TRUE(db.Open().ok());
+  };
+  log.check_all = [survivors](Env* env) { ExpectWalRows(env, survivors); };
+  log.append_one = [survivors](Env* env) {
+    InsertWalRows(env, survivors, survivors + 1, /*checkpoint=*/false);
+    ExpectWalRows(env, survivors + 1);
+  };
+  return log;
+}
+
+TEST(TearOffsets, WalLastFrame) {
+  size_t frame_begin = 0;
+  TornLog log = TornWal(kTornRecords - 1);
+  log.build = [&](MemEnv* mem) {
+    InsertWalRows(mem, 0, kTornRecords - 1, /*checkpoint=*/false);
+    frame_begin = FileBytes(mem, "wal");
+    InsertWalRows(mem, kTornRecords - 1, kTornRecords, /*checkpoint=*/false);
+  };
+  SweepTearOffsets(log, "wal", &frame_begin);
+}
+
+// A checkpoint leaves the WAL holding only its 'E' epoch frame, next to
+// the snapshot that holds every row; a torn stamp loses none of them.
+TEST(TearOffsets, WalEpochFrameAfterCheckpoint) {
+  const size_t frame_begin = 0;
+  TornLog log = TornWal(kTornRecords);
+  log.build = [](MemEnv* mem) {
+    InsertWalRows(mem, 0, kTornRecords, /*checkpoint=*/true);
+  };
+  SweepTearOffsets(log, "wal", &frame_begin);
+}
+
+constexpr size_t kTearGroup = 4;
+
+AuditLogOptions TearAuditOptions(Env* env, uint64_t rotate_bytes) {
+  AuditLogOptions o;
+  o.env = env;
+  o.path = "audit";
+  o.sync_policy = SyncPolicy::kAlways;
+  o.rotate_bytes = rotate_bytes;
+  return o;
+}
+
+// Appends `n` entries to a reopened chain; closing seals the tail.
+void AppendAudit(Env* env, uint64_t rotate_bytes, size_t n) {
+  AuditLog audit(kTearGroup);
+  ASSERT_TRUE(audit.OpenDurable(TearAuditOptions(env, rotate_bytes)).ok());
+  for (size_t i = 0; i < n; ++i) {
+    AuditEntry e;
+    e.timestamp_micros = 1000 + int64_t(i);
+    e.actor_id = "ctrl";
+    e.op = "CREATE-RECORD";
+    e.key = "k" + std::to_string(i);
+    audit.Append(e);
+  }
+  ASSERT_TRUE(audit.CloseDurable().ok());
+}
+
+void ExpectAuditEntries(Env* env, uint64_t rotate_bytes, size_t n) {
+  AuditLog audit(kTearGroup);
+  ASSERT_TRUE(audit.OpenDurable(TearAuditOptions(env, rotate_bytes)).ok());
+  EXPECT_EQ(audit.size(), n);
+  EXPECT_TRUE(audit.VerifyChain());
+}
+
+// `survivors` sealed entries must outlive the tear; one more is appended.
+TornLog TornAudit(uint64_t rotate_bytes, size_t survivors) {
+  TornLog log;
+  log.open = [rotate_bytes](Env* env) {
+    AuditLog audit(kTearGroup);
+    ASSERT_TRUE(audit.OpenDurable(TearAuditOptions(env, rotate_bytes)).ok());
+  };
+  log.check_all = [rotate_bytes, survivors](Env* env) {
+    ExpectAuditEntries(env, rotate_bytes, survivors);
+  };
+  log.append_one = [rotate_bytes, survivors](Env* env) {
+    AppendAudit(env, rotate_bytes, 1);
+    ExpectAuditEntries(env, rotate_bytes, survivors + 1);
+  };
+  return log;
+}
+
+TEST(TearOffsets, AuditLastGroup) {
+  constexpr uint64_t kNoRotation = 4 << 20;
+  size_t frame_begin = 0;
+  TornLog log = TornAudit(kNoRotation, 2 * kTearGroup);
+  log.build = [&](MemEnv* mem) {
+    AppendAudit(mem, kNoRotation, 2 * kTearGroup);
+    frame_begin = FileBytes(mem, "audit.seg1");
+    AppendAudit(mem, kNoRotation, kTearGroup);
+  };
+  SweepTearOffsets(log, "audit.seg1", &frame_begin);
+}
+
+// Every group frame fills its segment, so after two groups the chain's
+// third segment holds only the header a rotation wrote.
+TEST(TearOffsets, AuditSegmentHeader) {
+  constexpr uint64_t kRotateEveryGroup = 1;
+  const size_t frame_begin = 0;
+  TornLog log = TornAudit(kRotateEveryGroup, 2 * kTearGroup);
+  log.build = [](MemEnv* mem) {
+    AppendAudit(mem, kRotateEveryGroup, 2 * kTearGroup);
+  };
+  SweepTearOffsets(log, "audit.seg3", &frame_begin);
 }
 
 // ---- cluster: degraded node ------------------------------------------------

@@ -708,6 +708,28 @@ TEST(ClusterKilledNode, ForgetReportsPartialFailureNamingTheNode) {
   EXPECT_EQ(cluster.node(2)->RecordCount(), 0u);
   EXPECT_EQ(cluster.node(1)->RecordCount(), on_node1);
 
+  // The other broadcasts (TTL sweep, log pull, compaction) never read as
+  // complete without node 1 either, and name it.
+  const auto reclaimed = cluster.DeleteExpiredRecords(controller);
+  const auto logs = cluster.GetSystemLogs(
+      Actor::Regulator(), 0, std::numeric_limits<int64_t>::max());
+  const auto compacted = cluster.CompactNow(controller);
+  for (const Status& s :
+       {reclaimed.status(), logs.status(), compacted.status()}) {
+    EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+    EXPECT_NE(s.message().find("node 1"), std::string::npos) << s.ToString();
+  }
+  // The router's COMPACT-ALL evidence names the failed node too.
+  size_t failed_compactions = 0;
+  for (const AuditEntry& e :
+       cluster.audit_log()->Query(0, std::numeric_limits<int64_t>::max())) {
+    if (!e.allowed && e.op == ops::kCompactAll &&
+        e.key.find("node 1") != std::string::npos) {
+      ++failed_compactions;
+    }
+  }
+  EXPECT_EQ(failed_compactions, 1u);
+
   // Cluster health reflects the unreachable node, and its chain cannot be
   // remotely verified while it is down.
   EXPECT_EQ(cluster.GetHealth(), HealthState::kDegradedReadOnly);

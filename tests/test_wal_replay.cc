@@ -1,14 +1,19 @@
 // WAL replay for rel::Database: mutations survive a close/reopen cycle,
 // a torn tail (crash mid-append) truncates cleanly to the last whole
-// record, and the RelGdprStore composes replay with index backfill.
+// record, and the RelGdprStore composes replay with index backfill. The
+// golden-bytes sections pin the frames of every log recovery reads: the
+// WAL, the MemKV AOF and the audit chain's segments.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "common/clock.h"
 #include "common/coding.h"
 #include "crypto/aead.h"
+#include "gdpr/audit.h"
 #include "gdpr/rel_backend.h"
+#include "kvstore/db.h"
 #include "relstore/database.h"
 
 namespace gdpr::rel {
@@ -300,9 +305,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- golden bytes ---------------------------------------------------------
 // One frame of every kind the WAL holds, pinned byte for byte. The replay
-// tests above would still pass if the encoder and ParseWal drifted together;
-// these literals pin the on-disk format itself, so a change to them is a
-// format change that existing logs would no longer replay.
+// tests above would still pass if the encoder and ParseWalFrame drifted
+// together; these literals pin the on-disk format itself, so a change to
+// them is a format change that existing logs would no longer replay.
 
 std::string Hex(std::string_view bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -425,6 +430,127 @@ TEST(WalReplay, SealSeqResumesAboveEveryReplayedCell) {
   ASSERT_TRUE(GetLengthPrefixed(&in, &sealed));
   ASSERT_TRUE(GetFixed64(&sealed, &seq));
   EXPECT_GT(seq, 1000000u);
+}
+
+// ---- AOF and audit-chain golden bytes ---------------------------------------
+// The same pin for the other two logs recovery reads: every AOF frame kind,
+// and an audit segment's header and group frames across one rotation.
+
+kv::Options AofOptions(Env* env, Clock* clock) {
+  kv::Options o;
+  o.env = env;
+  o.clock = clock;
+  o.aof_enabled = true;
+  o.aof_path = "aof";
+  o.sync_policy = SyncPolicy::kNever;
+  return o;
+}
+
+TEST(AofGolden, EveryFrameKindEncodesToItsPinnedBytes) {
+  MemEnv env;
+  SimulatedClock clock(0);
+  kv::Options o = AofOptions(&env, &clock);
+  o.log_reads = true;
+  {
+    kv::MemKV db(o);
+    ASSERT_TRUE(db.Open().ok());
+    ASSERT_TRUE(db.Set("ada", "v1").ok());
+    ASSERT_TRUE(db.SetWithTtl("bob", "v2", 1000000).ok());
+    ASSERT_TRUE(db.Get("ada").ok());
+    ASSERT_TRUE(db.Delete("ada").ok());
+    ASSERT_TRUE(db.AddTombstone("ada").ok());
+    ASSERT_TRUE(db.ClearTombstone("ada").ok());
+    ASSERT_TRUE(db.Close().ok());
+  }
+  // Keys and values are varint-length-prefixed; an 'S' frame's expiry is
+  // an 8-byte little-endian absolute time in microseconds (0 = none).
+  const std::string expected = std::string() +
+      "53" "03" "616461" "02" "7631"            // 'S' "ada" = "v1"
+          "0000000000000000" +                  //   no expiry
+      "53" "03" "626f62" "02" "7632"            // 'S' "bob" = "v2"
+          "40420f0000000000" +                  //   expires at 1 s
+      "52" "03" "616461" +                      // 'R' "ada" (read log)
+      "44" "03" "616461" +                      // 'D' "ada"
+      "54" "03" "616461" +                      // 'T' "ada" (tombstone)
+      "74" "03" "616461";                       // 't' "ada" (cleared)
+  EXPECT_EQ(Hex(env.ReadFileToString("aof").value()), expected);
+}
+
+// A sealed 'S' frame stores the AEAD's [8B LE seq][ciphertext][16B tag],
+// and the rewrite that drops dead sealed frames ends with the 'Q' frame
+// carrying the seal-sequence high-water mark.
+TEST(AofGolden, SealedRewriteEncodesToItsPinnedBytes) {
+  MemEnv env;
+  SimulatedClock clock(0);
+  kv::Options o = AofOptions(&env, &clock);
+  o.encrypt_at_rest = true;
+  {
+    kv::MemKV db(o);
+    ASSERT_TRUE(db.Open().ok());
+    ASSERT_TRUE(db.Set("ada", "v1").ok());
+    ASSERT_TRUE(db.CompactAof().ok());
+    ASSERT_TRUE(db.Close().ok());
+  }
+  const std::string expected = std::string() +
+      "53" "03" "616461" "1a"                   // 'S' "ada", 26 sealed bytes
+          "0100000000000000"                    //   seq 1
+          "4e83"                                //   "v1" enciphered
+          "c90947d5cb44e8f3be1717ca6fd0b45d"    //   tag
+          "0000000000000000" +                  //   no expiry
+      "51" "0200000000000000";                  // 'Q' next seq 2
+  EXPECT_EQ(Hex(env.ReadFileToString("aof").value()), expected);
+  kv::MemKV db(o);
+  ASSERT_TRUE(db.Open().ok());
+  EXPECT_EQ(db.Get("ada").value(), "v1");
+}
+
+TEST(AuditGolden, SegmentHeaderAndGroupFramesEncodeToTheirPinnedBytes) {
+  MemEnv env;
+  AuditLogOptions ao;
+  ao.env = &env;
+  ao.path = "audit";
+  ao.sync_policy = SyncPolicy::kNever;
+  ao.rotate_bytes = 1;  // every group frame fills its segment
+  {
+    AuditLog log(/*seal_interval=*/1);
+    ASSERT_TRUE(log.OpenDurable(ao).ok());
+    for (int i = 0; i < 2; ++i) {
+      AuditEntry e;
+      e.timestamp_micros = 1 + i;
+      e.actor_id = "ctl";
+      e.role = Actor::Role::kController;
+      e.op = "READ";
+      e.key = "k" + std::to_string(i);
+      e.allowed = i == 0;
+      log.Append(e);
+    }
+    ASSERT_TRUE(log.CloseDurable().ok());
+  }
+  // Headers are 'A' <epoch varint> <anchor>: segment 1 anchors at the
+  // genesis string, later ones at the running head. A group is 'G' <hash>
+  // <n varint> <entries>, hash = SHA-256(previous head || entries); an
+  // entry is <ts fixed64> <actor> <role> <op> <key> <allowed>.
+  const std::string head1 =
+      "793df2a1fb464540c50ac1f4bcc186d1b4c64ce14666210c3551e83a5dc5036d";
+  const std::string head2 =
+      "f4aeae8c006cd15601e61b284dc3a390c52468d4fb8d42d3cbc7255d52712939";
+  const std::string entry0 = std::string() + "0100000000000000" +
+                             "03" "63746c" "00" "04" "52454144" +
+                             "02" "6b30" "01";
+  const std::string entry1 = std::string() + "0200000000000000" +
+                             "03" "63746c" "00" "04" "52454144" +
+                             "02" "6b31" "00";
+  EXPECT_EQ(Hex(env.ReadFileToString("audit.seg1").value()),
+            std::string() + "41" "00" "13" +
+                "61756469742d636861696e2d67656e65736973" +  // genesis
+                "47" "20" + head1 + "01" + entry0);
+  EXPECT_EQ(Hex(env.ReadFileToString("audit.seg2").value()),
+            std::string() + "41" "00" "20" + head1 +
+                "47" "20" + head2 + "01" + entry1);
+  AuditLog log(1);
+  ASSERT_TRUE(log.OpenDurable(ao).ok());
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_TRUE(log.VerifyChain());
 }
 
 }  // namespace
