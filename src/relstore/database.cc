@@ -60,6 +60,7 @@ void Database::InitMetrics() {
   update_us_ = metrics_->GetHistogram("reldb_update_us");
   delete_us_ = metrics_->GetHistogram("reldb_delete_us");
   checkpoint_us_ = metrics_->GetHistogram("reldb_checkpoint_us");
+  write_wait_us_ = metrics_->GetHistogram("reldb_write_wait_us");
   m_wal_appends_ = metrics_->GetCounter("reldb_wal_appends_total");
   m_wal_append_bytes_ = metrics_->GetCounter("reldb_wal_append_bytes_total");
   m_wal_failures_ = metrics_->GetCounter("reldb_wal_failures_total");
@@ -493,18 +494,21 @@ Status Database::Unreadable(const Table* t, size_t rows) {
 
 Status Database::ApplyChanges(Table* t, std::vector<RowChange>* changes) {
   // Log before apply (docs/PERSISTENCE.md, "Failure policy"): a failed
-  // append returns before the table changes. Logged while the table lock
-  // is held: WAL order must equal apply order or replayed rids would point
-  // at the wrong rows. The WAL carries the stored (possibly sealed) cells:
-  // with encryption on, personal data must not reach disk in plaintext.
-  // Gate on the option, not the handle: the WAL file lives in the pipeline
-  // and Checkpoint swaps it there.
+  // append returns before the table changes, and the exclusive lock is
+  // taken only once the frame is acked, so readers neither wait for the
+  // commit nor see a write before it. The caller's writer mutex keeps
+  // WAL order equal to apply order, or replayed rids would point at the
+  // wrong rows. The WAL carries the stored (possibly sealed) cells: with
+  // encryption on, personal data must not reach disk in plaintext. Gate
+  // on the option, not the handle: the WAL file lives in the pipeline and
+  // Checkpoint swaps it there.
   if (options_.wal_enabled && !changes->empty()) {
     std::string wal_blob;
     for (const RowChange& c : *changes) EncodeWalOp(&wal_blob, t->name(), c.op);
     Status s = WalAppend(wal_blob);
     if (!s.ok()) return s;
   }
+  std::unique_lock<std::shared_mutex> l(t->mu_);
   for (RowChange& c : *changes) {
     const uint64_t rid = ApplyOp(t, std::move(c.op));
     // Index maintenance on changed columns only — the Fig 3b write cost.
@@ -543,20 +547,44 @@ StatusOr<size_t> Database::Mutate(Table* t, const char* verb,
     s = build(seen, &changes);
     if (!s.ok()) return s;
   }
-  std::unique_lock<std::shared_mutex> l(t->mu_);
-  if (pred) {
-    Matched now = MatchRowIds(t, pred, 0);
-    if (!(now == seen)) {  // a write overtook the build
-      m_write_rebuilds_->Add(1);
-      changes.clear();
-      s = build(now, &changes);
+  std::unique_lock<std::mutex> writer = LockWriter(t);
+  {
+    // Only writers change slots_, and they hold the writer mutex: this
+    // match and build stay valid through the apply, while readers share
+    // the table.
+    std::shared_lock<std::shared_mutex> l(t->mu_);
+    if (pred) {
+      Matched now = MatchRowIds(t, pred, 0);
+      if (!(now == seen)) {  // a write overtook the build
+        m_write_rebuilds_->Add(1);
+        changes.clear();
+        s = build(now, &changes);
+      }
+    } else {
+      s = build(seen, &changes);
     }
-  } else {
-    s = build(seen, &changes);
   }
   if (s.ok()) s = ApplyChanges(t, &changes);
   if (!s.ok()) return s;
   return changes.size();
+}
+
+std::unique_lock<std::mutex> Database::LockWriter(Table* t) {
+#ifndef GDPR_OBS_OFF
+  // Sampled on a tick of its own: every write already runs an op
+  // SampledTimer on this thread, and sharing its tick would fix this wait
+  // at one phase of it, never sampled on a thread that only writes.
+  thread_local uint32_t tick = 0;
+  if (tick++ % obs::SampledTimer::kEvery == 0) {
+    const int64_t start = clock_->NowMicros();
+    std::unique_lock<std::mutex> writer(t->write_mu_);
+    const int64_t d = clock_->NowMicros() - start;
+    write_wait_us_->RecordN(d > 0 ? uint64_t(d) : 0,
+                            obs::SampledTimer::kEvery);
+    return writer;
+  }
+#endif
+  return std::unique_lock<std::mutex>(t->write_mu_);
 }
 
 Status Database::Insert(Table* t, Row row) {
@@ -787,14 +815,17 @@ Status Database::Checkpoint() {
         "before compacting");
   }
   checkpoint_starts_.fetch_add(1);
-  // Freeze writers, not readers: mutators take their table lock exclusive
-  // and append to the WAL under it, so holding every table lock SHARED is
-  // enough to stop the log from advancing while the snapshot is cut —
-  // Selects and point reads proceed throughout. (Lock order tables_mu_ ->
-  // table -> wal matches every writer.)
-  std::vector<std::shared_lock<std::shared_mutex>> frozen;
+  // Freeze writers, not readers: a writer holds its table's writer mutex
+  // from its re-match through its WAL ack and its apply, so holding every
+  // one stops the log from advancing and leaves no acked frame unapplied
+  // while the snapshot is cut. A shared table lock would not: it lets in
+  // a writer between its ack and its apply, whose write would then be in
+  // neither the snapshot nor the truncated WAL. Selects and point reads
+  // proceed throughout. (Lock order tables_mu_ -> write_mu_ -> wal
+  // matches every writer.)
+  std::vector<std::unique_lock<std::mutex>> frozen;
   frozen.reserve(tables_.size());
-  for (auto& [name, t] : tables_) frozen.emplace_back(t->mu_);
+  for (auto& [name, t] : tables_) frozen.emplace_back(t->write_mu_);
   const uint64_t next_epoch = epoch_ + 1;
   const std::string snap_path = SnapshotPath(options_.wal_path);
   FileRewrite snapshot(env_, options_.io_policy, snap_path + ".tmp",
@@ -845,8 +876,8 @@ Status Database::Checkpoint() {
     return s;
   }
   const uint64_t wal_before = WalBytes();
-  // Quiesce the pipeline for the swap. Every table lock is held shared, so
-  // no mutator is mid-commit; the quiesce drains whatever the committer
+  // Quiesce the pipeline for the swap. Every writer mutex is held, so no
+  // mutator is mid-commit; the quiesce drains whatever the committer
   // had in flight and parks new commits until the stamped WAL is in.
   Status ws = pipeline_->WithFile(wal_target_, [&](CommitPipeline::FileSlot&
                                                         wal) -> Status {

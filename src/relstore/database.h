@@ -147,6 +147,15 @@ class Table {
 
   std::string name_;
   Schema schema_;
+  // Writers, one at a time from their re-match through their WAL ack and
+  // apply, so WAL order equals apply order; Checkpoint takes it to freeze
+  // them. Only its holder changes slots_, so what it matched under a
+  // shared mu_ stays valid until it applies. Lock order:
+  // Database::tables_mu_ -> write_mu_ -> mu_ -> the commit pipeline.
+  std::mutex write_mu_;
+  // Readers hold it shared. Held exclusive only by CreateIndex and by the
+  // apply of changes whose WAL frame is already acked, never through the
+  // commit wait, so a reader never sees or waits for an unacked write.
   mutable std::shared_mutex mu_;
   // Row id = slot index + 1. A live slot owns an immutable image: a write
   // installs a new image and epoch-retires the one it displaces (ApplyOp),
@@ -240,7 +249,8 @@ class Database {
   // before any slot, index or WAL frame changes. Returns rows updated.
   // `mutate` runs with no table lock held, and may run twice for one row:
   // when a concurrent write overtook the build, it is discarded and run
-  // again under the lock (see Mutate). It must only change the row given.
+  // again under the writer mutex (see Mutate). It must only change the row
+  // given.
   StatusOr<size_t> Update(Table* t, const Predicate& pred,
                           const std::function<void(Row*)>& mutate);
   StatusOr<size_t> Delete(Table* t, const Predicate& pred);
@@ -258,8 +268,9 @@ class Database {
 
   // Serializes every table heap to <wal_path>.snapshot (temp + atomic
   // rename) and truncates the WAL. Writers are frozen for the duration
-  // (mutations append to the WAL under table locks, which Checkpoint
-  // holds). No-op success when the WAL is disabled.
+  // (each holds its table's writer mutex from its WAL append through its
+  // apply, and Checkpoint holds them all); readers are not. No-op success
+  // when the WAL is disabled.
   Status Checkpoint();
   // Thin view over the registry gauge reldb_wal_log_bytes.
   uint64_t WalBytes() const {
@@ -348,9 +359,10 @@ class Database {
   // table is not yet visible to other threads).
   void ApplyReplay(Table* t, std::vector<WalOp> ops);
   void ApplySnapshot(Table* t, std::vector<std::optional<Row>> slots);
-  // Caller holds t->mu_ exclusive and has checked every change: logs them
-  // as one WAL append, then applies each to the indexes and the heap; a
-  // failed append changes nothing.
+  // Caller holds t->write_mu_, not t->mu_, and has checked every change:
+  // logs them as one WAL append and waits for its ack, then takes t->mu_
+  // exclusive and applies each to the indexes and the heap; a failed append
+  // changes nothing.
   Status ApplyChanges(Table* t, std::vector<RowChange>* changes);
   static void EncodeCells(std::string* dst, const Row& stored);
   static bool DecodeCells(std::string_view* in, Row* out);
@@ -370,19 +382,21 @@ class Database {
                    const std::function<bool(Row&)>& fn);
   // The one write path behind Insert, Update, Delete and DeleteWhere: the
   // statement `verb <table> where` is logged as received, then `build`
-  // lists every row change, which applies under t->mu_ (exclusive) only
-  // if it returns OK. Returns the number of changes.
+  // lists every row change, which ApplyChanges logs and applies only if
+  // it returns OK. Returns the number of changes.
   // - With no `pred` (Insert, DeleteWhere), build runs once, under the
-  //   exclusive lock, and is given an empty match.
+  //   writer mutex and the shared lock, and is given an empty match.
   // - With a `pred` (Update, Delete), the match runs under the shared lock
   //   and build runs on it with no lock held, so AEAD and row decoding do
   //   not block the table. A match of nothing returns 0 there, and a
-  //   failed build its error, with no exclusive lock and no WAL frame.
-  //   Under the exclusive lock the match runs again: if its rows or
-  //   images changed, the build is discarded (reldb_write_rebuilds_total)
-  //   and run again under the lock.
+  //   failed build its error, with no writer mutex and no WAL frame.
+  //   Under the writer mutex and the shared lock the match runs again: if
+  //   its rows or images changed, the build is discarded
+  //   (reldb_write_rebuilds_total) and run again there.
   StatusOr<size_t> Mutate(Table* t, const char* verb, const char* where,
                           const Predicate* pred, const BuildFn& build);
+  // Takes t->write_mu_, sampling the wait into reldb_write_wait_us.
+  std::unique_lock<std::mutex> LockWriter(Table* t);
   // Opens one stored cell into *plain; false when a sealed cell fails.
   bool OpenCell(const Value& cell, Value* plain) const;
   // Opens sealed cells; one that fails stays sealed and clears *intact.
@@ -431,6 +445,7 @@ class Database {
   obs::Histogram* update_us_ = nullptr;
   obs::Histogram* delete_us_ = nullptr;
   obs::Histogram* checkpoint_us_ = nullptr;
+  obs::Histogram* write_wait_us_ = nullptr;  // Mutate's wait for write_mu_
   obs::Counter* m_wal_appends_ = nullptr;
   obs::Counter* m_wal_append_bytes_ = nullptr;
   obs::Counter* m_wal_failures_ = nullptr;

@@ -404,7 +404,9 @@ bool WholeImage(const Row& r) {
 // writers replace and retire those images. Every answered row must be one
 // whole image and no read may fail decryption: a reader handed a freed or
 // half-written image would fail one of the two. Once the threads are gone,
-// every retired image is reclaimed.
+// every retired image is reclaimed. A checkpointer runs throughout: it
+// freezes writers, not readers, and what it cuts plus the WAL tail after it
+// must reopen to exactly the rows the store ends with.
 TEST(Concurrency, RelReadersRaceImageSwaps) {
   MemEnv env;
   RelOptions o;
@@ -413,15 +415,27 @@ TEST(Concurrency, RelReadersRaceImageSwaps) {
   o.wal_path = "race.wal";
   o.sync_policy = SyncPolicy::kNever;
   o.encrypt_at_rest = true;
+  const auto open_rows = [](Database* db) {
+    Table* t = db->CreateTable("rows", Schema({{"key", ValueType::kString},
+                                                {"version", ValueType::kInt64},
+                                                {"note", ValueType::kString},
+                                                {"tags", ValueType::kString}}))
+                   .value();
+    EXPECT_TRUE(db->CreateIndex("rows", "key").ok());
+    EXPECT_TRUE(db->CreateIndex("rows", "tags", /*elements=*/true).ok());
+    return t;
+  };
+  const auto scan = [](Database* db, Table* t) {
+    std::vector<Row> out;
+    EXPECT_TRUE(db->ScanRows(t, [&](const Row& r) {
+                    out.push_back(r);
+                    return true;
+                  }).ok());
+    return out;
+  };
   Database db(o);
   ASSERT_TRUE(db.Open().ok());
-  Table* t = db.CreateTable("rows", Schema({{"key", ValueType::kString},
-                                             {"version", ValueType::kInt64},
-                                             {"note", ValueType::kString},
-                                             {"tags", ValueType::kString}}))
-                 .value();
-  ASSERT_TRUE(db.CreateIndex("rows", "key").ok());
-  ASSERT_TRUE(db.CreateIndex("rows", "tags", /*elements=*/true).ok());
+  Table* t = open_rows(&db);
   constexpr int kKeys = 16;
   constexpr int kWriterOps = 1500;
   for (int k = 0; k < kKeys; ++k) {
@@ -475,11 +489,18 @@ TEST(Concurrency, RelReadersRaceImageSwaps) {
     }
     writers_left.fetch_sub(1, std::memory_order_release);
   });
+  std::thread checkpointer([&] {
+    while (writers_left.load(std::memory_order_acquire) > 0) {
+      if (!db.Checkpoint().ok()) failed.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   std::thread r1(reader, 0), r2(reader, 1);
   updater.join();
   recreator.join();
   r1.join();
   r2.join();
+  checkpointer.join();
 
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(failed.load(), 0u);
@@ -490,7 +511,15 @@ TEST(Concurrency, RelReadersRaceImageSwaps) {
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows.value().size(), 1u);
   }
+  EXPECT_GT(db.GetCheckpointStats().checkpoints, 0u);
+  const std::vector<Row> live = scan(&db, t);
   ASSERT_TRUE(db.Close().ok());
+  {
+    Database reopened(o);
+    ASSERT_TRUE(reopened.Open().ok());
+    EXPECT_EQ(scan(&reopened, open_rows(&reopened)), live);
+    ASSERT_TRUE(reopened.Close().ok());
+  }
   EpochManager::Global().DrainRetired();
   EXPECT_EQ(EpochManager::Global().RetiredCount(), 0u);
 }

@@ -434,5 +434,27 @@ TEST(ObsRelDb, AeadCellCounters) {
   }
 }
 
+#ifndef GDPR_OBS_OFF
+// A write's wait for its table's writer mutex is sampled once per
+// SampledTimer::kEvery writes on each thread, weighted kEvery, even on a
+// thread that runs nothing but writes (each already ticks an op timer).
+TEST(ObsRelDb, WriteWaitSampledOnAWriteOnlyThread) {
+  rel::Database db((rel::RelOptions()));
+  ASSERT_TRUE(db.Open().ok());
+  rel::Table* t =
+      db.CreateTable("n", rel::Schema({{"v", rel::ValueType::kInt64}}))
+          .value();
+  std::thread([&] {
+    for (uint32_t i = 0; i < obs::SampledTimer::kEvery; ++i) {
+      EXPECT_TRUE(db.Insert(t, {rel::Value(int64_t(i))}).ok());
+    }
+  }).join();
+  const RegistrySnapshot snap = db.StatsSnapshot();
+  const HistogramSnapshot* wait = snap.FindHistogram("reldb_write_wait_us");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->count, uint64_t(obs::SampledTimer::kEvery));
+}
+#endif
+
 }  // namespace
 }  // namespace gdpr

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -437,6 +441,213 @@ TEST(Database, UpdateRebuildsWhenRowChangesMidBuild) {
   Database db(o);
   ASSERT_TRUE(db.Open().ok());
   EXPECT_EQ(rows(&db, open_accounts(&db)), live);
+}
+
+// An Env over MemEnv that can park one append: once armed, the next
+// append to `path` waits for Release(), then writes, or fails when armed
+// with `fail`. The test's own waits give up after kWait, so a store that
+// blocks where it must not fails the test instead of hanging it; the
+// parked append itself gives up only after kParkLimit, well after any
+// test wait has failed.
+class LatchEnv : public Env {
+ public:
+  static constexpr std::chrono::seconds kWait{5};
+  static constexpr std::chrono::seconds kParkLimit{30};
+
+  void Arm(std::string path, bool fail) {
+    std::lock_guard<std::mutex> l(mu_);
+    path_ = std::move(path);
+    fail_ = fail;
+    parked_ = released_ = false;
+  }
+  // True once the armed append is parked; false after kWait.
+  bool WaitParked() {
+    std::unique_lock<std::mutex> l(mu_);
+    return cv_.wait_for(l, kWait, [&] { return parked_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool truncate) override {
+    auto f = mem_.NewWritableFile(path, truncate);
+    if (!f.ok()) return f.status();
+    return std::unique_ptr<WritableFile>(
+        new File(this, path, std::move(f.value())));
+  }
+  StatusOr<std::string> ReadFileToString(const std::string& path) override {
+    return mem_.ReadFileToString(path);
+  }
+  StatusOr<uint64_t> FileSize(const std::string& path) override {
+    return mem_.FileSize(path);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return mem_.DeleteFile(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return mem_.FileExists(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return mem_.RenameFile(from, to);
+  }
+  Status SyncDir(const std::string& path) override {
+    return mem_.SyncDir(path);
+  }
+
+ private:
+  class File : public WritableFile {
+   public:
+    File(LatchEnv* env, std::string path, std::unique_ptr<WritableFile> base)
+        : env_(env), path_(std::move(path)), base_(std::move(base)) {}
+    Status Append(std::string_view data) override {
+      Status s = env_->Park(path_);
+      return s.ok() ? base_->Append(data) : s;
+    }
+    Status Sync() override { return base_->Sync(); }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    LatchEnv* env_;
+    std::string path_;
+    std::unique_ptr<WritableFile> base_;
+  };
+
+  Status Park(const std::string& path) {
+    std::unique_lock<std::mutex> l(mu_);
+    if (path_.empty() || path != path_) return Status::OK();
+    path_.clear();  // one append parks per Arm
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait_for(l, kParkLimit, [&] { return released_; });
+    return fail_ ? Status::IOError("latched append failed") : Status::OK();
+  }
+
+  MemEnv mem_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::string path_;
+  bool fail_ = false;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+// Runs `read` on another thread and returns its answer. A read still
+// blocked after LatchEnv::kWait fails the test, and the latch opens so the
+// read (and the parked write ahead of it) can finish.
+template <typename Read>
+auto ReadWhileParked(LatchEnv* env, Read read) {
+  auto answer = std::async(std::launch::async, read);
+  const bool done =
+      answer.wait_for(LatchEnv::kWait) == std::future_status::ready;
+  EXPECT_TRUE(done) << "a read waited for an unacked write";
+  if (!done) env->Release();
+  return answer.get();
+}
+
+RelOptions LatchedWalOptions(LatchEnv* env) {
+  RelOptions o;
+  o.env = env;
+  o.wal_enabled = true;
+  o.wal_path = "rel.wal";
+  o.sync_policy = SyncPolicy::kAlways;
+  return o;
+}
+
+// Readers never wait on the WAL: while an Update's frame is parked in its
+// append, a Select of the same row answers at once with the old image.
+// The new image appears only once the frame is acked, and never when the
+// append fails.
+TEST(Database, ReaderDoesNotWaitForAnUnackedWrite) {
+  const Predicate aid1 = Compare(0, CompareOp::kEq, Value(int64_t(1)));
+  for (const bool fail : {false, true}) {
+    SCOPED_TRACE(fail ? "append fails" : "append acked");
+    LatchEnv env;
+    Database db(LatchedWalOptions(&env));
+    ASSERT_TRUE(db.Open().ok());
+    Table* t = MakeAccounts(&db);
+    ASSERT_TRUE(db.CreateIndex("accounts", "aid").ok());
+    ASSERT_TRUE(
+        db.Insert(t, {Value(int64_t(1)), Value(int64_t(10)), Value("u")})
+            .ok());
+    const auto balance = [&] {
+      auto rows = db.Select(t, aid1);
+      EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+      if (!rows.ok() || rows.value().size() != 1) return int64_t(-1);
+      return rows.value()[0][1].AsInt64();
+    };
+
+    env.Arm("rel.wal", fail);
+    auto update = std::async(std::launch::async, [&] {
+      return db
+          .Update(t, aid1, [](Row* r) { (*r)[1] = Value(int64_t(11)); })
+          .status();
+    });
+    ASSERT_TRUE(env.WaitParked());
+    EXPECT_EQ(ReadWhileParked(&env, balance), 10);
+    env.Release();
+    EXPECT_EQ(update.get().ok(), !fail);
+    EXPECT_EQ(balance(), fail ? 10 : 11);
+    (void)db.Close();
+
+    Database reopened(LatchedWalOptions(&env));
+    ASSERT_TRUE(reopened.Open().ok());
+    auto rows = reopened.Select(MakeAccounts(&reopened), aid1);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows.value().size(), 1u);
+    EXPECT_EQ(rows.value()[0][1].AsInt64(), fail ? 10 : 11);
+  }
+}
+
+// A checkpoint freezes writers through their writer mutex, so it waits for
+// a write whose frame is parked in its append to be acked and applied:
+// the write lands in the snapshot or in the WAL tail after it, never in
+// neither. Readers are not frozen: they answer while both wait.
+TEST(Database, CheckpointWaitsForAnAckedWriteToApply) {
+  const auto by_aid = [](int64_t aid) {
+    return Compare(0, CompareOp::kEq, Value(aid));
+  };
+  LatchEnv env;
+  {
+    Database db(LatchedWalOptions(&env));
+    ASSERT_TRUE(db.Open().ok());
+    Table* t = MakeAccounts(&db);
+    ASSERT_TRUE(
+        db.Insert(t, {Value(int64_t(1)), Value(int64_t(10)), Value("u")})
+            .ok());
+
+    env.Arm("rel.wal", /*fail=*/false);
+    std::thread writer([&] {
+      EXPECT_TRUE(
+          db.Insert(t, {Value(int64_t(2)), Value(int64_t(20)), Value("u")})
+              .ok());
+    });
+    ASSERT_TRUE(env.WaitParked());
+    std::thread checkpointer([&] { EXPECT_TRUE(db.Checkpoint().ok()); });
+    while (db.CheckpointStarts() == 0) std::this_thread::yield();
+    // Time for a checkpoint that does not wait for the writer to cut its
+    // snapshot without the parked row.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(ReadWhileParked(&env, [&] {
+                return db.Select(t, by_aid(1)).value().size();
+              }),
+              1u);
+    env.Release();
+    writer.join();
+    checkpointer.join();
+    EXPECT_EQ(db.GetCheckpointStats().checkpoints, 1u);
+    ASSERT_TRUE(db.Close().ok());
+  }
+  Database db(LatchedWalOptions(&env));
+  ASSERT_TRUE(db.Open().ok());
+  Table* t = MakeAccounts(&db);
+  EXPECT_EQ(db.Select(t, by_aid(2)).value().size(), 1u);
+  EXPECT_EQ(db.Select(t, by_aid(1)).value().size(), 1u);
+  EXPECT_EQ(t->live_rows(), 2u);
 }
 
 TEST(Database, ScanRowsStopsEarly) {
