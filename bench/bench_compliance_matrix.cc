@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
     KvGdprOptions o;
     o.compliance.enforce_access_control = false;
     o.compliance.audit_enabled = false;
-    o.compliance.strict_timely_deletion = false;
     KvGdprStore store(o);
     store.Open().ok();
     auto f = store.GetFeatures(Actor::Regulator());

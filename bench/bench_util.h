@@ -44,11 +44,9 @@ struct BenchArgs {
 };
 
 /// A GDPR-compliant KV store (the paper's modified Redis).
-inline std::unique_ptr<KvGdprStore> MakeKvStore(Clock* clock = nullptr,
-                                                bool strict_ttl = true) {
+inline std::unique_ptr<KvGdprStore> MakeKvStore(Clock* clock = nullptr) {
   KvGdprOptions o;
   o.clock = clock;
-  o.compliance.strict_timely_deletion = strict_ttl;
   auto s = std::make_unique<KvGdprStore>(o);
   if (!s->Open().ok()) {
     fprintf(stderr, "failed to open kv store\n");

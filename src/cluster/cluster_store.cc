@@ -75,7 +75,7 @@ StatusOr<size_t> SumParts(const std::vector<StatusOr<size_t>>& parts,
 }  // namespace
 
 ClusterGdprStore::ClusterGdprStore(const ClusterOptions& options)
-    : AuditedStore(options.clock),
+    : AuditedStore(options.clock, options.compliance),
       options_(options),
       slot_map_(options.slots, uint32_t(options.nodes ? options.nodes : 1)) {
   const size_t n = options_.nodes ? options_.nodes : 1;
@@ -149,26 +149,13 @@ Status ClusterGdprStore::Open() {
                           options_.kv.sync_policy);
 }
 
-Status ClusterGdprStore::Close() {
-  Status out = audit_log_.CloseDurable();
+Status ClusterGdprStore::CloseEngine() {
+  Status out = Status::OK();
   for (auto& node : nodes_) {
     Status s = node->Close();
-    if (!s.ok()) out = s;
+    if (out.ok()) out = s;
   }
   return out;
-}
-
-void ClusterGdprStore::AuditCluster(const Actor& actor, const char* op,
-                                    const std::string& key, bool allowed) {
-  if (!options_.compliance.audit_enabled) return;
-  AuditEntry e;
-  e.timestamp_micros = clock_->NowMicros();
-  e.actor_id = actor.id;
-  e.role = actor.role;
-  e.op = op;
-  e.key = key;
-  e.allowed = allowed;
-  audit_log_.Append(std::move(e));
 }
 
 template <typename T>
@@ -312,10 +299,9 @@ Status ClusterGdprStore::ReadCollection(const Actor& actor,
   // An answer without some nodes' partitions must not read as complete, to
   // the caller or in the evidence.
   const char* op = ops::OpClassName(CollectionOpClass(kind));
-  AuditCluster(actor, op,
-               (value.empty() ? "" : value + "; ") + "failed: " +
-                   NodeNames(missing),
-               false);
+  Audit(actor, op,
+        (value.empty() ? "" : value + "; ") + "failed: " + NodeNames(missing),
+        false);
   return Incomplete("collection read", missing, parts.size(),
                     StringPrintf("%zu records from the others", answered),
                     first_missing);
@@ -372,7 +358,7 @@ StatusOr<std::vector<AuditEntry>> ClusterGdprStore::GetSystemLogs(
 }
 
 StatusOr<Features> ClusterGdprStore::GetFeatures(const Actor& actor) {
-  AuditCluster(actor, ops::kGetFeatures, "", true);
+  Audit(actor, ops::kGetFeatures, "", true);
   return BuildFeatures("cluster-memkv", options_.compliance);
 }
 
@@ -382,8 +368,8 @@ size_t ClusterGdprStore::RecordCount() {
   return total;
 }
 
-size_t ClusterGdprStore::TotalBytes() {
-  size_t total = audit_log_.ApproximateBytes();
+size_t ClusterGdprStore::EngineBytes() {
+  size_t total = 0;
   for (auto& node : nodes_) total += node->TotalBytes();
   return total;
 }
@@ -409,37 +395,26 @@ StatusOr<CompactionStats> ClusterGdprStore::CompactNow(const Actor& actor) {
   const Status s =
       BroadcastStatus(parts, "compaction", "the others compacted", &failed);
   if (!s.ok()) {
-    AuditCluster(actor, ops::kCompactAll,
-                 s.IsPermissionDenied() ? "" : "failed: " + NodeNames(failed),
-                 false);
+    Audit(actor, ops::kCompactAll,
+          s.IsPermissionDenied() ? "" : "failed: " + NodeNames(failed), false);
     return s;
   }
   CompactionStats merged;
   for (const auto& part : parts) merged.Merge(part.value());
   // Per-node chains were carried over inside each node's CompactNow; carry
   // the router's own chain too.
-  auto ac = audit_log_.Compact(clock_->NowMicros());
-  if (!ac.ok()) {
-    AuditCluster(actor, ops::kCompactAll, "", false);
-    return ac.status();
-  }
-  merged.audit_segments += audit_log_.segment_count();
-  merged.audit_dropped_entries += audit_log_.dropped_entries_total();
-  AuditCluster(actor, ops::kCompactAll,
-               StringPrintf("%zu nodes", nodes_.size()), true);
-  return merged;
+  auto out = CompactAuditChain(merged);
+  Audit(actor, ops::kCompactAll,
+        out.ok() ? StringPrintf("%zu nodes", nodes_.size()) : "", out.ok());
+  return out;
 }
 
-CompactionStats ClusterGdprStore::GetCompactionStats() {
+CompactionStats ClusterGdprStore::LogCompactionStats() {
   auto parts = FanOut<CompactionStats>([&](net::NodeHandle* node) {
     return node->GetCompactionStats();
   });
   CompactionStats merged;
   for (const auto& part : parts) merged.Merge(part);
-  // The router's own chain counts too — keep this consistent with what
-  // CompactNow reports.
-  merged.audit_segments += audit_log_.segment_count();
-  merged.audit_dropped_entries += audit_log_.dropped_entries_total();
   return merged;
 }
 
@@ -478,10 +453,9 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
     if (!exported.ok()) {
       // An unreadable record on the source: migrating would silently drop
       // it from the destination copy. Leave the slot where it is.
-      AuditCluster(Actor::Controller(), ops::kMoveSlots,
-                   StringPrintf("slot %u -> node %u (export failed)", slot,
-                                dst_node),
-                   false);
+      Audit(Actor::Controller(), ops::kMoveSlots,
+            StringPrintf("slot %u -> node %u (export failed)", slot, dst_node),
+            false);
       return exported.status();
     }
     const std::vector<GdprRecord>& records = exported.value().records;
@@ -498,10 +472,10 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
       // log is poisoned) leaves the slot double-resident — escalate, don't
       // pretend it's clean.
       const bool clean = dst->EvictRecords(keys).ok();
-      AuditCluster(Actor::Controller(), ops::kMoveSlots,
-                   StringPrintf("slot %u -> node %u%s", slot, dst_node,
-                                clean ? "" : " (rollback incomplete)"),
-                   false);
+      Audit(Actor::Controller(), ops::kMoveSlots,
+            StringPrintf("slot %u -> node %u%s", slot, dst_node,
+                         clean ? "" : " (rollback incomplete)"),
+            false);
       if (!clean) {
         return Status::Internal(
             "slot copy rollback incomplete; records resident on node " +
@@ -514,11 +488,10 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
       // Ownership flipped (dst serves the slot correctly), but the source
       // still holds resident copies it could not evict — stale ciphertext
       // that a later compaction on src must not be assumed to have purged.
-      AuditCluster(Actor::Controller(), ops::kMoveSlots,
-                   StringPrintf("slot %u -> node %u (source eviction "
-                                "incomplete)",
-                                slot, dst_node),
-                   false);
+      Audit(Actor::Controller(), ops::kMoveSlots,
+            StringPrintf("slot %u -> node %u (source eviction incomplete)",
+                         slot, dst_node),
+            false);
       return Status::Internal(
           "slot moved but source eviction incomplete on node " +
           std::to_string(src_idx));
@@ -528,10 +501,10 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
     m_slots_moved_->Add(1);
     m_records_migrated_->Add(records.size());
   }
-  AuditCluster(Actor::Controller(), ops::kMoveSlots,
-               StringPrintf("%zu slots (%zu records) -> node %u", moved_slots,
-                            moved_records, dst_node),
-               true);
+  Audit(Actor::Controller(), ops::kMoveSlots,
+        StringPrintf("%zu slots (%zu records) -> node %u", moved_slots,
+                     moved_records, dst_node),
+        true);
   return Status::OK();
 }
 
@@ -549,28 +522,22 @@ Status ClusterGdprStore::Rebalance() {
   return Status::OK();
 }
 
-HealthState ClusterGdprStore::GetHealth() {
-  HealthState worst = audit_log_.health();
-  for (auto& node : nodes_) {
-    const HealthState h = node->GetHealth();
-    if (worst < h) worst = h;
+HealthReport ClusterGdprStore::EngineHealth() {
+  HealthReport worst;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    HealthReport h = nodes_[i]->GetHealth();
+    if (!h.cause.ok()) {
+      h.cause = Status(h.cause.code(),
+                       StringPrintf("node %zu: ", i) + h.cause.message());
+    }
+    worst = Worse(std::move(worst), std::move(h));
   }
   return worst;
 }
 
-Status ClusterGdprStore::GetHealthCause() {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    Status c = nodes_[i]->GetHealthCause();
-    if (!c.ok()) {
-      return Status(c.code(), StringPrintf("node %zu: ", i) + c.message());
-    }
-  }
-  return audit_log_.durable_status();
-}
-
 obs::RegistrySnapshot ClusterGdprStore::StatsSnapshot() {
   registry_.GetGauge("cluster_health")
-      ->Set(static_cast<int64_t>(GetHealth()));
+      ->Set(static_cast<int64_t>(GetHealth().state));
   registry_.GetGauge("cluster_nodes")
       ->Set(static_cast<int64_t>(nodes_.size()));
   registry_.GetGauge("cluster_audit_unsealed_tail")

@@ -83,7 +83,6 @@ class ClusterGdprStore : public AuditedStore {
   ~ClusterGdprStore() override;
 
   Status Open() override;
-  Status Close() override;
 
   Status CreateRecord(const Actor& actor, const GdprRecord& record) override;
   StatusOr<GdprRecord> ReadDataByKey(const Actor& actor,
@@ -115,25 +114,15 @@ class ClusterGdprStore : public AuditedStore {
   StatusOr<Features> GetFeatures(const Actor& actor) override;
 
   size_t RecordCount() override;
-  size_t TotalBytes() override;
   Status Reset() override;
 
-  // Worst health across every node plus the router's audit chain. A
-  // degraded (read-only) node degrades the cluster *report* but still
-  // answers reads, and point ops to healthy nodes' slots are unaffected.
-  // Over a socket transport an unreachable node reports kDegradedReadOnly
-  // with an Unavailable cause; collection reads then fail Unavailable,
-  // naming it, after delivering the other nodes' records.
-  HealthState GetHealth() override;
-  Status GetHealthCause() override;
   // Per-node view (handle order) for operators deciding what to drain.
-  HealthState NodeHealth(size_t i) { return nodes_[i]->GetHealth(); }
+  HealthState NodeHealth(size_t i) { return nodes_[i]->GetHealth().state; }
 
   // Fans the erasure-aware compaction out to every node and merges the
   // per-node stats; audited once on the router chain as COMPACT-ALL, which
   // a partial failure logs as denied, naming the failed nodes.
   StatusOr<CompactionStats> CompactNow(const Actor& actor) override;
-  CompactionStats GetCompactionStats() override;
 
   // --- Cluster surface -----------------------------------------------------
 
@@ -172,6 +161,21 @@ class ClusterGdprStore : public AuditedStore {
 
   const ClusterOptions& options() const { return options_; }
 
+ protected:
+  // The shell's body is the nodes: Close closes each (the first failure
+  // wins), and bytes and compaction stats sum over them.
+  Status CloseEngine() override;
+  size_t EngineBytes() override;
+  // Worst health across every node, the cause prefixed "node i: " (the
+  // shell adds the router's chain). A degraded (read-only) node degrades
+  // the cluster *report* but still answers reads, and point ops to healthy
+  // nodes' slots are unaffected. Over a socket transport an unreachable
+  // node reports kDegradedReadOnly with an Unavailable cause; collection
+  // reads then fail Unavailable, naming it, after delivering the other
+  // nodes' records.
+  HealthReport EngineHealth() override;
+  CompactionStats LogCompactionStats() override;
+
  private:
   // Builds node i's backing store from the cluster template. Lives in the
   // header so cluster_store.cc — the routing logic — stays free of any
@@ -198,9 +202,6 @@ class ClusterGdprStore : public AuditedStore {
   net::NodeHandle* OwnerNode(uint32_t slot) {
     return nodes_[slot_map_.OwnerOf(slot)];
   }
-
-  void AuditCluster(const Actor& actor, const char* op, const std::string& key,
-                    bool allowed);
 
   // Runs fn(handle) for every node on the fan-out pool; results land in a
   // node-indexed vector so the merge is deterministic.

@@ -34,6 +34,7 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -51,6 +52,19 @@ inline const char* HealthStateName(HealthState s) {
   return "unknown";
 }
 
+// A health reading: a state and the cause that explains it (OK exactly
+// when healthy), taken together so the two cannot come from different
+// moments.
+struct HealthReport {
+  HealthState state = HealthState::kHealthy;
+  Status cause;
+};
+
+// The worse of two reports, with its own cause; on a tie, a.
+inline HealthReport Worse(HealthReport a, HealthReport b) {
+  return a.state < b.state ? std::move(b) : std::move(a);
+}
+
 // How a store responds to I/O failures on its durability paths.
 struct IoFailurePolicy {
   // Transient failures (ENOSPC-style) on *background* paths — compaction,
@@ -62,7 +76,8 @@ struct IoFailurePolicy {
 };
 
 // Monotonic-worsening health latch. The state read is a lock-free atomic
-// so hot-path write gates stay cheap; the cause string is mutex-guarded.
+// so hot-path write gates stay cheap; the cause is mutex-guarded, and a
+// report reads both under the mutex.
 class HealthTracker {
  public:
   HealthState state() const {
@@ -123,9 +138,9 @@ class HealthTracker {
                                cause_.ToString());
   }
 
-  Status cause() const {
+  HealthReport report() const {
     std::lock_guard<std::mutex> l(mu_);
-    return cause_;
+    return {state(), cause_};
   }
 
  private:

@@ -53,6 +53,12 @@ std::string Aead::Seal(std::string_view plaintext, uint64_t seq) const {
   return out;
 }
 
+uint64_t Aead::SeqOf(std::string_view sealed) {
+  uint64_t seq = 0;
+  for (int i = 0; i < 8; ++i) seq |= uint64_t(uint8_t(sealed[i])) << (8 * i);
+  return seq;
+}
+
 StatusOr<std::string> Aead::Open(std::string_view sealed) const {
   if (sealed.size() < kOverhead) {
     return Status::DataLoss("sealed blob too short");
@@ -64,11 +70,9 @@ StatusOr<std::string> Aead::Open(std::string_view sealed) const {
           reinterpret_cast<const uint8_t*>(sealed.data()) + 8 + ct_len, 16)) {
     return Status::DataLoss("authentication tag mismatch");
   }
-  uint64_t seq = 0;
-  for (int i = 0; i < 8; ++i) seq |= uint64_t(uint8_t(sealed[i])) << (8 * i);
   std::string plain(sealed.substr(8, ct_len));
   uint8_t nonce[12];
-  SeqToNonce(seq, nonce);
+  SeqToNonce(SeqOf(sealed), nonce);
   ChaCha20 cipher(enc_key_, nonce, /*counter=*/1);
   cipher.Process(reinterpret_cast<uint8_t*>(plain.data()), plain.size());
   return plain;

@@ -276,9 +276,10 @@ bool AuditLog::durable() const {
   return durable_;
 }
 
-Status AuditLog::durable_status() const {
+HealthReport AuditLog::health() const {
   std::lock_guard<std::mutex> l(mu_);
-  return io_status_;
+  if (io_status_.ok()) return {};
+  return {HealthState::kDegradedReadOnly, io_status_};
 }
 
 void AuditLog::PersistGroupLocked(const std::string& payload, size_t n) const {

@@ -108,18 +108,13 @@ class AuditLog {
   // Returns the first swallowed I/O error if the backing ever failed.
   Status CloseDurable();
   bool durable() const;
-  // Sticky first I/O failure on the durable path. Once an append fails the
-  // log stops persisting (a gap would break the chain on replay) but the
-  // in-memory chain stays valid; callers decide how loudly to escalate.
-  Status durable_status() const;
-  // Health view of the latch: degraded-read-only while persistence is
-  // offline (the in-memory chain still appends and verifies — the audit
-  // log never gates the store's writes itself, it feeds store health
-  // reporting). Compact() heals by rewriting the chain from memory.
-  HealthState health() const {
-    return durable_status().ok() ? HealthState::kHealthy
-                                 : HealthState::kDegradedReadOnly;
-  }
+  // The durable path's latch: degraded-read-only, caused by the sticky
+  // first I/O failure, once an append failed. The log then stops persisting
+  // (a gap would break the chain on replay) but the in-memory chain still
+  // appends and verifies — the audit log never gates the store's writes
+  // itself, it feeds store health reporting. Compact() heals by rewriting
+  // the chain from memory.
+  HealthReport health() const;
 
   // Drops whole groups whose newest entry is older than retention (see
   // AuditLogOptions): rewrites the surviving chain into a fresh first

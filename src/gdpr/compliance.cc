@@ -12,13 +12,13 @@ Features BuildFeatures(const std::string& backend, const ComplianceFlags& f) {
     out.rows.push_back(FeatureRow{article, requirement, mechanism, supported});
   };
   add("G 5(1e)", "storage limitation (TTL)", "per-record expiry + strict cycle",
-      f.strict_timely_deletion);
+      true);
   add("G 13/14", "disclose sharing & purposes", "metadata on every record",
       true);
   add("G 15", "right of access", "READ-METADATA-BY-USER / READ-DATA-BY-KEY",
       true);
   add("G 17", "right to be forgotten", "DELETE-RECORDS-BY-USER + tombstones",
-      f.strict_timely_deletion);
+      true);
   add("G 20", "data portability", "signed structured export bundle", true);
   add("G 21", "objection to processing", "objections honored on read path",
       f.enforce_access_control);

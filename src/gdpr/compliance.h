@@ -12,7 +12,6 @@ namespace gdpr {
 struct ComplianceFlags {
   bool enforce_access_control = true;   // per-op role/purpose checks
   bool audit_enabled = true;            // G 30 trail, denied ops included
-  bool strict_timely_deletion = true;   // G 17: erase within one cycle
   bool encrypt_at_rest = false;         // G 32 security of processing
   // The perf headline: maintain secondary metadata indexes (user, purpose,
   // sharing, TTL) so metadata queries are indexed lookups instead of O(n)

@@ -362,9 +362,7 @@ CompactionStats KvGdprStore::LogCompactionStats() {
 
 // Mutations are gated inside MemKV, so a degraded report here always comes
 // with Unavailable on the write paths.
-HealthState KvGdprStore::EngineHealth() { return db_->Health(); }
-
-Status KvGdprStore::EngineHealthCause() { return db_->HealthCause(); }
+HealthReport KvGdprStore::EngineHealth() { return db_->Health(); }
 
 obs::RegistrySnapshot KvGdprStore::EngineSnapshot() {
   metrics_->GetGauge("gdpr_ttl_backlog")

@@ -92,8 +92,7 @@ class KvGdprStore : public PolicyStore, public net::NodeHandle {
   size_t TombstoneCount() override;
   Status CompactLog() override;
   CompactionStats LogCompactionStats() override;
-  HealthState EngineHealth() override;
-  Status EngineHealthCause() override;
+  HealthReport EngineHealth() override;
   size_t EngineBytes() override;
   obs::RegistrySnapshot EngineSnapshot() override;
   Status CloseEngine() override;

@@ -17,8 +17,7 @@ bool Expired(const GdprMetadata& m, int64_t now) {
 PolicyStore::PolicyStore(Clock* clock, const ComplianceFlags& flags,
                          obs::MetricsRegistry* metrics,
                          const char* engine_name)
-    : AuditedStore(clock),
-      flags_(flags),
+    : AuditedStore(clock, flags),
       metrics_(metrics ? metrics : &registry_),
       engine_name_(engine_name) {
   for (int i = 0; i < static_cast<int>(ops::OpClass::kCount); ++i) {
@@ -35,30 +34,6 @@ PolicyStore::PolicyStore(Clock* clock, const ComplianceFlags& flags,
   po.metrics = metrics_;
   po.clock = clock_;
   pipeline_ = std::make_unique<CommitPipeline>(po);
-}
-
-Status PolicyStore::Close() {
-  // Seal + sync the audit tail first: the close itself is the last event
-  // the chain can evidence.
-  Status audit = audit_log_.CloseDurable();
-  Status s = CloseEngine();
-  return s.ok() ? audit : s;
-}
-
-void PolicyStore::Audit(const Actor& actor, const char* op,
-                        const std::string& key, bool allowed) {
-  // Denials count even with auditing off: the counter is an operational
-  // signal, the audit entry is compliance evidence.
-  if (!allowed) denied_->Add(1);
-  if (!flags_.audit_enabled) return;
-  AuditEntry e;
-  e.timestamp_micros = NowMicros();
-  e.actor_id = actor.id;
-  e.role = actor.role;
-  e.op = op;
-  e.key = key;
-  e.allowed = allowed;
-  audit_log_.Append(std::move(e));
 }
 
 bool PolicyStore::Matches(Attr attr, const std::string& value,
@@ -350,38 +325,10 @@ StatusOr<CompactionStats> PolicyStore::CompactNow(const Actor& actor) {
   obs::ScopedTimer op_timer(op_hist(ops::OpClass::kCompactLogs), clock_);
   Status s = CheckGdprAccess(flags_, actor, ops::kCompact, nullptr);
   if (s.ok()) s = CompactLog();
-  if (s.ok()) {
-    // Carry the audit chain across the pass: retention drops aged-out
-    // groups and re-anchors, leaving the surviving chain verifiable.
-    auto ac = audit_log_.Compact(NowMicros());
-    if (!ac.ok()) s = ac.status();
-  }
-  Audit(actor, ops::kCompact, "", s.ok());
-  if (!s.ok()) return s;
-  return GetCompactionStats();
-}
-
-CompactionStats PolicyStore::GetCompactionStats() {
-  CompactionStats out = LogCompactionStats();
-  out.audit_segments = audit_log_.segment_count();
-  out.audit_dropped_entries = audit_log_.dropped_entries_total();
+  StatusOr<CompactionStats> out = s;
+  if (s.ok()) out = CompactAuditChain(LogCompactionStats());
+  Audit(actor, ops::kCompact, "", out.ok());
   return out;
-}
-
-size_t PolicyStore::TotalBytes() {
-  return EngineBytes() + audit_log_.ApproximateBytes();
-}
-
-HealthState PolicyStore::GetHealth() {
-  const HealthState engine = EngineHealth();
-  const HealthState audit = audit_log_.health();
-  return engine < audit ? audit : engine;
-}
-
-Status PolicyStore::GetHealthCause() {
-  Status engine = EngineHealthCause();
-  if (!engine.ok()) return engine;
-  return audit_log_.durable_status();
 }
 
 obs::RegistrySnapshot PolicyStore::StatsSnapshot() {
@@ -389,7 +336,7 @@ obs::RegistrySnapshot PolicyStore::StatsSnapshot() {
   metrics_->GetGauge("gdpr_tombstones")
       ->Set(static_cast<int64_t>(TombstoneCount()));
   metrics_->GetGauge("gdpr_store_health")
-      ->Set(static_cast<int64_t>(GetHealth()));
+      ->Set(static_cast<int64_t>(GetHealth().state));
   metrics_->GetGauge("gdpr_audit_unsealed_tail")
       ->Set(static_cast<int64_t>(audit_log_.unsealed_tail()));
   const int64_t oldest = audit_log_.oldest_unsealed_micros();

@@ -28,8 +28,6 @@ namespace gdpr {
 
 class PolicyStore : public AuditedStore {
  public:
-  Status Close() final;
-
   Status CreateRecord(const Actor& actor, const GdprRecord& record) final;
   StatusOr<GdprRecord> ReadDataByKey(const Actor& actor,
                                      const std::string& key) final;
@@ -59,12 +57,7 @@ class PolicyStore : public AuditedStore {
 
   // Engine log compaction, then the audit chain's retention pass.
   StatusOr<CompactionStats> CompactNow(const Actor& actor) final;
-  CompactionStats GetCompactionStats() final;
 
-  size_t TotalBytes() final;
-  // Worst of the engine's durability paths and the audit chain's latch.
-  HealthState GetHealth() final;
-  Status GetHealthCause() final;
   // Refreshes the common gdpr_* gauges, then the engine's, and snapshots
   // the one registry both record into.
   obs::RegistrySnapshot StatsSnapshot() final;
@@ -78,7 +71,7 @@ class PolicyStore : public AuditedStore {
   PolicyStore(Clock* clock, const ComplianceFlags& flags,
               obs::MetricsRegistry* metrics, const char* engine_name);
 
-  // ---- Engine hooks --------------------------------------------------------
+  // ---- Engine hooks (beside AuditedStore's body hooks) ---------------------
   // The stored record, expired or not. NotFound when absent.
   virtual StatusOr<GdprRecord> GetRaw(const std::string& key) = 0;
   // Upsert under the caller's key lock. prev is the record stored under
@@ -108,15 +101,8 @@ class PolicyStore : public AuditedStore {
   virtual StatusOr<bool> HasTombstone(const std::string& key) = 0;
   virtual size_t TombstoneCount() = 0;
   virtual Status CompactLog() = 0;
-  // Log-side compaction stats; the audit fields are filled in here.
-  virtual CompactionStats LogCompactionStats() = 0;
-  virtual HealthState EngineHealth() = 0;
-  virtual Status EngineHealthCause() = 0;
-  // Resident bytes of records and indexes, audit trail excluded.
-  virtual size_t EngineBytes() = 0;
   // Refreshes engine gauges and snapshots the shared registry.
   virtual obs::RegistrySnapshot EngineSnapshot() = 0;
-  virtual Status CloseEngine() = 0;
 
   // ---- Shared helpers ------------------------------------------------------
   bool indexing() const { return flags_.metadata_indexing; }
@@ -132,7 +118,6 @@ class PolicyStore : public AuditedStore {
   // DataLoss naming how many records could not be read; OK for zero.
   static Status CollectionStatus(size_t unreadable);
 
-  const ComplianceFlags flags_;
   // One registry for the whole stack, declared before the engine the
   // subclass owns so it outlives it; metrics_ points at the caller's
   // registry when one was supplied, else at registry_.
@@ -147,8 +132,6 @@ class PolicyStore : public AuditedStore {
  private:
   static bool Matches(Attr attr, const std::string& value,
                       const GdprMetadata& m);
-  void Audit(const Actor& actor, const char* op, const std::string& key,
-             bool allowed);
   // Fetches key for a by-key op and checks access; audits any refusal.
   StatusOr<GdprRecord> FetchForOp(const Actor& actor, const char* op,
                                   const std::string& key,
@@ -159,7 +142,6 @@ class PolicyStore : public AuditedStore {
 
   const char* const engine_name_;
   obs::Histogram* op_hist_[static_cast<int>(ops::OpClass::kCount)] = {};
-  obs::Counter* denied_ = nullptr;
   // Forget (G 17) end-to-end and SAR/portability export latencies, recorded
   // in addition to the per-op-class histogram.
   obs::Histogram* forget_us_ = nullptr;

@@ -249,9 +249,7 @@ CompactionStats RelGdprStore::LogCompactionStats() {
 }
 
 // Mutations are gated inside rel::Database on WAL/statement-log health.
-HealthState RelGdprStore::EngineHealth() { return db_->Health(); }
-
-Status RelGdprStore::EngineHealthCause() { return db_->HealthCause(); }
+HealthReport RelGdprStore::EngineHealth() { return db_->Health(); }
 
 obs::RegistrySnapshot RelGdprStore::EngineSnapshot() {
   // db_ shares metrics_; its snapshot carries the whole stack and also

@@ -62,8 +62,7 @@ class RelGdprStore : public PolicyStore {
   // included), truncate the WAL.
   Status CompactLog() override;
   CompactionStats LogCompactionStats() override;
-  HealthState EngineHealth() override;
-  Status EngineHealthCause() override;
+  HealthReport EngineHealth() override;
   size_t EngineBytes() override;
   obs::RegistrySnapshot EngineSnapshot() override;
   Status CloseEngine() override;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/health.h"
 #include "common/status.h"
 #include "gdpr/actor.h"
 #include "gdpr/audit.h"
@@ -179,13 +180,9 @@ class GdprStore {
   // Store health (docs/PERSISTENCE.md, "Failure policy"): kHealthy, or
   // kDegradedReadOnly once a durability path failed — mutations and Forget
   // return Unavailable while reads and metadata queries keep serving from
-  // memory — or kFailed when replay-on-open could not rebuild memory.
-  // Worst of the engine's durability paths and the audit chain's
-  // persistence latch (the chain contributes to *reporting* only; it never
-  // gates the engine's writes itself).
-  virtual HealthState GetHealth() = 0;
-  // First cause behind a non-healthy GetHealth(); OK when healthy.
-  virtual Status GetHealthCause() = 0;
+  // memory — or kFailed when replay-on-open could not rebuild memory. One
+  // report: the state with the cause that explains it (OK when healthy).
+  virtual HealthReport GetHealth() = 0;
 
   // Uniform metrics view: counters, gauges, and latency histograms for this
   // store and every layer beneath it (engine, logs, audit chain; for the
@@ -209,19 +206,81 @@ class GdprStore {
   }
 };
 
-// AuditedStore: the audit-chain half shared by the stores that keep a
-// local G 30 hash chain — the policy layer over each engine, and the
-// cluster router for its own MOVE-SLOTS / COMPACT-ALL trail. A remote node
-// handle keeps none: its chain lives on the node.
+// AuditedStore: the compliance shell of the stores that keep a local G 30
+// hash chain — the policy layer over each engine, and the cluster router
+// for its own MOVE-SLOTS / COMPACT-ALL trail. It builds every audit entry
+// and folds the chain into the store's close, bytes, compaction account
+// and health; what lies under the shell (an engine, or the cluster's
+// nodes) plugs in through the four body hooks below. A remote node handle
+// keeps none: its chain lives on the node.
+//
+// Destructors call Close() from the most-derived class: from here the body
+// hooks would be pure.
 class AuditedStore : public virtual GdprStore {
  public:
+  // Seals and syncs the audit tail first — the close itself is the last
+  // event the chain can evidence — then closes the body. The body's first
+  // failure wins; otherwise the chain's.
+  Status Close() final {
+    Status audit = audit_log_.CloseDurable();
+    Status body = CloseEngine();
+    return body.ok() ? audit : body;
+  }
+  size_t TotalBytes() final {
+    return EngineBytes() + audit_log_.ApproximateBytes();
+  }
+  // The worse of the body's report and the chain's persistence latch (the
+  // chain contributes to *reporting* only; it never gates the body's
+  // writes itself).
+  HealthReport GetHealth() final {
+    return Worse(EngineHealth(), audit_log_.health());
+  }
+  CompactionStats GetCompactionStats() final {
+    return WithChainAccount(LogCompactionStats());
+  }
+
   AuditLog* audit_log() { return &audit_log_; }
   Clock* clock() final { return clock_; }
 
  protected:
   // clock: nullptr for the wall clock.
-  explicit AuditedStore(Clock* clock)
-      : clock_(clock ? clock : RealClock::Default()) {}
+  AuditedStore(Clock* clock, const ComplianceFlags& flags)
+      : flags_(flags), clock_(clock ? clock : RealClock::Default()) {}
+
+  // ---- Body hooks ----------------------------------------------------------
+  virtual Status CloseEngine() = 0;
+  // Resident bytes of records and indexes, audit trail excluded.
+  virtual size_t EngineBytes() = 0;
+  virtual HealthReport EngineHealth() = 0;
+  // Log-side compaction stats; the shell adds the chain's.
+  virtual CompactionStats LogCompactionStats() = 0;
+
+  // One audit entry, when auditing is on. A refusal also counts in
+  // denied_, when set, even with auditing off: the counter is an
+  // operational signal, the entry compliance evidence.
+  void Audit(const Actor& actor, const char* op, const std::string& key,
+             bool allowed) {
+    if (!allowed && denied_) denied_->Add(1);
+    if (!flags_.audit_enabled) return;
+    AuditEntry e;
+    e.timestamp_micros = clock_->NowMicros();
+    e.actor_id = actor.id;
+    e.role = actor.role;
+    e.op = op;
+    e.key = key;
+    e.allowed = allowed;
+    audit_log_.Append(std::move(e));
+  }
+
+  // CompactNow's last step, after the body's pass: carries the chain across
+  // it (retention drops aged-out groups and re-anchors, leaving the
+  // surviving chain verifiable), then adds the chain's account to the
+  // body's post-pass stats.
+  StatusOr<CompactionStats> CompactAuditChain(CompactionStats body) {
+    auto ac = audit_log_.Compact(clock_->NowMicros());
+    if (!ac.ok()) return ac.status();
+    return WithChainAccount(body);
+  }
 
   // Shared open plumbing for the durable chain: resolves the env and sync
   // policy from the backend's engine options (the chain persists with the
@@ -245,7 +304,18 @@ class AuditedStore : public virtual GdprStore {
   // audits; CompactNow carries it across log compaction via the re-anchor
   // contract (docs/PERSISTENCE.md, "Audit chain durability").
   AuditLog audit_log_;
+  const ComplianceFlags flags_;
   Clock* const clock_;
+  // The policy layer's gdpr_denied_total; null on the cluster router, whose
+  // nodes count their own refusals.
+  obs::Counter* denied_ = nullptr;
+
+ private:
+  CompactionStats WithChainAccount(CompactionStats stats) {
+    stats.audit_segments += audit_log_.segment_count();
+    stats.audit_dropped_entries += audit_log_.dropped_entries_total();
+    return stats;
+  }
 };
 
 }  // namespace gdpr

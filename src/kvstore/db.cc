@@ -203,7 +203,7 @@ Status MemKV::SetInternal(const std::string& key, const std::string& value,
   if (!gate.ok()) return gate;
   std::string stored = value;
   if (aead_) {
-    stored = aead_->Seal(value, seal_seq_.fetch_add(1));
+    stored = aead_->Seal(value, seal_seq_.Next());
   }
   const uint64_t h = Fnv1a(key);
   Shard& s = ShardFor(h);
@@ -658,7 +658,7 @@ bool MemKV::ReplayAofFrame(std::string_view* in, int64_t now) {
     // Resuming lower would reuse ChaCha20 (key, seq) nonces.
     uint64_t seq = 0;
     if (!GetFixed64(in, &seq)) return false;
-    RaiseSealSeq(seq);
+    seal_seq_.RaiseAbove(seq);
     return true;
   }
   std::string_view key, value;
@@ -668,16 +668,7 @@ bool MemKV::ReplayAofFrame(std::string_view* in, int64_t now) {
     if (!GetLengthPrefixed(in, &value) || !GetFixed64(in, &expiry)) {
       return false;
     }
-    if (aead_ && value.size() >= 8) {
-      // Sealed blobs lead with their seal sequence; the counter must
-      // resume above every replayed value or ChaCha20 nonces repeat
-      // across restarts (keystream reuse => plaintext recovery).
-      uint64_t seq = 0;
-      for (int i = 0; i < 8; ++i) {
-        seq |= uint64_t(uint8_t(value[size_t(i)])) << (8 * i);
-      }
-      RaiseSealSeq(seq);
-    }
+    if (aead_) seal_seq_.RaiseAboveSealed(value);
   }
   std::string k(key);
   if (op == 'S' || op == 'D') {
@@ -702,12 +693,6 @@ bool MemKV::ReplayAofFrame(std::string_view* in, int64_t now) {
     return false;          // unknown opcode
   }
   return true;
-}
-
-void MemKV::RaiseSealSeq(uint64_t seq) {
-  uint64_t cur = seal_seq_.load();
-  while (seq + 1 > cur && !seal_seq_.compare_exchange_weak(cur, seq + 1)) {
-  }
 }
 
 // --- AOF rewrite -------------------------------------------------------------
@@ -828,7 +813,7 @@ Status MemKV::CompactAof() {
       // Every seq allocated after this load lands as a frame behind it.
       std::string seq_frame;
       seq_frame.push_back('Q');
-      PutFixed64(&seq_frame, seal_seq_.load());
+      PutFixed64(&seq_frame, seal_seq_.mark());
       st = rewrite.file()->Append(seq_frame);
       tmp_bytes += seq_frame.size();
     }

@@ -232,8 +232,7 @@ class MemKV {
   // serving from memory. A successful CompactAof() heals — the rewrite
   // re-creates the whole log from authoritative memory. kFailed is
   // terminal (replay failure on open).
-  HealthState Health() const { return health_.state(); }
-  Status HealthCause() const { return health_.cause(); }
+  HealthReport Health() const { return health_.report(); }
 
   // --- Observability ---------------------------------------------------------
   // The registry this store records into (options.metrics, or the private
@@ -310,9 +309,6 @@ class MemKV {
   // when it does not parse. `now` decides which replayed 'S' frames are
   // already dead.
   bool ReplayAofFrame(std::string_view* in, int64_t now);
-  // Resumes the seal counter above a replayed `seq`: a lower resume would
-  // reuse ChaCha20 (key, seq) nonces.
-  void RaiseSealSeq(uint64_t seq);
   // Starts (on) or drops (off) CompactAof's mirror tee, emptying
   // rewrite_buf_ either way.
   void SetRewriteMirror(bool on);
@@ -326,7 +322,7 @@ class MemKV {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::unique_ptr<Aead> aead_;
-  std::atomic<uint64_t> seal_seq_{1};
+  SealCounter seal_seq_;
 
   // --- Metrics (registry-backed; see docs/OBSERVABILITY.md) ---------------
   // Resolved once in the constructor; recording is lock-free.

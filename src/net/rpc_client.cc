@@ -242,18 +242,14 @@ size_t RemoteHandle::TotalBytes() {
 
 Status RemoteHandle::Reset() { return Rpc(Req(WireOp::kReset)); }
 
-HealthState RemoteHandle::GetHealth() {
+HealthReport RemoteHandle::GetHealth() {
+  WireResponse resp;
+  Status s = Call(Req(WireOp::kHealth), &resp);
+  if (s.ok()) return std::move(resp.health);
   // Unreachable != data lost: the node may be fine behind a dead link.
   // Degraded is the conservative report: it flags the node without
   // declaring its state unrecoverable.
-  return Rpc(Req(WireOp::kHealth), &WireResponse::health)
-      .value_or(HealthState::kDegradedReadOnly);
-}
-
-Status RemoteHandle::GetHealthCause() {
-  WireResponse resp;
-  Status s = Call(Req(WireOp::kHealth), &resp);
-  return s.ok() ? resp.health_cause : s;
+  return {HealthState::kDegradedReadOnly, s};
 }
 
 obs::RegistrySnapshot RemoteHandle::StatsSnapshot() {

@@ -87,8 +87,7 @@ class RemoteHandle final : public NodeHandle {
   size_t RecordCount() override;
   size_t TotalBytes() override;
   Status Reset() override;
-  HealthState GetHealth() override;
-  Status GetHealthCause() override;
+  HealthReport GetHealth() override;
   obs::RegistrySnapshot StatsSnapshot() override;
 
   StatusOr<CompactionStats> CompactNow(const Actor& actor) override;

@@ -111,7 +111,6 @@ WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req) {
       break;
     case WireOp::kHealth:
       resp.health = store->GetHealth();
-      resp.health_cause = store->GetHealthCause();
       break;
     case WireOp::kStatsSnapshot:
       resp.snapshot = store->StatsSnapshot();

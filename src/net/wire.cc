@@ -376,8 +376,8 @@ bool ResponseBody(Io& io, RespBody shape, R& r) {
     case RespBody::kEntries: return io.List(r.entries, kAuditEntry);
     case RespBody::kFeatures: return kFeatures(io, r.features);
     case RespBody::kHealth:
-      return io.Enum(r.health, HealthState::kFailed) &&
-             io.Stat(r.health_cause);
+      return io.Enum(r.health.state, HealthState::kFailed) &&
+             io.Stat(r.health.cause);
     case RespBody::kCompaction: return kCompactionStats(io, r.stats);
     case RespBody::kSnapshot: return kSnapshot(io, r.snapshot);
     case RespBody::kContents: return kSlotContents(io, r.contents);

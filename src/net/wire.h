@@ -138,8 +138,7 @@ struct WireResponse {
   obs::RegistrySnapshot snapshot;      // kStatsSnapshot
   uint64_t count = 0;                  // counts / byte totals
   bool flag = false;                   // kVerifyDeletion / kVerifyAuditChain
-  HealthState health = HealthState::kHealthy;  // kHealth
-  Status health_cause = Status::OK();          // kHealth
+  HealthReport health;                 // kHealth
   std::string head_hash;               // kVerifyAuditChain
 };
 

@@ -283,7 +283,7 @@ Status Database::ParseSnapshot(std::string_view contents) {
       !GetVarint64(&in, &ntables)) {
     return Status::DataLoss("truncated snapshot header");
   }
-  RaiseSealSeq(seal_seq);
+  seal_seq_.RaiseAbove(seal_seq);
   for (uint64_t ti = 0; ti < ntables; ++ti) {
     std::string_view name;
     uint64_t nslots = 0;
@@ -315,21 +315,11 @@ Status Database::ParseSnapshot(std::string_view contents) {
   return Status::OK();
 }
 
-void Database::RaiseSealSeq(uint64_t seq) {
-  uint64_t cur = seal_seq_.load();
-  while (seq >= cur && !seal_seq_.compare_exchange_weak(cur, seq + 1)) {
-  }
-}
-
 void Database::RaiseSealSeq(const Row& stored) {
   if (!aead_) return;  // nothing is sealed from now on: no nonce to protect
   for (const Value& cell : stored) {
-    if (cell.type() != ValueType::kString) continue;
-    // A sealed cell leads with its seq (Aead's wire format).
-    std::string_view in = cell.AsString();
-    uint64_t seq = 0;
-    if (in.size() >= Aead::kOverhead && GetFixed64(&in, &seq)) {
-      RaiseSealSeq(seq);
+    if (cell.type() == ValueType::kString) {
+      seal_seq_.RaiseAboveSealed(cell.AsString());
     }
   }
 }
@@ -454,7 +444,7 @@ void Database::EncodeCells(std::string* dst, const Row& stored) {
 Value Database::EncodeCell(const Value& v) {
   if (!aead_ || v.type() != ValueType::kString) return v;
   m_cells_sealed_->Add(1);
-  return Value(aead_->Seal(v.AsString(), seal_seq_.fetch_add(1)));
+  return Value(aead_->Seal(v.AsString(), seal_seq_.Next()));
 }
 
 Row Database::EncodeRow(const Row& plain) {
@@ -839,7 +829,7 @@ Status Database::Checkpoint() {
   std::string blob;
   blob.append(kSnapshotMagic, kSnapshotMagicLen);
   PutVarint64(&blob, next_epoch);
-  PutFixed64(&blob, seal_seq_.load());
+  PutFixed64(&blob, seal_seq_.mark());
   PutVarint64(&blob, tables_.size());
   s = tmp->Append(blob);
   snapshot_bytes += blob.size();

@@ -293,14 +293,8 @@ class Database {
   // read logging instead of failing reads. A successful Checkpoint() heals
   // the WAL side — it rewrites the whole persistent state from memory; the
   // statement log only heals on reopen.
-  HealthState Health() const {
-    HealthState w = wal_health_.state();
-    HealthState s = stmt_health_.state();
-    return w < s ? s : w;
-  }
-  Status HealthCause() const {
-    return !wal_health_.cause().ok() ? wal_health_.cause()
-                                     : stmt_health_.cause();
+  HealthReport Health() const {
+    return Worse(wal_health_.report(), stmt_health_.report());
   }
 
   // --- Observability ---------------------------------------------------------
@@ -342,12 +336,11 @@ class Database {
                           const WalOp& op);
   // Parses a checkpoint snapshot into pending_snapshot_ + epoch_.
   Status ParseSnapshot(std::string_view contents);
-  // Resumes the seal counter above `seq`, or above the seq every sealed
-  // cell of `stored` leads with. Recovery calls it on the snapshot's
-  // recorded counter and on every replayed cell (as MemKV does), so no
-  // (key, seq) pair on disk is sealed again, including seqs a discarded
-  // build burned without writing a byte.
-  void RaiseSealSeq(uint64_t seq);
+  // Resumes the seal counter above the seq every sealed cell of `stored`
+  // leads with. Recovery calls it on every replayed row, and raises the
+  // counter above the snapshot's recorded mark, so no (key, seq) pair on
+  // disk is sealed again, including seqs a discarded build burned without
+  // writing a byte.
   void RaiseSealSeq(const Row& stored);
   // The one heap change for an I/U/D op, shared by live writes and
   // replay: the slot, live_rows_ and row_bytes_. An I/U installs a new
@@ -434,7 +427,7 @@ class Database {
   Clock* clock_;
   Env* env_;
   std::unique_ptr<Aead> aead_;
-  std::atomic<uint64_t> seal_seq_{1};
+  SealCounter seal_seq_;
 
   // --- Metrics (registry-backed; see docs/OBSERVABILITY.md) ---------------
   void InitMetrics();

@@ -207,7 +207,7 @@ inline void RunGdprWorkload(GdprStore* store, FaultEnv* fenv, Ledger* led,
 // A store that reports degraded must refuse writes with Unavailable while
 // still serving reads — probed live, before the reopen.
 inline void CheckDegradedContract(GdprStore* store) {
-  if (store->GetHealth() != HealthState::kDegradedReadOnly) return;
+  if (store->GetHealth().state != HealthState::kDegradedReadOnly) return;
   const Actor ctrl = Actor::Controller();
   Status w = store->CreateRecord(
       ctrl, MakeRecord("degraded-probe", "prober", "x"));

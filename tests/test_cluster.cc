@@ -606,7 +606,7 @@ TEST(ClusterTransportEquivalence, AuditEvidenceMatchesAcrossTransports) {
     }
     heads.push_back(std::move(h));
     counts.push_back(cluster.RecordCount());
-    healths.push_back(cluster.GetHealth());
+    healths.push_back(cluster.GetHealth().state);
   }
   EXPECT_EQ(heads[0], heads[1]);
   EXPECT_EQ(counts[0], counts[1]);

@@ -9,6 +9,7 @@
 #include "common/distributions.h"
 #include "common/epoch.h"
 #include "common/hash.h"
+#include "common/health.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -34,6 +35,41 @@ TEST(StatusOr, ValueAndError) {
   EXPECT_FALSE(e.ok());
   EXPECT_EQ(e.value_or(7), 7);
   EXPECT_TRUE(e.status().IsNotFound());
+}
+
+// A report's cause explains its state: the worse state keeps its own
+// cause, and a tie keeps the first report's.
+TEST(HealthReport, WorseKeepsTheWorseStatesCauseAndTheFirstOnATie) {
+  const HealthReport healthy;
+  const HealthReport wal{HealthState::kDegradedReadOnly,
+                         Status::IOError("wal fsync")};
+  const HealthReport audit{HealthState::kDegradedReadOnly,
+                           Status::IOError("audit fsync")};
+  const HealthReport replay{HealthState::kFailed, Status::DataLoss("replay")};
+  EXPECT_TRUE(Worse(healthy, healthy).cause.ok());
+  EXPECT_EQ(Worse(healthy, audit).cause.message(), "audit fsync");
+  EXPECT_EQ(Worse(wal, healthy).cause.message(), "wal fsync");
+  EXPECT_EQ(Worse(wal, audit).cause.message(), "wal fsync");
+  EXPECT_EQ(Worse(audit, wal).cause.message(), "audit fsync");
+  const HealthReport worst = Worse(wal, replay);
+  EXPECT_EQ(worst.state, HealthState::kFailed);
+  EXPECT_TRUE(worst.cause.IsDataLoss());
+}
+
+// report() reads state and cause together, through every transition.
+TEST(HealthTracker, ReportCarriesTheCauseOfItsState) {
+  HealthTracker t;
+  EXPECT_EQ(t.report().state, HealthState::kHealthy);
+  EXPECT_TRUE(t.report().cause.ok());
+  t.Degrade(Status::IOError("first"));
+  t.Degrade(Status::IOError("second"));
+  EXPECT_EQ(t.report().state, HealthState::kDegradedReadOnly);
+  EXPECT_EQ(t.report().cause.message(), "first");
+  t.Heal();
+  EXPECT_TRUE(t.report().cause.ok());
+  t.Fail(Status::DataLoss("replay"));
+  EXPECT_EQ(t.report().state, HealthState::kFailed);
+  EXPECT_TRUE(t.report().cause.IsDataLoss());
 }
 
 TEST(SimulatedClock, AdvancesDeterministically) {

@@ -377,7 +377,7 @@ TEST(StatementLogTorn, ActiveTailSurvivesReopen) {
   {
     rel::Database db(o);
     ASSERT_TRUE(db.Open().ok());
-    EXPECT_EQ(db.Health(), HealthState::kHealthy);
+    EXPECT_EQ(db.Health().state, HealthState::kHealthy);
     auto t = db.CreateTable("t", rel::Schema({{"id", rel::ValueType::kInt64}}));
     ASSERT_TRUE(t.ok());
     ASSERT_TRUE(db.Insert(t.value(), {rel::Value(int64_t(99))}).ok());
@@ -419,7 +419,7 @@ TEST(StatementLogTorn, RotatedSegmentKeepsValidPrefix) {
   {
     rel::Database db(o);
     ASSERT_TRUE(db.Open().ok());
-    EXPECT_EQ(db.Health(), HealthState::kHealthy);
+    EXPECT_EQ(db.Health().state, HealthState::kHealthy);
     auto t = db.CreateTable("t", rel::Schema({{"id", rel::ValueType::kInt64}}));
     ASSERT_TRUE(t.ok());
     insert_until(&db, t.value(), "stmt.2");
@@ -456,7 +456,7 @@ TEST(StatementLogTorn, RotationRenameFailureDegradesThenReopenHeals) {
     rot = db.Insert(t.value(), {rel::Value(i)});
   }
   ASSERT_FALSE(rot.ok());
-  EXPECT_EQ(db.Health(), HealthState::kDegradedReadOnly);
+  EXPECT_EQ(db.Health().state, HealthState::kDegradedReadOnly);
   // Mutations refuse (their statement evidence would be incomplete);
   // reads keep serving, unlogged.
   EXPECT_TRUE(db.Insert(t.value(), {rel::Value(int64_t(999))}).IsUnavailable());
@@ -467,7 +467,7 @@ TEST(StatementLogTorn, RotationRenameFailureDegradesThenReopenHeals) {
   fenv.ClearFaults();
   rel::Database db2(o);
   ASSERT_TRUE(db2.Open().ok());
-  EXPECT_EQ(db2.Health(), HealthState::kHealthy);
+  EXPECT_EQ(db2.Health().state, HealthState::kHealthy);
   ASSERT_TRUE(db2.Close().ok());
 }
 
@@ -1112,8 +1112,8 @@ TEST(ClusterFaults, DegradedNodeRoutesAroundAndReportsPartialForget) {
   ASSERT_FALSE(hit.ok());
   EXPECT_EQ(store.NodeHealth(1), HealthState::kDegradedReadOnly);
   EXPECT_EQ(store.NodeHealth(0), HealthState::kHealthy);
-  EXPECT_EQ(store.GetHealth(), HealthState::kDegradedReadOnly);
-  Status cause = store.GetHealthCause();
+  EXPECT_EQ(store.GetHealth().state, HealthState::kDegradedReadOnly);
+  Status cause = store.GetHealth().cause;
   ASSERT_FALSE(cause.ok());
   EXPECT_NE(cause.message().find("node 1"), std::string::npos)
       << cause.ToString();
@@ -1152,7 +1152,7 @@ TEST(ClusterFaults, DegradedNodeRoutesAroundAndReportsPartialForget) {
   fenv.ClearFaults();
   ASSERT_TRUE(store.node(1)->CompactNow(ctrl).ok());
   EXPECT_EQ(store.NodeHealth(1), HealthState::kHealthy);
-  EXPECT_EQ(store.GetHealth(), HealthState::kHealthy);
+  EXPECT_EQ(store.GetHealth().state, HealthState::kHealthy);
   auto retry = store.DeleteRecordsByUser(ctrl, "cluster-user");
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   auto gone = store.ReadMetadataByUser(ctrl, "cluster-user");

@@ -246,6 +246,9 @@ TEST(KvGdprStore, FeaturesReflectConfiguration) {
   ASSERT_TRUE(f.ok());
   EXPECT_TRUE(f.value().Supports("G 30"));
   EXPECT_TRUE(f.value().Supports("G 25/32"));
+  // Expiry sweeps and tombstoned erasure always run.
+  EXPECT_TRUE(f.value().Supports("G 17"));
+  EXPECT_TRUE(f.value().Supports("G 5(1e)"));
   EXPECT_FALSE(RenderComplianceMatrix(f.value()).empty());
 }
 

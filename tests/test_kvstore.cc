@@ -171,7 +171,7 @@ TEST(MemKV, LostExpiryFrameDoesNotResurrectTheKey) {
     EXPECT_EQ(registry.Snapshot().CounterValue(
                   "memkv_aof_append_failures_total"),
               1u);
-    EXPECT_EQ(db.Health(), HealthState::kDegradedReadOnly);
+    EXPECT_EQ(db.Health().state, HealthState::kDegradedReadOnly);
     fenv.ClearFaults();
     (void)db.Close();
   }
@@ -245,7 +245,7 @@ TEST(MemKV, AofHandleOpenFailureFailsHealth) {
   o.aof_path = "kv.aof";
   MemKV db(o);
   EXPECT_FALSE(db.Open().ok());
-  EXPECT_EQ(db.Health(), HealthState::kFailed);
+  EXPECT_EQ(db.Health().state, HealthState::kFailed);
 }
 
 TEST(MemKV, EncryptionAtRestRoundTrip) {

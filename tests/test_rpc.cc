@@ -141,8 +141,8 @@ TEST(Dispatch, CoversTheVocabularyAgainstALiveStore) {
   req.op = WireOp::kHealth;
   {
     const WireResponse resp = call(req);
-    EXPECT_EQ(resp.health, HealthState::kHealthy);
-    EXPECT_TRUE(resp.health_cause.ok());
+    EXPECT_EQ(resp.health.state, HealthState::kHealthy);
+    EXPECT_TRUE(resp.health.cause.ok());
   }
 
   req = {};
@@ -260,7 +260,7 @@ TEST_F(RpcLoopback, FullOpFlowOverTheWire) {
   EXPECT_EQ(handle_->RecordCount(), 10u);
 
   // Introspection and evidence.
-  EXPECT_EQ(handle_->GetHealth(), HealthState::kHealthy);
+  EXPECT_EQ(handle_->GetHealth().state, HealthState::kHealthy);
   EXPECT_GT(handle_->TotalBytes(), 0u);
   const auto verdict = handle_->VerifyAuditChain();
   ASSERT_TRUE(verdict.ok());
@@ -351,6 +351,21 @@ TEST_F(RpcLoopback, ReconnectsAfterInjectedDisconnectAndCountsIt) {
             1u);
 }
 
+TEST_F(RpcLoopback, HealthReadIsOneRoundTrip) {
+  ASSERT_TRUE(handle_->Open().ok());
+  const auto rpcs = [this] {
+    const obs::RegistrySnapshot snap = registry_.Snapshot();
+    const obs::HistogramSnapshot* h =
+        snap.FindHistogram("cluster_rpc_us{node=\"0\"}");
+    return h ? h->count : 0;
+  };
+  const uint64_t before = rpcs();
+  const HealthReport health = handle_->GetHealth();
+  EXPECT_EQ(rpcs(), before + 1);
+  EXPECT_EQ(health.state, HealthState::kHealthy);
+  EXPECT_TRUE(health.cause.ok());
+}
+
 TEST_F(RpcLoopback, StoppedServerSurfacesUnavailableNotAHang) {
   ASSERT_TRUE(handle_->Open().ok());
   server_->Stop();
@@ -360,8 +375,8 @@ TEST_F(RpcLoopback, StoppedServerSurfacesUnavailableNotAHang) {
   // Statusless introspection degrades instead of erroring...
   EXPECT_EQ(handle_->RecordCount(), 0u);
   // ...and health reports the node unreachable.
-  EXPECT_EQ(handle_->GetHealth(), HealthState::kDegradedReadOnly);
-  EXPECT_TRUE(handle_->GetHealthCause().IsUnavailable());
+  EXPECT_EQ(handle_->GetHealth().state, HealthState::kDegradedReadOnly);
+  EXPECT_TRUE(handle_->GetHealth().cause.IsUnavailable());
 }
 
 TEST_F(RpcLoopback, MalformedFrameGetsErrorResponseConnectionSurvives) {
@@ -411,7 +426,7 @@ TEST(RpcClient, DeadHandleWithNoReconnectPathStaysCleanlyDead) {
   EXPECT_TRUE(
       handle.ReadDataByKey(Actor::Controller(), "k").status().IsUnavailable());
   EXPECT_EQ(handle.RecordCount(), 0u);
-  EXPECT_EQ(handle.GetHealth(), HealthState::kDegradedReadOnly);
+  EXPECT_EQ(handle.GetHealth().state, HealthState::kDegradedReadOnly);
 }
 
 // ---- the connection pool ---------------------------------------------------
@@ -732,7 +747,7 @@ TEST(ClusterKilledNode, ForgetReportsPartialFailureNamingTheNode) {
 
   // Cluster health reflects the unreachable node, and its chain cannot be
   // remotely verified while it is down.
-  EXPECT_EQ(cluster.GetHealth(), HealthState::kDegradedReadOnly);
+  EXPECT_EQ(cluster.GetHealth().state, HealthState::kDegradedReadOnly);
   EXPECT_EQ(cluster.NodeHealth(1), HealthState::kDegradedReadOnly);
   std::vector<bool> per_node;
   EXPECT_FALSE(cluster.VerifyAuditChains(&per_node));

@@ -272,12 +272,12 @@ TEST(WireResponses, ResultPayloadsRoundTrip) {
 
     WireResponse h;
     h.op = WireOp::kHealth;
-    h.health = HealthState::kDegradedReadOnly;
-    h.health_cause = Status::IOError("audit fsync failed");
+    h.health.state = HealthState::kDegradedReadOnly;
+    h.health.cause = Status::IOError("audit fsync failed");
     WireResponse hback;
     ASSERT_TRUE(DecodeResponse(EncodeResponse(h), &hback).ok());
-    EXPECT_EQ(hback.health, HealthState::kDegradedReadOnly);
-    EXPECT_EQ(hback.health_cause.code(), StatusCode::kIOError);
+    EXPECT_EQ(hback.health.state, HealthState::kDegradedReadOnly);
+    EXPECT_EQ(hback.health.cause.code(), StatusCode::kIOError);
 
     WireResponse c;
     c.op = WireOp::kRecordCount;
@@ -399,8 +399,8 @@ std::vector<WireResponse> GoldenResponses() {
   }
   {
     WireResponse& r = with(WireOp::kHealth);
-    r.health = HealthState::kDegradedReadOnly;
-    r.health_cause = Status::IOError("audit fsync failed");
+    r.health.state = HealthState::kDegradedReadOnly;
+    r.health.cause = Status::IOError("audit fsync failed");
   }
   {
     WireResponse& r = with(WireOp::kCompactionStats);
