@@ -55,14 +55,19 @@ class SealCounter {
   uint64_t Next() { return next_.fetch_add(1); }
   // Every seq handed out so far is below this mark.
   uint64_t mark() const { return next_.load(); }
-  // Resumes above seq.
+  // Resumes above seq. UINT64_MAX has no successor and is ignored: the
+  // counter never reaches it, so only a plaintext or tampered value leads
+  // with it, and raising to its wrapped successor (0) would rewind the
+  // counter onto seqs already sealed.
   void RaiseAbove(uint64_t seq) {
+    if (seq == UINT64_MAX) return;
     uint64_t cur = next_.load();
     while (seq >= cur && !next_.compare_exchange_weak(cur, seq + 1)) {
     }
   }
   // Resumes above the seq a replayed value leads with if it is sealed. Any
-  // value of at least 8 bytes counts: a too-high resume costs nothing.
+  // value of at least 8 bytes counts, sealed or not: a resume that is too
+  // high only skips seqs, it never reuses one.
   void RaiseAboveSealed(std::string_view value) {
     if (value.size() >= 8) RaiseAbove(Aead::SeqOf(value));
   }

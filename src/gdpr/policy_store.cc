@@ -36,6 +36,14 @@ PolicyStore::PolicyStore(Clock* clock, const ComplianceFlags& flags,
   pipeline_ = std::make_unique<CommitPipeline>(po);
 }
 
+void PolicyStore::Audit(const Actor& actor, const char* op,
+                        const std::string& key, bool allowed) {
+  // Denials count even with auditing off: the counter is an operational
+  // signal, the audit entry is compliance evidence.
+  if (!allowed) denied_->Add(1);
+  AuditedStore::Audit(actor, op, key, allowed);
+}
+
 bool PolicyStore::Matches(Attr attr, const std::string& value,
                           const GdprMetadata& m) {
   switch (attr) {
@@ -325,8 +333,11 @@ StatusOr<CompactionStats> PolicyStore::CompactNow(const Actor& actor) {
   obs::ScopedTimer op_timer(op_hist(ops::OpClass::kCompactLogs), clock_);
   Status s = CheckGdprAccess(flags_, actor, ops::kCompact, nullptr);
   if (s.ok()) s = CompactLog();
-  StatusOr<CompactionStats> out = s;
-  if (s.ok()) out = CompactAuditChain(LogCompactionStats());
+  if (!s.ok()) {
+    Audit(actor, ops::kCompact, "", false);
+    return s;
+  }
+  StatusOr<CompactionStats> out = CompactAuditChain(LogCompactionStats());
   Audit(actor, ops::kCompact, "", out.ok());
   return out;
 }

@@ -132,6 +132,9 @@ class PolicyStore : public AuditedStore {
  private:
   static bool Matches(Attr attr, const std::string& value,
                       const GdprMetadata& m);
+  // AuditedStore::Audit, counting every refusal in denied_ first.
+  void Audit(const Actor& actor, const char* op, const std::string& key,
+             bool allowed);
   // Fetches key for a by-key op and checks access; audits any refusal.
   StatusOr<GdprRecord> FetchForOp(const Actor& actor, const char* op,
                                   const std::string& key,
@@ -142,6 +145,8 @@ class PolicyStore : public AuditedStore {
 
   const char* const engine_name_;
   obs::Histogram* op_hist_[static_cast<int>(ops::OpClass::kCount)] = {};
+  // gdpr_denied_total.
+  obs::Counter* denied_ = nullptr;
   // Forget (G 17) end-to-end and SAR/portability export latencies, recorded
   // in addition to the per-op-class histogram.
   obs::Histogram* forget_us_ = nullptr;

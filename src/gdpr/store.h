@@ -255,12 +255,9 @@ class AuditedStore : public virtual GdprStore {
   // Log-side compaction stats; the shell adds the chain's.
   virtual CompactionStats LogCompactionStats() = 0;
 
-  // One audit entry, when auditing is on. A refusal also counts in
-  // denied_, when set, even with auditing off: the counter is an
-  // operational signal, the entry compliance evidence.
+  // One audit entry, when auditing is on.
   void Audit(const Actor& actor, const char* op, const std::string& key,
              bool allowed) {
-    if (!allowed && denied_) denied_->Add(1);
     if (!flags_.audit_enabled) return;
     AuditEntry e;
     e.timestamp_micros = clock_->NowMicros();
@@ -306,9 +303,6 @@ class AuditedStore : public virtual GdprStore {
   AuditLog audit_log_;
   const ComplianceFlags flags_;
   Clock* const clock_;
-  // The policy layer's gdpr_denied_total; null on the cluster router, whose
-  // nodes count their own refusals.
-  obs::Counter* denied_ = nullptr;
 
  private:
   CompactionStats WithChainAccount(CompactionStats stats) {

@@ -263,5 +263,32 @@ TEST(Aead, DistinctSequencesDistinctCiphertexts) {
   EXPECT_FALSE(other.Open(aead.Seal("msg", 3)).ok());
 }
 
+TEST(SealCounter, ResumesAboveEveryReplayedSeq) {
+  SealCounter counter;
+  EXPECT_EQ(counter.Next(), 1u);
+  counter.RaiseAbove(41);
+  EXPECT_EQ(counter.mark(), 42u);
+  counter.RaiseAbove(7);  // lower seqs never rewind it
+  EXPECT_EQ(counter.Next(), 42u);
+  Aead aead("key");
+  counter.RaiseAboveSealed(aead.Seal("v", 100));
+  EXPECT_EQ(counter.mark(), 101u);
+  counter.RaiseAboveSealed("short");  // under 8 bytes: no seq to read
+  EXPECT_EQ(counter.mark(), 101u);
+}
+
+TEST(SealCounter, MaxSeqNeverWrapsTheCounter) {
+  // A value leading with eight 0xFF bytes (a plaintext or tampered one)
+  // carries seq UINT64_MAX, whose successor wraps to 0.
+  SealCounter counter;
+  counter.RaiseAbove(99);
+  counter.RaiseAboveSealed(std::string(8, '\xff') + "tail");
+  counter.RaiseAbove(UINT64_MAX);
+  EXPECT_GT(counter.mark(), 99u);
+  counter.RaiseAbove(5);
+  EXPECT_GT(counter.mark(), 99u);
+  EXPECT_EQ(counter.Next(), 100u);
+}
+
 }  // namespace
 }  // namespace gdpr
