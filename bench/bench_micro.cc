@@ -11,6 +11,7 @@
 
 #include "bench/generator.h"
 #include "common/clock.h"
+#include "common/coding.h"
 #include "common/distributions.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -63,53 +64,45 @@ void BM_AeadSealOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_AeadSealOpen)->Arg(100)->Arg(1024);
 
-// The seven string cells reldb seals per customer row, in the order of
-// RelGdprStore's gdpr_records columns: key, user, data, origin, purposes,
-// objections, shared_with.
-std::vector<std::string> CustomerRowCells() {
+// The block reldb seals per customer row: the seven string cells of
+// RelGdprStore's gdpr_records (key, user, data, origin, purposes,
+// objections, shared_with), each length-prefixed, in column order.
+std::string CustomerRowBlock() {
   bench::DatasetConfig cfg;
   SimulatedClock clock;
   const GdprRecord rec = bench::RecordGenerator(cfg, &clock).Make(0);
   const GdprMetadata& m = rec.metadata;
-  return {rec.key,
-          m.user,
-          rec.data,
-          m.origin,
-          JoinStrings(m.purposes, '|'),
-          JoinStrings(m.objections, '|'),
-          JoinStrings(m.shared_with, '|')};
+  std::string block;
+  for (const std::string& cell :
+       {rec.key, m.user, rec.data, m.origin, JoinStrings(m.purposes, '|'),
+        JoinStrings(m.objections, '|'), JoinStrings(m.shared_with, '|')}) {
+    PutLengthPrefixed(&block, cell);
+  }
+  return block;
 }
 
 // Opening one reldb row: the AEAD cost of a point read with encrypt_at_rest.
 void BM_AeadOpenRow(benchmark::State& state) {
   const Aead aead("reldb-at-rest-key");
-  std::vector<std::string> sealed;
-  uint64_t seq = 1;
-  for (const std::string& cell : CustomerRowCells()) {
-    sealed.push_back(aead.Seal(cell, seq++));
-  }
+  const std::string sealed = aead.Seal(CustomerRowBlock(), 1);
   for (auto _ : state) {
-    for (const std::string& cell : sealed) {
-      auto plain = aead.Open(cell);
-      benchmark::DoNotOptimize(plain);
-    }
+    auto plain = aead.Open(sealed);
+    benchmark::DoNotOptimize(plain);
   }
-  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(sealed.size()));
+  state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_AeadOpenRow);
 
 // Sealing one reldb row: the AEAD cost of an insert or update.
 void BM_AeadSealRow(benchmark::State& state) {
   const Aead aead("reldb-at-rest-key");
-  const std::vector<std::string> cells = CustomerRowCells();
+  const std::string block = CustomerRowBlock();
   uint64_t seq = 1;
   for (auto _ : state) {
-    for (const std::string& cell : cells) {
-      std::string sealed = aead.Seal(cell, seq++);
-      benchmark::DoNotOptimize(sealed);
-    }
+    std::string sealed = aead.Seal(block, seq++);
+    benchmark::DoNotOptimize(sealed);
   }
-  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(cells.size()));
+  state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_AeadSealRow);
 

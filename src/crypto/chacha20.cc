@@ -61,10 +61,25 @@ void ChaCha20::NextBlock() {
 }
 
 void ChaCha20::Process(uint8_t* data, size_t len) {
-  for (size_t i = 0; i < len; ++i) {
-    if (block_pos_ == 64) NextBlock();
-    data[i] ^= block_[block_pos_++];
+  // The rest of a block an earlier call began, a byte at a time.
+  for (; len != 0 && block_pos_ != 64; --len) *data++ ^= block_[block_pos_++];
+  // Whole blocks, eight 64-bit words each; memcpy keeps byte order and
+  // alignment out of it.
+  for (; len >= 64; len -= 64, data += 64) {
+    NextBlock();
+    for (int i = 0; i < 64; i += 8) {
+      uint64_t d, k;
+      memcpy(&d, data + i, 8);
+      memcpy(&k, block_ + i, 8);
+      d ^= k;
+      memcpy(data + i, &d, 8);
+    }
+    block_pos_ = 64;
   }
+  if (len == 0) return;
+  NextBlock();  // the tail: the front of a fresh block
+  for (size_t i = 0; i < len; ++i) data[i] ^= block_[i];
+  block_pos_ = len;
 }
 
 }  // namespace gdpr

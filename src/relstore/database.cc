@@ -24,6 +24,55 @@ bool DecodeEpochFrame(std::string_view* in, uint64_t* epoch) {
   return GetVarint64(in, epoch);
 }
 
+constexpr char kInt64 = char(ValueType::kInt64);
+constexpr char kString = char(ValueType::kString);
+// The marker of a string cell whose bytes are in the row's sealed block.
+constexpr char kSealedString = 3;
+
+// Walks the row image at the front of *in and consumes it: cell(col, tag,
+// payload) sees each cell in column order (payload: an int's 8 bytes, a
+// null's or string's bytes, nothing for a sealed string), and *block gets
+// the sealed block, empty when no cell is sealed. False when the image
+// does not parse.
+template <typename CellFn>
+bool WalkImage(std::string_view* in, std::string_view* block, CellFn&& cell) {
+  uint64_t ncells = 0;
+  if (!GetVarint64(in, &ncells)) return false;
+  bool sealed = false;
+  for (uint64_t col = 0; col < ncells; ++col) {
+    if (in->empty()) return false;
+    const char tag = in->front();
+    in->remove_prefix(1);
+    std::string_view payload;
+    if (tag == kInt64) {
+      if (in->size() < 8) return false;
+      payload = in->substr(0, 8);
+      in->remove_prefix(8);
+    } else if (tag == kSealedString) {
+      sealed = true;
+    } else if ((tag != char(ValueType::kNull) && tag != kString) ||
+               !GetLengthPrefixed(in, &payload)) {
+      return false;
+    }
+    cell(size_t(col), tag, payload);
+  }
+  *block = {};
+  return !sealed || GetLengthPrefixed(in, block);
+}
+
+// The cell count an image leads with.
+uint64_t CellCount(std::string_view image) {
+  uint64_t ncells = 0;
+  GetVarint64(&image, &ncells);
+  return ncells;
+}
+
+int64_t IntOf(std::string_view payload) {
+  uint64_t v = 0;
+  GetFixed64(&payload, &v);
+  return int64_t(v);
+}
+
 }  // namespace
 
 Database::Database(const RelOptions& options) : options_(options) {
@@ -67,8 +116,8 @@ void Database::InitMetrics() {
   m_stmt_statements_ = metrics_->GetCounter("reldb_stmt_statements_total");
   m_stmt_bytes_total_ = metrics_->GetCounter("reldb_stmt_bytes_total");
   m_checkpoints_ = metrics_->GetCounter("reldb_checkpoints_total");
-  m_cells_sealed_ = metrics_->GetCounter("reldb_cells_sealed_total");
-  m_cells_opened_ = metrics_->GetCounter("reldb_cells_opened_total");
+  m_rows_sealed_ = metrics_->GetCounter("reldb_rows_sealed_total");
+  m_rows_opened_ = metrics_->GetCounter("reldb_rows_opened_total");
   m_write_rebuilds_ = metrics_->GetCounter("reldb_write_rebuilds_total");
   m_wal_log_bytes_ = metrics_->GetGauge("reldb_wal_log_bytes");
   m_stmt_log_bytes_ = metrics_->GetGauge("reldb_stmt_log_bytes");
@@ -210,25 +259,21 @@ Status Database::Close() {
   return wal.ok() ? stmt : wal;
 }
 
-bool Database::DecodeCells(std::string_view* in, Row* out) {
-  uint64_t ncells = 0;
-  if (!GetVarint64(in, &ncells)) return false;
-  out->reserve(out->size() + size_t(ncells));
-  for (uint64_t i = 0; i < ncells; ++i) {
-    if (in->empty()) return false;
-    const auto type = ValueType(in->front());
-    in->remove_prefix(1);
-    if (type == ValueType::kInt64) {
-      uint64_t v = 0;
-      if (!GetFixed64(in, &v)) return false;
-      out->emplace_back(int64_t(v));
-    } else {
-      std::string_view s;
-      if (!GetLengthPrefixed(in, &s)) return false;
-      out->emplace_back(type == ValueType::kNull ? Value()
-                                                 : Value(std::string(s)));
-    }
+bool Database::ReadImage(std::string_view* in, std::string* image) {
+  const std::string_view start = *in;
+  std::string_view block;
+  // Any string of at least 8 bytes counts, sealed or not: a resume that is
+  // too high only skips seqs. With no key nothing is sealed from now on.
+  const auto raise = [&](std::string_view sealed) {
+    if (aead_) seal_seq_.RaiseAboveSealed(sealed);
+  };
+  if (!WalkImage(in, &block, [&](size_t, char tag, std::string_view payload) {
+        if (tag == kString) raise(payload);
+      })) {
+    return false;
   }
+  if (!block.empty()) raise(block);
+  image->assign(start.data(), start.size() - in->size());
   return true;
 }
 
@@ -241,32 +286,25 @@ bool Database::ParseWalFrame(std::string_view* in) {
   bool ok = (op == 'I' || op == 'U' || op == 'D') &&
             GetLengthPrefixed(in, &table);
   if (ok && (op == 'U' || op == 'D')) ok = GetVarint64(in, &wal_op.rid);
-  if (ok && (op == 'I' || op == 'U')) ok = DecodeCells(in, &wal_op.stored);
+  if (ok && (op == 'I' || op == 'U')) ok = ReadImage(in, &wal_op.stored);
   if (!ok) return false;
-  RaiseSealSeq(wal_op.stored);
   pending_replay_[std::string(table)].push_back(std::move(wal_op));
   return true;
 }
 
 void Database::EncodeWalOp(std::string* dst, std::string_view table,
                             const WalOp& op) {
-  // Length-prefixed binary framing: sealed cells contain arbitrary bytes,
+  // Length-prefixed binary framing: sealed blocks contain arbitrary bytes,
   // so a text format would be unparseable on replay.
   dst->push_back(op.op);
   PutLengthPrefixed(dst, table);
   if (op.op != 'I') PutVarint64(dst, op.rid);
-  if (op.op != 'D') EncodeCells(dst, op.stored);
+  if (op.op != 'D') dst->append(op.stored);
 }
 
 namespace {
 constexpr char kSnapshotMagic[] = "RSNP1";
 constexpr size_t kSnapshotMagicLen = 5;
-
-size_t RowBytes(const Row& row) {
-  size_t bytes = 0;
-  for (const Value& v : row) bytes += v.ByteSize();
-  return bytes;
-}
 }  // namespace
 
 Status Database::ParseSnapshot(std::string_view contents) {
@@ -290,7 +328,7 @@ Status Database::ParseSnapshot(std::string_view contents) {
     if (!GetLengthPrefixed(&in, &name) || !GetVarint64(&in, &nslots)) {
       return Status::DataLoss("truncated snapshot table header");
     }
-    std::vector<std::optional<Row>> slots;
+    std::vector<std::optional<std::string>> slots;
     slots.reserve(size_t(nslots));
     for (uint64_t si = 0; si < nslots; ++si) {
       if (in.empty()) return Status::DataLoss("truncated snapshot slot");
@@ -302,11 +340,10 @@ Status Database::ParseSnapshot(std::string_view contents) {
         slots.emplace_back(std::nullopt);
         continue;
       }
-      Row stored;
-      if (!DecodeCells(&in, &stored)) {
+      std::string stored;
+      if (!ReadImage(&in, &stored)) {
         return Status::DataLoss("truncated snapshot row");
       }
-      RaiseSealSeq(stored);
       slots.emplace_back(std::move(stored));
     }
     pending_snapshot_[std::string(name)] = std::move(slots);
@@ -315,13 +352,17 @@ Status Database::ParseSnapshot(std::string_view contents) {
   return Status::OK();
 }
 
-void Database::RaiseSealSeq(const Row& stored) {
-  if (!aead_) return;  // nothing is sealed from now on: no nonce to protect
-  for (const Value& cell : stored) {
-    if (cell.type() == ValueType::kString) {
-      seal_seq_.RaiseAboveSealed(cell.AsString());
-    }
-  }
+void Database::Migrate(std::string* image) {
+  if (!aead_) return;
+  std::string_view in = *image, block;
+  bool legacy = false;
+  WalkImage(&in, &block, [&](size_t, char tag, std::string_view) {
+    legacy |= tag == kString;
+  });
+  if (!legacy) return;
+  bool intact = true;
+  Row plain = DecodeRow(*image, &intact);
+  if (intact) *image = EncodeRow(plain);
 }
 
 uint64_t Database::ApplyOp(Table* t, WalOp op) {
@@ -330,32 +371,36 @@ uint64_t Database::ApplyOp(Table* t, WalOp op) {
   if (op.op == 'I') t->slots_.emplace_back();
   const uint64_t rid = op.op == 'I' ? uint64_t(t->slots_.size()) : op.rid;
   if (rid == 0 || rid > t->slots_.size()) return 0;
-  std::unique_ptr<const Row>& slot = t->slots_[rid - 1];
+  std::unique_ptr<const std::string>& slot = t->slots_[rid - 1];
   if (op.op != 'I' && !slot) return 0;  // U/D of a deleted row
-  if (op.op != 'D' && op.stored.size() != t->schema().num_columns()) {
+  if (op.op != 'D' && CellCount(op.stored) != t->schema().num_columns()) {
     return 0;  // arity mismatch (schema drift): the row is unusable
   }
   if (slot) {
-    t->row_bytes_ -= RowBytes(*slot);
+    t->row_bytes_ -= slot->size();
     // A reader may still be decoding the displaced image after dropping
     // the table lock; the epoch retire frees it once none can be.
-    EpochManager::Global().Retire(const_cast<Row*>(slot.release()));
+    EpochManager::Global().Retire(const_cast<std::string*>(slot.release()));
   }
   if (op.op == 'D') {
     if (--t->live_rows_ == 0) t->index_unreadable_.clear();
   } else {
     if (op.op == 'I') ++t->live_rows_;
-    t->row_bytes_ += RowBytes(op.stored);
-    slot = std::make_unique<const Row>(std::move(op.stored));
+    t->row_bytes_ += op.stored.size();
+    slot = std::make_unique<const std::string>(std::move(op.stored));
   }
   return rid;
 }
 
-void Database::ApplySnapshot(Table* t, std::vector<std::optional<Row>> slots) {
+void Database::ApplySnapshot(Table* t,
+                             std::vector<std::optional<std::string>> slots) {
   for (auto& slot : slots) {
     if (!slot) {
       t->slots_.emplace_back();  // deleted: kept so later rids don't shift
-    } else if (ApplyOp(t, {'I', 0, std::move(*slot)}) != 0) {
+      continue;
+    }
+    Migrate(&*slot);
+    if (ApplyOp(t, {'I', 0, std::move(*slot)}) != 0) {
       ++replay_stats_.snapshot_rows;
     }
   }
@@ -364,6 +409,7 @@ void Database::ApplySnapshot(Table* t, std::vector<std::optional<Row>> slots) {
 void Database::ApplyReplay(Table* t, std::vector<WalOp> ops) {
   for (WalOp& op : ops) {
     const char kind = op.op;
+    Migrate(&op.stored);
     if (ApplyOp(t, std::move(op)) == 0) continue;
     ++(kind == 'I'   ? replay_stats_.inserts
        : kind == 'U' ? replay_stats_.updates
@@ -413,7 +459,7 @@ Status Database::CreateIndex(const std::string& table,
   for (size_t slot = 0; slot < t->slots_.size(); ++slot) {
     if (!t->slots_[slot]) continue;
     Value plain;
-    if (OpenCell((*t->slots_[slot])[size_t(col)], &plain)) {
+    if (CellOf(*t->slots_[slot], size_t(col), &plain)) {
       index.Insert(plain, uint64_t(slot) + 1);
     } else {
       ++unreadable;
@@ -429,52 +475,93 @@ void Database::DiscardPending(const std::string& table) {
   pending_snapshot_.erase(table);
 }
 
-void Database::EncodeCells(std::string* dst, const Row& stored) {
-  PutVarint64(dst, stored.size());
-  for (const Value& v : stored) {
-    dst->push_back(char(v.type()));
-    if (v.type() == ValueType::kInt64) {
-      PutFixed64(dst, uint64_t(v.AsInt64()));
+std::string Database::EncodeRow(const Row& plain) {
+  std::string image, block;
+  PutVarint64(&image, plain.size());
+  for (const Value& v : plain) {
+    if (aead_ && v.type() == ValueType::kString) {
+      image.push_back(kSealedString);
+      PutLengthPrefixed(&block, v.AsString());
+    } else if (v.type() == ValueType::kInt64) {
+      image.push_back(kInt64);
+      PutFixed64(&image, uint64_t(v.AsInt64()));
     } else {
-      PutLengthPrefixed(dst, v.AsString());
+      image.push_back(char(v.type()));
+      PutLengthPrefixed(&image, v.AsString());
     }
   }
-}
-
-Value Database::EncodeCell(const Value& v) {
-  if (!aead_ || v.type() != ValueType::kString) return v;
-  m_cells_sealed_->Add(1);
-  return Value(aead_->Seal(v.AsString(), seal_seq_.Next()));
-}
-
-Row Database::EncodeRow(const Row& plain) {
-  Row stored;
-  stored.reserve(plain.size());
-  for (const Value& v : plain) stored.push_back(EncodeCell(v));
-  return stored;
-}
-
-bool Database::OpenCell(const Value& cell, Value* plain) const {
-  if (!aead_ || cell.type() != ValueType::kString) {
-    *plain = cell;
-    return true;
+  if (!block.empty()) {
+    m_rows_sealed_->Add(1);
+    PutLengthPrefixed(&image, aead_->Seal(block, seal_seq_.Next()));
   }
-  m_cells_opened_->Add(1);
-  auto p = aead_->Open(cell.AsString());
-  if (!p.ok()) return false;
-  *plain = Value(std::move(p.value()));
-  return true;
+  image.shrink_to_fit();  // a slot keeps it for the row's lifetime
+  return image;
 }
 
-Row Database::DecodeRow(const Row& stored, bool* intact) const {
-  if (!aead_) return stored;
-  Row out(stored.size());
-  for (size_t i = 0; i < stored.size(); ++i) {
-    if (OpenCell(stored[i], &out[i])) continue;
-    out[i] = stored[i];
-    if (intact) *intact = false;
+Row Database::DecodeRow(std::string_view image, bool* intact) const {
+  bool readable = true;
+  // Opens one sealed blob: the row's block or, while Migrate decodes a
+  // legacy row, one cell. Without a key nothing opens.
+  const auto open = [&](std::string_view sealed) {
+    if (aead_) {
+      m_rows_opened_->Add(1);
+      auto plain = aead_->Open(sealed);
+      if (plain.ok()) return Value(std::move(plain.value()));
+    }
+    readable = false;
+    return Value();
+  };
+  // Every image in a slot parses: ReadImage or EncodeRow made it.
+  Row out;
+  out.reserve(CellCount(image));
+  std::string_view in = image, block;
+  WalkImage(&in, &block, [&](size_t, char tag, std::string_view payload) {
+    if (tag == kInt64) {
+      out.emplace_back(IntOf(payload));
+    } else if (tag == kString) {
+      out.push_back(aead_ ? open(payload) : Value(std::string(payload)));
+    } else {
+      out.emplace_back();  // null, or a sealed string filled in below
+    }
+  });
+  if (!block.empty()) {
+    const Value strings = open(block);
+    std::string_view next = strings.AsString(), cell;
+    in = image;
+    WalkImage(&in, &block, [&](size_t col, char tag, std::string_view) {
+      if (tag != kSealedString) return;
+      if (GetLengthPrefixed(&next, &cell)) {
+        out[col] = Value(std::string(cell));
+      } else {
+        readable = false;  // left null
+      }
+    });
   }
+  if (intact && !readable) *intact = false;
   return out;
+}
+
+bool Database::CellOf(std::string_view image, size_t col, Value* out) const {
+  std::string_view in = image, block, payload;
+  char tag = char(ValueType::kNull);
+  WalkImage(&in, &block, [&](size_t i, char t, std::string_view p) {
+    if (i != col) return;
+    tag = t;
+    payload = p;
+  });
+  if (tag == kInt64) {
+    *out = Value(IntOf(payload));
+  } else if (tag == char(ValueType::kNull)) {
+    *out = Value();
+  } else if (tag == kString && !aead_) {
+    *out = Value(std::string(payload));
+  } else {
+    bool intact = true;
+    Row row = DecodeRow(image, &intact);
+    if (!intact) return false;
+    *out = std::move(row[col]);
+  }
+  return true;
 }
 
 Status Database::Unreadable(const Table* t, size_t rows) {
@@ -488,7 +575,7 @@ Status Database::ApplyChanges(Table* t, std::vector<RowChange>* changes) {
   // taken only once the frame is acked, so readers neither wait for the
   // commit nor see a write before it. The caller's writer mutex keeps
   // WAL order equal to apply order, or replayed rids would point at the
-  // wrong rows. The WAL carries the stored (possibly sealed) cells: with
+  // wrong rows. The WAL carries the row image (sealed strings): with
   // encryption on, personal data must not reach disk in plaintext. Gate
   // on the option, not the handle: the WAL file lives in the pipeline and
   // Checkpoint swaps it there.
@@ -598,7 +685,7 @@ Database::Matched Database::MatchRowIds(const Table* t, const Predicate* pred,
   // Caller holds t->mu_ (shared or exclusive).
   Matched m;
   const auto add = [&](uint64_t rid) {
-    if (const Row* image = t->slots_[rid - 1].get()) {
+    if (const std::string* image = t->slots_[rid - 1].get()) {
       m.rows.emplace_back(rid, image);
     }
     return limit == 0 || m.rows.size() < limit;
@@ -622,12 +709,13 @@ Database::Matched Database::MatchRowIds(const Table* t, const Predicate* pred,
     if (missed != t->index_unreadable_.end()) m.unreadable += missed->second;
     return m;
   }
-  // Sequential scan. Only the predicate column needs decoding.
+  // Sequential scan. Only the predicate column needs decoding, though a
+  // sealed one opens its whole row.
   for (size_t slot = 0; slot < t->slots_.size(); ++slot) {
     if (!t->slots_[slot]) continue;
     if (pred) {
       Value plain;
-      if (!OpenCell((*t->slots_[slot])[pred->col], &plain)) {
+      if (!CellOf(*t->slots_[slot], pred->col, &plain)) {
         ++m.unreadable;
         continue;
       }
@@ -701,11 +789,12 @@ StatusOr<size_t> Database::Update(Table* t, const Predicate& pred,
     // failure on any matched row applies none of them.
     for (const auto& [rid, image] : m.rows) {
       bool intact = true;
-      RowChange c{{'U', rid, {}}, DecodeRow(*image, &intact), {}};
-      if (!intact) {  // re-sealing would store a cell's ciphertext as plain
+      Row before = DecodeRow(*image, &intact);
+      if (!intact) {  // sealing it again would lose the cells it cannot read
         ++unreadable;
         continue;
       }
+      RowChange c{{'U', rid, {}}, std::move(before), {}};
       c.after = c.before;
       mutate(&c.after);
       if (c.after.size() != c.before.size()) {
@@ -723,10 +812,12 @@ StatusOr<size_t> Database::Delete(Table* t, const Predicate& pred) {
   obs::SampledTimer timer(delete_us_, clock_);
   const auto build = [&](const Matched& m, std::vector<RowChange>* changes) {
     if (m.unreadable != 0) return Unreadable(t, m.unreadable);
-    // A cell that fails to open stays sealed in `before`; CreateIndex's
-    // backfill never indexed it, so its index erase finds nothing.
+    // An unreadable row decodes with null string cells. CreateIndex's
+    // backfill never filed it under a string column, so those erases find
+    // nothing; its int cells are in the clear and erase as usual.
     for (const auto& [rid, image] : m.rows) {
-      changes->push_back({{'D', rid, {}}, DecodeRow(*image), {}});
+      Row before = DecodeRow(*image);
+      changes->push_back({{'D', rid, {}}, std::move(before), {}});
     }
     return Status::OK();
   };
@@ -844,9 +935,9 @@ Status Database::Checkpoint() {
         continue;
       }
       blob.push_back(char(1));
-      // Stored (possibly sealed) cells go to disk verbatim — the snapshot
-      // never holds personal data in plaintext when encryption is on.
-      EncodeCells(&blob, *slot);
+      // The row image goes to disk verbatim — the snapshot never holds
+      // personal data in plaintext when encryption is on.
+      blob.append(*slot);
     }
     s = tmp->Append(blob);
     snapshot_bytes += blob.size();

@@ -3,6 +3,15 @@
 // the Fig 3b cost), a replayable WAL, a statement log (log_statement=all
 // retrofit), and optional at-rest encryption of string cells.
 //
+// Each row is one immutable image, the bytes its WAL frame and snapshot
+// slot carry: a cell count, then per cell a type byte and its payload
+// (docs/PERSISTENCE.md, "WAL framing"). With encrypt_at_rest each string
+// cell is the marker byte 3 and one AEAD blob after the cells seals them
+// all: one seal per write, one open per decoded row. Int cells stay in the
+// clear, so an int predicate or index never opens a row. Logs that sealed
+// each string cell alone still replay, and CreateTable seals such a row
+// again as one.
+//
 // Predicates on an indexed column use the index (point or range probe);
 // everything else falls back to a sequential scan. An element index files a
 // list cell under each of its distinct elements (value.h) and serves only
@@ -10,10 +19,10 @@
 // entries are derived from the rows and never logged.
 //
 // WAL format: one self-framing binary record per mutation, committed before
-// the table changes and carrying the stored (possibly AEAD-sealed) cells so
-// personal data never reaches disk in plaintext:
-//   'I' <table> <ncells> <cells>          insert (row id = arrival order)
-//   'U' <table> <rid> <ncells> <cells>    full new row image for rid
+// the table changes and carrying the row image, so personal data never
+// reaches disk in plaintext when encryption is on:
+//   'I' <table> <image>                   insert (row id = arrival order)
+//   'U' <table> <rid> <image>             full new row image for rid
 //   'D' <table> <rid>                     delete of rid
 //   'E' <epoch>                           checkpoint stamp (first record
 //                                         after a WAL truncation)
@@ -21,8 +30,8 @@
 // replay cleanly) and CreateTable applies the queued ops for that table, so
 // row ids reconstruct exactly and index backfill sees the replayed rows.
 //
-// Checkpoint() bounds the log: it serializes every table heap (stored
-// cells, deleted slots included so row ids stay stable) to
+// Checkpoint() bounds the log: it serializes every table heap (row images,
+// deleted slots included so row ids stay stable) to
 // <wal_path>.snapshot via write-temp + atomic rename, then truncates the
 // WAL and stamps it with the snapshot's epoch. Recovery = snapshot load +
 // WAL tail; an epoch mismatch (crash between the snapshot rename and the
@@ -40,6 +49,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -157,14 +167,15 @@ class Table {
   // apply of changes whose WAL frame is already acked, never through the
   // commit wait, so a reader never sees or waits for an unacked write.
   mutable std::shared_mutex mu_;
-  // Row id = slot index + 1. A live slot owns an immutable image: a write
-  // installs a new image and epoch-retires the one it displaces (ApplyOp),
-  // never changes one in place, so a reader that took an image under mu_
-  // may decode it after unlocking while an EpochGuard pins it. A deleted
-  // row leaves a null slot so ids in index leaves stay stable.
-  std::vector<std::unique_ptr<const Row>> slots_;
+  // Row id = slot index + 1. A live slot owns an immutable row image (see
+  // the top of this file): a write installs a new image and epoch-retires
+  // the one it displaces (ApplyOp), never changes one in place, so a reader
+  // that took an image under mu_ may decode it after unlocking while an
+  // EpochGuard pins it. A deleted row leaves a null slot so ids in index
+  // leaves stay stable.
+  std::vector<std::unique_ptr<const std::string>> slots_;
   size_t live_rows_ = 0;
-  size_t row_bytes_ = 0;
+  size_t row_bytes_ = 0;  // the live images' lengths
   // A B+tree over one column, keyed by the whole cell or, for an element
   // index, by each of the cell's distinct elements.
   struct Index {
@@ -180,9 +191,10 @@ class Table {
     }
   };
   std::map<size_t, Index> indexes_;  // by column
-  // Per indexed column: rows CreateIndex's backfill could not decrypt the
-  // cell of. They are in no index, so every probe of that index reports
-  // them as unreadable. Sticky until the table empties or is reopened.
+  // Per indexed column: rows CreateIndex's backfill could not decrypt. They
+  // are in no index on a string column, so every probe of that index
+  // reports them as unreadable. Sticky until the table empties or is
+  // reopened.
   std::map<size_t, size_t> index_unreadable_;
 };
 
@@ -230,15 +242,17 @@ class Database {
   void DiscardPending(const std::string& table);
 
   Status Insert(Table* t, Row row);
-  // Rows that fail at-rest decryption ("unreadable") are never answered
-  // with their sealed bytes, and never silently left out:
+  // A row whose sealed string cells fail at-rest decryption is unreadable
+  // as a whole: it is never answered with its sealed bytes, and never
+  // silently left out. Its int cells stay readable.
   // - Select and ScanRows return DataLoss after visiting every readable
   //   row they met.
   // - Update and Delete return DataLoss and change nothing when they cannot
-  //   tell whether an unreadable row matches: its predicate cell is sealed,
-  //   or the probed index could not hold it (see Table::index_unreadable_).
-  // - Update also refuses a matched row with any unreadable cell, rather
-  //   than re-seal its ciphertext; Delete removes it.
+  //   tell whether an unreadable row matches: the predicate is on a string
+  //   column, or the probed index could not hold the row (see
+  //   Table::index_unreadable_).
+  // - Update also refuses a matched unreadable row, rather than seal
+  //   cells it cannot read; Delete removes it.
   StatusOr<std::vector<Row>> Select(Table* t, const Predicate& pred,
                                     size_t limit = 0);
   // Visits every live row (decoded); fn returns false to stop the scan. fn
@@ -255,8 +269,8 @@ class Database {
                           const std::function<void(Row*)>& mutate);
   StatusOr<size_t> Delete(Table* t, const Predicate& pred);
   // The wipe path (RelGdprStore::Reset, TtlDaemon): a sequential scan whose
-  // predicate sees unreadable cells still sealed, so it can remove a
-  // corrupt row; it never returns DataLoss.
+  // predicate also sees unreadable rows, their string cells null, so it
+  // can remove a corrupt row; it never returns DataLoss.
   StatusOr<size_t> DeleteWhere(Table* t,
                                const std::function<bool(const Row&)>& pred);
 
@@ -305,9 +319,9 @@ class Database {
   // One row mutation: parsed from the WAL awaiting its table, or built by
   // a live write on its way to the WAL and the heap.
   struct WalOp {
-    char op = 'I';      // 'I' / 'U' / 'D'
-    uint64_t rid = 0;   // U/D target row id
-    Row stored;         // I/U cells, already encoded for storage
+    char op = 'I';       // 'I' / 'U' / 'D'
+    uint64_t rid = 0;    // U/D target row id
+    std::string stored;  // I/U row image
   };
   // A live write's change to one row: its op plus the plain images the
   // indexes need (`before` empty on insert, `after` empty on delete).
@@ -319,7 +333,7 @@ class Database {
   // What a predicate matched: each live row's id with the image the match
   // saw, and how many rows it could not tell about (unreadable).
   struct Matched {
-    std::vector<std::pair<uint64_t, const Row*>> rows;
+    std::vector<std::pair<uint64_t, const std::string*>> rows;
     size_t unreadable = 0;
     bool operator==(const Matched& o) const {
       return unreadable == o.unreadable && rows == o.rows;
@@ -336,12 +350,18 @@ class Database {
                           const WalOp& op);
   // Parses a checkpoint snapshot into pending_snapshot_ + epoch_.
   Status ParseSnapshot(std::string_view contents);
-  // Resumes the seal counter above the seq every sealed cell of `stored`
-  // leads with. Recovery calls it on every replayed row, and raises the
-  // counter above the snapshot's recorded mark, so no (key, seq) pair on
-  // disk is sealed again, including seqs a discarded build burned without
-  // writing a byte.
-  void RaiseSealSeq(const Row& stored);
+  // Parses the row image at the front of `*in` into *image and consumes
+  // it; false when it does not parse. Resumes the seal counter above the
+  // seq its sealed block, or each legacy sealed cell, leads with. Recovery
+  // reads every row through it and raises the counter above the
+  // snapshot's recorded mark, so no (key, seq) pair on disk is sealed
+  // again, including seqs a discarded build burned without writing a byte.
+  bool ReadImage(std::string_view* in, std::string* image);
+  // Replay's one-way format step, run once every log is read (so the
+  // counter is above every replayed seq): a legacy image, each string cell
+  // sealed alone, is opened and sealed again as one row. One that does not
+  // open stays as it is, unreadable.
+  void Migrate(std::string* image);
   // The one heap change for an I/U/D op, shared by live writes and
   // replay: the slot, live_rows_ and row_bytes_. An I/U installs a new
   // image; U/D retire the displaced one to the EpochManager. Returns the
@@ -351,14 +371,12 @@ class Database {
   // Applies queued ops for a freshly created table (no locks needed: the
   // table is not yet visible to other threads).
   void ApplyReplay(Table* t, std::vector<WalOp> ops);
-  void ApplySnapshot(Table* t, std::vector<std::optional<Row>> slots);
+  void ApplySnapshot(Table* t, std::vector<std::optional<std::string>> slots);
   // Caller holds t->write_mu_, not t->mu_, and has checked every change:
   // logs them as one WAL append and waits for its ack, then takes t->mu_
   // exclusive and applies each to the indexes and the heap; a failed append
   // changes nothing.
   Status ApplyChanges(Table* t, std::vector<RowChange>* changes);
-  static void EncodeCells(std::string* dst, const Row& stored);
-  static bool DecodeCells(std::string_view* in, Row* out);
   // The one place that picks an index probe or a scan (every live row
   // when pred is null). Caller holds t->mu_, shared or exclusive; the
   // images it returns outlive the lock only under an EpochGuard taken
@@ -390,14 +408,15 @@ class Database {
                           const Predicate* pred, const BuildFn& build);
   // Takes t->write_mu_, sampling the wait into reldb_write_wait_us.
   std::unique_lock<std::mutex> LockWriter(Table* t);
-  // Opens one stored cell into *plain; false when a sealed cell fails.
-  bool OpenCell(const Value& cell, Value* plain) const;
-  // Opens sealed cells; one that fails stays sealed and clears *intact.
-  Row DecodeRow(const Row& stored, bool* intact = nullptr) const;
+  // The one row decoder and its one AEAD open. A row that fails to open
+  // clears *intact and decodes with its int cells and null string cells.
+  Row DecodeRow(std::string_view image, bool* intact = nullptr) const;
+  // Cell `col` of an image; false when the row is unreadable. Only a
+  // string cell under encryption opens the row.
+  bool CellOf(std::string_view image, size_t col, Value* out) const;
   static Status Unreadable(const Table* t, size_t rows);
-  Value EncodeCell(const Value& v);
-  // The one stored-row encoder: seals every string cell when encrypting.
-  Row EncodeRow(const Row& plain);
+  // The one row encoder: with encryption, one seal over every string cell.
+  std::string EncodeRow(const Row& plain);
 
   Status LogStatement(const std::string& text);
   // Shifts <path>.i -> <path>.i+1, the active log to <path>.1, and opens a
@@ -445,8 +464,8 @@ class Database {
   obs::Counter* m_stmt_statements_ = nullptr;
   obs::Counter* m_stmt_bytes_total_ = nullptr;
   obs::Counter* m_checkpoints_ = nullptr;   // reldb_checkpoints_total (view)
-  obs::Counter* m_cells_sealed_ = nullptr;  // AEAD seals (encrypt_at_rest)
-  obs::Counter* m_cells_opened_ = nullptr;  // AEAD opens (encrypt_at_rest)
+  obs::Counter* m_rows_sealed_ = nullptr;   // AEAD seals (encrypt_at_rest)
+  obs::Counter* m_rows_opened_ = nullptr;   // AEAD opens (encrypt_at_rest)
   obs::Counter* m_write_rebuilds_ = nullptr;  // discarded optimistic builds
   obs::Gauge* m_wal_log_bytes_ = nullptr;   // reldb_wal_log_bytes (view)
   obs::Gauge* m_stmt_log_bytes_ = nullptr;  // active statement log length
@@ -455,7 +474,8 @@ class Database {
   std::map<std::string, std::unique_ptr<Table>> tables_;
 
   std::map<std::string, std::vector<WalOp>> pending_replay_;
-  std::map<std::string, std::vector<std::optional<Row>>> pending_snapshot_;
+  std::map<std::string, std::vector<std::optional<std::string>>>
+      pending_snapshot_;
   ReplayStats replay_stats_;
 
   // Checkpoint epoch: bumped on every Checkpoint(), stamped into both the

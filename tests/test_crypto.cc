@@ -61,6 +61,28 @@ TEST(ChaCha20, RoundTripAndStreaming) {
   EXPECT_EQ(enc, msg);
 }
 
+// Process XORs whole blocks as words and the rest byte by byte, so every
+// split of one buffer into two calls, on and off a block edge, must give
+// the bytes of one call over the whole buffer.
+TEST(ChaCha20, EverySplitPointEqualsOneCall) {
+  uint8_t key[32];
+  for (int i = 0; i < 32; ++i) key[i] = uint8_t(7 * i + 1);
+  const uint8_t nonce[12] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+  std::string msg(300, '\0');
+  for (size_t i = 0; i < msg.size(); ++i) msg[i] = char(i * 13 + 5);
+  std::string whole = msg;
+  ChaCha20 one(key, nonce, /*counter=*/1);
+  one.Process(reinterpret_cast<uint8_t*>(whole.data()), whole.size());
+  for (size_t split = 0; split <= msg.size(); ++split) {
+    std::string parts = msg;
+    ChaCha20 two(key, nonce, /*counter=*/1);
+    two.Process(reinterpret_cast<uint8_t*>(parts.data()), split);
+    two.Process(reinterpret_cast<uint8_t*>(parts.data()) + split,
+                parts.size() - split);
+    ASSERT_EQ(parts, whole) << "split at " << split;
+  }
+}
+
 // FIPS 180-4 / NIST CAVP example messages.
 TEST(Sha256, KnownVectors) {
   EXPECT_EQ(Sha256::HexDigest(""),

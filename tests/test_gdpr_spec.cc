@@ -294,8 +294,9 @@ TEST_P(GdprSpec, AtRestCorruptionIsDataLossNotAShorterAnswer) {
     }
     ASSERT_TRUE(store->Close().ok());
   }
-  // Flip the MAC tail of k2's last sealed field. memkv's 'S' frame ends
-  // with an 8-byte expiry; reldb's row ends with two 9-byte int cells.
+  // Flip a byte near the end of k2's sealed bytes. memkv's 'S' frame ends
+  // with an 8-byte expiry after the MAC; reldb's row ends with its sealed
+  // block, so the byte 19 from the end is ciphertext.
   FlipLogBit(&env, [&](const std::string& log) {
     return log.size() - (memkv() ? 9 : 19);
   });
@@ -315,7 +316,10 @@ TEST_P(GdprSpec, AtRestCorruptionIsDataLossNotAShorterAnswer) {
     // The indexed store's Open-time rebuild met the record once already.
     EXPECT_EQ(kv->raw()->ScanDecryptFailures(), GetParam().indexed ? 2u : 1u);
   }
-  EXPECT_TRUE(store->ReadDataByKey(ctrl, "k0").ok());
+  // reldb seals a row's key with its other string cells, so its key
+  // index holds no entry for k2 and no key probe can rule k2 out; memkv
+  // keys are in the clear.
+  EXPECT_EQ(store->ReadDataByKey(ctrl, "k0").ok(), memkv());
   EXPECT_TRUE(store->ReadDataByKey(ctrl, "k2").status().IsDataLoss());
   EXPECT_TRUE(store->VerifyDeletion(ctrl, "k2").status().IsDataLoss());
   EXPECT_TRUE(store->ReadMetadataByUser(ctrl, "neo").status().IsDataLoss());
@@ -339,49 +343,37 @@ TEST_P(GdprSpec, AtRestCorruptionIsDataLossNotAShorterAnswer) {
 
 // A row whose indexed cell no longer authenticates is missing from that
 // index, and an indexed answer on that column must say so rather than
-// answer OK without it. reldb seals cells one by one, so only one cell of
-// k2 is corrupted: its user cell, then its purposes cell (the index
-// backfill on reopen meets it). memkv seals each record whole, so there the
-// record itself is unreadable.
+// answer OK without it. reldb seals a row's string cells as one block, so
+// one flipped tag byte makes all of k2 unreadable: its user and purposes
+// cells, and its key, so even a key probe cannot rule k2 out. memkv seals
+// each record whole, under a key in the clear.
 TEST_P(GdprSpec, UnreadableUserCellIsDataLossNotAMiss) {
-  for (const size_t cell : {1, 4}) {  // gdpr_records' user, purposes
-    SCOPED_TRACE(cell == 1 ? "user cell" : "purposes cell");
-    MemEnv env;
-    StoreSetup setup;
-    setup.env = &env;
-    setup.encrypt = true;
-    {
-      auto store = Make(setup);
-      ASSERT_TRUE(store->Open().ok());
-      for (int i = 0; i < 3; ++i) {
-        const GdprRecord rec = MakeRec("k" + std::to_string(i), "neo", {"ads"});
-        ASSERT_TRUE(store->CreateRecord(Actor::Controller(), rec).ok());
-      }
-      ASSERT_TRUE(store->Close().ok());
-    }
-    FlipLogBit(&env, [&](const std::string& log) -> size_t {
-      if (memkv()) return log.size() - 9;
-      // k2's row is the last gdpr_records insert: the table name, a
-      // one-byte cell count, then [type][one-byte length][sealed bytes] per
-      // cell. The tag is a sealed cell's last 16 bytes.
-      const std::string table = "gdpr_records";
-      size_t at = log.rfind(table) + table.size() + 1;
-      for (size_t c = 0; c < cell; ++c) at += 2 + uint8_t(log[at + 1]);
-      return at + 2 + uint8_t(log[at + 1]) - 1;
-    });
-
+  MemEnv env;
+  StoreSetup setup;
+  setup.env = &env;
+  setup.encrypt = true;
+  {
     auto store = Make(setup);
     ASSERT_TRUE(store->Open().ok());
-    const Actor ctrl = Actor::Controller();
-    if (cell == 1) {
-      EXPECT_TRUE(store->ReadMetadataByUser(ctrl, "neo").status().IsDataLoss());
-      EXPECT_TRUE(store->ReadRecordsByUser(ctrl, "neo").status().IsDataLoss());
-    } else {
-      EXPECT_TRUE(
-          store->ReadMetadataByPurpose(ctrl, "ads").status().IsDataLoss());
+    for (int i = 0; i < 3; ++i) {
+      const GdprRecord rec = MakeRec("k" + std::to_string(i), "neo", {"ads"});
+      ASSERT_TRUE(store->CreateRecord(Actor::Controller(), rec).ok());
     }
-    EXPECT_TRUE(store->ReadDataByKey(ctrl, "k0").ok());
+    ASSERT_TRUE(store->Close().ok());
   }
+  // k2's record is the last frame. memkv's 'S' frame ends with an 8-byte
+  // expiry after the MAC; reldb's row ends with its sealed block's MAC.
+  FlipLogBit(&env, [&](const std::string& log) {
+    return log.size() - (memkv() ? 9 : 1);
+  });
+
+  auto store = Make(setup);
+  ASSERT_TRUE(store->Open().ok());
+  const Actor ctrl = Actor::Controller();
+  EXPECT_TRUE(store->ReadMetadataByUser(ctrl, "neo").status().IsDataLoss());
+  EXPECT_TRUE(store->ReadRecordsByUser(ctrl, "neo").status().IsDataLoss());
+  EXPECT_TRUE(store->ReadMetadataByPurpose(ctrl, "ads").status().IsDataLoss());
+  EXPECT_EQ(store->ReadDataByKey(ctrl, "k0").ok(), memkv());
 }
 
 // Every acked write is whole after a restart, whichever single log write

@@ -405,8 +405,10 @@ TEST(ObsCluster, FanOutAndMigrationMetrics) {
   ASSERT_TRUE(store.Close().ok());
 }
 
-// With encrypt_at_rest, every sealed string cell counts once when sealed and
-// once each time it is opened; int cells and unencrypted stores count none.
+// With encrypt_at_rest, a row's string cells are sealed as one: an inserted
+// row counts one seal and a decoded row one open, whatever its number of
+// string cells. An int predicate opens nothing; unencrypted stores count
+// none.
 TEST(ObsRelDb, AeadCellCounters) {
   for (const bool encrypt : {false, true}) {
     rel::RelOptions o;
@@ -423,14 +425,14 @@ TEST(ObsRelDb, AeadCellCounters) {
                               rel::Value("london")})
                     .ok());
     RegistrySnapshot snap = db.StatsSnapshot();
-    EXPECT_EQ(snap.CounterValue("reldb_cells_sealed_total"), encrypt ? 2u : 0u);
-    EXPECT_EQ(snap.CounterValue("reldb_cells_opened_total"), 0u);
+    EXPECT_EQ(snap.CounterValue("reldb_rows_sealed_total"), encrypt ? 1u : 0u);
+    EXPECT_EQ(snap.CounterValue("reldb_rows_opened_total"), 0u);
     auto rows = db.Select(
         t, rel::Compare(1, rel::CompareOp::kEq, rel::Value(int64_t(36))));
     ASSERT_TRUE(rows.ok());
     ASSERT_EQ(rows.value().size(), 1u);
     snap = db.StatsSnapshot();
-    EXPECT_EQ(snap.CounterValue("reldb_cells_opened_total"), encrypt ? 2u : 0u);
+    EXPECT_EQ(snap.CounterValue("reldb_rows_opened_total"), encrypt ? 1u : 0u);
   }
 }
 

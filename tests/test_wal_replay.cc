@@ -349,11 +349,11 @@ TEST(WalGolden, EveryFrameKindEncodesToItsPinnedBytes) {
   EXPECT_EQ(Hex(env.ReadFileToString("wal").value()), expected);
 }
 
-// The same 'I' frame with encrypt_at_rest on: the string cell is stored as
-// the AEAD's [8B LE seq][ciphertext][16B tag], the int64 cell in the clear.
-// The sealed bytes were captured before the SHA-256 kernels changed, so
-// this pins that logs written by older builds still open.
-TEST(WalGolden, SealedInsertEncodesToItsPinnedBytes) {
+// The same 'I' frame with encrypt_at_rest on: each string cell is the
+// marker byte 3, the int64 cell stays in the clear, and one AEAD blob,
+// [8B LE seq][ciphertext][16B tag], seals the row's length-prefixed string
+// cells after the cells.
+TEST(WalGolden, SealedRowInsertEncodesToItsPinnedBytes) {
   MemEnv env;
   RelOptions o = WalOptions(&env, "wal");
   o.encrypt_at_rest = true;
@@ -366,24 +366,119 @@ TEST(WalGolden, SealedInsertEncodesToItsPinnedBytes) {
   }
   const std::string expected = std::string() +
       "49" "06" "70656f706c65"                  // 'I' "people"
-          "02" "02" "1b"                        //   2 cells: 27 sealed bytes
+          "02" "03"                             //   2 cells: sealed string
+          "01" "2400000000000000"               //            36
+          "1c"                                  //   28 sealed bytes
           "0100000000000000"                    //     seq 1
-          "c3b248"                              //     "ada" enciphered
-          "e75a583760196af05ed9d1910b0e8b91"    //     tag
-          "01" "2400000000000000";              //   36
+          "a1b74d72"                            //     03 "ada" enciphered
+          "de00f0cf9b815eb7bd961c78a53c39f9";   //     tag
   EXPECT_EQ(Hex(env.ReadFileToString("wal").value()), expected);
-  Database db(o);
-  ASSERT_TRUE(db.Open().ok());
-  Table* t = db.CreateTable("people", PeopleSchema()).value();
-  auto rows = db.Select(t, Compare(0, CompareOp::kEq, Value("ada")));
-  ASSERT_TRUE(rows.ok());
+}
+
+// The sealed 'I' frame of builds that sealed each string cell alone (a
+// kString cell holding [8B LE seq][ciphertext][16B tag]) still replays. The
+// bytes were captured from such a build. Replay seals the row again in
+// today's layout, so the next checkpoint writes no legacy cell and the row
+// still reads back after a reopen from that checkpoint.
+const std::string kLegacySealedInsert = std::string() +
+    "49" "06" "70656f706c65"                    // 'I' "people"
+        "02" "02" "1b"                          //   2 cells: 27 sealed bytes
+        "0100000000000000"                      //     seq 1
+        "c3b248"                                //     "ada" enciphered
+        "e75a583760196af05ed9d1910b0e8b91"      //     tag
+        "01" "2400000000000000";                //   36
+
+std::string Unhex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(char(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+void WriteFile(MemEnv* env, const std::string& path, std::string_view bytes) {
+  auto f = env->NewWritableFile(path, /*truncate=*/true);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(f.value()->Append(bytes).ok());
+  ASSERT_TRUE(f.value()->Close().ok());
+}
+
+void ExpectAda(Database* db) {
+  Table* t = db->CreateTable("people", PeopleSchema()).value();
+  auto rows = db->Select(t, Compare(0, CompareOp::kEq, Value("ada")));
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows.value().size(), 1u);
   EXPECT_EQ(rows.value()[0][1].AsInt64(), 36);
 }
 
+TEST(WalReplay, LegacySealedCellFrameOpensAndMigrates) {
+  MemEnv env;
+  RelOptions o = WalOptions(&env, "wal");
+  o.encrypt_at_rest = true;
+  WriteFile(&env, "wal", Unhex(kLegacySealedInsert));
+  {
+    Database db(o);
+    ASSERT_TRUE(db.Open().ok());
+    ExpectAda(&db);
+    EXPECT_EQ(db.replay_stats().inserts, 1u);
+    ASSERT_TRUE(db.Checkpoint().ok());
+    ASSERT_TRUE(db.Close().ok());
+  }
+  const std::string snapshot =
+      env.ReadFileToString(Database::SnapshotPath("wal")).value();
+  EXPECT_EQ(Hex(snapshot).find("c3b248e75a58"), std::string::npos);
+  EXPECT_NE(Hex(snapshot).find("020301" "2400000000000000"),
+            std::string::npos);  // the row in today's layout
+  Database db(o);
+  ASSERT_TRUE(db.Open().ok());
+  EXPECT_TRUE(db.replay_stats().from_snapshot);
+  ExpectAda(&db);
+}
+
+// A checkpoint snapshot from the same builds, its one row holding the same
+// sealed cell, opens too.
+TEST(WalReplay, LegacySnapshotWithSealedCellsOpens) {
+  MemEnv env;
+  RelOptions o = WalOptions(&env, "wal");
+  o.encrypt_at_rest = true;
+  std::string snapshot = "RSNP1";
+  PutVarint64(&snapshot, 1);  // epoch
+  PutFixed64(&snapshot, 2);   // seal counter mark
+  PutVarint64(&snapshot, 1);  // one table
+  PutLengthPrefixed(&snapshot, "people");
+  PutVarint64(&snapshot, 1);  // one slot, live
+  snapshot.push_back(char(1));
+  // The legacy frame's cells follow its 'I' and table name.
+  snapshot += Unhex(kLegacySealedInsert).substr(1 + 1 + 6);
+  WriteFile(&env, Database::SnapshotPath("wal"), snapshot);
+  Database db(o);
+  ASSERT_TRUE(db.Open().ok());
+  EXPECT_TRUE(db.replay_stats().from_snapshot);
+  ExpectAda(&db);
+  EXPECT_EQ(db.replay_stats().snapshot_rows, 1u);
+}
+
+// The seq a sealed-row 'I' frame of PeopleSchema seals its block under:
+// 'I', the table name, the cell count, the sealed string's marker and the
+// int cell, then the block.
+uint64_t SealedRowSeq(std::string_view in) {
+  std::string_view table, sealed;
+  uint64_t ncells = 0, age = 0, seq = 0;
+  EXPECT_EQ(in.front(), 'I');
+  in.remove_prefix(1);
+  EXPECT_TRUE(GetLengthPrefixed(&in, &table));
+  EXPECT_TRUE(GetVarint64(&in, &ncells));
+  EXPECT_EQ(in.substr(0, 2), std::string_view("\x03\x01", 2));
+  in.remove_prefix(2);
+  EXPECT_TRUE(GetFixed64(&in, &age));
+  EXPECT_TRUE(GetLengthPrefixed(&in, &sealed));
+  EXPECT_TRUE(GetFixed64(&sealed, &seq));
+  return seq;
+}
+
 // Recovery resumes the seal counter above the seq of every sealed cell it
 // replays, not above the log's length: an Update whose build a concurrent
-// write overtook seals its cells again, and the discarded seqs never reach
+// write overtook seals its row again, and the discarded seqs never reach
 // the WAL. A log holding one cell sealed at seq 1,000,000 (far more seqs
 // than log bytes) must make the next seal use a higher one.
 TEST(WalReplay, SealSeqResumesAboveEveryReplayedCell) {
@@ -413,23 +508,43 @@ TEST(WalReplay, SealSeqResumesAboveEveryReplayedCell) {
     ASSERT_TRUE(db.Insert(t, {Value("alan"), Value(int64_t(41))}).ok());
     ASSERT_TRUE(db.Close().ok());
   }
-  // The insert's frame follows the hand-built one: 'I', the table name,
-  // the cell count and the string cell's type, then the sealed cell.
+  // The insert's frame follows the hand-built one.
   const std::string wal = env.ReadFileToString("wal").value();
   std::string_view in(wal);
   ASSERT_GT(in.size(), frame.size());
   in.remove_prefix(frame.size());
-  std::string_view table, sealed;
-  uint64_t ncells = 0, seq = 0;
-  ASSERT_EQ(in.front(), 'I');
-  in.remove_prefix(1);
-  ASSERT_TRUE(GetLengthPrefixed(&in, &table));
-  ASSERT_TRUE(GetVarint64(&in, &ncells));
-  ASSERT_EQ(in.front(), char(ValueType::kString));
-  in.remove_prefix(1);
-  ASSERT_TRUE(GetLengthPrefixed(&in, &sealed));
-  ASSERT_TRUE(GetFixed64(&sealed, &seq));
+  const uint64_t seq = SealedRowSeq(in);
   EXPECT_GT(seq, 1000000u);
+}
+
+// The same for a replayed frame in today's layout, its row sealed at seq
+// 1,000,000.
+TEST(WalReplay, SealSeqResumesAboveEveryReplayedRow) {
+  MemEnv env;
+  RelOptions o = WalOptions(&env, "wal");
+  o.encrypt_at_rest = true;
+  std::string frame(1, 'I'), strings;
+  PutLengthPrefixed(&frame, "people");
+  PutVarint64(&frame, 2);
+  frame.push_back(char(3));  // a sealed string
+  frame.push_back(char(ValueType::kInt64));
+  PutFixed64(&frame, 36);
+  PutLengthPrefixed(&strings, "ada");
+  PutLengthPrefixed(&frame, Aead(o.encryption_key).Seal(strings, 1000000));
+  WriteFile(&env, "wal", frame);
+  {
+    Database db(o);
+    ASSERT_TRUE(db.Open().ok());
+    ExpectAda(&db);
+    Table* t = db.GetTable("people");
+    ASSERT_TRUE(db.Insert(t, {Value("alan"), Value(int64_t(41))}).ok());
+    ASSERT_TRUE(db.Close().ok());
+  }
+  const std::string wal = env.ReadFileToString("wal").value();
+  std::string_view in(wal);
+  ASSERT_GT(in.size(), frame.size());
+  in.remove_prefix(frame.size());
+  EXPECT_GT(SealedRowSeq(in), 1000000u);
 }
 
 // ---- AOF and audit-chain golden bytes ---------------------------------------
