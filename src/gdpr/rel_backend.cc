@@ -177,11 +177,11 @@ Status RelGdprStore::Collect(Attr attr, const std::string& value,
           ? rel::Compare(kUser, rel::CompareOp::kEq, rel::Value(value))
           : rel::Compare(attr == Attr::kPurpose ? kPurposes : kShared,
                          rel::CompareOp::kHas, rel::Value(value));
-  auto rows = db_->Select(records_, pred);
-  if (!rows.ok()) return rows.status();
-  out->reserve(out->size() + rows.value().size());
-  for (const auto& row : rows.value()) out->push_back(FromRow(row));
-  return Status::OK();
+  // The visiting Select: the readable rows arrive before a DataLoss.
+  return db_->Select(records_, pred, 0, [this, out](rel::Row& row) {
+    out->push_back(FromRow(row));
+    return true;
+  });
 }
 
 Status RelGdprStore::ForEachExpired(

@@ -16,6 +16,14 @@ Status Unreachable(const std::string& label, const Status& cause) {
   return Status::Unavailable(std::move(msg));
 }
 
+// Gives an fd the handle did not dial (its constructor's, reconnect_fn's)
+// the deadline Dial gives. -1, with fd closed, when the socket refuses it.
+int WithDeadline(int fd, int timeout_ms) {
+  if (fd < 0 || SetDeadline(fd, timeout_ms, timeout_ms)) return fd;
+  CloseFd(fd);
+  return -1;
+}
+
 // A request with the fields most ops carry; ops that need more set them on
 // the result.
 WireRequest Req(WireOp op, const Actor& actor = Actor(),
@@ -38,6 +46,7 @@ RemoteHandle::RemoteHandle(int fd, RemoteHandleOptions opts)
     rpc_bytes_ = opts_.metrics->GetCounter("cluster_rpc_bytes_total");
     reconnects_ = opts_.metrics->GetCounter("cluster_rpc_reconnects_total");
   }
+  fd = WithDeadline(fd, opts_.timeout_ms);
   if (fd >= 0) {
     idle_.push_back(Conn{fd, {}});
     if (connections_) connections_->Add(1);
@@ -73,7 +82,7 @@ Status RemoteHandle::Acquire(Conn* conn, uint64_t* gen) {
   // Dial unlocked: other callers keep taking and returning connections.
   std::string err = "no reconnect path configured";
   if (opts_.reconnect_fn) {
-    conn->fd = opts_.reconnect_fn();
+    conn->fd = WithDeadline(opts_.reconnect_fn(), opts_.timeout_ms);
     if (conn->fd < 0) err = "reconnect callback failed";
   } else if (!opts_.dial_addr.empty()) {
     conn->fd = Dial(opts_.dial_addr, opts_.timeout_ms, &err);
@@ -118,10 +127,10 @@ Status RemoteHandle::Call(const WireRequest& req, WireResponse* resp) {
 Status RemoteHandle::RoundTrip(Conn* conn, const WireRequest& req,
                                WireResponse* resp) {
   const std::string request = EncodeRequest(req);
-  Status s = WriteFrame(conn->fd, request, opts_.timeout_ms);
+  Status s = WriteFrame(conn->fd, request);
   if (!s.ok()) return Unreachable(opts_.node_label, s);
   std::string payload;
-  s = ReadFrame(conn->fd, &conn->buf, &payload, opts_.timeout_ms);
+  s = ReadFrame(conn->fd, &conn->buf, &payload);
   // Timeout, peer death, or an unframeable stream (DataLoss).
   if (!s.ok()) return s.IsDataLoss() ? s : Unreachable(opts_.node_label, s);
   if (rpc_bytes_) {

@@ -5,11 +5,11 @@
 // The pool is uncapped; it grows to the handle's peak concurrency.
 //
 // Failure model:
-//   * Every request runs under a per-request poll timeout. A node that
-//     stops answering surfaces Unavailable — the same code a degraded
-//     store's own refusals use — so the router's fan-out rules (name the
-//     missing nodes of a collection read, name failed nodes in Forget)
-//     cover dead transports with no new cases.
+//   * Every connection carries a deadline, timeout_ms, on connect, send
+//     and receive. A node that stops answering surfaces Unavailable — the
+//     same code a degraded store's own refusals use — so the router's
+//     fan-out rules (name the missing nodes of a collection read, name
+//     failed nodes in Forget) cover dead transports with no new cases.
 //   * An I/O failure closes the pool's connections; the NEXT call re-dials
 //     (dial_addr) or re-establishes through reconnect_fn (loopback). The
 //     failing call itself is never retried: a mutation whose response was
@@ -33,7 +33,7 @@
 namespace gdpr::net {
 
 struct RemoteHandleOptions {
-  // Per-request budget covering write + server execution + response read.
+  // Each connection's deadline on every blocking connect, send and receive.
   int timeout_ms = 10'000;
   // Reconnection: dial_addr (unix:/tcp:) or a callback producing a fresh
   // connected fd (-1 on failure) — e.g. RpcServer::CreateLoopbackConnection.

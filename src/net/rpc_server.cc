@@ -10,8 +10,8 @@ namespace gdpr::net {
 
 namespace {
 
-// A serving thread never hangs on a slow reader: a peer that cannot drain
-// a response within this budget is treated as dead.
+// Each connection's send deadline: a peer that accepts no byte of a
+// response for this long is treated as dead.
 constexpr int kWriteTimeoutMs = 10'000;
 
 template <typename T>
@@ -191,7 +191,7 @@ int RpcServer::CreateLoopbackConnection() {
 
 bool RpcServer::Adopt(int fd) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!running()) {
+  if (!running() || !SetDeadline(fd, kWriteTimeoutMs, /*recv_ms=*/0)) {
     CloseFd(fd);
     return false;
   }
@@ -219,7 +219,7 @@ void RpcServer::Serve(Conn* conn) {
       std::string payload;
       // No deadline: an idle pooled connection waits here until its next
       // request, EOF, or Stop()'s shutdown().
-      if (!ReadFrame(fd, &buf, &payload, -1).ok()) break;
+      if (!ReadFrame(fd, &buf, &payload).ok()) break;
       const Status ds = DecodeRequest(payload, &req);
       if (ds.ok()) {
         resp = DispatchRequest(store_, req);
@@ -232,7 +232,7 @@ void RpcServer::Serve(Conn* conn) {
         resp.status = ds;
       }
     }
-    if (!WriteFrame(fd, EncodeResponse(resp), kWriteTimeoutMs).ok()) break;
+    if (!WriteFrame(fd, EncodeResponse(resp)).ok()) break;
   }
   std::lock_guard<std::mutex> lock(mu_);
   CloseFd(fd);
@@ -244,7 +244,7 @@ void RpcServer::AcceptLoop() {
   // Stop() shuts the listener down, which fails the blocked accept().
   while (running()) {
     const int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd >= 0 && !Adopt(fd)) return;
+    if (fd >= 0) Adopt(fd);
   }
 }
 

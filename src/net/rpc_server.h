@@ -12,6 +12,9 @@
 //     connection survives — one bad client message is not a disconnect.
 //   * An oversized length prefix poisons the stream (wire.h FrameBuffer);
 //     the connection drops, because no later frame boundary can be trusted.
+//   * Each connection gets a send deadline where it is adopted, so a
+//     serving thread never hangs on a client that stopped reading. Reads
+//     have none: an idle pooled connection waits for its next request.
 //   * A response is only written after the store call returns — so a
 //     durable-erasure op (DeleteRecordsByUser) is acked only after the
 //     node's commit pipeline decided the tombstones durable, which is what
@@ -68,8 +71,8 @@ class RpcServer {
     std::thread thread;
   };
 
-  // Gives fd a serving thread, reaping the threads of closed connections.
-  // Closes fd and returns false once the server is stopping.
+  // Gives fd its send deadline and a serving thread, reaping finished ones.
+  // Closes fd and returns false when stopping or the deadline is refused.
   bool Adopt(int fd);
   void Serve(Conn* conn);
   void AcceptLoop();

@@ -3,10 +3,9 @@
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -21,129 +20,107 @@ namespace {
 constexpr std::string_view kUnixPrefix = "unix:";
 constexpr std::string_view kTcpPrefix = "tcp:";
 
-bool FillUnixAddr(const std::string& path, sockaddr_un* sa, std::string* err) {
-  if (path.empty() || path.size() >= sizeof(sa->sun_path)) {
-    *err = "unix socket path empty or too long: " + path;
-    return false;
+// Resolves addr into *sa and *len, the one place both address forms are
+// parsed, and opens a stream socket of its family. -1 with *err set on
+// failure.
+int OpenSocket(const std::string& addr, sockaddr_storage* sa, socklen_t* len,
+               std::string* err) {
+  *sa = {};
+  if (addr.rfind(kUnixPrefix, 0) == 0) {
+    const std::string path = addr.substr(kUnixPrefix.size());
+    auto* un = reinterpret_cast<sockaddr_un*>(sa);
+    if (path.empty() || path.size() >= sizeof(un->sun_path)) {
+      *err = "unix socket path empty or too long: " + path;
+      return -1;
+    }
+    un->sun_family = AF_UNIX;
+    memcpy(un->sun_path, path.data(), path.size());
+    *len = sizeof(*un);
+  } else if (addr.rfind(kTcpPrefix, 0) == 0) {
+    const std::string hostport = addr.substr(kTcpPrefix.size());
+    const size_t colon = hostport.rfind(':');
+    if (colon == std::string::npos) {
+      *err = "tcp address needs host:port, got: " + hostport;
+      return -1;
+    }
+    const std::string host = hostport.substr(0, colon);
+    const int port = atoi(hostport.c_str() + colon + 1);
+    if (port <= 0 || port > 65535) {
+      *err = "bad tcp port in: " + hostport;
+      return -1;
+    }
+    auto* in = reinterpret_cast<sockaddr_in*>(sa);
+    in->sin_family = AF_INET;
+    in->sin_port = htons(uint16_t(port));
+    if (host.empty() || host == "0.0.0.0" || host == "*") {
+      in->sin_addr.s_addr = htonl(INADDR_ANY);
+    } else if (host == "localhost") {
+      in->sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    } else if (inet_pton(AF_INET, host.c_str(), &in->sin_addr) != 1) {
+      *err = "cannot parse tcp host: " + host;
+      return -1;
+    }
+    *len = sizeof(*in);
+  } else {
+    *err = "address must start with unix: or tcp:, got: " + addr;
+    return -1;
   }
-  memset(sa, 0, sizeof(*sa));
-  sa->sun_family = AF_UNIX;
-  memcpy(sa->sun_path, path.data(), path.size());
-  return true;
+  const int fd = socket(sa->ss_family, SOCK_STREAM, 0);
+  if (fd < 0) *err = std::string("socket: ") + strerror(errno);
+  return fd;
 }
 
-bool FillTcpAddr(const std::string& hostport, sockaddr_in* sa,
-                 std::string* err) {
-  const size_t colon = hostport.rfind(':');
-  if (colon == std::string::npos) {
-    *err = "tcp address needs host:port, got: " + hostport;
-    return false;
+// errno as text. A blocking call that ran into the connection's deadline
+// fails with EAGAIN (a TCP connect with EINPROGRESS): that is a timeout.
+std::string ErrnoText() {
+  if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINPROGRESS) {
+    return "timed out";
   }
-  const std::string host = hostport.substr(0, colon);
-  const int port = atoi(hostport.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
-    *err = "bad tcp port in: " + hostport;
-    return false;
-  }
-  memset(sa, 0, sizeof(*sa));
-  sa->sin_family = AF_INET;
-  sa->sin_port = htons(uint16_t(port));
-  if (host.empty() || host == "0.0.0.0" || host == "*") {
-    sa->sin_addr.s_addr = htonl(INADDR_ANY);
-  } else if (host == "localhost") {
-    sa->sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  } else if (inet_pton(AF_INET, host.c_str(), &sa->sin_addr) != 1) {
-    *err = "cannot parse tcp host: " + host;
-    return false;
-  }
-  return true;
+  return strerror(errno);
 }
 
-// Polls fd for `events` within timeout_ms. 1 = ready, 0 = timeout,
-// -1 = poll error.
-int WaitFor(int fd, short events, int timeout_ms) {
-  pollfd p{fd, events, 0};
-  for (;;) {
-    const int rc = poll(&p, 1, timeout_ms);
-    if (rc < 0 && errno == EINTR) continue;
-    if (rc <= 0) return rc;
-    return 1;
-  }
+// Sets *err to "<what>: <errno text>", closes fd and returns -1.
+int Fail(int fd, const std::string& what, std::string* err) {
+  *err = what + ": " + ErrnoText();
+  close(fd);
+  return -1;
 }
 
 }  // namespace
 
 int Listen(const std::string& addr, std::string* err) {
-  if (addr.rfind(kUnixPrefix, 0) == 0) {
-    const std::string path = addr.substr(kUnixPrefix.size());
-    sockaddr_un sa;
-    if (!FillUnixAddr(path, &sa, err)) return -1;
-    const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      *err = std::string("socket: ") + strerror(errno);
-      return -1;
-    }
-    unlink(path.c_str());  // stale socket file from a dead server
-    if (bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
-        listen(fd, 64) != 0) {
-      *err = std::string("bind/listen ") + addr + ": " + strerror(errno);
-      close(fd);
-      return -1;
-    }
-    return fd;
-  }
-  if (addr.rfind(kTcpPrefix, 0) == 0) {
-    sockaddr_in sa;
-    if (!FillTcpAddr(addr.substr(kTcpPrefix.size()), &sa, err)) return -1;
-    const int fd = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      *err = std::string("socket: ") + strerror(errno);
-      return -1;
-    }
+  sockaddr_storage sa{};
+  socklen_t len = 0;
+  const int fd = OpenSocket(addr, &sa, &len, err);
+  if (fd < 0) return -1;
+  if (sa.ss_family == AF_UNIX) {
+    // A stale socket file from a dead server.
+    unlink(reinterpret_cast<sockaddr_un*>(&sa)->sun_path);
+  } else {
     const int one = 1;
     setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
-        listen(fd, 64) != 0) {
-      *err = std::string("bind/listen ") + addr + ": " + strerror(errno);
-      close(fd);
-      return -1;
-    }
-    return fd;
   }
-  *err = "address must start with unix: or tcp:, got: " + addr;
-  return -1;
+  if (bind(fd, reinterpret_cast<sockaddr*>(&sa), len) != 0 ||
+      listen(fd, 64) != 0) {
+    return Fail(fd, "bind/listen " + addr, err);
+  }
+  return fd;
 }
 
 int Dial(const std::string& addr, int timeout_ms, std::string* err) {
-  int fd = -1;
-  sockaddr_storage ss;
+  sockaddr_storage sa{};
   socklen_t len = 0;
-  if (addr.rfind(kUnixPrefix, 0) == 0) {
-    auto* sa = reinterpret_cast<sockaddr_un*>(&ss);
-    if (!FillUnixAddr(addr.substr(kUnixPrefix.size()), sa, err)) return -1;
-    fd = socket(AF_UNIX, SOCK_STREAM, 0);
-    len = sizeof(sockaddr_un);
-  } else if (addr.rfind(kTcpPrefix, 0) == 0) {
-    auto* sa = reinterpret_cast<sockaddr_in*>(&ss);
-    if (!FillTcpAddr(addr.substr(kTcpPrefix.size()), sa, err)) return -1;
-    if (sa->sin_addr.s_addr == htonl(INADDR_ANY)) {
-      sa->sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // dial "any" = loopback
-    }
-    fd = socket(AF_INET, SOCK_STREAM, 0);
-    len = sizeof(sockaddr_in);
-  } else {
-    *err = "address must start with unix: or tcp:, got: " + addr;
-    return -1;
+  const int fd = OpenSocket(addr, &sa, &len, err);
+  if (fd < 0) return -1;
+  auto* in = reinterpret_cast<sockaddr_in*>(&sa);
+  if (sa.ss_family == AF_INET && in->sin_addr.s_addr == INADDR_ANY) {
+    in->sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // dial "any" = loopback
   }
-  if (fd < 0) {
-    *err = std::string("socket: ") + strerror(errno);
-    return -1;
-  }
-  (void)timeout_ms;  // local connects complete synchronously or fail fast
-  if (connect(fd, reinterpret_cast<sockaddr*>(&ss), len) != 0) {
-    *err = std::string("connect ") + addr + ": " + strerror(errno);
-    close(fd);
-    return -1;
+  // The deadline first: Linux bounds a blocking connect by the send
+  // timeout.
+  if (!SetDeadline(fd, timeout_ms, timeout_ms) ||
+      connect(fd, reinterpret_cast<sockaddr*>(&sa), len) != 0) {
+    return Fail(fd, "connect " + addr, err);
   }
   return fd;
 }
@@ -158,7 +135,17 @@ void CloseFd(int fd) {
   if (fd >= 0) close(fd);
 }
 
-Status WriteFrame(int fd, std::string_view payload, int timeout_ms) {
+bool SetDeadline(int fd, int send_ms, int recv_ms) {
+  for (const auto& [opt, ms] : {std::pair{SO_SNDTIMEO, send_ms},
+                                std::pair{SO_RCVTIMEO, recv_ms}}) {
+    timeval tv{};  // zero: no deadline
+    if (ms > 0) tv = {ms / 1000, ms % 1000 * 1000};
+    if (setsockopt(fd, SOL_SOCKET, opt, &tv, sizeof(tv)) != 0) return false;
+  }
+  return true;
+}
+
+Status WriteFrame(int fd, std::string_view payload) {
   // Gathers header and payload into each send: the header never leaves as
   // a segment of its own, and the payload is never copied into a frame.
   const std::string header = FrameHeader(payload.size());
@@ -176,46 +163,28 @@ Status WriteFrame(int fd, std::string_view payload, int timeout_ms) {
       payload.remove_prefix(size_t(n) - from_head);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const int rc = WaitFor(fd, POLLOUT, timeout_ms);
-      if (rc == 0) return Status::Unavailable("rpc write timed out");
-      if (rc < 0) {
-        return Status::Unavailable(std::string("rpc poll: ") +
-                                   strerror(errno));
-      }
-      continue;
-    }
     if (n < 0 && errno == EINTR) continue;
-    return Status::Unavailable(std::string("rpc write: ") +
-                               (n < 0 ? strerror(errno) : "peer closed"));
+    return Status::Unavailable("rpc write: " +
+                               (n < 0 ? ErrnoText() : "peer closed"));
   }
   return Status::OK();
 }
 
-Status ReadFrame(int fd, FrameBuffer* buf, std::string* payload,
-                 int timeout_ms) {
+Status ReadFrame(int fd, FrameBuffer* buf, std::string* payload) {
   char chunk[16 * 1024];
   for (;;) {
     bool have = false;
     Status s = buf->Next(payload, &have);
     if (!s.ok()) return s;  // poisoned stream: DataLoss
     if (have) return Status::OK();
-    const int rc = WaitFor(fd, POLLIN, timeout_ms);
-    if (rc == 0) return Status::Unavailable("rpc read timed out");
-    if (rc < 0) {
-      return Status::Unavailable(std::string("rpc poll: ") + strerror(errno));
-    }
     const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
       buf->Feed(chunk, size_t(n));
       continue;
     }
-    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-      continue;
-    }
-    return Status::Unavailable(
-        n == 0 ? "rpc peer closed connection"
-               : std::string("rpc read: ") + strerror(errno));
+    if (n < 0 && errno == EINTR) continue;
+    return Status::Unavailable(n == 0 ? "rpc peer closed connection"
+                                      : "rpc read: " + ErrnoText());
   }
 }
 

@@ -1,8 +1,9 @@
 // Thin POSIX socket helpers under the RPC layer: address parsing
 // ("unix:<path>" / "tcp:<host>:<port>"), listener setup, dialing, and
-// poll-bounded framed reads/writes. Kept separate from wire.{h,cc} so the
-// codec stays a pure byte transform (fuzz-testable with no fds anywhere)
-// and the server/client share one implementation of "never block forever".
+// framed reads/writes that block. Kept separate from wire.{h,cc} so the
+// codec stays a pure byte transform (fuzz-testable with no fds anywhere).
+// "Never block forever" is the connection's deadline, set once where the
+// connection is created; the kernel enforces it on every call.
 
 #pragma once
 
@@ -19,8 +20,8 @@ namespace gdpr::net {
 //   unix:/path/to.sock     AF_UNIX stream listener / dial target
 //   tcp:host:port          AF_INET (host "0.0.0.0" or a dotted quad)
 // Listen() binds + listens (unlinking a stale unix path first) and returns
-// the listener fd; Dial() connects. Both return -1 with *err set on
-// failure.
+// the listener fd; Dial() connects under the deadline timeout_ms, which
+// the connection keeps. Both return -1 with *err set on failure.
 int Listen(const std::string& addr, std::string* err);
 int Dial(const std::string& addr, int timeout_ms, std::string* err);
 
@@ -30,16 +31,18 @@ std::pair<int, int> StreamPair();
 
 void CloseFd(int fd);
 
-// Writes one frame (length header, then payload), polling for writability
-// between partial sends. Unavailable on timeout or a dead peer; never
-// raises SIGPIPE.
-Status WriteFrame(int fd, std::string_view payload, int timeout_ms);
+// The connection's deadline: a connect or send on fd fails after send_ms
+// without progress, a receive after recv_ms; 0 is none. False if refused.
+bool SetDeadline(int fd, int send_ms, int recv_ms);
 
-// Reads from fd into buf until one complete frame pops out, polling with
-// the given budget (-1: no deadline). OK + payload on success; Unavailable
-// on timeout or EOF-before-frame; DataLoss when the stream is unframeable
-// (oversized length prefix — the connection cannot be resynchronized).
-Status ReadFrame(int fd, FrameBuffer* buf, std::string* payload,
-                 int timeout_ms);
+// Writes one frame (length header, then payload). Unavailable when the
+// connection's deadline passes or the peer is dead; never raises SIGPIPE.
+Status WriteFrame(int fd, std::string_view payload);
+
+// Reads from fd into buf until one complete frame pops out. OK + payload
+// on success; Unavailable when the connection's deadline passes or on
+// EOF-before-frame; DataLoss when the stream is unframeable (oversized
+// length prefix — the connection cannot be resynchronized).
+Status ReadFrame(int fd, FrameBuffer* buf, std::string* payload);
 
 }  // namespace gdpr::net

@@ -765,14 +765,19 @@ Status Database::VisitRows(Table* t, const Predicate* pred, size_t limit,
 
 StatusOr<std::vector<Row>> Database::Select(Table* t, const Predicate& pred,
                                             size_t limit) {
-  obs::SampledTimer timer(select_us_, clock_);
   std::vector<Row> out;
-  Status s = VisitRows(t, &pred, limit, [&](Row& row) {
+  Status s = Select(t, pred, limit, [&](Row& row) {
     out.push_back(std::move(row));
     return true;
   });
   if (!s.ok()) return s;
   return out;
+}
+
+Status Database::Select(Table* t, const Predicate& pred, size_t limit,
+                        const std::function<bool(Row&)>& fn) {
+  obs::SampledTimer timer(select_us_, clock_);
+  return VisitRows(t, &pred, limit, fn);
 }
 
 Status Database::ScanRows(Table* t,

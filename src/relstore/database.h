@@ -255,6 +255,10 @@ class Database {
   //   cells it cannot read; Delete removes it.
   StatusOr<std::vector<Row>> Select(Table* t, const Predicate& pred,
                                     size_t limit = 0);
+  // Visits every matching row (decoded), at most `limit` when nonzero; fn
+  // returns false to stop.
+  Status Select(Table* t, const Predicate& pred, size_t limit,
+                const std::function<bool(Row&)>& fn);
   // Visits every live row (decoded); fn returns false to stop the scan. fn
   // sees every readable row before an unreadable one turns into DataLoss.
   Status ScanRows(Table* t, const std::function<bool(const Row&)>& fn);

@@ -374,6 +374,21 @@ TEST_P(GdprSpec, UnreadableUserCellIsDataLossNotAMiss) {
   EXPECT_TRUE(store->ReadRecordsByUser(ctrl, "neo").status().IsDataLoss());
   EXPECT_TRUE(store->ReadMetadataByPurpose(ctrl, "ads").status().IsDataLoss());
   EXPECT_EQ(store->ReadDataByKey(ctrl, "k0").ok(), memkv());
+  // The sink still receives the two readable records before the DataLoss.
+  const std::pair<CollectionKind, std::string> reads[] = {
+      {CollectionKind::kMetaByUser, "neo"},
+      {CollectionKind::kMetaByPurpose, "ads"},
+      {CollectionKind::kRecordsByUser, "neo"}};
+  for (const auto& [kind, value] : reads) {
+    size_t seen = 0;
+    const Status s =
+        store->ReadCollection(ctrl, kind, value, [&](GdprRecord&) {
+          ++seen;
+          return true;
+        });
+    EXPECT_TRUE(s.IsDataLoss()) << value << ": " << s.ToString();
+    EXPECT_EQ(seen, 2u) << value;
+  }
 }
 
 // Every acked write is whole after a restart, whichever single log write

@@ -13,6 +13,8 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <functional>
+#include <future>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -387,8 +389,8 @@ TEST_F(RpcLoopback, MalformedFrameGetsErrorResponseConnectionSurvives) {
   FrameBuffer buf;
   std::string payload;
 
-  ASSERT_TRUE(WriteFrame(fd, "\xde\xad\xbe\xef", 5000).ok());
-  ASSERT_TRUE(ReadFrame(fd, &buf, &payload, 5000).ok());
+  ASSERT_TRUE(WriteFrame(fd, "\xde\xad\xbe\xef").ok());
+  ASSERT_TRUE(ReadFrame(fd, &buf, &payload).ok());
   WireResponse resp;
   ASSERT_TRUE(DecodeResponse(payload, &resp).ok());
   EXPECT_FALSE(resp.status.ok());
@@ -397,8 +399,8 @@ TEST_F(RpcLoopback, MalformedFrameGetsErrorResponseConnectionSurvives) {
   WireRequest ping;
   ping.op = WireOp::kPing;
   ping.actor = Actor::Controller();
-  ASSERT_TRUE(WriteFrame(fd, EncodeRequest(ping), 5000).ok());
-  ASSERT_TRUE(ReadFrame(fd, &buf, &payload, 5000).ok());
+  ASSERT_TRUE(WriteFrame(fd, EncodeRequest(ping)).ok());
+  ASSERT_TRUE(ReadFrame(fd, &buf, &payload).ok());
   ASSERT_TRUE(DecodeResponse(payload, &resp).ok());
   EXPECT_TRUE(resp.status.ok());
   EXPECT_EQ(resp.op, WireOp::kPing);
@@ -427,6 +429,90 @@ TEST(RpcClient, DeadHandleWithNoReconnectPathStaysCleanlyDead) {
       handle.ReadDataByKey(Actor::Controller(), "k").status().IsUnavailable());
   EXPECT_EQ(handle.RecordCount(), 0u);
   EXPECT_EQ(handle.GetHealth().state, HealthState::kDegradedReadOnly);
+}
+
+// ---- the connection deadline covers connect and send, not only receive ----
+
+// Runs call on its own thread and expects it back within 1 s. A call that
+// ignores its 100 ms deadline fails the test instead of hanging it: past
+// the second, release() frees it by closing its peer, then the thread
+// joins.
+void ExpectReturnsWithinASecond(const std::function<void()>& call,
+                                const std::function<void()>& release) {
+  std::promise<void> returned;
+  std::future<void> done = returned.get_future();
+  std::thread caller([&] {
+    call();
+    returned.set_value();
+  });
+  const bool in_time =
+      done.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  if (!in_time) release();
+  caller.join();
+  EXPECT_TRUE(in_time) << "blocked past its deadline until its peer closed";
+}
+
+// Far beyond a socket's send buffer, so a peer that never reads stalls the
+// send after a few hundred KiB.
+constexpr size_t kStallingBytes = size_t{8} << 20;
+
+TEST(SocketIo, WriteToAPeerThatNeverReadsTimesOut) {
+  const auto fds = StreamPair();
+  int peer = fds.first;
+  const int fd = fds.second;
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SetDeadline(fd, 100, 100));
+  const std::string frame(kStallingBytes, 'x');
+  Status s;
+  ExpectReturnsWithinASecond([&] { s = WriteFrame(fd, frame); },
+                             [&] { CloseFd(std::exchange(peer, -1)); });
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  CloseFd(peer);
+  CloseFd(fd);
+}
+
+TEST(RpcClient, SendTimeoutSurfacesUnavailable) {
+  // The request itself cannot be delivered: the node stopped reading.
+  const auto fds = StreamPair();
+  int peer = fds.first;
+  ASSERT_GE(fds.second, 0);
+  RemoteHandleOptions ro;
+  ro.timeout_ms = 100;
+  RemoteHandle handle(fds.second, std::move(ro));
+  GdprRecord rec = MakeRecord("k", "u");
+  rec.data.assign(kStallingBytes, 'x');
+  Status s;
+  ExpectReturnsWithinASecond(
+      [&] { s = handle.CreateRecord(Actor::Controller(), rec); },
+      [&] { CloseFd(std::exchange(peer, -1)); });
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  CloseFd(peer);
+}
+
+TEST(RpcUnixSocket, DialToAFullBacklogTimesOut) {
+  // A listener that never accepts: dials queue until its backlog is full,
+  // and the next one must give up at its deadline.
+  const std::string path =
+      "/tmp/gdpr_rpc_backlog_" + std::to_string(::getpid()) + ".sock";
+  const std::string addr = "unix:" + path;
+  std::string err;
+  int listener = Listen(addr, &err);
+  ASSERT_GE(listener, 0) << err;
+  std::vector<int> queued;
+  int fd = -1;
+  ExpectReturnsWithinASecond(
+      [&] {
+        while (queued.size() < 4096 && (fd = Dial(addr, 100, &err)) >= 0) {
+          queued.push_back(fd);
+        }
+      },
+      [&] { CloseFd(std::exchange(listener, -1)); });
+  EXPECT_LT(fd, 0) << "the backlog never filled";
+  EXPECT_NE(err.find("timed out"), std::string::npos) << err;
+  EXPECT_GT(queued.size(), 0u);
+  for (int q : queued) CloseFd(q);
+  CloseFd(listener);
+  ::unlink(path.c_str());
 }
 
 // ---- the connection pool ---------------------------------------------------

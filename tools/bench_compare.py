@@ -4,9 +4,11 @@
 CI uploads each run's scraped ``bench_results.jsonl`` as an artifact; this
 tool diffs the current run against the previous one and emits GitHub
 Actions ``::warning::`` annotations for metrics that regressed by more than
-the threshold (default 15%). It never fails the build by default — perf on
-shared runners is noisy, so regressions warn and humans decide (pass
-``--strict`` to turn warnings into a nonzero exit).
+the threshold (default 15%). Regressions never fail the build by default —
+perf on shared runners is noisy, so they warn and humans decide (pass
+``--strict`` to turn warnings into a nonzero exit). A (bench, x) row that
+appears twice in either input is an error: the rows are ambiguous, so the
+tool names each repeated key and exits 1 before comparing anything.
 
 Usage:
     tools/bench_compare.py BASELINE.jsonl CURRENT.jsonl [--threshold 0.15]
@@ -44,14 +46,16 @@ SERIES_HIGHER_IS_BETTER = ("retention", "speedup", "scale-up", "throughput",
 
 
 def parse_jsonl(path):
-    """Returns {(bench_key): {field: value}} for every marker line."""
+    """Returns ({(bench_key): {field: value}}, [repeated bench_key]) over
+    every marker line."""
     out = {}
+    repeated = []
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as f:
             lines = f.readlines()
     except OSError as e:
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
-        return out
+        return out, repeated
     for line in lines:
         for marker in MARKERS:
             idx = line.find(marker)
@@ -69,10 +73,11 @@ def parse_jsonl(path):
             metrics = {k: v for k, v in obj.items()
                        if k not in ("bench", "x") and
                        isinstance(v, (int, float))}
-            # Last write wins if a bench repeats (e.g. warm-up emits twice).
-            out.setdefault(key, {}).update(metrics)
+            if key in out:
+                repeated.append(key)
+            out[key] = metrics
             break
-    return out
+    return out, repeated
 
 
 def direction(field, bench=""):
@@ -127,8 +132,15 @@ def main():
                     help="exit 1 when any regression is found")
     args = ap.parse_args()
 
-    baseline = parse_jsonl(args.baseline)
-    current = parse_jsonl(args.current)
+    baseline, base_repeated = parse_jsonl(args.baseline)
+    current, cur_repeated = parse_jsonl(args.current)
+    repeated = [(args.baseline, key) for key in base_repeated] + \
+               [(args.current, key) for key in cur_repeated]
+    for path, key in repeated:
+        print(f"bench_compare: {path}: duplicate row {bench_label(key)}",
+              file=sys.stderr)
+    if repeated:
+        return 1
     if not baseline:
         print(f"bench_compare: no baseline metrics in {args.baseline}; "
               "nothing to compare (first run?)")

@@ -226,10 +226,10 @@ int RunConnect(const Args& a) {
   net::WireRequest req;
   req.op = net::WireOp::kStatsSnapshot;
   req.actor = Actor::Regulator();
-  Status s = net::WriteFrame(fd, net::EncodeRequest(req), 5000);
+  Status s = net::WriteFrame(fd, net::EncodeRequest(req));
   std::string payload;
   net::FrameBuffer buf;
-  if (s.ok()) s = net::ReadFrame(fd, &buf, &payload, 5000);
+  if (s.ok()) s = net::ReadFrame(fd, &buf, &payload);
   net::CloseFd(fd);
   if (!s.ok()) {
     fprintf(stderr, "rpc to %s failed: %s\n", a.connect.c_str(),
