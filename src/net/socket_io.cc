@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -77,6 +78,16 @@ std::string ErrnoText() {
     return "timed out";
   }
   return strerror(errno);
+}
+
+// fd's receive deadline (SO_RCVTIMEO) in ms as a poll timeout: -1, wait
+// for ever, when the connection has none.
+int RecvDeadlineMs(int fd) {
+  timeval tv{};  // stays zero, no deadline, if getsockopt fails
+  socklen_t len = sizeof(tv);
+  getsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, &len);
+  const long ms = tv.tv_sec * 1000L + tv.tv_usec / 1000;
+  return ms > 0 ? int(ms) : -1;
 }
 
 // Sets *err to "<what>: <errno text>", closes fd and returns -1.
@@ -172,11 +183,20 @@ Status WriteFrame(int fd, std::string_view payload) {
 
 Status ReadFrame(int fd, FrameBuffer* buf, std::string* payload) {
   char chunk[16 * 1024];
+  const int wait_ms = RecvDeadlineMs(fd);
   for (;;) {
     bool have = false;
     Status s = buf->Next(payload, &have);
     if (!s.ok()) return s;  // poisoned stream: DataLoss
     if (have) return Status::OK();
+    // Waits in poll, not in a blocking recv: an AF_UNIX recv is also woken
+    // each time the peer drains this socket's sends, a wasted context
+    // switch per request; poll wakes only for input.
+    pollfd p{fd, POLLIN, 0};
+    const int rc = poll(&p, 1, wait_ms);
+    if (rc == 0) return Status::Unavailable("rpc read: timed out");
+    if (rc < 0 && errno == EINTR) continue;
+    if (rc < 0) return Status::Unavailable("rpc poll: " + ErrnoText());
     const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
       buf->Feed(chunk, size_t(n));

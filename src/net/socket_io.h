@@ -3,7 +3,8 @@
 // framed reads/writes that block. Kept separate from wire.{h,cc} so the
 // codec stays a pure byte transform (fuzz-testable with no fds anywhere).
 // "Never block forever" is the connection's deadline, set once where the
-// connection is created; the kernel enforces it on every call.
+// connection is created: the kernel enforces it on connect and send, and
+// ReadFrame reads it back from the socket to bound its wait for input.
 
 #pragma once
 
