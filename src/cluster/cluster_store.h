@@ -23,10 +23,13 @@
 //   * Point ops (create / read / update / delete / verify by key) route by
 //     key slot under a per-slot read fence.
 //   * Collection reads (by user / purpose / sharing, the export, the scan)
-//     and GDPR broadcasts (user erasure, TTL sweep, log pulls) scatter over
-//     a worker pool and gather: per-node records are merged, keeping each
+//     and GDPR broadcasts (user erasure, TTL sweep, log pulls) scatter to
+//     every node and gather: per-node records are merged, keeping each
 //     record only from the node that owns its slot. A read that misses a
-//     node says so (Unavailable, naming it).
+//     node says so (Unavailable, naming it). Who runs the node parts is
+//     decided in FanOut: an in-process collection read that overlaps
+//     another runs them on its caller, in node order; a lone one, every
+//     socket fan-out and every broadcast hand them to a worker pool.
 //   * MoveSlots rebalances live: one slot at a time is write-fenced, its
 //     records (and erasure tombstones) are copied to the destination node
 //     through slot-scoped handle exports, ownership flips, and the source
@@ -38,6 +41,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -203,10 +207,16 @@ class ClusterGdprStore : public AuditedStore {
     return nodes_[slot_map_.OwnerOf(slot)];
   }
 
-  // Runs fn(handle) for every node on the fan-out pool; results land in a
-  // node-indexed vector so the merge is deterministic.
+  // What a fan-out is, which decides who may run its node parts.
+  enum class FanOutKind { kCollectionRead, kBroadcast };
+
+  // Runs fn(handle) for every node; results land in a node-indexed vector
+  // so the merge is deterministic. An in-process collection read runs the
+  // node parts on the caller when another one is in flight, else they go
+  // to the pool (see the body for why).
   template <typename T>
-  std::vector<T> FanOut(const std::function<T(net::NodeHandle*)>& fn);
+  std::vector<T> FanOut(FanOutKind kind,
+                        const std::function<T(net::NodeHandle*)>& fn);
 
   ClusterOptions options_;
   SlotMap slot_map_;
@@ -217,6 +227,8 @@ class ClusterGdprStore : public AuditedStore {
   obs::MetricsRegistry registry_;
   std::vector<obs::Histogram*> fanout_hist_;  // cluster_node_fanout_us{node=i}
   obs::Counter* m_degraded_skips_ = nullptr;
+  obs::Counter* m_fanout_caller_ = nullptr;  // node parts run by the caller
+  obs::Counter* m_fanout_pool_ = nullptr;    // node parts handed to pool_
   obs::Counter* m_slots_moved_ = nullptr;
   obs::Counter* m_records_migrated_ = nullptr;
   obs::Gauge* m_migration_active_ = nullptr;
@@ -232,6 +244,8 @@ class ClusterGdprStore : public AuditedStore {
   std::vector<std::unique_ptr<net::NodeHandle>> remotes_;
   std::vector<net::NodeHandle*> nodes_;
   std::unique_ptr<ScatterGather> pool_;
+  // In-process collection reads inside FanOut right now.
+  std::atomic<size_t> reads_in_flight_{0};
 
   // Per-slot write fence: point ops hold it shared, MoveSlots holds the
   // moving slot's exclusively. shared_mutex is non-movable, hence the

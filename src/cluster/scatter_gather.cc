@@ -1,5 +1,7 @@
 #include "cluster/scatter_gather.h"
 
+#include <algorithm>
+
 namespace gdpr::cluster {
 
 ScatterGather::ScatterGather(size_t workers) {
@@ -48,14 +50,18 @@ void ScatterGather::WorkerLoop() {
 
 void ScatterGather::Run(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
-  auto batch = std::make_shared<Batch>(std::move(tasks));
-  if (!threads_.empty()) {
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      open_batches_.push_back(batch);
-    }
-    cv_.notify_all();
+  if (tasks.size() == 1 || threads_.empty()) {
+    for (auto& task : tasks) task();
+    return;
   }
+  auto batch = std::make_shared<Batch>(std::move(tasks));
+  {
+    std::lock_guard<std::mutex> l(mu_);
+    open_batches_.push_back(batch);
+  }
+  // The caller drains too, so each task past the first wakes one worker.
+  const size_t wake = std::min(batch->tasks.size() - 1, threads_.size());
+  for (size_t i = 0; i < wake; ++i) cv_.notify_one();
   // The caller works too: claims whatever the pool has not taken yet, then
   // waits for claimed-but-unfinished tasks.
   Drain(batch.get());

@@ -2,7 +2,9 @@
 // GDPR broadcast becomes N per-node sub-tasks that must all finish before
 // the merge. A fixed pool of workers serves every batch; the calling thread
 // participates in its own batch, so a zero-worker pool degrades to serial
-// execution (never deadlock) and a single-node fan-out pays no handoff.
+// execution (never deadlock). A one-task batch runs on the caller with no
+// enqueue and no wakeup; a larger one wakes at most one worker per task
+// past the first.
 
 #pragma once
 

@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -64,6 +67,17 @@ TEST(ScatterGather, BackToBackBatchesReuseThePool) {
     pool.Run(std::move(tasks));
   }
   EXPECT_EQ(count.load(), 140);
+}
+
+TEST(ScatterGather, OneTaskRunsOnTheCallingThread) {
+  ScatterGather pool(4);
+  for (int round = 0; round < 200; ++round) {
+    std::thread::id ran_on;
+    std::vector<std::function<void()>> tasks;
+    tasks.push_back([&ran_on] { ran_on = std::this_thread::get_id(); });
+    pool.Run(std::move(tasks));
+    ASSERT_EQ(ran_on, std::this_thread::get_id()) << "round " << round;
+  }
 }
 
 // ---- cluster vs single-node semantic equivalence --------------------------
@@ -546,6 +560,141 @@ TEST_P(ClusterTransportTest, QueriesRacingRebalanceReturnEachKeyOnce) {
   for (const size_t c : cluster.slot_map().SlotsPerNode()) EXPECT_EQ(c, 256u);
 }
 
+// ---- who runs a fan-out's node parts ---------------------------------------
+
+// Fan-outs whose node parts the caller ran, and those handed to the pool.
+struct FanoutCounts {
+  uint64_t caller = 0;
+  uint64_t pool = 0;
+};
+
+FanoutCounts CountFanouts(ClusterGdprStore& cluster) {
+  const obs::RegistrySnapshot snap = cluster.StatsSnapshot();
+  return {snap.CounterValue("cluster_fanout_caller_total"),
+          snap.CounterValue("cluster_fanout_pool_total")};
+}
+
+// A clock that parks the first reading taken after Arm() until Release().
+// The router's first reading in a collection read is a node part's fan-out
+// timer, so parking it holds that read in flight for as long as a test
+// needs.
+class ParkingClock : public Clock {
+ public:
+  int64_t NowMicros() override {
+    if (armed_.exchange(false)) {
+      std::unique_lock<std::mutex> l(mu_);
+      parked_ = true;
+      cv_.notify_all();
+      cv_.wait(l, [this] { return released_; });
+    }
+    return inner_.NowMicros();
+  }
+  void SleepMicros(int64_t micros) override { inner_.SleepMicros(micros); }
+
+  void Arm() { armed_.store(true); }
+  bool WaitParked() {
+    std::unique_lock<std::mutex> l(mu_);
+    return cv_.wait_for(l, std::chrono::seconds(30),
+                        [this] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> l(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  SimulatedClock inner_{1000000};
+  std::atomic<bool> armed_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+TEST_P(ClusterTransportTest, LoneReadHandsItsNodePartsToThePool) {
+  SimulatedClock clock(1000000);
+  ClusterOptions co = BaseOptions();
+  co.clock = &clock;
+  ClusterGdprStore cluster(co);
+  ASSERT_TRUE(cluster.Open().ok());
+  DatasetConfig cfg;
+  cfg.data_bytes = 32;
+  cfg.purposes = 4;
+  RecordGenerator gen(cfg, &clock);
+  const Actor controller = Actor::Controller();
+  for (size_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(cluster.CreateRecord(controller, gen.Make(i)).ok());
+  }
+  const FanoutCounts before = CountFanouts(cluster);
+  ASSERT_TRUE(cluster.ReadMetadataByPurpose(controller, gen.PurposeOf(0)).ok());
+  const FanoutCounts after = CountFanouts(cluster);
+  EXPECT_EQ(after.pool - before.pool, 1u);
+  EXPECT_EQ(after.caller - before.caller, 0u);
+}
+
+TEST_P(ClusterTransportTest, HeldReadSendsForgetToThePool) {
+  // One read is held in flight. A Forget issued meanwhile is a broadcast
+  // and goes to the pool; a second read overlaps the held one, so in
+  // process its caller runs the node parts, while over sockets it still
+  // goes to the pool. Every answer stays whole.
+  ParkingClock clock;
+  ClusterOptions co = BaseOptions();
+  co.clock = &clock;
+  ClusterGdprStore cluster(co);
+  ASSERT_TRUE(cluster.Open().ok());
+  DatasetConfig cfg;
+  cfg.data_bytes = 32;
+  cfg.users = 10;
+  cfg.purposes = 4;
+  cfg.ttl_every = 0;
+  RecordGenerator gen(cfg, &clock);
+  const Actor controller = Actor::Controller();
+  const size_t kRecords = 200;
+  for (size_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(cluster.CreateRecord(controller, gen.Make(i)).ok());
+  }
+  const FanoutCounts before = CountFanouts(cluster);
+
+  clock.Arm();
+  StatusOr<std::vector<GdprRecord>> held = Status::Internal("not run");
+  std::thread holder([&] {
+    held = cluster.ReadMetadataByPurpose(controller, gen.PurposeOf(0));
+  });
+  const bool parked = clock.WaitParked();
+  EXPECT_TRUE(parked);
+  StatusOr<size_t> erased = Status::Internal("not run");
+  StatusOr<std::vector<GdprRecord>> overlapping = Status::Internal("not run");
+  if (parked) {
+    erased = cluster.DeleteRecordsByUser(controller, gen.UserOf(0));
+    overlapping = cluster.ReadMetadataByPurpose(controller, gen.PurposeOf(1));
+  }
+  clock.Release();
+  holder.join();
+  ASSERT_TRUE(parked);
+
+  ASSERT_TRUE(erased.ok()) << erased.status().ToString();
+  EXPECT_EQ(erased.value(), kRecords / cfg.users);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  ASSERT_TRUE(overlapping.ok()) << overlapping.status().ToString();
+  // User 0's records are gone from the overlapping read's answer; the held
+  // read may have run its other node parts before or after the Forget.
+  size_t purpose1 = 0;
+  for (size_t i = 0; i < kRecords; ++i) {
+    if (gen.PurposeOf(i) == gen.PurposeOf(1) &&
+        gen.UserOf(i) != gen.UserOf(0)) {
+      ++purpose1;
+    }
+  }
+  EXPECT_EQ(UniqueKeys(overlapping.value(), "overlapping").size(), purpose1);
+  EXPECT_LE(UniqueKeys(held.value(), "held").size(), kRecords / cfg.purposes);
+
+  const FanoutCounts after = CountFanouts(cluster);
+  const bool in_process = GetParam() == ClusterTransport::kInProcess;
+  EXPECT_EQ(after.caller - before.caller, in_process ? 1u : 0u);
+  EXPECT_EQ(after.pool - before.pool, in_process ? 2u : 3u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Transports, ClusterTransportTest,
     ::testing::Values(ClusterTransport::kInProcess,
@@ -554,6 +703,71 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param == ClusterTransport::kInProcess ? "InProcess"
                                                         : "Socket";
     });
+
+TEST(ClusterFanout, ConcurrentReadsMatchSingleNodeAndCountEveryFanOut) {
+  // Four callers read at once through an in-process cluster. Whether any two
+  // reads overlap is up to the scheduler (on one core they may never), so
+  // this asserts only that every answer is whole and every read is counted
+  // once, on whichever path ran it.
+  SimulatedClock clock(1000000);
+  KvGdprOptions ko;
+  ko.clock = &clock;
+  ko.compliance.metadata_indexing = true;
+  KvGdprStore single(ko);
+  ASSERT_TRUE(single.Open().ok());
+  ClusterOptions co;
+  co.nodes = 4;
+  co.clock = &clock;
+  co.compliance.metadata_indexing = true;
+  ClusterGdprStore cluster(co);
+  ASSERT_TRUE(cluster.Open().ok());
+  DatasetConfig cfg;
+  cfg.data_bytes = 32;
+  cfg.users = 16;
+  cfg.purposes = 4;
+  cfg.ttl_every = 0;
+  RecordGenerator gen(cfg, &clock);
+  const Actor controller = Actor::Controller();
+  for (size_t i = 0; i < 400; ++i) {
+    const GdprRecord rec = gen.Make(i);
+    ASSERT_TRUE(single.CreateRecord(controller, rec).ok());
+    ASSERT_TRUE(cluster.CreateRecord(controller, rec).ok());
+  }
+  // Read i asks for a purpose when even, a user when odd.
+  auto read = [&](GdprStore& store, size_t i) {
+    return i % 2 == 0
+               ? store.ReadMetadataByPurpose(controller, gen.PurposeOf(i))
+               : store.ReadMetadataByUser(controller, gen.UserOf(i));
+  };
+  std::vector<std::vector<GdprRecord>> expected;
+  for (size_t i = 0; i < cfg.users * cfg.purposes; ++i) {
+    auto answer = read(single, i);
+    ASSERT_TRUE(answer.ok());
+    expected.push_back(std::move(answer.value()));
+  }
+  const FanoutCounts before = CountFanouts(cluster);
+  constexpr size_t kThreads = 4, kReads = 200;
+  std::atomic<size_t> failed{0};
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (size_t n = 0; n < kReads; ++n) {
+        const size_t i = (t * kReads + n) % expected.size();
+        auto answer = read(cluster, i);
+        if (!answer.ok()) {
+          failed.fetch_add(1);
+          continue;
+        }
+        ExpectSameRecordSets(answer.value(), expected[i], "concurrent read");
+      }
+    });
+  }
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(failed.load(), 0u);
+  const FanoutCounts after = CountFanouts(cluster);
+  EXPECT_EQ((after.caller - before.caller) + (after.pool - before.pool),
+            kThreads * kReads);
+}
 
 TEST(ClusterTransportEquivalence, AuditEvidenceMatchesAcrossTransports) {
   // Drive the identical lockstep workload through both transports on a
