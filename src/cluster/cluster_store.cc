@@ -129,8 +129,8 @@ ClusterGdprStore::ClusterGdprStore(const ClusterOptions& options)
   m_migration_active_ = registry_.GetGauge("cluster_migration_active");
   audit_log_.AttachMetrics(&registry_);
   // One fan-out worker per node, for the fan-outs FanOut hands off: a lone
-  // collection read, socket fan-outs and broadcasts. Overlapping in-process
-  // collection reads run on their callers instead.
+  // in-process fan-out and every socket fan-out. Overlapping in-process
+  // fan-outs run on their callers instead.
   pool_ = std::make_unique<ScatterGather>(n);
 }
 
@@ -163,7 +163,7 @@ Status ClusterGdprStore::CloseEngine() {
 
 template <typename T>
 std::vector<T> ClusterGdprStore::FanOut(
-    FanOutKind kind, const std::function<T(net::NodeHandle*)>& fn) {
+    const std::function<T(net::NodeHandle*)>& fn) {
   std::vector<std::optional<T>> staged(nodes_.size());
   auto run_node = [this, &staged, &fn](size_t i) {
     // Per-node sub-query execution time: a slow or degraded node shows up
@@ -173,15 +173,14 @@ std::vector<T> ClusterGdprStore::FanOut(
     obs::ScopedTimer fanout_timer(fanout_hist_[i], clock_);
     staged[i].emplace(fn(nodes_[i]));
   };
-  // An in-process collection read runs its node parts on the caller while
-  // another one is in flight: each overlapping caller already keeps a core
-  // busy, and handing its parts to the pool only adds runnable threads. A
-  // lone read still spreads over the pool. Socket node parts block on I/O
-  // while the servers work, and a broadcast's durable node part waits on
-  // its own log, so those always go to the pool.
-  const bool counted = kind == FanOutKind::kCollectionRead &&
-                       options_.transport == ClusterTransport::kInProcess;
-  if (counted && reads_in_flight_.fetch_add(1, std::memory_order_relaxed) > 0) {
+  // An in-process fan-out runs its node parts on the caller while another
+  // one is in flight: each overlapping caller already keeps a core busy,
+  // and handing its parts to the pool only adds runnable threads. A lone
+  // fan-out still spreads over the pool. Socket node parts block on I/O
+  // while the servers work, so those always go to the pool.
+  const bool counted = options_.transport == ClusterTransport::kInProcess;
+  if (counted &&
+      fanouts_in_flight_.fetch_add(1, std::memory_order_relaxed) > 0) {
     for (size_t i = 0; i < nodes_.size(); ++i) run_node(i);
     m_fanout_caller_->Add(1);
   } else {
@@ -193,7 +192,7 @@ std::vector<T> ClusterGdprStore::FanOut(
     pool_->Run(std::move(tasks));
     m_fanout_pool_->Add(1);
   }
-  if (counted) reads_in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  if (counted) fanouts_in_flight_.fetch_sub(1, std::memory_order_relaxed);
   std::vector<T> out;
   out.reserve(staged.size());
   for (auto& s : staged) out.push_back(std::move(*s));
@@ -264,7 +263,7 @@ Status ClusterGdprStore::ReadCollection(const Actor& actor,
     Status status;
     std::vector<GdprRecord> records;
   };
-  auto read_node = [&](net::NodeHandle* node) {
+  auto parts = FanOut<Part>([&](net::NodeHandle* node) {
     // One epoch pin per node part: guards are reentrant, so an in-process
     // node's index probe and every per-key fetch under it ride this pin
     // instead of re-pinning. A remote node's store runs on the server's
@@ -275,8 +274,7 @@ Status ClusterGdprStore::ReadCollection(const Actor& actor,
     part.status =
         node->ReadCollection(actor, kind, value, AppendTo{&part.records});
     return part;
-  };
-  auto parts = FanOut<Part>(FanOutKind::kCollectionRead, read_node);
+  });
   // Access decisions depend only on (actor, flags), so every node returns
   // the same verdict: the first denial (or any other hard error) wins, and
   // nothing is delivered.
@@ -330,10 +328,9 @@ Status ClusterGdprStore::ReadCollection(const Actor& actor,
 StatusOr<size_t> ClusterGdprStore::DeleteRecordsByUser(
     const Actor& actor, const std::string& user) {
   std::shared_lock<std::shared_mutex> no_migration(migrate_mu_);
-  auto parts = FanOut<StatusOr<size_t>>(
-      FanOutKind::kBroadcast, [&](net::NodeHandle* node) {
-        return node->DeleteRecordsByUser(actor, user);
-      });
+  auto parts = FanOut<StatusOr<size_t>>([&](net::NodeHandle* node) {
+    return node->DeleteRecordsByUser(actor, user);
+  });
   // Forget must be durable on *every* node before it reads as success: a
   // degraded node that cannot tombstone keeps its copies, so report the
   // partial failure with what did get erased elsewhere — the caller (or a
@@ -348,16 +345,16 @@ StatusOr<size_t> ClusterGdprStore::DeleteRecordsByUser(
 
 StatusOr<size_t> ClusterGdprStore::DeleteExpiredRecords(const Actor& actor) {
   std::shared_lock<std::shared_mutex> no_migration(migrate_mu_);
-  auto parts = FanOut<StatusOr<size_t>>(
-      FanOutKind::kBroadcast,
-      [&](net::NodeHandle* node) { return node->DeleteExpiredRecords(actor); });
+  auto parts = FanOut<StatusOr<size_t>>([&](net::NodeHandle* node) {
+    return node->DeleteExpiredRecords(actor);
+  });
   return SumParts(parts, "expiry sweep", "records reclaimed elsewhere");
 }
 
 StatusOr<std::vector<AuditEntry>> ClusterGdprStore::GetSystemLogs(
     const Actor& actor, int64_t from_micros, int64_t to_micros) {
-  auto parts = FanOut<StatusOr<std::vector<AuditEntry>>>(
-      FanOutKind::kBroadcast, [&](net::NodeHandle* node) {
+  auto parts =
+      FanOut<StatusOr<std::vector<AuditEntry>>>([&](net::NodeHandle* node) {
         return node->GetSystemLogs(actor, from_micros, to_micros);
       });
   std::vector<size_t> failed;
@@ -409,9 +406,9 @@ StatusOr<CompactionStats> ClusterGdprStore::CompactNow(const Actor& actor) {
   // otherwise land its records on a node whose rewrite already passed,
   // resurrecting log frames the source just compacted away.
   std::shared_lock<std::shared_mutex> no_migration(migrate_mu_);
-  auto parts = FanOut<StatusOr<CompactionStats>>(
-      FanOutKind::kBroadcast,
-      [&](net::NodeHandle* node) { return node->CompactNow(actor); });
+  auto parts = FanOut<StatusOr<CompactionStats>>([&](net::NodeHandle* node) {
+    return node->CompactNow(actor);
+  });
   std::vector<size_t> failed;
   const Status s =
       BroadcastStatus(parts, "compaction", "the others compacted", &failed);
@@ -431,9 +428,9 @@ StatusOr<CompactionStats> ClusterGdprStore::CompactNow(const Actor& actor) {
 }
 
 CompactionStats ClusterGdprStore::LogCompactionStats() {
-  auto parts = FanOut<CompactionStats>(
-      FanOutKind::kBroadcast,
-      [&](net::NodeHandle* node) { return node->GetCompactionStats(); });
+  auto parts = FanOut<CompactionStats>([&](net::NodeHandle* node) {
+    return node->GetCompactionStats();
+  });
   CompactionStats merged;
   for (const auto& part : parts) merged.Merge(part);
   return merged;

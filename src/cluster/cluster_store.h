@@ -27,9 +27,9 @@
 //     every node and gather: per-node records are merged, keeping each
 //     record only from the node that owns its slot. A read that misses a
 //     node says so (Unavailable, naming it). Who runs the node parts is
-//     decided in FanOut: an in-process collection read that overlaps
-//     another runs them on its caller, in node order; a lone one, every
-//     socket fan-out and every broadcast hand them to a worker pool.
+//     decided in FanOut: an in-process fan-out that overlaps another runs
+//     them on its caller, in node order; a lone one and every socket
+//     fan-out hand them to a worker pool.
 //   * MoveSlots rebalances live: one slot at a time is write-fenced, its
 //     records (and erasure tombstones) are copied to the destination node
 //     through slot-scoped handle exports, ownership flips, and the source
@@ -207,16 +207,12 @@ class ClusterGdprStore : public AuditedStore {
     return nodes_[slot_map_.OwnerOf(slot)];
   }
 
-  // What a fan-out is, which decides who may run its node parts.
-  enum class FanOutKind { kCollectionRead, kBroadcast };
-
   // Runs fn(handle) for every node; results land in a node-indexed vector
-  // so the merge is deterministic. An in-process collection read runs the
-  // node parts on the caller when another one is in flight, else they go
-  // to the pool (see the body for why).
+  // so the merge is deterministic. An in-process fan-out runs the node
+  // parts on the caller when another one is in flight, else they go to
+  // the pool (see the body for why).
   template <typename T>
-  std::vector<T> FanOut(FanOutKind kind,
-                        const std::function<T(net::NodeHandle*)>& fn);
+  std::vector<T> FanOut(const std::function<T(net::NodeHandle*)>& fn);
 
   ClusterOptions options_;
   SlotMap slot_map_;
@@ -244,8 +240,8 @@ class ClusterGdprStore : public AuditedStore {
   std::vector<std::unique_ptr<net::NodeHandle>> remotes_;
   std::vector<net::NodeHandle*> nodes_;
   std::unique_ptr<ScatterGather> pool_;
-  // In-process collection reads inside FanOut right now.
-  std::atomic<size_t> reads_in_flight_{0};
+  // In-process fan-outs inside FanOut right now.
+  std::atomic<size_t> fanouts_in_flight_{0};
 
   // Per-slot write fence: point ops hold it shared, MoveSlots holds the
   // moving slot's exclusively. shared_mutex is non-movable, hence the

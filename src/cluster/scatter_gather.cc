@@ -50,18 +50,20 @@ void ScatterGather::WorkerLoop() {
 
 void ScatterGather::Run(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
-  if (tasks.size() == 1 || threads_.empty()) {
-    for (auto& task : tasks) task();
+  if (tasks.size() == 1) {
+    tasks.front()();
     return;
   }
   auto batch = std::make_shared<Batch>(std::move(tasks));
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    open_batches_.push_back(batch);
+  if (!threads_.empty()) {
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      open_batches_.push_back(batch);
+    }
+    // The caller drains too, so each task past the first wakes one worker.
+    const size_t wake = std::min(batch->tasks.size() - 1, threads_.size());
+    for (size_t i = 0; i < wake; ++i) cv_.notify_one();
   }
-  // The caller drains too, so each task past the first wakes one worker.
-  const size_t wake = std::min(batch->tasks.size() - 1, threads_.size());
-  for (size_t i = 0; i < wake; ++i) cv_.notify_one();
   // The caller works too: claims whatever the pool has not taken yet, then
   // waits for claimed-but-unfinished tasks.
   Drain(batch.get());

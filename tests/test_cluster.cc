@@ -633,11 +633,10 @@ TEST_P(ClusterTransportTest, LoneReadHandsItsNodePartsToThePool) {
   EXPECT_EQ(after.caller - before.caller, 0u);
 }
 
-TEST_P(ClusterTransportTest, HeldReadSendsForgetToThePool) {
-  // One read is held in flight. A Forget issued meanwhile is a broadcast
-  // and goes to the pool; a second read overlaps the held one, so in
-  // process its caller runs the node parts, while over sockets it still
-  // goes to the pool. Every answer stays whole.
+TEST_P(ClusterTransportTest, HeldReadRoutesOverlappingFanOuts) {
+  // One read is held in flight. A Forget and a second read issued meanwhile
+  // overlap it, so in process their callers run the node parts, while over
+  // sockets they still go to the pool. Every answer stays whole.
   ParkingClock clock;
   ClusterOptions co = BaseOptions();
   co.clock = &clock;
@@ -691,8 +690,8 @@ TEST_P(ClusterTransportTest, HeldReadSendsForgetToThePool) {
 
   const FanoutCounts after = CountFanouts(cluster);
   const bool in_process = GetParam() == ClusterTransport::kInProcess;
-  EXPECT_EQ(after.caller - before.caller, in_process ? 1u : 0u);
-  EXPECT_EQ(after.pool - before.pool, in_process ? 2u : 3u);
+  EXPECT_EQ(after.caller - before.caller, in_process ? 2u : 0u);
+  EXPECT_EQ(after.pool - before.pool, in_process ? 1u : 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
