@@ -170,27 +170,25 @@ Status KvGdprStore::Collect(Attr attr, const std::string& value, bool mask,
   const kv::EpochPostingMap& index = attr == Attr::kUser      ? by_user_
                                      : attr == Attr::kPurpose ? by_purpose_
                                                               : by_sharing_;
-  std::vector<std::string> keys;
-  {
-    // Lock-free probe: pin one epoch, copy the key set out. Index
-    // writers (upserts, erasure, expiry) proceed concurrently throughout.
-    EpochGuard guard;
-    index.ForEachKey(value, [&](const std::string& k) {
-      keys.push_back(k);
-      return true;
-    });
-  }
   size_t unreadable = index_unreadable_records_.load(std::memory_order_relaxed);
+  // Lock-free probe: one pin covers the posting walk and the fetch, so the
+  // batch reads each key where its posting node holds it — a posting key is
+  // immutable and is freed only through the epoch manager. Index writers
+  // (upserts, erasure, expiry) proceed concurrently throughout.
+  EpochGuard guard;
+  std::vector<const std::string*> keys;
+  index.ForEachKey(value, [&](const std::string& k) {
+    keys.push_back(&k);
+    return true;
+  });
   out->reserve(out->size() + keys.size());
   db_->GetBatch(keys, [&](size_t, const Status& s, std::string_view raw) {
     if (s.ok()) {
-      // Parsed straight from the engine's bytes; a masked query's payload
-      // is never copied.
-      auto rec = GdprRecord::Parse(raw, /*with_data=*/!mask);
-      if (rec.ok()) {
-        out->push_back(std::move(rec.value()));
-        return;
-      }
+      // Decoded once, from the engine's bytes into the slot that keeps it;
+      // a masked query's payload is never copied.
+      GdprRecord& rec = out->emplace_back();
+      if (GdprRecord::ParseInto(raw, /*with_data=*/!mask, &rec).ok()) return;
+      out->pop_back();
     } else if (s.IsNotFound()) {
       return;  // normal: erased (or expired) since the probe
     }

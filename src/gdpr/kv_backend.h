@@ -14,11 +14,13 @@
 // Read fast path: the secondary indexes are epoch-protected posting maps
 // (kv::EpochPostingMap: an attribute table and per-attribute key sets, two
 // node types of the table behind MemKV's shard map). A collection pins one
-// epoch, copies one attribute's key set without any index lock, then reads
-// the keys through one MemKV::GetBatch — one epoch pin, prefetched lookups
-// in groups of 16, and Get's per-entry rules — parsing each record straight
-// from the engine's bytes, and skipping the payload copy when the query is
-// masked. Point fetches (GetRaw) are MemKV's lock-free Get.
+// epoch for the whole read and, without any index lock, collects pointers
+// to one attribute's keys where the posting nodes hold them. One
+// MemKV::GetBatch reads those keys — prefetched lookups in groups of 16,
+// and Get's per-entry rules — and each record is decoded once, straight
+// from the engine's bytes into the answer slot that keeps it, skipping the
+// payload when the query is masked. Point fetches (GetRaw) are MemKV's
+// lock-free Get.
 //
 // Write path: each attribute's keys form a small hashed set that grows
 // copy-on-grow, and an upsert diffs the old and new metadata, touching only

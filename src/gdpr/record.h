@@ -42,9 +42,16 @@ struct GdprRecord {
   std::string data;
   GdprMetadata metadata;
 
+  // Appends this record's serialization to *out; Serialize returns it.
+  void SerializeTo(std::string* out) const;
   std::string Serialize() const;
+  // Decodes wire into *rec, overwriting every field, so a caller can fill
+  // the slot that keeps the record instead of moving a temporary into it.
   // with_data = false leaves data empty without copying it: a masked
-  // metadata query parses straight from the engine's bytes.
+  // metadata query parses straight from the engine's bytes. On DataLoss
+  // *rec holds a partial decode. Parse is the same decode into a new record.
+  static Status ParseInto(std::string_view wire, bool with_data,
+                          GdprRecord* rec);
   static StatusOr<GdprRecord> Parse(std::string_view wire,
                                     bool with_data = true);
 

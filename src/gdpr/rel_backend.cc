@@ -112,26 +112,32 @@ rel::Row RelGdprStore::ToRow(const GdprRecord& rec) const {
                   rel::Value(m.created_micros)};
 }
 
-GdprRecord RelGdprStore::FromRow(const rel::Row& row) const {
-  GdprRecord rec;
-  rec.key = row[kKey].AsString();
-  rec.data = row[kData].AsString();
-  rec.metadata.user = row[kUser].AsString();
-  rec.metadata.origin = row[kOrigin].AsString();
-  rec.metadata.purposes = SplitString(row[kPurposes].AsString(), '|');
-  rec.metadata.objections = SplitString(row[kObjections].AsString(), '|');
-  rec.metadata.shared_with = SplitString(row[kShared].AsString(), '|');
+void RelGdprStore::FromRow(const rel::Row& row, bool with_data,
+                           GdprRecord* rec) const {
+  rec->key = row[kKey].AsString();
+  if (with_data) {
+    rec->data = row[kData].AsString();
+  } else {
+    rec->data.clear();
+  }
+  GdprMetadata& m = rec->metadata;
+  m.user = row[kUser].AsString();
+  m.origin = row[kOrigin].AsString();
+  m.purposes = SplitString(row[kPurposes].AsString(), '|');
+  m.objections = SplitString(row[kObjections].AsString(), '|');
+  m.shared_with = SplitString(row[kShared].AsString(), '|');
   const int64_t expiry = row[kExpiry].AsInt64();
-  rec.metadata.expiry_micros = expiry == kNoExpiry ? 0 : expiry;
-  rec.metadata.created_micros = row[kCreated].AsInt64();
-  return rec;
+  m.expiry_micros = expiry == kNoExpiry ? 0 : expiry;
+  m.created_micros = row[kCreated].AsInt64();
 }
 
 StatusOr<GdprRecord> RelGdprStore::GetRaw(const std::string& key) {
   auto rows = db_->Select(records_, ByKey(key), 1);
   if (!rows.ok()) return rows.status();
   if (rows.value().empty()) return Status::NotFound(key);
-  return FromRow(rows.value()[0]);
+  GdprRecord rec;
+  FromRow(rows.value()[0], /*with_data=*/true, &rec);
+  return rec;
 }
 
 Status RelGdprStore::Put(const GdprRecord& rec, const GdprRecord* prev) {
@@ -168,18 +174,18 @@ Status RelGdprStore::Erase(const GdprRecord& rec) {
 }
 
 // One Select: MatchRowIds probes the column's index when indexing() built
-// one and scans otherwise. Rows decode whole, so mask saves nothing here
-// and is ignored.
-Status RelGdprStore::Collect(Attr attr, const std::string& value,
-                             bool /*mask*/, std::vector<GdprRecord>* out) {
+// one and scans otherwise. Each row decodes once, into the slot that keeps
+// it; a masked query's payload is never copied.
+Status RelGdprStore::Collect(Attr attr, const std::string& value, bool mask,
+                             std::vector<GdprRecord>* out) {
   const rel::Predicate pred =
       attr == Attr::kUser
           ? rel::Compare(kUser, rel::CompareOp::kEq, rel::Value(value))
           : rel::Compare(attr == Attr::kPurpose ? kPurposes : kShared,
                          rel::CompareOp::kHas, rel::Value(value));
   // The visiting Select: the readable rows arrive before a DataLoss.
-  return db_->Select(records_, pred, 0, [this, out](rel::Row& row) {
-    out->push_back(FromRow(row));
+  return db_->Select(records_, pred, 0, [this, mask, out](rel::Row& row) {
+    FromRow(row, /*with_data=*/!mask, &out->emplace_back());
     return true;
   });
 }
@@ -200,7 +206,8 @@ Status RelGdprStore::ForEachExpired(
 
 Status RelGdprStore::Scan(const std::function<bool(GdprRecord&)>& fn) {
   return db_->ScanRows(records_, [&](const rel::Row& row) {
-    GdprRecord rec = FromRow(row);
+    GdprRecord rec;
+    FromRow(row, /*with_data=*/true, &rec);
     return fn(rec);
   });
 }

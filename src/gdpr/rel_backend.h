@@ -69,7 +69,9 @@ class RelGdprStore : public PolicyStore {
 
  private:
   rel::Row ToRow(const GdprRecord& rec) const;
-  GdprRecord FromRow(const rel::Row& row) const;
+  // The one row decoder: fills *rec, overwriting every field; with_data =
+  // false leaves data empty without copying the payload.
+  void FromRow(const rel::Row& row, bool with_data, GdprRecord* rec) const;
 
   RelGdprOptions options_;
   std::unique_ptr<rel::Database> db_;

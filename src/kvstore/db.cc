@@ -252,7 +252,7 @@ StatusOr<std::string> MemKV::Get(const std::string& key) {
   return aead_ ? std::move(scratch) : std::string(value);
 }
 
-void MemKV::GetBatch(const std::vector<std::string>& keys,
+void MemKV::GetBatch(const std::vector<const std::string*>& keys,
                      const BatchFn& fn) {
   // Exact, one sample per batch: a batch costs hundreds of µs, so two
   // clock reads are noise, and memkv_get_us stays a point-read histogram.
@@ -262,19 +262,19 @@ void MemKV::GetBatch(const std::vector<std::string>& keys,
   EpochGuard guard;
   for (size_t base = 0; base < keys.size(); base += kBatchGroup) {
     const size_t n = std::min(kBatchGroup, keys.size() - base);
-    const std::string* key = &keys[base];
+    const std::string* const* key = &keys[base];
     uint64_t hash[kBatchGroup];
     const EntryBlock* block[kBatchGroup];
     // Each stage issues the group's next dependent load while the previous
     // stage's misses are still in flight: bucket slot, head node, entry
     // block, value bytes. Only the Find in stage three is a lookup.
     for (size_t j = 0; j < n; ++j) {
-      hash[j] = Fnv1a(key[j]);
+      hash[j] = Fnv1a(*key[j]);
       ShardFor(hash[j]).map.PrefetchBucket(hash[j]);
     }
     for (size_t j = 0; j < n; ++j) ShardFor(hash[j]).map.PrefetchHead(hash[j]);
     for (size_t j = 0; j < n; ++j) {
-      block[j] = ShardFor(hash[j]).map.Find(key[j], hash[j]);
+      block[j] = ShardFor(hash[j]).map.Find(*key[j], hash[j]);
       Prefetch(block[j], sizeof(EntryBlock));
     }
     for (size_t j = 0; j < n; ++j) {
@@ -287,7 +287,7 @@ void MemKV::GetBatch(const std::vector<std::string>& keys,
     }
     for (size_t j = 0; j < n; ++j) {
       std::string_view value;
-      const Status s = ReadEntry(key[j], block[j], now, &scratch, &value);
+      const Status s = ReadEntry(*key[j], block[j], now, &scratch, &value);
       fn(base + j, s, value);
     }
   }

@@ -139,14 +139,17 @@ class MemKV {
   // Batched Get for index collections: one epoch pin for the whole batch,
   // keys walked in groups of kBatchGroup whose bucket, node, entry-block and
   // value loads are each prefetched one stage before they are needed. fn(i,
-  // status, value) runs once per key, in order, with what Get(keys[i])
+  // status, value) runs once per key, in order, with what Get(*keys[i])
   // would return — the same per-entry rules, applied once per key. value
-  // views the plaintext and is valid only inside the call. With log_reads
-  // on, the pin spans the batch's read-log commits.
+  // views the plaintext and is valid only inside the call. The keys are
+  // pointers so a caller can pass them where they already live (an index
+  // collection passes its posting nodes' keys, under its own pin). With
+  // log_reads on, the pin spans the batch's read-log commits.
   static constexpr size_t kBatchGroup = 16;
   using BatchFn = std::function<void(size_t i, const Status& status,
                                      std::string_view value)>;
-  void GetBatch(const std::vector<std::string>& keys, const BatchFn& fn);
+  void GetBatch(const std::vector<const std::string*>& keys,
+                const BatchFn& fn);
 
   // Number of resident entries (expired-but-not-yet-erased keys count:
   // that residue is exactly what Fig 3a measures).

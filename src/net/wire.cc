@@ -147,8 +147,13 @@ class Writer {
   }
   // Records ride as their own compact serialization (gdpr/record.cc), the
   // one codec the AOF, migration and the wire share: a record that
-  // round-trips the log round-trips the network by construction.
-  bool Record(const GdprRecord& rec) { return Str(rec.Serialize()); }
+  // round-trips the log round-trips the network by construction. One
+  // scratch buffer serves the whole frame, not a heap string per record.
+  bool Record(const GdprRecord& rec) {
+    record_.clear();
+    rec.SerializeTo(&record_);
+    return Str(record_);
+  }
   // Metadata reuses the record codec with empty key and data; a second
   // layout would just be a second set of truncation bugs.
   bool Meta(const GdprMetadata& m) {
@@ -169,6 +174,7 @@ class Writer {
 
  private:
   std::string* out_;
+  std::string record_;  // Record's scratch
 };
 
 class Reader {
@@ -224,13 +230,11 @@ class Reader {
     s = Status(code, std::move(message));
     return true;
   }
+  // Decodes in place: a list's records parse straight into their slots.
   bool Record(GdprRecord& rec) {
     std::string_view blob;
-    if (!GetLengthPrefixed(&in_, &blob)) return false;
-    auto parsed = GdprRecord::Parse(blob);
-    if (!parsed.ok()) return false;
-    rec = std::move(parsed.value());
-    return true;
+    return GetLengthPrefixed(&in_, &blob) &&
+           GdprRecord::ParseInto(blob, /*with_data=*/true, &rec).ok();
   }
   bool Meta(GdprMetadata& m) {
     GdprRecord shell;

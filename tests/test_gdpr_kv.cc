@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gdpr/kv_backend.h"
 
 namespace gdpr {
@@ -153,6 +155,41 @@ TEST(KvGdprStore, ExpiredUpsertDoesNotLeaveStaleIndexEntries) {
   ASSERT_TRUE(erased.ok());
   EXPECT_EQ(erased.value(), 0u);
   EXPECT_TRUE(store.ReadDataByKey(Actor::Customer("bob"), "k1").ok());
+}
+
+// An indexed collection that meets a record it cannot parse reports
+// DataLoss and delivers the readable records only: the half-decoded one is
+// dropped, not handed on with whatever fields it had reached. k1 is cut
+// once inside its key and once inside its timestamps, after its purposes,
+// where a leftover record would still match "ads".
+TEST(KvGdprStore, UnparsableIndexedRecordLeavesNoPartialRecord) {
+  const std::string wire = MakeRec("k1", "neo", {"ads"}).Serialize();
+  for (const size_t len : {size_t(3), wire.size() - 8}) {
+    SCOPED_TRACE(len);
+    KvGdprOptions o;
+    o.compliance.metadata_indexing = true;
+    KvGdprStore store(o);
+    ASSERT_TRUE(store.Open().ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(store
+                      .CreateRecord(Actor::Controller(),
+                                    MakeRec("k" + std::to_string(i), "neo",
+                                            {"ads"}))
+                      .ok());
+    }
+    // Magic and version intact, body truncated.
+    ASSERT_TRUE(store.raw()->Set("k1", wire.substr(0, len)).ok());
+    std::vector<std::string> seen;
+    const Status s = store.ReadCollection(
+        Actor::Controller(), CollectionKind::kMetaByPurpose, "ads",
+        [&](GdprRecord& rec) {
+          seen.push_back(rec.key);
+          return true;
+        });
+    EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
+    std::sort(seen.begin(), seen.end());  // posting sets are unordered
+    EXPECT_EQ(seen, (std::vector<std::string>{"k0", "k2"}));
+  }
 }
 
 // An update that leaves the expiry alone must not re-queue the record's

@@ -353,11 +353,20 @@ std::vector<std::pair<char, std::string>> ParseAofFrames(
   return frames;
 }
 
+// Pointers to keys, the form GetBatch reads them in.
+std::vector<const std::string*> KeyPointers(
+    const std::vector<std::string>& keys) {
+  std::vector<const std::string*> out;
+  for (const auto& k : keys) out.push_back(&k);
+  return out;
+}
+
 // GetBatch's answers as Get-shaped results, for comparing the two paths.
 std::vector<StatusOr<std::string>> GetBatchResults(
     MemKV& db, const std::vector<std::string>& keys) {
   std::vector<StatusOr<std::string>> out;
-  db.GetBatch(keys, [&](size_t i, const Status& s, std::string_view value) {
+  db.GetBatch(KeyPointers(keys), [&](size_t i, const Status& s,
+                                     std::string_view value) {
     EXPECT_EQ(i, out.size()) << "batch answers out of order";
     if (s.ok()) out.emplace_back(std::string(value));
     else out.emplace_back(s);
@@ -662,6 +671,7 @@ TEST(MemKV, GetBatchReadersSurviveOverwriteEraseAndGrowth) {
     ASSERT_TRUE(db.Set(keys.back(), keys.back() + ":0").ok());
   }
   for (int i = 0; i < kChurn; ++i) keys.push_back("c" + std::to_string(i));
+  const std::vector<const std::string*> batch = KeyPointers(keys);
   std::atomic<int> writers_left{2};
   std::atomic<size_t> bad{0}, delivered{0};
   std::vector<std::thread> threads;
@@ -684,8 +694,8 @@ TEST(MemKV, GetBatchReadersSurviveOverwriteEraseAndGrowth) {
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&] {
       do {
-        db.GetBatch(keys, [&](size_t i, const Status& s,
-                              std::string_view value) {
+        db.GetBatch(batch, [&](size_t i, const Status& s,
+                               std::string_view value) {
           const bool stable = i < size_t(kStable);
           const std::string prefix = keys[i] + ":";
           if (s.ok() ? value.substr(0, prefix.size()) != prefix

@@ -66,6 +66,57 @@ TEST(GdprRecord, RejectsGarbage) {
   }
 }
 
+void ExpectSameRecord(const GdprRecord& got, const GdprRecord& want) {
+  EXPECT_EQ(got.key, want.key);
+  EXPECT_EQ(got.data, want.data);
+  EXPECT_EQ(got.metadata.user, want.metadata.user);
+  EXPECT_EQ(got.metadata.purposes, want.metadata.purposes);
+  EXPECT_EQ(got.metadata.objections, want.metadata.objections);
+  EXPECT_EQ(got.metadata.origin, want.metadata.origin);
+  EXPECT_EQ(got.metadata.shared_with, want.metadata.shared_with);
+  EXPECT_EQ(got.metadata.expiry_micros, want.metadata.expiry_micros);
+  EXPECT_EQ(got.metadata.created_micros, want.metadata.created_micros);
+}
+
+// ParseInto over a slot that already holds a record (data, two purposes, a
+// partner) leaves exactly what Parse builds: nothing of the old record
+// survives, and a masked decode leaves data empty.
+TEST(GdprRecord, ParseIntoOverwritesAHeldRecordLikeParse) {
+  GdprRecord next;
+  next.key = "em-9";
+  next.data = "x";
+  next.metadata.user = "trinity";
+  next.metadata.purposes = {"fraud"};
+  next.metadata.created_micros = 5;
+  const std::string wire = next.Serialize();
+  for (const bool with_data : {true, false}) {
+    SCOPED_TRACE(with_data ? "with data" : "masked");
+    GdprRecord slot = FullRecord();
+    ASSERT_TRUE(GdprRecord::ParseInto(wire, with_data, &slot).ok());
+    auto parsed = GdprRecord::Parse(wire, with_data);
+    ASSERT_TRUE(parsed.ok());
+    ExpectSameRecord(slot, parsed.value());
+    EXPECT_EQ(slot.data, with_data ? "x" : "");
+  }
+}
+
+TEST(GdprRecord, ParseIntoRejectsTruncationAsDataLoss) {
+  const std::string wire = FullRecord().Serialize();
+  for (size_t len = 0; len < wire.size(); ++len) {
+    GdprRecord slot;
+    EXPECT_TRUE(
+        GdprRecord::ParseInto(wire.substr(0, len), true, &slot).IsDataLoss())
+        << len;
+  }
+}
+
+TEST(GdprRecord, SerializeToAppendsSerialize) {
+  const GdprRecord rec = FullRecord();
+  std::string buf = "held";
+  rec.SerializeTo(&buf);
+  EXPECT_EQ(buf, "held" + rec.Serialize());
+}
+
 TEST(GdprRecord, MetadataHelpers) {
   const GdprRecord rec = FullRecord();
   EXPECT_TRUE(rec.metadata.HasPurpose("ads"));
