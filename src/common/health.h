@@ -65,16 +65,6 @@ inline HealthReport Worse(HealthReport a, HealthReport b) {
   return a.state < b.state ? std::move(b) : std::move(a);
 }
 
-// How a store responds to I/O failures on its durability paths.
-struct IoFailurePolicy {
-  // Transient failures (ENOSPC-style) on *background* paths — compaction,
-  // rotation, checkpoint — are retried this many times before the store
-  // degrades. Hot-path Sync failures are never retried (fsyncgate).
-  int background_retries = 2;
-  // Backoff before the first retry; doubles per attempt.
-  int64_t retry_backoff_micros = 1000;
-};
-
 // Monotonic-worsening health latch. The state read is a lock-free atomic
 // so hot-path write gates stay cheap; the cause is mutex-guarded, and a
 // report reads both under the mutex.
@@ -160,21 +150,25 @@ class HealthTracker {
   obs::Counter* transitions_ = nullptr;
 };
 
+// Transient failures (ENOSPC-style) on *background* paths — compaction,
+// rotation, checkpoint — are retried this many times before the store
+// degrades, after a backoff that starts here and doubles per attempt.
+// Hot-path Sync failures are never retried (fsyncgate).
+inline constexpr int kBackgroundIoRetries = 2;
+inline constexpr int64_t kIoRetryBackoffMicros = 1000;
+
 // Bounded retry-with-backoff for transient I/O failures on background
 // paths. Retries only IOError (ENOSPC-shaped); every other code — and
 // exhaustion — returns the last status to the caller, which then decides
 // whether to degrade.
-inline Status RetryIo(const IoFailurePolicy& policy,
-                      const std::function<Status()>& op) {
+inline Status RetryIo(const std::function<Status()>& op) {
   Status s = op();
-  int64_t backoff = policy.retry_backoff_micros;
+  int64_t backoff = kIoRetryBackoffMicros;
   for (int attempt = 0; !s.ok() && s.code() == StatusCode::kIOError &&
-                        attempt < policy.background_retries;
+                        attempt < kBackgroundIoRetries;
        ++attempt) {
-    if (backoff > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff));
-      backoff *= 2;
-    }
+    std::this_thread::sleep_for(std::chrono::microseconds(backoff));
+    backoff *= 2;
     s = op();
   }
   return s;

@@ -247,7 +247,7 @@ Status AuditLog::ReplayLocked(CommitPipeline::FileSlot& active) {
   // A missing header (a fresh chain, or a rotation that crashed
   // mid-header) is written fresh for the current chain: segment 1 anchors
   // at genesis.
-  auto kept = ReopenLog(env, opts_.io_policy, SegmentPath(active_seg_),
+  auto kept = ReopenLog(env, SegmentPath(active_seg_),
                         RewriteTmpPath(), contents, valid,
                         HeaderFrame(epoch_, head_), &active);
   if (!kept.ok()) return kept.status();
@@ -324,9 +324,8 @@ void AuditLog::RotateLocked() const {
     // incarnation) must not leak frames ahead of ours. Rotation is a
     // background path and the truncating create is idempotent, so transient
     // failures get a bounded retry before the latch trips.
-    Status fs = OpenWithRetry(opts_.env, opts_.io_policy,
-                              SegmentPath(active_seg_), /*truncate=*/true,
-                              &seg);
+    Status fs = OpenWithRetry(opts_.env, SegmentPath(active_seg_),
+                              /*truncate=*/true, &seg);
     if (!fs.ok()) {
       --active_seg_;
       return fs;
@@ -389,8 +388,7 @@ StatusOr<AuditCompactResult> AuditLog::Compact(int64_t now_micros) {
       seg->Close().ok();
       seg.reset();
     }
-    FileRewrite rewrite(env, opts_.io_policy, RewriteTmpPath(),
-                        SegmentPath(1));
+    FileRewrite rewrite(env, RewriteTmpPath(), SegmentPath(1));
     const uint64_t next_epoch = epoch_ + 1;
     uint64_t new_bytes = 0;
     Status s = rewrite.Open();

@@ -60,9 +60,9 @@ struct AuditEntry {
   bool allowed = true;
 };
 
-// Persistence knobs for the chain. `path` empty = in-memory only (the
-// pre-durability behavior). The GDPR stores plumb env + sync_policy from
-// their engine options; set path / rotate_bytes / retention_micros freely.
+// Persistence knobs for the chain. `path` empty = in-memory only. The
+// GDPR stores plumb env + sync_policy from their engine options; set
+// path / rotate_bytes / retention_micros freely.
 struct AuditLogOptions {
   Env* env = nullptr;  // nullptr => Env::Posix()
   std::string path;    // segments live at <path>.seg<N>
@@ -72,9 +72,6 @@ struct AuditLogOptions {
   // Compact() drops groups whose newest entry is older than this (0 =
   // retain forever; Compact becomes a no-op).
   int64_t retention_micros = 0;
-  // Bounded retry for transient failures on background paths (segment
-  // rotation, compaction temp). Hot-path group appends never retry.
-  IoFailurePolicy io_policy;
   // Group-commit pipeline the sealed-group frames flow through. nullptr =
   // the log spins up a private pipeline on OpenDurable; the GDPR stores
   // pass their engine's pipeline so one committer thread batches the AOF /

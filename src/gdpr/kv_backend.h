@@ -57,7 +57,7 @@ struct KvGdprOptions {
   // Durable audit chain: with audit.path set, the hash chain persists to
   // <path>.seg<N> and re-verifies across restarts. env and sync_policy are
   // plumbed from the kv options; set path / rotate_bytes / retention_micros
-  // freely. Empty path = in-memory chain (the pre-PR-5 behavior).
+  // freely. Empty path = in-memory chain.
   AuditLogOptions audit;
 };
 

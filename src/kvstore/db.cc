@@ -112,7 +112,7 @@ Status MemKV::Open() {
       auto valid = ReadFrames(log.value(), [&](std::string_view* in) {
         return StatusOr<bool>(ReplayAofFrame(in, now));
       });
-      auto kept = ReopenLog(env_, options_.io_policy, options_.aof_path,
+      auto kept = ReopenLog(env_, options_.aof_path,
                             CompactTmpPath(options_.aof_path), log.value(),
                             valid.value(), /*header=*/"", &aof);
       s = kept.status();
@@ -734,8 +734,8 @@ Status MemKV::CompactAof() {
   // time (writers to other shards proceed). Stored values are copied
   // verbatim — sealed bytes never round-trip through plaintext. Expired-
   // but-unreclaimed entries are dropped: replay would erase them anyway.
-  FileRewrite rewrite(env_, options_.io_policy,
-                      CompactTmpPath(options_.aof_path), options_.aof_path);
+  FileRewrite rewrite(env_, CompactTmpPath(options_.aof_path),
+                      options_.aof_path);
   Status st = rewrite.Open();
   const int64_t now = NowMicros();
   uint64_t tmp_bytes = 0;

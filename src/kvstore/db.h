@@ -84,11 +84,6 @@ struct Options {
   uint64_t aof_compact_min_bytes = 4 << 20;
   double aof_compact_ratio = 2.0;
 
-  // Retry budget for transient I/O failures on background paths (rewrite
-  // temp creation, rename, reopen). Hot-path Sync failures never retry —
-  // see docs/PERSISTENCE.md "Failure policy".
-  IoFailurePolicy io_policy;
-
   // Shared metrics registry (the GDPR layer passes its own so one
   // Snapshot covers every layer). nullptr => the store owns a private one,
   // reachable via metrics_registry().

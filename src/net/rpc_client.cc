@@ -48,7 +48,7 @@ RemoteHandle::RemoteHandle(int fd, RemoteHandleOptions opts)
   }
   fd = WithDeadline(fd, opts_.timeout_ms);
   if (fd >= 0) {
-    idle_.push_back(Conn{fd, {}});
+    idle_.push_back(fd);
     if (connections_) connections_->Add(1);
   }
 }
@@ -58,23 +58,23 @@ RemoteHandle::~RemoteHandle() {
   DropIdleLocked();
 }
 
-void RemoteHandle::CloseLocked(const Conn& conn) {
-  CloseFd(conn.fd);
+void RemoteHandle::CloseLocked(int fd) {
+  CloseFd(fd);
   ++dropped_;
   if (connections_) connections_->Add(-1);
 }
 
 void RemoteHandle::DropIdleLocked() {
-  for (const Conn& conn : idle_) CloseLocked(conn);
+  for (const int fd : idle_) CloseLocked(fd);
   idle_.clear();
 }
 
-Status RemoteHandle::Acquire(Conn* conn, uint64_t* gen) {
+Status RemoteHandle::Acquire(int* fd, uint64_t* gen) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     *gen = generation_;
     if (!idle_.empty()) {
-      *conn = std::move(idle_.back());
+      *fd = idle_.back();
       idle_.pop_back();
       return Status::OK();
     }
@@ -82,12 +82,12 @@ Status RemoteHandle::Acquire(Conn* conn, uint64_t* gen) {
   // Dial unlocked: other callers keep taking and returning connections.
   std::string err = "no reconnect path configured";
   if (opts_.reconnect_fn) {
-    conn->fd = WithDeadline(opts_.reconnect_fn(), opts_.timeout_ms);
-    if (conn->fd < 0) err = "reconnect callback failed";
+    *fd = WithDeadline(opts_.reconnect_fn(), opts_.timeout_ms);
+    if (*fd < 0) err = "reconnect callback failed";
   } else if (!opts_.dial_addr.empty()) {
-    conn->fd = Dial(opts_.dial_addr, opts_.timeout_ms, &err);
+    *fd = Dial(opts_.dial_addr, opts_.timeout_ms, &err);
   }
-  if (conn->fd < 0) {
+  if (*fd < 0) {
     return Unreachable(opts_.node_label, Status::Unavailable(err));
   }
   if (connections_) connections_->Add(1);
@@ -99,13 +99,13 @@ Status RemoteHandle::Acquire(Conn* conn, uint64_t* gen) {
   return Status::OK();
 }
 
-void RemoteHandle::Return(Conn conn, uint64_t gen, bool healthy) {
+void RemoteHandle::Return(int fd, uint64_t gen, bool healthy) {
   std::lock_guard<std::mutex> lock(mu_);
   if (healthy && gen == generation_) {
-    idle_.push_back(std::move(conn));
+    idle_.push_back(fd);
     return;
   }
-  CloseLocked(conn);
+  CloseLocked(fd);
   if (!healthy) DropIdleLocked();
 }
 
@@ -114,23 +114,23 @@ Status RemoteHandle::Call(const WireRequest& req, WireResponse* resp) {
   // simulated) clock — and reading a real clock here keeps transport
   // metrics from perturbing deterministic simulated-time tests.
   obs::ScopedTimer timer(rpc_us_, RealClock::Default());
-  Conn conn;
+  int fd = -1;
   uint64_t gen = 0;
-  Status s = Acquire(&conn, &gen);
+  Status s = Acquire(&fd, &gen);
   if (!s.ok()) return s;
-  s = RoundTrip(&conn, req, resp);
+  s = RoundTrip(fd, req, resp);
   // A failed round trip leaves the connection's byte position untrusted.
-  Return(std::move(conn), gen, s.ok());
+  Return(fd, gen, s.ok());
   return s;
 }
 
-Status RemoteHandle::RoundTrip(Conn* conn, const WireRequest& req,
+Status RemoteHandle::RoundTrip(int fd, const WireRequest& req,
                                WireResponse* resp) {
   const std::string request = EncodeRequest(req);
-  Status s = WriteFrame(conn->fd, request);
+  Status s = WriteFrame(fd, request);
   if (!s.ok()) return Unreachable(opts_.node_label, s);
   std::string payload;
-  s = ReadFrame(conn->fd, &conn->buf, &payload);
+  s = ReadFrame(fd, &payload);
   // Timeout, peer death, or an unframeable stream (DataLoss).
   if (!s.ok()) return s.IsDataLoss() ? s : Unreachable(opts_.node_label, s);
   if (rpc_bytes_) {

@@ -14,6 +14,9 @@
 //     (dial_addr) or re-establishes through reconnect_fn (loopback). The
 //     failing call itself is never retried: a mutation whose response was
 //     lost may have applied, and blind replay would double-apply it.
+//   * A request over the frame limit is refused before a byte is sent
+//     (WriteFrame), and a response over it comes back as the server's
+//     refusal for the op: both are Unavailable naming size and limit.
 //   * Statusless introspection (RecordCount, TotalBytes, compaction stats,
 //     StatsSnapshot) degrades to zero/empty on an unreachable node;
 //     GetHealth reports kDegradedReadOnly with an Unavailable cause.
@@ -109,16 +112,11 @@ class RemoteHandle final : public NodeHandle {
   void InjectDisconnect();
 
  private:
-  struct Conn {
-    int fd = -1;
-    FrameBuffer buf;  // a fresh connection starts at a frame boundary
-  };
-
   // One RPC: takes a pooled connection, runs RoundTrip on it, returns it.
   Status Call(const WireRequest& req, WireResponse* resp);
-  // Writes the framed request, reads exactly one response frame, validates
-  // the op echo.
-  Status RoundTrip(Conn* conn, const WireRequest& req, WireResponse* resp);
+  // Writes the framed request on fd, reads the one response frame into a
+  // payload sized to it (ReadFrame), decodes it and validates the op echo.
+  Status RoundTrip(int fd, const WireRequest& req, WireResponse* resp);
   // The shape of every op with a status: one Call, a transport failure
   // winning over the op status, then the op's result moved out of `field`.
   Status Rpc(const WireRequest& req);
@@ -131,17 +129,17 @@ class RemoteHandle final : public NodeHandle {
     return std::move(resp.*field);
   }
   // Pops an idle connection or dials one; *gen is the pool generation.
-  Status Acquire(Conn* conn, uint64_t* gen);
+  Status Acquire(int* fd, uint64_t* gen);
   // Pools a healthy connection of the current generation. Otherwise closes
   // it, and after a failure the idle ones too: the peer is probably gone.
-  void Return(Conn conn, uint64_t gen, bool healthy);
+  void Return(int fd, uint64_t gen, bool healthy);
   // Require mu_. Close one / every idle connection, counting it dropped.
-  void CloseLocked(const Conn& conn);
+  void CloseLocked(int fd);
   void DropIdleLocked();
 
   const RemoteHandleOptions opts_;
   std::mutex mu_;
-  std::vector<Conn> idle_;   // guarded by mu_
+  std::vector<int> idle_;    // guarded by mu_
   uint64_t generation_ = 0;  // guarded by mu_; InjectDisconnect bumps it
   // Connections lost and not yet replaced; a dial while this is nonzero
   // counts as a reconnect, any other dial is pool growth. Guarded by mu_.

@@ -211,7 +211,6 @@ bool RpcServer::Adopt(int fd) {
 
 void RpcServer::Serve(Conn* conn) {
   const int fd = conn->fd;  // only this thread closes it
-  FrameBuffer buf;
   for (;;) {
     WireRequest req;
     WireResponse resp;
@@ -219,7 +218,7 @@ void RpcServer::Serve(Conn* conn) {
       std::string payload;
       // No deadline: an idle pooled connection waits here until its next
       // request, EOF, or Stop()'s shutdown().
-      if (!ReadFrame(fd, &buf, &payload).ok()) break;
+      if (!ReadFrame(fd, &payload).ok()) break;
       const Status ds = DecodeRequest(payload, &req);
       if (ds.ok()) {
         resp = DispatchRequest(store_, req);
@@ -232,7 +231,17 @@ void RpcServer::Serve(Conn* conn) {
         resp.status = ds;
       }
     }
-    if (!WriteFrame(fd, EncodeResponse(resp)).ok()) break;
+    const std::string out = EncodeResponse(resp);
+    Status ws = WriteFrame(fd, out);
+    if (out.size() > kMaxFrameBytes) {
+      // Refused before a byte left: the op gets the refusal as its answer
+      // and the connection stays in step.
+      WireResponse refusal;
+      refusal.op = resp.op;
+      refusal.status = ws;
+      ws = WriteFrame(fd, EncodeResponse(refusal));
+    }
+    if (!ws.ok()) break;
   }
   std::lock_guard<std::mutex> lock(mu_);
   CloseFd(fd);

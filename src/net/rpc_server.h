@@ -10,8 +10,11 @@
 // Robustness contract (test_rpc exercises all of it):
 //   * A malformed request payload gets an error *response* frame and the
 //     connection survives — one bad client message is not a disconnect.
-//   * An oversized length prefix poisons the stream (wire.h FrameBuffer);
-//     the connection drops, because no later frame boundary can be trusted.
+//   * An oversized length prefix fails ReadFrame with DataLoss and the
+//     connection drops, because no later frame boundary can be trusted.
+//   * A response over the frame limit is never sent: the op is answered
+//     with WriteFrame's refusal (Unavailable, naming size and limit)
+//     instead, and the connection survives.
 //   * Each connection gets a send deadline where it is adopted, so a
 //     serving thread never hangs on a client that stopped reading. Reads
 //     have none: an idle pooled connection waits for its next request.

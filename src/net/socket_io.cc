@@ -90,6 +90,39 @@ int RecvDeadlineMs(int fd) {
   return ms > 0 ? int(ms) : -1;
 }
 
+// Receives exactly n bytes into p. Every wait for input is a poll bounded
+// by wait_ms, not a blocking recv: an AF_UNIX recv is also woken each time
+// the peer drains this socket's sends, a wasted context switch per
+// request, while poll wakes only for input. Each recv takes only what is
+// queued, so none blocks. queued: input is known to be waiting, so the
+// first recv goes without a poll.
+Status RecvExact(int fd, char* p, size_t n, int wait_ms, bool queued) {
+  while (n > 0) {
+    if (!queued) {
+      pollfd pfd{fd, POLLIN, 0};
+      const int rc = poll(&pfd, 1, wait_ms);
+      if (rc == 0) return Status::Unavailable("rpc read: timed out");
+      if (rc < 0 && errno == EINTR) continue;
+      if (rc < 0) return Status::Unavailable("rpc poll: " + ErrnoText());
+    }
+    const ssize_t got = recv(fd, p, n, MSG_DONTWAIT);
+    // A short read drained the queue, as did EAGAIN: wait before the next.
+    queued = false;
+    if (got > 0) {
+      p += got;
+      n -= size_t(got);
+      continue;
+    }
+    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
+                    errno == EINTR)) {
+      continue;
+    }
+    return Status::Unavailable(got == 0 ? "rpc peer closed connection"
+                                        : "rpc read: " + ErrnoText());
+  }
+  return Status::OK();
+}
+
 // Sets *err to "<what>: <errno text>", closes fd and returns -1.
 int Fail(int fd, const std::string& what, std::string* err) {
   *err = what + ": " + ErrnoText();
@@ -157,6 +190,14 @@ bool SetDeadline(int fd, int send_ms, int recv_ms) {
 }
 
 Status WriteFrame(int fd, std::string_view payload) {
+  if (payload.size() > kMaxFrameBytes) {
+    // The peer would refuse the length and drop the connection; refusing
+    // here, before any byte leaves, keeps the connection and says why.
+    return Status::Unavailable("rpc write: frame payload of " +
+                               std::to_string(payload.size()) +
+                               " bytes exceeds limit " +
+                               std::to_string(kMaxFrameBytes));
+  }
   // Gathers header and payload into each send: the header never leaves as
   // a segment of its own, and the payload is never copied into a frame.
   const std::string header = FrameHeader(payload.size());
@@ -181,31 +222,26 @@ Status WriteFrame(int fd, std::string_view payload) {
   return Status::OK();
 }
 
-Status ReadFrame(int fd, FrameBuffer* buf, std::string* payload) {
-  char chunk[16 * 1024];
+Status ReadFrame(int fd, std::string* payload) {
   const int wait_ms = RecvDeadlineMs(fd);
-  for (;;) {
-    bool have = false;
-    Status s = buf->Next(payload, &have);
-    if (!s.ok()) return s;  // poisoned stream: DataLoss
-    if (have) return Status::OK();
-    // Waits in poll, not in a blocking recv: an AF_UNIX recv is also woken
-    // each time the peer drains this socket's sends, a wasted context
-    // switch per request; poll wakes only for input.
-    pollfd p{fd, POLLIN, 0};
-    const int rc = poll(&p, 1, wait_ms);
-    if (rc == 0) return Status::Unavailable("rpc read: timed out");
-    if (rc < 0 && errno == EINTR) continue;
-    if (rc < 0) return Status::Unavailable("rpc poll: " + ErrnoText());
-    const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      buf->Feed(chunk, size_t(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return Status::Unavailable(n == 0 ? "rpc peer closed connection"
-                                      : "rpc read: " + ErrnoText());
+  char header[kFrameHeaderBytes];
+  Status s = RecvExact(fd, header, sizeof(header), wait_ms, /*queued=*/false);
+  if (!s.ok()) return s;
+  uint32_t len = 0;
+  for (size_t i = 0; i < sizeof(header); ++i) {
+    len |= uint32_t(uint8_t(header[i])) << (8 * i);
   }
+  if (len > kMaxFrameBytes) {
+    // No later frame boundary can be found after a bogus length: the
+    // caller drops the connection.
+    return Status::DataLoss("frame length " + std::to_string(len) +
+                            " exceeds limit " +
+                            std::to_string(kMaxFrameBytes));
+  }
+  payload->resize(len);
+  // A sender writes header and payload together, so the payload is
+  // usually queued behind the header already.
+  return RecvExact(fd, payload->data(), len, wait_ms, /*queued=*/true);
 }
 
 }  // namespace gdpr::net

@@ -38,12 +38,16 @@ bool SetDeadline(int fd, int send_ms, int recv_ms);
 
 // Writes one frame (length header, then payload). Unavailable when the
 // connection's deadline passes or the peer is dead; never raises SIGPIPE.
+// A payload over kMaxFrameBytes is refused before any byte is sent, with
+// an Unavailable that names its size and the limit.
 Status WriteFrame(int fd, std::string_view payload);
 
-// Reads from fd into buf until one complete frame pops out. OK + payload
-// on success; Unavailable when the connection's deadline passes or on
-// EOF-before-frame; DataLoss when the stream is unframeable (oversized
-// length prefix — the connection cannot be resynchronized).
-Status ReadFrame(int fd, FrameBuffer* buf, std::string* payload);
+// Reads one frame from fd: its header, then its payload straight into
+// *payload, sized once. Consumes no byte past the frame. Unavailable when
+// the connection's deadline passes or on EOF before the frame is whole;
+// DataLoss on a length prefix over kMaxFrameBytes, refused before anything
+// is sized: no later frame boundary can be trusted, so the caller drops
+// the connection.
+Status ReadFrame(int fd, std::string* payload);
 
 }  // namespace gdpr::net

@@ -495,35 +495,4 @@ std::string FrameHeader(size_t payload_bytes) {
   return out;
 }
 
-Status FrameBuffer::Next(std::string* payload, bool* have) {
-  *have = false;
-  if (poisoned_) {
-    return Status::DataLoss("frame stream poisoned by oversized frame");
-  }
-  if (buf_.size() < kFrameHeaderBytes) return Status::OK();
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= uint32_t(uint8_t(buf_[i])) << (8 * i);
-  if (len > kMaxFrameBytes) {
-    // The reader has no way to find the next frame boundary after a bogus
-    // length: poison, and let the transport drop the connection.
-    poisoned_ = true;
-    return Status::DataLoss("frame length " + std::to_string(len) +
-                            " exceeds limit " +
-                            std::to_string(kMaxFrameBytes));
-  }
-  if (buf_.size() < kFrameHeaderBytes + len) return Status::OK();
-  if (buf_.size() == kFrameHeaderBytes + len) {
-    // Exactly one frame buffered, the common case with one request in
-    // flight per connection: hand it over and keep no memory behind.
-    buf_.erase(0, kFrameHeaderBytes);
-    payload->swap(buf_);
-    std::string().swap(buf_);
-  } else {
-    payload->assign(buf_, kFrameHeaderBytes, len);
-    buf_.erase(0, kFrameHeaderBytes + len);
-  }
-  *have = true;
-  return Status::OK();
-}
-
 }  // namespace gdpr::net

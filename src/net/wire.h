@@ -48,7 +48,9 @@ namespace gdpr::net {
 inline constexpr uint8_t kWireVersion = 1;
 // Upper bound on a single frame. Large enough for a full-node scan response
 // at bench scale, small enough that a corrupt or hostile length prefix can
-// never drive an allocation bomb.
+// never drive an allocation bomb. WriteFrame refuses a larger payload
+// before sending it; ReadFrame refuses a larger prefix before sizing
+// anything (net/socket_io.h).
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 inline constexpr size_t kFrameHeaderBytes = 4;
 
@@ -142,7 +144,7 @@ struct WireResponse {
   std::string head_hash;               // kVerifyAuditChain
 };
 
-// Payload codecs (no frame header — see FrameHeader()/FrameBuffer).
+// Payload codecs (no frame header — see FrameHeader()).
 std::string EncodeRequest(const WireRequest& req);
 Status DecodeRequest(std::string_view payload, WireRequest* req);
 std::string EncodeResponse(const WireResponse& resp);
@@ -150,26 +152,5 @@ Status DecodeResponse(std::string_view payload, WireResponse* resp);
 
 // The length prefix of a frame carrying payload_bytes.
 std::string FrameHeader(size_t payload_bytes);
-
-// Incremental frame extractor for a byte stream: feed whatever arrived,
-// pull zero or more complete payloads. A length prefix over kMaxFrameBytes
-// poisons the buffer (DataLoss) — the stream cannot be resynchronized and
-// the connection must drop.
-class FrameBuffer {
- public:
-  void Feed(const char* data, size_t n) { buf_.append(data, n); }
-
-  // OK + *have=true: one payload extracted. OK + *have=false: need more
-  // bytes. DataLoss: stream poisoned (oversized frame). Once the buffer is
-  // drained it holds no memory, so an idle connection does not keep its
-  // largest frame.
-  Status Next(std::string* payload, bool* have);
-
-  size_t buffered_bytes() const { return buf_.size(); }
-
- private:
-  std::string buf_;
-  bool poisoned_ = false;
-};
 
 }  // namespace gdpr::net

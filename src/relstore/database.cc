@@ -200,7 +200,7 @@ Status Database::Open() {
     // Next to a snapshot an empty log gets the epoch stamp, or the next
     // Open would misread the appends after it as a stale pre-snapshot log.
     CommitPipeline::FileSlot wal;
-    auto kept = ReopenLog(env_, options_.io_policy, options_.wal_path,
+    auto kept = ReopenLog(env_, options_.wal_path,
                           options_.wal_path + ".tmp", contents, valid,
                           has_snapshot ? EpochFrame(epoch_) : "", &wal);
     if (!kept.ok()) {
@@ -914,8 +914,7 @@ Status Database::Checkpoint() {
   for (auto& [name, t] : tables_) frozen.emplace_back(t->write_mu_);
   const uint64_t next_epoch = epoch_ + 1;
   const std::string snap_path = SnapshotPath(options_.wal_path);
-  FileRewrite snapshot(env_, options_.io_policy, snap_path + ".tmp",
-                       snap_path);
+  FileRewrite snapshot(env_, snap_path + ".tmp", snap_path);
   Status s = snapshot.Open();
   if (!s.ok()) return s;
   WritableFile* tmp = snapshot.file();
@@ -997,8 +996,7 @@ Status Database::Checkpoint() {
 }
 
 Status Database::StampWal(CommitPipeline::FileSlot& wal, uint64_t epoch) {
-  Status s = OpenWithRetry(env_, options_.io_policy, options_.wal_path,
-                           /*truncate=*/true, &wal);
+  Status s = OpenWithRetry(env_, options_.wal_path, /*truncate=*/true, &wal);
   const std::string frame = EpochFrame(epoch);
   if (s.ok()) s = wal->Append(frame);
   if (s.ok()) s = wal->Sync();
@@ -1077,8 +1075,7 @@ Status Database::RotateStatementLogLocked() {
     if (s.ok()) {
       // Background path: bounded retry on transient failure — re-creating
       // the truncated fresh log is idempotent.
-      s = OpenWithRetry(env_, options_.io_policy, base, /*truncate=*/true,
-                        &log);
+      s = OpenWithRetry(env_, base, /*truncate=*/true, &log);
       if (s.ok()) {
         stmt_bytes_ = 0;
         m_stmt_log_bytes_->Set(0);

@@ -86,11 +86,6 @@ struct RelOptions {
   bool encrypt_at_rest = false;
   std::string encryption_key = "reldb-at-rest-key";
 
-  // Retry budget for transient I/O failures on background paths
-  // (checkpoint temp/rename, statement-log rotation). Hot-path Sync
-  // failures never retry — see docs/PERSISTENCE.md "Failure policy".
-  IoFailurePolicy io_policy;
-
   // Shared metrics registry (the GDPR layer passes its own so one
   // Snapshot covers every layer). nullptr => the database owns a private
   // one, reachable via metrics_registry().

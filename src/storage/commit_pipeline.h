@@ -100,7 +100,7 @@ class CommitPipeline {
   // that Commit() callers hold across Commit().
   //
   // A detached target (no file) accepts and acks commits as OK
-  // without writing, mirroring the legacy "log disabled" fast path.
+  // without writing.
   // A poisoned target fails fast with the poisoning status.
   Status Commit(Target* t, std::string frame,
                 const std::function<Status()>& gate = nullptr);

@@ -2,10 +2,9 @@
 
 namespace gdpr {
 
-Status OpenWithRetry(Env* env, const IoFailurePolicy& policy,
-                     const std::string& path, bool truncate,
+Status OpenWithRetry(Env* env, const std::string& path, bool truncate,
                      std::unique_ptr<WritableFile>* file) {
-  return RetryIo(policy, [&] {
+  return RetryIo([&] {
     auto f = env->NewWritableFile(path, truncate);
     if (!f.ok()) return f.status();
     *file = std::move(f.value());
@@ -23,7 +22,7 @@ FileRewrite::~FileRewrite() {
 
 Status FileRewrite::Open() {
   opened_ = true;
-  Status s = OpenWithRetry(env_, policy_, tmp_path_, /*truncate=*/true, &tmp_);
+  Status s = OpenWithRetry(env_, tmp_path_, /*truncate=*/true, &tmp_);
   return s.ok() ? s : Abandon(s);
 }
 
@@ -41,15 +40,13 @@ Status FileRewrite::Commit(std::unique_ptr<WritableFile>* reopened) {
   // The commit point: before the rename the target is untouched, after it
   // the target is the complete, synced new file.
   if (s.ok()) {
-    s = RetryIo(policy_,
-                [&] { return env_->RenameFile(tmp_path_, target_path_); });
+    s = RetryIo([&] { return env_->RenameFile(tmp_path_, target_path_); });
   }
   if (!s.ok()) return Abandon(s);
   committed_ = true;
   s = env_->SyncDir(target_path_);
   if (!s.ok() || reopened == nullptr) return s;
-  return OpenWithRetry(env_, policy_, target_path_, /*truncate=*/false,
-                       reopened);
+  return OpenWithRetry(env_, target_path_, /*truncate=*/false, reopened);
 }
 
 Status FileRewrite::Abandon(Status cause) {
@@ -79,8 +76,7 @@ StatusOr<size_t> ReadFrames(std::string_view contents,
   return contents.size() - in.size();
 }
 
-StatusOr<size_t> ReopenLog(Env* env, const IoFailurePolicy& policy,
-                           const std::string& path,
+StatusOr<size_t> ReopenLog(Env* env, const std::string& path,
                            const std::string& tmp_path,
                            std::string_view contents, size_t valid,
                            std::string_view header,
@@ -88,7 +84,7 @@ StatusOr<size_t> ReopenLog(Env* env, const IoFailurePolicy& policy,
   const std::string_view keep = valid > 0 ? contents.substr(0, valid) : header;
   Status s;
   if (valid < contents.size()) {
-    FileRewrite fix(env, policy, tmp_path, path);
+    FileRewrite fix(env, tmp_path, path);
     s = fix.Open();
     if (s.ok()) s = fix.file()->Append(keep);
     if (s.ok()) s = fix.Commit(file);
@@ -96,7 +92,7 @@ StatusOr<size_t> ReopenLog(Env* env, const IoFailurePolicy& policy,
     // A whole log is opened as it is. An empty one holds no frame a crash
     // could lose, so it gets its header in place.
     const bool stamp = valid == 0 && !header.empty();
-    s = OpenWithRetry(env, policy, path, /*truncate=*/false, file);
+    s = OpenWithRetry(env, path, /*truncate=*/false, file);
     if (s.ok() && stamp) s = (*file)->Append(header);
     if (s.ok() && stamp) s = (*file)->Sync();
   }

@@ -26,10 +26,9 @@
 
 namespace gdpr {
 
-// Opens `path` for append into `*file` (truncating it when asked), with the
-// policy's bounded retry; `*file` is untouched on failure.
-Status OpenWithRetry(Env* env, const IoFailurePolicy& policy,
-                     const std::string& path, bool truncate,
+// Opens `path` for append into `*file` (truncating it when asked), with
+// RetryIo's bounded retry; `*file` is untouched on failure.
+Status OpenWithRetry(Env* env, const std::string& path, bool truncate,
                      std::unique_ptr<WritableFile>* file);
 
 class FileRewrite {
@@ -38,15 +37,14 @@ class FileRewrite {
   // still authoritative.
   static void DiscardLeftover(Env* env, const std::string& tmp_path);
 
-  FileRewrite(Env* env, const IoFailurePolicy& policy, std::string tmp_path,
-              std::string target_path)
-      : env_(env), policy_(policy), tmp_path_(std::move(tmp_path)),
+  FileRewrite(Env* env, std::string tmp_path, std::string target_path)
+      : env_(env), tmp_path_(std::move(tmp_path)),
         target_path_(std::move(target_path)) {}
   ~FileRewrite();
   FileRewrite(const FileRewrite&) = delete;
   FileRewrite& operator=(const FileRewrite&) = delete;
 
-  // Creates (truncating) the temp, with the policy's bounded retry.
+  // Creates (truncating) the temp, with RetryIo's bounded retry.
   Status Open();
   WritableFile* file() const { return tmp_.get(); }
   // Syncs and closes the temp. Commit() does it when the caller has not; a
@@ -65,7 +63,6 @@ class FileRewrite {
   Status Abandon(Status cause);  // drops the handle, deletes the temp
 
   Env* const env_;
-  const IoFailurePolicy policy_;
   const std::string tmp_path_;
   const std::string target_path_;
   std::unique_ptr<WritableFile> tmp_;
@@ -93,8 +90,7 @@ StatusOr<size_t> ReadFrames(std::string_view contents,
 // other is replaced (temp `tmp_path`) with that prefix. An empty prefix
 // gets `header` instead, written in place when the log was empty or
 // missing. Returns the log's length.
-StatusOr<size_t> ReopenLog(Env* env, const IoFailurePolicy& policy,
-                           const std::string& path,
+StatusOr<size_t> ReopenLog(Env* env, const std::string& path,
                            const std::string& tmp_path,
                            std::string_view contents, size_t valid,
                            std::string_view header,

@@ -200,10 +200,8 @@ std::unique_ptr<AuditedStore> MakeKvStore(Env* env, SyncPolicy sync) {
   o.kv.aof_path = "kv/aof";
   o.kv.sync_policy = sync;
   o.kv.log_reads = true;
-  o.kv.io_policy.retry_backoff_micros = 0;
   o.audit.path = "kv/audit";
   o.audit.rotate_bytes = 512;  // force segment rotations mid-workload
-  o.audit.io_policy.retry_backoff_micros = 0;
   auto store = std::make_unique<KvGdprStore>(o);
   store->audit_log()->set_seal_interval(4);
   return store;
@@ -220,10 +218,8 @@ std::unique_ptr<AuditedStore> MakeRelStore(Env* env) {
   o.rel.statement_log_path = "rel/stmt";
   o.rel.stmt_log_rotate_bytes = 512;  // force rotations mid-workload
   o.rel.stmt_log_max_segments = 3;
-  o.rel.io_policy.retry_backoff_micros = 0;
   o.audit.path = "rel/audit";
   o.audit.rotate_bytes = 512;
-  o.audit.io_policy.retry_backoff_micros = 0;
   auto store = std::make_unique<RelGdprStore>(o);
   store->audit_log()->set_seal_interval(4);
   return store;
@@ -440,7 +436,6 @@ TEST(StatementLogTorn, RotationRenameFailureDegradesThenReopenHeals) {
   o.statement_log_path = "stmt";
   o.sync_policy = SyncPolicy::kAlways;
   o.stmt_log_rotate_bytes = 128;
-  o.io_policy.retry_backoff_micros = 0;
   rel::Database db(o);
   ASSERT_TRUE(db.Open().ok());
   auto t = db.CreateTable("t", rel::Schema({{"id", rel::ValueType::kInt64}}));
@@ -710,7 +705,6 @@ TEST(RepairCrash, AofKeepsEverySyncedRecord) {
     o.aof_enabled = true;
     o.aof_path = "aof";
     o.sync_policy = SyncPolicy::kAlways;
-    o.io_policy.retry_backoff_micros = 0;
     return o;
   };
   TornLog log;
@@ -747,7 +741,6 @@ TEST(RepairCrash, WalKeepsEverySyncedRecord) {
     o.wal_enabled = true;
     o.wal_path = "wal";
     o.sync_policy = SyncPolicy::kAlways;
-    o.io_policy.retry_backoff_micros = 0;
     return o;
   };
   const rel::Schema schema({{"id", rel::ValueType::kInt64}});
@@ -787,7 +780,6 @@ TEST(RepairCrash, AuditKeepsEverySealedGroup) {
     o.env = env;
     o.path = "audit";
     o.sync_policy = SyncPolicy::kAlways;
-    o.io_policy.retry_backoff_micros = 0;
     return o;
   };
   constexpr size_t kGroup = 4;

@@ -282,7 +282,6 @@ TEST(ObsGdprStore, HealthTransitionCountedUnderFaultEnv) {
   o.kv.aof_enabled = true;
   o.kv.aof_path = "kv/aof";
   o.kv.sync_policy = SyncPolicy::kAlways;
-  o.kv.io_policy.retry_backoff_micros = 0;
   KvGdprStore store(o);
   ASSERT_TRUE(store.Open().ok());
   const Actor controller = Actor::Controller();

@@ -386,11 +386,10 @@ TEST_F(RpcLoopback, MalformedFrameGetsErrorResponseConnectionSurvives) {
   // an error response — not kill the connection, not kill the server.
   const int fd = server_->CreateLoopbackConnection();
   ASSERT_GE(fd, 0);
-  FrameBuffer buf;
   std::string payload;
 
   ASSERT_TRUE(WriteFrame(fd, "\xde\xad\xbe\xef").ok());
-  ASSERT_TRUE(ReadFrame(fd, &buf, &payload).ok());
+  ASSERT_TRUE(ReadFrame(fd, &payload).ok());
   WireResponse resp;
   ASSERT_TRUE(DecodeResponse(payload, &resp).ok());
   EXPECT_FALSE(resp.status.ok());
@@ -400,7 +399,50 @@ TEST_F(RpcLoopback, MalformedFrameGetsErrorResponseConnectionSurvives) {
   ping.op = WireOp::kPing;
   ping.actor = Actor::Controller();
   ASSERT_TRUE(WriteFrame(fd, EncodeRequest(ping)).ok());
-  ASSERT_TRUE(ReadFrame(fd, &buf, &payload).ok());
+  ASSERT_TRUE(ReadFrame(fd, &payload).ok());
+  ASSERT_TRUE(DecodeResponse(payload, &resp).ok());
+  EXPECT_TRUE(resp.status.ok());
+  EXPECT_EQ(resp.op, WireOp::kPing);
+  CloseFd(fd);
+}
+
+TEST_F(RpcLoopback, OversizedResponseIsRefusedConnectionSurvives) {
+  // A record stored in process, too big for any frame: reading it over
+  // the wire must come back as the op's refusal naming size and limit,
+  // not as a dropped connection.
+  ASSERT_TRUE(store_->Open().ok());
+  const Actor controller = Actor::Controller();
+  {
+    GdprRecord big = MakeRecord("big", "u");
+    big.data.assign(size_t(kMaxFrameBytes) + 1, 'b');
+    ASSERT_TRUE(store_->CreateRecord(controller, big).ok());
+  }
+  const int fd = server_->CreateLoopbackConnection();
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SetDeadline(fd, 5000, 5000));
+  std::string payload;
+  WireResponse resp;
+
+  WireRequest read;
+  read.op = WireOp::kReadData;
+  read.actor = controller;
+  read.key = "big";
+  ASSERT_TRUE(WriteFrame(fd, EncodeRequest(read)).ok());
+  ASSERT_TRUE(ReadFrame(fd, &payload).ok());
+  ASSERT_TRUE(DecodeResponse(payload, &resp).ok());
+  EXPECT_EQ(resp.op, WireOp::kReadData);
+  EXPECT_TRUE(resp.status.IsUnavailable()) << resp.status.ToString();
+  EXPECT_NE(resp.status.message().find(std::to_string(kMaxFrameBytes)),
+            std::string::npos)
+      << resp.status.ToString();
+  EXPECT_TRUE(resp.record.data.empty());
+
+  // The same connection serves the next request.
+  WireRequest ping;
+  ping.op = WireOp::kPing;
+  ping.actor = controller;
+  ASSERT_TRUE(WriteFrame(fd, EncodeRequest(ping)).ok());
+  ASSERT_TRUE(ReadFrame(fd, &payload).ok());
   ASSERT_TRUE(DecodeResponse(payload, &resp).ok());
   EXPECT_TRUE(resp.status.ok());
   EXPECT_EQ(resp.op, WireOp::kPing);

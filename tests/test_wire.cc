@@ -4,17 +4,27 @@
 // malformed input — truncation, oversized length prefixes, unknown tags,
 // bad versions, trailing bytes, random byte flips — decodes to a clean
 // DataLoss/InvalidArgument. Never a crash, a hang, or an over-read (the CI
-// asan job runs this suite under AddressSanitizer).
+// asan job runs this suite under AddressSanitizer). Framing is checked
+// over a socket pair: ReadFrame takes exactly one frame per call, however
+// the bytes arrive, and WriteFrame refuses an oversized payload.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <iterator>
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "net/socket_io.h"
 #include "net/wire.h"
 
 namespace gdpr::net {
@@ -567,89 +577,153 @@ std::string Frame(std::string_view payload) {
   return FrameHeader(payload.size()).append(payload);
 }
 
-TEST(FrameBufferTest, ReassemblesFramesFedByteByByte) {
+// Writes raw bytes to fd, as a peer that frames by hand would.
+void WriteRaw(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = write(fd, bytes.data(), bytes.size());
+    ASSERT_GT(n, 0);
+    bytes.remove_prefix(size_t(n));
+  }
+}
+
+// Bytes queued on fd and not yet read.
+size_t Queued(int fd) {
+  char buf[4096];
+  const ssize_t n = recv(fd, buf, sizeof(buf), MSG_PEEK | MSG_DONTWAIT);
+  return n > 0 ? size_t(n) : 0;
+}
+
+// A connected pair whose ends give up after 5 s, so a broken read or
+// write fails the test instead of hanging it.
+std::pair<int, int> ReaderWriterPair() {
+  auto [reader, writer] = StreamPair();
+  EXPECT_GE(reader, 0);
+  EXPECT_TRUE(SetDeadline(reader, 5000, 5000));
+  EXPECT_TRUE(SetDeadline(writer, 5000, 5000));
+  return {reader, writer};
+}
+
+TEST(ReadFrameTest, ReassemblesFramesWrittenByteByByte) {
   const std::string p1 = EncodeRequest(AllRequests()[3]);  // kCreateRecord
   const std::string p2 = "x";
   const std::string stream = Frame(p1) + Frame(p2) + Frame("");
-  FrameBuffer buf;
-  std::vector<std::string> out;
-  for (size_t i = 0; i < stream.size(); ++i) {
-    buf.Feed(stream.data() + i, 1);
-    bool have = true;
-    while (have) {
-      std::string payload;
-      ASSERT_TRUE(buf.Next(&payload, &have).ok());
-      if (have) out.push_back(std::move(payload));
-    }
+  auto [reader, writer] = ReaderWriterPair();
+  std::thread feed([&, writer = writer] {
+    for (const char c : stream) WriteRaw(writer, std::string_view(&c, 1));
+  });
+  std::vector<std::string> out(3);
+  for (std::string& payload : out) {
+    EXPECT_TRUE(ReadFrame(reader, &payload).ok());
   }
-  ASSERT_EQ(out.size(), 3u);
+  feed.join();
   EXPECT_EQ(out[0], p1);
   EXPECT_EQ(out[1], p2);
   EXPECT_EQ(out[2], "");
-  EXPECT_EQ(buf.buffered_bytes(), 0u);
+  EXPECT_EQ(Queued(reader), 0u);
+  CloseFd(reader);
+  CloseFd(writer);
 }
 
-TEST(FrameBufferTest, BackToBackFramesSplitAtEveryOffset) {
-  // Three frames in one stream, fed in two pieces cut at every offset: a
-  // piece can end mid-header, mid-payload, or hold the tail of one frame
-  // and the head of the next. The payload string is reused across Next
-  // calls, as the transport reuses it, so a handed-over buffer must never
-  // leak bytes of an earlier frame.
+TEST(ReadFrameTest, BackToBackFramesSplitAtEveryOffset) {
+  // Three frames in one stream, written in two pieces cut at every offset:
+  // a piece can end mid-header, mid-payload, or hold the tail of one frame
+  // and the head of the next. Each read takes exactly one frame, so the
+  // head of the next one is still queued after it. The payload string is
+  // reused across reads, as a caller may, so a frame must never keep
+  // bytes of an earlier one.
   const std::string p1 = EncodeRequest(AllRequests()[3]);  // kCreateRecord
   const std::string p2 = std::string(300, 'y');
   const std::string p3 = "z";
-  const std::string stream = Frame(p1) + Frame(p2) + Frame(p3);
+  const std::vector<std::string> frames = {Frame(p1), Frame(p2), Frame(p3)};
+  const std::string stream = frames[0] + frames[1] + frames[2];
   for (size_t cut = 0; cut <= stream.size(); ++cut) {
-    FrameBuffer buf;
+    auto [reader, writer] = ReaderWriterPair();
     std::vector<std::string> out;
     std::string payload = "stale";
-    for (const std::string_view piece :
-         {std::string_view(stream).substr(0, cut),
-          std::string_view(stream).substr(cut)}) {
-      buf.Feed(piece.data(), piece.size());
-      bool have = true;
-      while (have) {
-        ASSERT_TRUE(buf.Next(&payload, &have).ok());
-        if (have) out.push_back(payload);
+    size_t written = 0;
+    size_t end = 0;  // where the frames read so far end in the stream
+    for (const size_t upto : {cut, stream.size()}) {
+      WriteRaw(writer,
+               std::string_view(stream).substr(written, upto - written));
+      written = upto;
+      while (out.size() < frames.size() &&
+             end + frames[out.size()].size() <= written) {
+        ASSERT_TRUE(ReadFrame(reader, &payload).ok()) << "cut at " << cut;
+        end += frames[out.size()].size();
+        out.push_back(payload);
+        EXPECT_EQ(Queued(reader), written - end) << "cut at " << cut;
       }
     }
     ASSERT_EQ(out.size(), 3u) << "cut at " << cut;
     EXPECT_EQ(out[0], p1) << "cut at " << cut;
     EXPECT_EQ(out[1], p2) << "cut at " << cut;
     EXPECT_EQ(out[2], p3) << "cut at " << cut;
-    EXPECT_EQ(buf.buffered_bytes(), 0u);
+    CloseFd(reader);
+    CloseFd(writer);
   }
 }
 
-TEST(FrameBufferTest, OversizedLengthPrefixPoisonsTheStream) {
-  // 0xFFFFFFFF little-endian: far over kMaxFrameBytes. The buffer must
-  // refuse — allocating it would be a bomb — and stay refused: there is no
-  // way to resynchronize a length-framed stream after a bad length.
-  FrameBuffer buf;
-  const char evil[4] = {'\xff', '\xff', '\xff', '\xff'};
-  buf.Feed(evil, 4);
+TEST(ReadFrameTest, OversizedLengthPrefixIsDataLossWithNothingSized) {
+  // 0xFFFFFFFF little-endian: far over kMaxFrameBytes. The read must
+  // refuse before sizing anything (allocating it would be a bomb); no
+  // later frame boundary can be trusted, so the caller drops the
+  // connection.
+  auto [reader, writer] = ReaderWriterPair();
+  WriteRaw(writer, std::string(4, '\xff') + Frame("hello"));
   std::string payload;
-  bool have = false;
-  EXPECT_TRUE(buf.Next(&payload, &have).IsDataLoss());
-  EXPECT_FALSE(have);
-  // Still poisoned after more (valid-looking) bytes arrive.
-  const std::string good = Frame("hello");
-  buf.Feed(good.data(), good.size());
-  EXPECT_TRUE(buf.Next(&payload, &have).IsDataLoss());
-  EXPECT_FALSE(have);
+  EXPECT_TRUE(ReadFrame(reader, &payload).IsDataLoss());
+  EXPECT_TRUE(payload.empty());
+  EXPECT_LT(payload.capacity(), 64u);
+  CloseFd(reader);
+  CloseFd(writer);
 }
 
-TEST(FrameBufferTest, TruncatedFrameJustWaits) {
-  const std::string framed = Frame(EncodeRequest(AllRequests()[0]));
-  FrameBuffer buf;
-  buf.Feed(framed.data(), framed.size() - 1);  // all but the last byte
+TEST(ReadFrameTest, TruncatedFrameWaitsThenCompletes) {
+  const std::string p = EncodeRequest(AllRequests()[0]);
+  const std::string framed = Frame(p);
+  auto [reader, writer] = ReaderWriterPair();
+  WriteRaw(writer, std::string_view(framed).substr(0, framed.size() - 1));
+  // Incomplete is not corrupt: the read waits for the last byte, which
+  // the writer sends only after a pause.
+  std::atomic<bool> sent_last{false};
+  std::thread finish([&, writer = writer] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    sent_last = true;
+    WriteRaw(writer, std::string_view(framed).substr(framed.size() - 1));
+  });
   std::string payload;
-  bool have = true;
-  ASSERT_TRUE(buf.Next(&payload, &have).ok());
-  EXPECT_FALSE(have);  // incomplete ≠ corrupt: more bytes may arrive
-  buf.Feed(framed.data() + framed.size() - 1, 1);
-  ASSERT_TRUE(buf.Next(&payload, &have).ok());
-  EXPECT_TRUE(have);
+  EXPECT_TRUE(ReadFrame(reader, &payload).ok());
+  EXPECT_TRUE(sent_last);
+  finish.join();
+  EXPECT_EQ(payload, p);
+  CloseFd(reader);
+  CloseFd(writer);
+}
+
+TEST(ReadFrameTest, TruncatedFrameThenEofIsUnavailable) {
+  const std::string framed = Frame(EncodeRequest(AllRequests()[0]));
+  auto [reader, writer] = ReaderWriterPair();
+  WriteRaw(writer, std::string_view(framed).substr(0, framed.size() - 1));
+  CloseFd(writer);
+  std::string payload;
+  const Status s = ReadFrame(reader, &payload);
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  CloseFd(reader);
+}
+
+TEST(WriteFrameTest, OversizedPayloadIsRefusedBeforeAnyByteIsSent) {
+  auto [reader, writer] = ReaderWriterPair();
+  const std::string big(size_t(kMaxFrameBytes) + 1, 'b');
+  const Status s = WriteFrame(writer, big);
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_NE(s.message().find(std::to_string(big.size())), std::string::npos)
+      << s.ToString();
+  EXPECT_NE(s.message().find(std::to_string(kMaxFrameBytes)),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(Queued(reader), 0u);
+  CloseFd(reader);
+  CloseFd(writer);
 }
 
 // ---- malformed payloads ---------------------------------------------------

@@ -228,8 +228,7 @@ int RunConnect(const Args& a) {
   req.actor = Actor::Regulator();
   Status s = net::WriteFrame(fd, net::EncodeRequest(req));
   std::string payload;
-  net::FrameBuffer buf;
-  if (s.ok()) s = net::ReadFrame(fd, &buf, &payload);
+  if (s.ok()) s = net::ReadFrame(fd, &payload);
   net::CloseFd(fd);
   if (!s.ok()) {
     fprintf(stderr, "rpc to %s failed: %s\n", a.connect.c_str(),
