@@ -114,19 +114,23 @@ Status RemoteHandle::Call(const WireRequest& req, WireResponse* resp) {
   // simulated) clock — and reading a real clock here keeps transport
   // metrics from perturbing deterministic simulated-time tests.
   obs::ScopedTimer timer(rpc_us_, RealClock::Default());
+  const std::string request = EncodeRequest(req);
+  // WriteFrame would refuse it before a byte left; refused here, no
+  // connection is touched, so none is dropped.
+  Status s = CheckFrameSize(request.size());
+  if (!s.ok()) return s;
   int fd = -1;
   uint64_t gen = 0;
-  Status s = Acquire(&fd, &gen);
+  s = Acquire(&fd, &gen);
   if (!s.ok()) return s;
-  s = RoundTrip(fd, req, resp);
+  s = RoundTrip(fd, req.op, request, resp);
   // A failed round trip leaves the connection's byte position untrusted.
   Return(fd, gen, s.ok());
   return s;
 }
 
-Status RemoteHandle::RoundTrip(int fd, const WireRequest& req,
+Status RemoteHandle::RoundTrip(int fd, WireOp op, const std::string& request,
                                WireResponse* resp) {
-  const std::string request = EncodeRequest(req);
   Status s = WriteFrame(fd, request);
   if (!s.ok()) return Unreachable(opts_.node_label, s);
   std::string payload;
@@ -138,11 +142,11 @@ Status RemoteHandle::RoundTrip(int fd, const WireRequest& req,
   }
   s = DecodeResponse(payload, resp);
   if (!s.ok()) return s;
-  if (resp->op != req.op) {
+  if (resp->op != op) {
     // A stray or reordered frame — one request in flight per connection
     // means the stream is corrupt, not merely slow.
     return Status::DataLoss("rpc response op mismatch: sent " +
-                            std::string(WireOpName(req.op)) + ", got " +
+                            std::string(WireOpName(op)) + ", got " +
                             WireOpName(resp->op));
   }
   return Status::OK();

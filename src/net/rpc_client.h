@@ -14,9 +14,10 @@
 //     (dial_addr) or re-establishes through reconnect_fn (loopback). The
 //     failing call itself is never retried: a mutation whose response was
 //     lost may have applied, and blind replay would double-apply it.
-//   * A request over the frame limit is refused before a byte is sent
-//     (WriteFrame), and a response over it comes back as the server's
-//     refusal for the op: both are Unavailable naming size and limit.
+//   * A request over the frame limit is refused before a connection is
+//     taken, and a response over it comes back as the server's refusal
+//     for the op: both are Unavailable naming size and limit
+//     (CheckFrameSize), and neither drops a connection.
 //   * Statusless introspection (RecordCount, TotalBytes, compaction stats,
 //     StatsSnapshot) degrades to zero/empty on an unreachable node;
 //     GetHealth reports kDegradedReadOnly with an Unavailable cause.
@@ -114,9 +115,10 @@ class RemoteHandle final : public NodeHandle {
  private:
   // One RPC: takes a pooled connection, runs RoundTrip on it, returns it.
   Status Call(const WireRequest& req, WireResponse* resp);
-  // Writes the framed request on fd, reads the one response frame into a
-  // payload sized to it (ReadFrame), decodes it and validates the op echo.
-  Status RoundTrip(int fd, const WireRequest& req, WireResponse* resp);
+  // Writes the encoded request on fd as one frame, reads the one response
+  // frame (ReadFrame), decodes it and checks it echoes op.
+  Status RoundTrip(int fd, WireOp op, const std::string& request,
+                   WireResponse* resp);
   // The shape of every op with a status: one Call, a transport failure
   // winning over the op status, then the op's result moved out of `field`.
   Status Rpc(const WireRequest& req);

@@ -231,17 +231,16 @@ void RpcServer::Serve(Conn* conn) {
         resp.status = ds;
       }
     }
-    const std::string out = EncodeResponse(resp);
-    Status ws = WriteFrame(fd, out);
-    if (out.size() > kMaxFrameBytes) {
-      // Refused before a byte left: the op gets the refusal as its answer
+    std::string out = EncodeResponse(resp);
+    if (Status fs = CheckFrameSize(out.size()); !fs.ok()) {
+      // WriteFrame would refuse it: the op gets the refusal as its answer
       // and the connection stays in step.
       WireResponse refusal;
       refusal.op = resp.op;
-      refusal.status = ws;
-      ws = WriteFrame(fd, EncodeResponse(refusal));
+      refusal.status = fs;
+      out = EncodeResponse(refusal);
     }
-    if (!ws.ok()) break;
+    if (!WriteFrame(fd, out).ok()) break;
   }
   std::lock_guard<std::mutex> lock(mu_);
   CloseFd(fd);

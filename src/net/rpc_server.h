@@ -13,7 +13,8 @@
 //   * An oversized length prefix fails ReadFrame with DataLoss and the
 //     connection drops, because no later frame boundary can be trusted.
 //   * A response over the frame limit is never sent: the op is answered
-//     with WriteFrame's refusal (Unavailable, naming size and limit)
+//     with WriteFrame's refusal (CheckFrameSize: Unavailable, naming size
+//     and limit)
 //     instead, and the connection survives.
 //   * Each connection gets a send deadline where it is adopted, so a
 //     serving thread never hangs on a client that stopped reading. Reads

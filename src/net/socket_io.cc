@@ -20,6 +20,8 @@ namespace {
 
 constexpr std::string_view kUnixPrefix = "unix:";
 constexpr std::string_view kTcpPrefix = "tcp:";
+// ReadFrame's first payload allocation; larger frames grow from here.
+constexpr size_t kFirstChunk = 64 << 10;
 
 // Resolves addr into *sa and *len, the one place both address forms are
 // parsed, and opens a stream socket of its family. -1 with *err set on
@@ -189,15 +191,17 @@ bool SetDeadline(int fd, int send_ms, int recv_ms) {
   return true;
 }
 
+Status CheckFrameSize(size_t bytes) {
+  if (bytes <= kMaxFrameBytes) return Status::OK();
+  return Status::Unavailable("rpc write: frame payload of " +
+                             std::to_string(bytes) + " bytes exceeds limit " +
+                             std::to_string(kMaxFrameBytes));
+}
+
 Status WriteFrame(int fd, std::string_view payload) {
-  if (payload.size() > kMaxFrameBytes) {
-    // The peer would refuse the length and drop the connection; refusing
-    // here, before any byte leaves, keeps the connection and says why.
-    return Status::Unavailable("rpc write: frame payload of " +
-                               std::to_string(payload.size()) +
-                               " bytes exceeds limit " +
-                               std::to_string(kMaxFrameBytes));
-  }
+  // The peer would refuse the length and drop the connection; refusing
+  // here, before any byte leaves, keeps the connection and says why.
+  if (Status s = CheckFrameSize(payload.size()); !s.ok()) return s;
   // Gathers header and payload into each send: the header never leaves as
   // a segment of its own, and the payload is never copied into a frame.
   const std::string header = FrameHeader(payload.size());
@@ -238,10 +242,23 @@ Status ReadFrame(int fd, std::string* payload) {
                             " exceeds limit " +
                             std::to_string(kMaxFrameBytes));
   }
-  payload->resize(len);
-  // A sender writes header and payload together, so the payload is
-  // usually queued behind the header already.
-  return RecvExact(fd, payload->data(), len, wait_ms, /*queued=*/true);
+  // The payload is sized as its bytes arrive, never ahead of them: a
+  // header that claims a large length and then stalls holds at most
+  // kFirstChunk. Each step doubles, so memory stays within twice what
+  // arrived, and a frame up to kFirstChunk is sized once.
+  payload->clear();
+  size_t have = 0;
+  while (have < len) {
+    const size_t want = std::min<size_t>(len, std::max(kFirstChunk, 2 * have));
+    payload->resize(want);
+    // A sender writes header and payload together, so the payload is
+    // usually queued behind the header already, as is each next chunk.
+    s = RecvExact(fd, payload->data() + have, want - have, wait_ms,
+                  /*queued=*/true);
+    if (!s.ok()) return s;
+    have = want;
+  }
+  return Status::OK();
 }
 
 }  // namespace gdpr::net

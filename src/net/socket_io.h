@@ -36,18 +36,23 @@ void CloseFd(int fd);
 // without progress, a receive after recv_ms; 0 is none. False if refused.
 bool SetDeadline(int fd, int send_ms, int recv_ms);
 
+// OK for a frame payload of `bytes`, or the refusal WriteFrame gives a
+// larger one than kMaxFrameBytes: an Unavailable naming size and limit.
+Status CheckFrameSize(size_t bytes);
+
 // Writes one frame (length header, then payload). Unavailable when the
 // connection's deadline passes or the peer is dead; never raises SIGPIPE.
-// A payload over kMaxFrameBytes is refused before any byte is sent, with
-// an Unavailable that names its size and the limit.
+// A payload over kMaxFrameBytes is refused (CheckFrameSize) before any
+// byte is sent, so the connection stays in step.
 Status WriteFrame(int fd, std::string_view payload);
 
 // Reads one frame from fd: its header, then its payload straight into
-// *payload, sized once. Consumes no byte past the frame. Unavailable when
-// the connection's deadline passes or on EOF before the frame is whole;
-// DataLoss on a length prefix over kMaxFrameBytes, refused before anything
-// is sized: no later frame boundary can be trusted, so the caller drops
-// the connection.
+// *payload. The payload is sized as its bytes arrive: up to 64 KiB at
+// once, then doubling, so memory stays within twice what was received.
+// Consumes no byte past the frame. Unavailable when the connection's
+// deadline passes or on EOF before the frame is whole; DataLoss on a
+// length prefix over kMaxFrameBytes, refused before anything is sized: no
+// later frame boundary can be trusted, so the caller drops the connection.
 Status ReadFrame(int fd, std::string* payload);
 
 }  // namespace gdpr::net

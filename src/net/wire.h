@@ -47,10 +47,11 @@ namespace gdpr::net {
 
 inline constexpr uint8_t kWireVersion = 1;
 // Upper bound on a single frame. Large enough for a full-node scan response
-// at bench scale, small enough that a corrupt or hostile length prefix can
-// never drive an allocation bomb. WriteFrame refuses a larger payload
-// before sending it; ReadFrame refuses a larger prefix before sizing
-// anything (net/socket_io.h).
+// at bench scale, small enough that a corrupt length prefix is caught.
+// WriteFrame refuses a larger payload before sending it; ReadFrame refuses
+// a larger prefix before sizing anything, and sizes a smaller one only as
+// its bytes arrive, so no prefix can drive an allocation bomb
+// (net/socket_io.h).
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 inline constexpr size_t kFrameHeaderBytes = 4;
 

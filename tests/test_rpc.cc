@@ -406,6 +406,26 @@ TEST_F(RpcLoopback, MalformedFrameGetsErrorResponseConnectionSurvives) {
   CloseFd(fd);
 }
 
+TEST_F(RpcLoopback, OversizedRequestIsRefusedAndKeepsItsConnection) {
+  // Refused before a byte is sent, the connection is still in step: the
+  // handle keeps it pooled instead of dropping the node's connections.
+  ASSERT_TRUE(handle_->Open().ok());
+  const Actor controller = Actor::Controller();
+  ASSERT_TRUE(handle_->CreateRecord(controller, MakeRecord("k", "u")).ok());
+  const Status s = handle_->UpdateDataByKey(
+      controller, "k", std::string(size_t(kMaxFrameBytes) + 1, 'b'));
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_NE(s.message().find(std::to_string(kMaxFrameBytes)),
+            std::string::npos)
+      << s.ToString();
+  const auto read = handle_->ReadDataByKey(controller, "k");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value().data, "data-for-k");
+  const obs::RegistrySnapshot snap = registry_.Snapshot();
+  EXPECT_EQ(snap.CounterValue("cluster_rpc_reconnects_total"), 0u);
+  EXPECT_EQ(snap.GaugeValue("cluster_rpc_connections{node=\"0\"}"), 1);
+}
+
 TEST_F(RpcLoopback, OversizedResponseIsRefusedConnectionSurvives) {
   // A record stored in process, too big for any frame: reading it over
   // the wire must come back as the op's refusal naming size and limit,

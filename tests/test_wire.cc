@@ -678,6 +678,44 @@ TEST(ReadFrameTest, OversizedLengthPrefixIsDataLossWithNothingSized) {
   CloseFd(writer);
 }
 
+TEST(ReadFrameTest, LargeFrameGrowsAsItArrivesAndReadsWhole) {
+  // Several MiB: the payload grows over several steps while a writer
+  // thread feeds the socket, and the frame behind it stays queued.
+  std::string big(size_t(3) << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) big[i] = char(i * 131 + i / 7);
+  big += "tail";
+  auto [reader, writer] = ReaderWriterPair();
+  std::thread feed([&, writer = writer] {
+    WriteRaw(writer, Frame(big) + Frame("next"));
+  });
+  std::string payload;
+  EXPECT_TRUE(ReadFrame(reader, &payload).ok());
+  EXPECT_TRUE(payload == big) << "payload of " << payload.size() << " bytes";
+  EXPECT_TRUE(ReadFrame(reader, &payload).ok());
+  EXPECT_EQ(payload, "next");
+  feed.join();
+  CloseFd(reader);
+  CloseFd(writer);
+}
+
+TEST(ReadFrameTest, StalledMaxLengthFrameHoldsOnlyWhatArrived) {
+  // A valid prefix claiming kMaxFrameBytes, then 100 KiB of body, then
+  // EOF. The payload is sized as bytes arrive, so a peer that sends a
+  // header and stalls cannot make the reader hold the claimed length.
+  auto [reader, writer] = ReaderWriterPair();
+  std::thread feed([&, writer = writer] {
+    WriteRaw(writer, FrameHeader(kMaxFrameBytes));
+    WriteRaw(writer, std::string(100 << 10, 'b'));
+    CloseFd(writer);
+  });
+  std::string payload;
+  const Status s = ReadFrame(reader, &payload);
+  feed.join();
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_LT(payload.capacity(), size_t(1) << 20);
+  CloseFd(reader);
+}
+
 TEST(ReadFrameTest, TruncatedFrameWaitsThenCompletes) {
   const std::string p = EncodeRequest(AllRequests()[0]);
   const std::string framed = Frame(p);
