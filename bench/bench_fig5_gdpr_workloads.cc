@@ -9,6 +9,8 @@
 // from 3.5x to 5.95x. Laptop-scale defaults; --paper-scale = 100k/10k.
 
 #include <cstdio>
+#include <functional>
+#include <memory>
 
 #include "bench/report.h"
 #include "common/string_util.h"
@@ -24,24 +26,24 @@ struct StoreRun {
   double space_factor = 0;
 };
 
+using StoreFactory = std::function<std::unique_ptr<GdprStore>()>;
+
+// Each workload runs on a fresh store loaded the same way, so it faces the
+// same records and an empty audit trail: deletes in one workload must not
+// hand the next an emptier DB, nor its audit appends a longer chain.
 StoreRun RunAll(const std::string& label, const std::string& row_label,
-                GdprStore* store, const RunConfig& cfg) {
+                const StoreFactory& make_store, const RunConfig& cfg) {
   StoreRun run;
   run.label = label;
-  GdprBenchRunner runner(store, row_label, cfg);
-  if (!runner.Load().ok()) {
-    fprintf(stderr, "%s: load failed\n", label.c_str());
-    exit(1);
-  }
-  run.space_factor = runner.SpaceFactor();
   for (const WorkloadSpec& spec : CoreWorkloads()) {
-    run.results.push_back(runner.Run(spec));
-    // Reload so each workload faces the same populated store (deletes in
-    // one workload must not hand the next an emptier DB).
+    std::unique_ptr<GdprStore> store = make_store();
+    GdprBenchRunner runner(store.get(), row_label, cfg);
     if (!runner.Load().ok()) {
-      fprintf(stderr, "%s: reload failed\n", label.c_str());
+      fprintf(stderr, "%s: load failed\n", label.c_str());
       exit(1);
     }
+    if (run.results.empty()) run.space_factor = runner.SpaceFactor();
+    run.results.push_back(runner.Run(spec));
   }
   return run;
 }
@@ -65,19 +67,14 @@ int main(int argc, char** argv) {
          cfg.op_count, cfg.threads);
 
   std::vector<StoreRun> runs;
-  {
-    auto store = MakeKvStore();
-    runs.push_back(RunAll("memkv (5a)", "fig5-memkv", store.get(), cfg));
-  }
-  {
-    auto store = MakeRelStore(/*metadata_indexing=*/false);
-    runs.push_back(RunAll("reldb (5b)", "fig5-reldb", store.get(), cfg));
-  }
-  {
-    auto store = MakeRelStore(/*metadata_indexing=*/true);
-    runs.push_back(
-        RunAll("reldb+idx (5c)", "fig5-reldb-idx", store.get(), cfg));
-  }
+  runs.push_back(RunAll("memkv (5a)", "fig5-memkv",
+                        [] { return MakeKvStore(); }, cfg));
+  runs.push_back(RunAll("reldb (5b)", "fig5-reldb", [] {
+    return MakeRelStore(/*metadata_indexing=*/false);
+  }, cfg));
+  runs.push_back(RunAll("reldb+idx (5c)", "fig5-reldb-idx", [] {
+    return MakeRelStore(/*metadata_indexing=*/true);
+  }, cfg));
 
   ReportTable table({"store", "workload", "completion", "ops/s",
                      "correctness", "p99 latency"});

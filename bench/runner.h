@@ -148,10 +148,13 @@ class GdprBenchRunner {
         zipf_(cfg.record_count ? cfg.record_count : 1),
         next_create_(cfg.record_count) {}
 
-  // (Re)populates the store with exactly record_count generated records.
+  // Populates an empty store with exactly record_count generated records.
+  // A store that already holds records is refused: loading on top of them
+  // would leave it with more than record_count.
   Status Load() {
-    Status reset = store_->Reset();
-    if (!reset.ok()) return reset;
+    if (store_->RecordCount() != 0) {
+      return Status::FailedPrecondition("load needs an empty store");
+    }
     const size_t nthreads = std::max<size_t>(1, cfg_.threads);
     std::atomic<bool> failed{false};
     std::vector<std::thread> workers;

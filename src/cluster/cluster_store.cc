@@ -392,15 +392,6 @@ size_t ClusterGdprStore::EngineBytes() {
   return total;
 }
 
-Status ClusterGdprStore::Reset() {
-  std::unique_lock<std::shared_mutex> no_migration(migrate_mu_);
-  for (auto& node : nodes_) {
-    Status s = node->Reset();
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
 StatusOr<CompactionStats> ClusterGdprStore::CompactNow(const Actor& actor) {
   // Held shared against MoveSlots: a slot migrating mid-compaction could
   // otherwise land its records on a node whose rewrite already passed,

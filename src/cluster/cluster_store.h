@@ -118,7 +118,6 @@ class ClusterGdprStore : public AuditedStore {
   StatusOr<Features> GetFeatures(const Actor& actor) override;
 
   size_t RecordCount() override;
-  Status Reset() override;
 
   // Per-node view (handle order) for operators deciding what to drain.
   HealthState NodeHealth(size_t i) { return nodes_[i]->GetHealth().state; }

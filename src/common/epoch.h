@@ -72,8 +72,8 @@ class EpochManager {
     RetireRaw(p, [](void* q) { delete static_cast<T*>(q); });
   }
 
-  // Retires a whole batch under one mutex acquisition — table growth and
-  // Clear retire O(n) nodes while holding a shard writer lock, and n
+  // Retires a whole batch under one mutex acquisition — table growth
+  // retires O(n) nodes while holding a shard writer lock, and n
   // round-trips through the global retire mutex there would serialize
   // every other writer in the process against one shard's growth.
   void RetireBatch(std::vector<std::pair<void*, void (*)(void*)>>&& items) {

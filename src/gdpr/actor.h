@@ -28,16 +28,6 @@ struct Actor {
   static Actor Regulator(std::string id = "regulator") {
     return {Role::kRegulator, std::move(id), ""};
   }
-
-  const char* RoleName() const {
-    switch (role) {
-      case Role::kController: return "controller";
-      case Role::kCustomer: return "customer";
-      case Role::kProcessor: return "processor";
-      case Role::kRegulator: return "regulator";
-    }
-    return "?";
-  }
 };
 
 }  // namespace gdpr

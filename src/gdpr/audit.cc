@@ -271,11 +271,6 @@ Status AuditLog::CloseDurable() {
   return out;
 }
 
-bool AuditLog::durable() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return durable_;
-}
-
 HealthReport AuditLog::health() const {
   std::lock_guard<std::mutex> l(mu_);
   if (io_status_.ok()) return {};
@@ -332,7 +327,13 @@ void AuditLog::RotateLocked() const {
     }
     // The header goes straight to the file: the segment joins the commit
     // stream only when WithFile attaches it.
-    return WriteSegmentHeaderLocked(seg.get(), epoch_, head_, &active_bytes_);
+    Status hs =
+        WriteSegmentHeaderLocked(seg.get(), epoch_, head_, &active_bytes_);
+    // Until its directory entry is durable, a crash can drop the whole new
+    // segment, acked groups included, and replay would end the chain at
+    // the previous segment without an error.
+    if (hs.ok()) hs = opts_.env->SyncDir(SegmentPath(active_seg_));
+    return hs;
   });
   if (!qs.ok()) io_status_ = qs;
 }
@@ -626,32 +627,6 @@ void AuditLog::DeleteSegmentsFromLocked(uint64_t first) const {
   }
 }
 
-void AuditLog::Clear() {
-  std::lock_guard<std::mutex> l(mu_);
-  ResetChainLocked();
-  if (!durable_) return;
-  // Destroy the backing too: a cleared chain whose disk still held the old
-  // one would resurrect it on the next open. Delete the higher segments
-  // first (a crash mid-clear then leaves the old segment 1, i.e. simply an
-  // unfinished clear, never a fenced-off mix).
-  // Fresh backing: the new segment 1 clears any poison too.
-  io_status_ = pipeline_->WithFile(target_, [&](CommitPipeline::FileSlot&
-                                                    active) -> Status {
-    if (active) {
-      active->Close().ok();
-      active.reset();
-    }
-    DeleteSegmentsFromLocked(2);
-    ++epoch_;
-    active_seg_ = 1;
-    auto f = opts_.env->NewWritableFile(SegmentPath(1), /*truncate=*/true);
-    if (!f.ok()) return f.status();
-    active = std::move(f.value());
-    return WriteSegmentHeaderLocked(active.get(), epoch_, anchor_,
-                                    &active_bytes_);
-  });
-}
-
 size_t AuditLog::seal_interval() const {
   return seal_interval_.load(std::memory_order_relaxed);
 }
@@ -666,11 +641,6 @@ void AuditLog::set_seal_interval(size_t k) {
 uint64_t AuditLog::segment_count() const {
   std::lock_guard<std::mutex> l(mu_);
   return durable_ ? active_seg_ : 0;
-}
-
-uint64_t AuditLog::compaction_epoch() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return epoch_;
 }
 
 uint64_t AuditLog::dropped_entries_total() const {

@@ -104,7 +104,6 @@ class AuditLog {
   // Seals the pending tail into a final durable group, syncs, and detaches.
   // Returns the first swallowed I/O error if the backing ever failed.
   Status CloseDurable();
-  bool durable() const;
   // The durable path's latch: degraded-read-only, caused by the sticky
   // first I/O failure, once an append failed. The log then stops persisting
   // (a gap would break the chain on replay) but the in-memory chain still
@@ -137,14 +136,11 @@ class AuditLog {
 
   size_t ApproximateBytes() const;
 
-  void Clear();
-
   size_t seal_interval() const;
   void set_seal_interval(size_t k);
 
   // Observability (tests, CompactionStats).
   uint64_t segment_count() const;
-  uint64_t compaction_epoch() const;
   uint64_t dropped_entries_total() const;
   std::string anchor_hash() const;
 

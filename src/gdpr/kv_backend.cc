@@ -323,23 +323,6 @@ size_t KvGdprStore::EngineBytes() {
          index_bytes_.load(std::memory_order_relaxed);
 }
 
-Status KvGdprStore::Reset() {
-  db_->Clear();
-  {
-    std::lock_guard<std::mutex> l(idx_writer_mu_);
-    // Publishes fresh empty tables; in-flight index readers finish their
-    // walk in the retired generation (freed by the epoch manager).
-    by_user_.Clear();
-    by_purpose_.Clear();
-    by_sharing_.Clear();
-    while (!ttl_heap_.empty()) ttl_heap_.pop();
-    ttl_backlog_.store(0, std::memory_order_relaxed);
-    index_bytes_.store(0, std::memory_order_relaxed);
-  }
-  index_unreadable_records_ = 0;  // nothing resident, nothing unreadable
-  return Status::OK();  // db_->Clear() dropped the tombstones too
-}
-
 Status KvGdprStore::CompactLog() { return db_->CompactAof(); }
 
 CompactionStats KvGdprStore::LogCompactionStats() {

@@ -68,7 +68,6 @@ class KvGdprStore : public PolicyStore, public net::NodeHandle {
 
   Status Open() override;
   size_t RecordCount() override;
-  Status Reset() override;
 
   kv::MemKV* raw() { return db_.get(); }
   const KvGdprOptions& options() const { return options_; }
@@ -121,7 +120,7 @@ class KvGdprStore : public PolicyStore, public net::NodeHandle {
 
   // Secondary indexes, readable with no lock at all: readers pin an epoch
   // and walk the posting sets. This narrow mutex serializes only index
-  // *mutation* (IndexUpdate, TTL-heap pushes and pops, Reset) —
+  // *mutation* (IndexUpdate, TTL-heap pushes and pops) —
   // no read path acquires it. The per-key mutexes already order same-key
   // index updates against each other; this one orders cross-key writers
   // inside the shared posting structures.
@@ -143,7 +142,7 @@ class KvGdprStore : public PolicyStore, public net::NodeHandle {
   // Records found unreadable (decrypt/parse failure) during the Open-time
   // index rebuild: they are resident but in no index, so indexed
   // collections report them as read failures rather than silently missing
-  // them. Sticky until Reset/clean reopen — conservative by design.
+  // them. Sticky until a clean reopen — conservative by design.
   // Atomic because lock-free collections read it mid-flight.
   std::atomic<size_t> index_unreadable_records_{0};
 };

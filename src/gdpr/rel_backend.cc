@@ -228,15 +228,6 @@ size_t RelGdprStore::RecordCount() {
 
 size_t RelGdprStore::EngineBytes() { return db_->ApproximateBytes(); }
 
-Status RelGdprStore::Reset() {
-  for (rel::Table* t : {records_, tombstones_}) {
-    if (!t) continue;
-    auto deleted = db_->DeleteWhere(t, [](const rel::Row&) { return true; });
-    if (!deleted.ok()) return deleted.status();
-  }
-  return Status::OK();
-}
-
 Status RelGdprStore::CompactLog() { return db_->Checkpoint(); }
 
 CompactionStats RelGdprStore::LogCompactionStats() {

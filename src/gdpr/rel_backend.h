@@ -40,7 +40,6 @@ class RelGdprStore : public PolicyStore {
 
   Status Open() override;
   size_t RecordCount() override;
-  Status Reset() override;
 
   rel::Database* raw() { return db_.get(); }
   const RelGdprOptions& options() const { return options_; }

@@ -174,9 +174,6 @@ class GdprStore {
   virtual size_t RecordCount() = 0;
   virtual size_t TotalBytes() = 0;
 
-  // Drops all records and derived state (not the audit trail); bench reload.
-  virtual Status Reset() = 0;
-
   // Store health (docs/PERSISTENCE.md, "Failure policy"): kHealthy, or
   // kDegradedReadOnly once a durability path failed — mutations and Forget
   // return Unavailable while reads and metadata queries keep serving from

@@ -492,26 +492,6 @@ void MemKV::StopExpiryCron() {
   if (cron_.joinable()) cron_.join();
 }
 
-void MemKV::Clear() {
-  for (const auto& sp : shards_) {
-    Shard& s = *sp;
-    std::unique_lock<std::shared_mutex> l(s.mu);
-    s.map.Clear();
-    s.ttl_keys.clear();
-    s.ttl_pos.clear();
-    while (!s.ttl_heap.empty()) s.ttl_heap.pop();
-    s.bytes = 0;
-  }
-  {
-    std::lock_guard<std::mutex> l(tomb_mu_);
-    tombstones_.clear();
-  }
-  m_tombstones_->Set(0);
-  // The wholesale clear just retired every node; give the reclaimer a push
-  // so bench reload loops don't accumulate dead generations.
-  EpochManager::Global().TryReclaim();
-}
-
 // --- Erasure tombstones ------------------------------------------------------
 // Callers serialize per key above this layer (the GDPR key mutexes), so the
 // set mutation and its AOF record cannot reorder for one key.

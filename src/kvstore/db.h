@@ -178,10 +178,6 @@ class MemKV {
   void StartExpiryCron();
   void StopExpiryCron();
 
-  // Drops all entries and tombstones (not the AOF). Used by bench reload
-  // paths.
-  void Clear();
-
   // Rewrites the AOF to live state only: snapshot of resident entries +
   // tombstone registry into <aof_path>.compact.tmp, appends whatever raced
   // in during the snapshot, fsyncs, atomically renames over the AOF. A

@@ -55,7 +55,7 @@ inline void Prefetch(const void* p, size_t bytes = 1) {
 
 // The table over one node type. A Node provides:
 //   std::atomic<Node*> next;
-//   static constexpr size_t kMinBuckets;  // first and post-Clear size
+//   static constexpr size_t kMinBuckets;  // first generation's size
 //   static constexpr size_t kMaxChain;    // doubles past this average chain
 //   bool Is(const std::string& key, uint64_t hash) const;
 //   uint64_t Hash() const;                // the hash it was published under
@@ -144,15 +144,6 @@ class EpochTable {
     size_.store(size_.load(std::memory_order_relaxed) - 1,
                 std::memory_order_relaxed);
     return found;
-  }
-
-  // Publishes a fresh empty generation and retires the old one (readers
-  // may be mid-walk in it). Returns the objects retired.
-  size_t Clear() {
-    Gen* old = gen_.load(std::memory_order_relaxed);
-    gen_.store(Gen::New(Node::kMinBuckets), std::memory_order_release);
-    size_.store(0, std::memory_order_relaxed);
-    return RetireGeneration(old);
   }
 
   // Live nodes. Written by the writer only; safe to read from any thread.
@@ -372,9 +363,6 @@ class EpochMap {
     return true;
   }
 
-  // Drops every entry (readers may be mid-walk in the old generation).
-  void Clear() { table_.Clear(); }
-
   size_t size() const { return table_.size(); }
   size_t longest_chain() const { return table_.longest_chain(); }
 
@@ -504,12 +492,6 @@ class EpochPostingMap {
       retired_.fetch_add(1, std::memory_order_relaxed);
     }
     return true;
-  }
-
-  // Drops everything (readers may be mid-walk in the old generation).
-  void Clear() {
-    retired_.fetch_add(attrs_.Clear(), std::memory_order_relaxed);
-    entries_.store(0, std::memory_order_relaxed);
   }
 
   // ---- introspection (safe from any thread; gauge feeds) ------------------

@@ -253,8 +253,6 @@ size_t RemoteHandle::TotalBytes() {
   return Rpc(Req(WireOp::kTotalBytes), &WireResponse::count).value_or(0);
 }
 
-Status RemoteHandle::Reset() { return Rpc(Req(WireOp::kReset)); }
-
 HealthReport RemoteHandle::GetHealth() {
   WireResponse resp;
   Status s = Call(Req(WireOp::kHealth), &resp);

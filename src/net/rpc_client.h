@@ -90,7 +90,6 @@ class RemoteHandle final : public NodeHandle {
 
   size_t RecordCount() override;
   size_t TotalBytes() override;
-  Status Reset() override;
   HealthReport GetHealth() override;
   obs::RegistrySnapshot StatsSnapshot() override;
 

@@ -106,9 +106,6 @@ WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req) {
     case WireOp::kTotalBytes:
       resp.count = store->TotalBytes();
       break;
-    case WireOp::kReset:
-      resp.status = store->Reset();
-      break;
     case WireOp::kHealth:
       resp.health = store->GetHealth();
       break;

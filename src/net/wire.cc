@@ -69,7 +69,6 @@ constexpr OpSpec kOps[] = {
     {WireOp::kScanRecords,      ops::kScanRecords,      ReqBody::kNone,      RespBody::kRecords},
     {WireOp::kRecordCount,      "RECORD-COUNT",         ReqBody::kNone,      RespBody::kCount},
     {WireOp::kTotalBytes,       "TOTAL-BYTES",          ReqBody::kNone,      RespBody::kCount},
-    {WireOp::kReset,            "RESET",                ReqBody::kNone,      RespBody::kNone},
     {WireOp::kHealth,           "HEALTH",               ReqBody::kNone,      RespBody::kHealth},
     {WireOp::kStatsSnapshot,    "STATS-SNAPSHOT",       ReqBody::kNone,      RespBody::kSnapshot},
     {WireOp::kCompactNow,       ops::kCompact,          ReqBody::kNone,      RespBody::kCompaction},

@@ -56,8 +56,9 @@ inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 inline constexpr size_t kFrameHeaderBytes = 4;
 
 // Operation tags. Values are wire format — append only, never renumber,
-// and never reuse a retired tag (50–55 carried the per-record migration
-// ops that the slot-scoped ones below replaced).
+// and never reuse a retired tag (32 carried RESET, a bench-only wipe of a
+// node's records; 50–55 carried the per-record migration ops that the
+// slot-scoped ones below replaced).
 enum class WireOp : uint8_t {
   kPing = 1,
   kOpen = 2,
@@ -82,7 +83,6 @@ enum class WireOp : uint8_t {
   // Store introspection.
   kRecordCount = 30,
   kTotalBytes = 31,
-  kReset = 32,
   kHealth = 33,
   kStatsSnapshot = 34,
   // Erasure-aware compaction.

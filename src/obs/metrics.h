@@ -136,14 +136,6 @@ class Histogram {
     s.sum.fetch_add(v * n, std::memory_order_relaxed);
   }
 
-  uint64_t TotalCount() const {
-    uint64_t n = 0;
-    for (const auto& s : shards_) {
-      for (const auto& c : s.counts) n += c.load(std::memory_order_relaxed);
-    }
-    return n;
-  }
-
  private:
   friend struct HistogramSnapshot;
   static constexpr size_t kShards = 4;  // power of two

@@ -267,9 +267,9 @@ class Database {
   StatusOr<size_t> Update(Table* t, const Predicate& pred,
                           const std::function<void(Row*)>& mutate);
   StatusOr<size_t> Delete(Table* t, const Predicate& pred);
-  // The wipe path (RelGdprStore::Reset, TtlDaemon): a sequential scan whose
-  // predicate also sees unreadable rows, their string cells null, so it
-  // can remove a corrupt row; it never returns DataLoss.
+  // The expiry path (TtlDaemon): a sequential scan whose predicate also
+  // sees unreadable rows, their string cells null, so it can remove a
+  // corrupt row; it never returns DataLoss.
   StatusOr<size_t> DeleteWhere(Table* t,
                                const std::function<bool(const Row&)>& pred);
 

@@ -27,7 +27,6 @@ class Value {
   Value(const char* v) : type_(ValueType::kString), s_(v) {}       // NOLINT
 
   ValueType type() const { return type_; }
-  bool is_null() const { return type_ == ValueType::kNull; }
 
   int64_t AsInt64() const { return type_ == ValueType::kInt64 ? i_ : 0; }
   const std::string& AsString() const { return s_; }

@@ -7,6 +7,8 @@
 //     mid-rotation (torn segment header), mid-compaction (stale segments
 //     behind the epoch fence) — all reopen to the last durably sealed
 //     prefix, never to a chain that fails verification.
+//   * Rotation syncs the new segment's directory entry; a failed sync
+//     latches the chain degraded-read-only.
 //   * Tampering with a fully-written frame is NOT a crash artifact: the
 //     group hash stops recomputing and Open refuses with DataLoss.
 //   * Retention compaction drops whole aged-out groups behind a re-anchor
@@ -32,6 +34,7 @@
 #include "gdpr/rel_backend.h"
 #include "relstore/database.h"
 #include "storage/env.h"
+#include "storage/fault_env.h"
 
 namespace gdpr {
 namespace {
@@ -226,6 +229,34 @@ TEST(AuditDurability, RotationSpansSegmentsAndSurvivesMidRotationCrash) {
   ASSERT_TRUE(again.OpenDurable(opts).ok());
   EXPECT_EQ(again.size(), 41u);
   EXPECT_TRUE(again.VerifyChain());
+}
+
+// A new segment is durable only once its directory entry is: without the
+// SyncDir a crash could drop the whole segment, groups a kAlways chain
+// acked included, and replay would end the chain one segment early with no
+// error. A failed sync latches the chain as a failed rotation does.
+TEST(AuditDurability, RotationSyncsTheNewSegmentsDirectory) {
+  MemEnv base;
+  FaultEnv env(&base);
+  AuditLogOptions opts = Opts(&base, "audit", /*rotate_bytes=*/256);
+  opts.env = &env;
+  AuditLog log(4);
+  ASSERT_TRUE(log.OpenDurable(opts).ok());
+  FaultPlan plan;
+  plan.fail_prob[int(FaultOpKind::kSyncDir)] = 1;
+  plan.path_filter = "audit";
+  env.set_plan(plan);
+  for (int i = 0; i < 40; ++i) {
+    log.Append(E(1000 + i, "controller", "CREATE-RECORD",
+                 "key-" + std::to_string(i)));
+  }
+  const HealthReport h = log.health();
+  EXPECT_EQ(h.state, HealthState::kDegradedReadOnly);
+  EXPECT_NE(h.cause.message().find("sync-dir"), std::string::npos)
+      << h.cause.ToString();
+  EXPECT_TRUE(log.VerifyChain());  // the in-memory chain keeps appending
+  EXPECT_EQ(log.size(), 40u);
+  EXPECT_FALSE(log.CloseDurable().ok());
 }
 
 // ---- retention compaction ---------------------------------------------------

@@ -804,15 +804,13 @@ TEST(EpochMap, ShardLocalKeysSpreadOverEveryBucket) {
 }
 
 // Readers walk and Find while one writer grows the map through ten
-// doublings, overwrites, erases and clears it. A key present for a reader's
-// whole walk or Find is seen; every key seen was put; no walk yields a key
-// twice. The writer bumps `phase` to odd before each Clear and back to even
-// once the stable keys are back, so a reader that reads the same even phase
-// before and after knows every stable key was present throughout. Before
-// each growth, erase and Clear burst the writer stops one reader mid-walk,
-// standing on a node, until the burst is done: the reader then finishes its
-// walk in a retired generation, which must still be intact.
-TEST(EpochMap, ReadersSeeStableKeysThroughGrowthEraseAndClear) {
+// doublings, overwrites and erases. The stable keys are present throughout,
+// so every walk and Find sees each of them; every key seen was put; no walk
+// yields a key twice. Before each upsert and erase burst the writer stops
+// one reader mid-walk, standing on a node, until the burst is done: the
+// reader then finishes its walk in a retired generation, which must still
+// be intact.
+TEST(EpochMap, ReadersSeeStableKeysThroughGrowthAndErase) {
   constexpr size_t kStable = 50;
   constexpr size_t kChurn = 4000;
   const auto key_hash = [](const std::string& key) {
@@ -826,7 +824,6 @@ TEST(EpochMap, ReadersSeeStableKeysThroughGrowthEraseAndClear) {
     }
   };
   put_stable("v0");
-  std::atomic<uint64_t> phase{0};
   std::atomic<bool> park{false}, parked{false};
   std::atomic<bool> done{false};
   std::atomic<size_t> walks{0}, missing{0}, unknown{0}, twice{0};
@@ -834,7 +831,6 @@ TEST(EpochMap, ReadersSeeStableKeysThroughGrowthEraseAndClear) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
       while (!done.load(std::memory_order_acquire)) {
-        const uint64_t before = phase.load(std::memory_order_acquire);
         std::vector<int> seen(kStable, 0);
         size_t found = 0;
         {
@@ -861,13 +857,10 @@ TEST(EpochMap, ReadersSeeStableKeysThroughGrowthEraseAndClear) {
             if (map.Find(key, h) != nullptr) ++found;
           }
         }
-        const uint64_t after = phase.load(std::memory_order_acquire);
-        if (before == after && before % 2 == 0) {
-          if (std::count(seen.begin(), seen.end(), 1) != kStable) {
-            missing.fetch_add(1);
-          }
-          if (found != (kStable + 6) / 7) missing.fetch_add(1);
+        if (std::count(seen.begin(), seen.end(), 1) != kStable) {
+          missing.fetch_add(1);
         }
+        if (found != (kStable + 6) / 7) missing.fetch_add(1);
         walks.fetch_add(1);
       }
     });
@@ -882,9 +875,11 @@ TEST(EpochMap, ReadersSeeStableKeysThroughGrowthEraseAndClear) {
   size_t longest = 0;
   for (int round = 1; round <= 3; ++round) {
     with_a_reader_parked([&] {
+      // After round 1 the odd keys are still there: those overwrite.
       for (size_t i = 0; i < kChurn; ++i) {
         const auto [key, h] = key_hash("churn" + std::to_string(i));
-        if (!map.Upsert(key, h, "v", 0, nullptr, nullptr)) ++refused;
+        const bool inserted = map.Upsert(key, h, "v", 0, nullptr, nullptr);
+        if (inserted != (round == 1 || i % 2 == 0)) ++refused;
       }
     });
     longest = std::max(longest, map.longest_chain());
@@ -896,12 +891,6 @@ TEST(EpochMap, ReadersSeeStableKeysThroughGrowthEraseAndClear) {
       }
     });
     if (map.size() != kStable + kChurn / 2) ++refused;
-    with_a_reader_parked([&] {
-      phase.fetch_add(1);  // odd: stable keys may be absent
-      map.Clear();
-      put_stable("v0");
-      phase.fetch_add(1);
-    });
   }
   // Let every reader finish at least one walk against the final map.
   const size_t floor = walks.load() + 2;
@@ -913,7 +902,7 @@ TEST(EpochMap, ReadersSeeStableKeysThroughGrowthEraseAndClear) {
   EXPECT_EQ(unknown.load(), 0u);
   EXPECT_EQ(twice.load(), 0u);
   EXPECT_LE(longest, 10u);
-  EXPECT_EQ(map.size(), kStable);
+  EXPECT_EQ(map.size(), kStable + kChurn / 2);
 }
 
 // ---- EpochPostingMap: the posting sets behind the GDPR indexes ------------
@@ -951,13 +940,6 @@ TEST(EpochPostingMap, PostingsAreSets) {
   EXPECT_EQ(KeysOf(map, "trinity"), (std::set<std::string>{"k9"}));
   EXPECT_EQ(map.entries(), 3u);
   EXPECT_EQ(map.values(), 2u);
-
-  map.Clear();
-  EXPECT_EQ(map.entries(), 0u);
-  EXPECT_EQ(map.values(), 0u);
-  EXPECT_TRUE(KeysOf(map, "neo").empty());
-  EXPECT_TRUE(map.Add("neo", "k1"));  // usable after Clear
-  EXPECT_EQ(KeysOf(map, "neo"), (std::set<std::string>{"k1"}));
 }
 
 // Set sizes on both sides of every growth threshold: one bucket holds up to

@@ -176,12 +176,6 @@ TEST(Dispatch, CoversTheVocabularyAgainstALiveStore) {
     EXPECT_FALSE(resp.head_hash.empty());
   }
 
-  req = {};
-  req.op = WireOp::kReset;
-  EXPECT_TRUE(call(req).status.ok());
-  req.op = WireOp::kRecordCount;
-  EXPECT_EQ(call(req).count, 0u);
-
   ASSERT_TRUE(store.Close().ok());
 }
 
@@ -404,6 +398,35 @@ TEST_F(RpcLoopback, MalformedFrameGetsErrorResponseConnectionSurvives) {
   EXPECT_TRUE(resp.status.ok());
   EXPECT_EQ(resp.op, WireOp::kPing);
   CloseFd(fd);
+}
+
+TEST_F(RpcLoopback, RetiredResetTagIsRefusedConnectionSurvives) {
+  // Tag 32 carried RESET. A peer that still sends it gets an unknown-op
+  // refusal, the store keeps its records, and the connection keeps serving.
+  ASSERT_TRUE(handle_->Open().ok());
+  ASSERT_TRUE(
+      handle_->CreateRecord(Actor::Controller(), MakeRecord("k", "u")).ok());
+  const int fd = server_->CreateLoopbackConnection();
+  ASSERT_GE(fd, 0);
+  WireRequest req;
+  req.op = WireOp::kPing;
+  req.actor = Actor::Controller();
+  std::string payload = EncodeRequest(req);
+  payload[1] = char(32);
+  ASSERT_TRUE(WriteFrame(fd, payload).ok());
+  ASSERT_TRUE(ReadFrame(fd, &payload).ok());
+  WireResponse resp;
+  ASSERT_TRUE(DecodeResponse(payload, &resp).ok());
+  EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument)
+      << resp.status.ToString();
+
+  ASSERT_TRUE(WriteFrame(fd, EncodeRequest(req)).ok());
+  ASSERT_TRUE(ReadFrame(fd, &payload).ok());
+  ASSERT_TRUE(DecodeResponse(payload, &resp).ok());
+  EXPECT_TRUE(resp.status.ok());
+  EXPECT_EQ(resp.op, WireOp::kPing);
+  CloseFd(fd);
+  EXPECT_EQ(store_->RecordCount(), 1u);
 }
 
 TEST_F(RpcLoopback, OversizedRequestIsRefusedAndKeepsItsConnection) {

@@ -109,7 +109,7 @@ std::vector<WireRequest> AllRequests() {
   with(WireOp::kScanRecords);
   with(WireOp::kRecordCount);
   with(WireOp::kTotalBytes);
-  with(WireOp::kReset);
+  ++a;  // retired tag 32's actor: the rows below keep their pinned bytes
   with(WireOp::kHealth);
   with(WireOp::kStatsSnapshot);
   with(WireOp::kCompactNow);
@@ -477,7 +477,6 @@ const char* const kGoldenRequests[] = {
     "0119020670726f632d3709616e616c7974696373",
     "011e0309726567756c61746f7200",
     "011f000a636f6e74726f6c6c657200",
-    "0120010b757365722d30303030303100",
     "0121020670726f632d3709616e616c7974696373",
     "01220309726567756c61746f7200",
     "0128000a636f6e74726f6c6c657200",
@@ -558,7 +557,7 @@ TEST(WireGolden, EveryResponseLayoutEncodesToItsPinnedBytes) {
 TEST(WireOps, ExactlyTheDefinedTagsAreValidEachWithADistinctName) {
   std::set<WireOp> defined;
   for (const WireRequest& req : AllRequests()) defined.insert(req.op);
-  ASSERT_EQ(defined.size(), 30u);
+  ASSERT_EQ(defined.size(), 29u);
   std::set<std::string> names;
   for (int tag = 0; tag < 256; ++tag) {
     const bool valid = ValidWireOp(uint8_t(tag));
@@ -568,7 +567,7 @@ TEST(WireOps, ExactlyTheDefinedTagsAreValidEachWithADistinctName) {
           << "duplicate name " << WireOpName(WireOp(tag));
     }
   }
-  EXPECT_EQ(names.size(), 30u);
+  EXPECT_EQ(names.size(), 29u);
 }
 
 // ---- framing --------------------------------------------------------------
@@ -777,10 +776,11 @@ TEST(WireMalformed, UnknownOpTagIsInvalidArgument) {
 }
 
 TEST(WireMalformed, RetiredMigrationTagsAreRefusedNotMisparsed) {
-  // Tags 50-55 carried the per-record migration ops. A peer still sending
-  // one (here IMPORT-RECORD's old layout) gets an unknown-op refusal.
+  // Tags 50-55 carried the per-record migration ops, and tag 32 the bench
+  // reload's RESET. A peer still sending one (here IMPORT-RECORD's old
+  // layout) gets an unknown-op refusal.
   WireRequest create = AllRequests()[3];  // kCreateRecord: same body shape
-  for (uint8_t tag = 50; tag <= 55; ++tag) {
+  for (uint8_t tag : {32, 50, 51, 52, 53, 54, 55}) {
     std::string payload = EncodeRequest(create);
     payload[1] = char(tag);
     WireRequest req;
