@@ -1,9 +1,9 @@
 // Writer-scaling of MemKV Sets through the group-commit pipeline
 // (storage/commit_pipeline.h). The claim under test: when N writer threads
-// block on durability, one committer thread coalescing their frames into a
-// single write+fsync per batch amortizes the fsync across the group, so
-// throughput under appendfsync=always *scales* with writers instead of
-// serializing on the disk flush. The per-write baseline is the same
+// block on durability, the writer leading each batch coalesces the queued
+// frames into a single write+fsync, which amortizes the fsync across the
+// group, so throughput under appendfsync=always *scales* with writers
+// instead of serializing on the disk flush. The per-write baseline is the same
 // pipeline clamped to one frame per batch (commit_max_batch_frames=1) —
 // exactly the pre-group-commit path, one fsync per Set.
 //

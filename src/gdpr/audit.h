@@ -29,8 +29,8 @@
 // merge into the chain at seal time (concurrent appenders don't serialize
 // on the chain mutex), and sealed-group frames reach disk through the
 // group-commit pipeline (storage/commit_pipeline.h) — the GDPR stores pass
-// their engine's pipeline so one committer thread batches the data log and
-// the audit chain together.
+// their engine's pipeline, so the data log and the audit chain share one
+// pipeline (each log still batches its own frames).
 
 #pragma once
 
@@ -74,8 +74,7 @@ struct AuditLogOptions {
   int64_t retention_micros = 0;
   // Group-commit pipeline the sealed-group frames flow through. nullptr =
   // the log spins up a private pipeline on OpenDurable; the GDPR stores
-  // pass their engine's pipeline so one committer thread batches the AOF /
-  // WAL and the audit chain together.
+  // pass their engine's pipeline, which the AOF / WAL shares.
   CommitPipeline* pipeline = nullptr;
 };
 
@@ -242,7 +241,7 @@ class AuditLog {
   obs::MetricsRegistry* metrics_reg_ = nullptr;
   uint64_t dropped_entries_total_ = 0;
 
-  // Group-commit plumbing: frames flow Commit() -> committer thread ->
+  // Group-commit plumbing: frames flow Commit() -> the batch's leader ->
   // the active segment, which target_ owns; replay, rotation, compaction
   // and clear reach it through WithFile, close through CloseFile.
   // nullptr while not durable. A fresh target is attached per OpenDurable

@@ -41,8 +41,8 @@ RelGdprStore::RelGdprStore(const RelGdprOptions& options)
   ro.encrypt_at_rest =
       ro.encrypt_at_rest || options_.compliance.encrypt_at_rest;
   ro.metrics = metrics_;
-  // One committer thread serves the WAL, the statement log, and the audit
-  // chain: frames from all three batch into shared write+fsync calls.
+  // One pipeline serves the WAL, the statement log, and the audit chain;
+  // each log batches its own frames behind whichever writer leads it.
   ro.pipeline = pipeline_.get();
   db_ = std::make_unique<rel::Database>(ro);
 }

@@ -212,8 +212,8 @@ Status MemKV::SetInternal(const std::string& key, const std::string& value,
   // append returns before memory changes, so a record can never be
   // resident but absent from the log. Logged under the shard lock: AOF
   // order must match apply order for same-key races, or replay restores
-  // the overwritten value. The commit blocks here (the committer thread
-  // needs no shard locks), so "AofAppend returned OK" means the frame is
+  // the overwritten value. The commit blocks here (a batch's leader
+  // takes no shard locks), so "AofAppend returned OK" means the frame is
   // on disk per the sync policy. The AOF carries the stored (possibly
   // sealed) value: at-rest bytes never hit disk in plaintext.
   if (aof_active_.load(std::memory_order_acquire)) {

@@ -90,9 +90,9 @@ struct Options {
   obs::MetricsRegistry* metrics = nullptr;
 
   // Shared group-commit pipeline (the GDPR layer passes one so the KV
-  // engine and the audit chain ride the same committer thread). nullptr =>
-  // the store owns a private pipeline. See storage/commit_pipeline.h for
-  // the ack/ordering contract.
+  // engine and the audit chain share it). nullptr => the store owns a
+  // private pipeline. See storage/commit_pipeline.h for the ack/ordering
+  // contract.
   CommitPipeline* pipeline = nullptr;
   // Max frames coalesced per write()+fsync when the store owns its
   // pipeline (ignored when `pipeline` is supplied). 0 = unbounded group
@@ -341,8 +341,8 @@ class MemKV {
 
   // All AOF appends flow through the group-commit pipeline: callers
   // enqueue framed records (Commit blocks until durability is decided per
-  // sync policy) and the committer thread batches them into single
-  // write()+fsync calls. The AOF file lives in aof_target_; Open, Close
+  // sync policy), and whichever writer leads a batch writes it in a
+  // single write()+fsync call. The AOF file lives in aof_target_; Open, Close
   // and CompactAof phase 3 reach it through WithFile / CloseFile.
   CommitPipeline* pipeline_ = nullptr;
   CommitPipeline::Target* aof_target_ = nullptr;
@@ -360,8 +360,8 @@ class MemKV {
   // batches that fully succeeded, so a failed (rolled-back) append can
   // never resurrect through the mirror.
   std::mutex compact_mu_;  // one rewrite at a time
-  std::mutex rewrite_mu_;  // guards rewrite_buf_ (the tee runs on the
-                           // committer thread)
+  std::mutex rewrite_mu_;  // guards rewrite_buf_ (the tee runs on a
+                           // batch leader's thread)
   std::string rewrite_buf_;
   std::atomic<uint64_t> aof_rewrite_starts_{0};
   std::atomic<uint64_t> last_rewrite_before_{0};

@@ -962,8 +962,8 @@ Status Database::Checkpoint() {
   }
   const uint64_t wal_before = WalBytes();
   // Quiesce the pipeline for the swap. Every writer mutex is held, so no
-  // mutator is mid-commit; the quiesce drains whatever the committer
-  // had in flight and parks new commits until the stamped WAL is in.
+  // mutator is mid-commit; the quiesce waits out any timed sync in
+  // flight and parks new commits until the stamped WAL is in.
   Status ws = pipeline_->WithFile(wal_target_, [&](CommitPipeline::FileSlot&
                                                         wal) -> Status {
     // Closed before the truncating reopen, so no buffered tail of the old

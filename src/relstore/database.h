@@ -92,8 +92,8 @@ struct RelOptions {
   obs::MetricsRegistry* metrics = nullptr;
 
   // Shared group-commit pipeline (the GDPR layer passes one so the WAL,
-  // the statement log, and the audit chain ride a single committer
-  // thread). nullptr => the database owns a private pipeline. See
+  // the statement log, and the audit chain share it). nullptr => the
+  // database owns a private pipeline. See
   // storage/commit_pipeline.h for the ack/ordering contract.
   CommitPipeline* pipeline = nullptr;
 };
@@ -500,7 +500,7 @@ class Database {
   HealthTracker stmt_health_;
   std::atomic<bool> stmt_active_{false};
 
-  // Both log files live in their pipeline targets: the committer thread
+  // Both log files live in their pipeline targets: each batch's leader
   // writes them, and Open, Close, Checkpoint and statement-log rotation
   // reach them through WithFile / CloseFile.
   CommitPipeline* pipeline_ = nullptr;

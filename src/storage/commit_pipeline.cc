@@ -10,13 +10,14 @@ namespace {
 constexpr int64_t kEverySecIntervalMicros = 1000000;
 }  // namespace
 
-// One blocked Commit() call. Lives on the caller's stack; the committer
-// must fully publish the outcome before notifying and never touch the
-// waiter afterwards.
+// One blocked Commit() call. Lives on the caller's stack; whoever acks or
+// promotes it must fully publish the outcome before notifying and never
+// touch the waiter afterwards.
 struct CommitWaiter {
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;
+  bool lead = false;
   Status status;
 
   // Notifies under the mutex: the waiter frees its stack slot the moment
@@ -27,6 +28,20 @@ struct CommitWaiter {
     status = s;
     done = true;
     cv.notify_one();
+  }
+
+  // Hands this waiter the lead; its frame is the front of the queue.
+  void Promote() {
+    std::lock_guard<std::mutex> l(mu);
+    lead = true;
+    cv.notify_one();
+  }
+
+  // Blocks until acked (false) or promoted to leader (true).
+  bool AwaitLead() {
+    std::unique_lock<std::mutex> l(mu);
+    cv.wait(l, [&] { return done || lead; });
+    return !done;
   }
 };
 
@@ -44,23 +59,25 @@ struct CommitPipeline::Target {
   obs::Counter* sync_failures = nullptr;
   obs::Histogram* stall_us = nullptr;
 
-  // Changed only inside WithFile (committer idle, writers parked), so the
-  // committer reads these without a lock.
+  // Changed only inside WithFile, which holds the lead, so the lead
+  // holder reads these without a lock.
   std::unique_ptr<WritableFile> file;
   std::function<void(std::string_view)> tee;
 
   // Writers contend on the queue mutex; its own cache line keeps them off
-  // the committer's atomics below.
+  // the atomics below.
   alignas(64) std::mutex queue_mu;
   std::deque<Frame> queue;
+  // The lead is held (by a batch, a timed sync or WithFile). Frames queue
+  // only behind a held lead, which is dropped only with the queue empty.
+  bool in_flight = false;
+  std::condition_variable lead_dropped;  // WithFile waits here
 
   alignas(64) std::atomic<size_t> queued{0};
-  std::atomic<bool> in_flight{false};
-  std::atomic<bool> quiescing{false};
   std::atomic<bool> poisoned{false};
   // Bytes written since the last sync, and when that sync ran. Written by
-  // the committer (and by WithFile while it is parked); the committer's
-  // idle check reads them without the in_flight handshake.
+  // the lead holder; the timer thread's idle check reads them without
+  // claiming the lead.
   std::atomic<bool> unsynced{false};
   std::atomic<int64_t> last_sync_us{0};
   Status poison_status;  // guarded by pipeline mu_
@@ -83,7 +100,7 @@ CommitPipeline::CommitPipeline(Options opts)
   m_frames_ = metrics_->GetCounter("commit_frames_total");
   m_bytes_ = metrics_->GetCounter("commit_bytes_total");
   m_failures_ = metrics_->GetCounter("commit_failures_total");
-  committer_ = std::thread([this] { CommitterLoop(); });
+  timer_ = std::thread([this] { TimerLoop(); });
 }
 
 CommitPipeline::~CommitPipeline() {
@@ -91,9 +108,8 @@ CommitPipeline::~CommitPipeline() {
     std::lock_guard<std::mutex> l(mu_);
     shutdown_ = true;
   }
-  cv_work_.notify_one();
-  if (committer_.joinable()) committer_.join();
-  DrainAllOnShutdown();
+  cv_shutdown_.notify_one();
+  timer_.join();
 }
 
 uint64_t CommitPipeline::NowMicros() const {
@@ -123,6 +139,7 @@ CommitPipeline::Target* CommitPipeline::Attach(std::string name,
 Status CommitPipeline::Commit(Target* t, std::string frame,
                               const std::function<Status()>& gate) {
   CommitWaiter w;
+  bool lead = false;
   {
     std::shared_lock<std::shared_mutex> pause(t->pause_mu);
     if (t->poisoned.load(std::memory_order_acquire)) return PoisonStatus(t);
@@ -136,35 +153,25 @@ Status CommitPipeline::Commit(Target* t, std::string frame,
     // Detached log: accept and ack without writing (legacy "log disabled"
     // fast path — e.g. MemKV with aof_enabled=false).
     if (t->file == nullptr) return Status::OK();
-    Frame f;
-    f.bytes = std::move(frame);
-    f.waiter = &w;
-    f.enqueue_us = NowMicros();
-    t->queue.push_back(std::move(f));
+    t->queue.push_back(Frame{std::move(frame), &w, NowMicros()});
     t->queued.fetch_add(1, std::memory_order_acq_rel);
+    // An idle target has an empty queue, so this frame is its front.
+    lead = !t->in_flight;
+    t->in_flight = true;
   }
-  // Lock-then-notify so a committer mid-predicate-evaluation cannot miss
-  // the wakeup (our enqueue isn't under mu_).
-  {
-    std::lock_guard<std::mutex> l(mu_);
-  }
-  cv_work_.notify_one();
-  std::unique_lock<std::mutex> wl(w.mu);
-  w.cv.wait(wl, [&] { return w.done; });
+  if (lead || w.AwaitLead()) Lead(t);
   return w.status;
 }
 
 Status CommitPipeline::WithFile(
     Target* t, const std::function<Status(FileSlot& file)>& fn) {
   std::unique_lock<std::shared_mutex> pause(t->pause_mu);
-  t->quiescing.store(true);  // seq_cst: pairs with the committer's
-                             // in_flight handshake around timed syncs
+  // New commits are parked, so once the lead drops the queue stays empty.
+  // Taking the lead keeps the timer thread off the file while fn runs.
   {
-    std::unique_lock<std::mutex> l(mu_);
-    cv_work_.notify_one();  // kick the committer to drain us
-    cv_idle_.wait(l, [&] {
-      return t->queued.load() == 0 && !t->in_flight.load();
-    });
+    std::unique_lock<std::mutex> ql(t->queue_mu);
+    t->lead_dropped.wait(ql, [&] { return !t->in_flight; });
+    t->in_flight = true;
   }
   // Serials, not addresses: a handle opened after the old one was freed
   // may reuse its address and must still count as a new file.
@@ -178,7 +185,8 @@ Status CommitPipeline::WithFile(
     t->poison_status = Status::OK();
     t->poisoned.store(false, std::memory_order_release);
   }
-  t->quiescing.store(false);
+  std::lock_guard<std::mutex> ql(t->queue_mu);
+  t->in_flight = false;
   return s;
 }
 
@@ -209,105 +217,96 @@ size_t CommitPipeline::QueuedFrames() const {
   return n;
 }
 
-void CommitPipeline::CommitterLoop() {
-  std::vector<Target*> ts;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> l(mu_);
-      // The timeout is the kEverySec clock: an idle wakeup still runs
-      // ProcessTarget, which syncs a tail that is due.
-      cv_work_.wait_for(l, std::chrono::milliseconds(100), [&] {
-        if (shutdown_) return true;
-        for (const auto& t : targets_)
-          if (t->queued.load() > 0) return true;
-        return false;
-      });
-      if (shutdown_) return;
-      ts.clear();
-      for (const auto& t : targets_) ts.push_back(t.get());
-    }
-    for (Target* t : ts) ProcessTarget(t);
-  }
-}
-
-void CommitPipeline::ProcessTarget(Target* t) {
-  while (t->queued.load(std::memory_order_acquire) > 0) {
-    m_queue_depth_->Set(static_cast<int64_t>(t->queued.load()));
-    // Mark in-flight BEFORE decrementing queued so WithFile never
-    // observes (queued==0, !in_flight) while a batch is outstanding.
-    t->in_flight.store(true);
-    std::vector<Frame> batch;
-    {
-      const size_t maxf = opts_.max_batch_frames;
-      std::lock_guard<std::mutex> ql(t->queue_mu);
-      while (!t->queue.empty() && (maxf == 0 || batch.size() < maxf)) {
-        batch.push_back(std::move(t->queue.front()));
-        t->queue.pop_front();
-      }
-    }
-    if (batch.empty()) {
-      Settle(t);
-      break;
-    }
-
-    std::string buf;
-    size_t bytes = 0;
-    for (const Frame& f : batch) bytes += f.bytes.size();
-    buf.reserve(bytes);
-    for (const Frame& f : batch) buf.append(f.bytes);
-
-    Status s = t->file->Append(buf);
-    if (s.ok()) t->unsynced.store(true, std::memory_order_release);
-    if (s.ok() && t->sync == SyncPolicy::kAlways) s = SyncFile(t);
-
-    if (!s.ok()) {
-      // fsyncgate: the handle may have dropped dirty pages while marking
-      // them clean — poison the target, never retry; only a full
-      // rewrite-from-memory (a new file via WithFile) re-establishes it.
-      // Every waiter in the batch gets the failure.
-      Poison(t, s);
-      for (Frame& f : batch) f.waiter->Finish(s);
-    } else {
-      m_batch_frames_->Record(batch.size());
-      m_batches_->Add(1);
-      m_frames_->Add(batch.size());
-      m_bytes_->Add(bytes);
-      // The tee observes only fully committed batches (post-write, and
-      // post-fsync under kAlways): a failed batch, whose callers log
-      // before they apply and so never changed memory, can never leak
-      // into a compaction mirror.
-      if (t->tee) t->tee(buf);
-      uint64_t now = NowMicros();
-      for (Frame& f : batch) {
-        t->stall_us->Record(now >= f.enqueue_us ? now - f.enqueue_us : 0);
-        f.waiter->Finish(Status::OK());
-      }
-      // Under sustained load this loop never exits, so the timed sync
-      // rides the batches too.
-      MaybeTimedSync(t);
-    }
-
-    t->queued.fetch_sub(batch.size(), std::memory_order_acq_rel);
-    Settle(t);
-  }
-
-  // Idle tail: writes stopped with bytes still unsynced. The in_flight
-  // handshake keeps us off the file while WithFile swaps it: we set
-  // in_flight, THEN check quiescing; the quiescer sets quiescing, THEN
-  // waits for !in_flight (both seq_cst, so at most one side proceeds).
-  if (SyncDue(t)) {
-    t->in_flight.store(true);
-    if (!t->quiescing.load()) MaybeTimedSync(t);
-    Settle(t);
-  }
-}
-
-void CommitPipeline::Settle(Target* t) {
+void CommitPipeline::Lead(Target* t) {
+  m_queue_depth_->Set(static_cast<int64_t>(t->queued.load()));
+  std::vector<Frame> batch;
   {
-    std::lock_guard<std::mutex> l(mu_);
-    t->in_flight.store(false);
+    const size_t maxf = opts_.max_batch_frames;
+    std::lock_guard<std::mutex> ql(t->queue_mu);
+    while (!t->queue.empty() && (maxf == 0 || batch.size() < maxf)) {
+      batch.push_back(std::move(t->queue.front()));
+      t->queue.pop_front();
+    }
   }
-  cv_idle_.notify_all();
+
+  std::string buf = std::move(batch.front().bytes);
+  for (size_t i = 1; i < batch.size(); ++i) buf.append(batch[i].bytes);
+
+  // A batch queued behind a failed one fails with its status: fsyncgate
+  // never writes to, or retries, a poisoned file.
+  const bool poisoned = t->poisoned.load(std::memory_order_acquire);
+  Status s = poisoned ? PoisonStatus(t) : t->file->Append(buf);
+  if (s.ok()) t->unsynced.store(true, std::memory_order_release);
+  if (s.ok() && t->sync == SyncPolicy::kAlways) s = SyncFile(t);
+
+  if (!s.ok()) {
+    // fsyncgate: the handle may have dropped dirty pages while marking
+    // them clean — poison the target, never retry; only a full
+    // rewrite-from-memory (a new file via WithFile) re-establishes it.
+    // Every waiter in the batch gets the failure.
+    if (!poisoned) Poison(t, s);
+    for (Frame& f : batch) f.waiter->Finish(s);
+  } else {
+    m_batch_frames_->Record(batch.size());
+    m_batches_->Add(1);
+    m_frames_->Add(batch.size());
+    m_bytes_->Add(buf.size());
+    // The tee observes only fully committed batches (post-write, and
+    // post-fsync under kAlways): a failed batch, whose callers log
+    // before they apply and so never changed memory, can never leak
+    // into a compaction mirror.
+    if (t->tee) t->tee(buf);
+    uint64_t now = NowMicros();
+    for (Frame& f : batch) {
+      t->stall_us->Record(now >= f.enqueue_us ? now - f.enqueue_us : 0);
+      f.waiter->Finish(Status::OK());
+    }
+    // Under sustained load the target is never idle, so the timed sync
+    // rides the batches too.
+    MaybeTimedSync(t);
+  }
+
+  t->queued.fetch_sub(batch.size(), std::memory_order_acq_rel);
+  HandOff(t);
+}
+
+void CommitPipeline::HandOff(Target* t) {
+  CommitWaiter* next = nullptr;
+  {
+    std::lock_guard<std::mutex> ql(t->queue_mu);
+    if (!t->queue.empty()) next = t->queue.front().waiter;
+    t->in_flight = next != nullptr;
+  }
+  // No one else acks the front waiter while we hold the lead, so it is
+  // still blocked on its stack slot.
+  if (next)
+    next->Promote();
+  else
+    t->lead_dropped.notify_all();
+}
+
+void CommitPipeline::TimerLoop() {
+  std::vector<Target*> ts;
+  std::unique_lock<std::mutex> l(mu_);
+  while (!cv_shutdown_.wait_for(l, std::chrono::milliseconds(100),
+                                [&] { return shutdown_; })) {
+    ts.clear();
+    for (const auto& t : targets_) ts.push_back(t.get());
+    l.unlock();
+    for (Target* t : ts) {
+      if (!SyncDue(t)) continue;
+      // Claim an idle target's lead as a writer would; a busy target's
+      // leader checks the sync after its batch.
+      {
+        std::lock_guard<std::mutex> ql(t->queue_mu);
+        if (t->in_flight) continue;
+        t->in_flight = true;
+      }
+      MaybeTimedSync(t);
+      HandOff(t);
+    }
+    l.lock();
+  }
 }
 
 Status CommitPipeline::PoisonStatus(Target* t) const {
@@ -355,21 +354,6 @@ void CommitPipeline::MaybeTimedSync(Target* t) {
   // A timed fsync covers already-acked writes, so there is no caller to
   // fail — poison the target and degrade; future commits fail fast.
   Poison(t, s);
-}
-
-void CommitPipeline::DrainAllOnShutdown() {
-  // Committer is joined; fail anything still queued so no waiter hangs.
-  // Proper shutdown (owners CloseFile before destroying the pipeline)
-  // never reaches here with queued frames.
-  std::lock_guard<std::mutex> l(mu_);
-  for (const auto& t : targets_) {
-    std::lock_guard<std::mutex> ql(t->queue_mu);
-    for (Frame& f : t->queue) {
-      f.waiter->Finish(Status::Unavailable("commit pipeline shut down"));
-    }
-    t->queued.fetch_sub(t->queue.size());
-    t->queue.clear();
-  }
 }
 
 }  // namespace gdpr

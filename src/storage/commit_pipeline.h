@@ -1,41 +1,43 @@
 // Group-commit pipeline: one batched durability path for every log in the
 // system (MemKV AOF, rel WAL, rel statement log, durable audit chain).
 //
-// Writers enqueue framed records into their target's FIFO and block on a
-// completion handle; a single committer thread per pipeline takes queued
-// frames, coalesces them into one write() (+ one fsync under kAlways) per
-// target file, and signals every waiter in the batch with the batch's
-// outcome. Batch failure fans out to ALL waiters in the batch; fsync
-// failure keeps the fsyncgate semantics: the target is poisoned (never
-// retried), the owning store degrades via its HealthTracker, and only a
-// full rewrite-from-memory (compaction / checkpoint) re-establishes the
-// log by putting a new file in the target (WithFile).
+// Each log is a target with one FIFO. A writer that finds its target idle
+// leads, as in the writers' queue of LevelDB's DBImpl::Write and RocksDB's
+// WriteThread: on its own thread it takes the front of the FIFO (its own
+// frame plus whatever has queued), writes it as one write() (+ one fsync
+// under kAlways), acks every frame with the batch's outcome, and hands the
+// lead to the front waiter, or drops it when none is queued. So a lone
+// writer pays no thread hand-off, and writers that arrive during a batch
+// coalesce into the next one. Batch failure fans out to ALL waiters in the
+// batch and poisons the target (fsyncgate: never retried, and frames
+// queued behind the failed batch fail without I/O); the owner's health
+// degrades, and only a new file put in by WithFile (a full
+// rewrite-from-memory) re-establishes the log.
 //
-// Each target owns its log file: owners reach it only through WithFile
-// (drain, run fn on the file slot, attach what it then holds) and end it
-// with CloseFile (drain, sync, close).
+// Owners reach a target's file only through WithFile (drain, run fn on the
+// file slot, attach what it then holds) and end it with CloseFile (drain,
+// sync, close).
 //
 // Ack contract per sync policy (see docs/PERSISTENCE.md "Group commit"):
-//   kAlways   — Commit() returns after the batch's write AND fsync
-//               succeeded: an OK ack means bytes are durable.
-//   kEverySec — Commit() returns after the batch's write() succeeded. The
-//               committer keeps the clock: after a batch, and on every
-//               wakeup (at least every 100 ms) while the log is idle, it
-//               fsyncs a target holding unsynced bytes once a second has
-//               passed since its last sync. A timed-fsync failure cannot be
-//               attributed to an acked caller, so it only poisons the
-//               target and degrades health.
-//   kNever    — Commit() returns after write(); only CloseFile fsyncs.
+//   kAlways   — after the batch's write AND fsync: the bytes are durable.
+//   kEverySec — after the batch's write(). A leader fsyncs after its batch
+//               once a second has passed since the last sync; a timer
+//               thread does the same for an idle target at least every
+//               100 ms, claiming the lead as a writer does. A timed-fsync
+//               failure has no caller to fail: it poisons and degrades.
+//   kNever    — after write(); only CloseFile fsyncs.
 //
-// Ordering contract: each target is one FIFO, and a batch writes its
-// frames in enqueue order, so frames reach the file in the order they were
-// enqueued. The enqueue `gate` runs under the queue mutex: a gate that
-// observes state X enqueues before any later frame whose gate observes X'.
+// Ordering: a batch writes its frames in enqueue order. The enqueue `gate`
+// runs under the queue mutex, so a gate that observes state X enqueues
+// before any later frame whose gate observes X'.
 //
-// Single-threaded callers see batches of exactly one frame (each Commit
-// blocks until its frame is written), so deterministic fault sweeps over
-// FaultEnv keep their exact op sequence — the committer thread performs
-// the same Append/Sync calls, in the same order, that the caller used to.
+// The leader writes, acks and runs the tee on a Commit() caller's thread,
+// which may hold its own locks across Commit(): the tee and the leader
+// take no lock that a Commit() caller holds across Commit().
+//
+// A single-threaded caller leads every batch itself, one frame each, so
+// deterministic fault sweeps over FaultEnv keep their exact Append/Sync
+// sequence.
 #pragma once
 
 #include <condition_variable>
@@ -92,7 +94,8 @@ class CommitPipeline {
                  obs::Counter* sync_failures = nullptr);
 
   // Blocking group commit of one framed record. Returns when durability
-  // has been decided per the target's sync policy (see header comment).
+  // has been decided per the target's sync policy (see header comment),
+  // having written the batch itself if this caller led it.
   //
   // `gate` (optional) runs under the queue mutex immediately before the
   // frame is enqueued; a non-OK gate aborts the commit without enqueuing
@@ -105,8 +108,8 @@ class CommitPipeline {
   Status Commit(Target* t, std::string frame,
                 const std::function<Status()>& gate = nullptr);
 
-  // Drains the target (all queued frames written, none in flight), parks
-  // new Commit() calls, and runs `fn` on the calling thread with the
+  // Drains the target (all queued frames written), parks new Commit()
+  // calls, takes the lead, and runs `fn` on the calling thread with the
   // target's file slot. fn may write to the file directly (a segment
   // header, an epoch stamp), or close it and put another file — or none —
   // in the slot. When fn returns, whatever the slot holds is attached.
@@ -120,7 +123,7 @@ class CommitPipeline {
   Status CloseFile(Target* t);
 
   // Installs a tap that observes every successfully committed batch's
-  // bytes, in commit order, on the committer thread. Invoked only AFTER
+  // bytes, in commit order, on the leader's thread. Invoked only AFTER
   // the whole batch's write (and kAlways fsync) succeeded, so a mirror
   // fed by the tee can never resurrect a failed, rolled-back record.
   // Install/remove from within WithFile's fn. nullptr removes.
@@ -128,19 +131,19 @@ class CommitPipeline {
 
   // Testing/introspection: frames queued and not yet retired — on one
   // target, or on every target (for owners that never see theirs). A batch
-  // retires after its write, its acks and its timed-sync check.
+  // retires after its write, its acks and its leader's timed-sync check.
   size_t QueuedFrames(Target* t) const;
   size_t QueuedFrames() const;
 
  private:
   struct Frame;
 
-  void CommitterLoop();
-  // Writes `t`'s queued frames batch by batch, then runs its timed sync
-  // if one is due.
-  void ProcessTarget(Target* t);
-  // Clears in_flight under mu_, so a draining WithFile cannot miss it.
-  void Settle(Target* t);
+  // With the lead held and the caller's frame at the queue's front: writes
+  // one batch, acks it, runs a due timed sync, and hands the lead on.
+  void Lead(Target* t);
+  // Promotes the front waiter to leader, or drops the lead if none.
+  void HandOff(Target* t);
+  void TimerLoop();  // syncs idle kEverySec tails, every 100 ms
   Status PoisonStatus(Target* t) const;  // OK while not poisoned
   // Latches `s` as the target's poisoning status (the first one wins),
   // counts the failure and degrades the target's health.
@@ -150,10 +153,8 @@ class CommitPipeline {
   // kEverySec target with unsynced bytes, not poisoned, whose last sync is
   // a second old. Reads atomics only, so the idle check takes no lock.
   bool SyncDue(const Target* t) const;
-  // Issues the kEverySec fsync if one is due. Committer-only, with the
-  // target's in_flight set.
+  // Issues the kEverySec fsync if one is due. Only the lead holder calls it.
   void MaybeTimedSync(Target* t);
-  void DrainAllOnShutdown();
   uint64_t NowMicros() const;
 
   Options opts_;
@@ -171,13 +172,12 @@ class CommitPipeline {
   obs::Counter* m_bytes_;
   obs::Counter* m_failures_;
 
-  // Guards targets_ vector growth, shutdown flag, and committer wakeup.
+  // Guards targets_ vector growth, poison statuses and the shutdown flag.
   mutable std::mutex mu_;
-  std::condition_variable cv_work_;   // committer waits here
-  std::condition_variable cv_idle_;   // quiesce waits here
+  std::condition_variable cv_shutdown_;  // the timer thread waits here
   std::vector<std::unique_ptr<Target>> targets_;
   bool shutdown_ = false;
-  std::thread committer_;
+  std::thread timer_;
 };
 
 }  // namespace gdpr

@@ -24,12 +24,11 @@
 // striding across the op range — CI uses it to bound runtime while keeping
 // every region of the workload covered.
 //
-// Since every log (AOF, WAL, statement log, audit chain) commits through
-// the group-commit pipeline, the Append/Sync calls the sweep counts and
-// fails are issued by the pipeline's COMMITTER thread, not the workload
-// thread — so the sweep injects into committer-side I/O by construction.
-// The workload is single-threaded and Commit() blocks per call, so batches
-// are exactly one frame and the op sequence stays deterministic; the
+// Every log (AOF, WAL, statement log, audit chain) commits through the
+// group-commit pipeline. The workload is single-threaded, so each Commit()
+// finds its target idle and leads its own batch: the Append/Sync calls the
+// sweep counts and fails are issued on the workload thread itself, batches
+// are exactly one frame, and the op sequence stays deterministic; the
 // multi-frame batch failure paths (one fsync error fanning out to every
 // writer in the batch) get their own targeted coverage in
 // tests/test_commit_pipeline.cc.

@@ -3,14 +3,18 @@
 // sweep in test_fault_injection.cc cannot reach because its batches are
 // always one frame deep:
 //
-//   * multi-writer frames coalesce into one write()+fsync batch;
+//   * a lone writer leads its own batch, writing and syncing on its own
+//     thread, and multi-writer frames coalesce into one write()+fsync
+//     batch behind a leader;
 //   * a mid-batch fsync failure fans the error out to EVERY writer in the
 //     batch, poisons the target, degrades health, and none of the failed
 //     batch's records survive on disk (fsyncgate: dirty pages dropped);
-//   * kEverySec acks at write() return, syncs on the committer's timed
-//     cadence (an idle tail too, exactly once), and a timed-sync failure
-//     poisons without failing an acked caller;
-//   * WithFile swaps, detached-target acks, poison kept or cleared by
+//     frames queued behind the failed batch fail without any I/O;
+//   * kEverySec acks at write() return, syncs on its timed cadence (an
+//     idle tail too, exactly once), never while a batch is being written,
+//     and a timed-sync failure poisons without failing an acked caller;
+//   * WithFile swaps (after an in-flight leader, with late writers landing
+//     in the new file), detached-target acks, poison kept or cleared by
 //     WithFile, CloseFile's sync, and gate aborts;
 //   * end-to-end over MemKV + FaultEnv: a crash inside the kEverySec
 //     window loses at most the unsynced tail, and never a kAlways ack.
@@ -24,8 +28,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/health.h"
@@ -38,9 +44,9 @@
 namespace gdpr {
 namespace {
 
-// Polls `pred` for up to ~5s of real time. The committer thread runs on
-// real time even when the pipeline clock is simulated, so tests that wait
-// on committer-side effects (timed syncs, poison latching) spin here.
+// Polls `pred` for up to ~5s of real time. The pipeline's timer thread
+// runs on real time even when the pipeline clock is simulated, so tests
+// that wait on its effects (idle-tail syncs, poison latching) spin here.
 bool WaitFor(const std::function<bool()>& pred) {
   for (int i = 0; i < 5000; ++i) {
     if (pred()) return true;
@@ -135,7 +141,7 @@ void PutFile(CommitPipeline& pl, CommitPipeline::Target* t,
                 }).ok());
 }
 
-// Four writers, committer held inside the first batch's fsync: the three
+// Four writers, the first one's batch held inside its fsync: the three
 // late arrivals coalesce into ONE second batch (one write, one fsync).
 TEST(CommitPipeline, ConcurrentWritersCoalesceIntoOneBatch) {
   MemEnv mem;
@@ -179,6 +185,54 @@ TEST(CommitPipeline, ConcurrentWritersCoalesceIntoOneBatch) {
   EXPECT_EQ(bytes.substr(0, 2), "A|");  // first batch wrote first
   for (const char* f : {"B|", "C|", "D|"})
     EXPECT_NE(bytes.find(f), std::string::npos) << f;
+}
+
+// Records the thread that issues each Append and Sync.
+class ThreadTrackingFile : public WritableFile {
+ public:
+  Status Append(std::string_view) override {
+    std::lock_guard<std::mutex> l(mu_);
+    append_thread_ = std::this_thread::get_id();
+    return Status::OK();
+  }
+  Status Sync() override {
+    std::lock_guard<std::mutex> l(mu_);
+    sync_thread_ = std::this_thread::get_id();
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+
+  std::thread::id append_thread() const {
+    std::lock_guard<std::mutex> l(mu_);
+    return append_thread_;
+  }
+  std::thread::id sync_thread() const {
+    std::lock_guard<std::mutex> l(mu_);
+    return sync_thread_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::thread::id append_thread_;
+  std::thread::id sync_thread_;
+};
+
+// A writer that finds its target idle leads: it writes and fsyncs its own
+// frame on its own thread, with no hand-off to another thread.
+TEST(CommitPipeline, LoneWriterWritesOnItsOwnThread) {
+  obs::MetricsRegistry reg;
+  CommitPipeline::Options po;
+  po.metrics = &reg;
+  CommitPipeline pl(po);
+  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kAlways);
+  auto owned = std::make_unique<ThreadTrackingFile>();
+  ThreadTrackingFile* file = owned.get();
+  PutFile(pl, t, std::move(owned));
+
+  ASSERT_TRUE(pl.Commit(t, "solo|").ok());
+  EXPECT_EQ(file->append_thread(), std::this_thread::get_id());
+  EXPECT_EQ(file->sync_thread(), std::this_thread::get_id());
+  EXPECT_EQ(reg.GetCounter("commit_batches_total")->Value(), 1u);
 }
 
 // The satellite contract: a mid-batch fsync failure errors ALL writers in
@@ -233,6 +287,45 @@ TEST(CommitPipeline, MidBatchFsyncFailureFansOutToAllWriters) {
 
   // No resurrection: the surviving bytes are exactly the acked batch.
   EXPECT_EQ(mem.ReadFileToString("log").value(), "A|");
+}
+
+// fsyncgate under concurrency: frames that queued behind a batch whose
+// fsync failed are never written to, or synced on, the poisoned file. They
+// fail with the poisoning status, and the target's failure count stays at
+// the one failed batch.
+TEST(CommitPipeline, FramesQueuedBehindAFailedBatchFailWithoutIO) {
+  MemEnv mem;
+  auto owned = OpenGateFile(&mem, "log");
+  GateSyncFile* file = owned.get();
+  file->BlockOnSync(1);
+  file->FailOnSync(1);
+  obs::MetricsRegistry reg;
+  CommitPipeline::Options po;
+  po.metrics = &reg;
+  CommitPipeline pl(po);
+  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kAlways);
+  PutFile(pl, t, std::move(owned));
+
+  Status sa;
+  std::thread wa([&] { sa = pl.Commit(t, "A|"); });
+  file->WaitUntilBlockedInSync();
+  Status sb, sc;
+  std::thread wb([&] { sb = pl.Commit(t, "B|"); });
+  std::thread wc([&] { sc = pl.Commit(t, "C|"); });
+  ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames(t) == 3; }));
+  file->ReleaseBlockedSync();
+  wa.join();
+  wb.join();
+  wc.join();
+
+  for (const Status* s : {&sa, &sb, &sc}) {
+    EXPECT_NE(s->message().find("injected fsync failure"), std::string::npos)
+        << s->ToString();
+  }
+  EXPECT_EQ(file->sync_calls(), 1);
+  EXPECT_EQ(reg.GetCounter("commit_failures_total")->Value(), 1u);
+  EXPECT_EQ(reg.GetCounter("commit_batches_total")->Value(), 0u);
+  EXPECT_EQ(mem.ReadFileToString("log").value(), "");
 }
 
 // max_batch_frames=1 is the per-write baseline the benches compare
@@ -311,6 +404,72 @@ TEST(CommitPipeline, WithFileSwapDetachAndGateAbort) {
   EXPECT_EQ(mem.ReadFileToString("log2").value(), "two|");
 }
 
+// WithFile drains behind a leader that is still in its fsync: its fn does
+// not run until that batch is done, so the old file holds the batch. A
+// writer that arrives while fn swaps the file parks, then lands in the new
+// file.
+TEST(CommitPipeline, WithFileWaitsForAnInFlightLeader) {
+  MemEnv mem;
+  CommitPipeline pl;
+  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kAlways);
+  auto owned = OpenGateFile(&mem, "log1");
+  GateSyncFile* file = owned.get();
+  file->BlockOnSync(1);
+  PutFile(pl, t, std::move(owned));
+
+  Status sa;
+  std::thread wa([&] { sa = pl.Commit(t, "A|"); });
+  file->WaitUntilBlockedInSync();
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool in_fn = false, release_fn = false;
+  Status swap;
+  std::thread swapper([&] {
+    swap = pl.WithFile(t, [&](CommitPipeline::FileSlot& slot) {
+      std::unique_lock<std::mutex> l(mu);
+      in_fn = true;
+      cv.notify_all();
+      cv.wait(l, [&] { return release_fn; });
+      Status c = slot->Close();
+      slot = OpenGateFile(&mem, "log2");
+      return c;
+    });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    std::lock_guard<std::mutex> l(mu);
+    EXPECT_FALSE(in_fn) << "fn ran while the leader's fsync was in flight";
+  }
+  file->ReleaseBlockedSync();
+  wa.join();
+  EXPECT_TRUE(sa.ok());
+  {
+    std::unique_lock<std::mutex> l(mu);
+    cv.wait(l, [&] { return in_fn; });
+  }
+
+  std::atomic<bool> b_done{false};
+  Status sb;
+  std::thread wb([&] {
+    sb = pl.Commit(t, "B|");
+    b_done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(b_done.load()) << "a commit ran while fn held the file";
+  {
+    std::lock_guard<std::mutex> l(mu);
+    release_fn = true;
+    cv.notify_all();
+  }
+  swapper.join();
+  wb.join();
+  EXPECT_TRUE(swap.ok());
+  EXPECT_TRUE(sb.ok());
+  EXPECT_EQ(mem.ReadFileToString("log1").value(), "A|");
+  EXPECT_EQ(mem.ReadFileToString("log2").value(), "B|");
+}
+
 // The poison latch clears only when WithFile leaves a different file in
 // the slot: writing to the poisoned file (or just looking at it) keeps the
 // target poisoned, and a replacement re-establishes the log.
@@ -370,11 +529,12 @@ TEST(CommitPipeline, CloseFileSyncsAndReportsTheFirstFailure) {
 }
 
 // kEverySec ack contract: Commit returns once write() succeeded — no
-// fsync on the ack path. The committer syncs on its own once the interval
+// fsync on the ack path. The pipeline syncs on its own once the interval
 // elapses, and a timed-sync failure poisons the target (degrading future
 // commits) instead of failing a caller that was already acked. Each clock
-// advance is followed by a wait for the sync it makes due: the committer
-// may run it after the batch or on its next idle wakeup, never both.
+// advance is followed by a wait for the sync it makes due: a leader may
+// run it after its batch, or the timer thread on its next idle wakeup,
+// never both.
 TEST(CommitPipeline, EverySecAcksBeforeSyncAndTimedFailurePoisons) {
   MemEnv mem;
   auto owned = OpenGateFile(&mem, "log");
@@ -417,9 +577,9 @@ TEST(CommitPipeline, EverySecAcksBeforeSyncAndTimedFailurePoisons) {
   EXPECT_EQ(mem.ReadFileToString("log").value(), "a|");  // b| dropped
 }
 
-// A log whose writes stop still gets its tail synced: the committer's idle
-// wakeup runs the timed sync once the interval has passed, exactly once,
-// and a later interval with nothing new written syncs nothing.
+// A log whose writes stop still gets its tail synced: the timer thread's
+// idle wakeup runs the timed sync once the interval has passed, exactly
+// once, and a later interval with nothing new written syncs nothing.
 TEST(CommitPipeline, EverySecSyncsAnIdleTail) {
   MemEnv mem;
   auto owned = OpenGateFile(&mem, "log");
@@ -445,6 +605,92 @@ TEST(CommitPipeline, EverySecSyncsAnIdleTail) {
   clock.AdvanceSeconds(2);
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   EXPECT_EQ(file->sync_calls(), 1);
+}
+
+// Counts the Append and Sync calls in flight on it, and fails any call
+// that starts while another is still running. Each call stays open for a
+// while (a sync much longer than an append), so an overlap shows.
+class OverlapCheckFile : public WritableFile {
+ public:
+  Status Append(std::string_view) override {
+    return Enter(&appends_, std::chrono::microseconds(20));
+  }
+  Status Sync() override {
+    return Enter(&syncs_, std::chrono::milliseconds(5));
+  }
+  Status Close() override { return Status::OK(); }
+
+  int overlaps() const { return overlaps_.load(); }
+  int syncs() const { return syncs_.load(); }
+
+ private:
+  Status Enter(std::atomic<int>* calls, std::chrono::microseconds hold) {
+    calls->fetch_add(1);
+    const bool overlapped = active_.fetch_add(1) != 0;
+    std::this_thread::sleep_for(hold);
+    active_.fetch_sub(1);
+    if (!overlapped) return Status::OK();
+    overlaps_.fetch_add(1);
+    return Status::IOError("overlapping file I/O");
+  }
+
+  std::atomic<int> active_{0};
+  std::atomic<int> overlaps_{0};
+  std::atomic<int> appends_{0};
+  std::atomic<int> syncs_{0};
+};
+
+// A timed sync holds the lead, whether a leader runs it after its batch or
+// the timer thread runs it for an idle tail, so it never overlaps a
+// batch's write. Four kEverySec writers run while the clock keeps making
+// syncs due. Each round first lets leaders sync mid-run, then parks the
+// writers so the tail goes idle, and releases them into the timer
+// thread's sync of that tail: they must queue behind it.
+TEST(CommitPipeline, TimedSyncNeverOverlapsABatch) {
+  SimulatedClock clock(0);
+  CommitPipeline::Options po;
+  po.clock = &clock;
+  CommitPipeline pl(po);
+  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kEverySec);
+  auto owned = std::make_unique<OverlapCheckFile>();
+  OverlapCheckFile* file = owned.get();
+  PutFile(pl, t, std::move(owned));
+
+  std::atomic<bool> stop{false}, hold{false};
+  std::atomic<int> parked{0}, failures{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 4; ++w) {
+    writers.emplace_back([&] {
+      while (!stop.load()) {
+        if (hold.load()) {
+          parked.fetch_add(1);
+          while (hold.load() && !stop.load())
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          parked.fetch_sub(1);
+          continue;
+        }
+        if (!pl.Commit(t, "x").ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  int idle_syncs = 0;
+  for (int round = 0; round < 5; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    clock.AdvanceSeconds(2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    hold.store(true);
+    ASSERT_TRUE(WaitFor([&] { return parked.load() == 4; }));
+    const int before = file->syncs();
+    clock.AdvanceSeconds(2);
+    if (WaitFor([&] { return file->syncs() > before; })) ++idle_syncs;
+    hold.store(false);
+  }
+  stop.store(true);
+  for (auto& w : writers) w.join();
+
+  EXPECT_EQ(file->overlaps(), 0);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(idle_syncs, 0);
 }
 
 // ---- end-to-end over MemKV + FaultEnv --------------------------------------

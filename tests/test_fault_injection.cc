@@ -539,8 +539,8 @@ TEST(CloseSync, StatementLogCloseReportsFailedFinalSync) {
 // the commit pipeline's own clock must still push the bytes through
 // FaultEnv's page cache to the base env. No store here runs an expiry cron.
 
-// Polls `pred` for up to ~5 s of real time: the committer runs on real
-// time even when the pipeline's clock is simulated.
+// Polls `pred` for up to ~5 s of real time: the pipeline's timer thread
+// runs on real time even when the pipeline's clock is simulated.
 bool WaitFor(const std::function<bool()>& pred) {
   for (int i = 0; i < 5000; ++i) {
     if (pred()) return true;

@@ -516,7 +516,7 @@ TEST(MemKV, ReadLogOrderingHoldsUnderGetForgetRaces) {
 }
 
 // Hands each batch the pipeline appends to one path to a callback, on the
-// committer thread, before the batch is written.
+// batch leader's thread, before the batch is written.
 class FrameWatchEnv : public MemEnv {
  public:
   FrameWatchEnv(std::string path, std::function<void(std::string_view)> fn)
