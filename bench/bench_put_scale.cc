@@ -1,10 +1,10 @@
-// Writer-scaling of MemKV Sets through the group-commit pipeline
-// (storage/commit_pipeline.h). The claim under test: when N writer threads
+// Writer-scaling of MemKV Sets through the AOF's group commit
+// (storage/commit_log.h). The claim under test: when N writer threads
 // block on durability, the writer leading each batch coalesces the queued
 // frames into a single write+fsync, which amortizes the fsync across the
 // group, so throughput under appendfsync=always *scales* with writers
 // instead of serializing on the disk flush. The per-write baseline is the same
-// pipeline clamped to one frame per batch (commit_max_batch_frames=1) —
+// commit log clamped to one frame per batch (commit_max_batch_frames=1) —
 // exactly the pre-group-commit path, one fsync per Set.
 //
 //   build/bench/bench_put_scale [--records=N] [--ops=N] [--paper-scale]
@@ -53,8 +53,8 @@ struct RunResult {
 };
 
 // `threads` writers each issue `ops_per_thread` Sets into a shared
-// keyspace; every Set blocks in the pipeline until its frame's durability
-// is decided per the sync policy.
+// keyspace; every Set blocks in the AOF's commit log until its frame's
+// durability is decided per the sync policy.
 RunResult RunWriters(const std::string& aof_path, SyncPolicy policy,
                      size_t max_batch_frames, size_t records, size_t threads,
                      size_t ops_per_thread) {

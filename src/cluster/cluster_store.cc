@@ -75,7 +75,9 @@ StatusOr<size_t> SumParts(const std::vector<StatusOr<size_t>>& parts,
 }  // namespace
 
 ClusterGdprStore::ClusterGdprStore(const ClusterOptions& options)
-    : AuditedStore(options.clock, options.compliance),
+    : AuditedStore(options.clock,
+                   WithEngineEncryption(options.compliance,
+                                        options.kv.encrypt_at_rest)),
       options_(options),
       slot_map_(options.slots, uint32_t(options.nodes ? options.nodes : 1)) {
   const size_t n = options_.nodes ? options_.nodes : 1;
@@ -143,9 +145,8 @@ Status ClusterGdprStore::Open() {
     Status s = node->Open();
     if (!s.ok()) return s;
   }
-  // The router's own trail (MOVE-SLOTS, COMPACT-ALL) is evidence too. No
-  // shared pipeline to ride here — the nodes each run their own — so the
-  // chain spins up a private one.
+  // The router's own trail (MOVE-SLOTS, COMPACT-ALL) is evidence too; its
+  // chain commits through a log of its own, like every node's.
   AuditLogOptions router_audit = options_.audit;
   if (!router_audit.path.empty()) router_audit.path += ".router";
   return OpenDurableAudit(router_audit, options_.kv.env,
@@ -336,7 +337,7 @@ StatusOr<size_t> ClusterGdprStore::DeleteRecordsByUser(
   // partial failure with what did get erased elsewhere — the caller (or a
   // retry after the node heals) finishes the job. The handle's durability
   // contract makes this transport-proof: in-process, an OK part returns
-  // only after the node's group-commit pipeline decided its tombstone
+  // only after the node's AOF commit log decided its tombstone
   // frame durable; remote, only after the response frame the server sends
   // once that same call returned — a node killed or timing out mid-erasure
   // therefore lands in the failed list below, never in `erased`.
@@ -377,7 +378,7 @@ StatusOr<std::vector<AuditEntry>> ClusterGdprStore::GetSystemLogs(
 
 StatusOr<Features> ClusterGdprStore::GetFeatures(const Actor& actor) {
   Audit(actor, ops::kGetFeatures, "", true);
-  return BuildFeatures("cluster-memkv", options_.compliance);
+  return BuildFeatures("cluster-memkv", flags_);
 }
 
 size_t ClusterGdprStore::RecordCount() {

@@ -124,20 +124,11 @@ Status AuditLog::OpenDurable(const AuditLogOptions& opts) {
   active_bytes_ = 0;
   io_status_ = Status::OK();
   FileRewrite::DiscardLeftover(opts_.env, RewriteTmpPath());
-  if (opts_.pipeline) {
-    pipeline_ = opts_.pipeline;
-  } else {
-    if (!owned_pipeline_) {
-      CommitPipeline::Options po;
-      po.metrics = metrics_reg_;
-      owned_pipeline_ = std::make_unique<CommitPipeline>(po);
-    }
-    pipeline_ = owned_pipeline_.get();
-  }
   // No HealthTracker: the chain's health() derives from io_status_, which
   // latches on the first failed Commit.
-  target_ = pipeline_->Attach("audit", opts_.sync_policy);
-  Status s = pipeline_->WithFile(target_, [&](CommitPipeline::FileSlot& seg) {
+  log_ = std::make_unique<CommitLog>("audit", opts_.sync_policy, opts_.clock,
+                                     metrics_reg_);
+  Status s = log_->WithFile([&](CommitLog::FileSlot& seg) {
     Status rs = ReplayLocked(seg);
     if (!rs.ok()) seg.reset();
     return rs;
@@ -147,13 +138,14 @@ Status AuditLog::OpenDurable(const AuditLogOptions& opts) {
     // diagnostic VerifyChain() on this object after a refused open would
     // otherwise report "verified" over exactly the bytes the open rejected.
     ResetChainLocked();
+    log_.reset();
     return s;
   }
   durable_ = true;
   return Status::OK();
 }
 
-Status AuditLog::ReplayLocked(CommitPipeline::FileSlot& active) {
+Status AuditLog::ReplayLocked(CommitLog::FileSlot& active) {
   Env* env = opts_.env;
   uint64_t seg = 1;
   const auto corrupt = [&seg](const char* what) {
@@ -261,12 +253,9 @@ Status AuditLog::CloseDurable() {
   DrainStagedLocked();
   SealPendingLocked();  // the tail becomes a durable group
   Status out = io_status_;
-  Status qs = pipeline_->CloseFile(target_);
+  Status qs = log_->CloseFile();
   if (out.ok() && !qs.ok()) out = qs;
-  // The (now detached) target stays parked in the pipeline; a reopen
-  // attaches a fresh one.
-  target_ = nullptr;
-  pipeline_ = nullptr;
+  log_.reset();  // a reopen builds a fresh one
   durable_ = false;
   return out;
 }
@@ -289,10 +278,10 @@ void AuditLog::PersistGroupLocked(const std::string& payload, size_t n) const {
   PutVarint64(&frame, n);
   frame += payload;
   const size_t frame_bytes = frame.size();
-  // Seals happen under mu_ and the target is one FIFO, so frames land in
-  // chain order. A kEverySec timed-sync failure poisons the target, so
+  // Seals happen under mu_ and the log is one FIFO, so frames land in
+  // chain order. A kEverySec timed-sync failure poisons the log, so
   // the NEXT group latches io_status_ here before a hash gap reaches disk.
-  Status s = pipeline_->Commit(target_, std::move(frame));
+  Status s = log_->Commit(std::move(frame));
   if (!s.ok()) {
     if (m_persist_fail_) m_persist_fail_->Add(1);
     io_status_ = s;
@@ -306,10 +295,9 @@ void AuditLog::PersistGroupLocked(const std::string& payload, size_t n) const {
 }
 
 void AuditLog::RotateLocked() const {
-  // All commits to this target happen under mu_ (held here), so the
-  // pipeline drains instantly and no writer can observe the swap.
-  Status qs = pipeline_->WithFile(target_, [&](CommitPipeline::FileSlot&
-                                                    seg) -> Status {
+  // All commits to this log happen under mu_ (held here), so it drains
+  // instantly and no writer can observe the swap.
+  Status qs = log_->WithFile([&](CommitLog::FileSlot& seg) -> Status {
     Status s = seg->Sync();
     if (s.ok()) s = seg->Close();
     if (!s.ok()) return s;
@@ -379,11 +367,10 @@ StatusOr<AuditCompactResult> AuditLog::Compact(int64_t now_micros) {
     }
   }
   Env* env = opts_.env;
-  // The whole rewrite runs inside WithFile: the pipeline must not touch
+  // The whole rewrite runs inside WithFile: the log must not touch
   // the segment being replaced, and the new file it ends with re-
   // establishes the log (clearing any poison from the failure being healed).
-  Status cs = pipeline_->WithFile(target_, [&](CommitPipeline::FileSlot&
-                                                   seg) -> Status {
+  Status cs = log_->WithFile([&](CommitLog::FileSlot& seg) -> Status {
     if (seg) {
       seg->Sync().ok();
       seg->Close().ok();

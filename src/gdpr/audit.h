@@ -28,9 +28,7 @@
 // Writes scale two ways: appends stage into per-thread-shard buffers that
 // merge into the chain at seal time (concurrent appenders don't serialize
 // on the chain mutex), and sealed-group frames reach disk through the
-// group-commit pipeline (storage/commit_pipeline.h) — the GDPR stores pass
-// their engine's pipeline, so the data log and the audit chain share one
-// pipeline (each log still batches its own frames).
+// chain's own group-commit log (storage/commit_log.h).
 
 #pragma once
 
@@ -42,11 +40,12 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/health.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "gdpr/actor.h"
-#include "storage/commit_pipeline.h"
+#include "storage/commit_log.h"
 #include "storage/env.h"
 
 namespace gdpr {
@@ -61,8 +60,8 @@ struct AuditEntry {
 };
 
 // Persistence knobs for the chain. `path` empty = in-memory only. The
-// GDPR stores plumb env + sync_policy from their engine options; set
-// path / rotate_bytes / retention_micros freely.
+// GDPR stores plumb env, sync_policy and clock from their engine options;
+// set path / rotate_bytes / retention_micros freely.
 struct AuditLogOptions {
   Env* env = nullptr;  // nullptr => Env::Posix()
   std::string path;    // segments live at <path>.seg<N>
@@ -72,10 +71,9 @@ struct AuditLogOptions {
   // Compact() drops groups whose newest entry is older than this (0 =
   // retain forever; Compact becomes a no-op).
   int64_t retention_micros = 0;
-  // Group-commit pipeline the sealed-group frames flow through. nullptr =
-  // the log spins up a private pipeline on OpenDurable; the GDPR stores
-  // pass their engine's pipeline, which the AOF / WAL shares.
-  CommitPipeline* pipeline = nullptr;
+  // Times the kEverySec syncs of the segment. nullptr =>
+  // RealClock::Default().
+  Clock* clock = nullptr;
 };
 
 // What a retention/compaction pass did (merged into CompactionStats by the
@@ -89,8 +87,7 @@ struct AuditCompactResult {
 
 class AuditLog {
  public:
-  // seal_interval = 1 restores the one-hash-per-append behaviour the
-  // ablation benchmarks compare against.
+  // seal_interval = 1 hashes every append on its own.
   explicit AuditLog(size_t seal_interval = 32);
 
   // Attaches the chain to segment files at opts.path, replaying and
@@ -172,7 +169,7 @@ class AuditLog {
   // Empties the in-memory chain: stages, entries, groups, anchor and head.
   void ResetChainLocked();
   void SealPendingLocked() const;
-  // Appends the just-sealed group's frame through the commit pipeline and
+  // Appends the just-sealed group's frame through the commit log and
   // rotates when the segment passes rotate_bytes. Errors latch io_status_
   // and stop further persistence.
   void PersistGroupLocked(const std::string& payload, size_t n) const;
@@ -182,7 +179,7 @@ class AuditLog {
                                   uint64_t* bytes) const;
   // Replays the segments into memory and leaves the last one open for
   // append in `active` (repairing a torn tail first).
-  Status ReplayLocked(CommitPipeline::FileSlot& active);
+  Status ReplayLocked(CommitLog::FileSlot& active);
 
   // --- per-shard append staging -------------------------------------------
   // Append() pushes into one of kStages slot buffers picked per thread,
@@ -242,13 +239,10 @@ class AuditLog {
   uint64_t dropped_entries_total_ = 0;
 
   // Group-commit plumbing: frames flow Commit() -> the batch's leader ->
-  // the active segment, which target_ owns; replay, rotation, compaction
-  // and clear reach it through WithFile, close through CloseFile.
-  // nullptr while not durable. A fresh target is attached per OpenDurable
-  // (stale ones stay detached in the pipeline, which is harmless).
-  CommitPipeline* pipeline_ = nullptr;
-  mutable CommitPipeline::Target* target_ = nullptr;
-  std::unique_ptr<CommitPipeline> owned_pipeline_;
+  // the active segment, which log_ owns; replay, rotation and compaction
+  // reach it through WithFile, close through CloseFile. nullptr while not
+  // durable: each OpenDurable builds a fresh log and CloseDurable drops it.
+  std::unique_ptr<CommitLog> log_;
 };
 
 }  // namespace gdpr

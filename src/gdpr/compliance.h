@@ -38,6 +38,14 @@ struct Features {
   }
 };
 
+// The flags a store applies: it seals at rest when either the compliance
+// flag or its engine's own encrypt_at_rest is set.
+inline ComplianceFlags WithEngineEncryption(ComplianceFlags f,
+                                            bool engine_encrypts) {
+  f.encrypt_at_rest = f.encrypt_at_rest || engine_encrypts;
+  return f;
+}
+
 // Builds the Table 1 matrix for a backend under the given flags.
 Features BuildFeatures(const std::string& backend, const ComplianceFlags& f);
 

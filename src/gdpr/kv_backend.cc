@@ -19,15 +19,15 @@ auto InSlot(uint32_t slot, uint32_t num_slots) {
 }  // namespace
 
 KvGdprStore::KvGdprStore(const KvGdprOptions& options)
-    : PolicyStore(options.clock, options.compliance, options.kv.metrics,
-                  "memkv"),
+    : PolicyStore(options.clock,
+                  WithEngineEncryption(options.compliance,
+                                       options.kv.encrypt_at_rest),
+                  options.kv.metrics, "memkv"),
       options_(options) {
   kv::Options kvo = options_.kv;
   kvo.clock = clock_;
-  kvo.encrypt_at_rest =
-      kvo.encrypt_at_rest || options_.compliance.encrypt_at_rest;
+  kvo.encrypt_at_rest = flags_.encrypt_at_rest;
   kvo.metrics = metrics_;
-  kvo.pipeline = pipeline_.get();
   db_ = std::make_unique<kv::MemKV>(kvo);
 }
 
@@ -39,7 +39,7 @@ Status KvGdprStore::Open() {
   // Audit evidence is a durability responsibility like the data it
   // audits: replay + re-verify the chain before serving a single op.
   s = OpenDurableAudit(options_.audit, options_.kv.env,
-                       options_.kv.sync_policy, pipeline_.get());
+                       options_.kv.sync_policy);
   if (!s.ok()) return s;
   if (indexing() && db_->Size() > 0) {
     // AOF replay restored records below us; rebuild the secondary indexes

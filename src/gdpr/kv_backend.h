@@ -51,13 +51,14 @@ namespace gdpr {
 struct KvGdprOptions {
   Clock* clock = nullptr;
   ComplianceFlags compliance;
-  // Inner KV knobs (AOF, shards, ...). clock/encryption are plumbed from
-  // the fields above; set the rest freely.
+  // Inner KV knobs (AOF, shards, ...). clock is plumbed from the field
+  // above; the store seals at rest when either encrypt_at_rest flag is
+  // set, and GET-SYSTEM-FEATURES reports it. Set the rest freely.
   kv::Options kv;
   // Durable audit chain: with audit.path set, the hash chain persists to
   // <path>.seg<N> and re-verifies across restarts. env and sync_policy are
-  // plumbed from the kv options; set path / rotate_bytes / retention_micros
-  // freely. Empty path = in-memory chain.
+  // plumbed from the kv options and clock from the store's; set path /
+  // rotate_bytes / retention_micros freely. Empty path = in-memory chain.
   AuditLogOptions audit;
 };
 

@@ -30,10 +30,6 @@ PolicyStore::PolicyStore(Clock* clock, const ComplianceFlags& flags,
   forget_us_ = metrics_->GetHistogram("gdpr_forget_e2e_us");
   export_us_ = metrics_->GetHistogram("gdpr_export_us");
   audit_log_.AttachMetrics(metrics_);
-  CommitPipeline::Options po;
-  po.metrics = metrics_;
-  po.clock = clock_;
-  pipeline_ = std::make_unique<CommitPipeline>(po);
 }
 
 void PolicyStore::Audit(const Actor& actor, const char* op,

@@ -123,11 +123,6 @@ class PolicyStore : public AuditedStore {
   // registry when one was supplied, else at registry_.
   obs::MetricsRegistry registry_;
   obs::MetricsRegistry* metrics_;
-  // One group-commit pipeline for every durability path under the store:
-  // the engine's log(s) and the audit chain's segment frames. Outlives the
-  // engine, which commits through it from its own Close(); the audit chain
-  // detaches in Close() first.
-  std::unique_ptr<CommitPipeline> pipeline_;
 
  private:
   static bool Matches(Attr attr, const std::string& value,

@@ -33,17 +33,15 @@ rel::Predicate ByKey(const std::string& key) {
 }  // namespace
 
 RelGdprStore::RelGdprStore(const RelGdprOptions& options)
-    : PolicyStore(options.clock, options.compliance, options.rel.metrics,
-                  "reldb"),
+    : PolicyStore(options.clock,
+                  WithEngineEncryption(options.compliance,
+                                       options.rel.encrypt_at_rest),
+                  options.rel.metrics, "reldb"),
       options_(options) {
   rel::RelOptions ro = options_.rel;
   ro.clock = clock_;
-  ro.encrypt_at_rest =
-      ro.encrypt_at_rest || options_.compliance.encrypt_at_rest;
+  ro.encrypt_at_rest = flags_.encrypt_at_rest;
   ro.metrics = metrics_;
-  // One pipeline serves the WAL, the statement log, and the audit chain;
-  // each log batches its own frames behind whichever writer leads it.
-  ro.pipeline = pipeline_.get();
   db_ = std::make_unique<rel::Database>(ro);
 }
 
@@ -55,7 +53,7 @@ Status RelGdprStore::Open() {
   Status s = db_->Open();
   if (!s.ok()) return s;
   s = OpenDurableAudit(options_.audit, options_.rel.env,
-                       options_.rel.sync_policy, pipeline_.get());
+                       options_.rel.sync_policy);
   if (!s.ok()) return s;
   using rel::Schema;
   using rel::ValueType;

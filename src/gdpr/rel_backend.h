@@ -23,13 +23,14 @@ namespace gdpr {
 struct RelGdprOptions {
   Clock* clock = nullptr;
   ComplianceFlags compliance;
-  // Inner engine knobs (WAL, statement log, ...). clock/encryption are
-  // plumbed from the fields above.
+  // Inner engine knobs (WAL, statement log, ...). clock is plumbed from
+  // the field above; the store seals at rest when either encrypt_at_rest
+  // flag is set, and GET-SYSTEM-FEATURES reports it.
   rel::RelOptions rel;
   // Durable audit chain: with audit.path set, the hash chain persists to
   // <path>.seg<N> and re-verifies across restarts. env and sync_policy are
-  // plumbed from the rel options; set path / rotate_bytes / retention_micros
-  // freely. Empty path = in-memory chain.
+  // plumbed from the rel options and clock from the store's; set path /
+  // rotate_bytes / retention_micros freely. Empty path = in-memory chain.
   AuditLogOptions audit;
 };
 

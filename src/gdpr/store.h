@@ -278,17 +278,14 @@ class AuditedStore : public virtual GdprStore {
 
   // Shared open plumbing for the durable chain: resolves the env and sync
   // policy from the backend's engine options (the chain persists with the
-  // store's sync policy) and attaches the segment files. No-op with no
-  // path configured. `pipeline` (optional) is the engine's group-commit
-  // pipeline, so the chain's frames batch with the data log's; nullptr
-  // lets the chain spin up its own.
+  // store's sync policy), times its syncs on the store's clock, and
+  // attaches the segment files. No-op with no path configured.
   Status OpenDurableAudit(AuditLogOptions audit, Env* engine_env,
-                          SyncPolicy engine_sync_policy,
-                          CommitPipeline* pipeline = nullptr) {
+                          SyncPolicy engine_sync_policy) {
     if (audit.path.empty()) return Status::OK();
     if (!audit.env) audit.env = engine_env ? engine_env : Env::Posix();
     audit.sync_policy = engine_sync_policy;
-    audit.pipeline = pipeline;
+    audit.clock = clock_;
     return audit_log_.OpenDurable(audit);
   }
 

@@ -36,18 +36,9 @@ MemKV::MemKV(const Options& options) : options_(options) {
     aead_ = std::make_unique<Aead>(options_.encryption_key);
   }
   InitMetrics();
-  if (options_.pipeline) {
-    pipeline_ = options_.pipeline;
-  } else {
-    CommitPipeline::Options po;
-    po.max_batch_frames = options_.commit_max_batch_frames;
-    po.metrics = metrics_;
-    po.clock = clock_;
-    owned_pipeline_ = std::make_unique<CommitPipeline>(po);
-    pipeline_ = owned_pipeline_.get();
-  }
-  aof_target_ = pipeline_->Attach("kv-aof", options_.sync_policy, &health_,
-                                  m_aof_syncs_, m_aof_sync_fail_);
+  aof_ = std::make_unique<CommitLog>(
+      "kv-aof", options_.sync_policy, clock_, metrics_, &health_,
+      m_aof_syncs_, m_aof_sync_fail_, options_.commit_max_batch_frames);
 }
 
 void MemKV::InitMetrics() {
@@ -106,7 +97,7 @@ Status MemKV::Open() {
     // next append would strand everything already on disk.
     auto log = ReadLog(env_, options_.aof_path);
     Status s = log.status();
-    CommitPipeline::FileSlot aof;
+    CommitLog::FileSlot aof;
     if (s.ok()) {
       const int64_t now = NowMicros();
       auto valid = ReadFrames(log.value(), [&](std::string_view* in) {
@@ -122,7 +113,7 @@ Status MemKV::Open() {
       health_.Fail(s);
       return s;
     }
-    (void)pipeline_->WithFile(aof_target_, [&](CommitPipeline::FileSlot& f) {
+    (void)aof_->WithFile([&](CommitLog::FileSlot& f) {
       f = std::move(aof);
       return Status::OK();
     });
@@ -144,7 +135,7 @@ Status MemKV::Close() {
   // close it. Every queued frame is written before the final sync — an
   // acked write never dies in the queue, whatever the sync policy.
   std::lock_guard<std::mutex> compact_lock(compact_mu_);
-  return pipeline_->CloseFile(aof_target_);
+  return aof_->CloseFile();
 }
 
 void MemKV::RegisterTtlLocked(Shard& s, const std::string& key,
@@ -424,7 +415,7 @@ size_t MemKV::RunStrictCycle(int64_t now) {
       // Logged before the erase and under the shard lock, so a racing
       // re-Set of the key cannot be ordered before this 'D' in the AOF.
       // Its status is not needed: a failed append is counted and degrades
-      // health in the pipeline, and replay erases an 'S' frame whose
+      // health in the commit log, and replay erases an 'S' frame whose
       // expiry has passed, so a lost 'D' never brings the key back.
       if (log) (void)AofAppend('D', item.key, "", 0);
       EraseLocked(s, item.key, h);
@@ -590,11 +581,11 @@ Status MemKV::AofAppend(char op, const std::string& key,
 
 Status MemKV::AofCommit(std::string rec, const std::function<Status()>& gate) {
   const size_t n = rec.size();
-  Status s = pipeline_->Commit(aof_target_, std::move(rec), gate);
+  Status s = aof_->Commit(std::move(rec), gate);
   if (!s.ok()) {
     // A gate rejection (NotFound on a tombstoned read) is an ordering
-    // verdict, not an I/O failure; everything else is. The pipeline has
-    // already poisoned the target and degraded health_ — a failed batch
+    // verdict, not an I/O failure; everything else is. The commit log has
+    // already poisoned itself and degraded health_ — a failed batch
     // may be partially on disk (torn), and only a CompactAof rewrite from
     // authoritative memory heals.
     if (!s.IsNotFound()) m_aof_append_fail_->Add(1);
@@ -685,8 +676,8 @@ void MemKV::SetRewriteMirror(bool on) {
       rewrite_buf_.append(batch);
     };
   }
-  (void)pipeline_->WithFile(aof_target_, [&](CommitPipeline::FileSlot&) {
-    pipeline_->SetTee(aof_target_, std::move(tee));
+  (void)aof_->WithFile([&](CommitLog::FileSlot&) {
+    aof_->SetTee(std::move(tee));
     std::lock_guard<std::mutex> rl(rewrite_mu_);
     rewrite_buf_.clear();
     return Status::OK();
@@ -700,7 +691,7 @@ Status MemKV::CompactAof() {
   if (!open_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("store not open");
   }
-  // Phase 1: arm the pipeline tee — from here on every committed batch is
+  // Phase 1: arm the commit log's tee — from here on every committed batch is
   // mirrored into rewrite_buf_ for the new log as well as the old one.
   // The tee fires only after a batch fully succeeded, so a failed append,
   // whose write never reached memory (log before apply), cannot resurrect
@@ -745,8 +736,8 @@ Status MemKV::CompactAof() {
     SetRewriteMirror(false);  // the temp goes away with `rewrite`
     return st;
   }
-  // Phase 3: quiesce the pipeline (queued frames drain to the old log and
-  // into the mirror, new commits park at the pipeline gate), drain the
+  // Phase 3: quiesce the commit log (queued frames drain to the old log
+  // and into the mirror, new commits park at its gate), drain the
   // mirror buffer, emit the tombstone snapshot, fsync the tail, and
   // atomically swap the logs. Writers stall only for this window — the
   // p99 cost bench_compaction measures. A crash before the rename is
@@ -764,9 +755,8 @@ Status MemKV::CompactAof() {
   // hold a key whose 't' has committed. Tombstones outlive the records
   // they evidence: the erased data's frames are gone from the new log, the
   // proof of erasure is not.
-  Status swap = pipeline_->WithFile(aof_target_, [&](CommitPipeline::FileSlot&
-                                                         aof) -> Status {
-    pipeline_->SetTee(aof_target_, nullptr);
+  Status swap = aof_->WithFile([&](CommitLog::FileSlot& aof) -> Status {
+    aof_->SetTee(nullptr);
     {
       std::lock_guard<std::mutex> rl(rewrite_mu_);
       if (!rewrite_buf_.empty()) {
@@ -814,7 +804,7 @@ Status MemKV::CompactAof() {
       health_.Degrade(st);
       return st;
     }
-    // The new file clears the pipeline's poison latch: the whole log was
+    // The new file clears the commit log's poison latch: the whole log was
     // just rebuilt from authoritative memory and fsynced.
     m_aof_log_bytes_->Set(static_cast<int64_t>(tmp_bytes));
     aof_active_.store(true, std::memory_order_release);

@@ -44,7 +44,7 @@
 #include "crypto/aead.h"
 #include "kvstore/epoch_map.h"
 #include "obs/metrics.h"
-#include "storage/commit_pipeline.h"
+#include "storage/commit_log.h"
 #include "storage/env.h"
 
 namespace gdpr::kv {
@@ -89,14 +89,9 @@ struct Options {
   // reachable via metrics_registry().
   obs::MetricsRegistry* metrics = nullptr;
 
-  // Shared group-commit pipeline (the GDPR layer passes one so the KV
-  // engine and the audit chain share it). nullptr => the store owns a
-  // private pipeline. See storage/commit_pipeline.h for the ack/ordering
-  // contract.
-  CommitPipeline* pipeline = nullptr;
-  // Max frames coalesced per write()+fsync when the store owns its
-  // pipeline (ignored when `pipeline` is supplied). 0 = unbounded group
-  // commit; 1 = one batch per record, the per-write baseline
+  // Max frames the AOF's commit log coalesces per write()+fsync (see
+  // storage/commit_log.h for the ack/ordering contract). 0 = unbounded
+  // group commit; 1 = one batch per record, the per-write baseline
   // bench_put_scale compares against.
   size_t commit_max_batch_frames = 0;
 };
@@ -173,8 +168,9 @@ class MemKV {
   // One expiry cycle under the configured mode. Returns keys erased.
   size_t RunExpiryCycle();
 
-  // Background cron: RunExpiryCycle every expiry_cycle_micros of real time
-  // (also drives the everysec AOF fsync).
+  // Background cron: RunExpiryCycle every expiry_cycle_micros of real
+  // time. The everysec AOF fsync does not depend on it (see
+  // storage/commit_log.h).
   void StartExpiryCron();
   void StopExpiryCron();
 
@@ -282,7 +278,7 @@ class MemKV {
 
   Status AofAppend(char op, const std::string& key, const std::string& value,
                    int64_t expiry);
-  // Group-commits one encoded frame through the pipeline and maintains the
+  // Group-commits one encoded frame through aof_ and maintains the
   // append metrics. `gate` runs under the queue mutex before the frame is
   // enqueued — see AppendReadLog.
   Status AofCommit(std::string rec,
@@ -339,23 +335,22 @@ class MemKV {
   obs::Gauge* m_aof_log_bytes_ = nullptr;   // memkv_aof_log_bytes (AofStats view)
   obs::Gauge* m_tombstones_ = nullptr;
 
-  // All AOF appends flow through the group-commit pipeline: callers
-  // enqueue framed records (Commit blocks until durability is decided per
-  // sync policy), and whichever writer leads a batch writes it in a
-  // single write()+fsync call. The AOF file lives in aof_target_; Open, Close
-  // and CompactAof phase 3 reach it through WithFile / CloseFile.
-  CommitPipeline* pipeline_ = nullptr;
-  CommitPipeline::Target* aof_target_ = nullptr;
-  std::unique_ptr<CommitPipeline> owned_pipeline_;
-  // Checked on hot paths; the pipeline acks detached targets as OK so the
-  // flag is advisory, not a correctness gate.
+  // Checked on hot paths; a detached commit log acks as OK, so the flag
+  // is advisory, not a correctness gate.
   std::atomic<bool> aof_active_{false};
   // Degraded when the AOF can no longer be trusted to persist acked
   // writes; mutations gate on it, reads do not.
   HealthTracker health_;
+  // All AOF appends flow through the AOF's group-commit log: callers
+  // enqueue framed records (Commit blocks until durability is decided per
+  // sync policy), and whichever writer leads a batch writes it in a
+  // single write()+fsync call. The AOF file lives in aof_; Open, Close and
+  // CompactAof phase 3 reach it through WithFile / CloseFile. Declared
+  // after health_, which it degrades, so it goes first.
+  std::unique_ptr<CommitLog> aof_;
 
-  // Rewrite-in-progress state: while a CompactAof snapshot runs, a
-  // pipeline tee mirrors every committed batch into rewrite_buf_ so writes
+  // Rewrite-in-progress state: while a CompactAof snapshot runs, aof_'s
+  // tee mirrors every committed batch into rewrite_buf_ so writes
   // that race the snapshot land in the new log too. The tee observes only
   // batches that fully succeeded, so a failed (rolled-back) append can
   // never resurrect through the mirror.

@@ -70,7 +70,7 @@ WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req) {
       break;
     case WireOp::kDeleteUser: {
       // This call returns only once the node's tombstones are decided
-      // durable (the erasure path blocks in the commit pipeline), so the
+      // durable (the erasure path blocks in the AOF's commit log), so the
       // response frame below IS the durable-tombstone ack.
       size_t n = 0;
       TakeStatusOr(store->DeleteRecordsByUser(req.actor, req.key),

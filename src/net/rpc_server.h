@@ -21,7 +21,7 @@
 //     have none: an idle pooled connection waits for its next request.
 //   * A response is only written after the store call returns — so a
 //     durable-erasure op (DeleteRecordsByUser) is acked only after the
-//     node's commit pipeline decided the tombstones durable, which is what
+//     node's AOF commit log decided the tombstones durable, which is what
 //     lets the router's Forget keep its "acked means durable everywhere"
 //     contract over any transport.
 

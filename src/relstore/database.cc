@@ -82,19 +82,10 @@ Database::Database(const RelOptions& options) : options_(options) {
     aead_ = std::make_unique<Aead>(options_.encryption_key);
   }
   InitMetrics();
-  if (options_.pipeline) {
-    pipeline_ = options_.pipeline;
-  } else {
-    CommitPipeline::Options po;
-    po.metrics = metrics_;
-    po.clock = clock_;
-    owned_pipeline_ = std::make_unique<CommitPipeline>(po);
-    pipeline_ = owned_pipeline_.get();
-  }
-  wal_target_ =
-      pipeline_->Attach("rel-wal", options_.sync_policy, &wal_health_);
-  stmt_target_ =
-      pipeline_->Attach("rel-stmt", options_.sync_policy, &stmt_health_);
+  wal_log_ = std::make_unique<CommitLog>("rel-wal", options_.sync_policy,
+                                         clock_, metrics_, &wal_health_);
+  stmt_log_ = std::make_unique<CommitLog>("rel-stmt", options_.sync_policy,
+                                          clock_, metrics_, &stmt_health_);
 }
 
 void Database::InitMetrics() {
@@ -199,7 +190,7 @@ Status Database::Open() {
     }
     // Next to a snapshot an empty log gets the epoch stamp, or the next
     // Open would misread the appends after it as a stale pre-snapshot log.
-    CommitPipeline::FileSlot wal;
+    CommitLog::FileSlot wal;
     auto kept = ReopenLog(env_, options_.wal_path,
                           options_.wal_path + ".tmp", contents, valid,
                           has_snapshot ? EpochFrame(epoch_) : "", &wal);
@@ -208,7 +199,7 @@ Status Database::Open() {
       return kept.status();
     }
     m_wal_log_bytes_->Set(static_cast<int64_t>(kept.value()));
-    (void)pipeline_->WithFile(wal_target_, [&](CommitPipeline::FileSlot& f) {
+    (void)wal_log_->WithFile([&](CommitLog::FileSlot& f) {
       f = std::move(wal);
       return Status::OK();
     });
@@ -218,8 +209,7 @@ Status Database::Open() {
       return Status::InvalidArgument(
           "log_statements requires statement_log_path");
     }
-    Status s = pipeline_->WithFile(stmt_target_, [&](CommitPipeline::FileSlot&
-                                                         log) {
+    Status s = stmt_log_->WithFile([&](CommitLog::FileSlot& log) {
       auto f = env_->NewWritableFile(options_.statement_log_path,
                                      /*truncate=*/false);
       if (f.ok()) log = std::move(f.value());
@@ -252,10 +242,10 @@ Status Database::Close() {
   // while we close it. Every queued frame is written before each log's
   // final sync.
   std::lock_guard<std::mutex> ck(checkpoint_mu_);
-  Status wal = pipeline_->CloseFile(wal_target_);
+  Status wal = wal_log_->CloseFile();
   stmt_active_.store(false, std::memory_order_release);
   std::lock_guard<std::mutex> l(stmt_mu_);
-  Status stmt = pipeline_->CloseFile(stmt_target_);
+  Status stmt = stmt_log_->CloseFile();
   return wal.ok() ? stmt : wal;
 }
 
@@ -577,7 +567,7 @@ Status Database::ApplyChanges(Table* t, std::vector<RowChange>* changes) {
   // WAL order equal to apply order, or replayed rids would point at the
   // wrong rows. The WAL carries the row image (sealed strings): with
   // encryption on, personal data must not reach disk in plaintext. Gate
-  // on the option, not the handle: the WAL file lives in the pipeline and
+  // on the option, not the handle: the WAL file lives in wal_log_ and
   // Checkpoint swaps it there.
   if (options_.wal_enabled && !changes->empty()) {
     std::string wal_blob;
@@ -871,14 +861,14 @@ Status Database::WalAppend(const std::string& text) {
   if (!gate.ok()) return gate;
   // The commit blocks until the batch is written (and fsynced under
   // kAlways); the WAL is one FIFO, so log order is enqueue order.
-  Status s = pipeline_->Commit(wal_target_, text);
+  Status s = wal_log_->Commit(text);
   if (s.ok()) {
     m_wal_appends_->Add(1);
     m_wal_append_bytes_->Add(text.size());
     m_wal_log_bytes_->Add(static_cast<int64_t>(text.size()));
   } else {
     // Torn append or failed fsync: the tail is suspect and the acked
-    // prefix may not be durable. The pipeline has poisoned the target and
+    // prefix may not be durable. wal_log_ has poisoned itself and
     // degraded wal_health_; no retry (fsyncgate) — only the next
     // successful Checkpoint(), a full rewrite from memory, heals.
     m_wal_failures_->Add(1);
@@ -961,11 +951,10 @@ Status Database::Checkpoint() {
     return s;
   }
   const uint64_t wal_before = WalBytes();
-  // Quiesce the pipeline for the swap. Every writer mutex is held, so no
-  // mutator is mid-commit; the quiesce waits out any timed sync in
-  // flight and parks new commits until the stamped WAL is in.
-  Status ws = pipeline_->WithFile(wal_target_, [&](CommitPipeline::FileSlot&
-                                                        wal) -> Status {
+  // Quiesce the WAL's commit log for the swap. Every writer mutex is
+  // held, so no mutator is mid-commit; the quiesce waits out any timed
+  // sync in flight and parks new commits until the stamped WAL is in.
+  Status ws = wal_log_->WithFile([&](CommitLog::FileSlot& wal) -> Status {
     // Closed before the truncating reopen, so no buffered tail of the old
     // handle can land in the new file.
     if (wal) (void)wal->Close().ok();
@@ -979,7 +968,7 @@ Status Database::Checkpoint() {
       wal_health_.Degrade(fs);
       return fs;
     }
-    // The new file clears the pipeline's poison latch: a freshly stamped
+    // The new file clears wal_log_'s poison latch: a freshly stamped
     // WAL next to a snapshot of all of memory is exactly the full rewrite
     // a previously degraded WAL was waiting for.
     wal_health_.Heal();
@@ -995,7 +984,7 @@ Status Database::Checkpoint() {
   return Status::OK();
 }
 
-Status Database::StampWal(CommitPipeline::FileSlot& wal, uint64_t epoch) {
+Status Database::StampWal(CommitLog::FileSlot& wal, uint64_t epoch) {
   Status s = OpenWithRetry(env_, options_.wal_path, /*truncate=*/true, &wal);
   const std::string frame = EpochFrame(epoch);
   if (s.ok()) s = wal->Append(frame);
@@ -1030,9 +1019,9 @@ Status Database::LogStatement(const std::string& text) {
   // The commit happens OUTSIDE stmt_mu_ — the group fsync must never run
   // under a mutex the read paths contend on. Rotation bookkeeping below
   // retakes the lock.
-  Status s = pipeline_->Commit(stmt_target_, text + "\n");
+  Status s = stmt_log_->Commit(text + "\n");
   if (!s.ok()) {
-    // The discovering statement sees the error once, loudly (the pipeline
+    // The discovering statement sees the error once, loudly (stmt_log_
     // degraded stmt_health_); later ones serve unlogged under the latch.
     return s;
   }
@@ -1049,11 +1038,10 @@ Status Database::LogStatement(const std::string& text) {
 }
 
 Status Database::RotateStatementLogLocked() {
-  // Quiesce the pipeline for the handle swap: queued statement frames
-  // drain into the old segment (they logically precede the rotation),
-  // racing commits park at the pipeline gate until the fresh log is in.
-  return pipeline_->WithFile(stmt_target_, [&](CommitPipeline::FileSlot&
-                                                  log) -> Status {
+  // Quiesce the statement log for the handle swap: queued statement
+  // frames drain into the old segment (they logically precede the
+  // rotation), racing commits park at its gate until the fresh log is in.
+  return stmt_log_->WithFile([&](CommitLog::FileSlot& log) -> Status {
     Status s = log->Sync();
     if (s.ok()) s = log->Close();
     log.reset();

@@ -60,7 +60,7 @@
 #include "obs/metrics.h"
 #include "relstore/bptree.h"
 #include "relstore/value.h"
-#include "storage/commit_pipeline.h"
+#include "storage/commit_log.h"
 #include "storage/env.h"
 
 namespace gdpr::rel {
@@ -90,12 +90,6 @@ struct RelOptions {
   // Snapshot covers every layer). nullptr => the database owns a private
   // one, reachable via metrics_registry().
   obs::MetricsRegistry* metrics = nullptr;
-
-  // Shared group-commit pipeline (the GDPR layer passes one so the WAL,
-  // the statement log, and the audit chain share it). nullptr => the
-  // database owns a private pipeline. See
-  // storage/commit_pipeline.h for the ack/ordering contract.
-  CommitPipeline* pipeline = nullptr;
 };
 
 struct ColumnSpec {
@@ -156,7 +150,7 @@ class Table {
   // apply, so WAL order equals apply order; Checkpoint takes it to freeze
   // them. Only its holder changes slots_, so what it matched under a
   // shared mu_ stays valid until it applies. Lock order:
-  // Database::tables_mu_ -> write_mu_ -> mu_ -> the commit pipeline.
+  // Database::tables_mu_ -> write_mu_ -> mu_ -> the WAL's commit log.
   std::mutex write_mu_;
   // Readers hold it shared. Held exclusive only by CreateIndex and by the
   // apply of changes whose WAL frame is already acked, never through the
@@ -419,7 +413,7 @@ class Database {
 
   Status LogStatement(const std::string& text);
   // Shifts <path>.i -> <path>.i+1, the active log to <path>.1, and opens a
-  // fresh one (pipeline quiesced for the handle swap). Caller holds
+  // fresh one (the log quiesced for the handle swap). Caller holds
   // stmt_mu_. Failure (after bounded retry) degrades the store: mutations
   // refuse, reads serve unlogged.
   Status RotateStatementLogLocked();
@@ -433,11 +427,11 @@ class Database {
   // synced 'E' frame); `wal` is left empty on failure. Only for a WAL
   // already inside the snapshot: the truncation loses nothing. The caller
   // decides what a failure does to health.
-  Status StampWal(CommitPipeline::FileSlot& wal, uint64_t epoch);
+  Status StampWal(CommitLog::FileSlot& wal, uint64_t epoch);
   // Pre-mutation gate, run before the statement is logged: refuses a write
   // up front when either log is degraded. A degraded statement log means
   // the write's evidence would be missing; a checkpoint can degrade the
-  // WAL without poisoning its target, so the pipeline alone would still
+  // WAL without poisoning its commit log, so the log alone would still
   // take the frame.
   Status WalHealthy();
 
@@ -500,13 +494,12 @@ class Database {
   HealthTracker stmt_health_;
   std::atomic<bool> stmt_active_{false};
 
-  // Both log files live in their pipeline targets: each batch's leader
+  // Both log files live in their group-commit logs: each batch's leader
   // writes them, and Open, Close, Checkpoint and statement-log rotation
-  // reach them through WithFile / CloseFile.
-  CommitPipeline* pipeline_ = nullptr;
-  CommitPipeline::Target* wal_target_ = nullptr;
-  CommitPipeline::Target* stmt_target_ = nullptr;
-  std::unique_ptr<CommitPipeline> owned_pipeline_;
+  // reach them through WithFile / CloseFile. Declared after the health
+  // trackers they degrade, so they go first.
+  std::unique_ptr<CommitLog> wal_log_;
+  std::unique_ptr<CommitLog> stmt_log_;
 
   bool open_ = false;
 };

@@ -24,9 +24,9 @@
 // striding across the op range — CI uses it to bound runtime while keeping
 // every region of the workload covered.
 //
-// Every log (AOF, WAL, statement log, audit chain) commits through the
-// group-commit pipeline. The workload is single-threaded, so each Commit()
-// finds its target idle and leads its own batch: the Append/Sync calls the
+// Every log (AOF, WAL, statement log, audit chain) commits through its own
+// group-commit log. The workload is single-threaded, so each Commit()
+// finds its log idle and leads its own batch: the Append/Sync calls the
 // sweep counts and fails are issued on the workload thread itself, batches
 // are exactly one frame, and the op sequence stays deterministic; the
 // multi-frame batch failure paths (one fsync error fanning out to every

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -16,6 +18,8 @@
 
 #include "bench/generator.h"
 #include "cluster/cluster_store.h"
+#include "gdpr/rel_backend.h"
+#include "storage/env.h"
 
 namespace gdpr::cluster {
 namespace {
@@ -824,6 +828,72 @@ TEST(ClusterTransportEquivalence, AuditEvidenceMatchesAcrossTransports) {
   EXPECT_EQ(heads[0], heads[1]);
   EXPECT_EQ(counts[0], counts[1]);
   EXPECT_EQ(healths[0], healths[1]);
+}
+
+// ---- features and threads --------------------------------------------------
+
+// The router reports the sealing its nodes apply: the engine's own
+// encrypt_at_rest seals as surely as the compliance flag does.
+TEST(ClusterGdprStore, FeaturesReportEngineEncryption) {
+  for (const bool engine : {false, true}) {
+    ClusterOptions o;
+    o.nodes = 2;
+    o.kv.encrypt_at_rest = engine;
+    ClusterGdprStore cluster(o);
+    ASSERT_TRUE(cluster.Open().ok());
+    auto f = cluster.GetFeatures(Actor::Regulator());
+    ASSERT_TRUE(f.ok());
+    EXPECT_EQ(f.value().Supports("G 25/32"), engine);
+  }
+}
+
+size_t ProcessThreads() {
+  size_t n = 0;
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  while (const dirent* e = readdir(dir)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  closedir(dir);
+  return n;
+}
+
+// Every commit log in the process (each store's AOF or WAL and statement
+// log, every durable audit chain) is synced when idle by one shared timer
+// thread. Apart from the cluster's fan-out pool, one worker per node,
+// building and opening several stores and a cluster adds at most that
+// thread to the process.
+TEST(CommitTimer, StoresAndAClusterAddAtMostOneThread) {
+  MemEnv mem;
+  const size_t before = ProcessThreads();
+  ASSERT_GT(before, 0u);
+  std::vector<std::unique_ptr<GdprStore>> stores;
+  for (int i = 0; i < 4; ++i) {
+    const std::string n = std::to_string(i);
+    KvGdprOptions ko;
+    ko.kv.env = &mem;
+    ko.kv.aof_enabled = true;
+    ko.kv.aof_path = "kv" + n + ".aof";
+    ko.audit.path = "kv" + n + ".audit";
+    stores.push_back(std::make_unique<KvGdprStore>(ko));
+    RelGdprOptions ro;
+    ro.rel.env = &mem;
+    ro.rel.wal_enabled = true;
+    ro.rel.wal_path = "rel" + n + ".wal";
+    ro.rel.log_statements = true;
+    ro.rel.statement_log_path = "rel" + n + ".stmt";
+    ro.audit.path = "rel" + n + ".audit";
+    stores.push_back(std::make_unique<RelGdprStore>(ro));
+  }
+  ClusterOptions co;
+  co.nodes = 4;
+  co.kv.env = &mem;
+  co.kv.aof_enabled = true;
+  co.kv.aof_path = "cluster.aof";
+  co.audit.path = "cluster.audit";
+  stores.push_back(std::make_unique<ClusterGdprStore>(co));
+  for (auto& store : stores) ASSERT_TRUE(store->Open().ok());
+  EXPECT_LE(ProcessThreads(), before + co.nodes + 1);
 }
 
 }  // namespace

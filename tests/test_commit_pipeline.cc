@@ -1,5 +1,5 @@
-// Targeted coverage for the group-commit pipeline
-// (storage/commit_pipeline.h) — the behaviors the single-threaded fault
+// Targeted coverage for group commit (storage/commit_log.h) — the
+// behaviors the single-threaded fault
 // sweep in test_fault_injection.cc cannot reach because its batches are
 // always one frame deep:
 //
@@ -7,15 +7,16 @@
 //     thread, and multi-writer frames coalesce into one write()+fsync
 //     batch behind a leader;
 //   * a mid-batch fsync failure fans the error out to EVERY writer in the
-//     batch, poisons the target, degrades health, and none of the failed
+//     batch, poisons the log, degrades health, and none of the failed
 //     batch's records survive on disk (fsyncgate: dirty pages dropped);
 //     frames queued behind the failed batch fail without any I/O;
 //   * kEverySec acks at write() return, syncs on its timed cadence (an
 //     idle tail too, exactly once), never while a batch is being written,
 //     and a timed-sync failure poisons without failing an acked caller;
 //   * WithFile swaps (after an in-flight leader, with late writers landing
-//     in the new file), detached-target acks, poison kept or cleared by
+//     in the new file), detached-log acks, poison kept or cleared by
 //     WithFile, CloseFile's sync, and gate aborts;
+//   * the one idle-tail timer never visits a log that is gone;
 //   * end-to-end over MemKV + FaultEnv: a crash inside the kEverySec
 //     window loses at most the unsynced tail, and never a kAlways ack.
 
@@ -27,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -35,18 +37,19 @@
 
 #include "common/clock.h"
 #include "common/health.h"
+#include "gdpr/audit.h"
 #include "kvstore/db.h"
 #include "obs/metrics.h"
-#include "storage/commit_pipeline.h"
+#include "storage/commit_log.h"
 #include "storage/env.h"
 #include "storage/fault_env.h"
 
 namespace gdpr {
 namespace {
 
-// Polls `pred` for up to ~5s of real time. The pipeline's timer thread
-// runs on real time even when the pipeline clock is simulated, so tests
-// that wait on its effects (idle-tail syncs, poison latching) spin here.
+// Polls `pred` for up to ~5s of real time. The idle-tail timer runs on
+// real time even when a log's clock is simulated, so tests that wait on
+// its effects (idle-tail syncs, poison latching) spin here.
 bool WaitFor(const std::function<bool()>& pred) {
   for (int i = 0; i < 5000; ++i) {
     if (pred()) return true;
@@ -132,10 +135,9 @@ std::unique_ptr<GateSyncFile> OpenGateFile(MemEnv* env,
   return std::make_unique<GateSyncFile>(std::move(base.value()));
 }
 
-// Puts `file` in the target: the pipeline owns it from here on.
-void PutFile(CommitPipeline& pl, CommitPipeline::Target* t,
-             std::unique_ptr<WritableFile> file) {
-  ASSERT_TRUE(pl.WithFile(t, [&](CommitPipeline::FileSlot& slot) {
+// Puts `file` in the log: the log owns it from here on.
+void PutFile(CommitLog& log, std::unique_ptr<WritableFile> file) {
+  ASSERT_TRUE(log.WithFile([&](CommitLog::FileSlot& slot) {
                   slot = std::move(file);
                   return Status::OK();
                 }).ok());
@@ -143,29 +145,26 @@ void PutFile(CommitPipeline& pl, CommitPipeline::Target* t,
 
 // Four writers, the first one's batch held inside its fsync: the three
 // late arrivals coalesce into ONE second batch (one write, one fsync).
-TEST(CommitPipeline, ConcurrentWritersCoalesceIntoOneBatch) {
+TEST(CommitLog, ConcurrentWritersCoalesceIntoOneBatch) {
   MemEnv mem;
   auto owned = OpenGateFile(&mem, "log");
   GateSyncFile* file = owned.get();
   file->BlockOnSync(1);
   obs::MetricsRegistry reg;
-  CommitPipeline::Options po;
-  po.metrics = &reg;
-  CommitPipeline pl(po);
-  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kAlways);
-  PutFile(pl, t, std::move(owned));
+  CommitLog log("log", SyncPolicy::kAlways, nullptr, &reg);
+  PutFile(log, std::move(owned));
 
   Status sa;
-  std::thread wa([&] { sa = pl.Commit(t, "A|"); });
+  std::thread wa([&] { sa = log.Commit("A|"); });
   file->WaitUntilBlockedInSync();
 
   Status sb, sc, sd;
-  std::thread wb([&] { sb = pl.Commit(t, "B|"); });
-  std::thread wc([&] { sc = pl.Commit(t, "C|"); });
-  std::thread wd([&] { sd = pl.Commit(t, "D|"); });
+  std::thread wb([&] { sb = log.Commit("B|"); });
+  std::thread wc([&] { sc = log.Commit("C|"); });
+  std::thread wd([&] { sd = log.Commit("D|"); });
   // A is still counted in `queued` until its batch retires, so 4 = A in
   // flight + B/C/D parked in the queue.
-  ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames(t) == 4; }));
+  ASSERT_TRUE(WaitFor([&] { return log.QueuedFrames() == 4; }));
   file->ReleaseBlockedSync();
   wa.join();
   wb.join();
@@ -217,19 +216,16 @@ class ThreadTrackingFile : public WritableFile {
   std::thread::id sync_thread_;
 };
 
-// A writer that finds its target idle leads: it writes and fsyncs its own
+// A writer that finds its log idle leads: it writes and fsyncs its own
 // frame on its own thread, with no hand-off to another thread.
-TEST(CommitPipeline, LoneWriterWritesOnItsOwnThread) {
+TEST(CommitLog, LoneWriterWritesOnItsOwnThread) {
   obs::MetricsRegistry reg;
-  CommitPipeline::Options po;
-  po.metrics = &reg;
-  CommitPipeline pl(po);
-  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kAlways);
+  CommitLog log("log", SyncPolicy::kAlways, nullptr, &reg);
   auto owned = std::make_unique<ThreadTrackingFile>();
   ThreadTrackingFile* file = owned.get();
-  PutFile(pl, t, std::move(owned));
+  PutFile(log, std::move(owned));
 
-  ASSERT_TRUE(pl.Commit(t, "solo|").ok());
+  ASSERT_TRUE(log.Commit("solo|").ok());
   EXPECT_EQ(file->append_thread(), std::this_thread::get_id());
   EXPECT_EQ(file->sync_thread(), std::this_thread::get_id());
   EXPECT_EQ(reg.GetCounter("commit_batches_total")->Value(), 1u);
@@ -237,30 +233,26 @@ TEST(CommitPipeline, LoneWriterWritesOnItsOwnThread) {
 
 // The satellite contract: a mid-batch fsync failure errors ALL writers in
 // the batch, and none of their records are on disk afterwards.
-TEST(CommitPipeline, MidBatchFsyncFailureFansOutToAllWriters) {
+TEST(CommitLog, MidBatchFsyncFailureFansOutToAllWriters) {
   MemEnv mem;
   auto owned = OpenGateFile(&mem, "log");
   GateSyncFile* file = owned.get();
   file->BlockOnSync(1);
   file->FailOnSync(2);
   obs::MetricsRegistry reg;
-  CommitPipeline::Options po;
-  po.metrics = &reg;
-  CommitPipeline pl(po);
   HealthTracker health;
-  CommitPipeline::Target* t =
-      pl.Attach("log", SyncPolicy::kAlways, &health);
-  PutFile(pl, t, std::move(owned));
+  CommitLog log("log", SyncPolicy::kAlways, nullptr, &reg, &health);
+  PutFile(log, std::move(owned));
 
   Status sa;
-  std::thread wa([&] { sa = pl.Commit(t, "A|"); });
+  std::thread wa([&] { sa = log.Commit("A|"); });
   file->WaitUntilBlockedInSync();
 
   Status sb, sc, sd;
-  std::thread wb([&] { sb = pl.Commit(t, "B|"); });
-  std::thread wc([&] { sc = pl.Commit(t, "C|"); });
-  std::thread wd([&] { sd = pl.Commit(t, "D|"); });
-  ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames(t) == 4; }));
+  std::thread wb([&] { sb = log.Commit("B|"); });
+  std::thread wc([&] { sc = log.Commit("C|"); });
+  std::thread wd([&] { sd = log.Commit("D|"); });
+  ASSERT_TRUE(WaitFor([&] { return log.QueuedFrames() == 4; }));
   file->ReleaseBlockedSync();
   wa.join();
   wb.join();
@@ -280,7 +272,7 @@ TEST(CommitPipeline, MidBatchFsyncFailureFansOutToAllWriters) {
 
   // fsyncgate: poisoned, never retried — later commits fail fast with the
   // poisoning status and issue no further I/O.
-  Status again = pl.Commit(t, "E|");
+  Status again = log.Commit("E|");
   EXPECT_FALSE(again.ok());
   EXPECT_NE(again.message().find("injected fsync failure"), std::string::npos);
   EXPECT_EQ(file->sync_calls(), 2);
@@ -291,28 +283,25 @@ TEST(CommitPipeline, MidBatchFsyncFailureFansOutToAllWriters) {
 
 // fsyncgate under concurrency: frames that queued behind a batch whose
 // fsync failed are never written to, or synced on, the poisoned file. They
-// fail with the poisoning status, and the target's failure count stays at
+// fail with the poisoning status, and the log's failure count stays at
 // the one failed batch.
-TEST(CommitPipeline, FramesQueuedBehindAFailedBatchFailWithoutIO) {
+TEST(CommitLog, FramesQueuedBehindAFailedBatchFailWithoutIO) {
   MemEnv mem;
   auto owned = OpenGateFile(&mem, "log");
   GateSyncFile* file = owned.get();
   file->BlockOnSync(1);
   file->FailOnSync(1);
   obs::MetricsRegistry reg;
-  CommitPipeline::Options po;
-  po.metrics = &reg;
-  CommitPipeline pl(po);
-  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kAlways);
-  PutFile(pl, t, std::move(owned));
+  CommitLog log("log", SyncPolicy::kAlways, nullptr, &reg);
+  PutFile(log, std::move(owned));
 
   Status sa;
-  std::thread wa([&] { sa = pl.Commit(t, "A|"); });
+  std::thread wa([&] { sa = log.Commit("A|"); });
   file->WaitUntilBlockedInSync();
   Status sb, sc;
-  std::thread wb([&] { sb = pl.Commit(t, "B|"); });
-  std::thread wc([&] { sc = pl.Commit(t, "C|"); });
-  ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames(t) == 3; }));
+  std::thread wb([&] { sb = log.Commit("B|"); });
+  std::thread wc([&] { sc = log.Commit("C|"); });
+  ASSERT_TRUE(WaitFor([&] { return log.QueuedFrames() == 3; }));
   file->ReleaseBlockedSync();
   wa.join();
   wb.join();
@@ -330,15 +319,13 @@ TEST(CommitPipeline, FramesQueuedBehindAFailedBatchFailWithoutIO) {
 
 // max_batch_frames=1 is the per-write baseline the benches compare
 // against: every frame pays its own write()+fsync, no coalescing ever.
-TEST(CommitPipeline, PerWriteBaselineNeverCoalesces) {
+TEST(CommitLog, PerWriteBaselineNeverCoalesces) {
   MemEnv mem;
   obs::MetricsRegistry reg;
-  CommitPipeline::Options po;
-  po.metrics = &reg;
-  po.max_batch_frames = 1;
-  CommitPipeline pl(po);
-  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kAlways);
-  PutFile(pl, t, OpenGateFile(&mem, "log"));
+  CommitLog log("log", SyncPolicy::kAlways, nullptr, &reg,
+                /*health=*/nullptr, /*syncs=*/nullptr,
+                /*sync_failures=*/nullptr, /*max_batch_frames=*/1);
+  PutFile(log, OpenGateFile(&mem, "log"));
 
   constexpr size_t kThreads = 4, kFrames = 8;
   std::vector<std::thread> ws;
@@ -346,7 +333,7 @@ TEST(CommitPipeline, PerWriteBaselineNeverCoalesces) {
   for (size_t i = 0; i < kThreads; ++i) {
     ws.emplace_back([&] {
       for (size_t j = 0; j < kFrames; ++j)
-        if (!pl.Commit(t, "x").ok()) failures.fetch_add(1);
+        if (!log.Commit("x").ok()) failures.fetch_add(1);
     });
   }
   for (auto& w : ws) w.join();
@@ -359,48 +346,47 @@ TEST(CommitPipeline, PerWriteBaselineNeverCoalesces) {
   EXPECT_EQ(mem.ReadFileToString("log").value().size(), kThreads * kFrames);
 }
 
-// WithFile drains the target and swaps the log under it, a detached
-// target acks without writing, and a gate abort returns verbatim without
+// WithFile drains the log and swaps its file, a detached log acks
+// without writing, and a gate abort returns verbatim without
 // enqueuing anything.
-TEST(CommitPipeline, WithFileSwapDetachAndGateAbort) {
+TEST(CommitLog, WithFileSwapDetachAndGateAbort) {
   MemEnv mem;
-  CommitPipeline pl;
-  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kAlways);
-  PutFile(pl, t, OpenGateFile(&mem, "log1"));
+  CommitLog log("log", SyncPolicy::kAlways, nullptr, nullptr);
+  PutFile(log, OpenGateFile(&mem, "log1"));
 
-  ASSERT_TRUE(pl.Commit(t, "one|").ok());
+  ASSERT_TRUE(log.Commit("one|").ok());
 
   // Swap to log2; the drain guarantee means log1 holds everything
   // committed before the swap.
-  Status qs = pl.WithFile(t, [&](CommitPipeline::FileSlot& file) {
-    EXPECT_EQ(pl.QueuedFrames(t), 0u);
+  Status qs = log.WithFile([&](CommitLog::FileSlot& file) {
+    EXPECT_EQ(log.QueuedFrames(), 0u);
     EXPECT_TRUE(file->Close().ok());
     file = OpenGateFile(&mem, "log2");
     return Status::OK();
   });
   ASSERT_TRUE(qs.ok());
-  ASSERT_TRUE(pl.Commit(t, "two|").ok());
+  ASSERT_TRUE(log.Commit("two|").ok());
   EXPECT_EQ(mem.ReadFileToString("log1").value(), "one|");
   EXPECT_EQ(mem.ReadFileToString("log2").value(), "two|");
 
   // Detached: commits ack OK, nothing is written anywhere.
-  ASSERT_TRUE(pl.WithFile(t, [&](CommitPipeline::FileSlot& file) {
+  ASSERT_TRUE(log.WithFile([&](CommitLog::FileSlot& file) {
                   file.reset();
                   return Status::OK();
                 }).ok());
-  ASSERT_TRUE(pl.Commit(t, "three|").ok());
+  ASSERT_TRUE(log.Commit("three|").ok());
   EXPECT_EQ(mem.ReadFileToString("log2").value(), "two|");
 
   // Gate abort: status comes back verbatim, no frame enqueued.
   auto reopened = mem.NewWritableFile("log2", /*truncate=*/false);
   ASSERT_TRUE(reopened.ok());
-  PutFile(pl, t, std::move(reopened.value()));
-  Status gs = pl.Commit(t, "four|", [] {
+  PutFile(log, std::move(reopened.value()));
+  Status gs = log.Commit("four|", [] {
     return Status::FailedPrecondition("gate says no");
   });
   EXPECT_FALSE(gs.ok());
   EXPECT_EQ(gs.message(), "gate says no");
-  EXPECT_EQ(pl.QueuedFrames(t), 0u);
+  EXPECT_EQ(log.QueuedFrames(), 0u);
   EXPECT_EQ(mem.ReadFileToString("log2").value(), "two|");
 }
 
@@ -408,17 +394,16 @@ TEST(CommitPipeline, WithFileSwapDetachAndGateAbort) {
 // not run until that batch is done, so the old file holds the batch. A
 // writer that arrives while fn swaps the file parks, then lands in the new
 // file.
-TEST(CommitPipeline, WithFileWaitsForAnInFlightLeader) {
+TEST(CommitLog, WithFileWaitsForAnInFlightLeader) {
   MemEnv mem;
-  CommitPipeline pl;
-  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kAlways);
+  CommitLog log("log", SyncPolicy::kAlways, nullptr, nullptr);
   auto owned = OpenGateFile(&mem, "log1");
   GateSyncFile* file = owned.get();
   file->BlockOnSync(1);
-  PutFile(pl, t, std::move(owned));
+  PutFile(log, std::move(owned));
 
   Status sa;
-  std::thread wa([&] { sa = pl.Commit(t, "A|"); });
+  std::thread wa([&] { sa = log.Commit("A|"); });
   file->WaitUntilBlockedInSync();
 
   std::mutex mu;
@@ -426,7 +411,7 @@ TEST(CommitPipeline, WithFileWaitsForAnInFlightLeader) {
   bool in_fn = false, release_fn = false;
   Status swap;
   std::thread swapper([&] {
-    swap = pl.WithFile(t, [&](CommitPipeline::FileSlot& slot) {
+    swap = log.WithFile([&](CommitLog::FileSlot& slot) {
       std::unique_lock<std::mutex> l(mu);
       in_fn = true;
       cv.notify_all();
@@ -452,7 +437,7 @@ TEST(CommitPipeline, WithFileWaitsForAnInFlightLeader) {
   std::atomic<bool> b_done{false};
   Status sb;
   std::thread wb([&] {
-    sb = pl.Commit(t, "B|");
+    sb = log.Commit("B|");
     b_done.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -472,85 +457,77 @@ TEST(CommitPipeline, WithFileWaitsForAnInFlightLeader) {
 
 // The poison latch clears only when WithFile leaves a different file in
 // the slot: writing to the poisoned file (or just looking at it) keeps the
-// target poisoned, and a replacement re-establishes the log.
-TEST(CommitPipeline, PoisonClearsOnlyWhenWithFileReplacesTheFile) {
+// log poisoned, and a replacement re-establishes it.
+TEST(CommitLog, PoisonClearsOnlyWhenWithFileReplacesTheFile) {
   MemEnv mem;
   auto owned = OpenGateFile(&mem, "log1");
   owned->FailOnSync(1);
-  CommitPipeline pl;
   HealthTracker health;
-  CommitPipeline::Target* t =
-      pl.Attach("log", SyncPolicy::kAlways, &health);
-  PutFile(pl, t, std::move(owned));
-  ASSERT_FALSE(pl.Commit(t, "lost|").ok());
+  CommitLog log("log", SyncPolicy::kAlways, nullptr, nullptr, &health);
+  PutFile(log, std::move(owned));
+  ASSERT_FALSE(log.Commit("lost|").ok());
 
-  ASSERT_TRUE(pl.WithFile(t, [&](CommitPipeline::FileSlot& file) {
+  ASSERT_TRUE(log.WithFile([&](CommitLog::FileSlot& file) {
                   return file->Append("direct|");
                 }).ok());
-  Status still = pl.Commit(t, "refused|");
+  Status still = log.Commit("refused|");
   EXPECT_FALSE(still.ok());
   EXPECT_NE(still.message().find("injected fsync failure"),
             std::string::npos);
 
   // Free the old file before opening the new one, so the replacement may
   // well reuse its address: it must still count as a new file.
-  ASSERT_TRUE(pl.WithFile(t, [&](CommitPipeline::FileSlot& file) {
+  ASSERT_TRUE(log.WithFile([&](CommitLog::FileSlot& file) {
                   file.reset();
                   file = OpenGateFile(&mem, "log2");
                   return Status::OK();
                 }).ok());
-  ASSERT_TRUE(pl.Commit(t, "healed|").ok());
+  ASSERT_TRUE(log.Commit("healed|").ok());
   EXPECT_EQ(mem.ReadFileToString("log2").value(), "healed|");
 }
 
 // CloseFile writes what was queued, syncs, closes and detaches; a failed
 // final sync is the close's status, and later commits ack detached.
-TEST(CommitPipeline, CloseFileSyncsAndReportsTheFirstFailure) {
+TEST(CommitLog, CloseFileSyncsAndReportsTheFirstFailure) {
   MemEnv mem;
-  CommitPipeline pl;
-  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kNever);
+  CommitLog log("log", SyncPolicy::kNever, nullptr, nullptr);
   auto owned = OpenGateFile(&mem, "log");
   GateSyncFile* file = owned.get();
-  PutFile(pl, t, std::move(owned));
-  ASSERT_TRUE(pl.Commit(t, "kept|").ok());
+  PutFile(log, std::move(owned));
+  ASSERT_TRUE(log.Commit("kept|").ok());
   EXPECT_EQ(file->sync_calls(), 0);  // kNever: no fsync before close
-  ASSERT_TRUE(pl.CloseFile(t).ok());
+  ASSERT_TRUE(log.CloseFile().ok());
   EXPECT_EQ(mem.ReadFileToString("log").value(), "kept|");
-  ASSERT_TRUE(pl.Commit(t, "detached|").ok());
+  ASSERT_TRUE(log.Commit("detached|").ok());
   EXPECT_EQ(mem.ReadFileToString("log").value(), "kept|");
 
   owned = OpenGateFile(&mem, "log2");
   owned->FailOnSync(1);
-  PutFile(pl, t, std::move(owned));
-  ASSERT_TRUE(pl.Commit(t, "dropped|").ok());
-  Status cs = pl.CloseFile(t);
+  PutFile(log, std::move(owned));
+  ASSERT_TRUE(log.Commit("dropped|").ok());
+  Status cs = log.CloseFile();
   EXPECT_FALSE(cs.ok());
   EXPECT_NE(cs.message().find("injected fsync failure"), std::string::npos);
 }
 
 // kEverySec ack contract: Commit returns once write() succeeded — no
-// fsync on the ack path. The pipeline syncs on its own once the interval
-// elapses, and a timed-sync failure poisons the target (degrading future
+// fsync on the ack path. The log syncs on its own once the interval
+// elapses, and a timed-sync failure poisons the log (degrading future
 // commits) instead of failing a caller that was already acked. Each clock
 // advance is followed by a wait for the sync it makes due: a leader may
 // run it after its batch, or the timer thread on its next idle wakeup,
 // never both.
-TEST(CommitPipeline, EverySecAcksBeforeSyncAndTimedFailurePoisons) {
+TEST(CommitLog, EverySecAcksBeforeSyncAndTimedFailurePoisons) {
   MemEnv mem;
   auto owned = OpenGateFile(&mem, "log");
   GateSyncFile* file = owned.get();
   SimulatedClock clock(0);
   obs::MetricsRegistry reg;
-  CommitPipeline::Options po;
-  po.metrics = &reg;
-  po.clock = &clock;
-  CommitPipeline pl(po);
   HealthTracker health;
-  CommitPipeline::Target* t =
-      pl.Attach("log", SyncPolicy::kEverySec, &health);
-  PutFile(pl, t, std::move(owned));
+  CommitLog log("log", SyncPolicy::kEverySec, &clock, &reg, &health);
+  PutFile(log, std::move(owned));
 
-  ASSERT_TRUE(pl.Commit(t, "a|").ok());
+  ASSERT_TRUE(log.Commit("a|").ok());
   EXPECT_EQ(file->sync_calls(), 0);  // acked with zero fsyncs issued
 
   // Interval elapses; the timed sync flushes.
@@ -559,7 +536,7 @@ TEST(CommitPipeline, EverySecAcksBeforeSyncAndTimedFailurePoisons) {
   ASSERT_TRUE(
       WaitFor([&] { return mem.ReadFileToString("log").value() == "a|"; }));
   // The interval restarted at that sync: b| acks with no fsync of its own.
-  ASSERT_TRUE(pl.Commit(t, "b|").ok());
+  ASSERT_TRUE(log.Commit("b|").ok());
   EXPECT_EQ(file->sync_calls(), 1);
 
   // Timed-sync failure: the acked caller still got OK (its write
@@ -567,8 +544,8 @@ TEST(CommitPipeline, EverySecAcksBeforeSyncAndTimedFailurePoisons) {
   // degrades so the store stops taking writes.
   file->FailOnSync(2);
   clock.AdvanceSeconds(2);
-  ASSERT_TRUE(WaitFor([&] { return !pl.Commit(t, "c|").ok(); }));
-  Status poisoned = pl.Commit(t, "d|");
+  ASSERT_TRUE(WaitFor([&] { return !log.Commit("c|").ok(); }));
+  Status poisoned = log.Commit("d|");
   EXPECT_NE(poisoned.message().find("injected fsync failure"),
             std::string::npos);
   EXPECT_EQ(health.state(), HealthState::kDegradedReadOnly);
@@ -580,21 +557,18 @@ TEST(CommitPipeline, EverySecAcksBeforeSyncAndTimedFailurePoisons) {
 // A log whose writes stop still gets its tail synced: the timer thread's
 // idle wakeup runs the timed sync once the interval has passed, exactly
 // once, and a later interval with nothing new written syncs nothing.
-TEST(CommitPipeline, EverySecSyncsAnIdleTail) {
+TEST(CommitLog, EverySecSyncsAnIdleTail) {
   MemEnv mem;
   auto owned = OpenGateFile(&mem, "log");
   GateSyncFile* file = owned.get();
   SimulatedClock clock(0);
-  CommitPipeline::Options po;
-  po.clock = &clock;
-  CommitPipeline pl(po);
-  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kEverySec);
-  PutFile(pl, t, std::move(owned));
+  CommitLog log("log", SyncPolicy::kEverySec, &clock, nullptr);
+  PutFile(log, std::move(owned));
 
-  ASSERT_TRUE(pl.Commit(t, "tail|").ok());
+  ASSERT_TRUE(log.Commit("tail|").ok());
   // The batch retires after its own timed-sync check: once it has, only
   // an idle wakeup can sync the tail.
-  ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames(t) == 0; }));
+  ASSERT_TRUE(WaitFor([&] { return log.QueuedFrames() == 0; }));
   clock.AdvanceSeconds(2);
   ASSERT_TRUE(WaitFor([&] { return file->sync_calls() == 1; }));
   EXPECT_EQ(mem.ReadFileToString("log").value(), "tail|");
@@ -646,15 +620,12 @@ class OverlapCheckFile : public WritableFile {
 // syncs due. Each round first lets leaders sync mid-run, then parks the
 // writers so the tail goes idle, and releases them into the timer
 // thread's sync of that tail: they must queue behind it.
-TEST(CommitPipeline, TimedSyncNeverOverlapsABatch) {
+TEST(CommitLog, TimedSyncNeverOverlapsABatch) {
   SimulatedClock clock(0);
-  CommitPipeline::Options po;
-  po.clock = &clock;
-  CommitPipeline pl(po);
-  CommitPipeline::Target* t = pl.Attach("log", SyncPolicy::kEverySec);
+  CommitLog log("log", SyncPolicy::kEverySec, &clock, nullptr);
   auto owned = std::make_unique<OverlapCheckFile>();
   OverlapCheckFile* file = owned.get();
-  PutFile(pl, t, std::move(owned));
+  PutFile(log, std::move(owned));
 
   std::atomic<bool> stop{false}, hold{false};
   std::atomic<int> parked{0}, failures{0};
@@ -669,7 +640,7 @@ TEST(CommitPipeline, TimedSyncNeverOverlapsABatch) {
           parked.fetch_sub(1);
           continue;
         }
-        if (!pl.Commit(t, "x").ok()) failures.fetch_add(1);
+        if (!log.Commit("x").ok()) failures.fetch_add(1);
       }
     });
   }
@@ -693,12 +664,81 @@ TEST(CommitPipeline, TimedSyncNeverOverlapsABatch) {
   EXPECT_GT(idle_syncs, 0);
 }
 
+// Counts its syncs, each held open for a few milliseconds, so a log that
+// is destroyed mid-visit finds the timer inside one.
+class SlowSyncFile : public WritableFile {
+ public:
+  explicit SlowSyncFile(std::atomic<int>* syncs) : syncs_(syncs) {}
+  Status Append(std::string_view) override { return Status::OK(); }
+  Status Sync() override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    syncs_->fetch_add(1);
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+
+ private:
+  std::atomic<int>* syncs_;
+};
+
+// The one idle-tail timer outlives every log it syncs. Logs are built and
+// destroyed, and durable audit chains opened and closed, while it runs:
+// one more log lives through the whole test, so the timer's thread does
+// too. Each cycle leaves a kEverySec tail due for a sync, then drops the
+// log whether or not the timer is inside that sync. A visit to a freed
+// log is a use-after-free that TSAN and ASan report; the test also checks
+// that the timer did sync some of the doomed logs, so the race was run.
+TEST(CommitLog, TimerNeverVisitsADestroyedLog) {
+  SimulatedClock clock(0);
+  MemEnv mem;
+  CommitLog keeps_timer_running("anchor", SyncPolicy::kEverySec, &clock,
+                                nullptr);
+  std::atomic<int> timer_syncs{0};
+  std::mt19937 rng(47);
+  const auto pause = [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(rng() % 12));
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (int cycle = 0; cycle < 40 || (timer_syncs.load() < 3 &&
+                                     std::chrono::steady_clock::now() <
+                                         deadline);
+       ++cycle) {
+    {
+      CommitLog log("log", SyncPolicy::kEverySec, &clock, nullptr);
+      PutFile(log, std::make_unique<SlowSyncFile>(&timer_syncs));
+      // The lone writer's own timed-sync check finds nothing due; the
+      // clock then makes the tail due, and only the timer can sync it.
+      ASSERT_TRUE(log.Commit("x").ok());
+      clock.AdvanceSeconds(2);
+      pause();
+    }
+
+    AuditLog audit(/*seal_interval=*/1);
+    AuditLogOptions ao;
+    ao.env = &mem;
+    ao.path = "audit";
+    ao.sync_policy = SyncPolicy::kEverySec;
+    ao.clock = &clock;
+    ASSERT_TRUE(audit.OpenDurable(ao).ok());
+    AuditEntry e;
+    e.actor_id = "a";
+    e.op = "READ-DATA-BY-KEY";
+    e.key = std::to_string(cycle);
+    audit.Append(e);
+    clock.AdvanceSeconds(2);
+    pause();
+    ASSERT_TRUE(audit.CloseDurable().ok());
+  }
+  EXPECT_GE(timer_syncs.load(), 3);
+}
+
 // ---- end-to-end over MemKV + FaultEnv --------------------------------------
 
 // Crash inside the kEverySec window: everything covered by the last timed
 // sync survives; the unsynced tail is the ONLY thing at risk, and a torn
 // tail never corrupts what came before it.
-TEST(CommitPipeline, EverySecCrashLosesAtMostTheUnsyncedTail) {
+TEST(CommitLog, EverySecCrashLosesAtMostTheUnsyncedTail) {
   MemEnv mem;
   FaultEnv fenv(&mem, /*seed=*/0xc0117);
   SimulatedClock clock(0);
@@ -761,7 +801,7 @@ TEST(CommitPipeline, EverySecCrashLosesAtMostTheUnsyncedTail) {
 
 // The contrast case: a kAlways ack means the group commit fsynced before
 // Commit() returned, so no later crash can take the write back.
-TEST(CommitPipeline, AlwaysAckedWriteSurvivesCrash) {
+TEST(CommitLog, AlwaysAckedWriteSurvivesCrash) {
   MemEnv mem;
   FaultEnv fenv(&mem, /*seed=*/0xc0117);
   {

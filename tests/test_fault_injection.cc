@@ -30,7 +30,6 @@
 #include "gdpr/rel_backend.h"
 #include "kvstore/db.h"
 #include "relstore/database.h"
-#include "storage/commit_pipeline.h"
 #include "storage/fault_env.h"
 
 namespace gdpr {
@@ -536,11 +535,12 @@ TEST(CloseSync, StatementLogCloseReportsFailedFinalSync) {
 //
 // kEverySec bounds the loss to about a second even when writes stop. Each
 // log takes one write, then the interval passes with nothing more written:
-// the commit pipeline's own clock must still push the bytes through
-// FaultEnv's page cache to the base env. No store here runs an expiry cron.
+// the idle-tail timer, reading the owner's clock, must still push the
+// bytes through FaultEnv's page cache to the base env. No store here runs
+// an expiry cron.
 
-// Polls `pred` for up to ~5 s of real time: the pipeline's timer thread
-// runs on real time even when the pipeline's clock is simulated.
+// Polls `pred` for up to ~5 s of real time: the idle-tail timer runs on
+// real time even when a log's clock is simulated.
 bool WaitFor(const std::function<bool()>& pred) {
   for (int i = 0; i < 5000; ++i) {
     if (pred()) return true;
@@ -558,9 +558,9 @@ bool ReachesBase(MemEnv* mem, const std::string& path,
   });
 }
 
-// The stores below run on a pipeline the test owns where it can, and wait
-// for its batches to retire before the clock moves: a batch retires after
-// its own timed-sync check, so from then on only an idle wakeup can sync.
+// Each write below is a lone writer, which leads its own batch through
+// its timed-sync check before Commit returns; so once the write returns
+// and the clock moves, only an idle wakeup can sync.
 
 TEST(IdleTailSync, KvGdprStoreAof) {
   MemEnv mem;
@@ -591,20 +591,15 @@ void ExpectIdleRelTailSynced(rel::RelOptions o, const std::string& path,
   MemEnv mem;
   FaultEnv fenv(&mem, kSeed);
   SimulatedClock clock(0);
-  CommitPipeline::Options po;
-  po.clock = &clock;
-  CommitPipeline pl(po);
   o.env = &fenv;
   o.clock = &clock;
   o.sync_policy = SyncPolicy::kEverySec;
-  o.pipeline = &pl;
   rel::Database db(o);
   ASSERT_TRUE(db.Open().ok());
   auto t = db.CreateTable("idle_t",
                           rel::Schema({{"v", rel::ValueType::kString}}));
   ASSERT_TRUE(t.ok());
   ASSERT_TRUE(db.Insert(t.value(), {rel::Value("idle-row")}).ok());
-  ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames() == 0; }));
   clock.AdvanceSeconds(2);
   EXPECT_TRUE(ReachesBase(&mem, path, needle));
   ASSERT_TRUE(db.Close().ok());
@@ -628,22 +623,18 @@ TEST(IdleTailSync, DurableAuditChain) {
   MemEnv mem;
   FaultEnv fenv(&mem, kSeed);
   SimulatedClock clock(0);
-  CommitPipeline::Options po;
-  po.clock = &clock;
-  CommitPipeline pl(po);
   AuditLog log(/*seal_interval=*/1);  // every append seals one group
   AuditLogOptions ao;
   ao.env = &fenv;
   ao.path = "audit";
   ao.sync_policy = SyncPolicy::kEverySec;
-  ao.pipeline = &pl;
+  ao.clock = &clock;
   ASSERT_TRUE(log.OpenDurable(ao).ok());
   AuditEntry e;
   e.actor_id = "idle-actor";
   e.op = "READ-DATA-BY-KEY";
   e.key = "k";
   log.Append(e);
-  ASSERT_TRUE(WaitFor([&] { return pl.QueuedFrames() == 0; }));
   clock.AdvanceSeconds(2);
   EXPECT_TRUE(ReachesBase(&mem, "audit.seg1", "idle-actor"));
   ASSERT_TRUE(log.CloseDurable().ok());

@@ -289,5 +289,19 @@ TEST(KvGdprStore, FeaturesReflectConfiguration) {
   EXPECT_FALSE(RenderComplianceMatrix(f.value()).empty());
 }
 
+// GET-SYSTEM-FEATURES reports the sealing the store applies: the engine's
+// own encrypt_at_rest seals as surely as the compliance flag does.
+TEST(KvGdprStore, FeaturesReportEngineEncryption) {
+  for (const bool engine : {false, true}) {
+    KvGdprOptions o;
+    o.kv.encrypt_at_rest = engine;
+    KvGdprStore store(o);
+    ASSERT_TRUE(store.Open().ok());
+    auto f = store.GetFeatures(Actor::Regulator());
+    ASSERT_TRUE(f.ok());
+    EXPECT_EQ(f.value().Supports("G 25/32"), engine);
+  }
+}
+
 }  // namespace
 }  // namespace gdpr

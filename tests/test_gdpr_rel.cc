@@ -205,5 +205,19 @@ TEST(RelGdprStore, OpensStoreWithLegacyJoinTables) {
   }
 }
 
+// GET-SYSTEM-FEATURES reports the sealing the store applies: the engine's
+// own encrypt_at_rest seals as surely as the compliance flag does.
+TEST(RelGdprStore, FeaturesReportEngineEncryption) {
+  for (const bool engine : {false, true}) {
+    RelGdprOptions o;
+    o.rel.encrypt_at_rest = engine;
+    RelGdprStore store(o);
+    ASSERT_TRUE(store.Open().ok());
+    auto f = store.GetFeatures(Actor::Regulator());
+    ASSERT_TRUE(f.ok());
+    EXPECT_EQ(f.value().Supports("G 25/32"), engine);
+  }
+}
+
 }  // namespace
 }  // namespace gdpr

@@ -141,7 +141,7 @@ TEST(MemKV, AofPersistsAcrossReopen) {
 }
 
 // An expiry cycle drops the status of its 'D' append on purpose: the
-// pipeline counts the failure and degrades health, and replay erases an 'S'
+// commit log counts the failure and degrades health, and replay erases an 'S'
 // frame whose expiry has passed. So a lost 'D' never resurrects the key.
 TEST(MemKV, LostExpiryFrameDoesNotResurrectTheKey) {
   MemEnv mem;
@@ -515,7 +515,7 @@ TEST(MemKV, ReadLogOrderingHoldsUnderGetForgetRaces) {
   EXPECT_EQ(tombstoned.size(), size_t(kKeys));
 }
 
-// Hands each batch the pipeline appends to one path to a callback, on the
+// Hands each batch a commit log appends to one path to a callback, on the
 // batch leader's thread, before the batch is written.
 class FrameWatchEnv : public MemEnv {
  public:
