@@ -1,11 +1,13 @@
 // google-benchmark micro suite for the core primitives: cipher and hash
 // throughput, record parse/serialize, B+tree ops, zipfian generation,
-// KV/relational point operations, and the AEAD path (per reldb row and per
-// HMAC tag). These are the unit costs the paper's macro numbers decompose
+// KV/relational point operations, the AEAD path (per reldb row and per
+// HMAC tag), and the two halves of a socket purpose answer (node and
+// router). These are the unit costs the paper's macro numbers decompose
 // into. The context block names the SHA-256 kernel the CPU selected.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,7 +21,10 @@
 #include "crypto/chacha20.h"
 #include "crypto/sha256.h"
 #include "gdpr/record.h"
+#include "gdpr/kv_backend.h"
 #include "kvstore/db.h"
+#include "net/rpc_server.h"
+#include "net/wire.h"
 #include "relstore/bptree.h"
 #include "relstore/database.h"
 
@@ -251,6 +256,92 @@ void BM_KvMetadataScan(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
 }
 BENCHMARK(BM_KvMetadataScan)->Arg(1000)->Arg(10000);
+
+// ---- a socket purpose answer, half by half ---------------------------------
+// One cluster node's store: a quarter of a 100k-record dataset, indexed, so
+// a purpose holds about 390 records. The clock stands still, so no record
+// expires and every answer is whole.
+constexpr size_t kNodeRecords = 25000;
+
+struct NodeStore {
+  SimulatedClock clock;
+  bench::DatasetConfig cfg;
+  std::unique_ptr<KvGdprStore> store;
+
+  NodeStore() {
+    KvGdprOptions o;
+    o.clock = &clock;
+    o.compliance.metadata_indexing = true;
+    store = std::make_unique<KvGdprStore>(o);
+    store->Open().ok();
+    bench::RecordGenerator gen(cfg, &clock);
+    for (size_t i = 0; i < kNodeRecords; ++i) {
+      store->CreateRecord(Actor::Controller(), gen.Make(i)).ok();
+    }
+  }
+  // A processor's purpose query, as the router sends it.
+  net::WireRequest PurposeQuery(size_t i) const {
+    net::WireRequest req;
+    req.op = net::WireOp::kReadMetaPurpose;
+    req.key = bench::RecordGenerator(cfg, nullptr).PurposeOf(i);
+    req.actor = Actor::Processor("proc-01", req.key);
+    return req;
+  }
+};
+
+NodeStore& Node() {
+  static NodeStore* node = new NodeStore();
+  return *node;
+}
+
+// Reports the time per record: records / s, inverted, printed as
+// per_record=<t>ns.
+void PerRecord(benchmark::State& state, size_t records) {
+  state.counters["per_record"] = benchmark::Counter(
+      double(records),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+// The node's half: the server's dispatch of a purpose query (the policy
+// walk over the stored images) and the response encode, rotating over the
+// purposes.
+void BM_NodeAnswerDispatchEncode(benchmark::State& state) {
+  NodeStore& node = Node();
+  size_t records = 0, i = 0;
+  for (auto _ : state) {
+    const net::WireResponse resp =
+        net::DispatchRequest(node.store.get(), node.PurposeQuery(i++));
+    const std::string payload = net::EncodeResponse(resp);
+    records += resp.images.count + resp.records.size();
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::ClobberMemory();
+  }
+  PerRecord(state, records);
+}
+BENCHMARK(BM_NodeAnswerDispatchEncode);
+
+// The router's half: the response decode (the answer's one parse) and its
+// delivery into the vector a cluster part stages, over the same answers.
+void BM_RouterAnswerDecodeDeliver(benchmark::State& state) {
+  NodeStore& node = Node();
+  std::vector<std::string> payloads;
+  for (size_t p = 0; p < node.cfg.purposes; ++p) {
+    payloads.push_back(net::EncodeResponse(
+        net::DispatchRequest(node.store.get(), node.PurposeQuery(p))));
+  }
+  size_t records = 0, i = 0;
+  for (auto _ : state) {
+    net::WireResponse resp;
+    net::DecodeResponse(payloads[i++ % payloads.size()], &resp).ok();
+    std::vector<GdprRecord> part;
+    Deliver(AppendTo{&part}, std::move(resp.records));
+    records += part.size();
+    benchmark::DoNotOptimize(part.data());
+    benchmark::ClobberMemory();
+  }
+  PerRecord(state, records);
+}
+BENCHMARK(BM_RouterAnswerDecodeDeliver);
 
 }  // namespace
 }  // namespace gdpr

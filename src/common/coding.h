@@ -35,6 +35,12 @@ inline void PutVarint64(std::string* dst, uint64_t v) {
 }
 
 inline bool GetVarint64(std::string_view* input, uint64_t* v) {
+  // One byte is the common case: every length and count under 128.
+  if (!input->empty() && !(uint8_t(input->front()) & 0x80)) {
+    *v = uint8_t(input->front());
+    input->remove_prefix(1);
+    return true;
+  }
   uint64_t out = 0;
   for (int shift = 0; shift <= 63; shift += 7) {
     if (input->empty()) return false;
@@ -69,19 +75,30 @@ inline void PutStringList(std::string* dst, const std::vector<std::string>& v) {
   for (const auto& s : v) PutLengthPrefixed(dst, s);
 }
 
-// Returns false on truncation, or when the count exceeds the bytes left.
-inline bool GetStringList(std::string_view* input,
+// Reads the list at the front of *input: *span covers its count and its
+// elements, and out, when set, receives the elements. Returns false on
+// truncation, or when the count exceeds the bytes left.
+inline bool GetStringList(std::string_view* input, std::string_view* span,
                           std::vector<std::string>* out) {
+  const std::string_view start = *input;
   uint64_t n = 0;
   if (!GetVarint64(input, &n) || n > input->size()) return false;
-  out->clear();
-  out->reserve(size_t(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string_view s;
-    if (!GetLengthPrefixed(input, &s)) return false;
-    out->emplace_back(s);
+  if (out) {
+    out->clear();
+    out->reserve(size_t(n));
   }
+  for (std::string_view s; n > 0; --n) {
+    if (!GetLengthPrefixed(input, &s)) return false;
+    if (out) out->emplace_back(s);
+  }
+  *span = start.substr(0, start.size() - input->size());
   return true;
+}
+
+inline bool GetStringList(std::string_view* input,
+                          std::vector<std::string>* out) {
+  std::string_view span;
+  return GetStringList(input, &span, out);
 }
 
 }  // namespace gdpr

@@ -82,4 +82,15 @@ inline Status CheckGdprAccess(const ComplianceFlags& flags, const Actor& actor,
   return Status::PermissionDenied("unknown role");
 }
 
+// The per-record rule of a collection read, applied to every record it
+// would serve: a processor is served only records whose subject did not
+// object to its purpose (G 21). The op-level check above has already
+// admitted the read.
+inline bool MayServe(const ComplianceFlags& flags, const Actor& actor,
+                     const RecordView& record) {
+  return !flags.enforce_access_control ||
+         actor.role != Actor::Role::kProcessor ||
+         !record.HasObjection(actor.purpose);
+}
+
 }  // namespace gdpr

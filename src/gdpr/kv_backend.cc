@@ -11,7 +11,7 @@ namespace {
 
 // Slot membership, for both slot exports: the router's own slot hash.
 auto InSlot(uint32_t slot, uint32_t num_slots) {
-  return [slot, num_slots](const std::string& key) {
+  return [slot, num_slots](std::string_view key) {
     return SlotForKey(key, num_slots) == slot;
   };
 }
@@ -164,9 +164,12 @@ Status KvGdprStore::Erase(const GdprRecord& rec) {
   return Status::OK();
 }
 
-Status KvGdprStore::Collect(Attr attr, const std::string& value, bool mask,
-                            std::vector<GdprRecord>* out) {
-  if (!indexing()) return ScanCollect(attr, value, out);
+Status KvGdprStore::Collect(Attr attr, const std::string& value,
+                            const std::function<void(size_t)>& expect,
+                            const ImageFn& fn) {
+  // The O(n) path the paper measures: every record is a hint, and the
+  // policy layer's re-match filters them.
+  if (!indexing()) return Scan(fn);
   const kv::EpochPostingMap& index = attr == Attr::kUser      ? by_user_
                                      : attr == Attr::kPurpose ? by_purpose_
                                                               : by_sharing_;
@@ -181,19 +184,15 @@ Status KvGdprStore::Collect(Attr attr, const std::string& value, bool mask,
     keys.push_back(&k);
     return true;
   });
-  out->reserve(out->size() + keys.size());
+  expect(keys.size());
   db_->GetBatch(keys, [&](size_t, const Status& s, std::string_view raw) {
+    // raw is the stored image, or its plaintext in GetBatch's scratch when
+    // sealed: fn reads it before the next key overwrites it.
     if (s.ok()) {
-      // Decoded once, from the engine's bytes into the slot that keeps it;
-      // a masked query's payload is never copied.
-      GdprRecord& rec = out->emplace_back();
-      if (GdprRecord::ParseInto(raw, /*with_data=*/!mask, &rec).ok()) return;
-      out->pop_back();
-    } else if (s.IsNotFound()) {
-      return;  // normal: erased (or expired) since the probe
+      fn(raw);
+    } else if (!s.IsNotFound()) {  // not found: erased since the probe
+      ++unreadable;  // the record exists but cannot be read back
     }
-    // The record exists but cannot be read back.
-    ++unreadable;
   });
   return CollectionStatus(unreadable);
 }
@@ -201,12 +200,13 @@ Status KvGdprStore::Collect(Attr attr, const std::string& value, bool mask,
 Status KvGdprStore::ForEachExpired(
     int64_t now, const std::function<Status(const std::string&)>& fn) {
   if (!indexing()) {
-    // O(n) sweep: parse every record to find the dead ones. An unreadable
-    // record's TTL is unknowable — fail before claiming a clean sweep.
+    // O(n) sweep: read every record's expiry to find the dead ones. An
+    // unreadable record's TTL is unknowable — fail before claiming a clean
+    // sweep.
     std::vector<std::string> dead;
-    Status s = Scan([&](GdprRecord& rec) {
-      const int64_t expiry = rec.metadata.expiry_micros;
-      if (expiry != 0 && expiry <= now) dead.push_back(std::move(rec.key));
+    Status s = ScanViews([&](RecordView& v) {
+      const int64_t expiry = v.expiry_micros();
+      if (expiry != 0 && expiry <= now) dead.emplace_back(v.key());
       return true;
     });
     for (size_t i = 0; s.ok() && i < dead.size(); ++i) s = fn(dead[i]);
@@ -236,20 +236,9 @@ Status KvGdprStore::ForEachExpired(
   return s;
 }
 
-Status KvGdprStore::Scan(const std::function<bool(GdprRecord&)>& fn) {
-  size_t parse_failures = 0;
-  const size_t decrypt_failures =
-      db_->Scan([&](const std::string&, const std::string& value) {
-        auto rec = GdprRecord::Parse(value);
-        if (!rec.ok()) {
-          // Corruption with encryption off surfaces here, not as a
-          // decrypt failure — count it the same way.
-          ++parse_failures;
-          return true;
-        }
-        return fn(rec.value());
-      });
-  return CollectionStatus(decrypt_failures + parse_failures);
+Status KvGdprStore::Scan(const ImageFn& fn) {
+  return CollectionStatus(db_->Scan(
+      [&](const std::string&, const std::string& value) { return fn(value); }));
 }
 
 StatusOr<bool> KvGdprStore::HasTombstone(const std::string& key) {
@@ -258,6 +247,13 @@ StatusOr<bool> KvGdprStore::HasTombstone(const std::string& key) {
 
 size_t KvGdprStore::TombstoneCount() { return db_->TombstoneCount(); }
 
+Status KvGdprStore::ReadCollectionImages(const Actor& actor,
+                                         CollectionKind kind,
+                                         const std::string& value,
+                                         net::RecordImages* images) {
+  return AppendImages(actor, kind, value, &images->bytes, &images->count);
+}
+
 StatusOr<net::SlotContents> KvGdprStore::ExportSlot(uint32_t slot,
                                                     uint32_t num_slots) {
   if (Status s = CheckSlot(slot, num_slots); !s.ok()) return s;
@@ -265,8 +261,8 @@ StatusOr<net::SlotContents> KvGdprStore::ExportSlot(uint32_t slot,
   net::SlotContents out;
   // A partial export would migrate a slot minus its unreadable records —
   // the copy would silently drop data the source still legally holds.
-  Status s = Scan([&](GdprRecord& rec) {
-    if (in_slot(rec.key)) out.records.push_back(std::move(rec));
+  Status s = ScanViews([&](RecordView& v) {
+    if (in_slot(v.key())) v.CopyTo(&out.records.emplace_back());
     return true;
   });
   if (!s.ok()) return s;

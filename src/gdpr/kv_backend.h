@@ -17,10 +17,10 @@
 // epoch for the whole read and, without any index lock, collects pointers
 // to one attribute's keys where the posting nodes hold them. One
 // MemKV::GetBatch reads those keys — prefetched lookups in groups of 16,
-// and Get's per-entry rules — and each record is decoded once, straight
-// from the engine's bytes into the answer slot that keeps it, skipping the
-// payload when the query is masked. Point fetches (GetRaw) are MemKV's
-// lock-free Get.
+// and Get's per-entry rules — and hands each stored image to the policy
+// layer's walk as it lies, with no parse: a node's wire answer copies it
+// out, an in-process answer decodes it once into the slot that keeps it.
+// Point fetches (GetRaw) are MemKV's lock-free Get.
 //
 // Write path: each attribute's keys form a small hashed set that grows
 // copy-on-grow, and an upsert diffs the old and new metadata, touching only
@@ -74,6 +74,9 @@ class KvGdprStore : public PolicyStore, public net::NodeHandle {
   const KvGdprOptions& options() const { return options_; }
 
   // --- The cluster-node surface (net/node_handle.h) -------------------------
+  Status ReadCollectionImages(const Actor& actor, CollectionKind kind,
+                              const std::string& value,
+                              net::RecordImages* images) override;
   StatusOr<net::SlotContents> ExportSlot(uint32_t slot,
                                          uint32_t num_slots) override;
   Status ImportSlot(const net::SlotContents& contents) override;
@@ -84,12 +87,13 @@ class KvGdprStore : public PolicyStore, public net::NodeHandle {
   StatusOr<GdprRecord> GetRaw(const std::string& key) override;
   Status Put(const GdprRecord& rec, const GdprRecord* prev) override;
   Status Erase(const GdprRecord& rec) override;
-  Status Collect(Attr attr, const std::string& value, bool mask,
-                 std::vector<GdprRecord>* out) override;
+  Status Collect(Attr attr, const std::string& value,
+                 const std::function<void(size_t n)>& expect,
+                 const ImageFn& fn) override;
   Status ForEachExpired(
       int64_t now,
       const std::function<Status(const std::string&)>& fn) override;
-  Status Scan(const std::function<bool(GdprRecord&)>& fn) override;
+  Status Scan(const ImageFn& fn) override;
   StatusOr<bool> HasTombstone(const std::string& key) override;
   size_t TombstoneCount() override;
   Status CompactLog() override;

@@ -1,15 +1,35 @@
 #include "gdpr/policy_store.h"
 
 #include <algorithm>
+#include <initializer_list>
 
+#include "common/coding.h"
 #include "gdpr/access.h"
 
 namespace gdpr {
 
 namespace {
 
-bool Expired(const GdprMetadata& m, int64_t now) {
-  return m.expiry_micros != 0 && m.expiry_micros <= now;
+bool Expired(int64_t expiry_micros, int64_t now) {
+  return expiry_micros != 0 && expiry_micros <= now;
+}
+
+// reldb stores each list as one '|'-joined column, so an element that is
+// empty or holds a '|' would not read back as itself. The rule is the
+// store's, on every engine, so no engine answers differently.
+Status CheckListElements(
+    std::initializer_list<const std::vector<std::string>*> lists) {
+  for (const std::vector<std::string>* list : lists) {
+    if (!list) continue;
+    for (const std::string& x : *list) {
+      if (x.empty() || x.find('|') != std::string::npos) {
+        return Status::InvalidArgument(
+            "metadata list element \"" + x +
+            "\" is empty or contains '|'");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -41,11 +61,11 @@ void PolicyStore::Audit(const Actor& actor, const char* op,
 }
 
 bool PolicyStore::Matches(Attr attr, const std::string& value,
-                          const GdprMetadata& m) {
+                          const RecordView& v) {
   switch (attr) {
-    case Attr::kUser: return m.user == value;
-    case Attr::kPurpose: return m.HasPurpose(value);
-    case Attr::kSharing: return m.SharedWith(value);
+    case Attr::kUser: return v.user() == value;
+    case Attr::kPurpose: return v.HasPurpose(value);
+    case Attr::kSharing: return v.SharedWith(value);
   }
   return false;
 }
@@ -56,13 +76,20 @@ Status PolicyStore::CollectionStatus(size_t unreadable) {
                           " record(s) failed at-rest decryption");
 }
 
-Status PolicyStore::ScanCollect(Attr attr, const std::string& value,
-                                std::vector<GdprRecord>* out) {
-  // The O(n) path the paper measures: walk every record, parse, filter.
-  return Scan([&](GdprRecord& rec) {
-    if (Matches(attr, value, rec.metadata)) out->push_back(std::move(rec));
+Status PolicyStore::ReadViews(
+    const std::function<Status(const ImageFn&)>& hook, const ViewFn& fn) {
+  size_t unreadable = 0;
+  RecordView view;
+  const Status s = hook([&](std::string_view image) {
+    if (view.Read(image).ok()) return fn(view);
+    ++unreadable;  // corruption with encryption off surfaces here
     return true;
   });
+  return s.ok() ? CollectionStatus(unreadable) : s;
+}
+
+Status PolicyStore::ScanViews(const ViewFn& fn) {
+  return ReadViews([this](const ImageFn& f) { return Scan(f); }, fn);
 }
 
 StatusOr<GdprRecord> PolicyStore::FetchForOp(const Actor& actor,
@@ -71,7 +98,7 @@ StatusOr<GdprRecord> PolicyStore::FetchForOp(const Actor& actor,
                                              bool include_expired) {
   auto rec = GetRaw(key);
   if (rec.ok() && !include_expired &&
-      Expired(rec.value().metadata, NowMicros())) {
+      Expired(rec.value().metadata.expiry_micros, NowMicros())) {
     rec = Status::NotFound(key + " (expired)");
   }
   Status s = rec.ok() ? CheckGdprAccess(flags_, actor, op, &rec.value())
@@ -93,6 +120,10 @@ Status PolicyStore::CreateRecord(const Actor& actor,
                                  const GdprRecord& record) {
   obs::SampledTimer op_timer(op_hist(ops::OpClass::kCreate), clock_);
   Status access = CheckGdprAccess(flags_, actor, ops::kCreate, &record);
+  if (access.ok()) {
+    const GdprMetadata& m = record.metadata;
+    access = CheckListElements({&m.purposes, &m.objections, &m.shared_with});
+  }
   if (!access.ok()) {
     Audit(actor, ops::kCreate, record.key, false);
     return access;
@@ -124,9 +155,11 @@ StatusOr<GdprMetadata> PolicyStore::ReadMetadataByKey(const Actor& actor,
   return std::move(rec.value().metadata);
 }
 
-Status PolicyStore::ReadCollection(const Actor& actor, CollectionKind kind,
+template <class Answer>
+Status PolicyStore::WalkCollection(const Actor& actor, CollectionKind kind,
                                    const std::string& value,
-                                   const RecordSink& sink) {
+                                   const std::function<void(size_t)>& expect,
+                                   Answer& answer) {
   // The attribute each kind selects on, and whether it masks personal data.
   // kAll selects nothing.
   struct Spec {
@@ -141,6 +174,7 @@ Status PolicyStore::ReadCollection(const Actor& actor, CollectionKind kind,
       {Attr::kUser, false},     // kAll
   };
   const Spec& spec = kSpecs[static_cast<size_t>(kind)];
+  const bool all = kind == CollectionKind::kAll;
   const ops::OpClass op_class = CollectionOpClass(kind);
   const char* const op = ops::OpClassName(op_class);
   obs::ScopedTimer op_timer(op_hist(op_class), clock_);
@@ -149,33 +183,79 @@ Status PolicyStore::ReadCollection(const Actor& actor, CollectionKind kind,
   Status access = CheckGdprAccess(flags_, actor, op, nullptr, &value);
   Audit(actor, op, value, access.ok());
   if (!access.ok()) return access;
-  if (kind == CollectionKind::kAll) {
-    const int64_t now = NowMicros();
-    // At-rest corruption surfaces as DataLoss: the skipped records are
-    // personal data this store can no longer produce — a compliance
-    // incident, not a detail to swallow.
-    return Scan([&](GdprRecord& rec) {
-      return Expired(rec.metadata, now) || sink(rec);
-    });
-  }
-  std::vector<GdprRecord> recs;
-  const Status collected = Collect(spec.attr, value, spec.mask, &recs);
-  // Collections are hints: a concurrent upsert may have re-attributed a key
-  // since the index probe, and serving it under the old attribute would hand
-  // subject A a record that now belongs to subject B.
   const int64_t now = NowMicros();
-  recs.erase(std::remove_if(recs.begin(), recs.end(),
-                            [&](const GdprRecord& r) {
-                              return Expired(r.metadata, now) ||
-                                     !Matches(spec.attr, value, r.metadata);
-                            }),
-             recs.end());
-  if (spec.mask) {
-    // An engine may already have left data empty; the rule is this one.
-    for (auto& r : recs) r.data.clear();
+  size_t unreadable = 0;
+  RecordView v;
+  const ImageFn visit = [&](std::string_view image) {
+    if (!v.Read(image, answer.Slot(), !spec.mask).ok()) {
+      answer.Drop();
+      ++unreadable;  // corruption with encryption off surfaces here
+      return true;
+    }
+    // Collections are hints: a concurrent upsert may have re-attributed a
+    // key since the index probe, and serving it under the old attribute
+    // would hand subject A a record that now belongs to subject B.
+    if (Expired(v.expiry_micros(), now) ||
+        (!all && !Matches(spec.attr, value, v)) ||
+        !MayServe(flags_, actor, v)) {
+      answer.Drop();
+      return true;
+    }
+    if (spec.mask) v.Mask();
+    return answer.Take(v);
+  };
+  const Status s = all ? Scan(visit) : Collect(spec.attr, value, expect, visit);
+  // At-rest corruption surfaces as DataLoss: the skipped records are
+  // personal data this store can no longer produce — a compliance incident,
+  // not a detail to swallow.
+  return s.ok() ? CollectionStatus(unreadable) : s;
+}
+
+Status PolicyStore::ReadCollection(const Actor& actor, CollectionKind kind,
+                                   const std::string& value,
+                                   const RecordSink& sink) {
+  if (kind == CollectionKind::kAll) {
+    // Streams: one record, refilled for each image and handed to sink.
+    struct {
+      const RecordSink& sink;
+      GdprRecord rec;
+      GdprRecord* Slot() { return &rec; }
+      bool Take(RecordView&) { return sink(rec); }
+      void Drop() {}
+    } stream{sink, {}};
+    return WalkCollection(actor, kind, value, nullptr, stream);
   }
-  Deliver(sink, std::move(recs));
-  return collected;
+  // Each image is read into the next slot of the answer, which a record
+  // that fails a rule gives back.
+  struct {
+    std::vector<GdprRecord> recs;
+    GdprRecord* Slot() { return &recs.emplace_back(); }
+    bool Take(RecordView&) { return true; }
+    void Drop() { recs.pop_back(); }
+  } answer;
+  const Status s = WalkCollection(
+      actor, kind, value, [&](size_t n) { answer.recs.reserve(n); }, answer);
+  Deliver(sink, std::move(answer.recs));
+  return s;
+}
+
+Status PolicyStore::AppendImages(const Actor& actor, CollectionKind kind,
+                                 const std::string& value, std::string* images,
+                                 uint64_t* count) {
+  // Copies nothing out: each image that passes is appended as it lies.
+  struct {
+    std::string* images;
+    uint64_t* count;
+    GdprRecord* Slot() { return nullptr; }
+    bool Take(RecordView& v) {
+      PutVarint64(images, v.ImageSize());
+      v.AppendImage(images);
+      ++*count;
+      return true;
+    }
+    void Drop() {}
+  } append{images, count};
+  return WalkCollection(actor, kind, value, [](size_t) {}, append);
 }
 
 Status PolicyStore::UpdateMetadataByKey(const Actor& actor,
@@ -185,6 +265,14 @@ Status PolicyStore::UpdateMetadataByKey(const Actor& actor,
   std::lock_guard<std::mutex> key_lock(KeyMutex(key));
   auto rec = FetchForOp(actor, ops::kUpdateMeta, key, false);
   if (!rec.ok()) return rec.status();
+  Status valid = CheckListElements(
+      {update.purposes ? &*update.purposes : nullptr,
+       update.objections ? &*update.objections : nullptr,
+       update.shared_with ? &*update.shared_with : nullptr});
+  if (!valid.ok()) {
+    Audit(actor, ops::kUpdateMeta, key, false);
+    return valid;
+  }
   GdprRecord updated = rec.value();
   GdprMetadata& m = updated.metadata;
   if (update.user) m.user = *update.user;
@@ -237,14 +325,22 @@ StatusOr<size_t> PolicyStore::DeleteRecordsByUser(const Actor& actor,
     return access;
   }
   // Only the victims' keys are read: each is re-fetched under its lock.
-  std::vector<GdprRecord> victims;
-  const Status collected = Collect(Attr::kUser, user, /*mask=*/true, &victims);
+  std::vector<std::string> victims;
+  const Status collected = ReadViews(
+      [&](const ImageFn& fn) {
+        return Collect(
+            Attr::kUser, user, [&](size_t n) { victims.reserve(n); }, fn);
+      },
+      [&](RecordView& v) {
+        if (v.user() == user) victims.emplace_back(v.key());
+        return true;
+      });
   size_t erased = 0;
-  for (const auto& victim : victims) {
-    std::lock_guard<std::mutex> key_lock(KeyMutex(victim.key));
+  for (const std::string& victim : victims) {
+    std::lock_guard<std::mutex> key_lock(KeyMutex(victim));
     // Revalidate under the key lock: a concurrent upsert may have handed
     // the key to another subject since collection.
-    auto cur = GetRaw(victim.key);
+    auto cur = GetRaw(victim);
     Status s = cur.status();
     if (cur.ok()) {
       if (cur.value().metadata.user != user) continue;
@@ -282,7 +378,9 @@ StatusOr<size_t> PolicyStore::DeleteExpiredRecords(const Actor& actor) {
         return rec.status().IsNotFound() ? Status::OK() : rec.status();
       }
       // Re-created or TTL extended since the engine listed it.
-      if (!Expired(rec.value().metadata, now)) return Status::OK();
+      if (!Expired(rec.value().metadata.expiry_micros, now)) {
+        return Status::OK();
+      }
       Status es = Erase(rec.value());
       if (es.ok()) ++reclaimed;
       return es;

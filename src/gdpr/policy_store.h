@@ -11,6 +11,12 @@
 // collection may return records that no longer match (or have expired), and
 // this layer re-checks every one against the fetched record before serving
 // or erasing it.
+//
+// A collection read is one walk over record images (gdpr/record.h): the
+// engine yields plaintext images, and each is read once as a RecordView and
+// checked there. ReadCollection copies the records that pass into an
+// answer; AppendImages, a cluster node's wire answer, appends their images
+// and builds no record at all.
 
 #pragma once
 
@@ -19,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.h"
@@ -33,10 +40,10 @@ class PolicyStore : public AuditedStore {
                                      const std::string& key) final;
   StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
                                            const std::string& key) final;
-  // Check, audit, collect, re-match, drop expired records, and mask
-  // personal data for the metadata kinds. kAll streams the engine's Scan.
-  // DataLoss when the engine met unreadable records; sink has already seen
-  // every readable one.
+  // The collection walk (see AppendImages), copying each record that passes
+  // into an answer that sink then receives; kAll streams into sink as the
+  // engine's Scan goes. DataLoss when unreadable records were met; sink has
+  // already seen every readable one.
   Status ReadCollection(const Actor& actor, CollectionKind kind,
                         const std::string& value,
                         const RecordSink& sink) final;
@@ -55,6 +62,17 @@ class PolicyStore : public AuditedStore {
                                                   int64_t to_micros) final;
   StatusOr<Features> GetFeatures(const Actor& actor) final;
 
+  // The same walk as ReadCollection: check and audit, then every record the
+  // engine yields is read once as a view and must pass expiry, the
+  // attribute re-match and the processor objection filter (G 21); the
+  // metadata kinds mask it. Each record that passes is appended to *images
+  // as the wire's record list carries it — its image, length-prefixed, with
+  // an empty data field when masked — and counted in *count. No GdprRecord
+  // is built.
+  Status AppendImages(const Actor& actor, CollectionKind kind,
+                      const std::string& value, std::string* images,
+                      uint64_t* count);
+
   // Engine log compaction, then the audit chain's retention pass.
   StatusOr<CompactionStats> CompactNow(const Actor& actor) final;
 
@@ -65,6 +83,12 @@ class PolicyStore : public AuditedStore {
  protected:
   // The metadata attribute a collection selects on.
   enum class Attr { kUser, kPurpose, kSharing };
+  // Receives one plaintext record image, valid only during the call;
+  // returns false to stop (only Scan stops).
+  using ImageFn = std::function<bool(std::string_view image)>;
+  // Receives one readable record as a view (valid only during the call);
+  // returns false to stop.
+  using ViewFn = std::function<bool(RecordView& view)>;
 
   // metrics: the caller-supplied registry, or nullptr for the store's own.
   // engine_name feeds GET-SYSTEM-FEATURES.
@@ -83,21 +107,22 @@ class PolicyStore : public AuditedStore {
   // caller's key lock. Fails without recording evidence when the erasure
   // cannot be made durable.
   virtual Status Erase(const GdprRecord& rec) = 0;
-  // Appends records whose attr may equal value — hints, expired records
-  // included; the engine picks index or scan. mask says the caller never
-  // reads the records' data, so the engine may leave it empty instead of
-  // copying it. Returns DataLoss when it met records it could not read;
-  // *out then holds the readable ones.
-  virtual Status Collect(Attr attr, const std::string& value, bool mask,
-                         std::vector<GdprRecord>* out) = 0;
+  // Feeds fn the image of every record whose attr may equal value — hints,
+  // expired records included; the engine picks index or scan, and an index
+  // first calls expect(n) with how many keys it is about to fetch. Returns
+  // DataLoss when it met records it could not read; fn has then seen the
+  // readable ones.
+  virtual Status Collect(Attr attr, const std::string& value,
+                         const std::function<void(size_t n)>& expect,
+                         const ImageFn& fn) = 0;
   // Calls fn(key) for every record that may have expired by now, stopping
   // at (and returning) the first failure. DataLoss when unreadable records
   // may hide expired ones; fn has then not run.
   virtual Status ForEachExpired(
       int64_t now, const std::function<Status(const std::string&)>& fn) = 0;
-  // Visits every stored record, expired included; fn may move from its
-  // argument and returns false to stop. DataLoss when some were unreadable.
-  virtual Status Scan(const std::function<bool(GdprRecord&)>& fn) = 0;
+  // Feeds fn the image of every stored record, expired included, until fn
+  // returns false. DataLoss when some were unreadable.
+  virtual Status Scan(const ImageFn& fn) = 0;
   virtual StatusOr<bool> HasTombstone(const std::string& key) = 0;
   virtual size_t TombstoneCount() = 0;
   virtual Status CompactLog() = 0;
@@ -112,9 +137,8 @@ class PolicyStore : public AuditedStore {
   std::mutex& KeyMutex(const std::string& key) {
     return key_mu_[Fnv1a(key) % key_mu_.size()];
   }
-  // Collect's scan fallback, built on Scan.
-  Status ScanCollect(Attr attr, const std::string& value,
-                     std::vector<GdprRecord>* out);
+  // Scan with fn seeing each image as a view (see ReadViews).
+  Status ScanViews(const ViewFn& fn);
   // DataLoss naming how many records could not be read; OK for zero.
   static Status CollectionStatus(size_t unreadable);
 
@@ -126,7 +150,23 @@ class PolicyStore : public AuditedStore {
 
  private:
   static bool Matches(Attr attr, const std::string& value,
-                      const GdprMetadata& m);
+                      const RecordView& v);
+  // Runs hook, an engine hook that feeds images (Collect or Scan), with fn
+  // seeing each as a view: an image that does not read counts as
+  // unreadable, and the verdict is the hook's, or DataLoss naming that
+  // count.
+  static Status ReadViews(const std::function<Status(const ImageFn&)>& hook,
+                          const ViewFn& fn);
+  // The body of ReadCollection and AppendImages, handing records to
+  // answer: Slot() names the record the next image is copied into as it is
+  // read (nullptr for none), Take(view) takes a record that passed every
+  // rule (false stops the walk), and Drop() gives back the slot of one that
+  // did not read or did not pass. expect is handed to Collect.
+  template <class Answer>
+  Status WalkCollection(const Actor& actor, CollectionKind kind,
+                        const std::string& value,
+                        const std::function<void(size_t n)>& expect,
+                        Answer& answer);
   // AuditedStore::Audit, counting every refusal in denied_ first.
   void Audit(const Actor& actor, const char* op, const std::string& key,
              bool allowed);

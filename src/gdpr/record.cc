@@ -1,6 +1,5 @@
 #include "gdpr/record.h"
 
-#include "common/coding.h"
 
 namespace gdpr {
 
@@ -34,37 +33,8 @@ std::string GdprRecord::Serialize() const {
 
 Status GdprRecord::ParseInto(std::string_view wire, bool with_data,
                              GdprRecord* rec) {
-  if (wire.size() < 2 || wire[0] != kMagic) {
-    return Status::DataLoss("bad record magic");
-  }
-  if (wire[1] != kVersion) return Status::DataLoss("bad record version");
-  wire.remove_prefix(2);
-  std::string_view key, data, user, origin;
-  if (!GetLengthPrefixed(&wire, &key) || !GetLengthPrefixed(&wire, &data) ||
-      !GetLengthPrefixed(&wire, &user) || !GetLengthPrefixed(&wire, &origin)) {
-    return Status::DataLoss("truncated record header");
-  }
-  rec->key.assign(key);
-  if (with_data) {
-    rec->data.assign(data);
-  } else {
-    rec->data.clear();
-  }
-  GdprMetadata& m = rec->metadata;
-  m.user.assign(user);
-  m.origin.assign(origin);
-  if (!GetStringList(&wire, &m.purposes) ||
-      !GetStringList(&wire, &m.objections) ||
-      !GetStringList(&wire, &m.shared_with)) {
-    return Status::DataLoss("truncated record lists");
-  }
-  uint64_t expiry = 0, created = 0;
-  if (!GetFixed64(&wire, &expiry) || !GetFixed64(&wire, &created)) {
-    return Status::DataLoss("truncated record timestamps");
-  }
-  m.expiry_micros = int64_t(expiry);
-  m.created_micros = int64_t(created);
-  return Status::OK();
+  RecordView view;
+  return view.Read(wire, rec, with_data);
 }
 
 StatusOr<GdprRecord> GdprRecord::Parse(std::string_view wire,
@@ -82,6 +52,71 @@ size_t GdprRecord::ApproximateBytes() const {
   for (const auto& s : metadata.objections) n += s.size() + 1;
   for (const auto& s : metadata.shared_with) n += s.size() + 1;
   return n;
+}
+
+// Copying while the fields are read, rather than after, lets the copies
+// overlap the walk from one length prefix to the next.
+Status RecordView::Read(std::string_view wire, GdprRecord* copy,
+                        bool with_data) {
+  if (wire.size() < 2 || wire[0] != kMagic) {
+    return Status::DataLoss("bad record magic");
+  }
+  if (wire[1] != kVersion) return Status::DataLoss("bad record version");
+  std::string_view in = wire.substr(2);
+  if (!GetLengthPrefixed(&in, &key_) || !GetLengthPrefixed(&in, &data_) ||
+      !GetLengthPrefixed(&in, &user_) || !GetLengthPrefixed(&in, &origin_)) {
+    return Status::DataLoss("truncated record header");
+  }
+  GdprMetadata* const m = copy ? &copy->metadata : nullptr;
+  if (copy) {
+    copy->key.assign(key_);
+    copy->data.assign(with_data ? data_ : std::string_view());
+    m->user.assign(user_);
+    m->origin.assign(origin_);
+  }
+  if (!GetStringList(&in, &purposes_, m ? &m->purposes : nullptr) ||
+      !GetStringList(&in, &objections_, m ? &m->objections : nullptr) ||
+      !GetStringList(&in, &shared_, m ? &m->shared_with : nullptr)) {
+    return Status::DataLoss("truncated record lists");
+  }
+  uint64_t expiry = 0, created = 0;
+  if (!GetFixed64(&in, &expiry) || !GetFixed64(&in, &created)) {
+    return Status::DataLoss("truncated record timestamps");
+  }
+  expiry_micros_ = int64_t(expiry);
+  created_micros_ = int64_t(created);
+  if (m) {
+    m->expiry_micros = expiry_micros_;
+    m->created_micros = created_micros_;
+  }
+  image_ = wire.substr(0, wire.size() - in.size());
+  masked_ = false;
+  return Status::OK();
+}
+
+// A masked image is the head through the key, an empty data field (one
+// zero byte), then everything after the data: two copies, no re-encode.
+size_t RecordView::ImageSize() const {
+  if (!masked_) return image_.size();
+  const char* const field = key_.data() + key_.size();
+  return image_.size() - size_t(data_.data() + data_.size() - field) + 1;
+}
+
+void RecordView::AppendImage(std::string* out) const {
+  if (!masked_) {
+    out->append(image_);
+    return;
+  }
+  const char* const field = key_.data() + key_.size();
+  const char* const tail = data_.data() + data_.size();
+  out->append(image_.data(), size_t(field - image_.data()));
+  out->push_back('\0');
+  out->append(tail, size_t(image_.data() + image_.size() - tail));
+}
+
+void RecordView::CopyTo(GdprRecord* rec) const {
+  // image_ read once already, so it reads again.
+  (void)RecordView().Read(image_, rec, !masked_);
 }
 
 }  // namespace gdpr

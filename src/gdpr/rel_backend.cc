@@ -110,14 +110,9 @@ rel::Row RelGdprStore::ToRow(const GdprRecord& rec) const {
                   rel::Value(m.created_micros)};
 }
 
-void RelGdprStore::FromRow(const rel::Row& row, bool with_data,
-                           GdprRecord* rec) const {
+void RelGdprStore::FromRow(const rel::Row& row, GdprRecord* rec) const {
   rec->key = row[kKey].AsString();
-  if (with_data) {
-    rec->data = row[kData].AsString();
-  } else {
-    rec->data.clear();
-  }
+  rec->data = row[kData].AsString();
   GdprMetadata& m = rec->metadata;
   m.user = row[kUser].AsString();
   m.origin = row[kOrigin].AsString();
@@ -134,7 +129,7 @@ StatusOr<GdprRecord> RelGdprStore::GetRaw(const std::string& key) {
   if (!rows.ok()) return rows.status();
   if (rows.value().empty()) return Status::NotFound(key);
   GdprRecord rec;
-  FromRow(rows.value()[0], /*with_data=*/true, &rec);
+  FromRow(rows.value()[0], &rec);
   return rec;
 }
 
@@ -171,21 +166,29 @@ Status RelGdprStore::Erase(const GdprRecord& rec) {
   return Status::OK();
 }
 
+std::function<bool(const rel::Row&)> RelGdprStore::Images(
+    const ImageFn& fn) const {
+  return [this, &fn, rec = GdprRecord(), image = std::string()](
+             const rel::Row& row) mutable {
+    FromRow(row, &rec);
+    image.clear();
+    rec.SerializeTo(&image);
+    return fn(image);
+  };
+}
+
 // One Select: MatchRowIds probes the column's index when indexing() built
-// one and scans otherwise. Each row decodes once, into the slot that keeps
-// it; a masked query's payload is never copied.
-Status RelGdprStore::Collect(Attr attr, const std::string& value, bool mask,
-                             std::vector<GdprRecord>* out) {
+// one and scans otherwise.
+Status RelGdprStore::Collect(Attr attr, const std::string& value,
+                             const std::function<void(size_t)>&,
+                             const ImageFn& fn) {
   const rel::Predicate pred =
       attr == Attr::kUser
           ? rel::Compare(kUser, rel::CompareOp::kEq, rel::Value(value))
           : rel::Compare(attr == Attr::kPurpose ? kPurposes : kShared,
                          rel::CompareOp::kHas, rel::Value(value));
   // The visiting Select: the readable rows arrive before a DataLoss.
-  return db_->Select(records_, pred, 0, [this, mask, out](rel::Row& row) {
-    FromRow(row, /*with_data=*/!mask, &out->emplace_back());
-    return true;
-  });
+  return db_->Select(records_, pred, 0, Images(fn));
 }
 
 Status RelGdprStore::ForEachExpired(
@@ -202,12 +205,8 @@ Status RelGdprStore::ForEachExpired(
   return Status::OK();
 }
 
-Status RelGdprStore::Scan(const std::function<bool(GdprRecord&)>& fn) {
-  return db_->ScanRows(records_, [&](const rel::Row& row) {
-    GdprRecord rec;
-    FromRow(row, /*with_data=*/true, &rec);
-    return fn(rec);
-  });
+Status RelGdprStore::Scan(const ImageFn& fn) {
+  return db_->ScanRows(records_, Images(fn));
 }
 
 StatusOr<bool> RelGdprStore::HasTombstone(const std::string& key) {

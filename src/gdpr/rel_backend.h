@@ -50,12 +50,13 @@ class RelGdprStore : public PolicyStore {
   // Upsert: an Update of the live row, or delete + insert without one.
   Status Put(const GdprRecord& rec, const GdprRecord* prev) override;
   Status Erase(const GdprRecord& rec) override;
-  Status Collect(Attr attr, const std::string& value, bool mask,
-                 std::vector<GdprRecord>* out) override;
+  Status Collect(Attr attr, const std::string& value,
+                 const std::function<void(size_t n)>& expect,
+                 const ImageFn& fn) override;
   Status ForEachExpired(
       int64_t now,
       const std::function<Status(const std::string&)>& fn) override;
-  Status Scan(const std::function<bool(GdprRecord&)>& fn) override;
+  Status Scan(const ImageFn& fn) override;
   StatusOr<bool> HasTombstone(const std::string& key) override;
   size_t TombstoneCount() override;
   // Erasure-aware checkpoint: snapshot table heaps (tombstone table
@@ -69,9 +70,11 @@ class RelGdprStore : public PolicyStore {
 
  private:
   rel::Row ToRow(const GdprRecord& rec) const;
-  // The one row decoder: fills *rec, overwriting every field; with_data =
-  // false leaves data empty without copying the payload.
-  void FromRow(const rel::Row& row, bool with_data, GdprRecord* rec) const;
+  // The one row decoder: fills *rec, overwriting every field.
+  void FromRow(const rel::Row& row, GdprRecord* rec) const;
+  // Calls fn with each visited row's record image, built through one
+  // reused record and buffer: the images Collect and Scan feed.
+  std::function<bool(const rel::Row&)> Images(const ImageFn& fn) const;
 
   RelGdprOptions options_;
   std::unique_ptr<rel::Database> db_;

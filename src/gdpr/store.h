@@ -60,8 +60,8 @@ inline ops::OpClass CollectionOpClass(CollectionKind kind) {
 // to stop.
 using RecordSink = std::function<bool(GdprRecord&)>;
 
-// The sink that appends every record to a vector: the vector wrappers',
-// the cluster's per-node staging and the server's response.
+// The sink that appends every record to a vector: the vector wrappers'
+// and the cluster's per-node staging.
 struct AppendTo {
   std::vector<GdprRecord>* out;
   bool operator()(GdprRecord& rec) const {

@@ -8,8 +8,10 @@
 //
 // Surface notes:
 //   * The five collection reads (the Table 2 queries, the export and the
-//     scan) are one op, ReadCollection. A remote node ships the records it
-//     delivered in one response and the handle replays them into the
+//     scan) are one op, ReadCollection. A node's server answers it with
+//     ReadCollectionImages: the delivered records' images (gdpr/record.h),
+//     appended as the wire's record list carries them, so the node builds
+//     no record. The handle decodes them once and replays them into the
 //     caller's sink; the op status (a DataLoss verdict included) rides
 //     alongside.
 //   * Migration speaks whole slots: one export, one import, one eviction
@@ -43,8 +45,23 @@ struct SlotContents {
   std::vector<std::string> tombstones;
 };
 
+// A collection answer as the wire carries it: count records, each image
+// length-prefixed, back to back in bytes (the record list's body after its
+// count).
+struct RecordImages {
+  uint64_t count = 0;
+  std::string bytes;
+};
+
 class NodeHandle : public virtual GdprStore {
  public:
+  // ReadCollection, with each delivered record appended to *images instead
+  // of handed to a sink; masked records carry an empty data field. Same
+  // checks, audit and status.
+  virtual Status ReadCollectionImages(const Actor& actor, CollectionKind kind,
+                                      const std::string& value,
+                                      RecordImages* images) = 0;
+
   // Slot migration (router-driven; not GDPR-audited node-side: a rebalance
   // is infrastructure, audited once on the router's chain).
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/clock.h"
+#include "common/coding.h"
 #include "net/socket_io.h"
 
 namespace gdpr::net {
@@ -190,6 +191,20 @@ Status RemoteHandle::ReadCollection(const Actor& actor, CollectionKind kind,
   // The node read in full; an early stop here only stops the replay.
   Deliver(sink, std::move(resp.records));
   return resp.status;
+}
+
+Status RemoteHandle::ReadCollectionImages(const Actor& actor,
+                                          CollectionKind kind,
+                                          const std::string& value,
+                                          RecordImages* images) {
+  std::string image;
+  return ReadCollection(actor, kind, value, [&](GdprRecord& rec) {
+    image.clear();
+    rec.SerializeTo(&image);
+    PutLengthPrefixed(&images->bytes, image);
+    ++images->count;
+    return true;
+  });
 }
 
 Status RemoteHandle::UpdateMetadataByKey(const Actor& actor,

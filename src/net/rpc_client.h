@@ -68,11 +68,16 @@ class RemoteHandle final : public NodeHandle {
                                      const std::string& key) override;
   StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
                                            const std::string& key) override;
-  // The node ships every readable record in one response, alongside the
-  // op status; the handle replays them into sink, stopping when it does.
+  // The node ships every readable record's image in one response,
+  // alongside the op status; the response decode parses each once, and the
+  // handle replays them into sink, stopping when it does.
   Status ReadCollection(const Actor& actor, CollectionKind kind,
                         const std::string& value,
                         const RecordSink& sink) override;
+  // The same call, with the decoded records appended back as images.
+  Status ReadCollectionImages(const Actor& actor, CollectionKind kind,
+                              const std::string& value,
+                              RecordImages* images) override;
   Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
                              const MetadataUpdate& update) override;
   Status UpdateDataByKey(const Actor& actor, const std::string& key,

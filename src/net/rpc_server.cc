@@ -53,11 +53,12 @@ WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req) {
     case WireOp::kReadMetaSharing:
     case WireOp::kReadRecordsUser:
     case WireOp::kScanRecords:
-      // The sink cannot cross the wire: ship every delivered record and let
-      // the handle replay them into the caller's sink. The op status
-      // (a DataLoss verdict included) rides alongside.
-      resp.status = store->ReadCollection(req.actor, CollectionKindOf(req.op),
-                                          req.key, AppendTo{&resp.records});
+      // The sink cannot cross the wire: ship every delivered record's
+      // image as the store holds it and let the handle replay them into
+      // the caller's sink. The op status (a DataLoss verdict included)
+      // rides alongside.
+      resp.status = store->ReadCollectionImages(
+          req.actor, CollectionKindOf(req.op), req.key, &resp.images);
       break;
     case WireOp::kUpdateMeta:
       resp.status = store->UpdateMetadataByKey(req.actor, req.key, req.update);

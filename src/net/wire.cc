@@ -166,6 +166,15 @@ class Writer {
     for (const T& x : v) each(*this, x);
     return true;
   }
+  // A collection answer: the records, then the images a node appended, as
+  // one list. The images are already in the list's element layout.
+  bool Records(const std::vector<GdprRecord>& recs,
+               const RecordImages& images) {
+    Varint(recs.size() + images.count);
+    for (const GdprRecord& rec : recs) Record(rec);
+    out_->append(images.bytes);
+    return true;
+  }
   template <class T, class F>
   bool Opt(bool present, const std::optional<T>& v, F each) {
     return !present || each(*this, *v);
@@ -255,6 +264,11 @@ class Reader {
   template <class T, class F>
   bool Opt(bool present, std::optional<T>& v, F each) {
     return !present || each(*this, v.emplace());
+  }
+  // Every element of the list decodes into recs, whichever side built it.
+  bool Records(std::vector<GdprRecord>& recs, RecordImages& /*images*/) {
+    return List(recs,
+                [](Reader& io, GdprRecord& rec) { return io.Record(rec); });
   }
 
  private:
@@ -373,7 +387,7 @@ bool ResponseBody(Io& io, RespBody shape, R& r) {
     case RespBody::kNone: return true;
     case RespBody::kRecord: return io.Record(r.record);
     case RespBody::kMetadata: return io.Meta(r.metadata);
-    case RespBody::kRecords: return kRecordList(io, r.records);
+    case RespBody::kRecords: return io.Records(r.records, r.images);
     case RespBody::kCount: return io.Varint(r.count);
     case RespBody::kFlag: return io.Bool(r.flag);
     case RespBody::kEntries: return io.List(r.entries, kAuditEntry);

@@ -134,6 +134,9 @@ struct WireResponse {
   GdprRecord record;                   // kReadData
   GdprMetadata metadata;               // kReadMeta
   std::vector<GdprRecord> records;     // collection reads
+  // A node's collection answer, encoded after `records` under one count;
+  // a decode fills `records` alone.
+  RecordImages images;
   SlotContents contents;               // kExportSlot
   std::vector<AuditEntry> entries;     // kGetLogs
   Features features;                   // kGetFeatures

@@ -196,6 +196,26 @@ TEST_P(ClusterTransportTest, LockstepOpSequenceMatchesSingleNode) {
     const auto cm = cluster.ReadMetadataByKey(controller, key).value();
     EXPECT_EQ(sm.objections, cm.objections);
   }
+  // G 21: a processor's purpose query serves no record whose subject
+  // objected to that purpose. Both sides must hold this on their own;
+  // agreeing with each other is not enough.
+  for (size_t p = 0; p < cfg.purposes; ++p) {
+    const std::string purpose = gen.PurposeOf(p);
+    const Actor processor = Actor::Processor("p", purpose);
+    std::vector<GdprRecord> answers[2];
+    for (GdprStore* store : {static_cast<GdprStore*>(&single),
+                             static_cast<GdprStore*>(&cluster)}) {
+      auto answer = store->ReadMetadataByPurpose(processor, purpose);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_FALSE(answer.value().empty()) << purpose;
+      for (const GdprRecord& rec : answer.value()) {
+        EXPECT_FALSE(rec.metadata.HasObjection(purpose))
+            << rec.key << " objected to " << purpose;
+      }
+      answers[store == &cluster] = std::move(answer.value());
+    }
+    ExpectSameRecordSets(answers[0], answers[1], "processor by-purpose");
+  }
 
   // Right to be forgotten for three users: counts and evidence agree.
   for (size_t u = 0; u < 3; ++u) {

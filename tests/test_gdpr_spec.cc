@@ -166,6 +166,72 @@ TEST_P(GdprSpec, AccessControlMatrix) {
   ASSERT_TRUE(store->UpdateMetadataByKey(neo, "k1", objection).ok());
   EXPECT_TRUE(denied(store->ReadDataByKey(ads, "k1").status()));
   EXPECT_TRUE(store->ReadDataByKey(Actor::Processor("p", "2fa"), "k1").ok());
+  // A purpose query serves the same rule record by record (G 21): the
+  // "ads" processor no longer sees k1, the "2fa" one still does, and the
+  // controller sees every record that holds the purpose.
+  ASSERT_TRUE(store
+                  ->CreateRecord(controller,
+                                 MakeRec("k3", "smith", {"ads", "2fa"}))
+                  .ok());
+  const auto purpose_keys = [&](const Actor& actor, const std::string& p) {
+    auto r = store->ReadMetadataByPurpose(actor, p);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? KeysOf(r.value()) : std::set<std::string>();
+  };
+  EXPECT_EQ(purpose_keys(ads, "ads"), std::set<std::string>{"k3"});
+  EXPECT_EQ(purpose_keys(Actor::Processor("p", "2fa"), "2fa"),
+            (std::set<std::string>{"k1", "k3"}));
+  EXPECT_EQ(purpose_keys(controller, "ads"),
+            (std::set<std::string>{"k1", "k3"}));
+}
+
+// Every list element reads back as itself on every engine: reldb keeps a
+// list as one '|'-joined column, so an element that is empty or holds a
+// '|' is refused at the door, and nothing is written.
+TEST_P(GdprSpec, ListElementsThatCannotRoundTripAreRefused) {
+  auto store = Make();
+  ASSERT_TRUE(store->Open().ok());
+  const Actor controller = Actor::Controller();
+  const std::vector<std::vector<std::string>> bad = {
+      {"ads|fraud"}, {""}, {"ads", ""}, {"|"}};
+  for (const auto& list : bad) {
+    SCOPED_TRACE(JoinStrings(list, ','));
+    GdprRecord rec = MakeRec("k-bad", "neo", list);
+    EXPECT_EQ(store->CreateRecord(controller, rec).code(),
+              StatusCode::kInvalidArgument);
+    rec = MakeRec("k-bad", "neo", {"ads"}, list);
+    EXPECT_EQ(store->CreateRecord(controller, rec).code(),
+              StatusCode::kInvalidArgument);
+    rec = MakeRec("k-bad", "neo");
+    rec.metadata.objections = list;
+    EXPECT_EQ(store->CreateRecord(controller, rec).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(
+        store->ReadDataByKey(controller, "k-bad").status().IsNotFound());
+  }
+  ASSERT_TRUE(
+      store->CreateRecord(controller, MakeRec("k1", "neo", {"ads"})).ok());
+  for (const auto& list : bad) {
+    SCOPED_TRACE(JoinStrings(list, ','));
+    MetadataUpdate purposes, objections, shared;
+    purposes.purposes = list;
+    objections.objections = list;
+    shared.shared_with = list;
+    for (const MetadataUpdate* u : {&purposes, &objections, &shared}) {
+      EXPECT_EQ(store->UpdateMetadataByKey(controller, "k1", *u).code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
+  // Nothing was written: k1 is as created, and the "fraud" processor that
+  // "ads|fraud" would have let in on reldb is still denied.
+  auto meta = store->ReadMetadataByKey(controller, "k1");
+  ASSERT_TRUE(meta.ok());
+  EXPECT_EQ(meta.value().purposes, std::vector<std::string>{"ads"});
+  EXPECT_TRUE(meta.value().objections.empty());
+  EXPECT_TRUE(meta.value().shared_with.empty());
+  EXPECT_TRUE(store->ReadDataByKey(Actor::Processor("p", "fraud"), "k1")
+                  .status()
+                  .IsPermissionDenied());
 }
 
 TEST_P(GdprSpec, IndexedAndScanPathsAgree) {

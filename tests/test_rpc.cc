@@ -49,9 +49,15 @@ TEST(Dispatch, CoversTheVocabularyAgainstALiveStore) {
   ASSERT_TRUE(store.Open().ok());
   const Actor controller = Actor::Controller();
 
+  // Each answer goes through the response codec, as a caller receives it:
+  // a collection answer leaves the dispatch as record images.
   const auto call = [&](WireRequest req) {
     req.actor = controller;
-    return DispatchRequest(&store, req);
+    WireResponse resp;
+    EXPECT_TRUE(
+        DecodeResponse(EncodeResponse(DispatchRequest(&store, req)), &resp)
+            .ok());
+    return resp;
   };
 
   WireRequest req;
@@ -177,6 +183,66 @@ TEST(Dispatch, CoversTheVocabularyAgainstALiveStore) {
   }
 
   ASSERT_TRUE(store.Close().ok());
+}
+
+// A node answers a collection read with the images it stores: on every
+// store configuration, the frame is byte for byte the one the records
+// ReadCollection delivers would encode to — masked, expired, re-matched
+// and objection-filtered alike.
+TEST(Dispatch, CollectionAnswerEncodesAsTheDeliveredRecords) {
+  for (const bool indexed : {true, false}) {
+    for (const bool sealed : {true, false}) {
+      SCOPED_TRACE(std::string(indexed ? "indexed" : "scan") +
+                   (sealed ? ", sealed" : ""));
+      SimulatedClock clock(1000);
+      KvGdprOptions o;
+      o.clock = &clock;
+      o.compliance.metadata_indexing = indexed;
+      o.compliance.encrypt_at_rest = sealed;
+      KvGdprStore store(o);
+      ASSERT_TRUE(store.Open().ok());
+      const Actor controller = Actor::Controller();
+      for (int i = 0; i < 40; ++i) {
+        GdprRecord rec = MakeRecord("k" + std::to_string(i),
+                                    "user-" + std::to_string(i % 3));
+        if (i % 4 == 0) rec.data = std::string(150 + i, 'd');
+        if (i % 5 == 0) rec.metadata.objections = {"ads"};
+        if (i % 7 == 0) rec.metadata.expiry_micros = 2000;
+        if (i % 2 == 0) rec.metadata.shared_with = {"partner"};
+        ASSERT_TRUE(store.CreateRecord(controller, rec).ok());
+      }
+      clock.AdvanceMicros(5000);  // every seventh record has expired
+      const std::pair<WireOp, Actor> reads[] = {
+          {WireOp::kReadMetaUser, controller},
+          {WireOp::kReadMetaPurpose, controller},
+          {WireOp::kReadMetaPurpose, Actor::Processor("p", "ads")},
+          {WireOp::kReadMetaSharing, Actor::Regulator()},
+          {WireOp::kReadRecordsUser, Actor::Customer("user-1")},
+          {WireOp::kScanRecords, controller},
+      };
+      for (const auto& [op, actor] : reads) {
+        SCOPED_TRACE(WireOpName(op));
+        WireRequest req;
+        req.op = op;
+        req.actor = actor;
+        req.key = op == WireOp::kReadMetaPurpose   ? "ads"
+                  : op == WireOp::kReadMetaSharing ? "partner"
+                  : op == WireOp::kScanRecords     ? ""
+                                                   : "user-1";
+        const WireResponse answer = DispatchRequest(&store, req);
+        ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
+        EXPECT_GT(answer.images.count, 0u);
+        WireResponse want;
+        want.op = op;
+        want.status = store.ReadCollection(actor, CollectionKindOf(op),
+                                           req.key, AppendTo{&want.records});
+        ASSERT_TRUE(want.status.ok());
+        EXPECT_EQ(want.records.size(), answer.images.count);
+        EXPECT_EQ(EncodeResponse(answer), EncodeResponse(want));
+      }
+      ASSERT_TRUE(store.Close().ok());
+    }
+  }
 }
 
 // Statuses the cluster's merge logic branches on must arrive intact.
@@ -320,6 +386,30 @@ TEST_F(RpcLoopback, NodeSurfaceMatchesTheStoreCalledDirectly) {
       EXPECT_EQ(node->ExportSlot(slot, num_slots).status().code(),
                 StatusCode::kInvalidArgument);
     }
+  }
+
+  // A collection answer as images: the same bytes from either handle, and
+  // a denial appends nothing.
+  RecordImages direct_images, remote_images;
+  ASSERT_TRUE(direct
+                  ->ReadCollectionImages(controller, CollectionKind::kAll, "",
+                                         &direct_images)
+                  .ok());
+  ASSERT_TRUE(remote
+                  ->ReadCollectionImages(controller, CollectionKind::kAll, "",
+                                         &remote_images)
+                  .ok());
+  EXPECT_EQ(direct_images.count, store_->RecordCount());
+  EXPECT_EQ(remote_images.count, direct_images.count);
+  EXPECT_EQ(remote_images.bytes, direct_images.bytes);
+  for (NodeHandle* node : {direct, remote}) {
+    RecordImages denied;
+    EXPECT_TRUE(node->ReadCollectionImages(Actor::Customer("x"),
+                                           CollectionKind::kMetaByUser, "u",
+                                           &denied)
+                    .IsPermissionDenied());
+    EXPECT_EQ(denied.count, 0u);
+    EXPECT_TRUE(denied.bytes.empty());
   }
 
   const auto direct_verdict = direct->VerifyAuditChain();
@@ -637,15 +727,16 @@ class LatchedStore : public KvGdprStore {
   }
 
  protected:
-  Status Collect(Attr attr, const std::string& value, bool mask,
-                 std::vector<GdprRecord>* out) override {
+  Status Collect(Attr attr, const std::string& value,
+                 const std::function<void(size_t)>& expect,
+                 const ImageFn& fn) override {
     if (attr == Attr::kPurpose) {
       std::unique_lock<std::mutex> lock(mu_);
       ++parked_;
       cv_.notify_all();
       cv_.wait(lock, [&] { return open_; });
     }
-    return KvGdprStore::Collect(attr, value, mask, out);
+    return KvGdprStore::Collect(attr, value, expect, fn);
   }
 
  private:

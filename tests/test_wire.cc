@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "net/socket_io.h"
 #include "net/wire.h"
@@ -848,6 +849,43 @@ TEST(WireMalformed, EveryTruncationDecodesCleanly) {
       (void)DecodeRequest(prefix, &req);  // must return, any verdict
     }
   }
+}
+
+// A node's answer carries record images, not records: the frame is byte
+// for byte the one its records would encode to, a strict prefix of it never
+// decodes, and records and images mix under one count.
+TEST(WireResponses, RecordImagesEncodeAsTheirRecords) {
+  WireResponse from_records;
+  from_records.op = WireOp::kReadMetaPurpose;
+  from_records.status = Status::DataLoss("1 record unreadable");
+  from_records.records = {SampleRecord("a"), SampleRecord("b"),
+                          SampleRecord("c")};
+  from_records.records[1].data = std::string(200, 'x');  // 2-byte varint
+  WireResponse from_images;
+  from_images.op = from_records.op;
+  from_images.status = from_records.status;
+  for (const GdprRecord& rec : from_records.records) {
+    PutLengthPrefixed(&from_images.images.bytes, rec.Serialize());
+    ++from_images.images.count;
+  }
+  const std::string payload = EncodeResponse(from_images);
+  EXPECT_EQ(payload, EncodeResponse(from_records));
+  WireResponse back;
+  ASSERT_TRUE(DecodeResponse(payload, &back).ok());
+  ASSERT_EQ(back.records.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    ExpectSameRecord(back.records[i], from_records.records[i]);
+  }
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    WireResponse resp;
+    EXPECT_FALSE(DecodeResponse(payload.substr(0, cut), &resp).ok()) << cut;
+  }
+  WireResponse mixed = from_images;
+  mixed.records = {SampleRecord("z")};
+  ASSERT_TRUE(DecodeResponse(EncodeResponse(mixed), &back).ok());
+  ASSERT_EQ(back.records.size(), 4u);
+  ExpectSameRecord(back.records[0], mixed.records[0]);
+  ExpectSameRecord(back.records[3], from_records.records[2]);
 }
 
 TEST(WireMalformed, TrailingBytesAreRejected) {
