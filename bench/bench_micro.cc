@@ -1,9 +1,10 @@
 // google-benchmark micro suite for the core primitives: cipher and hash
 // throughput, record parse/serialize, B+tree ops, zipfian generation,
 // KV/relational point operations, the AEAD path (per reldb row and per
-// HMAC tag), and the two halves of a socket purpose answer (node and
-// router). These are the unit costs the paper's macro numbers decompose
-// into. The context block names the SHA-256 kernel the CPU selected.
+// HMAC tag), the two halves of a socket purpose answer (node and router),
+// and a whole purpose answer on one store and on an in-process cluster.
+// These are the unit costs the paper's macro numbers decompose into. The
+// context block names the SHA-256 kernel the CPU selected.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "bench/generator.h"
+#include "cluster/cluster_store.h"
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/distributions.h"
@@ -321,7 +323,8 @@ void BM_NodeAnswerDispatchEncode(benchmark::State& state) {
 BENCHMARK(BM_NodeAnswerDispatchEncode);
 
 // The router's half: the response decode (the answer's one parse) and its
-// delivery into the vector a cluster part stages, over the same answers.
+// hand-off to the vector a cluster part stages (RemoteHandle swaps the
+// decoded records in), over the same answers.
 void BM_RouterAnswerDecodeDeliver(benchmark::State& state) {
   NodeStore& node = Node();
   std::vector<std::string> payloads;
@@ -334,7 +337,7 @@ void BM_RouterAnswerDecodeDeliver(benchmark::State& state) {
     net::WireResponse resp;
     net::DecodeResponse(payloads[i++ % payloads.size()], &resp).ok();
     std::vector<GdprRecord> part;
-    Deliver(AppendTo{&part}, std::move(resp.records));
+    part.swap(resp.records);
     records += part.size();
     benchmark::DoNotOptimize(part.data());
     benchmark::ClobberMemory();
@@ -342,6 +345,80 @@ void BM_RouterAnswerDecodeDeliver(benchmark::State& state) {
   PerRecord(state, records);
 }
 BENCHMARK(BM_RouterAnswerDecodeDeliver);
+
+// ---- a whole purpose answer -------------------------------------------------
+// The whole 100k-record dataset, indexed, on one store and on a 4-node
+// in-process cluster: a purpose answer is about 1,563 records on either.
+// The clock stands still, so no record expires.
+constexpr size_t kDatasetRecords = 100000;
+
+SimulatedClock* StillClock() {
+  static SimulatedClock* clock = new SimulatedClock();
+  return clock;
+}
+
+GdprStore* Loaded(std::unique_ptr<GdprStore> store) {
+  store->Open().ok();
+  bench::RecordGenerator gen(bench::DatasetConfig(), StillClock());
+  for (size_t i = 0; i < kDatasetRecords; ++i) {
+    store->CreateRecord(Actor::Controller(), gen.Make(i)).ok();
+  }
+  return store.release();
+}
+
+GdprStore& SingleStore() {
+  static GdprStore* store = [] {
+    KvGdprOptions o;
+    o.clock = StillClock();
+    o.compliance.metadata_indexing = true;
+    return Loaded(std::make_unique<KvGdprStore>(o));
+  }();
+  return *store;
+}
+
+GdprStore& InProcessCluster() {
+  static GdprStore* store = [] {
+    cluster::ClusterOptions o;
+    o.nodes = 4;
+    o.clock = StillClock();
+    o.compliance.metadata_indexing = true;
+    return Loaded(std::make_unique<cluster::ClusterGdprStore>(o));
+  }();
+  return *store;
+}
+
+// A processor's purpose query, each thread rotating over the purposes from
+// its own start. per_record is the process's CPU time (a cluster's fan-out
+// pool included) per delivered record.
+void PurposeAnswer(benchmark::State& state, GdprStore& store) {
+  const bench::RecordGenerator gen(bench::DatasetConfig(), nullptr);
+  size_t records = 0, i = size_t(state.thread_index()) * 16;
+  for (auto _ : state) {
+    const std::string purpose = gen.PurposeOf(i++);
+    const auto answer =
+        store.ReadMetadataByPurpose(Actor::Processor("proc-01", purpose),
+                                    purpose);
+    records += answer.ok() ? answer.value().size() : 0;
+    benchmark::DoNotOptimize(answer);
+  }
+  PerRecord(state, records);
+}
+
+void BM_StorePurposeAnswer(benchmark::State& state) {
+  PurposeAnswer(state, SingleStore());
+}
+BENCHMARK(BM_StorePurposeAnswer)
+    ->MeasureProcessCPUTime()
+    ->Threads(1)
+    ->Threads(4);
+
+void BM_ClusterPurposeAnswer(benchmark::State& state) {
+  PurposeAnswer(state, InProcessCluster());
+}
+BENCHMARK(BM_ClusterPurposeAnswer)
+    ->MeasureProcessCPUTime()
+    ->Threads(1)
+    ->Threads(4);
 
 }  // namespace
 }  // namespace gdpr

@@ -258,7 +258,7 @@ StatusOr<bool> ClusterGdprStore::VerifyDeletion(const Actor& actor,
 Status ClusterGdprStore::ReadCollection(const Actor& actor,
                                         CollectionKind kind,
                                         const std::string& value,
-                                        const RecordSink& sink) {
+                                        std::vector<GdprRecord>* out) {
   std::shared_lock<std::shared_mutex> no_migration(migrate_mu_);
   struct Part {
     Status status;
@@ -272,13 +272,12 @@ Status ClusterGdprStore::ReadCollection(const Actor& actor,
     // pin: an epoch held across fsyncs would stall reclamation.
     EpochGuard epoch;
     Part part;
-    part.status =
-        node->ReadCollection(actor, kind, value, AppendTo{&part.records});
+    part.status = node->ReadCollection(actor, kind, value, &part.records);
     return part;
   });
   // Access decisions depend only on (actor, flags), so every node returns
   // the same verdict: the first denial (or any other hard error) wins, and
-  // nothing is delivered.
+  // nothing is appended.
   std::vector<size_t> missing;
   Status first_missing = Status::OK();
   Status first_loss = Status::OK();
@@ -291,7 +290,6 @@ Status ClusterGdprStore::ReadCollection(const Actor& actor,
       // A node that did not answer: a dead link, or a store refusing
       // reads. Its records are a partition no other node holds.
       missing.push_back(i);
-      m_degraded_skips_->Add(1);
       if (first_missing.ok()) first_missing = s;
     } else {
       return s;
@@ -301,28 +299,28 @@ Status ClusterGdprStore::ReadCollection(const Actor& actor,
   // left on two nodes by a failed rollback or eviction serves the owner's
   // copy, exactly once. migrate_mu_ is held shared, so ownership cannot
   // flip mid-merge.
-  size_t staged = 0;
+  const size_t before = out->size();
+  size_t staged = before;
   for (const Part& part : parts) staged += part.records.size();
-  std::vector<GdprRecord> merged;
-  merged.reserve(staged);
+  out->reserve(staged);
   for (size_t i = 0; i < parts.size(); ++i) {
     for (GdprRecord& rec : parts[i].records) {
       if (slot_map_.OwnerOf(SlotOf(rec.key)) == i) {
-        merged.push_back(std::move(rec));
+        out->push_back(std::move(rec));
       }
     }
   }
-  const size_t answered = merged.size();
-  Deliver(sink, std::move(merged));
   if (missing.empty()) return first_loss;
   // An answer without some nodes' partitions must not read as complete, to
   // the caller or in the evidence.
+  m_degraded_skips_->Add(missing.size());
   const char* op = ops::OpClassName(CollectionOpClass(kind));
   Audit(actor, op,
         (value.empty() ? "" : value + "; ") + "failed: " + NodeNames(missing),
         false);
   return Incomplete("collection read", missing, parts.size(),
-                    StringPrintf("%zu records from the others", answered),
+                    StringPrintf("%zu records from the others",
+                                 out->size() - before),
                     first_missing);
 }
 

@@ -93,15 +93,16 @@ class ClusterGdprStore : public AuditedStore {
                                      const std::string& key) override;
   StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
                                            const std::string& key) override;
-  // Scatter-gather over every node, then a merge that delivers node i's
-  // records only where node i owns their slot. A denial from any node wins
-  // and delivers nothing. Otherwise, when some node did not answer, the
-  // answering nodes' records are delivered and the read fails Unavailable,
-  // naming the missing nodes in the status and in an allowed=false entry
-  // on the router's chain. Otherwise the first DataLoss, or OK.
+  // Scatter-gather over every node, then a merge that appends node i's
+  // records to *out only where node i owns their slot. A denial from any
+  // node wins and appends nothing. Otherwise, when some node did not
+  // answer, the answering nodes' records are appended and the read fails
+  // Unavailable, naming the missing nodes in the status and in an
+  // allowed=false entry on the router's chain, and counting them in
+  // cluster_degraded_skips_total. Otherwise the first DataLoss, or OK.
   Status ReadCollection(const Actor& actor, CollectionKind kind,
                         const std::string& value,
-                        const RecordSink& sink) override;
+                        std::vector<GdprRecord>* out) override;
   Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
                              const MetadataUpdate& update) override;
   Status UpdateDataByKey(const Actor& actor, const std::string& key,

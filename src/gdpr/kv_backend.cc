@@ -207,7 +207,6 @@ Status KvGdprStore::ForEachExpired(
     Status s = ScanViews([&](RecordView& v) {
       const int64_t expiry = v.expiry_micros();
       if (expiry != 0 && expiry <= now) dead.emplace_back(v.key());
-      return true;
     });
     for (size_t i = 0; s.ok() && i < dead.size(); ++i) s = fn(dead[i]);
     return s;
@@ -237,8 +236,11 @@ Status KvGdprStore::ForEachExpired(
 }
 
 Status KvGdprStore::Scan(const ImageFn& fn) {
-  return CollectionStatus(db_->Scan(
-      [&](const std::string&, const std::string& value) { return fn(value); }));
+  return CollectionStatus(
+      db_->Scan([&](const std::string&, const std::string& value) {
+        fn(value);
+        return true;
+      }));
 }
 
 StatusOr<bool> KvGdprStore::HasTombstone(const std::string& key) {
@@ -246,13 +248,6 @@ StatusOr<bool> KvGdprStore::HasTombstone(const std::string& key) {
 }
 
 size_t KvGdprStore::TombstoneCount() { return db_->TombstoneCount(); }
-
-Status KvGdprStore::ReadCollectionImages(const Actor& actor,
-                                         CollectionKind kind,
-                                         const std::string& value,
-                                         net::RecordImages* images) {
-  return AppendImages(actor, kind, value, &images->bytes, &images->count);
-}
 
 StatusOr<net::SlotContents> KvGdprStore::ExportSlot(uint32_t slot,
                                                     uint32_t num_slots) {
@@ -263,7 +258,6 @@ StatusOr<net::SlotContents> KvGdprStore::ExportSlot(uint32_t slot,
   // the copy would silently drop data the source still legally holds.
   Status s = ScanViews([&](RecordView& v) {
     if (in_slot(v.key())) v.CopyTo(&out.records.emplace_back());
-    return true;
   });
   if (!s.ok()) return s;
   out.tombstones = db_->Tombstones(in_slot);

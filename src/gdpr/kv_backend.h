@@ -74,9 +74,6 @@ class KvGdprStore : public PolicyStore, public net::NodeHandle {
   const KvGdprOptions& options() const { return options_; }
 
   // --- The cluster-node surface (net/node_handle.h) -------------------------
-  Status ReadCollectionImages(const Actor& actor, CollectionKind kind,
-                              const std::string& value,
-                              net::RecordImages* images) override;
   StatusOr<net::SlotContents> ExportSlot(uint32_t slot,
                                          uint32_t num_slots) override;
   Status ImportSlot(const net::SlotContents& contents) override;

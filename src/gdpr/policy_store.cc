@@ -81,9 +81,11 @@ Status PolicyStore::ReadViews(
   size_t unreadable = 0;
   RecordView view;
   const Status s = hook([&](std::string_view image) {
-    if (view.Read(image).ok()) return fn(view);
-    ++unreadable;  // corruption with encryption off surfaces here
-    return true;
+    if (view.Read(image).ok()) {
+      fn(view);
+    } else {
+      ++unreadable;  // corruption with encryption off surfaces here
+    }
   });
   return s.ok() ? CollectionStatus(unreadable) : s;
 }
@@ -190,7 +192,7 @@ Status PolicyStore::WalkCollection(const Actor& actor, CollectionKind kind,
     if (!v.Read(image, answer.Slot(), !spec.mask).ok()) {
       answer.Drop();
       ++unreadable;  // corruption with encryption off surfaces here
-      return true;
+      return;
     }
     // Collections are hints: a concurrent upsert may have re-attributed a
     // key since the index probe, and serving it under the old attribute
@@ -199,10 +201,10 @@ Status PolicyStore::WalkCollection(const Actor& actor, CollectionKind kind,
         (!all && !Matches(spec.attr, value, v)) ||
         !MayServe(flags_, actor, v)) {
       answer.Drop();
-      return true;
+      return;
     }
     if (spec.mask) v.Mask();
-    return answer.Take(v);
+    answer.Take(v);
   };
   const Status s = all ? Scan(visit) : Collect(spec.attr, value, expect, visit);
   // At-rest corruption surfaces as DataLoss: the skipped records are
@@ -213,30 +215,18 @@ Status PolicyStore::WalkCollection(const Actor& actor, CollectionKind kind,
 
 Status PolicyStore::ReadCollection(const Actor& actor, CollectionKind kind,
                                    const std::string& value,
-                                   const RecordSink& sink) {
-  if (kind == CollectionKind::kAll) {
-    // Streams: one record, refilled for each image and handed to sink.
-    struct {
-      const RecordSink& sink;
-      GdprRecord rec;
-      GdprRecord* Slot() { return &rec; }
-      bool Take(RecordView&) { return sink(rec); }
-      void Drop() {}
-    } stream{sink, {}};
-    return WalkCollection(actor, kind, value, nullptr, stream);
-  }
-  // Each image is read into the next slot of the answer, which a record
-  // that fails a rule gives back.
+                                   std::vector<GdprRecord>* out) {
+  // Each image is read into the next slot of *out, which a record that
+  // fails a rule gives back.
   struct {
-    std::vector<GdprRecord> recs;
-    GdprRecord* Slot() { return &recs.emplace_back(); }
-    bool Take(RecordView&) { return true; }
-    void Drop() { recs.pop_back(); }
-  } answer;
-  const Status s = WalkCollection(
-      actor, kind, value, [&](size_t n) { answer.recs.reserve(n); }, answer);
-  Deliver(sink, std::move(answer.recs));
-  return s;
+    std::vector<GdprRecord>* recs;
+    GdprRecord* Slot() { return &recs->emplace_back(); }
+    void Take(RecordView&) {}
+    void Drop() { recs->pop_back(); }
+  } answer{out};
+  return WalkCollection(
+      actor, kind, value, [out](size_t n) { out->reserve(out->size() + n); },
+      answer);
 }
 
 Status PolicyStore::AppendImages(const Actor& actor, CollectionKind kind,
@@ -247,11 +237,10 @@ Status PolicyStore::AppendImages(const Actor& actor, CollectionKind kind,
     std::string* images;
     uint64_t* count;
     GdprRecord* Slot() { return nullptr; }
-    bool Take(RecordView& v) {
+    void Take(RecordView& v) {
       PutVarint64(images, v.ImageSize());
       v.AppendImage(images);
       ++*count;
-      return true;
     }
     void Drop() {}
   } append{images, count};
@@ -333,7 +322,6 @@ StatusOr<size_t> PolicyStore::DeleteRecordsByUser(const Actor& actor,
       },
       [&](RecordView& v) {
         if (v.user() == user) victims.emplace_back(v.key());
-        return true;
       });
   size_t erased = 0;
   for (const std::string& victim : victims) {

@@ -14,9 +14,9 @@
 //
 // A collection read is one walk over record images (gdpr/record.h): the
 // engine yields plaintext images, and each is read once as a RecordView and
-// checked there. ReadCollection copies the records that pass into an
-// answer; AppendImages, a cluster node's wire answer, appends their images
-// and builds no record at all.
+// checked there. ReadCollection copies the records that pass into the
+// caller's vector; AppendImages, a cluster node's wire answer, appends
+// their images and builds no record at all.
 
 #pragma once
 
@@ -40,13 +40,13 @@ class PolicyStore : public AuditedStore {
                                      const std::string& key) final;
   StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
                                            const std::string& key) final;
-  // The collection walk (see AppendImages), copying each record that passes
-  // into an answer that sink then receives; kAll streams into sink as the
-  // engine's Scan goes. DataLoss when unreadable records were met; sink has
-  // already seen every readable one.
+  // The collection walk (see AppendImages), reading each image into the
+  // next slot of *out and giving the slot back when the record does not
+  // pass. DataLoss when unreadable records were met; *out then holds every
+  // readable one.
   Status ReadCollection(const Actor& actor, CollectionKind kind,
                         const std::string& value,
-                        const RecordSink& sink) final;
+                        std::vector<GdprRecord>* out) final;
   Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
                              const MetadataUpdate& update) final;
   Status UpdateDataByKey(const Actor& actor, const std::string& key,
@@ -83,12 +83,10 @@ class PolicyStore : public AuditedStore {
  protected:
   // The metadata attribute a collection selects on.
   enum class Attr { kUser, kPurpose, kSharing };
-  // Receives one plaintext record image, valid only during the call;
-  // returns false to stop (only Scan stops).
-  using ImageFn = std::function<bool(std::string_view image)>;
-  // Receives one readable record as a view (valid only during the call);
-  // returns false to stop.
-  using ViewFn = std::function<bool(RecordView& view)>;
+  // Receives one plaintext record image, valid only during the call.
+  using ImageFn = std::function<void(std::string_view image)>;
+  // Receives one readable record as a view, valid only during the call.
+  using ViewFn = std::function<void(RecordView& view)>;
 
   // metrics: the caller-supplied registry, or nullptr for the store's own.
   // engine_name feeds GET-SYSTEM-FEATURES.
@@ -120,8 +118,8 @@ class PolicyStore : public AuditedStore {
   // may hide expired ones; fn has then not run.
   virtual Status ForEachExpired(
       int64_t now, const std::function<Status(const std::string&)>& fn) = 0;
-  // Feeds fn the image of every stored record, expired included, until fn
-  // returns false. DataLoss when some were unreadable.
+  // Feeds fn the image of every stored record, expired included. DataLoss
+  // when some were unreadable.
   virtual Status Scan(const ImageFn& fn) = 0;
   virtual StatusOr<bool> HasTombstone(const std::string& key) = 0;
   virtual size_t TombstoneCount() = 0;
@@ -160,8 +158,8 @@ class PolicyStore : public AuditedStore {
   // The body of ReadCollection and AppendImages, handing records to
   // answer: Slot() names the record the next image is copied into as it is
   // read (nullptr for none), Take(view) takes a record that passed every
-  // rule (false stops the walk), and Drop() gives back the slot of one that
-  // did not read or did not pass. expect is handed to Collect.
+  // rule, and Drop() gives back the slot of one that did not read or did
+  // not pass. expect is handed to Collect.
   template <class Answer>
   Status WalkCollection(const Actor& actor, CollectionKind kind,
                         const std::string& value,

@@ -173,7 +173,8 @@ std::function<bool(const rel::Row&)> RelGdprStore::Images(
     FromRow(row, &rec);
     image.clear();
     rec.SerializeTo(&image);
-    return fn(image);
+    fn(image);
+    return true;
   };
 }
 

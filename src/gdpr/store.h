@@ -3,7 +3,8 @@
 // relational engines, by the cluster router over its nodes, and by the
 // socket handle to a remote node (net/rpc_client.h). All operations carry
 // the acting party; access control and auditing happen inside the store,
-// not in the caller.
+// not in the caller. A collection read has one answer shape on every
+// layer: the records, appended to the caller's vector.
 
 #pragma once
 
@@ -56,34 +57,6 @@ inline ops::OpClass CollectionOpClass(CollectionKind kind) {
   return kClass[static_cast<size_t>(kind)];
 }
 
-// Receives one record of a collection read; may move from it. Returns false
-// to stop.
-using RecordSink = std::function<bool(GdprRecord&)>;
-
-// The sink that appends every record to a vector: the vector wrappers'
-// and the cluster's per-node staging.
-struct AppendTo {
-  std::vector<GdprRecord>* out;
-  bool operator()(GdprRecord& rec) const {
-    out->push_back(std::move(rec));
-    return true;
-  }
-};
-
-// Delivers a whole answer in order, stopping when the sink does. An
-// AppendTo sink with an empty vector takes the answer vector itself, so
-// handing an answer up a layer moves no record.
-inline void Deliver(const RecordSink& sink, std::vector<GdprRecord> recs) {
-  const AppendTo* append = sink.target<AppendTo>();
-  if (append && append->out->empty()) {
-    *append->out = std::move(recs);
-    return;
-  }
-  for (GdprRecord& rec : recs) {
-    if (!sink(rec)) return;
-  }
-}
-
 class GdprStore {
  public:
   virtual ~GdprStore() = default;
@@ -105,14 +78,14 @@ class GdprStore {
   // controller's scan over every record (retention audits). One virtual
   // serves all five; the named wrappers below are the paper's API.
   //
-  // sink receives every readable record that matches and may move from it;
-  // it returns false to stop. A non-OK status does not mean nothing was
-  // delivered: DataLoss (records that failed at-rest decryption) and a
-  // cluster's Unavailable (a node that did not answer) both follow the
-  // readable records. A denial delivers nothing.
+  // Appends every readable record that matches to *out, after what it
+  // already holds. A non-OK status does not mean nothing was appended:
+  // DataLoss (records that failed at-rest decryption) and a cluster's
+  // Unavailable (a node that did not answer) both follow the readable
+  // records. A denial appends nothing.
   virtual Status ReadCollection(const Actor& actor, CollectionKind kind,
                                 const std::string& value,
-                                const RecordSink& sink) = 0;
+                                std::vector<GdprRecord>* out) = 0;
 
   StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
       const Actor& actor, const std::string& user) {
@@ -130,11 +103,16 @@ class GdprStore {
       const Actor& actor, const std::string& user) {
     return CollectAll(actor, CollectionKind::kRecordsByUser, user);
   }
-  // fn returns false to stop.
+  // Reads the whole scan, then replays it into fn until fn returns false.
   Status ScanRecords(const Actor& actor,
                      const std::function<bool(const GdprRecord&)>& fn) {
-    return ReadCollection(actor, CollectionKind::kAll, std::string(),
-                          [&fn](GdprRecord& rec) { return fn(rec); });
+    std::vector<GdprRecord> recs;
+    const Status s =
+        ReadCollection(actor, CollectionKind::kAll, std::string(), &recs);
+    for (const GdprRecord& rec : recs) {
+      if (!fn(rec)) break;
+    }
+    return s;
   }
 
   // UPDATE-METADATA-BY-KEY (G 16/18/21: rectification, consent, objection).
@@ -191,13 +169,12 @@ class GdprStore {
   virtual Clock* clock() = 0;
 
  private:
-  // The vector wrappers: every delivered record, or the status when it is
-  // not OK.
+  // The named reads: every record read, or the status when it is not OK.
   StatusOr<std::vector<GdprRecord>> CollectAll(const Actor& actor,
                                                CollectionKind kind,
                                                const std::string& value) {
     std::vector<GdprRecord> out;
-    Status s = ReadCollection(actor, kind, value, AppendTo{&out});
+    Status s = ReadCollection(actor, kind, value, &out);
     if (!s.ok()) return s;
     return out;
   }

@@ -8,11 +8,11 @@
 //
 // Surface notes:
 //   * The five collection reads (the Table 2 queries, the export and the
-//     scan) are one op, ReadCollection. A node's server answers it with
-//     ReadCollectionImages: the delivered records' images (gdpr/record.h),
-//     appended as the wire's record list carries them, so the node builds
-//     no record. The handle decodes them once and replays them into the
-//     caller's sink; the op status (a DataLoss verdict included) rides
+//     scan) are one op, ReadCollection, with one answer: the records,
+//     appended to the caller's vector. A node's server answers it with the
+//     records' stored images (PolicyStore::AppendImages), so the node
+//     builds no record; the socket handle decodes them once and hands the
+//     decoded vector up. The op status (a DataLoss verdict included) rides
 //     alongside.
 //   * Migration speaks whole slots: one export, one import, one eviction
 //     per slot and node. Exports are slot-scoped (slot, num_slots) instead
@@ -45,23 +45,8 @@ struct SlotContents {
   std::vector<std::string> tombstones;
 };
 
-// A collection answer as the wire carries it: count records, each image
-// length-prefixed, back to back in bytes (the record list's body after its
-// count).
-struct RecordImages {
-  uint64_t count = 0;
-  std::string bytes;
-};
-
 class NodeHandle : public virtual GdprStore {
  public:
-  // ReadCollection, with each delivered record appended to *images instead
-  // of handed to a sink; masked records carry an empty data field. Same
-  // checks, audit and status.
-  virtual Status ReadCollectionImages(const Actor& actor, CollectionKind kind,
-                                      const std::string& value,
-                                      RecordImages* images) = 0;
-
   // Slot migration (router-driven; not GDPR-audited node-side: a rebalance
   // is infrastructure, audited once on the router's chain).
 

@@ -1,9 +1,9 @@
 #include "net/rpc_client.h"
 
+#include <iterator>
 #include <utility>
 
 #include "common/clock.h"
-#include "common/coding.h"
 #include "net/socket_io.h"
 
 namespace gdpr::net {
@@ -184,27 +184,17 @@ StatusOr<GdprMetadata> RemoteHandle::ReadMetadataByKey(const Actor& actor,
 
 Status RemoteHandle::ReadCollection(const Actor& actor, CollectionKind kind,
                                     const std::string& value,
-                                    const RecordSink& sink) {
+                                    std::vector<GdprRecord>* out) {
   WireResponse resp;
   Status s = Call(Req(CollectionWireOp(kind), actor, value), &resp);
   if (!s.ok()) return s;
-  // The node read in full; an early stop here only stops the replay.
-  Deliver(sink, std::move(resp.records));
+  if (out->empty()) {
+    out->swap(resp.records);
+  } else {
+    out->insert(out->end(), std::make_move_iterator(resp.records.begin()),
+                std::make_move_iterator(resp.records.end()));
+  }
   return resp.status;
-}
-
-Status RemoteHandle::ReadCollectionImages(const Actor& actor,
-                                          CollectionKind kind,
-                                          const std::string& value,
-                                          RecordImages* images) {
-  std::string image;
-  return ReadCollection(actor, kind, value, [&](GdprRecord& rec) {
-    image.clear();
-    rec.SerializeTo(&image);
-    PutLengthPrefixed(&images->bytes, image);
-    ++images->count;
-    return true;
-  });
 }
 
 Status RemoteHandle::UpdateMetadataByKey(const Actor& actor,

@@ -2,7 +2,9 @@
 // with one request in flight on each: a call takes an idle connection (or
 // dials one), runs its round trip with no handle-wide lock held, and puts
 // it back, so a point read never waits behind another caller's fan-out.
-// The pool is uncapped; it grows to the handle's peak concurrency.
+// The pool is uncapped; it grows to the handle's peak concurrency. A
+// collection read is one response: its records are decoded once, from the
+// node's images, and land in the caller's vector with no further copy.
 //
 // Failure model:
 //   * Every connection carries a deadline, timeout_ms, on connect, send
@@ -70,14 +72,11 @@ class RemoteHandle final : public NodeHandle {
                                            const std::string& key) override;
   // The node ships every readable record's image in one response,
   // alongside the op status; the response decode parses each once, and the
-  // handle replays them into sink, stopping when it does.
+  // decoded vector becomes *out when it is empty, else is moved onto its
+  // end.
   Status ReadCollection(const Actor& actor, CollectionKind kind,
                         const std::string& value,
-                        const RecordSink& sink) override;
-  // The same call, with the decoded records appended back as images.
-  Status ReadCollectionImages(const Actor& actor, CollectionKind kind,
-                              const std::string& value,
-                              RecordImages* images) override;
+                        std::vector<GdprRecord>* out) override;
   Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
                              const MetadataUpdate& update) override;
   Status UpdateDataByKey(const Actor& actor, const std::string& key,

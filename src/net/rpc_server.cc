@@ -25,7 +25,7 @@ void TakeStatusOr(StatusOr<T> r, Status* status, T* out) {
 
 }  // namespace
 
-WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req) {
+WireResponse DispatchRequest(KvGdprStore* store, const WireRequest& req) {
   WireResponse resp;
   resp.op = req.op;
   switch (req.op) {
@@ -53,12 +53,12 @@ WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req) {
     case WireOp::kReadMetaSharing:
     case WireOp::kReadRecordsUser:
     case WireOp::kScanRecords:
-      // The sink cannot cross the wire: ship every delivered record's
-      // image as the store holds it and let the handle replay them into
-      // the caller's sink. The op status (a DataLoss verdict included)
-      // rides alongside.
-      resp.status = store->ReadCollectionImages(
-          req.actor, CollectionKindOf(req.op), req.key, &resp.images);
+      // Ship every record that passes as the image the store holds; the
+      // handle decodes them once. The op status (a DataLoss verdict
+      // included) rides alongside.
+      resp.status =
+          store->AppendImages(req.actor, CollectionKindOf(req.op), req.key,
+                              &resp.images.bytes, &resp.images.count);
       break;
     case WireOp::kUpdateMeta:
       resp.status = store->UpdateMetadataByKey(req.actor, req.key, req.update);
@@ -140,7 +140,7 @@ WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req) {
   return resp;
 }
 
-RpcServer::RpcServer(NodeHandle* store) : store_(store) {}
+RpcServer::RpcServer(KvGdprStore* store) : store_(store) {}
 
 RpcServer::~RpcServer() { Stop(); }
 

@@ -1,5 +1,8 @@
-// RpcServer: one server per cluster node, wrapping a NodeHandle (in practice
-// the node's KvGdprStore) behind the wire protocol. Every connection — an
+// RpcServer: one server per cluster node, wrapping the node's KvGdprStore
+// behind the wire protocol. It answers every op through the store's
+// NodeHandle surface, except collection reads: those append the stored
+// images of the records that pass (PolicyStore::AppendImages) straight to
+// the response, so the node builds no record. Every connection — an
 // in-process loopback socketpair handed out by CreateLoopbackConnection(),
 // or whatever the optional listener (Unix or TCP) accepts — is served by
 // its own thread: read a frame, dispatch it against the store, write the
@@ -33,7 +36,7 @@
 #include <string>
 #include <thread>
 
-#include "net/node_handle.h"
+#include "gdpr/kv_backend.h"
 #include "net/wire.h"
 
 namespace gdpr::net {
@@ -41,12 +44,12 @@ namespace gdpr::net {
 // Executes one decoded request against the store and builds the response.
 // Shared by the serving threads and by anything that wants to serve the
 // protocol without sockets (tests drive it directly).
-WireResponse DispatchRequest(NodeHandle* store, const WireRequest& req);
+WireResponse DispatchRequest(KvGdprStore* store, const WireRequest& req);
 
 class RpcServer {
  public:
   // Does not own the store; the store must outlive Stop().
-  explicit RpcServer(NodeHandle* store);
+  explicit RpcServer(KvGdprStore* store);
   ~RpcServer();
 
   RpcServer(const RpcServer&) = delete;
@@ -81,7 +84,7 @@ class RpcServer {
   void Serve(Conn* conn);
   void AcceptLoop();
 
-  NodeHandle* store_;
+  KvGdprStore* store_;
   std::string listen_addr_;
   int listen_fd_ = -1;
 

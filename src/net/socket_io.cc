@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace gdpr::net {
 
@@ -23,9 +22,20 @@ constexpr std::string_view kTcpPrefix = "tcp:";
 // ReadFrame's first payload allocation; larger frames grow from here.
 constexpr size_t kFirstChunk = 64 << 10;
 
+// The port of a tcp address: all digits, 1-65535. 0 for anything else.
+int ParsePort(std::string_view digits) {
+  if (digits.empty() || digits.size() > 5) return 0;
+  int port = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') return 0;
+    port = port * 10 + (c - '0');
+  }
+  return port <= 65535 ? port : 0;
+}
+
 // Resolves addr into *sa and *len, the one place both address forms are
-// parsed, and opens a stream socket of its family. -1 with *err set on
-// failure.
+// parsed, and opens a stream socket of its family. -1 with *err set, naming
+// addr, on failure.
 int OpenSocket(const std::string& addr, sockaddr_storage* sa, socklen_t* len,
                std::string* err) {
   *sa = {};
@@ -33,7 +43,7 @@ int OpenSocket(const std::string& addr, sockaddr_storage* sa, socklen_t* len,
     const std::string path = addr.substr(kUnixPrefix.size());
     auto* un = reinterpret_cast<sockaddr_un*>(sa);
     if (path.empty() || path.size() >= sizeof(un->sun_path)) {
-      *err = "unix socket path empty or too long: " + path;
+      *err = "unix socket path empty or too long: " + addr;
       return -1;
     }
     un->sun_family = AF_UNIX;
@@ -43,13 +53,13 @@ int OpenSocket(const std::string& addr, sockaddr_storage* sa, socklen_t* len,
     const std::string hostport = addr.substr(kTcpPrefix.size());
     const size_t colon = hostport.rfind(':');
     if (colon == std::string::npos) {
-      *err = "tcp address needs host:port, got: " + hostport;
+      *err = "tcp address needs host:port, got: " + addr;
       return -1;
     }
     const std::string host = hostport.substr(0, colon);
-    const int port = atoi(hostport.c_str() + colon + 1);
-    if (port <= 0 || port > 65535) {
-      *err = "bad tcp port in: " + hostport;
+    const int port = ParsePort(std::string_view(hostport).substr(colon + 1));
+    if (port == 0) {
+      *err = "bad tcp port in: " + addr;
       return -1;
     }
     auto* in = reinterpret_cast<sockaddr_in*>(sa);
@@ -60,7 +70,7 @@ int OpenSocket(const std::string& addr, sockaddr_storage* sa, socklen_t* len,
     } else if (host == "localhost") {
       in->sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     } else if (inet_pton(AF_INET, host.c_str(), &in->sin_addr) != 1) {
-      *err = "cannot parse tcp host: " + host;
+      *err = "cannot parse tcp host in: " + addr;
       return -1;
     }
     *len = sizeof(*in);

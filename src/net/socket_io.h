@@ -19,7 +19,8 @@ namespace gdpr::net {
 
 // Accepted address forms:
 //   unix:/path/to.sock     AF_UNIX stream listener / dial target
-//   tcp:host:port          AF_INET (host "0.0.0.0" or a dotted quad)
+//   tcp:host:port          AF_INET (host "0.0.0.0" or a dotted quad; port
+//                          digits only, 1-65535)
 // Listen() binds + listens (unlinking a stale unix path first) and returns
 // the listener fd; Dial() connects under the deadline timeout_ms, which
 // the connection keeps. Both return -1 with *err set on failure.

@@ -107,6 +107,14 @@ const char* WireOpName(WireOp op);
 WireOp CollectionWireOp(CollectionKind kind);
 CollectionKind CollectionKindOf(WireOp op);
 
+// A collection answer as the wire carries it: count records, each image
+// length-prefixed, back to back in bytes (the record list's body after its
+// count). A node's dispatch fills it from PolicyStore::AppendImages.
+struct RecordImages {
+  uint64_t count = 0;
+  std::string bytes;
+};
+
 // One decoded request. Only the fields the op uses are meaningful; the
 // codec encodes exactly those, so an unused vector costs nothing on the
 // wire.

@@ -536,6 +536,57 @@ TEST_P(ClusterTransportTest, MaskedQueriesCarryNoPayloadButExportsDo) {
   }
 }
 
+// The merge appends to the caller's vector: what it held stays in front,
+// and a denied read leaves it exactly as it was.
+TEST_P(ClusterTransportTest, CollectionReadAppendsAndDenialLeavesTheVectorAlone) {
+  SimulatedClock clock(1000000);
+  ClusterOptions co = BaseOptions();
+  co.clock = &clock;
+  ClusterGdprStore cluster(co);
+  ASSERT_TRUE(cluster.Open().ok());
+  DatasetConfig cfg;
+  cfg.data_bytes = 32;
+  cfg.users = 4;
+  cfg.purposes = 2;
+  cfg.partners = 1;
+  cfg.ttl_every = 0;
+  RecordGenerator gen(cfg, &clock);
+  const Actor controller = Actor::Controller();
+  const size_t kRecords = 80;
+  for (size_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(cluster.CreateRecord(controller, gen.Make(i)).ok());
+  }
+  const GdprRecord held = gen.Make(kRecords);  // never stored
+  const std::pair<CollectionKind, std::string> reads[] = {
+      {CollectionKind::kMetaByUser, gen.UserOf(1)},
+      {CollectionKind::kMetaByPurpose, gen.PurposeOf(1)},
+      {CollectionKind::kMetaBySharing, gen.PartnerOf(0)},
+      {CollectionKind::kRecordsByUser, gen.UserOf(1)},
+      {CollectionKind::kAll, ""}};
+  for (const auto& [kind, value] : reads) {
+    SCOPED_TRACE(ops::OpClassName(CollectionOpClass(kind)));
+    std::vector<GdprRecord> alone;
+    ASSERT_TRUE(cluster.ReadCollection(controller, kind, value, &alone).ok());
+    ASSERT_FALSE(alone.empty());
+    std::vector<GdprRecord> out = {held};
+    ASSERT_TRUE(cluster.ReadCollection(controller, kind, value, &out).ok());
+    ASSERT_EQ(out.size(), 1 + alone.size());
+    EXPECT_EQ(out[0].key, held.key);
+    EXPECT_EQ(out[0].data, held.data);
+    ExpectSameRecordSets({out.begin() + 1, out.end()}, alone, "appended");
+
+    std::vector<GdprRecord> denied = {held};
+    EXPECT_TRUE(cluster
+                    .ReadCollection(Actor::Customer("nobody"), kind, value,
+                                    &denied)
+                    .IsPermissionDenied());
+    ASSERT_EQ(denied.size(), 1u);
+    EXPECT_EQ(denied[0].key, held.key);
+    EXPECT_EQ(denied[0].data, held.data);
+    EXPECT_EQ(denied[0].metadata.user, held.metadata.user);
+  }
+}
+
 TEST_P(ClusterTransportTest, QueriesRacingRebalanceReturnEachKeyOnce) {
   SimulatedClock clock(1000000);
   ClusterOptions co = BaseOptions();
@@ -854,6 +905,46 @@ TEST(ClusterTransportEquivalence, AuditEvidenceMatchesAcrossTransports) {
 
 // The router reports the sealing its nodes apply: the engine's own
 // encrypt_at_rest seals as surely as the compliance flag does.
+// cluster_degraded_skips_total counts the nodes a collection read went
+// without, and only when the read fails Unavailable naming them: a denial
+// returned after a dead node's part counts nothing.
+TEST(ClusterGdprStore, DegradedSkipsCountOnlyReadsThatFailUnavailable) {
+  ClusterOptions co;
+  co.nodes = 4;
+  co.transport = ClusterTransport::kLoopbackSocket;
+  co.rpc_timeout_ms = 2000;
+  co.compliance.metadata_indexing = true;
+  ClusterGdprStore cluster(co);
+  ASSERT_TRUE(cluster.Open().ok());
+  const Actor controller = Actor::Controller();
+  for (int i = 0; i < 40; ++i) {
+    GdprRecord rec;
+    rec.key = "k" + std::to_string(i);
+    rec.data = "data";
+    rec.metadata.user = "neo";
+    rec.metadata.purposes = {"billing"};
+    ASSERT_TRUE(cluster.CreateRecord(controller, rec).ok());
+  }
+  const auto skips = [&] {
+    return cluster.StatsSnapshot().CounterValue(
+        "cluster_degraded_skips_total");
+  };
+  cluster.node_server(0)->Stop();
+  const uint64_t before = skips();
+
+  const auto denied =
+      cluster.ReadMetadataByUser(Actor::Customer("smith"), "neo");
+  EXPECT_TRUE(denied.status().IsPermissionDenied())
+      << denied.status().ToString();
+  EXPECT_EQ(skips(), before);
+
+  const auto partial = cluster.ReadMetadataByUser(controller, "neo");
+  EXPECT_TRUE(partial.status().IsUnavailable()) << partial.status().ToString();
+  EXPECT_NE(partial.status().message().find("node 0"), std::string::npos)
+      << partial.status().ToString();
+  EXPECT_EQ(skips(), before + 1);
+}
+
 TEST(ClusterGdprStore, FeaturesReportEngineEncryption) {
   for (const bool engine : {false, true}) {
     ClusterOptions o;

@@ -179,14 +179,12 @@ TEST(KvGdprStore, UnparsableIndexedRecordLeavesNoPartialRecord) {
     }
     // Magic and version intact, body truncated.
     ASSERT_TRUE(store.raw()->Set("k1", wire.substr(0, len)).ok());
-    std::vector<std::string> seen;
+    std::vector<GdprRecord> recs;
     const Status s = store.ReadCollection(
-        Actor::Controller(), CollectionKind::kMetaByPurpose, "ads",
-        [&](GdprRecord& rec) {
-          seen.push_back(rec.key);
-          return true;
-        });
+        Actor::Controller(), CollectionKind::kMetaByPurpose, "ads", &recs);
     EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
+    std::vector<std::string> seen;
+    for (const GdprRecord& rec : recs) seen.push_back(rec.key);
     std::sort(seen.begin(), seen.end());  // posting sets are unordered
     EXPECT_EQ(seen, (std::vector<std::string>{"k0", "k2"}));
   }

@@ -185,6 +185,46 @@ TEST_P(GdprSpec, AccessControlMatrix) {
             (std::set<std::string>{"k1", "k3"}));
 }
 
+// A collection read appends to the caller's vector: what it held stays in
+// front, on every kind, and a denied read leaves it exactly as it was.
+TEST_P(GdprSpec, CollectionReadAppendsAndDenialLeavesTheVectorAlone) {
+  auto store = Make();
+  ASSERT_TRUE(store->Open().ok());
+  const Actor ctrl = Actor::Controller();
+  ASSERT_TRUE(store->CreateRecord(ctrl, MakeRec("k1", "neo", {"ads"}, {"p1"}))
+                  .ok());
+  ASSERT_TRUE(store->CreateRecord(ctrl, MakeRec("k2", "neo", {"ads"}, {"p1"}))
+                  .ok());
+  const GdprRecord held = MakeRec("held", "someone-else");
+  const std::pair<CollectionKind, std::string> reads[] = {
+      {CollectionKind::kMetaByUser, "neo"},
+      {CollectionKind::kMetaByPurpose, "ads"},
+      {CollectionKind::kMetaBySharing, "p1"},
+      {CollectionKind::kRecordsByUser, "neo"},
+      {CollectionKind::kAll, ""}};
+  for (const auto& [kind, value] : reads) {
+    SCOPED_TRACE(ops::OpClassName(CollectionOpClass(kind)));
+    std::vector<GdprRecord> out = {held};
+    ASSERT_TRUE(store->ReadCollection(ctrl, kind, value, &out).ok());
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0].key, "held");
+    EXPECT_EQ(out[0].data, held.data);
+    EXPECT_EQ(KeysOf({out.begin() + 1, out.end()}),
+              (std::set<std::string>{"k1", "k2"}));
+
+    std::vector<GdprRecord> denied = {held};
+    EXPECT_TRUE(store
+                    ->ReadCollection(Actor::Customer("smith"), kind, value,
+                                     &denied)
+                    .IsPermissionDenied());
+    ASSERT_EQ(denied.size(), 1u);
+    EXPECT_EQ(denied[0].key, held.key);
+    EXPECT_EQ(denied[0].data, held.data);
+    EXPECT_EQ(denied[0].metadata.user, held.metadata.user);
+  }
+  ASSERT_TRUE(store->Close().ok());
+}
+
 // Every list element reads back as itself on every engine: reldb keeps a
 // list as one '|'-joined column, so an element that is empty or holds a
 // '|' is refused at the door, and nothing is written.
@@ -440,20 +480,16 @@ TEST_P(GdprSpec, UnreadableUserCellIsDataLossNotAMiss) {
   EXPECT_TRUE(store->ReadRecordsByUser(ctrl, "neo").status().IsDataLoss());
   EXPECT_TRUE(store->ReadMetadataByPurpose(ctrl, "ads").status().IsDataLoss());
   EXPECT_EQ(store->ReadDataByKey(ctrl, "k0").ok(), memkv());
-  // The sink still receives the two readable records before the DataLoss.
+  // The two readable records are still appended before the DataLoss.
   const std::pair<CollectionKind, std::string> reads[] = {
       {CollectionKind::kMetaByUser, "neo"},
       {CollectionKind::kMetaByPurpose, "ads"},
       {CollectionKind::kRecordsByUser, "neo"}};
   for (const auto& [kind, value] : reads) {
-    size_t seen = 0;
-    const Status s =
-        store->ReadCollection(ctrl, kind, value, [&](GdprRecord&) {
-          ++seen;
-          return true;
-        });
+    std::vector<GdprRecord> seen;
+    const Status s = store->ReadCollection(ctrl, kind, value, &seen);
     EXPECT_TRUE(s.IsDataLoss()) << value << ": " << s.ToString();
-    EXPECT_EQ(seen, 2u) << value;
+    EXPECT_EQ(seen.size(), 2u) << value;
   }
 }
 

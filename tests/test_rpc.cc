@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -235,7 +238,7 @@ TEST(Dispatch, CollectionAnswerEncodesAsTheDeliveredRecords) {
         WireResponse want;
         want.op = op;
         want.status = store.ReadCollection(actor, CollectionKindOf(op),
-                                           req.key, AppendTo{&want.records});
+                                           req.key, &want.records);
         ASSERT_TRUE(want.status.ok());
         EXPECT_EQ(want.records.size(), answer.images.count);
         EXPECT_EQ(EncodeResponse(answer), EncodeResponse(want));
@@ -388,28 +391,39 @@ TEST_F(RpcLoopback, NodeSurfaceMatchesTheStoreCalledDirectly) {
     }
   }
 
-  // A collection answer as images: the same bytes from either handle, and
-  // a denial appends nothing.
-  RecordImages direct_images, remote_images;
-  ASSERT_TRUE(direct
-                  ->ReadCollectionImages(controller, CollectionKind::kAll, "",
-                                         &direct_images)
-                  .ok());
-  ASSERT_TRUE(remote
-                  ->ReadCollectionImages(controller, CollectionKind::kAll, "",
-                                         &remote_images)
-                  .ok());
-  EXPECT_EQ(direct_images.count, store_->RecordCount());
-  EXPECT_EQ(remote_images.count, direct_images.count);
-  EXPECT_EQ(remote_images.bytes, direct_images.bytes);
+  // A collection answer: the same records, in the same order, from either
+  // handle, and a denial appends nothing.
+  std::vector<GdprRecord> direct_recs, remote_recs;
+  ASSERT_TRUE(
+      direct->ReadCollection(controller, CollectionKind::kAll, "", &direct_recs)
+          .ok());
+  ASSERT_TRUE(
+      remote->ReadCollection(controller, CollectionKind::kAll, "", &remote_recs)
+          .ok());
+  EXPECT_EQ(direct_recs.size(), store_->RecordCount());
+  ASSERT_EQ(remote_recs.size(), direct_recs.size());
+  for (size_t i = 0; i < direct_recs.size(); ++i) {
+    EXPECT_EQ(remote_recs[i].Serialize(), direct_recs[i].Serialize())
+        << "record " << i;
+  }
+  // A remote answer read into a vector that holds records is moved onto
+  // its end.
+  std::vector<GdprRecord> appended = {direct_recs[0]};
+  ASSERT_TRUE(
+      remote->ReadCollection(controller, CollectionKind::kAll, "", &appended)
+          .ok());
+  ASSERT_EQ(appended.size(), 1 + direct_recs.size());
+  for (size_t i = 0; i < direct_recs.size(); ++i) {
+    EXPECT_EQ(appended[i + 1].Serialize(), direct_recs[i].Serialize())
+        << "record " << i;
+  }
+  EXPECT_EQ(appended[0].Serialize(), direct_recs[0].Serialize());
   for (NodeHandle* node : {direct, remote}) {
-    RecordImages denied;
-    EXPECT_TRUE(node->ReadCollectionImages(Actor::Customer("x"),
-                                           CollectionKind::kMetaByUser, "u",
-                                           &denied)
+    std::vector<GdprRecord> denied;
+    EXPECT_TRUE(node->ReadCollection(Actor::Customer("x"),
+                                     CollectionKind::kMetaByUser, "u", &denied)
                     .IsPermissionDenied());
-    EXPECT_EQ(denied.count, 0u);
-    EXPECT_TRUE(denied.bytes.empty());
+    EXPECT_TRUE(denied.empty());
   }
 
   const auto direct_verdict = direct->VerifyAuditChain();
@@ -662,6 +676,52 @@ TEST(RpcClient, SendTimeoutSurfacesUnavailable) {
       [&] { CloseFd(std::exchange(peer, -1)); });
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
   CloseFd(peer);
+}
+
+// A loopback TCP port nothing listens on: bound once by the kernel's
+// choice, then released.
+int FreeTcpPort() {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in in{};
+  in.sin_family = AF_INET;
+  in.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(in);
+  int port = -1;
+  if (fd >= 0 && bind(fd, reinterpret_cast<sockaddr*>(&in), len) == 0 &&
+      getsockname(fd, reinterpret_cast<sockaddr*>(&in), &len) == 0) {
+    port = ntohs(in.sin_port);
+  }
+  CloseFd(fd);
+  return port;
+}
+
+// An address that does not parse whole is refused by both ends, with an
+// error naming it: a port with trailing bytes must not bind or dial the
+// port its digits spell.
+TEST(SocketIo, MalformedAddressesAreRefusedNamingThem) {
+  const int port = FreeTcpPort();
+  ASSERT_GT(port, 0);
+  const std::string bad[] = {
+      "tcp:127.0.0.1:" + std::to_string(port) + "x",
+      "tcp:127.0.0.1:",
+      "tcp:127.0.0.1:65536",
+      "tcp:nohost",
+      "unix:",
+      "bogus:x",
+  };
+  for (const std::string& addr : bad) {
+    SCOPED_TRACE(addr);
+    std::string err;
+    const int listener = Listen(addr, &err);
+    EXPECT_EQ(listener, -1);
+    if (listener >= 0) CloseFd(listener);
+    EXPECT_NE(err.find(addr), std::string::npos) << err;
+    err.clear();
+    const int fd = Dial(addr, 1000, &err);
+    EXPECT_EQ(fd, -1);
+    if (fd >= 0) CloseFd(fd);
+    EXPECT_NE(err.find(addr), std::string::npos) << err;
+  }
 }
 
 TEST(RpcUnixSocket, DialToAFullBacklogTimesOut) {
