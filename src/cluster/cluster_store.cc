@@ -433,6 +433,12 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
   if (dst_node >= nodes_.size()) {
     return Status::InvalidArgument("no such node");
   }
+  // Refused whole: a slot out of range moves none of the slots before it.
+  for (const uint32_t slot : slots) {
+    if (slot >= slot_map_.num_slots()) {
+      return Status::InvalidArgument("no such slot");
+    }
+  }
   std::unique_lock<std::shared_mutex> migration(migrate_mu_);
   // The gauge is 1 for the duration of the rebalance regardless of exit
   // path; the counters advance per slot so an operator can watch progress.
@@ -443,10 +449,22 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
   } migration_active(m_migration_active_);
   size_t moved_records = 0;
   size_t moved_slots = 0;
-  for (const uint32_t slot : slots) {
-    if (slot >= slot_map_.num_slots()) {
-      return Status::InvalidArgument("no such slot");
+  std::string moved_list;  // " <slot>" per slot that changed owner
+  // The slots that changed owner are evidenced on every exit, ahead of a
+  // failed slot's entry.
+  const auto audit = [&](const std::string& failure) {
+    if (failure.empty() || moved_slots > 0) {
+      Audit(Actor::Controller(), ops::kMoveSlots,
+            StringPrintf("%zu slots (%zu records) -> node %u", moved_slots,
+                         moved_records, dst_node) +
+                (moved_list.empty() ? "" : ":" + moved_list),
+            true);
     }
+    if (!failure.empty()) {
+      Audit(Actor::Controller(), ops::kMoveSlots, failure, false);
+    }
+  };
+  for (const uint32_t slot : slots) {
     // Write-fence this one slot: point ops to it wait, point ops on every
     // other slot proceed (fan-outs are already held off by migrate_mu_).
     std::unique_lock<std::shared_mutex> fence(*slot_fence_[slot]);
@@ -461,9 +479,7 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
     if (!exported.ok()) {
       // An unreadable record on the source: migrating would silently drop
       // it from the destination copy. Leave the slot where it is.
-      Audit(Actor::Controller(), ops::kMoveSlots,
-            StringPrintf("slot %u -> node %u (export failed)", slot, dst_node),
-            false);
+      audit(StringPrintf("slot %u -> node %u (export failed)", slot, dst_node));
       return exported.status();
     }
     const std::vector<GdprRecord>& records = exported.value().records;
@@ -480,10 +496,8 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
       // log is poisoned) leaves the slot double-resident — escalate, don't
       // pretend it's clean.
       const bool clean = dst->EvictRecords(keys).ok();
-      Audit(Actor::Controller(), ops::kMoveSlots,
-            StringPrintf("slot %u -> node %u%s", slot, dst_node,
-                         clean ? "" : " (rollback incomplete)"),
-            false);
+      audit(StringPrintf("slot %u -> node %u%s", slot, dst_node,
+                         clean ? "" : " (rollback incomplete)"));
       if (!clean) {
         return Status::Internal(
             "slot copy rollback incomplete; records resident on node " +
@@ -496,23 +510,19 @@ Status ClusterGdprStore::MoveSlots(const std::vector<uint32_t>& slots,
       // Ownership flipped (dst serves the slot correctly), but the source
       // still holds resident copies it could not evict — stale ciphertext
       // that a later compaction on src must not be assumed to have purged.
-      Audit(Actor::Controller(), ops::kMoveSlots,
-            StringPrintf("slot %u -> node %u (source eviction incomplete)",
-                         slot, dst_node),
-            false);
+      audit(StringPrintf("slot %u -> node %u (source eviction incomplete)",
+                         slot, dst_node));
       return Status::Internal(
           "slot moved but source eviction incomplete on node " +
           std::to_string(src_idx));
     }
     moved_records += records.size();
     ++moved_slots;
+    moved_list += StringPrintf(" %u", slot);
     m_slots_moved_->Add(1);
     m_records_migrated_->Add(records.size());
   }
-  Audit(Actor::Controller(), ops::kMoveSlots,
-        StringPrintf("%zu slots (%zu records) -> node %u", moved_slots,
-                     moved_records, dst_node),
-        true);
+  audit("");
   return Status::OK();
 }
 

@@ -147,6 +147,8 @@ class ClusterGdprStore : public AuditedStore {
 
   // Moves the given slots to dst_node, live: point traffic to other slots
   // is untouched; traffic to a moving slot waits only for that slot's copy.
+  // An out-of-range slot refuses the whole call. A failed slot stops it; the
+  // slots moved before it stay moved, audited ahead of the failure.
   Status MoveSlots(const std::vector<uint32_t>& slots, uint32_t dst_node);
   // Levels slot ownership across all nodes (see SlotMap::PlanRebalance).
   Status Rebalance();

@@ -82,6 +82,13 @@ inline Status CheckGdprAccess(const ComplianceFlags& flags, const Actor& actor,
   return Status::PermissionDenied("unknown role");
 }
 
+// Whether the ownership rule above binds actor's writes too: the policy
+// layer then checks the record a CREATE would replace, fetched for them only.
+inline bool OwnsWhatItWrites(const ComplianceFlags& flags,
+                             const Actor& actor) {
+  return flags.enforce_access_control && actor.role == Actor::Role::kCustomer;
+}
+
 // The per-record rule of a collection read, applied to every record it
 // would serve: a processor is served only records whose subject did not
 // object to its purpose (G 21). The op-level check above has already

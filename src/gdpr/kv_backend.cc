@@ -155,13 +155,8 @@ Status KvGdprStore::Erase(const GdprRecord& rec) {
   // Data gone but evidence unwritable: surface it — VerifyDeletion would
   // deny the erasure ever happened after a restart.
   s = db_->AddTombstone(rec.key);
-  if (!s.ok()) return s;
-  // The erased record's frames sit in the log below this offset until the
-  // next compaction pass rewrites them away.
-  if (options_.kv.aof_enabled) {
-    barrier_.RecordErasure(db_->AofLogBytes(), db_->AofRewriteStarts());
-  }
-  return Status::OK();
+  if (s.ok()) db_->NoteErasure();
+  return s;
 }
 
 Status KvGdprStore::Collect(Attr attr, const std::string& value,
@@ -316,19 +311,7 @@ size_t KvGdprStore::EngineBytes() {
 Status KvGdprStore::CompactLog() { return db_->CompactAof(); }
 
 CompactionStats KvGdprStore::LogCompactionStats() {
-  const kv::AofStats aof = db_->GetAofStats();
-  CompactionStats out;
-  out.compactions = aof.rewrites;
-  out.log_bytes = aof.log_bytes;
-  out.live_bytes = aof.live_bytes;
-  out.last_bytes_before = aof.last_bytes_before;
-  out.last_bytes_after = aof.last_bytes_after;
-  out.last_compaction_micros = aof.last_rewrite_micros;
-  out.erasure_barrier = barrier_.offset();
-  // Covered generationally, so a cron-triggered rewrite drains this too.
-  out.erasures_pending_compaction =
-      options_.kv.aof_enabled ? barrier_.Pending(aof.rewrites) : 0;
-  return out;
+  return db_->GetCompactionStats();
 }
 
 // Mutations are gated inside MemKV, so a degraded report here always comes

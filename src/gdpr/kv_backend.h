@@ -30,6 +30,8 @@
 // (upsert/erasure/expiry) serialize on a narrow mutex that no read path
 // touches, so metadata queries scale with reader threads. Scan paths report
 // at-rest decrypt failures as DataLoss instead of skipping them silently.
+// Tombstones and the AOF's compaction account live in MemKV; Erase notes
+// each erasure there.
 
 #pragma once
 
@@ -136,10 +138,6 @@ class KvGdprStore : public PolicyStore, public net::NodeHandle {
   // EngineBytes without touching idx_writer_mu_.
   std::atomic<size_t> ttl_backlog_{0};
   std::atomic<size_t> index_bytes_{0};
-
-  // Tombstones live in MemKV (persisted in the AOF, carried across
-  // rewrites); this layer only tracks the erasure/compaction contract.
-  ErasureBarrier barrier_;
 
   // Records found unreadable (decrypt/parse failure) during the Open-time
   // index rebuild: they are resident but in no index, so indexed

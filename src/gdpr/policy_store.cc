@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <optional>
 
 #include "common/coding.h"
 #include "gdpr/access.h"
@@ -121,21 +122,31 @@ StatusOr<GdprRecord> PolicyStore::FetchForOp(const Actor& actor,
 Status PolicyStore::CreateRecord(const Actor& actor,
                                  const GdprRecord& record) {
   obs::SampledTimer op_timer(op_hist(ops::OpClass::kCreate), clock_);
-  Status access = CheckGdprAccess(flags_, actor, ops::kCreate, &record);
-  if (access.ok()) {
-    const GdprMetadata& m = record.metadata;
-    access = CheckListElements({&m.purposes, &m.objections, &m.shared_with});
-  }
-  if (!access.ok()) {
-    Audit(actor, ops::kCreate, record.key, false);
-    return access;
-  }
   GdprRecord rec = record;
   if (rec.metadata.created_micros == 0) {
     rec.metadata.created_micros = NowMicros();
   }
   std::lock_guard<std::mutex> key_lock(KeyMutex(rec.key));
-  Status s = Put(rec, nullptr);
+  Status access = CheckGdprAccess(flags_, actor, ops::kCreate, &rec);
+  if (access.ok()) {
+    const GdprMetadata& m = rec.metadata;
+    access = CheckListElements({&m.purposes, &m.objections, &m.shared_with});
+  }
+  // A customer may not overwrite another subject's record: the one stored
+  // under the key passes the same check, and Put replaces it.
+  std::optional<GdprRecord> prev;
+  if (access.ok() && OwnsWhatItWrites(flags_, actor)) {
+    auto stored = GetRaw(rec.key);
+    if (stored.ok()) prev = std::move(stored.value());
+    access = prev ? CheckGdprAccess(flags_, actor, ops::kCreate, &*prev)
+             : stored.status().IsNotFound() ? Status::OK()
+                                            : stored.status();
+  }
+  if (!access.ok()) {
+    Audit(actor, ops::kCreate, rec.key, false);
+    return access;
+  }
+  Status s = Put(rec, prev ? &*prev : nullptr);
   Audit(actor, ops::kCreate, rec.key, s.ok());
   return s;
 }
@@ -258,10 +269,6 @@ Status PolicyStore::UpdateMetadataByKey(const Actor& actor,
       {update.purposes ? &*update.purposes : nullptr,
        update.objections ? &*update.objections : nullptr,
        update.shared_with ? &*update.shared_with : nullptr});
-  if (!valid.ok()) {
-    Audit(actor, ops::kUpdateMeta, key, false);
-    return valid;
-  }
   GdprRecord updated = rec.value();
   GdprMetadata& m = updated.metadata;
   if (update.user) m.user = *update.user;
@@ -270,6 +277,15 @@ Status PolicyStore::UpdateMetadataByKey(const Actor& actor,
   if (update.shared_with) m.shared_with = *update.shared_with;
   if (update.origin) m.origin = *update.origin;
   if (update.expiry_micros) m.expiry_micros = *update.expiry_micros;
+  // The updated record passes the check the stored one did, so a customer
+  // cannot hand its record to another subject.
+  if (valid.ok()) {
+    valid = CheckGdprAccess(flags_, actor, ops::kUpdateMeta, &updated);
+  }
+  if (!valid.ok()) {
+    Audit(actor, ops::kUpdateMeta, key, false);
+    return valid;
+  }
   Status s = Put(updated, &rec.value());
   Audit(actor, ops::kUpdateMeta, key, s.ok());
   return s;

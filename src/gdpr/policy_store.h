@@ -101,8 +101,8 @@ class PolicyStore : public AuditedStore {
   // carries no tombstone); nullptr when unknown, in which case the engine
   // retires any prior incarnation itself and clears the key's tombstone.
   virtual Status Put(const GdprRecord& rec, const GdprRecord* prev) = 0;
-  // Delete + unindex + durable tombstone + erasure barrier, under the
-  // caller's key lock. Fails without recording evidence when the erasure
+  // Delete + unindex + durable tombstone + the engine's erasure note, under
+  // the caller's key lock. Fails without recording evidence when the erasure
   // cannot be made durable.
   virtual Status Erase(const GdprRecord& rec) = 0;
   // Feeds fn the image of every record whose attr may equal value — hints,

@@ -157,13 +157,8 @@ Status RelGdprStore::Erase(const GdprRecord& rec) {
   // Data gone but evidence unwritable: surface it — VerifyDeletion would
   // deny the erasure ever happened.
   if (!evidenced.value()) s = db_->Insert(tombstones_, {rel::Value(rec.key)});
-  if (!s.ok()) return s;
-  // The erased record's frames sit in the WAL below this offset until the
-  // next checkpoint rewrites them away.
-  if (options_.rel.wal_enabled) {
-    barrier_.RecordErasure(db_->WalBytes(), db_->CheckpointStarts());
-  }
-  return Status::OK();
+  if (s.ok()) db_->NoteErasure();
+  return s;
 }
 
 std::function<bool(const rel::Row&)> RelGdprStore::Images(
@@ -229,19 +224,7 @@ size_t RelGdprStore::EngineBytes() { return db_->ApproximateBytes(); }
 Status RelGdprStore::CompactLog() { return db_->Checkpoint(); }
 
 CompactionStats RelGdprStore::LogCompactionStats() {
-  const rel::CheckpointStats ck = db_->GetCheckpointStats();
-  CompactionStats out;
-  out.compactions = ck.checkpoints;
-  // The durable footprint after a checkpoint is snapshot + WAL tail.
-  out.log_bytes = ck.wal_bytes + ck.last_snapshot_bytes;
-  out.live_bytes = db_->ApproximateBytes();
-  out.last_bytes_before = ck.last_wal_bytes_before;
-  out.last_bytes_after = ck.last_wal_bytes_after + ck.last_snapshot_bytes;
-  out.last_compaction_micros = ck.last_checkpoint_micros;
-  out.erasure_barrier = barrier_.offset();
-  out.erasures_pending_compaction =
-      options_.rel.wal_enabled ? barrier_.Pending(ck.checkpoints) : 0;
-  return out;
+  return db_->GetCompactionStats();
 }
 
 // Mutations are gated inside rel::Database on WAL/statement-log health.

@@ -7,7 +7,8 @@
 // entry per element), so collections are index probes — the Fig 5c / Fig 8
 // configuration. Without it the same Select is a sequential scan. A row
 // that fails at-rest decryption makes the collection that met it return
-// DataLoss.
+// DataLoss. Erase notes each erasure with the engine, which keeps the WAL's
+// compaction account.
 
 #pragma once
 
@@ -82,8 +83,6 @@ class RelGdprStore : public PolicyStore {
   // Erasure evidence as rows: WAL-replayed and checkpoint-serialized like
   // any other table, so tombstones survive restarts AND compaction.
   rel::Table* tombstones_ = nullptr;
-
-  ErasureBarrier barrier_;
 };
 
 }  // namespace gdpr

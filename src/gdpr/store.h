@@ -19,11 +19,11 @@
 #include "common/status.h"
 #include "gdpr/actor.h"
 #include "gdpr/audit.h"
-#include "gdpr/compaction.h"
 #include "gdpr/compliance.h"
 #include "gdpr/ops.h"
 #include "gdpr/record.h"
 #include "obs/metrics.h"
+#include "storage/compaction.h"
 
 namespace gdpr {
 

@@ -833,14 +833,20 @@ void MemKV::MaybeCompactAof() {
   if (AofCompactionDue()) CompactAof().ok();
 }
 
-AofStats MemKV::GetAofStats() const {
-  AofStats s;
-  s.rewrites = m_aof_rewrites_->Value();
+void MemKV::NoteErasure() {
+  if (!options_.aof_enabled) return;
+  erasures_.RecordErasure(AofLogBytes(), aof_rewrite_starts_.load());
+}
+
+CompactionStats MemKV::GetCompactionStats() {
+  CompactionStats s;
+  s.compactions = m_aof_rewrites_->Value();
   s.log_bytes = AofLogBytes();
   s.live_bytes = ApproximateBytes();
   s.last_bytes_before = last_rewrite_before_.load();
   s.last_bytes_after = last_rewrite_after_.load();
-  s.last_rewrite_micros = last_rewrite_micros_.load();
+  s.last_compaction_micros = last_rewrite_micros_.load();
+  erasures_.Report(&s);
   return s;
 }
 

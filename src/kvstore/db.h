@@ -20,6 +20,8 @@
 //     read + a log append — the paper's audit retrofit). Every write
 //     commits its frame before it changes memory (the tombstone set's
 //     Add/ClearTombstone excepted).
+//   * The AOF's compaction account, erasure barrier included
+//     (GetCompactionStats, storage/compaction.h).
 
 #pragma once
 
@@ -45,6 +47,7 @@
 #include "kvstore/epoch_map.h"
 #include "obs/metrics.h"
 #include "storage/commit_log.h"
+#include "storage/compaction.h"
 #include "storage/env.h"
 
 namespace gdpr::kv {
@@ -94,17 +97,6 @@ struct Options {
   // group commit; 1 = one batch per record, the per-write baseline
   // bench_put_scale compares against.
   size_t commit_max_batch_frames = 0;
-};
-
-// Observability for the AOF rewrite path (surfaced through the GDPR layer
-// as gdpr::CompactionStats).
-struct AofStats {
-  uint64_t rewrites = 0;           // completed CompactAof passes
-  uint64_t log_bytes = 0;          // current AOF length
-  uint64_t live_bytes = 0;         // resident key+value bytes
-  uint64_t last_bytes_before = 0;  // log length entering the last pass
-  uint64_t last_bytes_after = 0;   // ... and leaving it
-  int64_t last_rewrite_micros = 0;
 };
 
 class MemKV {
@@ -189,11 +181,10 @@ class MemKV {
   bool AofCompactionDue() const;
   // Runs CompactAof iff the policy says it is due (the cron calls this).
   void MaybeCompactAof();
-  AofStats GetAofStats() const;
-  // Rewrite passes *started* (>= GetAofStats().rewrites, which counts
-  // completions). Lets ErasureBarrier decide which erasures a completed
-  // pass is guaranteed to have covered.
-  uint64_t AofRewriteStarts() const { return aof_rewrite_starts_.load(); }
+  // No-op without an AOF; else the record just erased stays pending until
+  // a rewrite started after this call completes.
+  void NoteErasure();
+  CompactionStats GetCompactionStats();
 
   // --- Erasure-tombstone registry ------------------------------------------
   // Evidence that a key was GDPR-erased. Persisted in the AOF ('T' add /
@@ -331,8 +322,8 @@ class MemKV {
   obs::Counter* m_aof_append_fail_ = nullptr;
   obs::Counter* m_aof_syncs_ = nullptr;
   obs::Counter* m_aof_sync_fail_ = nullptr;
-  obs::Counter* m_aof_rewrites_ = nullptr;  // memkv_aof_rewrites (AofStats view)
-  obs::Gauge* m_aof_log_bytes_ = nullptr;   // memkv_aof_log_bytes (AofStats view)
+  obs::Counter* m_aof_rewrites_ = nullptr;  // memkv_aof_rewrites_total
+  obs::Gauge* m_aof_log_bytes_ = nullptr;   // memkv_aof_log_bytes
   obs::Gauge* m_tombstones_ = nullptr;
 
   // Checked on hot paths; a detached commit log acks as OK, so the flag
@@ -362,6 +353,7 @@ class MemKV {
   std::atomic<uint64_t> last_rewrite_before_{0};
   std::atomic<uint64_t> last_rewrite_after_{0};
   std::atomic<int64_t> last_rewrite_micros_{0};
+  ErasureBarrier erasures_;
 
   mutable std::mutex tomb_mu_;
   std::unordered_set<std::string> tombstones_;

@@ -36,12 +36,12 @@
 #include "common/status.h"
 #include "gdpr/actor.h"
 #include "gdpr/audit.h"
-#include "gdpr/compaction.h"
 #include "gdpr/compliance.h"
 #include "gdpr/record.h"
 #include "gdpr/store.h"
 #include "net/node_handle.h"  // SlotContents
 #include "obs/metrics.h"
+#include "storage/compaction.h"
 
 namespace gdpr::net {
 

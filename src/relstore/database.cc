@@ -997,14 +997,22 @@ Status Database::StampWal(CommitLog::FileSlot& wal, uint64_t epoch) {
   return s;
 }
 
-CheckpointStats Database::GetCheckpointStats() const {
-  CheckpointStats s;
-  s.checkpoints = m_checkpoints_->Value();
-  s.wal_bytes = WalBytes();
-  s.last_wal_bytes_before = last_ckpt_wal_before_.load();
-  s.last_wal_bytes_after = last_ckpt_wal_after_.load();
-  s.last_snapshot_bytes = last_ckpt_snapshot_bytes_.load();
-  s.last_checkpoint_micros = last_ckpt_micros_.load();
+void Database::NoteErasure() {
+  if (!options_.wal_enabled) return;
+  erasures_.RecordErasure(WalBytes(), checkpoint_starts_.load());
+}
+
+CompactionStats Database::GetCompactionStats() {
+  CompactionStats s;
+  s.compactions = m_checkpoints_->Value();
+  // The durable footprint after a checkpoint is snapshot + WAL tail.
+  const uint64_t snapshot_bytes = last_ckpt_snapshot_bytes_.load();
+  s.log_bytes = WalBytes() + snapshot_bytes;
+  s.live_bytes = ApproximateBytes();
+  s.last_bytes_before = last_ckpt_wal_before_.load();
+  s.last_bytes_after = last_ckpt_wal_after_.load() + snapshot_bytes;
+  s.last_compaction_micros = last_ckpt_micros_.load();
+  erasures_.Report(&s);
   return s;
 }
 

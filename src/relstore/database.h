@@ -36,7 +36,8 @@
 // WAL and stamps it with the snapshot's epoch. Recovery = snapshot load +
 // WAL tail; an epoch mismatch (crash between the snapshot rename and the
 // WAL truncate) marks the whole WAL as pre-snapshot and it is dropped —
-// its every byte is already inside the snapshot.
+// its every byte is already inside the snapshot. GetCompactionStats is the
+// WAL's compaction account, erasure barrier included (storage/compaction.h).
 
 #pragma once
 
@@ -61,6 +62,7 @@
 #include "relstore/bptree.h"
 #include "relstore/value.h"
 #include "storage/commit_log.h"
+#include "storage/compaction.h"
 #include "storage/env.h"
 
 namespace gdpr::rel {
@@ -197,17 +199,6 @@ struct ReplayStats {
   bool truncated_tail = false;  // log ended mid-record (torn write)
 };
 
-// Observability for the checkpoint path (surfaced through the GDPR layer
-// as gdpr::CompactionStats).
-struct CheckpointStats {
-  uint64_t checkpoints = 0;           // completed Checkpoint() passes
-  uint64_t wal_bytes = 0;             // current WAL length
-  uint64_t last_wal_bytes_before = 0; // WAL length entering the last pass
-  uint64_t last_wal_bytes_after = 0;  // ... and leaving it (epoch frame)
-  uint64_t last_snapshot_bytes = 0;   // snapshot written by the last pass
-  int64_t last_checkpoint_micros = 0;
-};
-
 class Database {
  public:
   explicit Database(const RelOptions& options);
@@ -284,9 +275,11 @@ class Database {
     const int64_t v = m_wal_log_bytes_->Value();
     return v > 0 ? static_cast<uint64_t>(v) : 0;
   }
-  CheckpointStats GetCheckpointStats() const;
-  // Checkpoint passes *started* (>= GetCheckpointStats().checkpoints).
-  // Lets ErasureBarrier decide which erasures a completed pass covered.
+  // No-op without a WAL; else the row just erased stays pending until a
+  // checkpoint started after this call completes.
+  void NoteErasure();
+  CompactionStats GetCompactionStats();
+  // Checkpoint passes *started* (>= GetCompactionStats().compactions).
   uint64_t CheckpointStarts() const { return checkpoint_starts_.load(); }
 
   static std::string SnapshotPath(const std::string& wal_path) {
@@ -481,6 +474,7 @@ class Database {
   std::atomic<uint64_t> last_ckpt_wal_after_{0};
   std::atomic<uint64_t> last_ckpt_snapshot_bytes_{0};
   std::atomic<int64_t> last_ckpt_micros_{0};
+  ErasureBarrier erasures_;
 
   // Degraded when the WAL can no longer be trusted to persist acked
   // mutations (failed hot-path append/sync, failed re-establishment after

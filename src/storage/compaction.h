@@ -1,11 +1,10 @@
-// Log compaction as a compliance mechanism. Erasure (G 17) is hollow if the
-// erased record's ciphertext keeps living in the AOF / WAL: the store stops
-// serving it, but the bytes are still on disk. Each backend therefore
-// tracks an ErasureBarrier — the log offset at the moment of the most
-// recent erasure — and CompactNow() rewrites the persistence log(s) to live
-// state only, guaranteeing no pre-barrier frame for an erased record
-// survives. Tombstones and the audit chain are carried across the rewrite:
-// the data is forgotten, the evidence of forgetting is not.
+// The compaction account of a log-owning engine (kv::MemKV, rel::Database).
+// Erasure (G 17) is hollow if the erased record's ciphertext keeps living
+// in the AOF / WAL: the store stops serving it, but the bytes are still on
+// disk. So the engine keeps an ErasureBarrier beside its log and reports it
+// with its rewrite figures as CompactionStats. Tombstones and the audit
+// chain are carried across a rewrite: the data is forgotten, the evidence
+// of forgetting is not.
 
 #pragma once
 
@@ -53,19 +52,19 @@ struct CompactionStats {
 };
 
 // Tracks the offset contract between erasure and compaction. Thread-safe;
-// one per store.
+// one per log-owning engine.
 //
 // Coverage is generation-based so it stays correct no matter who runs the
 // compaction (explicit CompactNow or the engine's own cron-triggered
 // rewrite): each erasure records the number of compaction passes *started*
 // at that moment. A pass started before the erasure may already have
 // snapshotted the record's frames, so the erasure is only covered once a
-// pass numbered strictly after it completes — i.e. once the store's
+// pass numbered strictly after it completes — i.e. once the engine's
 // completed-pass count exceeds the recorded start count.
 class ErasureBarrier {
  public:
   // An erasure just landed: the log is `log_offset` bytes long and the
-  // store has started `passes_started` compaction passes so far.
+  // engine has started `passes_started` compaction passes so far.
   void RecordErasure(uint64_t log_offset, uint64_t passes_started) {
     std::lock_guard<std::mutex> l(mu_);
     offset_ = std::max(offset_, log_offset);
@@ -76,25 +75,22 @@ class ErasureBarrier {
     }
   }
 
-  // Erasures not yet covered, given the store's completed-pass count.
-  // Prunes covered generations as a side effect.
-  uint64_t Pending(uint64_t passes_completed) {
+  // Sets stats' erasure_barrier and erasures_pending_compaction, given the
+  // engine's completed passes in stats.compactions. Prunes covered
+  // generations as a side effect.
+  void Report(CompactionStats* stats) {
     std::lock_guard<std::mutex> l(mu_);
-    while (!gens_.empty() && gens_.front().first < passes_completed) {
+    while (!gens_.empty() && gens_.front().first < stats->compactions) {
       gens_.pop_front();
     }
-    uint64_t total = 0;
-    for (const auto& [gen, count] : gens_) total += count;
-    return total;
-  }
-
-  uint64_t offset() const {
-    std::lock_guard<std::mutex> l(mu_);
-    return offset_;
+    uint64_t pending = 0;
+    for (const auto& [gen, count] : gens_) pending += count;
+    stats->erasure_barrier = offset_;
+    stats->erasures_pending_compaction = pending;
   }
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   uint64_t offset_ = 0;  // high-water log offset of erasures
   // (passes-started-at-erasure, erasure count), oldest first.
   std::deque<std::pair<uint64_t, uint64_t>> gens_;

@@ -12,11 +12,14 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
 
 #include "bench/generator.h"
+#include "common/string_util.h"
 #include "cluster/cluster_store.h"
 #include "gdpr/rel_backend.h"
 #include "storage/env.h"
@@ -587,6 +590,73 @@ TEST_P(ClusterTransportTest, CollectionReadAppendsAndDenialLeavesTheVectorAlone)
   }
 }
 
+// A customer writes only into records it owns, over either transport: a
+// create over another subject's key and an update that hands its own
+// record to another subject are refused, audited, and change nothing.
+TEST_P(ClusterTransportTest, CustomerCannotWriteIntoAnotherSubjectsRecord) {
+  ClusterGdprStore cluster(BaseOptions());
+  ASSERT_TRUE(cluster.Open().ok());
+  const Actor controller = Actor::Controller();
+  const Actor neo = Actor::Customer("neo");
+  const auto make = [](const std::string& key, const std::string& user) {
+    GdprRecord rec;
+    rec.key = key;
+    rec.data = "data-" + key;
+    rec.metadata.user = user;
+    rec.metadata.purposes = {"billing"};
+    return rec;
+  };
+  ASSERT_TRUE(cluster.CreateRecord(controller, make("smith-1", "smith")).ok());
+  ASSERT_TRUE(cluster.CreateRecord(controller, make("neo-1", "neo")).ok());
+
+  GdprRecord overwrite = make("smith-1", "neo");
+  overwrite.data = "neo's data";
+  EXPECT_TRUE(cluster.CreateRecord(neo, overwrite).IsPermissionDenied());
+  MetadataUpdate handoff;
+  handoff.user = "smith";
+  EXPECT_TRUE(
+      cluster.UpdateMetadataByKey(neo, "neo-1", handoff).IsPermissionDenied());
+
+  auto smith = cluster.ReadDataByKey(controller, "smith-1");
+  ASSERT_TRUE(smith.ok()) << smith.status().ToString();
+  EXPECT_EQ(smith.value().data, "data-smith-1");
+  EXPECT_EQ(smith.value().metadata.user, "smith");
+  auto neo1 = cluster.ReadMetadataByKey(controller, "neo-1");
+  ASSERT_TRUE(neo1.ok()) << neo1.status().ToString();
+  EXPECT_EQ(neo1.value().user, "neo");
+  auto logs = cluster.GetSystemLogs(controller, 0,
+                                    std::numeric_limits<int64_t>::max());
+  ASSERT_TRUE(logs.ok()) << logs.status().ToString();
+  std::set<std::string> refused;
+  for (const AuditEntry& e : logs.value()) {
+    if (e.actor_id == "neo" && !e.allowed) refused.insert(e.op + " " + e.key);
+  }
+  EXPECT_TRUE(refused.count(std::string(ops::kCreate) + " smith-1"));
+  EXPECT_TRUE(refused.count(std::string(ops::kUpdateMeta) + " neo-1"));
+}
+
+// An out-of-range slot refuses the whole call: the valid slot named before
+// it keeps its owner and its records.
+TEST_P(ClusterTransportTest, MoveSlotsWithAnOutOfRangeSlotMovesNothing) {
+  ClusterGdprStore cluster(BaseOptions());
+  ASSERT_TRUE(cluster.Open().ok());
+  GdprRecord rec;
+  rec.key = "k";
+  rec.data = "data";
+  rec.metadata.user = "neo";
+  rec.metadata.purposes = {"billing"};
+  ASSERT_TRUE(cluster.CreateRecord(Actor::Controller(), rec).ok());
+  const uint32_t slot = cluster.slot_map().SlotOf("k");
+  const uint32_t owner = cluster.slot_map().OwnerOf(slot);
+  const uint32_t dst = (owner + 1) % 4;
+  EXPECT_EQ(
+      cluster.MoveSlots({slot, cluster.slot_map().num_slots()}, dst).code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(cluster.slot_map().OwnerOf(slot), owner);
+  EXPECT_EQ(cluster.node(owner)->RecordCount(), 1u);
+  EXPECT_EQ(cluster.node(dst)->RecordCount(), 0u);
+}
+
 TEST_P(ClusterTransportTest, QueriesRacingRebalanceReturnEachKeyOnce) {
   SimulatedClock clock(1000000);
   ClusterOptions co = BaseOptions();
@@ -943,6 +1013,55 @@ TEST(ClusterGdprStore, DegradedSkipsCountOnlyReadsThatFailUnavailable) {
   EXPECT_NE(partial.status().message().find("node 0"), std::string::npos)
       << partial.status().ToString();
   EXPECT_EQ(skips(), before + 1);
+}
+
+// A MoveSlots that fails part way leaves evidence of the slots it did
+// move: the router's trail records them, slot and record count, ahead of
+// the failure.
+TEST(ClusterGdprStore, PartialMoveSlotsAuditsTheSlotsThatMoved) {
+  ClusterOptions co;
+  co.nodes = 4;
+  co.transport = ClusterTransport::kLoopbackSocket;
+  co.rpc_timeout_ms = 2000;
+  ClusterGdprStore cluster(co);
+  ASSERT_TRUE(cluster.Open().ok());
+  std::map<uint32_t, size_t> per_slot;
+  for (int i = 0; i < 40; ++i) {
+    GdprRecord rec;
+    rec.key = "k" + std::to_string(i);
+    rec.data = "data";
+    rec.metadata.user = "neo";
+    rec.metadata.purposes = {"billing"};
+    ASSERT_TRUE(cluster.CreateRecord(Actor::Controller(), rec).ok());
+    ++per_slot[cluster.slot_map().SlotOf(rec.key)];
+  }
+  // One slot on node 0, which stays up, then one on node 2, which stops.
+  uint32_t live = UINT32_MAX, dead = UINT32_MAX;
+  for (const auto& [slot, n] : per_slot) {
+    const uint32_t owner = cluster.slot_map().OwnerOf(slot);
+    if (owner == 0 && live == UINT32_MAX) live = slot;
+    if (owner == 2 && dead == UINT32_MAX) dead = slot;
+  }
+  ASSERT_NE(live, UINT32_MAX);
+  ASSERT_NE(dead, UINT32_MAX);
+  cluster.node_server(2)->Stop();
+  EXPECT_FALSE(cluster.MoveSlots({live, dead}, 1).ok());
+  EXPECT_EQ(cluster.slot_map().OwnerOf(live), 1u);
+  EXPECT_EQ(cluster.slot_map().OwnerOf(dead), 2u);
+
+  std::vector<std::pair<std::string, bool>> moves;
+  for (const AuditEntry& e :
+       cluster.audit_log()->Query(0, std::numeric_limits<int64_t>::max())) {
+    if (e.op == ops::kMoveSlots) moves.emplace_back(e.key, e.allowed);
+  }
+  ASSERT_EQ(moves.size(), 2u);
+  EXPECT_EQ(moves[0].first,
+            StringPrintf("1 slots (%zu records) -> node 1: %u",
+                         per_slot[live], live));
+  EXPECT_TRUE(moves[0].second);
+  EXPECT_EQ(moves[1].first,
+            StringPrintf("slot %u -> node 1 (export failed)", dead));
+  EXPECT_FALSE(moves[1].second);
 }
 
 TEST(ClusterGdprStore, FeaturesReportEngineEncryption) {

@@ -9,6 +9,7 @@
 //   * Crash points: a temp file left mid-rewrite (rename never happened)
 //     must reopen to the pre-compaction state; a snapshot renamed but WAL
 //     not yet truncated must not double-apply.
+//   * An engine with no log leaves no erasure pending.
 //   * A 4-node cluster fans CompactNow out per node, and slot migration
 //     does not resurrect compacted data.
 
@@ -105,8 +106,8 @@ TEST(AofCompaction, RewriteShrinksLogAndSurvivesReopen) {
     }
     const uint64_t before = db.AofLogBytes();
     ASSERT_TRUE(db.CompactAof().ok());
-    const kv::AofStats stats = db.GetAofStats();
-    EXPECT_EQ(stats.rewrites, 1u);
+    const CompactionStats stats = db.GetCompactionStats();
+    EXPECT_EQ(stats.compactions, 1u);
     EXPECT_EQ(stats.last_bytes_before, before);
     EXPECT_LT(stats.log_bytes, before / 5);  // 10 versions -> 1
     EXPECT_EQ(env.ReadFileToString("aof").value().size(), stats.log_bytes);
@@ -213,7 +214,7 @@ TEST(AofCompaction, AutoCompactionTriggersFromPolicy) {
   EXPECT_TRUE(db.AofCompactionDue());
   db.RunExpiryCycle();  // the cron body runs this + MaybeCompactAof
   db.MaybeCompactAof();
-  EXPECT_EQ(db.GetAofStats().rewrites, 1u);
+  EXPECT_EQ(db.GetCompactionStats().compactions, 1u);
   EXPECT_FALSE(db.AofCompactionDue());
 }
 
@@ -356,10 +357,10 @@ TEST(WalCheckpoint, SnapshotPlusTailReplays) {
               1u);
     const uint64_t wal_before = db.WalBytes();
     ASSERT_TRUE(db.Checkpoint().ok());
-    const rel::CheckpointStats stats = db.GetCheckpointStats();
-    EXPECT_EQ(stats.checkpoints, 1u);
-    EXPECT_EQ(stats.last_wal_bytes_before, wal_before);
-    EXPECT_LT(stats.wal_bytes, 16u);  // just the epoch frame
+    const CompactionStats stats = db.GetCompactionStats();
+    EXPECT_EQ(stats.compactions, 1u);
+    EXPECT_EQ(stats.last_bytes_before, wal_before);
+    EXPECT_LT(db.WalBytes(), 16u);  // just the epoch frame
     EXPECT_TRUE(env.FileExists("wal.snapshot"));
     // Post-checkpoint writes land in the WAL tail.
     ASSERT_TRUE(
@@ -544,6 +545,36 @@ TEST(ErasureCompaction, RelForgetUserOnDisk) {
   EXPECT_TRUE(
       store.ReadMetadataByUser(Actor::Controller(), "alice").value().empty());
   EXPECT_TRUE(store.audit_log()->VerifyChain());
+}
+
+// ---- engines with no log ----------------------------------------------------
+
+// An engine with no log records no erasure: its frames were never on disk,
+// so nothing waits for a compaction pass, on memkv without an AOF or on
+// reldb without a WAL.
+TEST(CompactionAccount, ErasuresWithNoLogLeaveNothingPending) {
+  KvGdprStore kv{KvGdprOptions()};
+  RelGdprStore rel{RelGdprOptions()};
+  for (GdprStore* store : {static_cast<GdprStore*>(&kv),
+                           static_cast<GdprStore*>(&rel)}) {
+    ASSERT_TRUE(store->Open().ok());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(store
+                      ->CreateRecord(Actor::Controller(),
+                                     MakeRecord("k" + std::to_string(i),
+                                                i < 3 ? "alice" : "bob",
+                                                "data"))
+                      .ok());
+    }
+    ASSERT_EQ(store->DeleteRecordsByUser(Actor::Controller(), "alice").value(),
+              3u);
+    ASSERT_TRUE(store->DeleteRecordByKey(Actor::Controller(), "k3").ok());
+    const CompactionStats stats = store->GetCompactionStats();
+    EXPECT_EQ(stats.erasure_barrier, 0u);
+    EXPECT_EQ(stats.erasures_pending_compaction, 0u);
+    EXPECT_EQ(stats.log_bytes, 0u);
+    ASSERT_TRUE(store->Close().ok());
+  }
 }
 
 // ---- cluster ----------------------------------------------------------------

@@ -511,7 +511,7 @@ TEST(Concurrency, RelReadersRaceImageSwaps) {
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows.value().size(), 1u);
   }
-  EXPECT_GT(db.GetCheckpointStats().checkpoints, 0u);
+  EXPECT_GT(db.GetCompactionStats().compactions, 0u);
   const std::vector<Row> live = scan(&db, t);
   ASSERT_TRUE(db.Close().ok());
   {

@@ -139,6 +139,32 @@ TEST_P(GdprSpec, AccessControlMatrix) {
       denied(store->ScanRecords(neo, [](const GdprRecord&) { return true; })));
   EXPECT_TRUE(denied(store->CompactNow(neo).status()));
 
+  // Nor write into another subject's record: neither a create over smith's
+  // key nor an update that hands neo's record to smith goes through. Each
+  // refusal is audited and leaves the record as it was.
+  ASSERT_TRUE(store->CreateRecord(controller, MakeRec("k4", "smith")).ok());
+  GdprRecord overwrite = MakeRec("k4", "neo");
+  overwrite.data = "neo's data";
+  EXPECT_TRUE(denied(store->CreateRecord(neo, overwrite)));
+  MetadataUpdate handoff;
+  handoff.user = "smith";
+  EXPECT_TRUE(denied(store->UpdateMetadataByKey(neo, "k1", handoff)));
+  auto k4 = store->ReadDataByKey(smith, "k4");
+  ASSERT_TRUE(k4.ok()) << k4.status().ToString();
+  EXPECT_EQ(k4.value().data, "data-k4");
+  EXPECT_EQ(k4.value().metadata.user, "smith");
+  auto k1 = store->ReadMetadataByKey(controller, "k1");
+  ASSERT_TRUE(k1.ok()) << k1.status().ToString();
+  EXPECT_EQ(k1.value().user, "neo");
+  auto logs = store->GetSystemLogs(controller, 0, store->clock()->NowMicros());
+  ASSERT_TRUE(logs.ok());
+  std::set<std::string> refused;
+  for (const AuditEntry& e : logs.value()) {
+    if (e.actor_id == "neo" && !e.allowed) refused.insert(e.op + " " + e.key);
+  }
+  EXPECT_TRUE(refused.count(std::string(ops::kCreate) + " k4"));
+  EXPECT_TRUE(refused.count(std::string(ops::kUpdateMeta) + " k1"));
+
   // Processors read under a granted purpose, and only read.
   EXPECT_TRUE(store->ReadDataByKey(ads, "k1").ok());
   EXPECT_TRUE(store->ReadMetadataByPurpose(ads, "ads").ok());

@@ -593,7 +593,7 @@ TEST(MemKV, ClearTombstoneRacingCompactionSurvivesReopen) {
     for (auto& th : writers) th.join();
     stop.store(true);
     compactor.join();
-    ASSERT_GT(db.GetAofStats().rewrites, 0u);
+    ASSERT_GT(db.GetCompactionStats().compactions, 0u);
     ASSERT_TRUE(db.Close().ok());
   }
   EXPECT_EQ(written_early.load(), 0)

@@ -639,7 +639,7 @@ TEST(Database, CheckpointWaitsForAnAckedWriteToApply) {
     env.Release();
     writer.join();
     checkpointer.join();
-    EXPECT_EQ(db.GetCheckpointStats().checkpoints, 1u);
+    EXPECT_EQ(db.GetCompactionStats().compactions, 1u);
     ASSERT_TRUE(db.Close().ok());
   }
   Database db(LatchedWalOptions(&env));
